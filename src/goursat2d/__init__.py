@@ -41,7 +41,6 @@ from .norms import (
     Lemma31Report,
     NormEquivalenceReport,
     WeightedNorms,
-    ac_norm,
     check_norm_equivalence,
     classical_l2_norm,
     verify_lemma31,
@@ -51,11 +50,8 @@ from .operator import (
     CoercivityReport,
     OperatorContext,
     apply_F,
-    apply_Fprime,
     coercivity_probe,
-    linearize,
     make_context,
-    merit,
     residual,
 )
 from .problem import (
@@ -125,9 +121,7 @@ __all__ = [
     "WeightChoice",
     "WeightedNorms",
     "XYFunction",
-    "ac_norm",
     "apply_F",
-    "apply_Fprime",
     "build_grid",
     "builtin_example_4_6",
     "check_norm_equivalence",
@@ -138,11 +132,9 @@ __all__ = [
     "evaluate",
     "evaluate_dual",
     "frechet_apply",
-    "linearize",
     "load_problem",
     "make_context",
     "manufacture_problem",
-    "merit",
     "parse",
     "probe_assumptions",
     "read_field_csv",

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .fileio import read_field_csv, read_grid_csv, write_field_csv, write_grid_csv, write_report_json
 from .grid import GridField, StateTriple, build_grid, reconstruct_state
-from .norms import ac_norm, check_norm_equivalence, classical_l2_norm, verify_lemma31, LEMMA31_SIDES
+from .norms import check_norm_equivalence, classical_l2_norm, verify_lemma31, weighted_l2_norm, LEMMA31_SIDES
 from .operator import coercivity_probe, make_context
 from .problem import (
     BUILTIN_PROBLEMS,
@@ -421,7 +421,7 @@ def _suite_norms(args) -> int:
 
     # closed form: z = xy has g ≡ 1 and ‖xy‖ at m = 1 equals 1 − e⁻¹
     g64 = GridField(build_grid(64), np.ones((65, 65, 1)))
-    value = ac_norm(g64, 1.0)
+    value = weighted_l2_norm(g64, 1.0)
     expected = 1.0 - math.exp(-1.0)
     spot = abs(value - expected) <= 1e-3 and math.exp(-2.0) <= value <= 1.0
     _emit({"suite": "norms", "check": "xy_closed_form", "m": 1.0, "value": value,

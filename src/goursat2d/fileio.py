@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError, ShapeError
-from .grid import GridField, StateTriple, build_grid
+from .grid import Grid, GridField, StateTriple, build_grid
 
 
 def _fmt(x: float) -> str:
@@ -45,53 +45,62 @@ def _atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
-def _component_names(prefix: str, n: int) -> list[str]:
-    return [f"{prefix}_{k + 1}" for k in range(n)]
+def _columns(prefixes: tuple[str, ...], n: int) -> list[str]:
+    return ["i", "j", "x", "y", *(f"{p}_{k + 1}" for p in prefixes for k in range(n))]
 
 
-def _parse_rows(path: Path, expected_cols: list[str]):
-    """Header-checked rows of floats/ints; yields (i, j, x, y, numbers)."""
-    text = path.read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def _write_nodes(path: str | os.PathLike, grid: Grid, blocks: dict[str, np.ndarray]) -> None:
+    """Emit one row per node, row-major in i then j: ``i,j,x,y`` and then,
+    per block, its n components as ``prefix_1..prefix_n``."""
+    n = next(iter(blocks.values())).shape[2]
+    lines = [",".join(_columns(tuple(blocks), n))]
+    for i in range(grid.npoints):
+        for j in range(grid.npoints):
+            cells = [str(i), str(j), _fmt(grid.nodes[i]), _fmt(grid.nodes[j])]
+            for block in blocks.values():
+                cells += [_fmt(block[i, j, k]) for k in range(n)]
+            lines.append(",".join(cells))
+    _atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _read_nodes(path: str | os.PathLike, prefixes: tuple[str, ...]) -> tuple[Grid, np.ndarray]:
+    """Read a node table written by ``_write_nodes`` with the given blocks.
+
+    n is the number of ``prefixes[0]_k`` header columns.  Returns the grid and
+    the values, shape (P, P, len(prefixes)·n), blocks in ``prefixes`` order.
+    """
+    path = Path(path)
+    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
     if not lines:
         raise SchemaError("file is empty", path=str(path))
-    header = lines[0].split(",")
-    if header != expected_cols:
+    lead = f"{prefixes[0]}_"
+    n = sum(1 for c in lines[0].split(",") if c.startswith(lead))
+    if n < 1:
+        raise SchemaError(f"no {lead}k columns in header {lines[0]!r}", path=str(path))
+    expected = _columns(prefixes, n)
+    if lines[0].split(",") != expected:
         raise SchemaError(
-            f"header mismatch: expected {','.join(expected_cols)!r}, "
-            f"got {lines[0]!r}",
+            f"header mismatch: expected {','.join(expected)!r}, got {lines[0]!r}",
             path=str(path),
         )
+    count = len(lines) - 1
+    P = math.isqrt(count)
+    if P * P != count or P < 2:
+        raise SchemaError(f"{count} data rows do not form a square node grid", path=str(path))
+    grid = build_grid(P - 1)
+    data = np.full((P, P, len(expected) - 4), np.nan)
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != len(expected_cols):
+        if len(parts) != len(expected):
             raise SchemaError(
-                f"line {lineno}: expected {len(expected_cols)} fields, got {len(parts)}",
+                f"line {lineno}: expected {len(expected)} fields, got {len(parts)}",
                 path=str(path),
             )
         try:
             i, j = int(parts[0]), int(parts[1])
-            numbers = [float(p) for p in parts[2:]]
+            x, y, *vals = [float(p) for p in parts[2:]]
         except ValueError as exc:
             raise SchemaError(f"line {lineno}: {exc}", path=str(path)) from exc
-        yield i, j, numbers[0], numbers[1], numbers[2:]
-
-
-def _infer_grid(path: Path, count: int):
-    P = math.isqrt(count)
-    if P * P != count or P < 2:
-        raise SchemaError(
-            f"{count} data rows do not form a square node grid", path=str(path)
-        )
-    return build_grid(P - 1)
-
-
-def _fill(path: Path, rows, n_values: int):
-    rows = list(rows)
-    grid = _infer_grid(path, len(rows))
-    P = grid.npoints
-    data = np.full((P, P, n_values), np.nan)
-    for i, j, x, y, vals in rows:
         if not (0 <= i < P and 0 <= j < P):
             raise SchemaError(f"node index ({i}, {j}) outside 0..{P - 1}", path=str(path))
         if abs(x - grid.nodes[i]) > 1e-12 or abs(y - grid.nodes[j]) > 1e-12:
@@ -110,29 +119,11 @@ def _fill(path: Path, rows, n_values: int):
 
 def write_field_csv(path: str | os.PathLike, field: GridField) -> None:
     """Emit ``i,j,x,y,v_1..v_n`` rows, row-major in i then j."""
-    grid, vals, n = field.grid, field.values, field.n
-    cols = ["i", "j", "x", "y", *_component_names("v", n)]
-    lines = [",".join(cols)]
-    for i in range(grid.npoints):
-        for j in range(grid.npoints):
-            cells = [str(i), str(j), _fmt(grid.nodes[i]), _fmt(grid.nodes[j])]
-            cells += [_fmt(vals[i, j, k]) for k in range(n)]
-            lines.append(",".join(cells))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_nodes(path, field.grid, {"v": field.values})
 
 
 def read_field_csv(path: str | os.PathLike) -> GridField:
-    path = Path(path)
-    text_header = path.read_text(encoding="utf-8").splitlines()
-    if not text_header:
-        raise SchemaError("file is empty", path=str(path))
-    names = text_header[0].split(",")
-    n = sum(1 for c in names if c.startswith("v_"))
-    if n < 1:
-        raise SchemaError(f"no v_k columns in header {text_header[0]!r}", path=str(path))
-    cols = ["i", "j", "x", "y", *_component_names("v", n)]
-    grid, data = _fill(path, _parse_rows(path, cols), n)
-    return GridField(grid, data)
+    return GridField(*_read_nodes(path, ("v",)))
 
 
 # -- solution bundles (g plus the reconstructed state) -------------------------
@@ -141,41 +132,15 @@ def write_grid_csv(path: str | os.PathLike, g: GridField, state: StateTriple) ->
     """Emit the solution bundle: g = z_xy plus z, z_x, z_y per node."""
     if state.grid != g.grid:
         raise ShapeError(f"state lives on {state.grid}, g on {g.grid}")
-    grid, n = g.grid, g.n
-    cols = ["i", "j", "x", "y"]
-    for prefix in ("g", "z", "zx", "zy"):
-        cols += _component_names(prefix, n)
-    parts = (g.values, state.z.values, state.zx.values, state.zy.values)
-    lines = [",".join(cols)]
-    for i in range(grid.npoints):
-        for j in range(grid.npoints):
-            cells = [str(i), str(j), _fmt(grid.nodes[i]), _fmt(grid.nodes[j])]
-            for block in parts:
-                cells += [_fmt(block[i, j, k]) for k in range(n)]
-            lines.append(",".join(cells))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    blocks = {"g": g.values, "z": state.z.values, "zx": state.zx.values, "zy": state.zy.values}
+    _write_nodes(path, g.grid, blocks)
 
 
 def read_grid_csv(path: str | os.PathLike) -> tuple[GridField, StateTriple]:
-    path = Path(path)
-    first = path.read_text(encoding="utf-8").splitlines()
-    if not first:
-        raise SchemaError("file is empty", path=str(path))
-    names = first[0].split(",")
-    n = sum(1 for c in names if c.startswith("g_"))
-    if n < 1:
-        raise SchemaError(f"no g_k columns in header {first[0]!r}", path=str(path))
-    cols = ["i", "j", "x", "y"]
-    for prefix in ("g", "z", "zx", "zy"):
-        cols += _component_names(prefix, n)
-    grid, data = _fill(path, _parse_rows(path, cols), 4 * n)
-    g = GridField(grid, data[:, :, :n])
+    grid, data = _read_nodes(path, ("g", "z", "zx", "zy"))
+    g, z, zx, zy = (GridField(grid, block) for block in np.split(data, 4, axis=2))
     try:
-        state = StateTriple(
-            GridField(grid, data[:, :, n : 2 * n]),
-            GridField(grid, data[:, :, 2 * n : 3 * n]),
-            GridField(grid, data[:, :, 3 * n :]),
-        )
+        state = StateTriple(z, zx, zy)
     except ValueError as exc:
         raise SchemaError(str(exc), path=str(path)) from exc
     return g, state

@@ -59,12 +59,14 @@ class WeightedNorms:
         self.m = m
         self.kernel = _kernel(grid.cells, m)
 
-    def norm(self, f: GridField) -> float:
-        """Weighted L² norm of an R^n-valued field."""
-        if f.grid != self.grid:
-            raise ShapeError(f"field grid {f.grid} does not match kernel grid {self.grid}")
+    def norm(self, f: GridField | np.ndarray) -> float:
+        """Weighted L² norm of an R^n-valued field, or of its (P, P, n) values."""
+        if isinstance(f, GridField):
+            if f.grid != self.grid:
+                raise ShapeError(f"field grid {f.grid} does not match kernel grid {self.grid}")
+            f = f.values
         w = self.grid.trapezoid_weights()
-        sq = (f.values**2).sum(axis=2)
+        sq = (f**2).sum(axis=2)
         return float(np.sqrt(np.einsum("i,j,ij->", w, w, self.kernel * sq)))
 
 
@@ -76,15 +78,6 @@ def weighted_l2_norm(f: GridField, m: float) -> float:
 def classical_l2_norm(f: GridField) -> float:
     """Unweighted L²(Q) norm."""
     return weighted_l2_norm(f, 0.0)
-
-
-def ac_norm(g: GridField, m: float) -> float:
-    """Solution-space norm ‖z‖_m of the state whose mixed derivative is g.
-
-    Identical to the weighted L² norm of g itself; m = 0 gives the classical
-    solution-space norm.
-    """
-    return weighted_l2_norm(g, m)
 
 
 def inner_product(g1: GridField, g2: GridField) -> float:
@@ -114,8 +107,8 @@ def check_norm_equivalence(g: GridField, m: float, rel_tol: float = 1e-12) -> No
     """Evaluate both equivalence inequalities for the state with g = z_xy."""
     if m < 0:
         raise InvalidWeightError(f"weight exponent must be nonnegative, got {m}")
-    upper = ac_norm(g, 0.0)
-    weighted = ac_norm(g, m)
+    upper = classical_l2_norm(g)
+    weighted = weighted_l2_norm(g, m)
     lower = np.exp(-2.0 * m) * upper
     tol = rel_tol * max(1.0, upper)
     passed = (lower <= weighted + tol) and (weighted <= upper + tol)
@@ -165,7 +158,7 @@ def verify_lemma31(g: GridField, m: float) -> Lemma31Report:
         norms.norm(cum_integral_2d(st.zx.magnitude())),
         norms.norm(cum_integral_2d(st.zy.magnitude())),
     )
-    bound = (2.0 / m) * ac_norm(g, m)
+    bound = (2.0 / m) * norms.norm(g)
     tol = 10.0 * g.grid.h**2 * classical_l2_norm(g)
     margins = tuple(bound - s for s in sides)
     flags = tuple(mg >= -tol for mg in margins)

@@ -1,4 +1,4 @@
-"""The forward operator, its linearization, the merit functional, coercivity.
+"""The forward operator, its linearization, and the coercivity probe.
 
 Everything acts on the mixed derivative g = z_xy as the fundamental unknown;
 the state (z, z_x, z_y) is reconstructed by cumulative integrals whenever a
@@ -12,7 +12,7 @@ at z in a direction h (again identified with h_xy) is
     F'(z) h = h_xy + f1_z(x, y, z) h + J( f2_z(·, ·, z) h + A1 h_x + A2 h_y ),
 
 with the z-Jacobians f1_z, f2_z supplied by forward-mode differentiation of
-the component expressions.  The merit functional is φ = ½‖F(z) − v‖²_{L²}.
+the component expressions.
 
 ``coercivity_probe`` checks the lower bound that makes the problem solvable
 for large weights: for m > 8B,
@@ -25,20 +25,13 @@ quadrature error, margins are accepted down to −10·h²·scale.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError, ThresholdError
-from .grid import (
-    Grid,
-    GridField,
-    StateTriple,
-    cum2d_array,
-    cumx_array,
-    cumy_array,
-    reconstruct_state,
-)
+from .grid import Grid, GridField, StateTriple, cum2d_array, state_from_g
 from .norms import WeightedNorms, classical_l2_norm, weighted_l2_norm
 from .exprlang import eval_dual_on_grid, eval_on_grid
 from .problem import AssumptionReport, ProblemSpec, _matrix_values
@@ -47,13 +40,13 @@ from .problem import AssumptionReport, ProblemSpec, _matrix_values
 class OperatorContext:
     """Immutable pairing of a problem with a grid, plus node caches.
 
-    The z-independent coefficient matrices are sampled once per (spec, grid);
-    the weighted-norm kernel is attached when a weight m is chosen.  Derived
-    contexts via with_weight / with_assumptions share the caches.
+    The z-independent coefficient matrices A1, A2 are sampled once per
+    (spec, grid); the weighted-norm kernel is attached when a weight m is
+    chosen.  Derived contexts via with_weight / with_assumptions share the
+    caches.
     """
 
-    __slots__ = ("spec", "grid", "m", "assumptions", "X", "Y",
-                 "a1_nodes", "a2_nodes", "a1x_nodes", "a2y_nodes", "_weighted")
+    __slots__ = ("spec", "grid", "m", "assumptions", "X", "Y", "a1_nodes", "a2_nodes", "_weighted")
 
     def __init__(
         self,
@@ -61,31 +54,26 @@ class OperatorContext:
         grid: Grid,
         m: float | None = None,
         assumptions: AssumptionReport | None = None,
-        _share: "OperatorContext | None" = None,
     ):
         self.spec = spec
         self.grid = grid
+        self.X, self.Y = grid.meshgrid()
+        self.a1_nodes = _matrix_values(spec.a1, self.X, self.Y, spec.n)
+        self.a2_nodes = _matrix_values(spec.a2, self.X, self.Y, spec.n)
         self.m = None if m is None else float(m)
         self.assumptions = assumptions
-        if _share is not None:
-            self.X, self.Y = _share.X, _share.Y
-            self.a1_nodes = _share.a1_nodes
-            self.a2_nodes = _share.a2_nodes
-            self.a1x_nodes = _share.a1x_nodes
-            self.a2y_nodes = _share.a2y_nodes
-        else:
-            self.X, self.Y = grid.meshgrid()
-            self.a1_nodes = _matrix_values(spec.a1, self.X, self.Y, spec.n)
-            self.a2_nodes = _matrix_values(spec.a2, self.X, self.Y, spec.n)
-            self.a1x_nodes = _matrix_values(spec.a1x, self.X, self.Y, spec.n)
-            self.a2y_nodes = _matrix_values(spec.a2y, self.X, self.Y, spec.n)
         self._weighted = None if self.m is None else WeightedNorms(grid, self.m)
 
     def with_weight(self, m: float) -> "OperatorContext":
-        return OperatorContext(self.spec, self.grid, m=m, assumptions=self.assumptions, _share=self)
+        out = copy.copy(self)
+        out.m = float(m)
+        out._weighted = WeightedNorms(self.grid, out.m)
+        return out
 
     def with_assumptions(self, report: AssumptionReport) -> "OperatorContext":
-        return OperatorContext(self.spec, self.grid, m=self.m, assumptions=report, _share=self)
+        out = copy.copy(self)
+        out.assumptions = report
+        return out
 
     def weighted_norms(self) -> WeightedNorms:
         if self._weighted is None:
@@ -124,11 +112,10 @@ def _components(exprs, X, Y, Z) -> np.ndarray:
 def apply_F(ctx: OperatorContext, g: GridField) -> GridField:
     """Evaluate the forward operator at the state reconstructed from g."""
     ctx.check_field(g)
-    st = reconstruct_state(g)
-    Z = st.z.values
-    f1v = _components(ctx.spec.f1, ctx.X, ctx.Y, Z)
-    f2v = _components(ctx.spec.f2, ctx.X, ctx.Y, Z)
-    inner = f2v + _matvec(ctx.a1_nodes, st.zx.values) + _matvec(ctx.a2_nodes, st.zy.values)
+    z, zx, zy = state_from_g(g.values, ctx.grid.h)
+    f1v = _components(ctx.spec.f1, ctx.X, ctx.Y, z)
+    f2v = _components(ctx.spec.f2, ctx.X, ctx.Y, z)
+    inner = f2v + _matvec(ctx.a1_nodes, zx) + _matvec(ctx.a2_nodes, zy)
     out = g.values + f1v + cum2d_array(inner, ctx.grid.h)
     return GridField(ctx.grid, out)
 
@@ -150,11 +137,6 @@ def residual(ctx: OperatorContext, g: GridField, v: GridField) -> ResidualInfo:
     classical = classical_l2_norm(r)
     weighted = ctx.weighted_norms().norm(r) if ctx.m is not None else classical
     return ResidualInfo(field=r, classical=classical, weighted=weighted)
-
-
-def merit(ctx: OperatorContext, g: GridField, v: GridField) -> float:
-    """φ(z) = ½‖F(z) − v‖²_{L²} — the line-search merit."""
-    return 0.5 * residual(ctx, g, v).classical ** 2
 
 
 class LinearizedOperator:
@@ -190,32 +172,13 @@ class LinearizedOperator:
 
     def apply_array(self, hg: np.ndarray) -> np.ndarray:
         """Raw-array application for solver inner loops; hg shape (P, P, n)."""
-        h = cum2d_array(hg, self.ctx.grid.h)   # the state direction itself
-        hx = cumy_array(hg, self.ctx.grid.h)
-        hy = cumx_array(hg, self.ctx.grid.h)
-        inner = (
-            np.einsum("ijkl,ijl->ijk", self.j2, h, optimize=False)
-            + np.einsum("ijkl,ijl->ijk", self.ctx.a1_nodes, hx, optimize=False)
-            + np.einsum("ijkl,ijl->ijk", self.ctx.a2_nodes, hy, optimize=False)
-        )
-        return (
-            hg
-            + np.einsum("ijkl,ijl->ijk", self.j1, h, optimize=False)
-            + cum2d_array(inner, self.ctx.grid.h)
-        )
+        h, hx, hy = state_from_g(hg, self.ctx.grid.h)
+        inner = _matvec(self.j2, h) + _matvec(self.ctx.a1_nodes, hx) + _matvec(self.ctx.a2_nodes, hy)
+        return hg + _matvec(self.j1, h) + cum2d_array(inner, self.ctx.grid.h)
 
     def apply(self, hg: GridField) -> GridField:
         self.ctx.check_field(hg)
         return GridField(self.ctx.grid, self.apply_array(hg.values))
-
-
-def linearize(ctx: OperatorContext, z_state: StateTriple) -> LinearizedOperator:
-    return LinearizedOperator(ctx, z_state)
-
-
-def apply_Fprime(ctx: OperatorContext, z_state: StateTriple, h_g: GridField) -> GridField:
-    """One-shot directional derivative F'(z)·h (h given as its mixed derivative)."""
-    return linearize(ctx, z_state).apply(h_g)
 
 
 @dataclass(frozen=True)

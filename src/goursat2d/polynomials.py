@@ -102,10 +102,6 @@ def poly_sup_bound(c: Coeffs) -> float:
     return float(sum(abs(v) for v in c.values()))
 
 
-def poly_eval(c: Coeffs, x: float, y: float) -> float:
-    return float(sum(v * x**i * y**j for (i, j), v in c.items()))
-
-
 def poly_source(c: Coeffs) -> str:
     """Deterministic re-parseable source form, highest-degree terms first."""
     if not c:

@@ -12,16 +12,10 @@ g-space with the classical norm so the verdict does not depend on the weight
 choice.  ``stability_probe`` measures the continuity modulus
 ‖z₁ − z₂‖ / ‖v₁ − v₂‖ in both norms; for z-linear problems the weighted ratio
 is certified by the coercivity constant (1 − 8B/m)⁻¹.
-
-Per-ε re-solves are independent; set GOURSAT2D_THREADS > 1 to run them in a
-thread pool (results are assembled in ε order either way, so reports do not
-depend on scheduling).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ParameterError, SolverError
@@ -32,18 +26,6 @@ from .solvers import SolveReport, SolverConfig, solve, solve_linearized
 
 #: Refuse quotient steps below this multiple of the solver tolerance.
 EPS_FLOOR_FACTOR = 100.0
-
-
-def thread_budget() -> int:
-    """Worker cap from GOURSAT2D_THREADS (default 1; must be a positive integer)."""
-    raw = os.environ.get("GOURSAT2D_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParameterError(f"GOURSAT2D_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ParameterError(f"GOURSAT2D_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -146,24 +128,15 @@ def validate_frechet(
     hnorm = classical_l2_norm(h)
     scale = max(hnorm, 1e-300)
 
-    def resolve(e: float) -> SolveReport | None:
+    errors: list[tuple[float, float]] = []
+    for e in eps:
         # cold start on purpose: the perturbed solve then follows the same
         # iteration path as the base solve, so the two solver errors are
         # correlated and cancel in the quotient (exactly, for affine F)
         try:
-            return solve(ctx, v + e * deltav, cfg)
+            rep = solve(ctx, v + e * deltav, cfg)
         except SolverError:
-            return None
-
-    workers = min(thread_budget(), len(eps))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solves = list(pool.map(resolve, eps))
-    else:
-        solves = [resolve(e) for e in eps]
-
-    errors: list[tuple[float, float]] = []
-    for e, rep in zip(eps, solves):
+            rep = None
         ok = rep is not None and rep.converged
         flags.append(bool(ok))
         if ok:

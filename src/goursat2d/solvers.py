@@ -18,6 +18,9 @@ machinery drives:
     iteration, then backtracks on the merit φ = ½‖F(z) − v‖² until it
     decreases.
 
+All three run in one loop, ``_iterate``, which owns the trace, the stopping
+rules and the partial report that every solver error carries.
+
 ``choose_weight`` turns the two thresholds (m > 8B for coercivity, m > 2√d
 for contraction) into a concrete policy: m = max(8B, 2√d) + 1, with
 d = max(M_ρ, B) read from an assumption probe at the radius covering the
@@ -37,11 +40,12 @@ from .errors import (
     DivergenceError,
     MissingProbeError,
     NoConvergenceError,
+    SolverError,
     StagnationError,
 )
 from .grid import GridField, StateTriple, reconstruct_state
-from .norms import classical_l2_norm
-from .operator import LinearizedOperator, OperatorContext, apply_F, linearize
+from .norms import WeightedNorms, classical_l2_norm
+from .operator import LinearizedOperator, OperatorContext, apply_F
 from .problem import AssumptionReport
 from .sampling import random_smooth_field
 
@@ -95,10 +99,9 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a solve: the g-field, reconstructed state, and trace."""
+    """Outcome of a solve: the g-field, its residual norms, and the trace."""
 
     g: GridField
-    state: StateTriple
     residual_classical: float
     residual_weighted: float
     iterations: int
@@ -106,6 +109,11 @@ class SolveReport:
     m_used: float
     converged: bool
     method: str
+
+    @property
+    def state(self) -> StateTriple:
+        """The state (z, z_x, z_y) rebuilt from g on each access."""
+        return reconstruct_state(self.g)
 
     def as_dict(self) -> dict:
         return {
@@ -201,80 +209,88 @@ def _estimated_d(
     return _kernel_numbers(report, B, z0)[0]
 
 
-def _finish(
+def _iterate(
     ctx: OperatorContext,
-    g_values: np.ndarray,
-    r_values: np.ndarray,
-    trace: list[IterationRecord],
-    m: float,
-    converged: bool,
     method: str,
+    g: np.ndarray,
+    residual,
+    step,
+    tol: float,
+    max_iter: int,
+    patience: bool,
 ) -> SolveReport:
-    g = GridField(ctx.grid, g_values)
-    r = GridField(ctx.grid, r_values)
+    """The one solver loop: ``g ← step(g, r, ‖r‖_m)`` with ``r = residual(g)``.
+
+    Each iteration records the weighted residual of the iterate and its ratio
+    to the previous one, and stops once the residual is at most ``tol``.  With
+    ``patience`` it raises DivergenceError after ``_DIVERGENCE_PATIENCE``
+    consecutive ratios >= 1; it raises NoConvergenceError after ``max_iter``
+    residuals.  A SolverError raised by ``step`` keeps its class and message.
+    Every error carries this loop's partial report: the last iterate whose
+    residual was evaluated, and the trace.
+    """
+    wn = ctx.weighted_norms()
+    trace: list[IterationRecord] = []
+    bad_streak = 0
+    for k in range(1, max_iter + 1):
+        r = residual(g)
+        rnorm = wn.norm(r)
+        prev = trace[-1].residual if trace else 0.0
+        ratio = rnorm / prev if prev else None
+        trace.append(IterationRecord(iteration=k, residual=rnorm, ratio=ratio))
+        if rnorm <= tol:
+            return _report(ctx, method, g, r, trace, converged=True)
+        bad_streak = bad_streak + 1 if ratio is not None and ratio >= 1.0 else 0
+        if patience and bad_streak >= _DIVERGENCE_PATIENCE:
+            error = DivergenceError(
+                f"residual not contracting for {bad_streak} consecutive "
+                f"iterations (last ratio {ratio:.3g}); the weighted norm "
+                f"needs a larger m (contraction requires m > 2*sqrt(d))"
+            )
+            break
+        if k == max_iter:
+            error = NoConvergenceError(
+                f"no convergence within {max_iter} {method} iterations "
+                f"(last weighted residual {rnorm:.3g} > tol {tol:g})"
+            )
+            break
+        try:
+            g = step(g, r, rnorm)
+        except SolverError as exc:
+            error = exc
+            break
+    error.report = _report(ctx, method, g, r, trace, converged=False)
+    raise error
+
+
+def _report(
+    ctx: OperatorContext,
+    method: str,
+    g: np.ndarray,
+    r: np.ndarray,
+    trace: list[IterationRecord],
+    converged: bool,
+) -> SolveReport:
     return SolveReport(
-        g=g,
-        state=reconstruct_state(g),
-        residual_classical=classical_l2_norm(r),
-        residual_weighted=ctx.weighted_norms().norm(r),
+        g=GridField(ctx.grid, g),
+        residual_classical=classical_l2_norm(GridField(ctx.grid, r)),
+        residual_weighted=trace[-1].residual,
         iterations=len(trace),
         trace=tuple(trace),
-        m_used=m,
+        m_used=ctx.m,
         converged=converged,
         method=method,
     )
 
 
-def _fixed_point_loop(
-    ctx: OperatorContext,
-    v: GridField,
-    cfg: SolverConfig,
-    step,
-    method: str,
-    g0: GridField | None,
-    max_iter: int,
-    tol: float,
-) -> SolveReport:
-    """Shared damped-Richardson loop; ``step(g_values) -> residual_values``.
+def _start(v: GridField, g0: GridField | None) -> np.ndarray:
+    """The first iterate: g0 when given, else v."""
+    return (v if g0 is None else g0).values
 
-    Each iteration evaluates the residual of the current iterate, records it,
-    stops on tolerance, and otherwise applies g ← g − damping·residual.
-    Raises DivergenceError after ``_DIVERGENCE_PATIENCE`` consecutive
-    non-contracting ratios and NoConvergenceError at the iteration cap; both
-    carry the partial report.
-    """
-    wn = ctx.weighted_norms()
-    g = v.values.copy() if g0 is None else g0.values.copy()
-    trace: list[IterationRecord] = []
-    prev = None
-    bad_streak = 0
-    for k in range(1, max_iter + 1):
-        r = step(g)
-        rnorm = wn.norm(GridField(ctx.grid, r))
-        ratio = None if prev is None or prev == 0.0 else rnorm / prev
-        trace.append(IterationRecord(iteration=k, residual=rnorm, ratio=ratio))
-        if rnorm <= tol:
-            return _finish(ctx, g, r, trace, ctx.m, True, method)
-        if ratio is not None and ratio >= 1.0:
-            bad_streak += 1
-            if bad_streak >= _DIVERGENCE_PATIENCE:
-                report = _finish(ctx, g, r, trace, ctx.m, False, method)
-                raise DivergenceError(
-                    f"residual not contracting for {bad_streak} consecutive "
-                    f"iterations (last ratio {ratio:.3g}); the weighted norm "
-                    f"needs a larger m (contraction requires m > 2*sqrt(d))",
-                    report=report,
-                )
-        else:
-            bad_streak = 0
-        prev = rnorm
-        g = g - cfg.damping * r
-    report = _finish(ctx, g, r, trace, ctx.m, False, method)
-    raise NoConvergenceError(
-        f"no convergence within {max_iter} iterations "
-        f"(last weighted residual {trace[-1].residual:.3g} > tol {tol:g})",
-        report=report,
-    )
+
+def _F_residual(ctx: OperatorContext, g: np.ndarray, v: GridField) -> np.ndarray:
+    """F(g) − v on value arrays."""
+    return apply_F(ctx, GridField(ctx.grid, g)).values - v.values
 
 
 def solve_linearized(
@@ -300,16 +316,14 @@ def solve_linearized(
             f"{2.0 * math.sqrt(d):g}; the iteration may diverge",
             stacklevel=2,
         )
-    lin = linearize(ctx, z0)
-
-    def step(g_values: np.ndarray) -> np.ndarray:
-        return lin.apply_array(g_values) - v.values
-
-    # damping deliberately fixed at 1 here: the update g ← g − (F'g − v) is
-    # exactly the fixed-point map whose contraction Lemma-style bound certifies
-    undamped = replace(cfg, damping=1.0) if cfg.damping != 1.0 else cfg
-    return _fixed_point_loop(
-        ctx, v, undamped, step, "linearized", g0, cfg.max_iter, cfg.tol
+    lin = LinearizedOperator(ctx, z0)
+    # no damping here: the update g ← g − (F'g − v) is exactly the
+    # fixed-point map whose contraction the Lemma-style bound certifies
+    return _iterate(
+        ctx, "linearized", _start(v, g0),
+        residual=lambda g: lin.apply_array(g) - v.values,
+        step=lambda g, r, rnorm: g - r,
+        tol=cfg.tol, max_iter=cfg.max_iter, patience=True,
     )
 
 
@@ -350,7 +364,7 @@ def estimate_contraction(
     m = _resolve_m(ctx, cfg, z0)
     ctx = ctx.with_weight(m)
     wn = ctx.weighted_norms()
-    lin = linearize(ctx, z0)
+    lin = LinearizedOperator(ctx, z0)
     rng = np.random.default_rng(seed)
     rho = 0.0
     for _ in range(trials):
@@ -358,8 +372,7 @@ def estimate_contraction(
         gnorm = wn.norm(g)
         if gnorm == 0.0:
             continue
-        hg = GridField(ctx.grid, lin.apply_array(g.values) - g.values)
-        rho = max(rho, wn.norm(hg) / gnorm)
+        rho = max(rho, wn.norm(lin.apply_array(g.values) - g.values) / gnorm)
     d = _estimated_d(ctx.assumptions, ctx.spec.growth_bound, z0)
     bound = None if d is None else 4.0 * d / m**2
     return ContractionEstimate(
@@ -375,13 +388,13 @@ def solve_picard(
 ) -> SolveReport:
     """Damped fixed-point iteration g ← g − λ(F(g) − v) on the nonlinear equation."""
     ctx.check_field(v)
-    m = _resolve_m(ctx, cfg, None)
-    ctx = ctx.with_weight(m)
-
-    def step(g_values: np.ndarray) -> np.ndarray:
-        return apply_F(ctx, GridField(ctx.grid, g_values)).values - v.values
-
-    return _fixed_point_loop(ctx, v, cfg, step, "picard", g0, cfg.max_iter, cfg.tol)
+    ctx = ctx.with_weight(_resolve_m(ctx, cfg, None))
+    return _iterate(
+        ctx, "picard", _start(v, g0),
+        residual=lambda g: _F_residual(ctx, g, v),
+        step=lambda g, r, rnorm: g - cfg.damping * r,
+        tol=cfg.tol, max_iter=cfg.max_iter, patience=True,
+    )
 
 
 def solve_newton(
@@ -394,62 +407,47 @@ def solve_newton(
 
     The inner linear solves run to min(cfg.inner_tol, 0.1·‖residual‖_m) so the
     outer convergence stays superlinear without over-solving early steps.
+    There is no divergence patience: the weighted residual ratio can sit near
+    1 for many steps of a solve that converges, so only a failed line search
+    (StagnationError), a failed inner solve or the iteration cap stop it.
     """
     ctx.check_field(v)
-    m = _resolve_m(ctx, cfg, None)
-    ctx = ctx.with_weight(m)
-    wn = ctx.weighted_norms()
+    ctx = ctx.with_weight(_resolve_m(ctx, cfg, None))
+    classical = WeightedNorms(ctx.grid, 0.0)
 
-    g = v.values.copy() if g0 is None else g0.values.copy()
-    trace: list[IterationRecord] = []
-    prev = None
-    for k in range(1, cfg.max_iter + 1):
-        g_field = GridField(ctx.grid, g)
-        state = reconstruct_state(g_field)
-        r = apply_F(ctx, g_field).values - v.values
-        r_field = GridField(ctx.grid, r)
-        rnorm = wn.norm(r_field)
-        ratio = None if prev is None or prev == 0.0 else rnorm / prev
-        trace.append(IterationRecord(iteration=k, residual=rnorm, ratio=ratio))
-        if rnorm <= cfg.tol:
-            return _finish(ctx, g, r, trace, m, True, "newton")
-        prev = rnorm
-
-        inner_cfg = replace(
-            cfg,
-            m=m,
-            tol=min(cfg.inner_tol, 0.1 * rnorm),
-            max_iter=cfg.inner_max_iter,
-            damping=1.0,
-        )
+    def step(g: np.ndarray, r: np.ndarray, rnorm: float) -> np.ndarray:
         # choose_weight already fixed m; the inner solve must keep it
-        delta = solve_linearized(
-            ctx, state, GridField(ctx.grid, -r), inner_cfg
-        ).g.values
-
-        phi0 = 0.5 * classical_l2_norm(r_field) ** 2
+        inner_cfg = replace(
+            cfg, m=ctx.m, tol=min(cfg.inner_tol, 0.1 * rnorm),
+            max_iter=cfg.inner_max_iter, damping=1.0,
+        )
+        state = reconstruct_state(GridField(ctx.grid, g))
+        delta = solve_linearized(ctx, state, GridField(ctx.grid, -r), inner_cfg).g.values
+        phi0 = 0.5 * classical.norm(r) ** 2
         lam = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
             trial = g + lam * delta
-            r_trial = apply_F(ctx, GridField(ctx.grid, trial)).values - v.values
-            phi = 0.5 * classical_l2_norm(GridField(ctx.grid, r_trial)) ** 2
-            if phi < phi0:
-                g = trial
-                break
+            if 0.5 * classical.norm(_F_residual(ctx, trial, v)) ** 2 < phi0:
+                return trial
             lam *= 0.5
-        else:
-            report = _finish(ctx, g, r, trace, m, False, "newton")
-            raise StagnationError(
-                f"line search failed: merit did not decrease after "
-                f"{_MAX_BACKTRACKS} halvings (merit {phi0:.6g})",
-                report=report,
+        raise StagnationError(
+            f"line search failed: merit did not decrease after "
+            f"{_MAX_BACKTRACKS} halvings (merit {phi0:.6g})"
+        )
+
+    caught: list[warnings.WarningMessage] = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            return _iterate(
+                ctx, "newton", _start(v, g0),
+                residual=lambda g: _F_residual(ctx, g, v),
+                step=step, tol=cfg.tol, max_iter=cfg.max_iter, patience=False,
             )
-    report = _finish(ctx, g, r, trace, m, False, "newton")
-    raise NoConvergenceError(
-        f"no convergence within {cfg.max_iter} Newton iterations "
-        f"(last weighted residual {trace[-1].residual:.3g} > tol {cfg.tol:g})",
-        report=report,
-    )
+    finally:
+        # every inner solve repeats the same warnings; pass each on once
+        for message in {str(w.message): w.message for w in caught}.values():
+            warnings.warn(message, stacklevel=2)
 
 
 def solve(ctx: OperatorContext, v: GridField, cfg: SolverConfig, g0: GridField | None = None) -> SolveReport:

@@ -20,7 +20,7 @@ import numpy as np
 
 from goursat2d.cli import main as cli_main
 from goursat2d.grid import GridField, StateTriple, build_grid
-from goursat2d.norms import ac_norm, check_norm_equivalence, classical_l2_norm, verify_lemma31, weighted_l2_norm
+from goursat2d.norms import check_norm_equivalence, classical_l2_norm, verify_lemma31, weighted_l2_norm
 from goursat2d.operator import coercivity_probe, make_context
 from goursat2d.problem import (
     BUILTIN_PROBLEMS,
@@ -109,7 +109,7 @@ def test_02_norm_equivalence():
     ok = all(check_norm_equivalence(f, m).passed
              for m in (0.5, 1.0, 2.0, 5.0) for f in fields)
     g64 = GridField(build_grid(64), np.ones((65, 65, 1)))  # g = 1 <=> z = xy
-    value = ac_norm(g64, 1.0)
+    value = weighted_l2_norm(g64, 1.0)
     expected = 1.0 - math.exp(-1.0)
     spot = abs(value - expected) <= 1e-3
     check(2, "norm-equivalence", ok and spot,

@@ -16,7 +16,7 @@ from goursat2d.fileio import read_grid_csv, read_report_json
 from goursat2d.norms import classical_l2_norm
 from goursat2d.operator import make_context, residual
 from goursat2d.problem import BUILTIN_PROBLEMS
-from goursat2d.grid import build_grid
+from goursat2d.grid import GridField, build_grid
 
 
 def run_cli(argv):
@@ -129,6 +129,25 @@ class TestSolve:
         assert abs(info.classical - report["result"]["residual_classical"]) / scale <= 1e-12
         wscale = max(report["result"]["residual_weighted"], 1e-300)
         assert abs(info.weighted - report["result"]["residual_weighted"]) / wscale <= 1e-12
+
+    def test_newton_inner_failure_reports_the_newton_solve(self, tmp_path, capsys):
+        # m = 2 is below the contraction threshold, so the 12th inner linear
+        # solve diverges; the failure must describe the outer Newton solve
+        out = tmp_path / "run"
+        code = run_cli(["solve", "--builtin", "example46", "--n", "8", "--m", "2",
+                        "--method", "newton", "--rhs=-100", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "solver failure: residual not contracting" in err
+        assert err.count("contraction threshold") == 1
+        report = read_report_json(f"{out}.report.json")
+        assert report["solver"]["method"] == report["result"]["method"] == "newton"
+        assert report["result"]["iterations"] == len(report["result"]["trace"]) > 1
+        # the grid holds the last accepted Newton iterate, whose residual the report gives
+        g, _ = read_grid_csv(f"{out}.grid.csv")
+        ctx = make_context(BUILTIN_PROBLEMS["example46"](), build_grid(8), m=2.0)
+        info = residual(ctx, g, GridField(ctx.grid, np.full((9, 9, 1), -100.0)))
+        assert info.weighted == pytest.approx(report["result"]["residual_weighted"], rel=1e-12)
 
     def test_malformed_expression_exits_1_with_position(self, capsys):
         code = run_cli(["solve", "--builtin", "zero", "--n", "8", "--rhs", "1 + (x*"])

@@ -16,7 +16,7 @@ from goursat2d.fileio import (
     write_grid_csv,
     write_report_json,
 )
-from goursat2d.grid import GridField, build_grid, reconstruct_state
+from goursat2d.grid import GridField, StateTriple, build_grid, reconstruct_state
 
 
 def random_field(cells: int, n: int, seed: int) -> GridField:
@@ -28,6 +28,38 @@ def random_field(cells: int, n: int, seed: int) -> GridField:
 def random_bundle(cells: int = 6, n: int = 2, seed: int = 11):
     g = random_field(cells, n, seed)
     return g, reconstruct_state(g)
+
+
+#: write_grid_csv output for ``golden_bundle()``: 17 significant digits per
+#: value, ``-0`` for negative zero, integer-valued coordinates without ``.0``
+GOLDEN_BUNDLE = (
+    "i,j,x,y,g_1,g_2,z_1,z_2,zx_1,zx_2,zy_1,zy_2\n"
+    "0,0,0,0,-0,0.33333333333333331,0,0,0,0,-0,-0\n"
+    "0,1,0,0.5,0.10000000000000001,0.33333333333333331,0,-0,0,-0,-0,0\n"
+    "0,2,0,1,0.10000000000000001,0.33333333333333331,0,0,0,0,-0,-0\n"
+    "1,0,0.5,0,0.10000000000000001,0.33333333333333331,0,0,0,0,-0,-0\n"
+    "1,1,0.5,0.5,0.10000000000000001,0.33333333333333331,0.33333333333333331,0.33333333333333331,0.33333333333333331,0.33333333333333331,-0.33333333333333331,-0.33333333333333331\n"
+    "1,2,0.5,1,0.10000000000000001,0.33333333333333331,0.33333333333333331,0.33333333333333331,0.33333333333333331,0.33333333333333331,-0.33333333333333331,-0.33333333333333331\n"
+    "2,0,1,0,0.10000000000000001,0.33333333333333331,0,0,0,0,-0,-0\n"
+    "2,1,1,0.5,0.10000000000000001,0.33333333333333331,0.33333333333333331,0.33333333333333331,1.0000000000000001e-05,0.33333333333333331,-0.33333333333333331,-0.33333333333333331\n"
+    "2,2,1,1,0.10000000000000001,1.0000000000000001e-05,0.33333333333333331,0.33333333333333331,0.33333333333333331,0.33333333333333331,-0.33333333333333331,-0.33333333333333331\n"
+)
+
+
+def golden_bundle():
+    """N = 2, n = 2 with -0.0, 0.1, 1e-5 and 1/3, edge zeros as a state needs."""
+    grid = build_grid(2)
+    g = np.full((3, 3, 2), 0.1)
+    g[:, :, 1] = 1 / 3
+    g[0, 0, 0] = -0.0
+    g[2, 2, 1] = 1e-5
+    z = np.zeros((3, 3, 2))
+    z[1:, 1:, :] = 1 / 3
+    z[0, 1, 1] = -0.0
+    zx = z.copy()
+    zx[2, 1, 0] = 1e-5
+    state = StateTriple(GridField(grid, z), GridField(grid, zx), GridField(grid, -z))
+    return GridField(grid, g), state
 
 
 class TestFieldRoundTrip:
@@ -73,6 +105,15 @@ class TestGridBundleRoundTrip:
         assert np.array_equal(state2.z.values, state.z.values)
         assert np.array_equal(state2.zx.values, state.zx.values)
         assert np.array_equal(state2.zy.values, state.zy.values)
+
+    def test_golden_bytes(self, tmp_path):
+        g, state = golden_bundle()
+        path = tmp_path / "sol.grid.csv"
+        write_grid_csv(path, g, state)
+        assert path.read_bytes() == GOLDEN_BUNDLE.encode()
+        g2, state2 = read_grid_csv(path)
+        assert np.array_equal(g2.values, g.values) and np.signbit(g2.values[0, 0, 0])
+        assert np.array_equal(state2.zx.values, state.zx.values)
 
     def test_header_lists_all_blocks(self, tmp_path):
         g, state = random_bundle(cells=3, n=2, seed=2)

@@ -11,13 +11,14 @@ from goursat2d.grid import (
     GridField,
     StateTriple,
     build_grid,
+    cum2d_array,
     cum_integral_2d,
-    cum_integral_x,
-    cum_integral_y,
+    cumx_array,
+    cumy_array,
     quad_2d,
-    quad_2d_total,
     reconstruct_state,
     restrict_to,
+    state_from_g,
 )
 
 
@@ -130,7 +131,7 @@ class TestQuadrature:
         vals = np.zeros((5, 5, 2))
         vals[:, :, 0] = 3.0
         vals[:, :, 1] = 4.0
-        assert quad_2d_total(GridField(g, vals)) == pytest.approx(5.0, abs=1e-14)
+        np.testing.assert_allclose(quad_2d(GridField(g, vals)), [3.0, 4.0], rtol=0, atol=1e-14)
 
 
 class TestCumulativeIntegrals:
@@ -151,17 +152,17 @@ class TestCumulativeIntegrals:
         # int_0^x s ds = x^2 / 2 for every y.
         grid = build_grid(4)
         f = sample(grid, lambda X, Y: X)
-        out = cum_integral_x(f)
-        assert out.values[2, 0, 0] == pytest.approx(0.125, abs=1e-15)   # x = 0.5
-        assert out.values[4, 3, 0] == pytest.approx(0.5, abs=1e-15)     # x = 1
-        np.testing.assert_array_equal(out.values[0, :, 0], 0.0)
+        out = cumx_array(f.values, grid.h)
+        assert out[2, 0, 0] == pytest.approx(0.125, abs=1e-15)   # x = 0.5
+        assert out[4, 3, 0] == pytest.approx(0.5, abs=1e-15)     # x = 1
+        np.testing.assert_array_equal(out[0, :, 0], 0.0)
 
     def test_cumy_closed_form(self):
         grid = build_grid(4)
         f = sample(grid, lambda X, Y: Y)
-        out = cum_integral_y(f)
-        assert out.values[0, 2, 0] == pytest.approx(0.125, abs=1e-15)
-        np.testing.assert_array_equal(out.values[:, 0, 0], 0.0)
+        out = cumy_array(f.values, grid.h)
+        assert out[0, 2, 0] == pytest.approx(0.125, abs=1e-15)
+        np.testing.assert_array_equal(out[:, 0, 0], 0.0)
 
     def test_causality(self):
         # perturbing g at node (i0, j0) must not change Jg at nodes with
@@ -184,10 +185,10 @@ class TestCumulativeIntegrals:
         # both are the same prefix-sum algebra.
         rng = np.random.default_rng(7)
         grid = build_grid(6)
-        g = GridField(grid, rng.standard_normal((7, 7, 2)))
-        both = cum_integral_2d(g).values
-        xy = cum_integral_x(cum_integral_y(g)).values
-        yx = cum_integral_y(cum_integral_x(g)).values
+        g = rng.standard_normal((7, 7, 2))
+        both = cum2d_array(g, grid.h)
+        xy = cumx_array(cumy_array(g, grid.h), grid.h)
+        yx = cumy_array(cumx_array(g, grid.h), grid.h)
         np.testing.assert_allclose(xy, both, rtol=0, atol=1e-15)
         np.testing.assert_allclose(yx, both, rtol=0, atol=1e-15)
 
@@ -220,6 +221,19 @@ class TestReconstruction:
         assert np.all(st.z.values[:, 0, :] == 0.0)
         assert np.all(st.zx.values[:, 0, :] == 0.0)
         assert np.all(st.zy.values[0, :, :] == 0.0)
+
+    def test_state_kernel_matches_cum2d(self):
+        # z = cumx(cumy(g)) is the tensor trapezoid of cum2d in one pass fewer:
+        # equal up to rounding, with exactly zero edges and the same z_x, z_y
+        rng = np.random.default_rng(5)
+        grid = build_grid(64)
+        g = rng.standard_normal((65, 65, 2))
+        z, zx, zy = state_from_g(g, grid.h)
+        np.testing.assert_allclose(z, cum2d_array(g, grid.h), rtol=0, atol=1e-15)
+        assert np.all(z[0, :, :] == 0.0) and np.all(z[:, 0, :] == 0.0)
+        assert np.all(zx[:, 0, :] == 0.0) and np.all(zy[0, :, :] == 0.0)
+        np.testing.assert_array_equal(zx, cumy_array(g, grid.h))
+        np.testing.assert_array_equal(zy, cumx_array(g, grid.h))
 
     def test_triple_validates_boundary(self):
         grid = build_grid(2)

@@ -10,7 +10,6 @@ from goursat2d.grid import GridField, build_grid
 from goursat2d.norms import (
     LEMMA31_SIDES,
     WeightedNorms,
-    ac_norm,
     check_norm_equivalence,
     classical_l2_norm,
     inner_product,
@@ -73,21 +72,21 @@ class TestWeightedNorm:
 class TestAcNorm:
     def test_unit_mixed_derivative(self):
         # g ≡ 1 is the mixed derivative of z = xy; classical norm 1 exactly.
-        assert ac_norm(const_field(16), 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert weighted_l2_norm(const_field(16), 0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_unit_mixed_derivative_weighted(self):
-        got = ac_norm(const_field(64), 1.0)
+        got = weighted_l2_norm(const_field(64), 1.0)
         assert got == pytest.approx(1 - np.exp(-1.0), abs=1e-4)
 
     def test_zero(self):
-        assert ac_norm(const_field(8, 0.0), 7.0) == 0.0
+        assert weighted_l2_norm(const_field(8, 0.0), 7.0) == 0.0
 
 
 class TestInnerProduct:
     def test_matches_norm_square(self):
         rng = np.random.default_rng(2)
         g = random_smooth_field(build_grid(12), 3, rng)
-        assert inner_product(g, g) == pytest.approx(ac_norm(g, 0.0) ** 2, rel=1e-13)
+        assert inner_product(g, g) == pytest.approx(weighted_l2_norm(g, 0.0) ** 2, rel=1e-13)
 
     def test_constants(self):
         assert inner_product(const_field(8), const_field(8)) == pytest.approx(1.0, abs=1e-14)
@@ -171,8 +170,8 @@ class TestNormAxioms:
             b = random_smooth_field(grid, 2, rng)
             s = float(rng.uniform(-3, 3))
             m = float(rng.uniform(0, 10))
-            assert ac_norm(s * a, m) == pytest.approx(abs(s) * ac_norm(a, m), rel=1e-12)
-            assert ac_norm(a + b, m) <= ac_norm(a, m) + ac_norm(b, m) + 1e-12
+            assert weighted_l2_norm(s * a, m) == pytest.approx(abs(s) * weighted_l2_norm(a, m), rel=1e-12)
+            assert weighted_l2_norm(a + b, m) <= weighted_l2_norm(a, m) + weighted_l2_norm(b, m) + 1e-12
 
     def test_sandwich(self):
         rng = np.random.default_rng(88)
@@ -180,8 +179,8 @@ class TestNormAxioms:
         for _ in range(25):
             g = random_smooth_field(grid, 1, rng)
             m = float(rng.uniform(0, 8))
-            lo = np.exp(-2 * m) * ac_norm(g, 0.0)
-            hi = ac_norm(g, 0.0)
-            mid = ac_norm(g, m)
+            lo = np.exp(-2 * m) * weighted_l2_norm(g, 0.0)
+            hi = weighted_l2_norm(g, 0.0)
+            mid = weighted_l2_norm(g, m)
             assert lo <= mid + 1e-12
             assert mid <= hi + 1e-12

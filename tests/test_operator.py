@@ -1,4 +1,4 @@
-"""Forward operator, linearization, merit, and the coercivity probe."""
+"""Forward operator, linearization, residual, and the coercivity probe."""
 
 from __future__ import annotations
 
@@ -9,12 +9,10 @@ from goursat2d.errors import ShapeError, ThresholdError
 from goursat2d.grid import GridField, build_grid, reconstruct_state
 from goursat2d.norms import classical_l2_norm
 from goursat2d.operator import (
+    LinearizedOperator,
     apply_F,
-    apply_Fprime,
     coercivity_probe,
-    linearize,
     make_context,
-    merit,
     residual,
 )
 from goursat2d.problem import builtin_example_4_6, load_problem, zero_problem
@@ -98,17 +96,6 @@ class TestResidualAndMerit:
         v = GridField(grid, np.zeros((9, 9, 1)))
         info = residual(ctx, g, v)
         assert info.classical == pytest.approx(1.0, abs=1e-14)
-        assert merit(ctx, g, v) == pytest.approx(0.5, abs=1e-14)
-
-    def test_merit_is_half_norm_squared(self):
-        grid = build_grid(12)
-        ctx = make_context(builtin_example_4_6(), grid)
-        rng = np.random.default_rng(8)
-        g = random_smooth_field(grid, 1, rng)
-        v = random_smooth_field(grid, 1, rng)
-        info = residual(ctx, g, v)
-        assert merit(ctx, g, v) == pytest.approx(0.5 * info.classical**2, rel=1e-13)
-        assert merit(ctx, g, v) >= 0
 
 
 class TestLinearization:
@@ -118,7 +105,7 @@ class TestLinearization:
         rng = np.random.default_rng(1)
         z = reconstruct_state(random_smooth_field(grid, 1, rng))
         h = random_smooth_field(grid, 1, rng)
-        np.testing.assert_array_equal(apply_Fprime(ctx, z, h).values, h.values)
+        np.testing.assert_array_equal(LinearizedOperator(ctx, z).apply(h).values, h.values)
 
     def test_linear_spec_difference_identity(self):
         # for z-linear f1, f2: F(g1) - F(g2) = F'(z)(g1 - g2) for ANY z
@@ -129,7 +116,7 @@ class TestLinearization:
         g2 = random_smooth_field(grid, 1, rng)
         z_any = reconstruct_state(random_smooth_field(grid, 1, rng))
         lhs = apply_F(ctx, g1) - apply_F(ctx, g2)
-        rhs = apply_Fprime(ctx, z_any, g1 - g2)
+        rhs = LinearizedOperator(ctx, z_any).apply(g1 - g2)
         np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-13)
 
     def test_directional_derivative_first_order(self):
@@ -139,7 +126,7 @@ class TestLinearization:
         g = random_smooth_field(grid, 1, rng)
         h = random_smooth_field(grid, 1, rng)
         z = reconstruct_state(g)
-        dF = apply_Fprime(ctx, z, h)
+        dF = LinearizedOperator(ctx, z).apply(h)
         errs = []
         eps_list = (1e-2, 1e-3, 1e-4)
         for eps in eps_list:
@@ -168,7 +155,7 @@ class TestLinearization:
         g = random_smooth_field(grid, 2, rng)
         h = random_smooth_field(grid, 2, rng)
         z = reconstruct_state(g)
-        dF = apply_Fprime(ctx, z, h)
+        dF = LinearizedOperator(ctx, z).apply(h)
         eps = 1e-6
         quot = (apply_F(ctx, g + eps * h) - apply_F(ctx, g)) / eps
         np.testing.assert_allclose(quot.values, dF.values, atol=1e-4)
@@ -182,7 +169,7 @@ class TestLinearization:
         grid = build_grid(4)
         ctx = make_context(load_problem(doc), grid)
         zero_state = reconstruct_state(GridField(grid, np.zeros((5, 5, 1))))
-        lin = linearize(ctx, zero_state)
+        lin = LinearizedOperator(ctx, zero_state)
         assert lin.kink_flagged  # |z| differentiated at z = 0 on the whole grid
 
 

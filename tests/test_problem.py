@@ -13,7 +13,6 @@ from goursat2d.grid import GridField, build_grid
 from goursat2d.polynomials import (
     poly_dx,
     poly_dy,
-    poly_eval,
     poly_from_source,
     poly_source,
     poly_sup_bound,
@@ -60,8 +59,9 @@ class TestPolynomials:
             assert again == c
 
     def test_eval(self):
+        # a coefficient table evaluates through its re-parseable source form
         c = poly_from_source("x^2*y + 1")
-        assert poly_eval(c, 0.5, 2.0) == pytest.approx(1.5)
+        assert evaluate(parse(poly_source(c), 1), 0.5, 2.0, [0.0]) == pytest.approx(1.5)
 
     def test_rejects_non_polynomial(self):
         with pytest.raises(ValueError):

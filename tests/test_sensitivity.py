@@ -25,7 +25,6 @@ from goursat2d.sampling import random_smooth_field
 from goursat2d.sensitivity import (
     frechet_apply,
     stability_probe,
-    thread_budget,
     validate_frechet,
 )
 from goursat2d.solvers import SolverConfig, solve
@@ -147,19 +146,6 @@ class TestValidateFrechet:
         assert report.h is None and report.fd_errors == ()
         assert report.converged_flags[0] is False
 
-    def test_thread_pool_reports_identically(self, monkeypatch):
-        ctx = probed_context(builtin_example_4_6(), 10)
-        rng = np.random.default_rng(6)
-        v = random_smooth_field(ctx.grid, 1, rng)
-        dv = random_smooth_field(ctx.grid, 1, rng)
-        cfg = SolverConfig(tol=1e-11)
-        monkeypatch.setenv("GOURSAT2D_THREADS", "1")
-        serial = validate_frechet(ctx, v, dv, (1e-2, 1e-3, 1e-4), cfg)
-        monkeypatch.setenv("GOURSAT2D_THREADS", "3")
-        pooled = validate_frechet(ctx, v, dv, (1e-2, 1e-3, 1e-4), cfg)
-        assert serial.fd_errors == pooled.fd_errors
-        np.testing.assert_array_equal(serial.h.values, pooled.h.values)
-
 
 class TestStabilityProbe:
     def test_zero_problem_ratio_is_one(self):
@@ -211,19 +197,3 @@ class TestStabilityProbe:
         d = stability_probe(ctx, v1, v2, SolverConfig(tol=1e-11)).as_dict()
         assert d["valid"] is True and d["degenerate"] is False
         assert d["stability_classical"] == pytest.approx(1.0)
-
-
-class TestThreadBudget:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("GOURSAT2D_THREADS", raising=False)
-        assert thread_budget() == 1
-
-    def test_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("GOURSAT2D_THREADS", "4")
-        assert thread_budget() == 4
-
-    @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5"])
-    def test_rejects_bad_values(self, raw, monkeypatch):
-        monkeypatch.setenv("GOURSAT2D_THREADS", raw)
-        with pytest.raises(ParameterError):
-            thread_budget()

@@ -21,10 +21,11 @@ from goursat2d.errors import (
     DivergenceError,
     MissingProbeError,
     NoConvergenceError,
+    StagnationError,
 )
 from goursat2d.grid import GridField, build_grid, cum2d_array, reconstruct_state
 from goursat2d.norms import WeightedNorms, classical_l2_norm
-from goursat2d.operator import apply_F, apply_Fprime, linearize, make_context
+from goursat2d.operator import LinearizedOperator, apply_F, make_context
 from goursat2d.problem import (
     XYFunction,
     builtin_example_4_6,
@@ -149,7 +150,7 @@ class TestLinearizedSolve:
         z0 = zero_state(ctx.grid)
         rng = np.random.default_rng(11)
         h_star = random_smooth_field(ctx.grid, 1, rng)
-        v = apply_Fprime(ctx, z0, h_star)
+        v = LinearizedOperator(ctx, z0).apply(h_star)
         cfg = SolverConfig(tol=1e-12)
         rep = solve_linearized(ctx, z0, v, cfg)
         assert rep.converged
@@ -164,7 +165,7 @@ class TestLinearizedSolve:
         rng = np.random.default_rng(7)
         z0 = reconstruct_state(random_smooth_field(ctx.grid, 1, rng))
         h_star = random_smooth_field(ctx.grid, 1, rng)
-        v = apply_Fprime(ctx, z0, h_star)
+        v = LinearizedOperator(ctx, z0).apply(h_star)
         cfg = SolverConfig(tol=1e-12)
         rep = solve_linearized(ctx, z0, v, cfg)
         wn = WeightedNorms(ctx.grid, rep.m_used)
@@ -207,7 +208,7 @@ class TestLinearizedSolve:
         z0 = zero_state(ctx.grid)
         rng = np.random.default_rng(2)
         h_star = random_smooth_field(ctx.grid, 1, rng)
-        v = apply_Fprime(ctx, z0, h_star)
+        v = LinearizedOperator(ctx, z0).apply(h_star)
         rep = solve_linearized(ctx, z0, v, SolverConfig(tol=1e-11), g0=h_star)
         assert rep.converged and rep.iterations == 1
 
@@ -395,6 +396,46 @@ class TestNewton:
             solve_newton(ctx, v, SolverConfig(tol=1e-16, max_iter=1))
         report = exc_info.value.report
         assert report is not None and report.iterations == 1 and not report.converged
+
+    def test_ratio_plateau_still_converges(self):
+        # the weighted ratio sits at 0.96-1.0002 for a dozen steps before the
+        # quadratic phase: Newton has no divergence patience to cut this short
+        ctx = make_context(builtin_example_4_6(), build_grid(16))
+        v = GridField(ctx.grid, np.full((17, 17, 1), 40.0))
+        rep = solve_newton(ctx, v, SolverConfig(m=0.5))
+        assert rep.converged and rep.iterations == 20
+        plateau = [t.ratio for t in rep.trace[1:13]]
+        assert min(plateau) > 0.96 and max(plateau) >= 1.0
+
+    def test_inner_failure_carries_the_outer_report(self):
+        # m = 2 is below the contraction threshold: an inner linear solve diverges
+        ctx = make_context(builtin_example_4_6(), build_grid(8), m=2.0)
+        v = GridField(ctx.grid, np.full((9, 9, 1), -100.0))
+        with pytest.raises(DivergenceError, match="not contracting") as exc_info:
+            solve_newton(ctx, v, SolverConfig(m=2.0))
+        report = exc_info.value.report
+        assert report.method == "newton" and not report.converged
+        assert report.iterations == len(report.trace) > 1
+        # the last accepted iterate, with its own residual
+        r = apply_F(ctx, report.g) - v
+        assert WeightedNorms(ctx.grid, 2.0).norm(r) == pytest.approx(report.residual_weighted, rel=1e-12)
+
+    def test_failed_line_search_raises_stagnation(self):
+        # at z = 0 the subgradient of abs is 0, so F'(0) = I and δ = v; but
+        # F(λv) − v = (λ − 1)v − 10λ|Jv| raises the merit for every λ > 0
+        spec = load_problem({
+            "meta": {"n": 1, "B": 10.0, "b": "0"},
+            "functions": {"f1": ["-10*abs(z1)"], "f2": ["0"]},
+            "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+        })
+        ctx = make_context(spec, build_grid(8), m=1.0)
+        v = GridField(ctx.grid, np.ones((9, 9, 1)))
+        g0 = GridField(ctx.grid, np.zeros((9, 9, 1)))
+        with pytest.raises(StagnationError, match="20 halvings") as exc_info:
+            solve_newton(ctx, v, SolverConfig(m=1.0), g0=g0)
+        report = exc_info.value.report
+        assert report.method == "newton" and report.iterations == 1
+        np.testing.assert_array_equal(report.g.values, 0.0)
 
     def test_mesh_refinement_halves_h_quarters_error(self):
         base = linear_spec()
