@@ -17,7 +17,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -26,16 +28,13 @@ from .errors import SchemaError, ShapeError
 from .grid import Grid, GridField, StateTriple, build_grid
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _atomic_write_text(path: str | os.PathLike, text: str) -> None:
+def _atomic_write(path: str | os.PathLike, chunks: Iterable[str]) -> None:
+    """Stream ``chunks`` into a temp file beside ``path``, then rename it over."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -53,14 +52,18 @@ def _write_nodes(path: str | os.PathLike, grid: Grid, blocks: dict[str, np.ndarr
     """Emit one row per node, row-major in i then j: ``i,j,x,y`` and then,
     per block, its n components as ``prefix_1..prefix_n``."""
     n = next(iter(blocks.values())).shape[2]
-    lines = [",".join(_columns(tuple(blocks), n))]
-    for i in range(grid.npoints):
-        for j in range(grid.npoints):
-            cells = [str(i), str(j), _fmt(grid.nodes[i]), _fmt(grid.nodes[j])]
-            for block in blocks.values():
-                cells += [_fmt(block[i, j, k]) for k in range(n)]
-            lines.append(",".join(cells))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    vals = np.concatenate(list(blocks.values()), axis=2)
+    row = "%d,%d,%s,%s," + ",".join(["%.17g"] * vals.shape[2]) + "\n"
+    coords = ["%.17g" % x for x in grid.nodes.tolist()]
+
+    def chunks():
+        yield ",".join(_columns(tuple(blocks), n)) + "\n"
+        for i, x in enumerate(coords):
+            yield "".join(
+                row % (i, j, x, coords[j], *cells) for j, cells in enumerate(vals[i].tolist())
+            )
+
+    _atomic_write(path, chunks())
 
 
 def _read_nodes(path: str | os.PathLike, prefixes: tuple[str, ...]) -> tuple[Grid, np.ndarray]:
@@ -68,6 +71,7 @@ def _read_nodes(path: str | os.PathLike, prefixes: tuple[str, ...]) -> tuple[Gri
 
     n is the number of ``prefixes[0]_k`` header columns.  Returns the grid and
     the values, shape (P, P, len(prefixes)·n), blocks in ``prefixes`` order.
+    Line numbers in errors count non-blank lines, the header being line 1.
     """
     path = Path(path)
     lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
@@ -87,29 +91,46 @@ def _read_nodes(path: str | os.PathLike, prefixes: tuple[str, ...]) -> tuple[Gri
     P = math.isqrt(count)
     if P * P != count or P < 2:
         raise SchemaError(f"{count} data rows do not form a square node grid", path=str(path))
-    grid = build_grid(P - 1)
-    data = np.full((P, P, len(expected) - 4), np.nan)
     for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(expected):
+        if line.count(",") != len(expected) - 1:
             raise SchemaError(
-                f"line {lineno}: expected {len(expected)} fields, got {len(parts)}",
+                f"line {lineno}: expected {len(expected)} fields, got {line.count(',') + 1}",
                 path=str(path),
             )
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            x, y, *vals = [float(p) for p in parts[2:]]
-        except ValueError as exc:
-            raise SchemaError(f"line {lineno}: {exc}", path=str(path)) from exc
-        if not (0 <= i < P and 0 <= j < P):
-            raise SchemaError(f"node index ({i}, {j}) outside 0..{P - 1}", path=str(path))
-        if abs(x - grid.nodes[i]) > 1e-12 or abs(y - grid.nodes[j]) > 1e-12:
-            raise SchemaError(
-                f"node ({i}, {j}) claims coordinates ({x}, {y}), "
-                f"grid has ({grid.nodes[i]}, {grid.nodes[j]})",
-                path=str(path),
-            )
-        data[i, j, :] = vals
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        row = re.search(r"at row (\d+)", str(exc))
+        where = f"line {int(row[1]) + 2}" if row else f"lines 2..{len(lines)}"
+        raise SchemaError(f"{where}: {exc}", path=str(path)) from exc
+
+    index = table[:, :2]
+    bad = np.flatnonzero((index != np.trunc(index)).any(axis=1))
+    if bad.size:
+        k = bad[0]
+        raise SchemaError(
+            f"line {k + 2}: node index ({index[k, 0]:g}, {index[k, 1]:g}) is not a pair of integers",
+            path=str(path),
+        )
+    bad = np.flatnonzero(((index < 0) | (index >= P)).any(axis=1))
+    if bad.size:
+        k = bad[0]
+        raise SchemaError(
+            f"node index ({index[k, 0]:g}, {index[k, 1]:g}) outside 0..{P - 1}", path=str(path)
+        )
+    grid = build_grid(P - 1)
+    i, j = index.astype(np.intp).T
+    x, y = table[:, 2], table[:, 3]
+    bad = np.flatnonzero((np.abs(x - grid.nodes[i]) > 1e-12) | (np.abs(y - grid.nodes[j]) > 1e-12))
+    if bad.size:
+        k = bad[0]
+        raise SchemaError(
+            f"node ({i[k]}, {j[k]}) claims coordinates ({x[k]}, {y[k]}), "
+            f"grid has ({grid.nodes[i[k]]}, {grid.nodes[j[k]]})",
+            path=str(path),
+        )
+    data = np.full((P, P, len(expected) - 4), np.nan)
+    data[i, j, :] = table[:, 4:]
     if np.isnan(data).any():
         raise SchemaError("duplicate or missing node rows", path=str(path))
     return grid, data
@@ -150,8 +171,7 @@ def read_grid_csv(path: str | os.PathLike) -> tuple[GridField, StateTriple]:
 
 def write_report_json(path: str | os.PathLike, report: dict) -> None:
     """Single JSON object, insertion-ordered keys, no timestamps, atomic."""
-    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    _atomic_write_text(path, text)
+    _atomic_write(path, [json.dumps(report, indent=2, allow_nan=False) + "\n"])
 
 
 def read_report_json(path: str | os.PathLike) -> dict:

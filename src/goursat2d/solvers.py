@@ -225,16 +225,28 @@ def _iterate(
     to the previous one, and stops once the residual is at most ``tol``.  With
     ``patience`` it raises DivergenceError after ``_DIVERGENCE_PATIENCE``
     consecutive ratios >= 1; it raises NoConvergenceError after ``max_iter``
-    residuals.  A SolverError raised by ``step`` keeps its class and message.
+    residuals.  A non-finite weighted residual raises DivergenceError; it also
+    catches a non-finite iterate, because every residual contains the iterate
+    itself.  A SolverError raised by ``step`` keeps its class and message.
     Every error carries this loop's partial report: the last iterate whose
-    residual was evaluated, and the trace.
+    residual was evaluated and finite, and the trace up to it.  When the
+    first residual is already non-finite there is no such iterate, and the
+    error carries no report.
     """
     wn = ctx.weighted_norms()
     trace: list[IterationRecord] = []
     bad_streak = 0
+    g_next = g
     for k in range(1, max_iter + 1):
-        r = residual(g)
-        rnorm = wn.norm(r)
+        r_next = residual(g_next)
+        rnorm = wn.norm(r_next)
+        if not math.isfinite(rnorm):
+            error = DivergenceError(
+                f"{method} iteration {k} overflowed (weighted residual {rnorm}); "
+                f"the iterates grow without bound at this weight and right-hand side"
+            )
+            break
+        g, r = g_next, r_next
         prev = trace[-1].residual if trace else 0.0
         ratio = rnorm / prev if prev else None
         trace.append(IterationRecord(iteration=k, residual=rnorm, ratio=ratio))
@@ -255,11 +267,12 @@ def _iterate(
             )
             break
         try:
-            g = step(g, r, rnorm)
+            g_next = step(g, r, rnorm)
         except SolverError as exc:
             error = exc
             break
-    error.report = _report(ctx, method, g, r, trace, converged=False)
+    if trace:
+        error.report = _report(ctx, method, g, r, trace, converged=False)
     raise error
 
 

@@ -149,6 +149,20 @@ class TestSolve:
         info = residual(ctx, g, GridField(ctx.grid, np.full((9, 9, 1), -100.0)))
         assert info.weighted == pytest.approx(report["result"]["residual_weighted"], rel=1e-12)
 
+    def test_overflow_exits_2_with_partial_artifacts(self, tmp_path, capsys):
+        # an RHS of 1e60 makes Newton's first inner linear solve overflow
+        out = tmp_path / "run"
+        code = run_cli(["solve", "--builtin", "example46", "--n", "8",
+                        "--rhs", "1e60", "--out", str(out)])
+        assert code == 2
+        assert "overflowed" in capsys.readouterr().err
+        report = read_report_json(f"{out}.report.json")
+        assert "overflowed" in report["failure"]
+        assert report["result"]["method"] == "newton"
+        assert report["result"]["converged"] is False
+        g, _ = read_grid_csv(f"{out}.grid.csv")
+        np.testing.assert_array_equal(g.values, 1e60)
+
     def test_malformed_expression_exits_1_with_position(self, capsys):
         code = run_cli(["solve", "--builtin", "zero", "--n", "8", "--rhs", "1 + (x*"])
         assert code == 1

@@ -62,6 +62,44 @@ def golden_bundle():
     return GridField(grid, g), state
 
 
+def per_value_csv(grid, blocks: dict) -> str:
+    """The writer that formatted one value at a time: the byte-level oracle."""
+    n = next(iter(blocks.values())).shape[2]
+    header = ["i", "j", "x", "y", *(f"{p}_{k + 1}" for p in blocks for k in range(n))]
+    lines = [",".join(header)]
+    for i in range(grid.npoints):
+        for j in range(grid.npoints):
+            cells = [str(i), str(j), format(float(grid.nodes[i]), ".17g"),
+                     format(float(grid.nodes[j]), ".17g")]
+            for block in blocks.values():
+                cells += [format(float(block[i, j, k]), ".17g") for k in range(n)]
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def extreme_field(cells: int, n: int, seed: int) -> GridField:
+    """Random mantissas over 600 decades, with −0.0, 5e-324, 1e300 and 1/3."""
+    grid = build_grid(cells)
+    rng = np.random.default_rng(seed)
+    shape = (grid.npoints, grid.npoints, n)
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    vals.flat[:4] = [-0.0, 5e-324, 1e300, 1 / 3]
+    return GridField(grid, vals)
+
+
+@pytest.mark.parametrize("cells", [2, 16, 256])
+@pytest.mark.parametrize("n", [1, 2])
+def test_writers_match_the_per_value_oracle(tmp_path, cells, n):
+    g = extreme_field(cells, n, seed=cells + n)
+    state = reconstruct_state(random_field(cells, n, seed=cells * n))
+    write_grid_csv(tmp_path / "b.csv", g, state)
+    blocks = {"g": g.values, "z": state.z.values, "zx": state.zx.values, "zy": state.zy.values}
+    assert (tmp_path / "b.csv").read_bytes() == per_value_csv(g.grid, blocks).encode()
+    write_field_csv(tmp_path / "f.csv", g)
+    assert (tmp_path / "f.csv").read_bytes() == per_value_csv(g.grid, {"v": g.values}).encode()
+    assert read_field_csv(tmp_path / "f.csv").values.tobytes() == g.values.tobytes()
+
+
 class TestFieldRoundTrip:
     def test_bit_exact(self, tmp_path):
         f = random_field(5, 3, seed=7)
@@ -200,9 +238,28 @@ class TestMalformedFiles:
 
     def test_non_numeric_token(self, tmp_path):
         path = self.make_field_file(tmp_path)
-        _patch_line(path, "1,1,", "1,1,0.5,0.5,forty-two")
-        with pytest.raises(SchemaError, match="line"):
+        _patch_line(path, "1,1,", "1,1,0.5,0.5,forty-two")  # file line 6
+        with pytest.raises(SchemaError, match="line 6: .*forty-two"):
             read_field_csv(path)
+
+    def test_short_row_names_its_line(self, tmp_path):
+        path = self.make_field_file(tmp_path, cells=4)
+        _patch_line(path, "2,2,", "2,2,0.5,0.5")  # node (2, 2) is file line 14
+        with pytest.raises(SchemaError, match="line 14: expected 5 fields, got 4"):
+            read_field_csv(path)
+
+    def test_fractional_index(self, tmp_path):
+        path = self.make_field_file(tmp_path)
+        _patch_line(path, "1,1,", "1.5,1,0.5,0.5,0")
+        with pytest.raises(SchemaError, match="line 6: node index \\(1.5, 1\\) is not a pair of integers"):
+            read_field_csv(path)
+
+    def test_trailing_blank_line_accepted(self, tmp_path):
+        f = random_field(2, 1, seed=4)
+        path = tmp_path / "f.csv"
+        write_field_csv(path, f)
+        path.write_text(path.read_text() + "\n  \n")
+        assert np.array_equal(read_field_csv(path).values, f.values)
 
     def test_non_square_row_count(self, tmp_path):
         path = self.make_field_file(tmp_path)

@@ -145,6 +145,22 @@ class TestLinearizedSolve:
         )
         assert rep.residual_classical == 0.0
 
+    def test_overflow_raises_divergence_with_last_finite_iterate(self):
+        # (H − I)g = 1e40·Jg grows each iterate by ~1e40, so the square in
+        # the fourth residual's norm overflows before the patience runs out
+        ctx = make_context(pure_f1_spec(c=1e40), build_grid(8), m=1.0)
+        z0 = zero_state(ctx.grid)
+        v = GridField(ctx.grid, np.ones((9, 9, 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="linearized iteration 4 overflowed") as exc_info:
+                solve_linearized(ctx, z0, v, SolverConfig(m=1.0))
+        report = exc_info.value.report
+        assert report.iterations == len(report.trace) == 3 and not report.converged
+        assert np.isfinite(report.g.values).all()
+        r = LinearizedOperator(ctx, z0).apply_array(report.g.values) - v.values
+        assert WeightedNorms(ctx.grid, 1.0).norm(r) == report.residual_weighted
+        assert math.isfinite(report.residual_classical)
+
     def test_recovers_manufactured_direction(self):
         ctx = probed_context(linear_spec(), 16)
         z0 = zero_state(ctx.grid)
