@@ -64,7 +64,7 @@ def halton_points(count: int, dim: int, seed: int) -> np.ndarray:
     prime base ``b`` with every digit position scrambled by its own random
     permutation of ``0..b-1`` (Owen's randomized Halton sequence, A. B. Owen,
     "A randomized Halton algorithm in R", arXiv:1706.02808, 2017).  Digit
-    positions run while ``b**-j`` still changes ``1 - b**-j`` in binary64.
+    positions j = 1, 2, ... run while ``1 - b**-j < 1`` in binary64.
     The permutations are drawn from ``np.random.default_rng(seed)`` in the
     same order as ``scipy.stats.qmc.Halton(d=dim, scramble=True, seed=seed)``,
     whose output this reproduces bit for bit.
