@@ -14,6 +14,7 @@ solution map v ↦ z_v.
 from .errors import (
     DivergenceError,
     EvalFaultError,
+    EvalOverflowError,
     ExprSyntaxError,
     Goursat2dError,
     InvalidResolutionError,
@@ -96,6 +97,7 @@ __all__ = [
     "DEFAULT_SEED",
     "DivergenceError",
     "EvalFaultError",
+    "EvalOverflowError",
     "ExprSyntaxError",
     "Goursat2dError",
     "Grid",

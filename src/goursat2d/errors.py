@@ -57,6 +57,14 @@ class EvalFaultError(Goursat2dError):
         self.where = where
 
 
+class EvalOverflowError(EvalFaultError):
+    """An expression's value or derivative came out non-finite (overflow).
+
+    Raised where the inputs are finite but too large for the expression; the
+    solvers report it as divergence of the iterates, not as an input error.
+    """
+
+
 class SchemaError(Goursat2dError):
     """Malformed problem document.
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalFaultError, ExprSyntaxError
+from .errors import EvalFaultError, EvalOverflowError, ExprSyntaxError
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "atan")
 
@@ -263,30 +263,71 @@ def free_z_indices(e: Expr) -> frozenset[int]:
 
 # -- evaluation ---------------------------------------------------------------
 
-def _fault(message: str, node: Expr, mask: np.ndarray, X: np.ndarray, Y: np.ndarray):
-    """Raise an evaluation fault at the first offending sample point."""
-    mask = np.asarray(mask)
+def _fault(message: str, node: Expr, mask, X: np.ndarray, Y: np.ndarray, error=EvalFaultError):
+    """Raise an evaluation fault at the first offending sample point.
+
+    ``mask`` may be a scalar or any shape that broadcasts to X's.
+    """
+    idxs = np.argwhere(np.broadcast_to(mask, np.shape(X)))
     where = None
-    if mask.ndim == 0:
-        if mask:
-            where = (float(X), float(Y))
-    else:
-        idxs = np.argwhere(mask)
-        if len(idxs):
-            idx = tuple(idxs[0])
-            where = (float(X[idx]), float(Y[idx]))
-    raise EvalFaultError(message, node.pos, where=where)
+    if len(idxs):
+        idx = tuple(idxs[0])
+        where = (float(X[idx]), float(Y[idx]))
+    raise error(message, node.pos, where=where)
 
 
-def _eval(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def _fresh(a, shape: tuple[int, ...], inputs: tuple) -> np.ndarray:
+    """``a`` as a writable array of ``shape`` that shares no memory with the inputs.
+
+    Leaves evaluate to scalars and input views, so only a result that is one
+    of those is copied; the result of an arithmetic node is returned as is.
+    """
+    if (isinstance(a, np.ndarray) and a.shape == shape and a.flags.owndata
+            and a.flags.writeable and not any(a is i for i in inputs)):
+        return a
+    out = np.empty(shape)
+    out[...] = a
+    return out
+
+
+def _ipow(a, p: int):
+    """a ** p for an integer p by binary powering; p < 0 gives 1 / a ** |p|.
+
+    Repeated multiplication costs the same for every sign of the base, and
+    p = -1, 0, 1, 2 give the same bits as numpy's ``a ** p``.
+    """
+    if p == 0:
+        return np.ones_like(a)
+    k = abs(p)
+    out = None
+    while True:
+        if k & 1:
+            out = a if out is None else out * a
+        k >>= 1
+        if not k:
+            break
+        a = a * a
+    return 1.0 / out if p < 0 else out
+
+
+def _int_exponent(e: Bin) -> int | None:
+    """The exponent of ``a ^ p`` when p is an integer literal, else None."""
+    r = e.right
+    if isinstance(r, Num) and float(r.value).is_integer():
+        return int(r.value)
+    return None
+
+
+def _eval(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray):
+    """Value of ``e``: an array, an input view or (for constants) a numpy float."""
     if isinstance(e, Num):
-        return np.full(X.shape, e.value)
+        return np.float64(e.value)
     if isinstance(e, Var):
         if e.name == "x":
-            return X.copy()
+            return X
         if e.name == "y":
-            return Y.copy()
-        return Z[..., e.index].copy()
+            return Y
+        return Z[..., e.index]
     if isinstance(e, Unary):
         return -_eval(e.operand, X, Y, Z)
     if isinstance(e, Bin):
@@ -320,30 +361,30 @@ def _eval(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _pow_value(e: Bin, a: np.ndarray, X, Y, Z) -> np.ndarray:
+def _pow_value(e: Bin, a, X, Y, Z):
     """a ^ b with the domain rules: integer literal exponents allow any base
     (except 0 to a negative power); everything else requires base > 0."""
-    r = e.right
-    if isinstance(r, Num) and float(r.value).is_integer():
-        p = int(r.value)
+    p = _int_exponent(e)
+    if p is not None:
         if p < 0 and np.any(a == 0.0):
             _fault("zero base raised to a negative power", e, a == 0.0, X, Y)
-        return a ** p
-    b = _eval(r, X, Y, Z)
+        return _ipow(a, p)
+    b = _eval(e.right, X, Y, Z)
     if np.any(a <= 0.0):
         _fault("non-integer power of a nonpositive base", e, a <= 0.0, X, Y)
-    return a ** b
+    return np.power(a, b)
 
 
 def eval_on_grid(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Evaluate over coordinate arrays X, Y and state array Z (shape X.shape + (n,)).
 
-    Returns an array of X's shape; non-finite results (overflow) fault.
+    Returns a fresh, writable array of X's shape.  A non-finite result
+    (overflow) raises EvalOverflowError.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = _eval(e, X, Y, Z)
+        out = _fresh(_eval(e, X, Y, Z), np.shape(X), (X, Y))
     if not np.isfinite(out).all():
-        _fault("non-finite result (overflow?)", e, ~np.isfinite(out), X, Y)
+        _fault("non-finite result (overflow?)", e, ~np.isfinite(out), X, Y, EvalOverflowError)
     return out
 
 
@@ -372,18 +413,20 @@ class _KinkFlag:
 
 
 def _eval_dual(e: Expr, X, Y, Z, kink: _KinkFlag) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (value array of X.shape, partials array of X.shape + (n,))."""
-    n = Z.shape[-1]
+    """Returns (value, partials); both broadcast to X.shape and X.shape + (n,).
+
+    Leaves return a numpy float or an input view and a length-n partials row.
+    """
     if isinstance(e, Num):
-        return np.full(X.shape, e.value), np.zeros(X.shape + (n,))
+        return np.float64(e.value), np.zeros(Z.shape[-1])
     if isinstance(e, Var):
-        d = np.zeros(X.shape + (n,))
+        d = np.zeros(Z.shape[-1])
         if e.name == "x":
-            return X.copy(), d
+            return X, d
         if e.name == "y":
-            return Y.copy(), d
-        d[..., e.index] = 1.0
-        return Z[..., e.index].copy(), d
+            return Y, d
+        d[e.index] = 1.0
+        return Z[..., e.index], d
     if isinstance(e, Unary):
         v, d = _eval_dual(e.operand, X, Y, Z, kink)
         return -v, -d
@@ -438,23 +481,22 @@ def _eval_dual(e: Expr, X, Y, Z, kink: _KinkFlag) -> tuple[np.ndarray, np.ndarra
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _pow_dual(e: Bin, va, da, X, Y, Z, kink) -> tuple[np.ndarray, np.ndarray]:
-    r = e.right
-    if isinstance(r, Num) and float(r.value).is_integer():
-        p = int(r.value)
+def _pow_dual(e: Bin, va, da, X, Y, Z, kink):
+    p = _int_exponent(e)
+    if p is not None:
         if p < 0 and np.any(va == 0.0):
             _fault("zero base raised to a negative power", e, va == 0.0, X, Y)
-        v = va**p
+        v = _ipow(va, p)
         if p == 0:
             return v, np.zeros_like(da)
-        # d(a^p) = p a^(p-1) da; numpy gives 0^0 = 1, so p = 1 at a = 0 is right,
+        # d(a^p) = p a^(p-1) da; a^0 = 1, so p = 1 at a = 0 is right,
         # and for p >= 2 the coefficient vanishes at a = 0 as it should.
-        coeff = p * va ** (p - 1)
+        coeff = p * _ipow(va, p - 1)
         return v, coeff[..., None] * da
-    vb, db = _eval_dual(r, X, Y, Z, kink)
+    vb, db = _eval_dual(e.right, X, Y, Z, kink)
     if np.any(va <= 0.0):
         _fault("non-integer power of a nonpositive base", e, va <= 0.0, X, Y)
-    v = va**vb
+    v = np.power(va, vb)
     d = v[..., None] * (db * np.log(va)[..., None] + vb[..., None] * da / va[..., None])
     return v, d
 
@@ -464,16 +506,22 @@ def eval_dual_on_grid(
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Vectorized forward-mode evaluation.
 
-    Returns (values of X.shape, partials of X.shape + (n,), kink flag); the
-    flag records whether abs/sqrt was differentiated at its kink anywhere.
+    Returns (values of X.shape, partials of X.shape + (n,), kink flag), both
+    arrays fresh and writable; the flag records whether abs/sqrt was
+    differentiated at its kink anywhere.  Non-finite values or partials
+    (overflow) raise EvalOverflowError.
     """
     kink = _KinkFlag()
+    shape = np.shape(X)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v, d = _eval_dual(e, X, Y, Z, kink)
+        v = _fresh(v, shape, (X, Y))
+        d = _fresh(d, shape + Z.shape[-1:], ())
     if not np.isfinite(v).all():
-        _fault("non-finite result (overflow?)", e, ~np.isfinite(v), X, Y)
+        _fault("non-finite result (overflow?)", e, ~np.isfinite(v), X, Y, EvalOverflowError)
     if not np.isfinite(d).all():
-        _fault("non-finite derivative (overflow?)", e, ~np.isfinite(d).all(axis=-1), X, Y)
+        _fault("non-finite derivative (overflow?)", e, ~np.isfinite(d).all(axis=-1), X, Y,
+               EvalOverflowError)
     return v, d, kink.hit
 
 

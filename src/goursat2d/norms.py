@@ -65,9 +65,17 @@ class WeightedNorms:
             if f.grid != self.grid:
                 raise ShapeError(f"field grid {f.grid} does not match kernel grid {self.grid}")
             f = f.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = self._sum_sq(f)
+        if not np.isfinite(total) and np.isfinite(f).all():
+            # finite values above ~1e154 overflow the squares: scale them first
+            scale = np.abs(f).max()
+            return float(scale * np.sqrt(self._sum_sq(f / scale)))
+        return float(np.sqrt(total))
+
+    def _sum_sq(self, f: np.ndarray) -> float:
         w = self.grid.trapezoid_weights()
-        sq = (f**2).sum(axis=2)
-        return float(np.sqrt(np.einsum("i,j,ij->", w, w, self.kernel * sq)))
+        return np.einsum("i,j,ij->", w, w, self.kernel * (f**2).sum(axis=2))
 
 
 def weighted_l2_norm(f: GridField, m: float) -> float:

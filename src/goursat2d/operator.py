@@ -109,15 +109,22 @@ def _components(exprs, X, Y, Z) -> np.ndarray:
     return np.stack([eval_on_grid(e, X, Y, Z) for e in exprs], axis=-1)
 
 
-def apply_F(ctx: OperatorContext, g: GridField) -> GridField:
-    """Evaluate the forward operator at the state reconstructed from g."""
-    ctx.check_field(g)
-    z, zx, zy = state_from_g(g.values, ctx.grid.h)
+def apply_F(ctx: OperatorContext, g: GridField | np.ndarray) -> GridField | np.ndarray:
+    """Evaluate the forward operator at the state reconstructed from g.
+
+    Takes a GridField or its (P, P, n) value array and returns the same kind;
+    the array form is the solvers' path and skips the field's copy and check.
+    """
+    field = isinstance(g, GridField)
+    if field:
+        ctx.check_field(g)
+        g = g.values
+    z, zx, zy = state_from_g(g, ctx.grid.h)
     f1v = _components(ctx.spec.f1, ctx.X, ctx.Y, z)
     f2v = _components(ctx.spec.f2, ctx.X, ctx.Y, z)
     inner = f2v + _matvec(ctx.a1_nodes, zx) + _matvec(ctx.a2_nodes, zy)
-    out = g.values + f1v + cum2d_array(inner, ctx.grid.h)
-    return GridField(ctx.grid, out)
+    out = g + f1v + cum2d_array(inner, ctx.grid.h)
+    return GridField(ctx.grid, out) if field else out
 
 
 @dataclass(frozen=True)

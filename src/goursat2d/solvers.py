@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import (
     DivergenceError,
+    EvalOverflowError,
     MissingProbeError,
     NoConvergenceError,
     SolverError,
@@ -225,26 +226,28 @@ def _iterate(
     to the previous one, and stops once the residual is at most ``tol``.  With
     ``patience`` it raises DivergenceError after ``_DIVERGENCE_PATIENCE``
     consecutive ratios >= 1; it raises NoConvergenceError after ``max_iter``
-    residuals.  A non-finite weighted residual raises DivergenceError; it also
-    catches a non-finite iterate, because every residual contains the iterate
-    itself.  A SolverError raised by ``step`` keeps its class and message.
-    Every error carries this loop's partial report: the last iterate whose
-    residual was evaluated and finite, and the trace up to it.  When the
-    first residual is already non-finite there is no such iterate, and the
-    error carries no report.
+    residuals.  Overflow raises DivergenceError: a non-finite weighted
+    residual (which also catches a non-finite iterate, because every residual
+    contains the iterate itself) or an EvalOverflowError from ``residual`` or
+    ``step``.  Any other SolverError raised by ``step`` keeps its class and
+    message.  Every error carries this loop's partial report: the last
+    iterate whose residual was evaluated and finite, and the trace up to it.
+    When the first residual already overflows there is no such iterate, and
+    the error carries no report.
     """
     wn = ctx.weighted_norms()
     trace: list[IterationRecord] = []
     bad_streak = 0
     g_next = g
     for k in range(1, max_iter + 1):
-        r_next = residual(g_next)
+        try:
+            r_next = residual(g_next)
+        except EvalOverflowError as exc:
+            error = _overflow(method, k, exc)
+            break
         rnorm = wn.norm(r_next)
         if not math.isfinite(rnorm):
-            error = DivergenceError(
-                f"{method} iteration {k} overflowed (weighted residual {rnorm}); "
-                f"the iterates grow without bound at this weight and right-hand side"
-            )
+            error = _overflow(method, k, f"weighted residual {rnorm}")
             break
         g, r = g_next, r_next
         prev = trace[-1].residual if trace else 0.0
@@ -268,12 +271,22 @@ def _iterate(
             break
         try:
             g_next = step(g, r, rnorm)
+        except EvalOverflowError as exc:
+            error = _overflow(method, k, exc)
+            break
         except SolverError as exc:
             error = exc
             break
     if trace:
         error.report = _report(ctx, method, g, r, trace, converged=False)
     raise error
+
+
+def _overflow(method: str, k: int, cause) -> DivergenceError:
+    return DivergenceError(
+        f"{method} iteration {k} overflowed ({cause}); "
+        f"the iterates grow without bound at this weight and right-hand side"
+    )
 
 
 def _report(
@@ -303,7 +316,9 @@ def _start(v: GridField, g0: GridField | None) -> np.ndarray:
 
 def _F_residual(ctx: OperatorContext, g: np.ndarray, v: GridField) -> np.ndarray:
     """F(g) − v on value arrays."""
-    return apply_F(ctx, GridField(ctx.grid, g)).values - v.values
+    r = apply_F(ctx, g)
+    r -= v.values
+    return r
 
 
 def solve_linearized(
@@ -436,16 +451,22 @@ def solve_newton(
         )
         state = reconstruct_state(GridField(ctx.grid, g))
         delta = solve_linearized(ctx, state, GridField(ctx.grid, -r), inner_cfg).g.values
-        phi0 = 0.5 * classical.norm(r) ** 2
+        # the merit ½‖F(z) − v‖² decreases exactly when the classical norm
+        # does; comparing norms avoids squaring them (above ~1e154 the
+        # square overflows, below ~1e-154 it underflows)
+        r0 = classical.norm(r)
         lam = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
             trial = g + lam * delta
-            if 0.5 * classical.norm(_F_residual(ctx, trial, v)) ** 2 < phi0:
-                return trial
+            try:
+                if classical.norm(_F_residual(ctx, trial, v)) < r0:
+                    return trial
+            except EvalOverflowError:
+                pass  # F overflows at the trial point: no decrease
             lam *= 0.5
         raise StagnationError(
             f"line search failed: merit did not decrease after "
-            f"{_MAX_BACKTRACKS} halvings (merit {phi0:.6g})"
+            f"{_MAX_BACKTRACKS} halvings (classical residual {r0:.6g})"
         )
 
     caught: list[warnings.WarningMessage] = []

@@ -46,6 +46,13 @@ STIFF_DOC = {
     "label": "stiff",
 }
 
+CUBIC_DOC = {
+    "meta": {"n": 1, "B": 1.0, "b": "1"},
+    "functions": {"f1": ["z1^3"], "f2": ["0"]},
+    "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+    "label": "cubic",
+}
+
 
 @pytest.fixture
 def linear_doc(tmp_path):
@@ -162,6 +169,21 @@ class TestSolve:
         assert report["result"]["converged"] is False
         g, _ = read_grid_csv(f"{out}.grid.csv")
         np.testing.assert_array_equal(g.values, 1e60)
+
+    def test_overflow_inside_expression_exits_2_with_partial_artifacts(self, tmp_path, capsys):
+        # the Picard iterates of f1 = z^3 overflow in z^3 before any norm does
+        path = tmp_path / "cubic.json"
+        path.write_text(json.dumps(CUBIC_DOC))
+        out = tmp_path / "run"
+        code = run_cli(["solve", "--problem", str(path), "--n", "8", "--method", "picard",
+                        "--rhs", "20", "--out", str(out)])
+        assert code == 2
+        assert "overflowed (non-finite result" in capsys.readouterr().err
+        report = read_report_json(f"{out}.report.json")
+        assert "picard iteration" in report["failure"]
+        assert report["result"]["converged"] is False
+        g, _ = read_grid_csv(f"{out}.grid.csv")
+        assert np.isfinite(g.values).all() and np.abs(g.values).max() > 20.0
 
     def test_malformed_expression_exits_1_with_position(self, capsys):
         code = run_cli(["solve", "--builtin", "zero", "--n", "8", "--rhs", "1 + (x*"])

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from goursat2d.errors import EvalFaultError, ExprSyntaxError
+from goursat2d.errors import EvalFaultError, EvalOverflowError, ExprSyntaxError
 from goursat2d.exprlang import (
     Bin,
     Call,
@@ -21,6 +23,7 @@ from goursat2d.exprlang import (
     structurally_equal,
     to_source,
 )
+from goursat2d.exprlang import _ipow
 
 
 class TestParse:
@@ -151,6 +154,114 @@ class TestEvaluate:
                 assert grid_vals[i, j] == pytest.approx(
                     evaluate(e, X[i, j], Y[i, j], Z[i, j]), rel=1e-15
                 )
+
+
+def mixed_sign_bases() -> np.ndarray:
+    """Both signs: zeros, subnormals, the smallest normal, a dense run around
+    ±1 and magnitudes spread log-uniformly over 1e-20 … 1e20."""
+    rng = np.random.default_rng(46)
+    special = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308]
+    spread = 10.0 ** rng.uniform(-20, 20, 400)
+    mags = np.concatenate([special, np.linspace(0, 3, 301)[1:], spread])
+    return np.concatenate([mags, -mags])
+
+
+def pow_reference(a: float, p: int) -> float:
+    try:
+        return math.pow(a, p)
+    except (OverflowError, ValueError):  # overflow, or zero to a negative power
+        return math.copysign(math.inf, a) if p % 2 else math.inf
+
+
+def power_node(p: int) -> Bin:
+    """z1 ^ p with p as one literal; the parser reads "z1^-3" as z1 ^ (-3)."""
+    return Bin("^", Var("z1", 0, 0), Num(float(p), 3), 2)
+
+
+class TestIntegerPower:
+    @pytest.mark.parametrize("p", [-1, 0, 1, 2])
+    def test_small_exponents_equal_numpy_bit_for_bit(self, p):
+        a = mixed_sign_bases()
+        with np.errstate(divide="ignore", over="ignore"):
+            np.testing.assert_array_equal(_ipow(a, p), a**p)
+
+    @pytest.mark.parametrize("p", [s * k for k in range(3, 13) for s in (1, -1)])
+    def test_within_p_plus_one_ulp_of_libm(self, p):
+        a = mixed_sign_bases()
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            got = _ipow(a, p)
+        want = np.array([pow_reference(float(t), p) for t in a])
+        inf = np.isinf(want)
+        np.testing.assert_array_equal(got[inf], want[inf])
+        ulps = np.abs(got[~inf] - want[~inf]) / np.spacing(np.abs(want[~inf]))
+        assert ulps.max() <= abs(p) + 1
+
+    def test_grid_power_independent_of_base_sign(self):
+        # the value and the dual value of a power are the same bits, and
+        # negating the base only flips the sign of odd powers
+        rng = np.random.default_rng(3)
+        X, Y = np.zeros((6, 6)), np.zeros((6, 6))
+        Z = rng.uniform(0.1, 3.0, (6, 6, 1))
+        for p in (3, 5, -2, -3):
+            e = power_node(p)
+            pos = eval_on_grid(e, X, Y, Z)
+            neg = eval_on_grid(e, X, Y, -Z)
+            np.testing.assert_array_equal(neg, pos if p % 2 == 0 else -pos)
+            v, d, _ = eval_dual_on_grid(e, X, Y, -Z)
+            np.testing.assert_array_equal(v, neg)
+            np.testing.assert_allclose(d[..., 0], p * (-Z[..., 0]) ** (p - 1), rtol=1e-14)
+
+    def test_zero_base_to_negative_power_faults(self):
+        X, Y = np.meshgrid(np.linspace(0, 1, 4), np.linspace(0, 1, 4), indexing="ij")
+        Z = np.ones((4, 4, 1))
+        Z[2, 1, 0] = 0.0
+        for run in (eval_on_grid, eval_dual_on_grid):
+            with pytest.raises(EvalFaultError, match="zero base raised to a negative power") as exc:
+                run(power_node(-3), X, Y, Z)
+            assert exc.value.where == (X[2, 1], Y[2, 1])
+
+
+class TestLeaves:
+    @pytest.mark.parametrize("src", ["2", "x", "y", "z1", "z2", "z1^1", "z1^0"])
+    def test_results_are_fresh_writable_arrays(self, src):
+        X, Y = np.meshgrid(np.linspace(0, 1, 5), np.linspace(0, 1, 5), indexing="ij")
+        Z = np.arange(50.0).reshape(5, 5, 2)
+        e = parse(src, 2)
+        v = eval_on_grid(e, X, Y, Z)
+        vd, d, _ = eval_dual_on_grid(e, X, Y, Z)
+        assert v.shape == vd.shape == (5, 5) and d.shape == (5, 5, 2)
+        for out in (v, vd, d):
+            assert out.flags.writeable
+            assert not any(np.shares_memory(out, a) for a in (X, Y, Z))
+        np.testing.assert_array_equal(v, vd)
+        v[...] = -1.0
+        vd[...] = -1.0
+        d[...] = -1.0
+        np.testing.assert_array_equal(eval_on_grid(e, X, Y, Z), eval_dual_on_grid(e, X, Y, Z)[0])
+
+    def test_leaf_values_and_partials(self):
+        X, Y = np.meshgrid(np.linspace(0, 1, 3), np.linspace(0, 1, 3), indexing="ij")
+        Z = np.stack([X + 2.0, Y - 5.0], axis=-1)
+        v, d, _ = eval_dual_on_grid(parse("z2", 2), X, Y, Z)
+        np.testing.assert_array_equal(v, Z[..., 1])
+        np.testing.assert_array_equal(d, np.broadcast_to([0.0, 1.0], (3, 3, 2)))
+        v, d, _ = eval_dual_on_grid(parse("2.5", 2), X, Y, Z)
+        np.testing.assert_array_equal(v, 2.5)
+        np.testing.assert_array_equal(d, 0.0)
+
+    def test_constant_faults_name_the_node_and_first_point(self):
+        # a constant subtree faults with a scalar mask, broadcast to the grid;
+        # a non-finite result names the root
+        X, Y = np.meshgrid(np.linspace(0.5, 1, 3), np.linspace(0.25, 1, 4), indexing="ij")
+        Z = np.zeros((3, 4, 1))
+        for src, pos, error in (("x + 1/(2-2)", 5, EvalFaultError),
+                                ("y*log(0-1)", 2, EvalFaultError),
+                                ("z1 + exp(1000)", 3, EvalOverflowError)):
+            for run in (eval_on_grid, eval_dual_on_grid):
+                with pytest.raises(error) as exc:
+                    run(parse(src, 1), X, Y, Z)
+                assert exc.value.position == pos
+                assert exc.value.where == (0.5, 0.25)
 
 
 class TestDual:

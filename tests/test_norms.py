@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,22 @@ class TestWeightedNorm:
         wn = WeightedNorms(build_grid(8), 1.0)
         with pytest.raises(ShapeError):
             wn.norm(const_field(4))
+
+    def test_finite_field_above_square_overflow(self):
+        # 1e158² overflows; the norm scales by max|f| instead of returning inf
+        wn = WeightedNorms(build_grid(8), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = wn.norm(const_field(8, 1e158))
+        want = 1e158 * wn.norm(const_field(8))
+        assert np.isfinite(got)
+        assert abs(got - want) <= 1e-14 * want
+
+    def test_non_finite_field_gives_non_finite_norm(self):
+        wn = WeightedNorms(build_grid(4), 1.0)
+        values = np.ones((5, 5, 1))
+        values[2, 3, 0] = np.inf
+        assert wn.norm(values) == np.inf
 
 
 class TestAcNorm:

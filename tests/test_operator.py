@@ -72,6 +72,14 @@ class TestApplyF:
         np.testing.assert_array_equal(a[:, :j0, :], b[:, :j0, :])
         assert np.abs(a[i0:, j0:] - b[i0:, j0:]).max() > 0
 
+    def test_value_array_matches_field_bit_for_bit(self):
+        ctx = make_context(builtin_example_4_6(A1="x", A2="y"), build_grid(16))
+        g = random_smooth_field(ctx.grid, 1, np.random.default_rng(5)) * 2.0
+        out = apply_F(ctx, g.values)
+        assert isinstance(out, np.ndarray) and out.flags.writeable
+        np.testing.assert_array_equal(out, apply_F(ctx, g).values)
+        assert not np.shares_memory(out, g.values)
+
     def test_shape_guard(self):
         ctx = make_context(zero_problem(), build_grid(8))
         with pytest.raises(ShapeError):

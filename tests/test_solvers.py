@@ -13,6 +13,7 @@ Oracles used here:
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,15 @@ def pure_f1_spec(c=0.5, B=1.0):
     return load_problem({
         "meta": {"n": 1, "B": B, "b": "1"},
         "functions": {"f1": [f"({c!r})*z1"], "f2": ["0"]},
+        "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+    })
+
+
+def cubic_spec():
+    """f¹ = z³ alone: the iterates of a large RHS overflow inside f¹."""
+    return load_problem({
+        "meta": {"n": 1, "B": 1.0, "b": "1"},
+        "functions": {"f1": ["z1^3"], "f2": ["0"]},
         "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
     })
 
@@ -146,9 +156,10 @@ class TestLinearizedSolve:
         assert rep.residual_classical == 0.0
 
     def test_overflow_raises_divergence_with_last_finite_iterate(self):
-        # (H − I)g = 1e40·Jg grows each iterate by ~1e40, so the square in
-        # the fourth residual's norm overflows before the patience runs out
-        ctx = make_context(pure_f1_spec(c=1e40), build_grid(8), m=1.0)
+        # (H − I)g = 1e80·Jg grows each iterate by ~1e80, so the fourth
+        # residual's values overflow before the patience runs out; the second
+        # (values near 1e158, whose squares overflow) still has a finite norm
+        ctx = make_context(pure_f1_spec(c=1e80), build_grid(8), m=1.0)
         z0 = zero_state(ctx.grid)
         v = GridField(ctx.grid, np.ones((9, 9, 1)))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -156,6 +167,7 @@ class TestLinearizedSolve:
                 solve_linearized(ctx, z0, v, SolverConfig(m=1.0))
         report = exc_info.value.report
         assert report.iterations == len(report.trace) == 3 and not report.converged
+        assert 1e157 < report.trace[1].residual < 1e159
         assert np.isfinite(report.g.values).all()
         r = LinearizedOperator(ctx, z0).apply_array(report.g.values) - v.values
         assert WeightedNorms(ctx.grid, 1.0).norm(r) == report.residual_weighted
@@ -339,6 +351,20 @@ class TestPicard:
         assert wn.norm(damped.g - full.g) < 1e-8
 
 
+    def test_overflow_inside_expression_is_divergence(self):
+        # z^3 overflows in exprlang (iteration 5, |g| ~ 1e106) before the
+        # weighted norm of any residual does
+        ctx = make_context(cubic_spec(), build_grid(8), m=1.0)
+        v = GridField(ctx.grid, np.full((9, 9, 1), 20.0))
+        with pytest.raises(DivergenceError, match=r"picard iteration \d+ overflowed \(non-finite result") as exc_info:
+            solve_picard(ctx, v, SolverConfig(m=1.0, method="picard"))
+        report = exc_info.value.report
+        assert report.iterations == len(report.trace) >= 2 and not report.converged
+        assert np.isfinite(report.g.values).all()
+        r = apply_F(ctx, report.g) - v
+        assert WeightedNorms(ctx.grid, 1.0).norm(r) == report.residual_weighted
+
+
 class TestNewton:
     def test_linear_problem_needs_one_update(self):
         ctx = probed_context(linear_spec(), 12)
@@ -453,6 +479,26 @@ class TestNewton:
         assert report.method == "newton" and report.iterations == 1
         np.testing.assert_array_equal(report.g.values, 0.0)
 
+    def test_line_search_rejects_trials_whose_F_overflows(self):
+        # F(g) = g + sin(z²) at z = 0 has F' = I, so the first step is δ = v;
+        # sin(z²) is NaN wherever z² overflows, which holds for every λ·v
+        # down to λ = 2^-13, the first trial that lowers the merit
+        spec = load_problem({
+            "meta": {"n": 1, "B": 1.0, "b": "1"},
+            "functions": {"f1": ["sin(z1^2)"], "f2": ["0"]},
+            "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+        })
+        ctx = make_context(spec, build_grid(8), m=1.0)
+        v = GridField(ctx.grid, np.full((9, 9, 1), 1e158))
+        g0 = GridField(ctx.grid, np.zeros((9, 9, 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the next linearization, at |z| ~ 1e154, makes the inner solve overflow
+            with pytest.raises(DivergenceError, match="linearized iteration 1 overflowed") as exc_info:
+                solve_newton(ctx, v, SolverConfig(m=1.0), g0=g0)
+        report = exc_info.value.report
+        assert report.method == "newton" and report.iterations == 2
+        np.testing.assert_array_equal(report.g.values, 2.0**-13 * 1e158)
+
     def test_mesh_refinement_halves_h_quarters_error(self):
         base = linear_spec()
         zstar = XYFunction.from_sources("1 + sin(2*x)*cos(y)")
@@ -495,3 +541,31 @@ class TestDispatchAndReports:
         b = solve_newton(ctx, v, SolverConfig(tol=1e-11))
         np.testing.assert_array_equal(a.g.values, b.g.values)
         assert a.trace == b.trace
+
+
+class TestExample46BothSigns:
+    """The solves the N=512 benchmark times, at N=64: a z ≥ 0 and a z ≤ 0
+    right-hand side, under the automatic weight, with no numpy warning."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        spec = builtin_example_4_6()
+        ctx = make_context(spec, build_grid(64)).with_assumptions(probe_assumptions(spec))
+        return ctx, choose_weight(ctx).m
+
+    @pytest.mark.parametrize("a, sign, method, iterations", [
+        (1.8, 1.0, "newton", 4), (1.8, 1.0, "picard", 5),
+        (-0.3, -1.0, "newton", 4), (-0.3, -1.0, "picard", 7),
+    ])
+    def test_converges_in_the_recorded_iterations(self, setup, a, sign, method, iterations):
+        ctx, m = setup
+        X, Y = ctx.grid.meshgrid()
+        v = GridField(ctx.grid, (a + 0.1 * X * Y)[..., None])
+        cfg = SolverConfig(m=m, method=method)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(ctx, v, cfg)
+        assert rep.converged and rep.residual_weighted <= cfg.tol
+        assert rep.iterations == iterations
+        z = rep.state.z.values
+        assert (sign * z >= 0.0).all() and (sign * z).max() > 0.9
