@@ -46,8 +46,9 @@ from .errors import (
 from .fileio import read_field_csv, read_grid_csv, write_field_csv, write_grid_csv, write_report_json
 from .grid import GridField, StateTriple, build_grid, reconstruct_state
 from .norms import check_norm_equivalence, classical_l2_norm, verify_lemma31, weighted_l2_norm, LEMMA31_SIDES
-from .operator import coercivity_probe, make_context
+from .operator import OperatorContext, coercivity_probe, make_context
 from .problem import (
+    _SOLVER_KEYS,
     BUILTIN_PROBLEMS,
     DEFAULT_SEED,
     ProblemSpec,
@@ -78,8 +79,6 @@ _INPUT_ERRORS = (
     MissingProbeError,
 )
 
-_SOLVER_FLAG_KEYS = ("m", "method", "tol", "max_iter", "damping", "inner_tol", "inner_max_iter")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse reserves exit code 2 for usage errors; here 2 means a solver
@@ -100,17 +99,30 @@ def _note(message: str) -> None:
 
 # -- argument plumbing ---------------------------------------------------------
 
-def _add_problem_args(p: argparse.ArgumentParser) -> None:
-    src = p.add_mutually_exclusive_group(required=True)
+def _add_problem_args(p: argparse.ArgumentParser, required: bool = True) -> None:
+    src = p.add_mutually_exclusive_group(required=required)
     src.add_argument("--problem", metavar="PATH", help="JSON problem document")
     src.add_argument("--builtin", choices=sorted(BUILTIN_PROBLEMS),
                      help="named built-in problem instead of a document")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low (violations exit 1 with usage)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _add_probe_args(p: argparse.ArgumentParser, samples_default: int | None = 200) -> None:
-    p.add_argument("--samples", type=int, default=samples_default,
+    p.add_argument("--samples", type=_int_at_least(1), default=samples_default,
                    help="sample count for probes / random fields")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED,
                    help=f"seed for every random draw (default {DEFAULT_SEED})")
 
 
@@ -131,21 +143,13 @@ def _add_out_arg(p: argparse.ArgumentParser) -> None:
                    help="output prefix for grids/reports (default 'out')")
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
+def _parse_list(text: str, what: str, kind=float) -> list:
+    """A non-empty comma-separated list of ``kind`` (float or int) values."""
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ParameterError(f"{what} must be a comma-separated list of reals: {exc}") from exc
-    if not values:
-        raise ParameterError(f"{what} is empty")
-    return values
-
-
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ParameterError(f"{what} must be a comma-separated list of integers: {exc}") from exc
+        noun = "reals" if kind is float else "integers"
+        raise ParameterError(f"{what} must be a comma-separated list of {noun}: {exc}") from exc
     if not values:
         raise ParameterError(f"{what} is empty")
     return values
@@ -170,7 +174,7 @@ def _load_spec(args) -> tuple[ProblemSpec, dict]:
 def _solver_config(args, solver_doc: dict) -> SolverConfig:
     """Defaults < document solver section < command-line flags."""
     merged = dict(solver_doc)
-    for key in _SOLVER_FLAG_KEYS:
+    for key in sorted(_SOLVER_KEYS):
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -240,86 +244,92 @@ def _probed_context(spec: ProblemSpec, cells: int, samples: int, seed: int):
     return make_context(spec, grid).with_assumptions(report)
 
 
+def _setup(args) -> tuple[ProblemSpec, SolverConfig, OperatorContext]:
+    """The problem, its merged solver settings and the probed context."""
+    spec, solver_doc = _load_spec(args)
+    cfg = _solver_config(args, solver_doc)
+    return spec, cfg, _probed_context(spec, args.n, args.samples, args.seed)
+
+
+def _weight(ctx: OperatorContext, cfg: SolverConfig, state: StateTriple | None):
+    """``cfg`` with an automatic m replaced by ``choose_weight``'s, and that
+    choice (None when m was given)."""
+    if cfg.m is not None:
+        return cfg, None
+    choice = choose_weight(ctx, state)
+    return replace(cfg, m=choice.m), choice
+
+
 def _zstar_error(args, spec: ProblemSpec, ctx, rep) -> dict | None:
     source = getattr(args, "zstar", None)
     if source is None:
         return None
-    ref = _xyfunction(source, spec.n, "--zstar").sample(ctx.grid)
-    diff = rep.g - ref
-    return {
-        "classical": classical_l2_norm(diff),
-        "weighted": ctx.with_weight(rep.m_used).weighted_norms().norm(diff),
-    }
+    diff = rep.g - _xyfunction(source, spec.n, "--zstar").sample(ctx.grid)
+    return {"classical": classical_l2_norm(diff), "weighted": weighted_l2_norm(diff, rep.m_used)}
 
 
-# -- solve ---------------------------------------------------------------------
+# -- solve and linsolve --------------------------------------------------------
 
-def cmd_solve(args) -> int:
-    spec, solver_doc = _load_spec(args)
-    cfg = _solver_config(args, solver_doc)
-    ctx = _probed_context(spec, args.n, args.samples, args.seed)
-    v = _rhs_field(spec, args, ctx.grid)
+def _solve_command(args, ctx, cfg, state, run, head, tail=lambda rep: {},
+                   line=lambda estimate: {}) -> int:
+    """The weight, contraction estimate, solve, report, artifacts and exit code
+    of ``solve`` and ``linsolve``: 0, or 2 after writing the partial artifacts
+    of a failed solve.
 
-    choice = None
-    if cfg.m is None:
-        choice = choose_weight(ctx)
-        cfg = replace(cfg, m=choice.m)
-    estimate = estimate_contraction(ctx, _zero_state(ctx.grid, spec.n), cfg, seed=args.seed)
-
+    ``run(cfg)`` solves at the chosen weight.  The command's own keys come
+    from ``head(rep, cfg)`` (after "seed"), ``tail(rep)`` (after "result")
+    and ``line(estimate)`` (after the stdout line's "m").
+    """
+    cfg, choice = _weight(ctx, cfg, state)
+    estimate = estimate_contraction(ctx, state, cfg, seed=args.seed)
     failure = None
     try:
-        rep = solve(ctx, v, cfg)
+        rep = run(cfg)
     except SolverError as exc:
         if exc.report is None:
             raise
         failure, rep = str(exc), exc.report
 
+    grid_file, report_file = f"{args.out}.grid.csv", f"{args.out}.report.json"
     report = {
-        "command": "solve",
-        "label": spec.label,
+        "command": args.command,
+        "label": ctx.spec.label,
         "cells": ctx.grid.cells,
         "seed": args.seed,
-        "solver": {
-            "method": rep.method,
-            "m": rep.m_used,
-            "tol": cfg.tol,
-            "max_iter": cfg.max_iter,
-            "damping": cfg.damping,
-            "inner_tol": cfg.inner_tol,
-            "inner_max_iter": cfg.inner_max_iter,
-        },
+        **head(rep, cfg),
         "weight_choice": None if choice is None else choice.as_dict(),
         "assumptions": ctx.assumptions.as_dict(),
         "contraction": estimate.as_dict(),
         "result": rep.as_dict(),
-        "error_vs_reference": _zstar_error(args, spec, ctx, rep),
+        **tail(rep),
         "failure": failure,
-        "grid_file": f"{args.out}.grid.csv",
+        "grid_file": grid_file,
     }
-    write_grid_csv(f"{args.out}.grid.csv", rep.g, rep.state)
-    write_report_json(f"{args.out}.report.json", report)
-    _emit({
-        "command": "solve",
-        "converged": rep.converged,
-        "iterations": rep.iterations,
-        "m": rep.m_used,
-        "residual_weighted": rep.residual_weighted,
-        "grid": f"{args.out}.grid.csv",
-        "report": f"{args.out}.report.json",
-    })
+    write_grid_csv(grid_file, rep.g, rep.state)
+    write_report_json(report_file, report)
+    _emit({"command": args.command, "converged": rep.converged, "iterations": rep.iterations,
+           "m": rep.m_used, **line(estimate), "residual_weighted": rep.residual_weighted,
+           "grid": grid_file, "report": report_file})
     if failure is not None:
         _note(f"solver failure: {failure}")
         return 2
     return 0
 
 
-# -- linsolve ------------------------------------------------------------------
+def cmd_solve(args) -> int:
+    spec, cfg, ctx = _setup(args)
+    v = _rhs_field(spec, args, ctx.grid)
+    return _solve_command(
+        args, ctx, cfg, _zero_state(ctx.grid, spec.n), lambda cfg: solve(ctx, v, cfg),
+        head=lambda rep, cfg: {"solver": {
+            "method": rep.method, "m": rep.m_used, "tol": cfg.tol, "max_iter": cfg.max_iter,
+            "damping": cfg.damping, "inner_tol": cfg.inner_tol,
+            "inner_max_iter": cfg.inner_max_iter}},
+        tail=lambda rep: {"error_vs_reference": _zstar_error(args, spec, ctx, rep)})
+
 
 def cmd_linsolve(args) -> int:
-    spec, solver_doc = _load_spec(args)
-    cfg = _solver_config(args, solver_doc)
-    ctx = _probed_context(spec, args.n, args.samples, args.seed)
-
+    spec, cfg, ctx = _setup(args)
     if args.linearize_at is not None:
         _, state = read_grid_csv(args.linearize_at)
         if state.grid != ctx.grid:
@@ -332,92 +342,66 @@ def cmd_linsolve(args) -> int:
     else:
         state = _zero_state(ctx.grid, spec.n)
         linearized_at = "zero"
-
     w = _field(args.rhs, ctx.grid, spec.n, "--rhs")
-    choice = None
-    if cfg.m is None:
-        choice = choose_weight(ctx, state)
-        cfg = replace(cfg, m=choice.m)
-    estimate = estimate_contraction(ctx, state, cfg, seed=args.seed)
-
-    failure = None
-    try:
-        rep = solve_linearized(ctx, state, w, cfg)
-    except SolverError as exc:
-        if exc.report is None:
-            raise
-        failure, rep = str(exc), exc.report
-
-    report = {
-        "command": "linsolve",
-        "label": spec.label,
-        "cells": ctx.grid.cells,
-        "seed": args.seed,
-        "linearized_at": linearized_at,
-        "solver": {"m": rep.m_used, "tol": cfg.tol, "max_iter": cfg.max_iter},
-        "weight_choice": None if choice is None else choice.as_dict(),
-        "assumptions": ctx.assumptions.as_dict(),
-        "contraction": estimate.as_dict(),
-        "result": rep.as_dict(),
-        "failure": failure,
-        "grid_file": f"{args.out}.grid.csv",
-    }
-    write_grid_csv(f"{args.out}.grid.csv", rep.g, rep.state)
-    write_report_json(f"{args.out}.report.json", report)
-    _emit({
-        "command": "linsolve",
-        "converged": rep.converged,
-        "iterations": rep.iterations,
-        "m": rep.m_used,
-        "rho_hat": estimate.rho_hat,
-        "residual_weighted": rep.residual_weighted,
-        "grid": f"{args.out}.grid.csv",
-        "report": f"{args.out}.report.json",
-    })
-    if failure is not None:
-        _note(f"solver failure: {failure}")
-        return 2
-    return 0
+    return _solve_command(
+        args, ctx, cfg, state, lambda cfg: solve_linearized(ctx, state, w, cfg),
+        head=lambda rep, cfg: {"linearized_at": linearized_at, "solver": {
+            "m": rep.m_used, "tol": cfg.tol, "max_iter": cfg.max_iter}},
+        line=lambda estimate: {"rho_hat": estimate.rho_hat})
 
 
 # -- verify --------------------------------------------------------------------
 
-def _fail_artifact_field(out: str, field: GridField) -> str:
-    path = f"{out}.fail.csv"
-    write_field_csv(path, field)
-    return path
+def _sample_fields(args, grid, n: int, default_samples: int) -> list[GridField]:
+    rng = np.random.default_rng(args.seed)
+    samples = args.samples if args.samples is not None else default_samples
+    return [random_smooth_field(grid, n, rng) for _ in range(samples)]
 
-def _fail_artifact_json(out: str, payload: dict) -> str:
-    path = f"{out}.fail.json"
-    write_report_json(path, payload)
-    return path
+
+def _sweep(suite: str, fields: list[GridField], m_list, check) -> tuple[bool, GridField | None]:
+    """Emit ``check(m)``'s line at each weight; return whether all passed and
+    the worst field.
+
+    ``check(m)`` returns the line (after "suite") and one margin per field.
+    The worst field is the first with the strictly smallest margin, weights
+    taken in order.
+    """
+    ok, worst, worst_margin = True, None, math.inf
+    for m in m_list:
+        line, margins = check(m)
+        for f, margin in zip(fields, margins):
+            if margin < worst_margin:
+                worst_margin, worst = margin, f
+        _emit({"suite": suite, **line})
+        ok = ok and line["pass"]
+    return ok, worst
+
+
+def _verdict(args, suite: str, ok: bool, worst: GridField | None) -> int:
+    """0, or 3 after writing the worst sampled field to PREFIX.fail.csv."""
+    if ok:
+        return 0
+    artifact = None
+    if worst is not None:
+        artifact = f"{args.out}.fail.csv"
+        write_field_csv(artifact, worst)
+    _emit({"suite": suite, "pass": False, "fail_artifact": artifact})
+    return 3
 
 
 def _suite_norms(args) -> int:
-    cells = args.n if args.n is not None else 32
-    samples = args.samples if args.samples is not None else 100
-    m_list = _parse_float_list(args.m_list or "0.5,1,2,5", "--m-list")
-    grid = build_grid(cells)
-    rng = np.random.default_rng(args.seed)
-    fields = [random_smooth_field(grid, 1, rng) for _ in range(samples)]
+    m_list = _parse_list(args.m_list or "0.5,1,2,5", "--m-list")
+    fields = _sample_fields(args, build_grid(args.n), 1, 100)
 
-    all_ok = True
-    worst_margin, worst_field = math.inf, None
-    for m in m_list:
-        min_lower = min_upper = math.inf
-        ok = True
-        for f in fields:
-            rep = check_norm_equivalence(f, m)
-            lower_margin = rep.weighted - rep.lower
-            upper_margin = rep.upper - rep.weighted
-            min_lower = min(min_lower, lower_margin)
-            min_upper = min(min_upper, upper_margin)
-            if min(lower_margin, upper_margin) < worst_margin:
-                worst_margin, worst_field = min(lower_margin, upper_margin), f
-            ok = ok and rep.passed
-        _emit({"suite": "norms", "check": "equivalence", "m": m, "samples": samples,
-               "min_lower_margin": min_lower, "min_upper_margin": min_upper, "pass": ok})
-        all_ok = all_ok and ok
+    def check(m):
+        reps = [check_norm_equivalence(f, m) for f in fields]
+        lower = [rep.weighted - rep.lower for rep in reps]
+        upper = [rep.upper - rep.weighted for rep in reps]
+        return {"check": "equivalence", "m": m, "samples": len(fields),
+                "min_lower_margin": min(lower), "min_upper_margin": min(upper),
+                "pass": all(rep.passed for rep in reps)}, list(map(min, lower, upper))
+
+    ok, worst = _sweep("norms", fields, m_list, check)
 
     # closed form: z = xy has g ≡ 1 and ‖xy‖ at m = 1 equals 1 − e⁻¹
     g64 = GridField(build_grid(64), np.ones((65, 65, 1)))
@@ -426,82 +410,40 @@ def _suite_norms(args) -> int:
     spot = abs(value - expected) <= 1e-3 and math.exp(-2.0) <= value <= 1.0
     _emit({"suite": "norms", "check": "xy_closed_form", "m": 1.0, "value": value,
            "expected": expected, "lower": math.exp(-2.0), "upper": 1.0, "pass": spot})
-    all_ok = all_ok and spot
-
-    if not all_ok:
-        artifact = _fail_artifact_field(args.out, worst_field) if worst_field is not None else None
-        _emit({"suite": "norms", "pass": False, "fail_artifact": artifact})
-        return 3
-    return 0
+    return _verdict(args, "norms", ok and spot, worst)
 
 
 def _suite_lemma31(args) -> int:
-    cells = args.n if args.n is not None else 32
-    samples = args.samples if args.samples is not None else 200
-    m_list = _parse_float_list(args.m_list or "1,5,10,20", "--m-list")
-    grid = build_grid(cells)
-    rng = np.random.default_rng(args.seed)
-    fields = [random_smooth_field(grid, 1, rng) for _ in range(samples)]
+    m_list = _parse_list(args.m_list or "1,5,10,20", "--m-list")
+    fields = _sample_fields(args, build_grid(args.n), 1, 200)
 
-    all_ok = True
-    worst_margin, worst_field = math.inf, None
-    for m in m_list:
-        mins = [math.inf] * 4
-        ok = True
-        for f in fields:
-            rep = verify_lemma31(f, m)
-            for k, margin in enumerate(rep.margins):
-                mins[k] = min(mins[k], margin)
-                if margin < worst_margin:
-                    worst_margin, worst_field = margin, f
-            ok = ok and rep.passed
-        _emit({"suite": "lemma31", "m": m, "samples": samples,
-               "min_margins": dict(zip(LEMMA31_SIDES, mins)), "pass": ok})
-        all_ok = all_ok and ok
+    def check(m):
+        reps = [verify_lemma31(f, m) for f in fields]
+        sides = zip(*(rep.margins for rep in reps))
+        return {"m": m, "samples": len(fields),
+                "min_margins": dict(zip(LEMMA31_SIDES, map(min, sides))),
+                "pass": all(rep.passed for rep in reps)}, [min(rep.margins) for rep in reps]
 
-    if not all_ok:
-        artifact = _fail_artifact_field(args.out, worst_field) if worst_field is not None else None
-        _emit({"suite": "lemma31", "pass": False, "fail_artifact": artifact})
-        return 3
-    return 0
+    return _verdict(args, "lemma31", *_sweep("lemma31", fields, m_list, check))
 
 
 def _suite_coercivity(args) -> int:
-    if args.problem is None and args.builtin is None:
-        raise ParameterError("--suite coercivity needs --problem or --builtin")
     spec, _ = _load_spec(args)
-    cells = args.n if args.n is not None else 32
-    samples = args.samples if args.samples is not None else 20
-    B = spec.growth_bound
-    m_list = (_parse_float_list(args.m_list, "--m-list") if args.m_list
-              else [8.0 * B + 1.0])
-    ctx = make_context(spec, build_grid(cells))
-    rng = np.random.default_rng(args.seed)
-    fields = [random_smooth_field(ctx.grid, spec.n, rng) for _ in range(samples)]
+    m_list = (_parse_list(args.m_list, "--m-list") if args.m_list
+              else [8.0 * spec.growth_bound + 1.0])
+    ctx = make_context(spec, build_grid(args.n))
+    fields = _sample_fields(args, ctx.grid, spec.n, 20)
 
-    all_ok = True
-    worst_margin, worst_field = math.inf, None
-    for m in m_list:
+    def check(m):
         rep = coercivity_probe(ctx, fields, m)
-        k = int(np.argmin(rep.margins))
-        if rep.margins[k] < worst_margin:
-            worst_margin, worst_field = rep.margins[k], fields[k]
-        _emit({"suite": "coercivity", "m": m, "samples": samples,
-               "factor": rep.factor, "offset": rep.offset,
-               "min_margin": min(rep.margins), "ray_ok": rep.ray_ok,
-               "pass": rep.passed})
-        all_ok = all_ok and rep.passed
+        return {"m": m, "samples": len(fields), "factor": rep.factor, "offset": rep.offset,
+                "min_margin": min(rep.margins), "ray_ok": rep.ray_ok,
+                "pass": rep.passed}, rep.margins
 
-    if not all_ok:
-        artifact = _fail_artifact_field(args.out, worst_field) if worst_field is not None else None
-        _emit({"suite": "coercivity", "pass": False, "fail_artifact": artifact})
-        return 3
-    return 0
+    return _verdict(args, "coercivity", *_sweep("coercivity", fields, m_list, check))
 
 
 def _suite_assumptions(args) -> int:
-    if args.problem is None and args.builtin is None:
-        raise ParameterError("--suite assumptions needs --problem or --builtin")
     spec, _ = _load_spec(args)
     samples = args.samples if args.samples is not None else 200
     rep = probe_assumptions(spec, sample_count=samples, seed=args.seed)
@@ -526,7 +468,8 @@ def _suite_assumptions(args) -> int:
         failing = [name for name, ok in
                    (("growth", rep.growth_ok), ("coefficients", rep.coeff_ok),
                     ("derivatives", rep.deriv_ok)) if not ok]
-        artifact = _fail_artifact_json(args.out, rep.as_dict())
+        artifact = f"{args.out}.fail.json"
+        write_report_json(artifact, rep.as_dict())
         _emit({"suite": "assumptions", "pass": False,
                "failed_checks": failing, "fail_artifact": artifact})
         return 3
@@ -534,16 +477,13 @@ def _suite_assumptions(args) -> int:
 
 
 def _suite_contraction(args) -> int:
-    if args.problem is None and args.builtin is None:
-        raise ParameterError("--suite contraction needs --problem or --builtin")
     spec, solver_doc = _load_spec(args)
-    cells = args.n if args.n is not None else 32
     trials = args.samples if args.samples is not None else 8
-    ctx = _probed_context(spec, cells, 200, args.seed)
+    ctx = _probed_context(spec, args.n, 200, args.seed)
     z0 = _zero_state(ctx.grid, spec.n)
 
     if args.m_list:
-        m_values = _parse_float_list(args.m_list, "--m-list")
+        m_values = _parse_list(args.m_list, "--m-list")
     else:
         choice = choose_weight(ctx, z0)
         _emit({"suite": "contraction", "check": "weight_choice", **choice.as_dict()})
@@ -560,7 +500,8 @@ def _suite_contraction(args) -> int:
         all_ok = all_ok and est.contracting
 
     if not all_ok:
-        artifact = _fail_artifact_json(args.out, {"estimates": estimates})
+        artifact = f"{args.out}.fail.json"
+        write_report_json(artifact, {"estimates": estimates})
         _emit({"suite": "contraction", "pass": False, "fail_artifact": artifact,
                "hint": "contraction requires m > 2*sqrt(d); raise m"})
         return 3
@@ -577,24 +518,19 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.suite not in ("norms", "lemma31") and args.problem is None and args.builtin is None:
+        raise ParameterError(f"--suite {args.suite} needs --problem or --builtin")
     return _SUITES[args.suite](args)
 
 
 # -- sens ----------------------------------------------------------------------
 
 def cmd_sens(args) -> int:
-    spec, solver_doc = _load_spec(args)
-    cfg = _solver_config(args, solver_doc)
-    ctx = _probed_context(spec, args.n, args.samples, args.seed)
+    spec, cfg, ctx = _setup(args)
     v = _rhs_field(spec, args, ctx.grid)
     direction = _field(args.direction, ctx.grid, spec.n, "--direction")
-    eps = _parse_float_list(args.eps, "--eps")
-
-    choice = None
-    if cfg.m is None:
-        choice = choose_weight(ctx)
-        cfg = replace(cfg, m=choice.m)
-
+    eps = _parse_list(args.eps, "--eps")
+    cfg, choice = _weight(ctx, cfg, None)
     rep = validate_frechet(ctx, v, direction, tuple(eps), cfg)
     if not rep.valid:
         _note("sens: a base or perturbed solve failed to converge; "
@@ -628,7 +564,7 @@ def cmd_mms(args) -> int:
     spec, solver_doc = _load_spec(args)
     cfg = _solver_config(args, solver_doc)
     zstar = _xyfunction(args.zstar, spec.n, "--zstar")
-    n_list = _parse_int_list(args.n_list or "16,32,64", "--n-list")
+    n_list = _parse_list(args.n_list or "16,32,64", "--n-list", int)
     if len(n_list) < 2:
         raise ParameterError("--n-list needs at least two resolutions to measure an order")
     if sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
@@ -711,10 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="inequality suites with machine-readable margins")
     p.add_argument("--suite", required=True, choices=sorted(_SUITES))
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("--problem", metavar="PATH")
-    src.add_argument("--builtin", choices=sorted(BUILTIN_PROBLEMS))
-    p.add_argument("--n", type=int, default=None, metavar="CELLS")
+    _add_problem_args(p, required=False)
+    p.add_argument("--n", type=int, default=32, metavar="CELLS")
     p.add_argument("--m-list", default=None, metavar="M1,M2,...",
                    help="weights to test (defaults depend on the suite)")
     _add_solver_args(p, with_method=False)

@@ -311,10 +311,13 @@ def _ipow(a, p: int):
 
 
 def _int_exponent(e: Bin) -> int | None:
-    """The exponent of ``a ^ p`` when p is an integer literal, else None."""
-    r = e.right
+    """The exponent of ``a ^ p`` when p is an integer literal or a negated one
+    (the parser reads ``z1^-3`` as ``z1 ^ (-3)``), else None."""
+    r, sign = e.right, 1
+    if isinstance(r, Unary):
+        r, sign = r.operand, -1
     if isinstance(r, Num) and float(r.value).is_integer():
-        return int(r.value)
+        return sign * int(r.value)
     return None
 
 

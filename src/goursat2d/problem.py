@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -535,25 +535,10 @@ class AssumptionReport:
         return self.growth_ok and self.coeff_ok and self.deriv_ok
 
     def as_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "declared_bound": self.declared_bound,
-            "growth_worst_f1": self.growth_worst_f1,
-            "growth_worst_f2": self.growth_worst_f2,
-            "sup_a1": self.sup_a1,
-            "sup_a2": self.sup_a2,
-            "sup_a1x": self.sup_a1x,
-            "sup_a2y": self.sup_a2y,
-            "m_rho": [[r, m] for r, m in self.m_rho],
-            "deriv_residual_a1x": self.deriv_residual_a1x,
-            "deriv_residual_a2y": self.deriv_residual_a2y,
-            "growth_ok": self.growth_ok,
-            "coeff_ok": self.coeff_ok,
-            "deriv_ok": self.deriv_ok,
-            "kink_flagged": self.kink_flagged,
-            "passed": self.passed,
-        }
+        """Every field but ``radii`` (the keys of ``m_rho``), then ``passed``."""
+        d = asdict(self)
+        del d["radii"]
+        return {**d, "passed": self.passed}
 
 
 def _matrix_values(mat: ExprMatrix, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:

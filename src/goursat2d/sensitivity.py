@@ -16,7 +16,7 @@ is certified by the coercivity constant (1 − 8B/m)⁻¹.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ParameterError, SolverError
 from .grid import GridField
@@ -50,16 +50,8 @@ class SensitivityReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "fd_errors": [[e, err] for e, err in self.fd_errors],
-            "stability_classical": self.stability_classical,
-            "stability_weighted": self.stability_weighted,
-            "stability_bound": self.stability_bound,
-            "degenerate": self.degenerate,
-            "converged_flags": list(self.converged_flags),
-            "valid": self.valid,
-            "passed": self.passed,
-        }
+        """Every field but the derivative field ``h``, which is not copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "h"}
 
 
 def frechet_apply(

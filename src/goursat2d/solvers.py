@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -95,7 +95,7 @@ class IterationRecord:
     ratio: float | None
 
     def as_dict(self) -> dict:
-        return {"iteration": self.iteration, "residual": self.residual, "ratio": self.ratio}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -141,15 +141,7 @@ class WeightChoice:
     contraction_threshold: float  # 2√d
 
     def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "growth_bound": self.growth_bound,
-            "kernel_bound": self.kernel_bound,
-            "radius": self.radius,
-            "m_rho": self.m_rho,
-            "coercivity_threshold": self.coercivity_threshold,
-            "contraction_threshold": self.contraction_threshold,
-        }
+        return asdict(self)
 
 
 def choose_weight(ctx: OperatorContext, z0: StateTriple | None = None) -> WeightChoice:
@@ -366,13 +358,7 @@ class ContractionEstimate:
     contracting: bool
 
     def as_dict(self) -> dict:
-        return {
-            "rho_hat": self.rho_hat,
-            "bound": self.bound,
-            "m": self.m,
-            "trials": self.trials,
-            "contracting": self.contracting,
-        }
+        return asdict(self)
 
 
 def estimate_contraction(

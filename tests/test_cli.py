@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from goursat2d.cli import main
-from goursat2d.fileio import read_grid_csv, read_report_json
+from goursat2d.fileio import read_field_csv, read_grid_csv, read_report_json
 from goursat2d.norms import classical_l2_norm
-from goursat2d.operator import make_context, residual
-from goursat2d.problem import BUILTIN_PROBLEMS
+from goursat2d.operator import coercivity_probe, make_context, residual
+from goursat2d.problem import BUILTIN_PROBLEMS, DEFAULT_SEED, load_problem
 from goursat2d.grid import GridField, build_grid
+from goursat2d.sampling import random_smooth_field
 
 
 def run_cli(argv):
@@ -27,9 +28,15 @@ def run_cli(argv):
         return exc.code
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def stdout_lines(capsys):
+    """stdout as strict JSON lines: NaN and ±Infinity are rejected."""
     out = capsys.readouterr().out
-    return [json.loads(line) for line in out.splitlines() if line.strip()]
+    return [json.loads(line, parse_constant=_reject_constant)
+            for line in out.splitlines() if line.strip()]
 
 
 LINEAR_MEMORY_DOC = {
@@ -44,6 +51,14 @@ STIFF_DOC = {
     "functions": {"f1": ["200*z1"], "f2": ["0"]},
     "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
     "label": "stiff",
+}
+
+# B = 0 with f1 = -5 z1: coercivity fails at small m (m = 2 and 5 at N = 16)
+COERCIVITY_FAIL_DOC = {
+    "meta": {"n": 1, "B": 0.0, "b": "0"},
+    "functions": {"f1": ["-5*z1"], "f2": ["0"]},
+    "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+    "label": "coercivity-fail",
 }
 
 CUBIC_DOC = {
@@ -371,6 +386,52 @@ class TestVerify:
         assert code == 1
         assert "--m-list" in capsys.readouterr().err
 
+    def test_coercivity_failure_writes_the_worst_sample(self, tmp_path, capsys):
+        path = tmp_path / "coer.json"
+        path.write_text(json.dumps(COERCIVITY_FAIL_DOC))
+        out = tmp_path / "probe"
+        m_list = (2.0, 5.0, 10.0, 20.0)
+        code = run_cli(["verify", "--suite", "coercivity", "--problem", str(path),
+                        "--n", "16", "--samples", "10", "--m-list", "2,5,10,20",
+                        "--out", str(out)])
+        assert code == 3
+        lines = stdout_lines(capsys)
+        assert [(l["m"], l["pass"]) for l in lines[:-1]] == [
+            (2.0, False), (5.0, False), (10.0, True), (20.0, True)]
+        assert lines[-1] == {"suite": "coercivity", "pass": False,
+                             "fail_artifact": f"{out}.fail.csv"}
+        # the seeded samples again: the artifact is the first sample with the
+        # smallest margin over all weights, taken in --m-list order
+        ctx = make_context(load_problem(COERCIVITY_FAIL_DOC), build_grid(16))
+        rng = np.random.default_rng(DEFAULT_SEED)
+        fields = [random_smooth_field(ctx.grid, 1, rng) for _ in range(10)]
+        margins = np.array([coercivity_probe(ctx, fields, m).margins for m in m_list])
+        worst = fields[int(np.argmin(margins)) % len(fields)]
+        np.testing.assert_array_equal(read_field_csv(f"{out}.fail.csv").values, worst.values)
+
+
+@pytest.mark.parametrize("flag", [("--samples", "0"), ("--samples", "-3"), ("--seed", "-1")],
+                         ids=["samples=0", "samples=-3", "seed=-1"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "norms"],
+    ["verify", "--suite", "lemma31"],
+    ["verify", "--suite", "coercivity", "--builtin", "zero"],
+    ["verify", "--suite", "assumptions", "--builtin", "zero"],
+    ["verify", "--suite", "contraction", "--builtin", "zero"],
+    ["solve", "--builtin", "zero", "--n", "8", "--rhs", "1"],
+    ["linsolve", "--builtin", "zero", "--n", "8", "--rhs", "1"],
+    ["sens", "--builtin", "zero", "--n", "8", "--rhs", "x", "--direction", "1"],
+    ["mms", "--builtin", "zero", "--zstar", "x*y", "--n-list", "8,16"],
+], ids=lambda argv: "-".join(argv[:3:2] if argv[0] == "verify" else argv[:1]))
+def test_samples_below_1_or_negative_seed_is_a_usage_error(argv, flag, tmp_path, capsys):
+    code = run_cli([*argv, *flag, "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    assert f"argument {flag[0]}: must be >= " in captured.err
+    assert list(tmp_path.iterdir()) == []
+
 
 class TestSens:
     def test_zero_problem_quotients_at_rounding_level(self, tmp_path, capsys):
@@ -489,6 +550,27 @@ class TestDeterminism:
         assert run_cli(argv) == 0
         assert (dir_a / "run.grid.csv").read_bytes() == (dir_b / "run.grid.csv").read_bytes()
         assert (dir_a / "run.report.json").read_bytes() == (dir_b / "run.report.json").read_bytes()
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["linsolve", "--builtin", "example46", "--n", "10", "--rhs", "x + y*y"], 0),
+        (["sens", "--builtin", "example46", "--n", "10", "--rhs", "x*y", "--direction", "1"], 0),
+        (["mms", "--builtin", "example46", "--zstar", "1 + sin(2*x)*cos(y)",
+          "--n-list", "8,16"], 0),
+        (["verify", "--suite", "coercivity", "--problem", "coer.json", "--n", "16",
+          "--samples", "10", "--m-list", "2,5,10,20"], 3),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_repeated_run_is_byte_identical(self, argv, expected, tmp_path, monkeypatch, capsys):
+        runs = []
+        for name in ("a", "b"):
+            where = tmp_path / name
+            where.mkdir()
+            (where / "coer.json").write_text(json.dumps(COERCIVITY_FAIL_DOC))
+            monkeypatch.chdir(where)
+            assert run_cli([*argv, "--out", "run"]) == expected
+            files = {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+            runs.append((capsys.readouterr().out, files))
+        assert len(runs[0][1]) > 1  # the document plus at least one artifact
+        assert runs[0] == runs[1]
 
     def test_seed_is_recorded_and_respected(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -174,7 +174,7 @@ def pow_reference(a: float, p: int) -> float:
 
 
 def power_node(p: int) -> Bin:
-    """z1 ^ p with p as one literal; the parser reads "z1^-3" as z1 ^ (-3)."""
+    """z1 ^ p with p as one literal (the parser's "z1^-3" is z1 ^ (-3), a Unary)."""
     return Bin("^", Var("z1", 0, 0), Num(float(p), 3), 2)
 
 
@@ -219,6 +219,21 @@ class TestIntegerPower:
             with pytest.raises(EvalFaultError, match="zero base raised to a negative power") as exc:
                 run(power_node(-3), X, Y, Z)
             assert exc.value.where == (X[2, 1], Y[2, 1])
+
+    def test_parsed_negative_exponent_is_an_integer_power(self):
+        # "z1^-3" parses as z1 ^ (-3): any nonzero base, and d(z^-3) = -3 z^-4 dz
+        e = parse("z1^-3", 1)
+        assert evaluate(e, 0.0, 0.0, [-2.0]) == -0.125
+        dual = evaluate_dual(e, 0.0, 0.0, [-2.0])
+        assert dual.value == -0.125 and dual.partials == (-0.1875,)
+        assert structurally_equal(parse(to_source(e), 1), e)
+
+    @pytest.mark.parametrize("run", [evaluate, evaluate_dual])
+    def test_parsed_negative_exponent_keeps_the_domain_rules(self, run):
+        with pytest.raises(EvalFaultError, match="zero base raised to a negative power"):
+            run(parse("z1^-2", 1), 0.0, 0.0, [0.0])
+        with pytest.raises(EvalFaultError, match="non-integer power of a nonpositive base"):
+            run(parse("z1^-0.5", 1), 0.0, 0.0, [-1.0])
 
 
 class TestLeaves:
