@@ -187,8 +187,13 @@ def _solver_config(args, solver_doc: dict) -> SolverConfig:
                 m = float(m)
             except ValueError as exc:
                 raise ParameterError(f"--m must be 'auto' or a real number, got {m!r}") from exc
+    return _config(SolverConfig, m=m, **merged)
+
+
+def _config(make, *args, **settings) -> SolverConfig:
+    """``make(*args, **settings)``, a setting it rejects reported as a usage error."""
     try:
-        return SolverConfig(m=m, **merged)
+        return make(*args, **settings)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"bad solver settings: {exc}") from exc
 
@@ -484,16 +489,19 @@ def _suite_contraction(args) -> int:
 
     if args.m_list:
         m_values = _parse_list(args.m_list, "--m-list")
+        cfg = _solver_config(args, solver_doc)
     else:
         choice = choose_weight(ctx, z0)
         _emit({"suite": "contraction", "check": "weight_choice", **choice.as_dict()})
-        m_values = [choice.m]
+        cfg = _solver_config(args, {**solver_doc, "m": choice.m})
+        m_values = [cfg.m]  # an --m flag wins over the automatic choice
 
     all_ok = True
     estimates = []
     for m in m_values:
-        cfg = _solver_config(args, {**solver_doc, "m": m})
-        est = estimate_contraction(ctx, z0, cfg, trials=trials, seed=args.seed)
+        # a listed weight wins over --m and the document's m
+        est = estimate_contraction(ctx, z0, _config(replace, cfg, m=m), trials=trials,
+                                   seed=args.seed)
         estimates.append(est.as_dict())
         _emit({"suite": "contraction", "m": est.m, "rho_hat": est.rho_hat,
                "bound": est.bound, "trials": est.trials, "pass": est.contracting})

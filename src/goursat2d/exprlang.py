@@ -21,15 +21,17 @@ unary minus):
 
 Every syntax error carries the byte offset into the source; every evaluation
 fault (log of a nonpositive value, division by zero, ...) carries the node's
-offset and the (x, y) sample point where it happened.  ``abs`` at 0 is the
-one sanctioned non-smooth point: its dual derivative uses the subgradient 0
-and sets a kink flag instead of faulting.
+offset and the (x, y) sample point where it happened.  ``abs`` and ``sqrt``
+at 0 are the sanctioned non-smooth points: their dual derivative uses the
+subgradient 0 and sets a kink flag instead of faulting.  Values and partials
+come from one walk over the tree, so both apply the same domain rules.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import add, mul, sub, truediv
 
 import numpy as np
 
@@ -39,25 +41,26 @@ FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "atan")
 
 
 # -- AST ----------------------------------------------------------------------
+# ``pos`` is the node's source offset; == ignores it, so equality is structural.
 
 @dataclass(frozen=True)
 class Num:
     value: float
-    pos: int
+    pos: int = field(compare=False)
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
     index: int | None  # 0-based z-component index; None for x and y
-    pos: int
+    pos: int = field(compare=False)
 
 
 @dataclass(frozen=True)
 class Unary:
     op: str  # "-"
     operand: "Expr"
-    pos: int
+    pos: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -65,14 +68,14 @@ class Bin:
     op: str  # + - * / ^
     left: "Expr"
     right: "Expr"
-    pos: int
+    pos: int = field(compare=False)
 
 
 @dataclass(frozen=True)
 class Call:
     fn: str
     arg: "Expr"
-    pos: int
+    pos: int = field(compare=False)
 
 
 Expr = Num | Var | Unary | Bin | Call
@@ -179,10 +182,8 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 return Call(text, arg, pos)
-            if text == "x":
-                return Var("x", None, pos)
-            if text == "y":
-                return Var("y", None, pos)
+            if text in ("x", "y"):
+                return Var(text, None, pos)
             m = re.fullmatch(r"z([1-9][0-9]*)", text)
             if m:
                 idx = int(m.group(1))
@@ -225,27 +226,6 @@ def to_source(e: Expr) -> str:
     if isinstance(e, Call):
         return f"{e.fn}({to_source(e.arg)})"
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def structurally_equal(a: Expr, b: Expr) -> bool:
-    """Tree equality ignoring source positions."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Num):
-        return a.value == b.value
-    if isinstance(a, Var):
-        return a.name == b.name
-    if isinstance(a, Unary):
-        return a.op == b.op and structurally_equal(a.operand, b.operand)
-    if isinstance(a, Bin):
-        return (
-            a.op == b.op
-            and structurally_equal(a.left, b.left)
-            and structurally_equal(a.right, b.right)
-        )
-    if isinstance(a, Call):
-        return a.fn == b.fn and structurally_equal(a.arg, b.arg)
-    return False
 
 
 def free_z_indices(e: Expr) -> frozenset[int]:
@@ -321,61 +301,114 @@ def _int_exponent(e: Bin) -> int | None:
     return None
 
 
-def _eval(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray):
-    """Value of ``e``: an array, an input view or (for constants) a numpy float."""
+_ARITHMETIC = {"+": add, "-": sub, "*": mul, "/": truediv}
+
+#: fn -> (value ufunc, z-partials from the argument a, its partials da and the value v)
+_CALLS = {
+    "sin": (np.sin, lambda a, da, v: np.cos(a)[..., None] * da),
+    "cos": (np.cos, lambda a, da, v: -np.sin(a)[..., None] * da),
+    "tan": (np.tan, lambda a, da, v: da / np.cos(a)[..., None] ** 2),
+    "exp": (np.exp, lambda a, da, v: v[..., None] * da),
+    "log": (np.log, lambda a, da, v: da / a[..., None]),
+    "atan": (np.arctan, lambda a, da, v: da / (1.0 + a**2)[..., None]),
+    "abs": (np.abs, lambda a, da, v: np.sign(a)[..., None] * da),
+    # the subgradient 0 at the kink a = 0, like abs
+    "sqrt": (np.sqrt, lambda a, da, v: np.where(
+        (a == 0.0)[..., None], 0.0, da / (2.0 * np.where(a == 0.0, 1.0, v)[..., None]))),
+}
+
+
+def _eval(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, kink: list[bool] | None):
+    """(value, z-partials) of ``e``; the partials are None when ``kink`` is None.
+
+    A value is an array, an input view or (for constants) a numpy float; the
+    partials broadcast to X.shape + (n,), a leaf's being one length-n row.
+    ``kink[0]`` is set where abs or sqrt is differentiated at 0.  Each domain
+    rule is checked before its operation, so both modes fault at the same node.
+    """
     if isinstance(e, Num):
-        return np.float64(e.value)
+        return np.float64(e.value), None if kink is None else np.zeros(Z.shape[-1])
     if isinstance(e, Var):
-        if e.name == "x":
-            return X
-        if e.name == "y":
-            return Y
-        return Z[..., e.index]
+        v = X if e.name == "x" else Y if e.name == "y" else Z[..., e.index]
+        if kink is None:
+            return v, None
+        n = Z.shape[-1]
+        return v, np.zeros(n) if e.index is None else np.eye(n)[e.index]
     if isinstance(e, Unary):
-        return -_eval(e.operand, X, Y, Z)
+        a, da = _eval(e.operand, X, Y, Z, kink)
+        return -a, None if da is None else -da
     if isinstance(e, Bin):
-        a = _eval(e.left, X, Y, Z)
+        a, da = _eval(e.left, X, Y, Z, kink)
         if e.op == "^":
-            return _pow_value(e, a, X, Y, Z)
-        b = _eval(e.right, X, Y, Z)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if np.any(b == 0.0):
+            return _pow(e, a, da, X, Y, Z, kink)
+        b, db = _eval(e.right, X, Y, Z, kink)
+        if e.op == "/" and np.any(b == 0.0):
             _fault("division by zero", e, b == 0.0, X, Y)
-        return a / b
+        v = _ARITHMETIC[e.op](a, b)
+        if da is None:
+            return v, None
+        if e.op == "+":
+            return v, da + db
+        if e.op == "-":
+            return v, da - db
+        if e.op == "*":
+            return v, a[..., None] * db + b[..., None] * da
+        return v, (da - v[..., None] * db) / b[..., None]
     if isinstance(e, Call):
-        a = _eval(e.arg, X, Y, Z)
-        if e.fn == "log":
-            if np.any(a <= 0.0):
-                _fault("log of a nonpositive value", e, a <= 0.0, X, Y)
-            return np.log(a)
-        if e.fn == "sqrt":
-            if np.any(a < 0.0):
-                _fault("sqrt of a negative value", e, a < 0.0, X, Y)
-            return np.sqrt(a)
-        if e.fn == "exp":
-            return np.exp(a)
-        return getattr(np, {"abs": "abs", "sin": "sin", "cos": "cos",
-                            "tan": "tan", "atan": "arctan"}[e.fn])(a)
+        a, da = _eval(e.arg, X, Y, Z, kink)
+        if e.fn == "log" and np.any(a <= 0.0):
+            _fault("log of a nonpositive value", e, a <= 0.0, X, Y)
+        if e.fn == "sqrt" and np.any(a < 0.0):
+            _fault("sqrt of a negative value", e, a < 0.0, X, Y)
+        ufunc, partials = _CALLS[e.fn]
+        v = ufunc(a)
+        if da is None:
+            return v, None
+        if e.fn in ("abs", "sqrt") and np.any((a == 0.0) & np.any(da != 0.0, axis=-1)):
+            kink[0] = True
+        return v, partials(a, da, v)
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _pow_value(e: Bin, a, X, Y, Z):
+def _pow(e: Bin, a, da, X, Y, Z, kink):
     """a ^ b with the domain rules: integer literal exponents allow any base
     (except 0 to a negative power); everything else requires base > 0."""
     p = _int_exponent(e)
     if p is not None:
         if p < 0 and np.any(a == 0.0):
             _fault("zero base raised to a negative power", e, a == 0.0, X, Y)
-        return _ipow(a, p)
-    b = _eval(e.right, X, Y, Z)
+        v = _ipow(a, p)
+        if da is None:
+            return v, None
+        if p == 0:
+            return v, np.zeros_like(da)
+        # d(a^p) = p a^(p-1) da; a^0 = 1, so p = 1 at a = 0 is right,
+        # and for p >= 2 the coefficient vanishes at a = 0 as it should.
+        return v, (p * _ipow(a, p - 1))[..., None] * da
+    b, db = _eval(e.right, X, Y, Z, kink)
     if np.any(a <= 0.0):
         _fault("non-integer power of a nonpositive base", e, a <= 0.0, X, Y)
-    return np.power(a, b)
+    v = np.power(a, b)
+    if da is None:
+        return v, None
+    return v, v[..., None] * (db * np.log(a)[..., None] + b[..., None] * da / a[..., None])
+
+
+def _on_grid(e: Expr, X, Y, Z, kink: list[bool] | None):
+    """``_eval`` with its results made fresh and writable, and non-finite
+    values or partials (overflow) raising EvalOverflowError."""
+    shape = np.shape(X)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v, d = _eval(e, X, Y, Z, kink)
+        v = _fresh(v, shape, (X, Y))
+        if d is not None:
+            d = _fresh(d, shape + Z.shape[-1:], ())
+    if not np.isfinite(v).all():
+        _fault("non-finite result (overflow?)", e, ~np.isfinite(v), X, Y, EvalOverflowError)
+    if d is not None and not np.isfinite(d).all():
+        _fault("non-finite derivative (overflow?)", e, ~np.isfinite(d).all(axis=-1), X, Y,
+               EvalOverflowError)
+    return v, d
 
 
 def eval_on_grid(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -384,19 +417,17 @@ def eval_on_grid(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.nda
     Returns a fresh, writable array of X's shape.  A non-finite result
     (overflow) raises EvalOverflowError.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = _fresh(_eval(e, X, Y, Z), np.shape(X), (X, Y))
-    if not np.isfinite(out).all():
-        _fault("non-finite result (overflow?)", e, ~np.isfinite(out), X, Y, EvalOverflowError)
-    return out
+    return _on_grid(e, X, Y, Z, None)[0]
+
+
+def _point(x: float, y: float, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One sample point as 0-d coordinate arrays and a length-n state row."""
+    return np.asarray(float(x)), np.asarray(float(y)), np.asarray(z, dtype=float).reshape(-1)
 
 
 def evaluate(e: Expr, x: float, y: float, z) -> float:
     """Evaluate at a single point; z is a length-n state vector."""
-    X = np.asarray(float(x))
-    Y = np.asarray(float(y))
-    Z = np.asarray(z, dtype=float).reshape(-1)
-    return float(eval_on_grid(e, X, Y, Z))
+    return float(eval_on_grid(e, *_point(x, y, z)))
 
 
 @dataclass(frozen=True)
@@ -406,102 +437,6 @@ class DualValue:
     value: float
     partials: tuple[float, ...]
     at_kink: bool = False
-
-
-class _KinkFlag:
-    __slots__ = ("hit",)
-
-    def __init__(self):
-        self.hit = False
-
-
-def _eval_dual(e: Expr, X, Y, Z, kink: _KinkFlag) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (value, partials); both broadcast to X.shape and X.shape + (n,).
-
-    Leaves return a numpy float or an input view and a length-n partials row.
-    """
-    if isinstance(e, Num):
-        return np.float64(e.value), np.zeros(Z.shape[-1])
-    if isinstance(e, Var):
-        d = np.zeros(Z.shape[-1])
-        if e.name == "x":
-            return X, d
-        if e.name == "y":
-            return Y, d
-        d[e.index] = 1.0
-        return Z[..., e.index], d
-    if isinstance(e, Unary):
-        v, d = _eval_dual(e.operand, X, Y, Z, kink)
-        return -v, -d
-    if isinstance(e, Bin):
-        va, da = _eval_dual(e.left, X, Y, Z, kink)
-        if e.op == "^":
-            return _pow_dual(e, va, da, X, Y, Z, kink)
-        vb, db = _eval_dual(e.right, X, Y, Z, kink)
-        if e.op == "+":
-            return va + vb, da + db
-        if e.op == "-":
-            return va - vb, da - db
-        if e.op == "*":
-            return va * vb, va[..., None] * db + vb[..., None] * da
-        if np.any(vb == 0.0):
-            _fault("division by zero", e, vb == 0.0, X, Y)
-        v = va / vb
-        return v, (da - v[..., None] * db) / vb[..., None]
-    if isinstance(e, Call):
-        va, da = _eval_dual(e.arg, X, Y, Z, kink)
-        if e.fn == "sin":
-            return np.sin(va), np.cos(va)[..., None] * da
-        if e.fn == "cos":
-            return np.cos(va), -np.sin(va)[..., None] * da
-        if e.fn == "tan":
-            return np.tan(va), da / np.cos(va)[..., None] ** 2
-        if e.fn == "exp":
-            v = np.exp(va)
-            return v, v[..., None] * da
-        if e.fn == "atan":
-            return np.arctan(va), da / (1.0 + va**2)[..., None]
-        if e.fn == "log":
-            if np.any(va <= 0.0):
-                _fault("log of a nonpositive value", e, va <= 0.0, X, Y)
-            return np.log(va), da / va[..., None]
-        if e.fn == "sqrt":
-            if np.any(va < 0.0):
-                _fault("sqrt of a negative value", e, va < 0.0, X, Y)
-            v = np.sqrt(va)
-            at_zero = va == 0.0
-            if np.any(at_zero & np.any(da != 0.0, axis=-1)):
-                kink.hit = True
-            # subgradient-0 convention at the kink, like abs
-            safe = np.where(at_zero, 1.0, v)
-            d = np.where(at_zero[..., None], 0.0, da / (2.0 * safe[..., None]))
-            return v, d
-        if e.fn == "abs":
-            at_zero = va == 0.0
-            if np.any(at_zero & np.any(da != 0.0, axis=-1)):
-                kink.hit = True
-            return np.abs(va), np.sign(va)[..., None] * da
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _pow_dual(e: Bin, va, da, X, Y, Z, kink):
-    p = _int_exponent(e)
-    if p is not None:
-        if p < 0 and np.any(va == 0.0):
-            _fault("zero base raised to a negative power", e, va == 0.0, X, Y)
-        v = _ipow(va, p)
-        if p == 0:
-            return v, np.zeros_like(da)
-        # d(a^p) = p a^(p-1) da; a^0 = 1, so p = 1 at a = 0 is right,
-        # and for p >= 2 the coefficient vanishes at a = 0 as it should.
-        coeff = p * _ipow(va, p - 1)
-        return v, coeff[..., None] * da
-    vb, db = _eval_dual(e.right, X, Y, Z, kink)
-    if np.any(va <= 0.0):
-        _fault("non-integer power of a nonpositive base", e, va <= 0.0, X, Y)
-    v = np.power(va, vb)
-    d = v[..., None] * (db * np.log(va)[..., None] + vb[..., None] * da / va[..., None])
-    return v, d
 
 
 def eval_dual_on_grid(
@@ -514,24 +449,12 @@ def eval_dual_on_grid(
     differentiated at its kink anywhere.  Non-finite values or partials
     (overflow) raise EvalOverflowError.
     """
-    kink = _KinkFlag()
-    shape = np.shape(X)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v, d = _eval_dual(e, X, Y, Z, kink)
-        v = _fresh(v, shape, (X, Y))
-        d = _fresh(d, shape + Z.shape[-1:], ())
-    if not np.isfinite(v).all():
-        _fault("non-finite result (overflow?)", e, ~np.isfinite(v), X, Y, EvalOverflowError)
-    if not np.isfinite(d).all():
-        _fault("non-finite derivative (overflow?)", e, ~np.isfinite(d).all(axis=-1), X, Y,
-               EvalOverflowError)
-    return v, d, kink.hit
+    kink = [False]
+    v, d = _on_grid(e, X, Y, Z, kink)
+    return v, d, kink[0]
 
 
 def evaluate_dual(e: Expr, x: float, y: float, z) -> DualValue:
     """Value and dz-gradient at a single point."""
-    X = np.asarray(float(x))
-    Y = np.asarray(float(y))
-    Z = np.asarray(z, dtype=float).reshape(-1)
-    v, d, hit = eval_dual_on_grid(e, X, Y, Z)
+    v, d, hit = eval_dual_on_grid(e, *_point(x, y, z))
     return DualValue(value=float(v), partials=tuple(float(t) for t in d), at_kink=hit)

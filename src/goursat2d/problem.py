@@ -632,25 +632,19 @@ def probe_assumptions(
     for name, mat in (("a1", spec.a1), ("a2", spec.a2), ("a1x", spec.a1x), ("a2y", spec.a2y)):
         a_sups[name] = _spectral_sup(_matrix_values(mat, X, Y, n))
 
-    # finite-difference consistency of the declared spatial derivatives
+    # finite-difference consistency of the declared spatial derivatives:
+    # A1x along x, A2y along y, central differences inside the square
     delta = _FD_STEP
-    Xc = np.clip(X, delta, 1.0 - delta)
-    Yc = np.clip(Y, delta, 1.0 - delta)
-    a1_plus = _matrix_values(spec.a1, Xc + delta, Y, n)
-    a1_minus = _matrix_values(spec.a1, Xc - delta, Y, n)
-    a1x_here = _matrix_values(spec.a1x, Xc, Y, n)
-    fd1 = (a1_plus - a1_minus) / (2.0 * delta)
-    res1 = np.linalg.norm((fd1 - a1x_here).reshape(total, -1), axis=1)
-    scale1 = 1.0 + np.linalg.norm(a1x_here.reshape(total, -1), axis=1)
-    deriv_res_a1x = float((res1 / scale1).max())
-
-    a2_plus = _matrix_values(spec.a2, X, Yc + delta, n)
-    a2_minus = _matrix_values(spec.a2, X, Yc - delta, n)
-    a2y_here = _matrix_values(spec.a2y, X, Yc, n)
-    fd2 = (a2_plus - a2_minus) / (2.0 * delta)
-    res2 = np.linalg.norm((fd2 - a2y_here).reshape(total, -1), axis=1)
-    scale2 = 1.0 + np.linalg.norm(a2y_here.reshape(total, -1), axis=1)
-    deriv_res_a2y = float((res2 / scale2).max())
+    deriv_res = []
+    for a, a_deriv, axis in ((spec.a1, spec.a1x, 0), (spec.a2, spec.a2y, 1)):
+        c = np.clip((X, Y)[axis], delta, 1.0 - delta)
+        plus, minus, mid = ((t, Y) if axis == 0 else (X, t) for t in (c + delta, c - delta, c))
+        fd = (_matrix_values(a, *plus, n) - _matrix_values(a, *minus, n)) / (2.0 * delta)
+        here = _matrix_values(a_deriv, *mid, n)
+        res = np.linalg.norm((fd - here).reshape(total, -1), axis=1)
+        scale = 1.0 + np.linalg.norm(here.reshape(total, -1), axis=1)
+        deriv_res.append(float((res / scale).max()))
+    deriv_res_a1x, deriv_res_a2y = deriv_res
 
     growth_ok = max(growth_worst) <= 1.0 + _GROWTH_TOL
     coeff_ok = all(v <= B + _GROWTH_TOL for v in a_sups.values())

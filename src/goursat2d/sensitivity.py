@@ -16,7 +16,7 @@ is certified by the coercivity constant (1 − 8B/m)⁻¹.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .errors import ParameterError, SolverError
 from .grid import GridField
@@ -64,15 +64,8 @@ def frechet_apply(
     if not solved.converged:
         raise SolverError("frechet_apply needs a converged base solve")
     ctx.check_field(deltav)
-    inner = SolverConfig(
-        m=solved.m_used,
-        tol=cfg.inner_tol,
-        max_iter=cfg.inner_max_iter,
-        method=cfg.method,
-        inner_tol=cfg.inner_tol,
-        inner_max_iter=cfg.inner_max_iter,
-        damping=1.0,
-    )
+    inner = replace(cfg, m=solved.m_used, tol=cfg.inner_tol, max_iter=cfg.inner_max_iter,
+                    damping=1.0)
     return solve_linearized(ctx, solved.state, deltav, inner).g
 
 

@@ -419,8 +419,9 @@ def solve_newton(
 ) -> SolveReport:
     """Newton–Kantorovich: solve F'(z_k)δ = v − F(z_k), backtrack on merit.
 
-    The inner linear solves run to min(cfg.inner_tol, 0.1·‖residual‖_m) so the
-    outer convergence stays superlinear without over-solving early steps.
+    Each inner linear solve runs to min(cfg.inner_tol, 0.1·‖residual‖_m).  The
+    first term wins whenever ‖residual‖_m ≥ 10·inner_tol, so with the default
+    inner_tol = 1e-12 every step is in practice solved to 1e-12.
     There is no divergence patience: the weighted residual ratio can sit near
     1 for many steps of a solve that converges, so only a failed line search
     (StagnationError), a failed inner solve or the iteration cap stop it.

@@ -381,6 +381,20 @@ class TestVerify:
         assert "m > 2*sqrt(d)" in lines[-1]["hint"]
         read_report_json(lines[-1]["fail_artifact"])
 
+    def test_contraction_suite_listed_weights_win_over_m(self, capsys):
+        code = run_cli(["verify", "--suite", "contraction", "--builtin", "example46",
+                        "--n", "8", "--m-list", "3,9", "--m", "5"])
+        assert code == 0
+        assert [line["m"] for line in stdout_lines(capsys)] == [3.0, 9.0]
+
+    def test_contraction_suite_nonpositive_listed_weight_exits_1(self, capsys):
+        code = run_cli(["verify", "--suite", "contraction", "--builtin", "example46",
+                        "--n", "8", "--m-list", "3,-1"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert [json.loads(line)["m"] for line in out.splitlines()] == [3.0]
+        assert "bad solver settings: weight m must be positive" in err
+
     def test_bad_m_list_exits_1(self, capsys):
         code = run_cli(["verify", "--suite", "norms", "--m-list", "1,zap"])
         assert code == 1

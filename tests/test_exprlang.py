@@ -20,10 +20,11 @@ from goursat2d.exprlang import (
     evaluate_dual,
     free_z_indices,
     parse,
-    structurally_equal,
     to_source,
 )
 from goursat2d.exprlang import _ipow
+
+POINT_EVALUATORS = (evaluate, evaluate_dual)
 
 
 class TestParse:
@@ -106,41 +107,56 @@ class TestEvaluate:
         e = parse("z1^3/(1+z1^2)", 1)
         assert evaluate(e, 0.0, 0.0, [1.0]) == pytest.approx(0.5, abs=1e-15)
 
+    # every fault below is checked on both point evaluators, which share one
+    # tree walk: the dual one must name the same rule, node and point
+
     def test_log_fault(self):
         e = parse("log(z1)", 1)
-        with pytest.raises(EvalFaultError) as exc:
-            evaluate(e, 0.3, 0.7, [0.0])
-        assert exc.value.where == (0.3, 0.7)
+        for run in POINT_EVALUATORS:
+            with pytest.raises(EvalFaultError, match="log of a nonpositive value") as exc:
+                run(e, 0.3, 0.7, [0.0])
+            assert exc.value.position == 0 and exc.value.where == (0.3, 0.7)
 
     def test_division_fault_reports_point(self):
         e = parse("1/(x - 0.25)", 1)
-        with pytest.raises(EvalFaultError) as exc:
-            evaluate(e, 0.25, 0.5, [0.0])
-        assert exc.value.where == (0.25, 0.5)
+        for run in POINT_EVALUATORS:
+            with pytest.raises(EvalFaultError, match="division by zero") as exc:
+                run(e, 0.25, 0.5, [0.0])
+            assert exc.value.position == 1 and exc.value.where == (0.25, 0.5)
         # away from the pole it is fine
         assert evaluate(e, 0.5, 0.5, [0.0]) == pytest.approx(4.0)
+        assert evaluate_dual(e, 0.5, 0.5, [0.0]).value == pytest.approx(4.0)
 
     def test_sqrt_fault(self):
-        with pytest.raises(EvalFaultError):
-            evaluate(parse("sqrt(0 - 1)", 1), 0.0, 0.0, [0.0])
+        for run in POINT_EVALUATORS:
+            with pytest.raises(EvalFaultError, match="sqrt of a negative value") as exc:
+                run(parse("sqrt(0 - 1)", 1), 0.0, 0.0, [0.0])
+            assert exc.value.position == 0 and exc.value.where == (0.0, 0.0)
 
     def test_integer_power_negative_base_ok(self):
         assert evaluate(parse("(0-2)^2", 1), 0.0, 0.0, [0.0]) == 4.0
         assert evaluate(parse("(0-2)^3", 1), 0.0, 0.0, [0.0]) == -8.0
 
     def test_fractional_power_negative_base_faults(self):
-        with pytest.raises(EvalFaultError):
-            evaluate(parse("(0-2)^0.5", 1), 0.0, 0.0, [0.0])
+        for run in POINT_EVALUATORS:
+            with pytest.raises(EvalFaultError, match="non-integer power of a nonpositive base") as exc:
+                run(parse("(0-2)^0.5", 1), 0.0, 0.0, [0.0])
+            assert exc.value.position == 5 and exc.value.where == (0.0, 0.0)
 
     def test_variable_exponent_requires_positive_base(self):
         e = parse("z1^z2", 2)
         assert evaluate(e, 0.0, 0.0, [2.0, 3.0]) == 8.0
-        with pytest.raises(EvalFaultError):
-            evaluate(e, 0.0, 0.0, [-2.0, 3.0])
+        assert evaluate_dual(e, 0.0, 0.0, [2.0, 3.0]).value == 8.0
+        for run in POINT_EVALUATORS:
+            with pytest.raises(EvalFaultError, match="non-integer power of a nonpositive base") as exc:
+                run(e, 0.2, 0.4, [-2.0, 3.0])
+            assert exc.value.position == 2 and exc.value.where == (0.2, 0.4)
 
     def test_overflow_faults(self):
-        with pytest.raises(EvalFaultError, match="non-finite"):
-            evaluate(parse("exp(1000)", 1), 0.0, 0.0, [0.0])
+        for run in POINT_EVALUATORS:
+            with pytest.raises(EvalOverflowError, match="non-finite result") as exc:
+                run(parse("exp(1000)", 1), 0.0, 0.0, [0.0])
+            assert exc.value.position == 0 and exc.value.where == (0.0, 0.0)
 
     def test_grid_evaluation_matches_pointwise(self):
         e = parse("sin(x*y) + z1^2 - exp(z2/3)", 2)
@@ -226,7 +242,7 @@ class TestIntegerPower:
         assert evaluate(e, 0.0, 0.0, [-2.0]) == -0.125
         dual = evaluate_dual(e, 0.0, 0.0, [-2.0])
         assert dual.value == -0.125 and dual.partials == (-0.1875,)
-        assert structurally_equal(parse(to_source(e), 1), e)
+        assert parse(to_source(e), 1) == e
 
     @pytest.mark.parametrize("run", [evaluate, evaluate_dual])
     def test_parsed_negative_exponent_keeps_the_domain_rules(self, run):
@@ -303,9 +319,7 @@ class TestDual:
             for _ in range(20):
                 x, y = rng.uniform(0, 1, 2)
                 z = rng.uniform(-2, 2, 2)
-                assert evaluate_dual(e, x, y, z).value == pytest.approx(
-                    evaluate(e, x, y, z), rel=1e-15, abs=1e-300
-                )
+                assert evaluate_dual(e, x, y, z).value == evaluate(e, x, y, z)
 
     def test_partials_match_finite_differences(self):
         # 500 (expression, point) pairs, central differences with step 1e-6.
@@ -389,8 +403,13 @@ class TestRoundTrip:
     def test_parse_print_parse(self, src):
         e = parse(src, 2)
         again = parse(to_source(e), 2)
-        assert structurally_equal(e, again)
+        assert e == again
+
+    def test_equality_ignores_positions(self):
+        a, b = parse("x+sin(z1)", 1), parse("  x + sin( z1 )", 1)
+        assert a == b and hash(a) == hash(b)
+        assert a.right.pos != b.right.pos
 
     def test_structural_inequality(self):
-        assert not structurally_equal(parse("x+y", 1), parse("y+x", 1))
-        assert not structurally_equal(parse("x", 1), parse("1.0", 1))
+        assert parse("x+y", 1) != parse("y+x", 1)
+        assert parse("x", 1) != parse("1.0", 1)
