@@ -53,7 +53,6 @@ from .operator import (
     apply_F,
     coercivity_probe,
     make_context,
-    residual,
 )
 from .problem import (
     AssumptionReport,
@@ -143,7 +142,6 @@ __all__ = [
     "read_grid_csv",
     "read_report_json",
     "reconstruct_state",
-    "residual",
     "serialize_problem",
     "solve",
     "solve_linearized",

@@ -491,10 +491,10 @@ def _suite_contraction(args) -> int:
         m_values = _parse_list(args.m_list, "--m-list")
         cfg = _solver_config(args, solver_doc)
     else:
-        choice = choose_weight(ctx, z0)
-        _emit({"suite": "contraction", "check": "weight_choice", **choice.as_dict()})
-        cfg = _solver_config(args, {**solver_doc, "m": choice.m})
-        m_values = [cfg.m]  # an --m flag wins over the automatic choice
+        cfg, choice = _weight(ctx, _solver_config(args, solver_doc), z0)
+        if choice is not None:
+            _emit({"suite": "contraction", "check": "weight_choice", **choice.as_dict()})
+        m_values = [cfg.m]
 
     all_ok = True
     estimates = []

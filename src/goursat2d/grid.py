@@ -117,10 +117,6 @@ class GridField:
         """State dimension."""
         return self.values.shape[2]
 
-    def component(self, k: int) -> np.ndarray:
-        """Component k as a (cells+1, cells+1) array."""
-        return self.values[:, :, k]
-
     def magnitude(self) -> "GridField":
         """Pointwise Euclidean magnitude |f| as an n = 1 field."""
         return GridField(self.grid, np.sqrt((self.values**2).sum(axis=2)))
@@ -248,15 +244,6 @@ def state_from_g(g: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 # -- public quadrature and Volterra operations -------------------------------
-
-def quad_2d(f: GridField) -> np.ndarray:
-    """Composite 2D trapezoid integral of each component over Q.
-
-    Exact for fields bilinear on each cell.  Returns an array of shape (n,).
-    """
-    w = f.grid.trapezoid_weights()
-    return np.einsum("i,j,ijk->k", w, w, f.values)
-
 
 def cum_integral_2d(g: GridField) -> GridField:
     """The Volterra map (Jg)(x, y) = int_0^x int_0^y g(s, t) ds dt."""

@@ -88,17 +88,6 @@ def classical_l2_norm(f: GridField) -> float:
     return weighted_l2_norm(f, 0.0)
 
 
-def inner_product(g1: GridField, g2: GridField) -> float:
-    """Solution-space inner product ⟨z¹, z²⟩ = ∫∫ ⟨z¹_xy, z²_xy⟩."""
-    if g1.grid != g2.grid:
-        raise ShapeError(f"fields live on different grids: {g1.grid} vs {g2.grid}")
-    if g1.n != g2.n:
-        raise ShapeError(f"fields have different state dimensions: {g1.n} vs {g2.n}")
-    w = g1.grid.trapezoid_weights()
-    dots = (g1.values * g2.values).sum(axis=2)
-    return float(np.einsum("i,j,ij->", w, w, dots))
-
-
 @dataclass(frozen=True)
 class NormEquivalenceReport:
     """The two-sided comparison e^{−2m}‖z‖ ≤ ‖z‖_m ≤ ‖z‖ for one field."""

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ShapeError, ThresholdError
 from .grid import Grid, GridField, StateTriple, cum2d_array, state_from_g
-from .norms import WeightedNorms, classical_l2_norm, weighted_l2_norm
+from .norms import WeightedNorms, weighted_l2_norm
 from .exprlang import eval_dual_on_grid, eval_on_grid
 from .problem import AssumptionReport, ProblemSpec, _matrix_values
 
@@ -40,45 +40,28 @@ from .problem import AssumptionReport, ProblemSpec, _matrix_values
 class OperatorContext:
     """Immutable pairing of a problem with a grid, plus node caches.
 
-    The z-independent coefficient matrices A1, A2 are sampled once per
-    (spec, grid); the weighted-norm kernel is attached when a weight m is
-    chosen.  Derived contexts via with_weight / with_assumptions share the
-    caches.
+    Holds the spec, the grid, its node coordinates, the z-independent
+    coefficient matrices A1, A2 sampled once per (spec, grid), and the
+    assumption probe report that ``with_assumptions`` attaches (None until
+    then) to a derived context sharing the caches.  F and F' do not depend
+    on the weight m, so the context carries none: each solve chooses its m
+    and builds its own ``WeightedNorms``.
     """
 
-    __slots__ = ("spec", "grid", "m", "assumptions", "X", "Y", "a1_nodes", "a2_nodes", "_weighted")
+    __slots__ = ("spec", "grid", "assumptions", "X", "Y", "a1_nodes", "a2_nodes")
 
-    def __init__(
-        self,
-        spec: ProblemSpec,
-        grid: Grid,
-        m: float | None = None,
-        assumptions: AssumptionReport | None = None,
-    ):
+    def __init__(self, spec: ProblemSpec, grid: Grid):
         self.spec = spec
         self.grid = grid
         self.X, self.Y = grid.meshgrid()
         self.a1_nodes = _matrix_values(spec.a1, self.X, self.Y, spec.n)
         self.a2_nodes = _matrix_values(spec.a2, self.X, self.Y, spec.n)
-        self.m = None if m is None else float(m)
-        self.assumptions = assumptions
-        self._weighted = None if self.m is None else WeightedNorms(grid, self.m)
-
-    def with_weight(self, m: float) -> "OperatorContext":
-        out = copy.copy(self)
-        out.m = float(m)
-        out._weighted = WeightedNorms(self.grid, out.m)
-        return out
+        self.assumptions = None
 
     def with_assumptions(self, report: AssumptionReport) -> "OperatorContext":
         out = copy.copy(self)
         out.assumptions = report
         return out
-
-    def weighted_norms(self) -> WeightedNorms:
-        if self._weighted is None:
-            raise ValueError("context has no weight attached; use with_weight(m) first")
-        return self._weighted
 
     def check_field(self, f: GridField) -> None:
         if f.grid != self.grid:
@@ -87,16 +70,11 @@ class OperatorContext:
             raise ShapeError(f"field has {f.n} components, problem has {self.spec.n}")
 
     def __repr__(self) -> str:
-        return f"OperatorContext(n={self.spec.n}, cells={self.grid.cells}, m={self.m})"
+        return f"OperatorContext(n={self.spec.n}, cells={self.grid.cells})"
 
 
-def make_context(
-    spec: ProblemSpec,
-    grid: Grid,
-    m: float | None = None,
-    assumptions: AssumptionReport | None = None,
-) -> OperatorContext:
-    return OperatorContext(spec, grid, m=m, assumptions=assumptions)
+def make_context(spec: ProblemSpec, grid: Grid) -> OperatorContext:
+    return OperatorContext(spec, grid)
 
 
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -125,25 +103,6 @@ def apply_F(ctx: OperatorContext, g: GridField | np.ndarray) -> GridField | np.n
     inner = f2v + _matvec(ctx.a1_nodes, zx) + _matvec(ctx.a2_nodes, zy)
     out = g + f1v + cum2d_array(inner, ctx.grid.h)
     return GridField(ctx.grid, out) if field else out
-
-
-@dataclass(frozen=True)
-class ResidualInfo:
-    """F(z) − v with its classical and weighted norms."""
-
-    field: GridField
-    classical: float
-    weighted: float
-
-
-def residual(ctx: OperatorContext, g: GridField, v: GridField) -> ResidualInfo:
-    """The residual field F(z) − v and its norms (weighted at the context's m,
-    falling back to the classical norm when no weight is attached)."""
-    ctx.check_field(v)
-    r = apply_F(ctx, g) - v
-    classical = classical_l2_norm(r)
-    weighted = ctx.weighted_norms().norm(r) if ctx.m is not None else classical
-    return ResidualInfo(field=r, classical=classical, weighted=weighted)
 
 
 class LinearizedOperator:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ParameterError, SolverError
 from .grid import GridField
-from .norms import classical_l2_norm
+from .norms import WeightedNorms, classical_l2_norm
 from .operator import OperatorContext
 from .solvers import SolveReport, SolverConfig, solve, solve_linearized
 
@@ -28,7 +28,7 @@ from .solvers import SolveReport, SolverConfig, solve, solve_linearized
 EPS_FLOOR_FACTOR = 100.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SensitivityReport:
     """Directional-derivative validation and/or stability ratios.
 
@@ -39,12 +39,12 @@ class SensitivityReport:
     converge; ``passed`` additionally requires the error criteria.
     """
 
-    h: GridField | None
-    fd_errors: tuple[tuple[float, float], ...]
-    stability_classical: float | None
-    stability_weighted: float | None
-    stability_bound: float | None
-    degenerate: bool
+    h: GridField | None = None
+    fd_errors: tuple[tuple[float, float], ...] = ()
+    stability_classical: float | None = None
+    stability_weighted: float | None = None
+    stability_bound: float | None = None
+    degenerate: bool = False
     converged_flags: tuple[bool, ...]
     valid: bool
     passed: bool
@@ -64,8 +64,7 @@ def frechet_apply(
     if not solved.converged:
         raise SolverError("frechet_apply needs a converged base solve")
     ctx.check_field(deltav)
-    inner = replace(cfg, m=solved.m_used, tol=cfg.inner_tol, max_iter=cfg.inner_max_iter,
-                    damping=1.0)
+    inner = replace(cfg, m=solved.m_used, tol=cfg.inner_tol, max_iter=cfg.inner_max_iter)
     return solve_linearized(ctx, solved.state, deltav, inner).g
 
 
@@ -103,11 +102,7 @@ def validate_frechet(
     except SolverError:
         flags.append(False)
     if base is None or not base.converged:
-        return SensitivityReport(
-            h=None, fd_errors=(), stability_classical=None, stability_weighted=None,
-            stability_bound=None, degenerate=False,
-            converged_flags=tuple(flags), valid=False, passed=False,
-        )
+        return SensitivityReport(converged_flags=tuple(flags), valid=False, passed=False)
 
     h = frechet_apply(ctx, base, deltav, cfg)
     hnorm = classical_l2_norm(h)
@@ -139,10 +134,6 @@ def validate_frechet(
     return SensitivityReport(
         h=h,
         fd_errors=tuple(errors),
-        stability_classical=None,
-        stability_weighted=None,
-        stability_bound=None,
-        degenerate=False,
         converged_flags=tuple(flags),
         valid=valid,
         passed=passed,
@@ -173,14 +164,10 @@ def stability_probe(
         flags.append(rep is not None and rep.converged)
         reports.append(rep)
     if not all(flags):
-        return SensitivityReport(
-            h=None, fd_errors=(), stability_classical=None, stability_weighted=None,
-            stability_bound=None, degenerate=False,
-            converged_flags=tuple(flags), valid=False, passed=False,
-        )
+        return SensitivityReport(converged_flags=tuple(flags), valid=False, passed=False)
     r1, r2 = reports
     m = r1.m_used
-    wn = ctx.with_weight(m).weighted_norms()
+    wn = WeightedNorms(ctx.grid, m)
     dv = v1 - v2
     dz = r1.g - r2.g
     dv_c, dv_w = classical_l2_norm(dv), wn.norm(dv)
@@ -188,18 +175,14 @@ def stability_probe(
     bound = 1.0 / (1.0 - 8.0 * B / m) if m > 8.0 * B else None
     if dv_c == 0.0:
         return SensitivityReport(
-            h=None, fd_errors=(),
             stability_classical=0.0 if classical_l2_norm(dz) == 0.0 else None,
-            stability_weighted=None, stability_bound=bound, degenerate=True,
+            stability_bound=bound, degenerate=True,
             converged_flags=tuple(flags), valid=True, passed=True,
         )
     return SensitivityReport(
-        h=None,
-        fd_errors=(),
         stability_classical=classical_l2_norm(dz) / dv_c,
         stability_weighted=wn.norm(dz) / dv_w,
         stability_bound=bound,
-        degenerate=False,
         converged_flags=tuple(flags),
         valid=True,
         passed=True,

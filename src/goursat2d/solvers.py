@@ -203,7 +203,7 @@ def _estimated_d(
 
 
 def _iterate(
-    ctx: OperatorContext,
+    wn: WeightedNorms,
     method: str,
     g: np.ndarray,
     residual,
@@ -214,8 +214,9 @@ def _iterate(
 ) -> SolveReport:
     """The one solver loop: ``g ← step(g, r, ‖r‖_m)`` with ``r = residual(g)``.
 
-    Each iteration records the weighted residual of the iterate and its ratio
-    to the previous one, and stops once the residual is at most ``tol``.  With
+    ``wn`` is the solve's weighted norm.  Each iteration records the weighted
+    residual of the iterate and its ratio to the previous one, and stops once
+    the residual is at most ``tol``.  With
     ``patience`` it raises DivergenceError after ``_DIVERGENCE_PATIENCE``
     consecutive ratios >= 1; it raises NoConvergenceError after ``max_iter``
     residuals.  Overflow raises DivergenceError: a non-finite weighted
@@ -227,7 +228,6 @@ def _iterate(
     When the first residual already overflows there is no such iterate, and
     the error carries no report.
     """
-    wn = ctx.weighted_norms()
     trace: list[IterationRecord] = []
     bad_streak = 0
     g_next = g
@@ -246,7 +246,7 @@ def _iterate(
         ratio = rnorm / prev if prev else None
         trace.append(IterationRecord(iteration=k, residual=rnorm, ratio=ratio))
         if rnorm <= tol:
-            return _report(ctx, method, g, r, trace, converged=True)
+            return _report(wn, method, g, r, trace, converged=True)
         bad_streak = bad_streak + 1 if ratio is not None and ratio >= 1.0 else 0
         if patience and bad_streak >= _DIVERGENCE_PATIENCE:
             error = DivergenceError(
@@ -270,7 +270,7 @@ def _iterate(
             error = exc
             break
     if trace:
-        error.report = _report(ctx, method, g, r, trace, converged=False)
+        error.report = _report(wn, method, g, r, trace, converged=False)
     raise error
 
 
@@ -282,7 +282,7 @@ def _overflow(method: str, k: int, cause) -> DivergenceError:
 
 
 def _report(
-    ctx: OperatorContext,
+    wn: WeightedNorms,
     method: str,
     g: np.ndarray,
     r: np.ndarray,
@@ -290,12 +290,12 @@ def _report(
     converged: bool,
 ) -> SolveReport:
     return SolveReport(
-        g=GridField(ctx.grid, g),
-        residual_classical=classical_l2_norm(GridField(ctx.grid, r)),
+        g=GridField(wn.grid, g),
+        residual_classical=classical_l2_norm(GridField(wn.grid, r)),
         residual_weighted=trace[-1].residual,
         iterations=len(trace),
         trace=tuple(trace),
-        m_used=ctx.m,
+        m_used=wn.m,
         converged=converged,
         method=method,
     )
@@ -328,7 +328,6 @@ def solve_linearized(
     """
     ctx.check_field(v)
     m = _resolve_m(ctx, cfg, z0)
-    ctx = ctx.with_weight(m)
     d = _estimated_d(ctx.assumptions, ctx.spec.growth_bound, z0)
     if d is not None and m <= 2.0 * math.sqrt(d):
         warnings.warn(
@@ -340,7 +339,7 @@ def solve_linearized(
     # no damping here: the update g ← g − (F'g − v) is exactly the
     # fixed-point map whose contraction the Lemma-style bound certifies
     return _iterate(
-        ctx, "linearized", _start(v, g0),
+        WeightedNorms(ctx.grid, m), "linearized", _start(v, g0),
         residual=lambda g: lin.apply_array(g) - v.values,
         step=lambda g, r, rnorm: g - r,
         tol=cfg.tol, max_iter=cfg.max_iter, patience=True,
@@ -376,8 +375,7 @@ def estimate_contraction(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     m = _resolve_m(ctx, cfg, z0)
-    ctx = ctx.with_weight(m)
-    wn = ctx.weighted_norms()
+    wn = WeightedNorms(ctx.grid, m)
     lin = LinearizedOperator(ctx, z0)
     rng = np.random.default_rng(seed)
     rho = 0.0
@@ -402,9 +400,8 @@ def solve_picard(
 ) -> SolveReport:
     """Damped fixed-point iteration g ← g − λ(F(g) − v) on the nonlinear equation."""
     ctx.check_field(v)
-    ctx = ctx.with_weight(_resolve_m(ctx, cfg, None))
     return _iterate(
-        ctx, "picard", _start(v, g0),
+        WeightedNorms(ctx.grid, _resolve_m(ctx, cfg, None)), "picard", _start(v, g0),
         residual=lambda g: _F_residual(ctx, g, v),
         step=lambda g, r, rnorm: g - cfg.damping * r,
         tol=cfg.tol, max_iter=cfg.max_iter, patience=True,
@@ -427,14 +424,14 @@ def solve_newton(
     (StagnationError), a failed inner solve or the iteration cap stop it.
     """
     ctx.check_field(v)
-    ctx = ctx.with_weight(_resolve_m(ctx, cfg, None))
+    wn = WeightedNorms(ctx.grid, _resolve_m(ctx, cfg, None))
     classical = WeightedNorms(ctx.grid, 0.0)
 
     def step(g: np.ndarray, r: np.ndarray, rnorm: float) -> np.ndarray:
         # choose_weight already fixed m; the inner solve must keep it
         inner_cfg = replace(
-            cfg, m=ctx.m, tol=min(cfg.inner_tol, 0.1 * rnorm),
-            max_iter=cfg.inner_max_iter, damping=1.0,
+            cfg, m=wn.m, tol=min(cfg.inner_tol, 0.1 * rnorm),
+            max_iter=cfg.inner_max_iter,
         )
         state = reconstruct_state(GridField(ctx.grid, g))
         delta = solve_linearized(ctx, state, GridField(ctx.grid, -r), inner_cfg).g.values
@@ -461,7 +458,7 @@ def solve_newton(
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             return _iterate(
-                ctx, "newton", _start(v, g0),
+                wn, "newton", _start(v, g0),
                 residual=lambda g: _F_residual(ctx, g, v),
                 step=step, tol=cfg.tol, max_iter=cfg.max_iter, patience=False,
             )

@@ -13,8 +13,8 @@ import pytest
 
 from goursat2d.cli import main
 from goursat2d.fileio import read_field_csv, read_grid_csv, read_report_json
-from goursat2d.norms import classical_l2_norm
-from goursat2d.operator import coercivity_probe, make_context, residual
+from goursat2d.norms import classical_l2_norm, weighted_l2_norm
+from goursat2d.operator import apply_F, coercivity_probe, make_context
 from goursat2d.problem import BUILTIN_PROBLEMS, DEFAULT_SEED, load_problem
 from goursat2d.grid import GridField, build_grid
 from goursat2d.sampling import random_smooth_field
@@ -142,15 +142,16 @@ class TestSolve:
         report = read_report_json(f"{out}.report.json")
         g, _ = read_grid_csv(f"{out}.grid.csv")
         spec = BUILTIN_PROBLEMS["example46"]()
-        ctx = make_context(spec, build_grid(12), m=report["result"]["m_used"])
+        ctx = make_context(spec, build_grid(12))
         v = spec.rhs  # builtin has no rhs; sample the same expression
         from goursat2d.problem import XYFunction
         v = XYFunction.from_sources("x + y").sample(ctx.grid)
-        info = residual(ctx, g, v)
+        r = apply_F(ctx, g) - v
         scale = max(report["result"]["residual_classical"], 1e-300)
-        assert abs(info.classical - report["result"]["residual_classical"]) / scale <= 1e-12
+        assert abs(classical_l2_norm(r) - report["result"]["residual_classical"]) / scale <= 1e-12
         wscale = max(report["result"]["residual_weighted"], 1e-300)
-        assert abs(info.weighted - report["result"]["residual_weighted"]) / wscale <= 1e-12
+        weighted = weighted_l2_norm(r, report["result"]["m_used"])
+        assert abs(weighted - report["result"]["residual_weighted"]) / wscale <= 1e-12
 
     def test_newton_inner_failure_reports_the_newton_solve(self, tmp_path, capsys):
         # m = 2 is below the contraction threshold, so the 12th inner linear
@@ -167,9 +168,10 @@ class TestSolve:
         assert report["result"]["iterations"] == len(report["result"]["trace"]) > 1
         # the grid holds the last accepted Newton iterate, whose residual the report gives
         g, _ = read_grid_csv(f"{out}.grid.csv")
-        ctx = make_context(BUILTIN_PROBLEMS["example46"](), build_grid(8), m=2.0)
-        info = residual(ctx, g, GridField(ctx.grid, np.full((9, 9, 1), -100.0)))
-        assert info.weighted == pytest.approx(report["result"]["residual_weighted"], rel=1e-12)
+        ctx = make_context(BUILTIN_PROBLEMS["example46"](), build_grid(8))
+        r = apply_F(ctx, g) - GridField(ctx.grid, np.full((9, 9, 1), -100.0))
+        assert weighted_l2_norm(r, 2.0) == pytest.approx(report["result"]["residual_weighted"],
+                                                         rel=1e-12)
 
     def test_overflow_exits_2_with_partial_artifacts(self, tmp_path, capsys):
         # an RHS of 1e60 makes Newton's first inner linear solve overflow
@@ -386,6 +388,20 @@ class TestVerify:
                         "--n", "8", "--m-list", "3,9", "--m", "5"])
         assert code == 0
         assert [line["m"] for line in stdout_lines(capsys)] == [3.0, 9.0]
+
+    def test_contraction_suite_follows_document_and_flag_weight(self, tmp_path, capsys):
+        # defaults < document < flags, and no automatic choice when m is given
+        doc = dict(LINEAR_MEMORY_DOC, solver={"m": 6.0})
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["verify", "--suite", "contraction", "--problem", str(path), "--n", "8"])
+        assert code == 0
+        lines = stdout_lines(capsys)
+        assert [(line.get("check"), line["m"]) for line in lines] == [(None, 6.0)]
+        code = run_cli(["verify", "--suite", "contraction", "--builtin", "example46",
+                        "--n", "8", "--m", "5"])
+        assert code == 0
+        assert [(line.get("check"), line["m"]) for line in stdout_lines(capsys)] == [(None, 5.0)]
 
     def test_contraction_suite_nonpositive_listed_weight_exits_1(self, capsys):
         code = run_cli(["verify", "--suite", "contraction", "--builtin", "example46",

@@ -35,6 +35,10 @@ def test_package_imports_only_stdlib_and_numpy():
     assert {name: mods for name, mods in foreign.items() if mods} == {}
 
 
+def test_every_exported_name_resolves():
+    assert [name for name in goursat2d.__all__ if not hasattr(goursat2d, name)] == []
+
+
 def test_guard_sees_nested_and_from_imports():
     source = "import numpy.linalg\nfrom scipy.stats import qmc\nfrom . import grid\n"
     assert top_level_imports(source) == {"numpy", "scipy"}

@@ -14,7 +14,6 @@ from goursat2d.norms import (
     WeightedNorms,
     check_norm_equivalence,
     classical_l2_norm,
-    inner_product,
     verify_lemma31,
     weighted_l2_norm,
 )
@@ -98,27 +97,6 @@ class TestAcNorm:
 
     def test_zero(self):
         assert weighted_l2_norm(const_field(8, 0.0), 7.0) == 0.0
-
-
-class TestInnerProduct:
-    def test_matches_norm_square(self):
-        rng = np.random.default_rng(2)
-        g = random_smooth_field(build_grid(12), 3, rng)
-        assert inner_product(g, g) == pytest.approx(weighted_l2_norm(g, 0.0) ** 2, rel=1e-13)
-
-    def test_constants(self):
-        assert inner_product(const_field(8), const_field(8)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_separable_closed_form(self):
-        grid = build_grid(10)
-        X, Y = grid.meshgrid()
-        g1 = GridField(grid, X)
-        g2 = GridField(grid, Y)
-        assert inner_product(g1, g2) == pytest.approx(0.25, abs=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            inner_product(const_field(8, n=1), const_field(8, n=2))
 
 
 class TestNormEquivalence:

@@ -7,15 +7,14 @@ import pytest
 
 from goursat2d.errors import ShapeError, ThresholdError
 from goursat2d.grid import GridField, build_grid, reconstruct_state
-from goursat2d.norms import classical_l2_norm
+from goursat2d.norms import classical_l2_norm, weighted_l2_norm
 from goursat2d.operator import (
     LinearizedOperator,
     apply_F,
     coercivity_probe,
     make_context,
-    residual,
 )
-from goursat2d.problem import builtin_example_4_6, load_problem, zero_problem
+from goursat2d.problem import builtin_example_4_6, load_problem, probe_assumptions, zero_problem
 from goursat2d.sampling import random_smooth_field
 
 
@@ -89,21 +88,20 @@ class TestApplyF:
 class TestResidualAndMerit:
     def test_manufactured_pair_zero_residual(self):
         grid = build_grid(8)
-        ctx = make_context(builtin_example_4_6(), grid, m=2.0)
+        ctx = make_context(builtin_example_4_6(), grid)
         rng = np.random.default_rng(5)
         g = random_smooth_field(grid, 1, rng)
         v = apply_F(ctx, g)
-        info = residual(ctx, g, v)
-        assert info.classical <= 1e-12 * classical_l2_norm(v)
-        assert info.weighted <= info.classical
+        r = apply_F(ctx, g) - v
+        assert classical_l2_norm(r) <= 1e-12 * classical_l2_norm(v)
+        assert weighted_l2_norm(r, 2.0) <= classical_l2_norm(r)
 
     def test_constant_residual(self):
         grid = build_grid(8)
         ctx = make_context(zero_problem(), grid)
         g = GridField(grid, np.ones((9, 9, 1)))
         v = GridField(grid, np.zeros((9, 9, 1)))
-        info = residual(ctx, g, v)
-        assert info.classical == pytest.approx(1.0, abs=1e-14)
+        assert classical_l2_norm(apply_F(ctx, g) - v) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestLinearization:
@@ -226,14 +224,10 @@ class TestCoercivity:
 
 
 class TestContextCaches:
-    def test_with_weight_shares_nodes(self):
-        ctx = make_context(builtin_example_4_6(A1="x"), build_grid(8))
-        ctx9 = ctx.with_weight(9.0)
-        assert ctx9.a1_nodes is ctx.a1_nodes
-        assert ctx9.m == 9.0
-        assert ctx.m is None
-
-    def test_weighted_norm_requires_weight(self):
-        ctx = make_context(zero_problem(), build_grid(4))
-        with pytest.raises(ValueError, match="with_weight"):
-            ctx.weighted_norms()
+    def test_with_assumptions_shares_nodes(self):
+        spec = builtin_example_4_6(A1="x")
+        ctx = make_context(spec, build_grid(8))
+        probed = ctx.with_assumptions(probe_assumptions(spec, sample_count=5))
+        assert probed.a1_nodes is ctx.a1_nodes
+        assert probed.assumptions is not None
+        assert ctx.assumptions is None

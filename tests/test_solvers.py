@@ -74,9 +74,9 @@ def cubic_spec():
     })
 
 
-def probed_context(spec, cells, m=None):
+def probed_context(spec, cells):
     report = probe_assumptions(spec, sample_count=80)
-    return make_context(spec, build_grid(cells), m=m).with_assumptions(report)
+    return make_context(spec, build_grid(cells)).with_assumptions(report)
 
 
 def zero_state(grid, n=1):
@@ -159,7 +159,7 @@ class TestLinearizedSolve:
         # (H − I)g = 1e80·Jg grows each iterate by ~1e80, so the fourth
         # residual's values overflow before the patience runs out; the second
         # (values near 1e158, whose squares overflow) still has a finite norm
-        ctx = make_context(pure_f1_spec(c=1e80), build_grid(8), m=1.0)
+        ctx = make_context(pure_f1_spec(c=1e80), build_grid(8))
         z0 = zero_state(ctx.grid)
         v = GridField(ctx.grid, np.ones((9, 9, 1)))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -354,7 +354,7 @@ class TestPicard:
     def test_overflow_inside_expression_is_divergence(self):
         # z^3 overflows in exprlang (iteration 5, |g| ~ 1e106) before the
         # weighted norm of any residual does
-        ctx = make_context(cubic_spec(), build_grid(8), m=1.0)
+        ctx = make_context(cubic_spec(), build_grid(8))
         v = GridField(ctx.grid, np.full((9, 9, 1), 20.0))
         with pytest.raises(DivergenceError, match=r"picard iteration \d+ overflowed \(non-finite result") as exc_info:
             solve_picard(ctx, v, SolverConfig(m=1.0, method="picard"))
@@ -451,7 +451,7 @@ class TestNewton:
 
     def test_inner_failure_carries_the_outer_report(self):
         # m = 2 is below the contraction threshold: an inner linear solve diverges
-        ctx = make_context(builtin_example_4_6(), build_grid(8), m=2.0)
+        ctx = make_context(builtin_example_4_6(), build_grid(8))
         v = GridField(ctx.grid, np.full((9, 9, 1), -100.0))
         with pytest.raises(DivergenceError, match="not contracting") as exc_info:
             solve_newton(ctx, v, SolverConfig(m=2.0))
@@ -470,7 +470,7 @@ class TestNewton:
             "functions": {"f1": ["-10*abs(z1)"], "f2": ["0"]},
             "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
         })
-        ctx = make_context(spec, build_grid(8), m=1.0)
+        ctx = make_context(spec, build_grid(8))
         v = GridField(ctx.grid, np.ones((9, 9, 1)))
         g0 = GridField(ctx.grid, np.zeros((9, 9, 1)))
         with pytest.raises(StagnationError, match="20 halvings") as exc_info:
@@ -488,7 +488,7 @@ class TestNewton:
             "functions": {"f1": ["sin(z1^2)"], "f2": ["0"]},
             "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
         })
-        ctx = make_context(spec, build_grid(8), m=1.0)
+        ctx = make_context(spec, build_grid(8))
         v = GridField(ctx.grid, np.full((9, 9, 1), 1e158))
         g0 = GridField(ctx.grid, np.zeros((9, 9, 1)))
         with np.errstate(over="ignore", invalid="ignore"):
