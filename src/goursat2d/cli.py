@@ -26,7 +26,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,6 @@ from .grid import GridField, StateTriple, build_grid, reconstruct_state
 from .norms import check_norm_equivalence, classical_l2_norm, verify_lemma31, weighted_l2_norm, LEMMA31_SIDES
 from .operator import OperatorContext, coercivity_probe, make_context
 from .problem import (
-    _SOLVER_KEYS,
     BUILTIN_PROBLEMS,
     DEFAULT_SEED,
     ProblemSpec,
@@ -126,16 +125,17 @@ def _add_probe_args(p: argparse.ArgumentParser, samples_default: int | None = 20
                    help=f"seed for every random draw (default {DEFAULT_SEED})")
 
 
-def _add_solver_args(p: argparse.ArgumentParser, with_method: bool = True) -> None:
-    p.add_argument("--m", default=None,
-                   help="norm weight: 'auto' (probe-driven choice) or a positive real")
-    if with_method:
-        p.add_argument("--method", choices=["newton", "picard"], default=None)
-    p.add_argument("--tol", type=float, default=None, help="weighted residual tolerance")
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--damping", type=float, default=None)
-    p.add_argument("--inner-tol", type=float, default=None)
-    p.add_argument("--inner-max-iter", type=int, default=None)
+def _add_solver_args(p: argparse.ArgumentParser, names=("m", "method", "tol", "max_iter")) -> None:
+    """Register the flags of the SolverConfig fields in ``names``, the ones the command reads."""
+    flags = {
+        "m": {"help": "norm weight: 'auto' (probe-driven choice) or a positive real"},
+        "method": {"choices": ["newton", "picard"]},
+        "tol": {"type": float, "help": "weighted residual tolerance"},
+        "max_iter": {"type": int},
+    }
+    group = p.add_argument_group("solver settings")
+    for name in names:
+        group.add_argument("--" + name.replace("_", "-"), default=None, **flags[name])
 
 
 def _add_out_arg(p: argparse.ArgumentParser) -> None:
@@ -174,27 +174,28 @@ def _load_spec(args) -> tuple[ProblemSpec, dict]:
 def _solver_config(args, solver_doc: dict) -> SolverConfig:
     """Defaults < document solver section < command-line flags."""
     merged = dict(solver_doc)
-    for key in sorted(_SOLVER_KEYS):
-        value = getattr(args, key, None)
+    for f in fields(SolverConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            merged[key] = value
-    m = merged.pop("m", None)
-    if isinstance(m, str):
-        if m.strip().lower() == "auto":
-            m = None
-        else:
-            try:
-                m = float(m)
-            except ValueError as exc:
-                raise ParameterError(f"--m must be 'auto' or a real number, got {m!r}") from exc
-    return _config(SolverConfig, m=m, **merged)
+            merged[f.name] = _weight_flag(value) if f.name == "m" else value
+    return _config(SolverConfig.from_settings, merged)
+
+
+def _weight_flag(text: str) -> float | str:
+    """The value of --m: "auto" in any case, or a real number."""
+    if text.strip().lower() == "auto":
+        return "auto"
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ParameterError(f"--m must be 'auto' or a real number, got {text!r}") from exc
 
 
 def _config(make, *args, **settings) -> SolverConfig:
     """``make(*args, **settings)``, a setting it rejects reported as a usage error."""
     try:
         return make(*args, **settings)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParameterError(f"bad solver settings: {exc}") from exc
 
 
@@ -262,7 +263,8 @@ def _weight(ctx: OperatorContext, cfg: SolverConfig, state: StateTriple | None):
     if cfg.m is not None:
         return cfg, None
     choice = choose_weight(ctx, state)
-    return replace(cfg, m=choice.m), choice
+    # B near the float maximum makes the chosen m overflow to inf
+    return _config(replace, cfg, m=choice.m), choice
 
 
 def _zstar_error(args, spec: ProblemSpec, ctx, rep) -> dict | None:
@@ -327,9 +329,7 @@ def cmd_solve(args) -> int:
     return _solve_command(
         args, ctx, cfg, _zero_state(ctx.grid, spec.n), lambda cfg: solve(ctx, v, cfg),
         head=lambda rep, cfg: {"solver": {
-            "method": rep.method, "m": rep.m_used, "tol": cfg.tol, "max_iter": cfg.max_iter,
-            "damping": cfg.damping, "inner_tol": cfg.inner_tol,
-            "inner_max_iter": cfg.inner_max_iter}},
+            "method": rep.method, "m": rep.m_used, "tol": cfg.tol, "max_iter": cfg.max_iter}},
         tail=lambda rep: {"error_vs_reference": _zstar_error(args, spec, ctx, rep)})
 
 
@@ -648,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rhs", required=True, metavar="EXPR|PATH")
     p.add_argument("--linearize-at", default=None, metavar="PATH",
                    help="grid CSV with the state to linearize at (default: zero)")
-    _add_solver_args(p, with_method=False)
+    _add_solver_args(p, ("m", "tol", "max_iter"))
     _add_probe_args(p)
     _add_out_arg(p)
     p.set_defaults(func=cmd_linsolve)
@@ -659,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=32, metavar="CELLS")
     p.add_argument("--m-list", default=None, metavar="M1,M2,...",
                    help="weights to test (defaults depend on the suite)")
-    _add_solver_args(p, with_method=False)
+    _add_solver_args(p, ("m",))
     _add_probe_args(p, samples_default=None)
     _add_out_arg(p)
     p.set_defaults(func=cmd_verify)

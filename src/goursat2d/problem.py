@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -167,48 +167,6 @@ _META_KEYS = {"n", "B", "b"}
 _FUN_KEYS = {"f1", "f2"}
 _COEF_KEYS = {"A1", "A2", "A1x", "A2y"}
 _RHS_KEYS = {"v", "v_file"}
-_SOLVER_KEYS = {"m", "tol", "max_iter", "method", "damping", "inner_tol", "inner_max_iter"}
-
-
-def validate_solver_section(sdoc) -> dict:
-    """Schema-check the optional solver section and return it as a plain dict.
-
-    Semantics (positivity, ranges) are rechecked when the values are turned
-    into an actual solver configuration; this guards the document shape with
-    dotted-path diagnostics.
-    """
-    if not isinstance(sdoc, dict):
-        raise SchemaError("must be an object", path="solver")
-    _check_keys(sdoc, _SOLVER_KEYS, "solver")
-    if "m" in sdoc:
-        m = sdoc["m"]
-        ok = m == "auto" or (
-            isinstance(m, (int, float)) and not isinstance(m, bool) and m > 0
-        )
-        if not ok:
-            raise SchemaError(
-                f'm must be "auto" or a positive number, got {m!r}', path="solver.m"
-            )
-    for key in ("tol", "damping", "inner_tol"):
-        if key in sdoc:
-            val = sdoc[key]
-            if not isinstance(val, (int, float)) or isinstance(val, bool) or not val > 0:
-                raise SchemaError(
-                    f"{key} must be a positive number, got {val!r}", path=f"solver.{key}"
-                )
-    for key in ("max_iter", "inner_max_iter"):
-        if key in sdoc:
-            val = sdoc[key]
-            if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-                raise SchemaError(
-                    f"{key} must be a positive integer, got {val!r}", path=f"solver.{key}"
-                )
-    if "method" in sdoc and sdoc["method"] not in ("newton", "picard"):
-        raise SchemaError(
-            f"method must be 'newton' or 'picard', got {sdoc['method']!r}",
-            path="solver.method",
-        )
-    return dict(sdoc)
 
 
 def _require(doc: dict, key: str, path: str):
@@ -340,7 +298,17 @@ def load_problem(document: str | dict, base_dir: str | Path | None = None) -> Pr
             raise SchemaError("needs v or v_file", path="rhs")
 
     if "solver" in document:
-        validate_solver_section(document["solver"])
+        from .solvers import SolverConfig
+
+        solver = document["solver"]
+        if not isinstance(solver, dict):
+            raise SchemaError("must be an object", path="solver")
+        _check_keys(solver, {f.name for f in fields(SolverConfig)}, "solver")
+        for key, value in solver.items():
+            try:
+                SolverConfig.from_settings({key: value})
+            except ValueError as exc:
+                raise SchemaError(str(exc), path=f"solver.{key}") from exc
 
     label = document.get("label", "")
     if not isinstance(label, str):

@@ -16,13 +16,13 @@ is certified by the coercivity constant (1 − 8B/m)⁻¹.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ParameterError, SolverError
 from .grid import GridField
 from .norms import WeightedNorms, classical_l2_norm
 from .operator import OperatorContext
-from .solvers import SolveReport, SolverConfig, solve, solve_linearized
+from .solvers import INNER_MAX_ITER, INNER_TOL, SolveReport, SolverConfig, solve, solve_linearized
 
 #: Refuse quotient steps below this multiple of the solver tolerance.
 EPS_FLOOR_FACTOR = 100.0
@@ -64,7 +64,7 @@ def frechet_apply(
     if not solved.converged:
         raise SolverError("frechet_apply needs a converged base solve")
     ctx.check_field(deltav)
-    inner = replace(cfg, m=solved.m_used, tol=cfg.inner_tol, max_iter=cfg.inner_max_iter)
+    inner = SolverConfig(m=solved.m_used, tol=INNER_TOL, max_iter=INNER_MAX_ITER)
     return solve_linearized(ctx, solved.state, deltav, inner).g
 
 

@@ -11,7 +11,7 @@ kernels (the z-Jacobian sup M_ρ and the coefficient bound B), so plain
 Richardson iteration g ← g − (F'(z0)g − v) contracts once m > 2√d.  The same
 machinery drives:
 
-  * ``solve_picard``: damped fixed-point iteration g ← g − λ(F(g) − v) on the
+  * ``solve_picard``: fixed-point iteration g ← g − (F(g) − v) on the
     nonlinear equation, for problems whose nonlinear part is itself
     contractive;
   * ``solve_newton``: each step solves F'(z_k)δ = v − F(z_k) by the linear
@@ -31,8 +31,9 @@ zero problem and aligned with the dominant identity part of the operator.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,34 +57,48 @@ _DIVERGENCE_PATIENCE = 5
 #: Maximum step halvings in the Newton line search.
 _MAX_BACKTRACKS = 20
 
+#: Tolerance and iteration cap of the linear solves in Newton and frechet_apply.
+INNER_TOL = 1e-12
+INNER_MAX_ITER = 400
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls; m = None means "choose the weight automatically"."""
+    """The settings a solve accepts, with their types and valid values.
+
+    m = None means "choose the weight automatically".
+    """
 
     m: float | None = None
     tol: float = 1e-10
     max_iter: int = 200
     method: str = "newton"
-    inner_tol: float = 1e-12
-    inner_max_iter: int = 400
-    damping: float = 1.0
 
     def __post_init__(self):
-        if self.m is not None and not self.m > 0:
-            raise ValueError(f"weight m must be positive, got {self.m}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.m is not None:
+            _check_positive_real("weight m", self.m)
+        _check_positive_real("tol", self.tol)
+        if not isinstance(self.max_iter, numbers.Integral) or isinstance(self.max_iter, bool):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.method not in ("picard", "newton"):
             raise ValueError(f"method must be 'picard' or 'newton', got {self.method!r}")
-        if not self.inner_tol > 0:
-            raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
-        if self.inner_max_iter < 1:
-            raise ValueError(f"inner_max_iter must be >= 1, got {self.inner_max_iter}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must be in (0, 1], got {self.damping}")
+
+    @classmethod
+    def from_settings(cls, settings: dict) -> SolverConfig:
+        """The config of a document's solver section or of command-line flags:
+        field names as keys, and ``"m": "auto"`` for the automatic weight."""
+        if settings.get("m") == "auto":
+            settings = {**settings, "m": None}
+        return cls(**settings)
+
+
+def _check_positive_real(name: str, value) -> None:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -336,8 +351,6 @@ def solve_linearized(
             stacklevel=2,
         )
     lin = LinearizedOperator(ctx, z0)
-    # no damping here: the update g ← g − (F'g − v) is exactly the
-    # fixed-point map whose contraction the Lemma-style bound certifies
     return _iterate(
         WeightedNorms(ctx.grid, m), "linearized", _start(v, g0),
         residual=lambda g: lin.apply_array(g) - v.values,
@@ -398,12 +411,12 @@ def solve_picard(
     cfg: SolverConfig,
     g0: GridField | None = None,
 ) -> SolveReport:
-    """Damped fixed-point iteration g ← g − λ(F(g) − v) on the nonlinear equation."""
+    """Fixed-point iteration g ← g − (F(g) − v) on the nonlinear equation."""
     ctx.check_field(v)
     return _iterate(
         WeightedNorms(ctx.grid, _resolve_m(ctx, cfg, None)), "picard", _start(v, g0),
         residual=lambda g: _F_residual(ctx, g, v),
-        step=lambda g, r, rnorm: g - cfg.damping * r,
+        step=lambda g, r, rnorm: g - r,
         tol=cfg.tol, max_iter=cfg.max_iter, patience=True,
     )
 
@@ -416,9 +429,9 @@ def solve_newton(
 ) -> SolveReport:
     """Newton–Kantorovich: solve F'(z_k)δ = v − F(z_k), backtrack on merit.
 
-    Each inner linear solve runs to min(cfg.inner_tol, 0.1·‖residual‖_m).  The
-    first term wins whenever ‖residual‖_m ≥ 10·inner_tol, so with the default
-    inner_tol = 1e-12 every step is in practice solved to 1e-12.
+    Each inner linear solve runs to min(INNER_TOL, 0.1·‖residual‖_m) within
+    INNER_MAX_ITER iterations.  The first term wins whenever ‖residual‖_m ≥
+    10·INNER_TOL, so every step is in practice solved to 1e-12.
     There is no divergence patience: the weighted residual ratio can sit near
     1 for many steps of a solve that converges, so only a failed line search
     (StagnationError), a failed inner solve or the iteration cap stop it.
@@ -429,10 +442,7 @@ def solve_newton(
 
     def step(g: np.ndarray, r: np.ndarray, rnorm: float) -> np.ndarray:
         # choose_weight already fixed m; the inner solve must keep it
-        inner_cfg = replace(
-            cfg, m=wn.m, tol=min(cfg.inner_tol, 0.1 * rnorm),
-            max_iter=cfg.inner_max_iter,
-        )
+        inner_cfg = SolverConfig(m=wn.m, tol=min(INNER_TOL, 0.1 * rnorm), max_iter=INNER_MAX_ITER)
         state = reconstruct_state(GridField(ctx.grid, g))
         delta = solve_linearized(ctx, state, GridField(ctx.grid, -r), inner_cfg).g.values
         # the merit ½‖F(z) − v‖² decreases exactly when the classical norm

@@ -6,18 +6,21 @@ suite measured a violation.  stdout is one JSON object per line.
 
 from __future__ import annotations
 
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from goursat2d.cli import main
+from goursat2d.cli import build_parser, main
 from goursat2d.fileio import read_field_csv, read_grid_csv, read_report_json
 from goursat2d.norms import classical_l2_norm, weighted_l2_norm
 from goursat2d.operator import apply_F, coercivity_probe, make_context
 from goursat2d.problem import BUILTIN_PROBLEMS, DEFAULT_SEED, load_problem
 from goursat2d.grid import GridField, build_grid
 from goursat2d.sampling import random_smooth_field
+from goursat2d.solvers import SolverConfig
 
 
 def run_cli(argv):
@@ -461,6 +464,89 @@ def test_samples_below_1_or_negative_seed_is_a_usage_error(argv, flag, tmp_path,
     assert captured.err.startswith("usage:")
     assert f"argument {flag[0]}: must be >= " in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+SOLVER_FIELDS = {f.name for f in fields(SolverConfig)}
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("solve", SOLVER_FIELDS),
+    ("sens", SOLVER_FIELDS),
+    ("mms", SOLVER_FIELDS),
+    ("linsolve", SOLVER_FIELDS - {"method"}),
+    ("verify", {"m"}),
+])
+def test_each_subcommand_registers_the_solver_flags_it_reads(command, expected):
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    sub = action.choices[command]
+    group = next(g for g in sub._action_groups if g.title == "solver settings")
+    assert {a.dest for a in group._group_actions} == expected
+    # no flag outside the group sets a solver field
+    assert {a.dest for a in sub._actions} & SOLVER_FIELDS == expected
+
+
+RHS_ARGS = {
+    "solve": ["solve", "--builtin", "zero", "--n", "8", "--rhs", "1"],
+    "linsolve": ["linsolve", "--builtin", "zero", "--n", "8", "--rhs", "1"],
+    "sens": ["sens", "--builtin", "zero", "--n", "8", "--rhs", "x", "--direction", "1"],
+    "mms": ["mms", "--builtin", "zero", "--zstar", "x*y", "--n-list", "8,16"],
+    "verify": ["verify", "--suite", "contraction", "--builtin", "zero", "--n", "8"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, flag) for command in ("solve", "linsolve", "sens", "mms")
+      for flag in ("--damping", "--inner-tol", "--inner-max-iter")),
+    *(("verify", flag) for flag in ("--tol", "--max-iter", "--damping", "--inner-tol",
+                                    "--inner-max-iter")),
+])
+def test_solver_flag_a_command_does_not_read_is_a_usage_error(command, flag, tmp_path, capsys):
+    value = "1e-8" if "tol" in flag else "0.5" if flag == "--damping" else "7"
+    code = run_cli([*RHS_ARGS[command], flag, value, "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--m", "inf"], "weight m must be a finite real number, got inf"),
+    (["--m", "nan"], "weight m must be a finite real number, got nan"),
+    (["--tol", "inf"], "tol must be a finite real number, got inf"),
+    (["--tol", "-1"], "tol must be positive"),
+], ids=["m-inf", "m-nan", "tol-inf", "tol-negative"])
+def test_bad_setting_flag_exits_1_before_any_artifact(flags, message, tmp_path, capsys):
+    code = run_cli(["solve", "--builtin", "example46", "--n", "8", "--rhs", "1", *flags,
+                    "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert f"error: bad solver settings: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"solver": {"tol": float("inf")}}, "solver.tol: tol must be a finite real number, got inf"),
+    ({"solver": {"damping": 0.5}}, "solver.damping: unknown field 'damping'"),
+    # B near the float maximum makes the automatic weight 8B + 1 overflow
+    ({"meta": {"n": 1, "B": 1e308, "b": "0"}},
+     "bad solver settings: weight m must be a finite real number, got inf"),
+], ids=["tol-Infinity", "damping", "huge-B"])
+def test_document_that_cannot_solve_exits_1_before_any_artifact(changes, message, tmp_path,
+                                                                  capsys):
+    doc = dict(LINEAR_MEMORY_DOC, rhs={"v": ["1"]}, **changes)
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    code = run_cli(["solve", "--problem", str(tmp_path / "doc.json"), "--n", "8",
+                    "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_solve_report_lists_every_solver_setting(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli(["solve", "--builtin", "zero", "--n", "8", "--rhs", "1", "--out", str(out)]) == 0
+    assert set(read_report_json(f"{out}.report.json")["solver"]) == SOLVER_FIELDS
 
 
 class TestSens:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from goursat2d.problem import (
     serialize_problem,
     zero_problem,
 )
+from goursat2d.solvers import SolverConfig
 
 
 def minimal_doc(**overrides):
@@ -161,6 +164,51 @@ class TestLoadProblem:
             assert evaluate(again.f1[0], x, y, z) == evaluate(spec.f1[0], x, y, z)
             assert evaluate(again.f2[0], x, y, z) == evaluate(spec.f2[0], x, y, z)
             assert evaluate(again.a1[0][0], x, y, z) == evaluate(spec.a1[0][0], x, y, z)
+
+
+#: One valid value for every SolverConfig field.
+VALID_SOLVER_SECTION = {"m": 6.0, "tol": 1e-9, "max_iter": 50, "method": "picard"}
+
+
+class TestSolverSection:
+    def test_accepts_exactly_the_solver_config_fields(self):
+        assert set(VALID_SOLVER_SECTION) == {f.name for f in fields(SolverConfig)}
+        load_problem(minimal_doc(solver=VALID_SOLVER_SECTION))
+
+    @pytest.mark.parametrize("solver", [{}, {"m": "auto"}, {"m": 7, "tol": 1}],
+                             ids=["empty", "auto", "integers"])
+    def test_valid_section_loads(self, solver):
+        assert load_problem(minimal_doc(solver=solver)).n == 1
+
+    @pytest.mark.parametrize("key", ["damping", "inner_tol", "inner_max_iter", "mehtod"])
+    def test_unknown_key_names_its_path(self, key):
+        with pytest.raises(SchemaError, match=f"unknown field '{key}'") as exc:
+            load_problem(minimal_doc(solver={**VALID_SOLVER_SECTION, key: 0.5}))
+        assert exc.value.path == f"solver.{key}"
+
+    @pytest.mark.parametrize("key, value", [
+        ("tol", 0),
+        ("tol", -1e-9),
+        ("tol", math.inf),
+        ("max_iter", True),
+        ("max_iter", 0),
+        ("max_iter", 2.5),
+        ("method", "bisection"),
+        ("m", -1),
+        ("m", "fast"),
+        ("m", "AUTO"),
+        ("m", math.nan),
+    ])
+    def test_bad_value_names_its_key(self, key, value):
+        # through JSON text, where inf and nan are spelled Infinity and NaN
+        with pytest.raises(SchemaError, match=f"{key} must be") as exc:
+            load_problem(json.dumps(minimal_doc(solver={key: value})))
+        assert exc.value.path == f"solver.{key}"
+
+    def test_section_must_be_an_object(self):
+        with pytest.raises(SchemaError) as exc:
+            load_problem(minimal_doc(solver=[1e-9]))
+        assert exc.value.path == "solver"
 
 
 class TestBuiltins:

@@ -27,7 +27,7 @@ from goursat2d.sensitivity import (
     stability_probe,
     validate_frechet,
 )
-from goursat2d.solvers import SolverConfig, solve
+from goursat2d.solvers import INNER_TOL, SolverConfig, solve
 
 
 def probed_context(spec, cells):
@@ -104,7 +104,7 @@ class TestValidateFrechet:
         h = frechet_apply(ctx, base, dv, cfg)
         direct = solve(ctx, dv, cfg)
         wn = WeightedNorms(ctx.grid, base.m_used)
-        assert wn.norm(h - direct.g) <= 10 * cfg.inner_tol
+        assert wn.norm(h - direct.g) <= 10 * INNER_TOL
 
     def test_linear_problem_has_tiny_quotient_errors(self):
         # no second-order remainder at all, and the cold-started perturbed

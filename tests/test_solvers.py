@@ -90,10 +90,6 @@ class TestSolverConfig:
         {"tol": 0.0},
         {"max_iter": 0},
         {"method": "bisection"},
-        {"inner_tol": -1e-3},
-        {"inner_max_iter": 0},
-        {"damping": 0.0},
-        {"damping": 1.5},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -102,6 +98,30 @@ class TestSolverConfig:
     def test_defaults_are_valid(self):
         cfg = SolverConfig()
         assert cfg.m is None and cfg.method == "newton"
+
+    @pytest.mark.parametrize("kw", [
+        {"m": math.inf},
+        {"m": math.nan},
+        {"m": True},
+        {"m": "auto"},
+        {"tol": math.inf},
+        {"tol": True},
+        {"max_iter": 2.5},
+        {"max_iter": True},
+        {"max_iter": "7"},
+    ], ids=lambda kw: "{}={!r}".format(*next(iter(kw.items()))))
+    def test_rejects_non_finite_and_wrongly_typed_values(self, kw):
+        with pytest.raises(ValueError):
+            SolverConfig(**kw)
+
+    def test_numpy_scalars_are_accepted(self):
+        cfg = SolverConfig(m=np.float64(9.0), tol=np.float32(1e-6), max_iter=np.int64(5))
+        assert cfg.max_iter == 5
+
+    def test_from_settings_maps_auto_to_none(self):
+        cfg = SolverConfig.from_settings({"m": "auto", "tol": 1e-9, "method": "picard"})
+        assert cfg == SolverConfig(tol=1e-9, method="picard")
+        assert SolverConfig.from_settings({"m": 7}).m == 7
 
 
 class TestChooseWeight:
@@ -336,20 +356,6 @@ class TestPicard:
         assert rep.converged
         wn = WeightedNorms(ctx.grid, rep.m_used)
         assert wn.norm(rep.g - g_star) <= 10 * cfg.tol
-
-    def test_damping_slows_but_converges(self):
-        ctx = probed_context(builtin_example_4_6(), 8)
-        rng = np.random.default_rng(13)
-        g_star = random_smooth_field(ctx.grid, 1, rng) * 0.3
-        v = apply_F(ctx, g_star)
-        full = solve_picard(ctx, v, SolverConfig(method="picard", tol=1e-9))
-        damped = solve_picard(
-            ctx, v, SolverConfig(method="picard", tol=1e-9, damping=0.5, max_iter=400)
-        )
-        assert damped.converged and damped.iterations > full.iterations
-        wn = WeightedNorms(ctx.grid, full.m_used)
-        assert wn.norm(damped.g - full.g) < 1e-8
-
 
     def test_overflow_inside_expression_is_divergence(self):
         # z^3 overflows in exprlang (iteration 5, |g| ~ 1e106) before the
