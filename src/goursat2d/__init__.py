@@ -37,7 +37,7 @@ from .fileio import (
     write_grid_csv,
     write_report_json,
 )
-from .grid import Grid, GridField, StateTriple, build_grid, reconstruct_state
+from .grid import Grid, GridField, build_grid, reconstruct_state
 from .norms import (
     Lemma31Report,
     NormEquivalenceReport,
@@ -117,7 +117,6 @@ __all__ = [
     "SolverConfig",
     "SolverError",
     "StagnationError",
-    "StateTriple",
     "ThresholdError",
     "WeightChoice",
     "WeightedNorms",

@@ -44,7 +44,7 @@ from .errors import (
     ThresholdError,
 )
 from .fileio import read_field_csv, read_grid_csv, write_field_csv, write_grid_csv, write_report_json
-from .grid import GridField, StateTriple, build_grid, reconstruct_state
+from .grid import GridField, build_grid
 from .norms import check_norm_equivalence, classical_l2_norm, verify_lemma31, weighted_l2_norm, LEMMA31_SIDES
 from .operator import OperatorContext, coercivity_probe, make_context
 from .problem import (
@@ -235,11 +235,6 @@ def _rhs_field(spec: ProblemSpec, args, grid) -> GridField:
         raise ParameterError(str(exc)) from exc
 
 
-def _zero_state(grid, n: int) -> StateTriple:
-    zeros = GridField(grid, np.zeros((grid.npoints, grid.npoints, n)))
-    return StateTriple(z=zeros, zx=zeros, zy=zeros)
-
-
 def _probed_context(spec: ProblemSpec, cells: int, samples: int, seed: int):
     grid = build_grid(cells)
     report = probe_assumptions(spec, sample_count=samples, seed=seed)
@@ -257,14 +252,13 @@ def _setup(args) -> tuple[ProblemSpec, SolverConfig, OperatorContext]:
     return spec, cfg, _probed_context(spec, args.n, args.samples, args.seed)
 
 
-def _weight(ctx: OperatorContext, cfg: SolverConfig, state: StateTriple | None):
-    """``cfg`` with an automatic m replaced by ``choose_weight``'s, and that
-    choice (None when m was given)."""
+def _weight(ctx: OperatorContext, cfg: SolverConfig, at: GridField | None):
+    """``cfg`` with an automatic m replaced by ``choose_weight``'s at ``at``,
+    and that choice (None when m was given)."""
     if cfg.m is not None:
         return cfg, None
-    choice = choose_weight(ctx, state)
-    # B near the float maximum makes the chosen m overflow to inf
-    return _config(replace, cfg, m=choice.m), choice
+    choice = choose_weight(ctx, at)
+    return replace(cfg, m=choice.m), choice
 
 
 def _zstar_error(args, spec: ProblemSpec, ctx, rep) -> dict | None:
@@ -277,18 +271,19 @@ def _zstar_error(args, spec: ProblemSpec, ctx, rep) -> dict | None:
 
 # -- solve and linsolve --------------------------------------------------------
 
-def _solve_command(args, ctx, cfg, state, run, head, tail=lambda rep: {},
+def _solve_command(args, ctx, cfg, at, run, head, tail=lambda rep: {},
                    line=lambda estimate: {}) -> int:
     """The weight, contraction estimate, solve, report, artifacts and exit code
     of ``solve`` and ``linsolve``: 0, or 2 after writing the partial artifacts
     of a failed solve.
 
-    ``run(cfg)`` solves at the chosen weight.  The command's own keys come
-    from ``head(rep, cfg)`` (after "seed"), ``tail(rep)`` (after "result")
-    and ``line(estimate)`` (after the stdout line's "m").
+    The weight and the contraction estimate are taken at the state of the g
+    field ``at``; ``run(cfg)`` solves at that weight.  The command's own keys
+    come from ``head(rep, cfg)`` (after "seed"), ``tail(rep)`` (after
+    "result") and ``line(estimate)`` (after the stdout line's "m").
     """
-    cfg, choice = _weight(ctx, cfg, state)
-    estimate = estimate_contraction(ctx, state, cfg, seed=args.seed)
+    cfg, choice = _weight(ctx, cfg, at)
+    estimate = estimate_contraction(ctx, at, cfg, seed=args.seed)
     failure = None
     try:
         rep = run(cfg)
@@ -312,7 +307,7 @@ def _solve_command(args, ctx, cfg, state, run, head, tail=lambda rep: {},
         "failure": failure,
         "grid_file": grid_file,
     }
-    write_grid_csv(grid_file, rep.g, rep.state)
+    write_grid_csv(grid_file, rep.g)
     write_report_json(report_file, report)
     _emit({"command": args.command, "converged": rep.converged, "iterations": rep.iterations,
            "m": rep.m_used, **line(estimate), "residual_weighted": rep.residual_weighted,
@@ -326,8 +321,9 @@ def _solve_command(args, ctx, cfg, state, run, head, tail=lambda rep: {},
 def cmd_solve(args) -> int:
     spec, cfg, ctx = _setup(args)
     v = _rhs_field(spec, args, ctx.grid)
+    zero = GridField(ctx.grid, np.zeros_like(v.values))
     return _solve_command(
-        args, ctx, cfg, _zero_state(ctx.grid, spec.n), lambda cfg: solve(ctx, v, cfg),
+        args, ctx, cfg, zero, lambda cfg: solve(ctx, v, cfg),
         head=lambda rep, cfg: {"solver": {
             "method": rep.method, "m": rep.m_used, "tol": cfg.tol, "max_iter": cfg.max_iter}},
         tail=lambda rep: {"error_vs_reference": _zstar_error(args, spec, ctx, rep)})
@@ -336,20 +332,20 @@ def cmd_solve(args) -> int:
 def cmd_linsolve(args) -> int:
     spec, cfg, ctx = _setup(args)
     if args.linearize_at is not None:
-        _, state = read_grid_csv(args.linearize_at)
-        if state.grid != ctx.grid:
+        at = read_grid_csv(args.linearize_at)
+        if at.grid != ctx.grid:
             raise ParameterError(
-                f"--linearize-at state is sampled on {state.grid}, expected {ctx.grid}")
-        if state.n != spec.n:
+                f"--linearize-at state is sampled on {at.grid}, expected {ctx.grid}")
+        if at.n != spec.n:
             raise ParameterError(
-                f"--linearize-at state has {state.n} components, problem has {spec.n}")
+                f"--linearize-at state has {at.n} components, problem has {spec.n}")
         linearized_at = args.linearize_at
     else:
-        state = _zero_state(ctx.grid, spec.n)
+        at = GridField(ctx.grid, np.zeros((ctx.grid.npoints,) * 2 + (spec.n,)))
         linearized_at = "zero"
     w = _field(args.rhs, ctx.grid, spec.n, "--rhs")
     return _solve_command(
-        args, ctx, cfg, state, lambda cfg: solve_linearized(ctx, state, w, cfg),
+        args, ctx, cfg, at, lambda cfg: solve_linearized(ctx, at, w, cfg),
         head=lambda rep, cfg: {"linearized_at": linearized_at, "solver": {
             "m": rep.m_used, "tol": cfg.tol, "max_iter": cfg.max_iter}},
         line=lambda estimate: {"rho_hat": estimate.rho_hat})
@@ -485,13 +481,13 @@ def _suite_contraction(args) -> int:
     spec, solver_doc = _load_spec(args)
     trials = args.samples if args.samples is not None else 8
     ctx = _probed_context(spec, args.n, 200, args.seed)
-    z0 = _zero_state(ctx.grid, spec.n)
+    zero = GridField(ctx.grid, np.zeros((ctx.grid.npoints,) * 2 + (spec.n,)))
 
     if args.m_list:
         m_values = _parse_list(args.m_list, "--m-list")
         cfg = _solver_config(args, solver_doc)
     else:
-        cfg, choice = _weight(ctx, _solver_config(args, solver_doc), z0)
+        cfg, choice = _weight(ctx, _solver_config(args, solver_doc), zero)
         if choice is not None:
             _emit({"suite": "contraction", "check": "weight_choice", **choice.as_dict()})
         m_values = [cfg.m]
@@ -500,7 +496,7 @@ def _suite_contraction(args) -> int:
     estimates = []
     for m in m_values:
         # a listed weight wins over --m and the document's m
-        est = estimate_contraction(ctx, z0, _config(replace, cfg, m=m), trials=trials,
+        est = estimate_contraction(ctx, zero, _config(replace, cfg, m=m), trials=trials,
                                    seed=args.seed)
         estimates.append(est.as_dict())
         _emit({"suite": "contraction", "m": est.m, "rho_hat": est.rho_hat,
@@ -526,6 +522,9 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.m is not None and args.suite != "contraction":
+        raise ParameterError("--m applies to --suite contraction only; the norms, lemma31 "
+                             "and coercivity suites take their weights from --m-list")
     if args.suite not in ("norms", "lemma31") and args.problem is None and args.builtin is None:
         raise ParameterError(f"--suite {args.suite} needs --problem or --builtin")
     return _SUITES[args.suite](args)
@@ -550,7 +549,7 @@ def cmd_sens(args) -> int:
     _emit({"command": "sens", "passed": rep.passed,
            "grid": f"{args.out}.grid.csv", "report": f"{args.out}.report.json"})
 
-    write_grid_csv(f"{args.out}.grid.csv", rep.h, reconstruct_state(rep.h))
+    write_grid_csv(f"{args.out}.grid.csv", rep.h)
     write_report_json(f"{args.out}.report.json", {
         "command": "sens",
         "label": spec.label,

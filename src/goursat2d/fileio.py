@@ -9,7 +9,9 @@ runs with the same inputs must produce byte-identical bytes.
 
 Grid bundles are row-major in i then j with header
 ``i,j,x,y,g_1..g_n,z_1..z_n,zx_1..zx_n,zy_1..zy_n``; plain fields use
-``i,j,x,y,v_1..v_n``.
+``i,j,x,y,v_1..v_n``.  A bundle stores g = z_xy, the only state, and its
+derived z, z_x, z_y for readers of the file; loading returns g and rejects
+a bundle whose state columns are not g's state.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, ShapeError
-from .grid import Grid, GridField, StateTriple, build_grid
+from .errors import SchemaError
+from .grid import Grid, GridField, build_grid, state_from_g
 
 
 def _atomic_write(path: str | os.PathLike, chunks: Iterable[str]) -> None:
@@ -147,24 +149,30 @@ def read_field_csv(path: str | os.PathLike) -> GridField:
     return GridField(*_read_nodes(path, ("v",)))
 
 
-# -- solution bundles (g plus the reconstructed state) -------------------------
+# -- solution bundles (g plus the state rebuilt from it) -----------------------
 
-def write_grid_csv(path: str | os.PathLike, g: GridField, state: StateTriple) -> None:
-    """Emit the solution bundle: g = z_xy plus z, z_x, z_y per node."""
-    if state.grid != g.grid:
-        raise ShapeError(f"state lives on {state.grid}, g on {g.grid}")
-    blocks = {"g": g.values, "z": state.z.values, "zx": state.zx.values, "zy": state.zy.values}
-    _write_nodes(path, g.grid, blocks)
+def write_grid_csv(path: str | os.PathLike, g: GridField) -> None:
+    """Emit the solution bundle: g = z_xy plus its state z, z_x, z_y per node."""
+    z, zx, zy = state_from_g(g.values, g.grid.h)
+    _write_nodes(path, g.grid, {"g": g.values, "z": z, "zx": zx, "zy": zy})
 
 
-def read_grid_csv(path: str | os.PathLike) -> tuple[GridField, StateTriple]:
+def read_grid_csv(path: str | os.PathLike) -> GridField:
+    """The g of a solution bundle whose z, z_x, z_y columns are, bit for bit,
+    the state ``write_grid_csv`` derives from that g."""
     grid, data = _read_nodes(path, ("g", "z", "zx", "zy"))
-    g, z, zx, zy = (GridField(grid, block) for block in np.split(data, 4, axis=2))
-    try:
-        state = StateTriple(z, zx, zy)
-    except ValueError as exc:
-        raise SchemaError(str(exc), path=str(path)) from exc
-    return g, state
+    n = data.shape[2] // 4
+    g, stored = GridField(grid, data[:, :, :n]), data[:, :, n:]
+    state = np.concatenate(state_from_g(g.values, grid.h), axis=2)
+    bad = np.argwhere(stored.view(np.uint64) != state.view(np.uint64))
+    if bad.size:
+        i, j, k = bad[0]
+        raise SchemaError(
+            f"column {_columns(('z', 'zx', 'zy'), n)[4 + k]} at node ({i}, {j}) holds "
+            f"{float(stored[i, j, k])!r}, but the state of the file's g has "
+            f"{float(state[i, j, k])!r}", path=str(path),
+        )
+    return g
 
 
 # -- reports -------------------------------------------------------------------

@@ -20,12 +20,13 @@ functions with homogeneous edge data: given the mixed derivative g = z_xy,
     z_y(x, y) = int_0^x g(s, y) ds,
 
 so z, z_x vanish on the edge y = 0 and z, z_y vanish on the edge x = 0
-exactly (prefix sums start at zero; no rounding is involved).
+exactly (prefix sums start at zero; no rounding is involved).  The state is
+therefore never stored: g is the only state, the numerical core rebuilds
+the arrays with ``state_from_g`` where it needs them, and
+``reconstruct_state`` gives them as fields at the API boundary.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,10 +118,6 @@ class GridField:
         """State dimension."""
         return self.values.shape[2]
 
-    def magnitude(self) -> "GridField":
-        """Pointwise Euclidean magnitude |f| as an n = 1 field."""
-        return GridField(self.grid, np.sqrt((self.values**2).sum(axis=2)))
-
     def __add__(self, other: "GridField") -> "GridField":
         _check_same_shape(self, other)
         return GridField(self.grid, self.values + other.values)
@@ -149,42 +146,6 @@ def _check_same_shape(a: GridField, b: GridField) -> None:
         raise ShapeError(f"fields live on different grids: {a.grid} vs {b.grid}")
     if a.n != b.n:
         raise ShapeError(f"fields have different state dimensions: {a.n} vs {b.n}")
-
-
-@dataclass(frozen=True)
-class StateTriple:
-    """A reconstructed state (z, z_x, z_y) on a common grid.
-
-    Invariants (exact, by construction of the prefix sums): z vanishes on
-    both edges x = 0 and y = 0, z_x vanishes on y = 0, z_y vanishes on x = 0.
-    """
-
-    z: GridField
-    zx: GridField
-    zy: GridField
-
-    def __post_init__(self):
-        _check_same_shape(self.z, self.zx)
-        _check_same_shape(self.z, self.zy)
-        zv = self.z.values
-        if np.any(zv[0, :, :] != 0.0) or np.any(zv[:, 0, :] != 0.0):
-            raise ValueError("state z must vanish exactly on the edges x = 0 and y = 0")
-        if np.any(self.zx.values[:, 0, :] != 0.0):
-            raise ValueError("state z_x must vanish exactly on the edge y = 0")
-        if np.any(self.zy.values[0, :, :] != 0.0):
-            raise ValueError("state z_y must vanish exactly on the edge x = 0")
-
-    @property
-    def grid(self) -> Grid:
-        return self.z.grid
-
-    @property
-    def n(self) -> int:
-        return self.z.n
-
-    def sup_magnitude(self) -> float:
-        """max over nodes of |z(x, y)| (Euclidean over components)."""
-        return float(np.sqrt((self.z.values**2).sum(axis=2)).max())
 
 
 # -- array-level kernels (values of shape (P, P, n)) -------------------------
@@ -243,21 +204,11 @@ def state_from_g(g: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.nd
     return z, zx, zy
 
 
-# -- public quadrature and Volterra operations -------------------------------
+# -- fields at the API boundary ---------------------------------------------
 
-def cum_integral_2d(g: GridField) -> GridField:
-    """The Volterra map (Jg)(x, y) = int_0^x int_0^y g(s, t) ds dt."""
-    return GridField(g.grid, cum2d_array(g.values, g.grid.h))
-
-
-def reconstruct_state(g: GridField) -> StateTriple:
-    """Rebuild (z, z_x, z_y) from the mixed derivative g = z_xy.
-
-    z = Jg, z_x = int_0^y g(x, t) dt, z_y = int_0^x g(s, y) ds; the
-    homogeneous edge values are exactly zero.
-    """
-    z, zx, zy = state_from_g(g.values, g.grid.h)
-    return StateTriple(z=GridField(g.grid, z), zx=GridField(g.grid, zx), zy=GridField(g.grid, zy))
+def reconstruct_state(g: GridField) -> tuple[GridField, GridField, GridField]:
+    """The fields (z, z_x, z_y) of the mixed derivative g = z_xy."""
+    return tuple(GridField(g.grid, a) for a in state_from_g(g.values, g.grid.h))
 
 
 def restrict_to(f: GridField, coarse: Grid) -> GridField:

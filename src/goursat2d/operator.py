@@ -1,8 +1,9 @@
 """The forward operator, its linearization, and the coercivity probe.
 
-Everything acts on the mixed derivative g = z_xy as the fundamental unknown;
-the state (z, z_x, z_y) is reconstructed by cumulative integrals whenever a
-nonlinearity needs it.  With J the cumulative double integral,
+Everything acts on the mixed derivative g = z_xy as the only unknown: the
+state (z, z_x, z_y) is rebuilt from g by cumulative integrals whenever a
+nonlinearity needs it, and F' is linearized at the state of a g field.
+With J the cumulative double integral,
 
     F(z) = z_xy + f1(x, y, z) + J( f2(·, ·, z) + A1 z_x + A2 z_y ),
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ThresholdError
-from .grid import Grid, GridField, StateTriple, cum2d_array, state_from_g
+from .grid import Grid, GridField, cum2d_array, state_from_g
 from .norms import WeightedNorms, weighted_l2_norm
 from .exprlang import eval_dual_on_grid, eval_on_grid
 from .problem import AssumptionReport, ProblemSpec, _matrix_values
@@ -106,21 +107,19 @@ def apply_F(ctx: OperatorContext, g: GridField | np.ndarray) -> GridField | np.n
 
 
 class LinearizedOperator:
-    """F'(z) at a frozen linearization state, cheap to apply repeatedly.
+    """F'(z) at the state z of a frozen g, cheap to apply repeatedly.
 
-    The z-Jacobians of f1 and f2 are evaluated once at construction; each
-    ``apply`` then costs a few pointwise products and prefix sums.
+    The state z of ``at`` and the z-Jacobians of f1 and f2 there are
+    evaluated once at construction; each ``apply`` then costs a few
+    pointwise products and prefix sums.
     """
 
-    __slots__ = ("ctx", "j1", "j2", "kink_flagged")
+    __slots__ = ("ctx", "z", "j1", "j2", "kink_flagged")
 
-    def __init__(self, ctx: OperatorContext, z_state: StateTriple):
-        if z_state.grid != ctx.grid or z_state.n != ctx.spec.n:
-            raise ShapeError(
-                f"state on {z_state.grid} (n={z_state.n}) does not match {ctx!r}"
-            )
+    def __init__(self, ctx: OperatorContext, at: GridField):
+        ctx.check_field(at)
         self.ctx = ctx
-        Z = z_state.z.values
+        Z = self.z = state_from_g(at.values, ctx.grid.h)[0]
         n = ctx.spec.n
         shape = Z.shape[:2]
         kinked = False

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -241,11 +242,11 @@ def load_problem(document: str | dict, base_dir: str | Path | None = None) -> Pr
         raise SchemaError("must be an object", path="meta")
     _check_keys(meta, _META_KEYS, "meta")
     n = _require(meta, "n", "meta")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError(f"n must be a positive integer, got {n!r}", path="meta.n")
     B = _require(meta, "B", "meta")
-    if not isinstance(B, (int, float)) or isinstance(B, bool) or not B >= 0:
-        raise SchemaError(f"B must be a number >= 0, got {B!r}", path="meta.B")
+    if not isinstance(B, (int, float)) or isinstance(B, bool) or not 0 <= B <= sys.float_info.max:
+        raise SchemaError(f"B must be a finite number >= 0, got {B!r}", path="meta.B")
     b_expr = _parse_expr(_require(meta, "b", "meta"), n, "meta.b")
     if free_z_indices(b_expr):
         raise SchemaError("the majorant b may not reference z", path="meta.b")

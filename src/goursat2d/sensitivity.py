@@ -54,18 +54,13 @@ class SensitivityReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "h"}
 
 
-def frechet_apply(
-    ctx: OperatorContext,
-    solved: SolveReport,
-    deltav: GridField,
-    cfg: SolverConfig,
-) -> GridField:
+def frechet_apply(ctx: OperatorContext, solved: SolveReport, deltav: GridField) -> GridField:
     """h solving F'(z_v) h = δv — the solution map's derivative at v, applied to δv."""
     if not solved.converged:
         raise SolverError("frechet_apply needs a converged base solve")
     ctx.check_field(deltav)
     inner = SolverConfig(m=solved.m_used, tol=INNER_TOL, max_iter=INNER_MAX_ITER)
-    return solve_linearized(ctx, solved.state, deltav, inner).g
+    return solve_linearized(ctx, solved.g, deltav, inner).g
 
 
 def validate_frechet(
@@ -104,7 +99,7 @@ def validate_frechet(
     if base is None or not base.converged:
         return SensitivityReport(converged_flags=tuple(flags), valid=False, passed=False)
 
-    h = frechet_apply(ctx, base, deltav, cfg)
+    h = frechet_apply(ctx, base, deltav)
     hnorm = classical_l2_norm(h)
     scale = max(hnorm, 1e-300)
 

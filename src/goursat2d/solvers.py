@@ -1,6 +1,8 @@
 """Fixed-point and Newton–Kantorovich solvers in the weighted norm.
 
-The linearized equation F'(z0)h = v becomes, in terms of the mixed
+Every solver takes and returns mixed derivatives g = z_xy only; a state z
+enters through the g it is rebuilt from.  The linearized equation F'(z0)h = v,
+with z0 the state of a given g field, becomes, in terms of the mixed
 derivative g of h, a fixed-point problem for the affine map
 
     g  ↦  v − (H − I) g,        (H − I) g = F'(z0) g − g,
@@ -24,8 +26,9 @@ rules and the partial report that every solver error carries.
 ``choose_weight`` turns the two thresholds (m > 8B for coercivity, m > 2√d
 for contraction) into a concrete policy: m = max(8B, 2√d) + 1, with
 d = max(M_ρ, B) read from an assumption probe at the radius covering the
-expected iterate size.  Iterations start from g₀ = v, which is exact for the
-zero problem and aligned with the dominant identity part of the operator.
+expected iterate size sup|z0|.  Iterations start from g₀ = v, which is exact
+for the zero problem and aligned with the dominant identity part of the
+operator.
 """
 
 from __future__ import annotations
@@ -40,15 +43,15 @@ import numpy as np
 from .errors import (
     DivergenceError,
     EvalOverflowError,
+    InvalidWeightError,
     MissingProbeError,
     NoConvergenceError,
     SolverError,
     StagnationError,
 )
-from .grid import GridField, StateTriple, reconstruct_state
-from .norms import WeightedNorms, classical_l2_norm
+from .grid import GridField, state_from_g
+from .norms import WeightedNorms
 from .operator import LinearizedOperator, OperatorContext, apply_F
-from .problem import AssumptionReport
 from .sampling import random_smooth_field
 
 #: Consecutive non-contracting ratios before a divergence error.
@@ -126,11 +129,6 @@ class SolveReport:
     converged: bool
     method: str
 
-    @property
-    def state(self) -> StateTriple:
-        """The state (z, z_x, z_y) rebuilt from g on each access."""
-        return reconstruct_state(self.g)
-
     def as_dict(self) -> dict:
         return {
             "method": self.method,
@@ -159,22 +157,27 @@ class WeightChoice:
         return asdict(self)
 
 
-def choose_weight(ctx: OperatorContext, z0: StateTriple | None = None) -> WeightChoice:
+def choose_weight(ctx: OperatorContext, at: GridField | None = None) -> WeightChoice:
     """Pick m = max(8B, 2√d) + 1 with d = max(M_ρ, B) from the probe report.
 
-    The radius is the smallest probed ρ covering 1 + sup|z⁰| (largest probed
-    radius if none does), so the Jacobian bound is valid around the expected
-    iterates.  Requires assumptions to have been probed into the context.
+    The radius is the smallest probed ρ covering 1 + sup|z| for the state z
+    of ``at`` (zero when omitted; the largest probed radius if none covers
+    it), so the Jacobian bound is valid around the expected iterates.
+    Requires assumptions to have been probed into the context.
     """
-    report = ctx.assumptions
-    if report is None:
+    if ctx.assumptions is None:
         raise MissingProbeError(
             "choose_weight needs an assumption probe; build the context with "
             "probe_assumptions(...) attached (with_assumptions)"
         )
     B = ctx.spec.growth_bound
-    d, rho, m_rho = _kernel_numbers(report, B, z0)
+    z = None if at is None else state_from_g(at.values, at.grid.h)[0]
+    d, rho, m_rho = _kernel_numbers(ctx, z)
     m = max(8.0 * B, 2.0 * math.sqrt(d)) + 1.0
+    if not math.isfinite(m):
+        raise InvalidWeightError(
+            f"no finite weight m = max(8B, 2*sqrt(d)) + 1 for B = {B:g} and d = {d:g}"
+        )
     return WeightChoice(
         m=m,
         growth_bound=B,
@@ -186,35 +189,35 @@ def choose_weight(ctx: OperatorContext, z0: StateTriple | None = None) -> Weight
     )
 
 
-def _kernel_numbers(
-    report: AssumptionReport, B: float, z0: StateTriple | None
-) -> tuple[float, float, float]:
-    """(d, ρ, M_ρ) at the smallest probed radius covering 1 + sup|z⁰|.
+def _kernel_numbers(ctx: OperatorContext, z: np.ndarray | None) -> tuple[float, float, float]:
+    """(d, ρ, M_ρ) from the probe report at the smallest probed radius
+    covering 1 + sup|z|, where |z| is Euclidean over components and z = None
+    is the zero state.
 
     Falls back to the largest probed radius when none covers the target, so
     the bound stays on the conservative side.
     """
-    target = 1.0 + (z0.sup_magnitude() if z0 is not None else 0.0)
-    rho, m_rho = report.m_rho[-1]
-    for r, mr in report.m_rho:
+    target = 1.0 + (float(np.sqrt((z**2).sum(axis=2)).max()) if z is not None else 0.0)
+    rho, m_rho = ctx.assumptions.m_rho[-1]
+    for r, mr in ctx.assumptions.m_rho:
         if r >= target:
             rho, m_rho = r, mr
             break
-    return max(m_rho, B), rho, m_rho
+    return max(m_rho, ctx.spec.growth_bound), rho, m_rho
 
 
-def _resolve_m(ctx: OperatorContext, cfg: SolverConfig, z0: StateTriple | None) -> float:
+def _resolve_m(ctx: OperatorContext, cfg: SolverConfig, at: GridField | None = None) -> float:
     if cfg.m is not None:
         return cfg.m
-    return choose_weight(ctx, z0).m
+    return choose_weight(ctx, at).m
 
 
-def _estimated_d(
-    report: AssumptionReport | None, B: float, z0: StateTriple | None
-) -> float | None:
-    if report is None:
-        return None
-    return _kernel_numbers(report, B, z0)[0]
+def _linearize(ctx: OperatorContext, at: GridField, cfg: SolverConfig):
+    """The solve's m, F' at the state of ``at``, and the probed d there (None
+    without a probe), taken from the operator's state."""
+    m = _resolve_m(ctx, cfg, at)
+    lin = LinearizedOperator(ctx, at)
+    return m, lin, None if ctx.assumptions is None else _kernel_numbers(ctx, lin.z)[0]
 
 
 def _iterate(
@@ -306,7 +309,7 @@ def _report(
 ) -> SolveReport:
     return SolveReport(
         g=GridField(wn.grid, g),
-        residual_classical=classical_l2_norm(GridField(wn.grid, r)),
+        residual_classical=WeightedNorms(wn.grid, 0.0).norm(r),
         residual_weighted=trace[-1].residual,
         iterations=len(trace),
         trace=tuple(trace),
@@ -330,27 +333,26 @@ def _F_residual(ctx: OperatorContext, g: np.ndarray, v: GridField) -> np.ndarray
 
 def solve_linearized(
     ctx: OperatorContext,
-    z0: StateTriple,
+    at: GridField,
     v: GridField,
     cfg: SolverConfig,
     g0: GridField | None = None,
 ) -> SolveReport:
-    """Solve F'(z0)h = v by weighted-norm fixed-point iteration.
+    """Solve F'(z)h = v, with z the state of ``at``, by weighted-norm
+    fixed-point iteration.
 
     Warns (and proceeds) when the configured m sits below the estimated
     contraction threshold 2√d; with an automatic m the threshold holds by
     construction.
     """
     ctx.check_field(v)
-    m = _resolve_m(ctx, cfg, z0)
-    d = _estimated_d(ctx.assumptions, ctx.spec.growth_bound, z0)
+    m, lin, d = _linearize(ctx, at, cfg)
     if d is not None and m <= 2.0 * math.sqrt(d):
         warnings.warn(
             f"m = {m:g} is at or below the contraction threshold 2*sqrt(d) = "
             f"{2.0 * math.sqrt(d):g}; the iteration may diverge",
             stacklevel=2,
         )
-    lin = LinearizedOperator(ctx, z0)
     return _iterate(
         WeightedNorms(ctx.grid, m), "linearized", _start(v, g0),
         residual=lambda g: lin.apply_array(g) - v.values,
@@ -375,21 +377,21 @@ class ContractionEstimate:
 
 def estimate_contraction(
     ctx: OperatorContext,
-    z0: StateTriple,
+    at: GridField,
     cfg: SolverConfig,
     trials: int = 8,
     seed: int = 0,
 ) -> ContractionEstimate:
-    """ρ̂ = max over random directions of ‖(H − I)g‖_m / ‖g‖_m.
+    """ρ̂ = max over random directions of ‖(H − I)g‖_m / ‖g‖_m, with H
+    linearized at the state of ``at``.
 
     (H − I) is linear, so random directions are exactly random difference
     pairs.  Deterministic for a given seed.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    m = _resolve_m(ctx, cfg, z0)
+    m, lin, d = _linearize(ctx, at, cfg)
     wn = WeightedNorms(ctx.grid, m)
-    lin = LinearizedOperator(ctx, z0)
     rng = np.random.default_rng(seed)
     rho = 0.0
     for _ in range(trials):
@@ -398,7 +400,6 @@ def estimate_contraction(
         if gnorm == 0.0:
             continue
         rho = max(rho, wn.norm(lin.apply_array(g.values) - g.values) / gnorm)
-    d = _estimated_d(ctx.assumptions, ctx.spec.growth_bound, z0)
     bound = None if d is None else 4.0 * d / m**2
     return ContractionEstimate(
         rho_hat=float(rho), bound=bound, m=m, trials=trials, contracting=rho < 1.0
@@ -414,7 +415,7 @@ def solve_picard(
     """Fixed-point iteration g ← g − (F(g) − v) on the nonlinear equation."""
     ctx.check_field(v)
     return _iterate(
-        WeightedNorms(ctx.grid, _resolve_m(ctx, cfg, None)), "picard", _start(v, g0),
+        WeightedNorms(ctx.grid, _resolve_m(ctx, cfg)), "picard", _start(v, g0),
         residual=lambda g: _F_residual(ctx, g, v),
         step=lambda g, r, rnorm: g - r,
         tol=cfg.tol, max_iter=cfg.max_iter, patience=True,
@@ -437,14 +438,14 @@ def solve_newton(
     (StagnationError), a failed inner solve or the iteration cap stop it.
     """
     ctx.check_field(v)
-    wn = WeightedNorms(ctx.grid, _resolve_m(ctx, cfg, None))
+    wn = WeightedNorms(ctx.grid, _resolve_m(ctx, cfg))
     classical = WeightedNorms(ctx.grid, 0.0)
 
     def step(g: np.ndarray, r: np.ndarray, rnorm: float) -> np.ndarray:
         # choose_weight already fixed m; the inner solve must keep it
         inner_cfg = SolverConfig(m=wn.m, tol=min(INNER_TOL, 0.1 * rnorm), max_iter=INNER_MAX_ITER)
-        state = reconstruct_state(GridField(ctx.grid, g))
-        delta = solve_linearized(ctx, state, GridField(ctx.grid, -r), inner_cfg).g.values
+        at = GridField(ctx.grid, g)
+        delta = solve_linearized(ctx, at, GridField(ctx.grid, -r), inner_cfg).g.values
         # the merit ½‖F(z) − v‖² decreases exactly when the classical norm
         # does; comparing norms avoids squaring them (above ~1e154 the
         # square overflows, below ~1e-154 it underflows)

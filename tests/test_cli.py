@@ -18,7 +18,7 @@ from goursat2d.fileio import read_field_csv, read_grid_csv, read_report_json
 from goursat2d.norms import classical_l2_norm, weighted_l2_norm
 from goursat2d.operator import apply_F, coercivity_probe, make_context
 from goursat2d.problem import BUILTIN_PROBLEMS, DEFAULT_SEED, load_problem
-from goursat2d.grid import GridField, build_grid
+from goursat2d.grid import GridField, build_grid, reconstruct_state
 from goursat2d.sampling import random_smooth_field
 from goursat2d.solvers import SolverConfig
 
@@ -94,9 +94,9 @@ class TestSolve:
         assert code == 0
         lines = stdout_lines(capsys)
         assert lines[-1]["converged"] is True
-        g, state = read_grid_csv(f"{out}.grid.csv")
+        z, _, _ = reconstruct_state(read_grid_csv(f"{out}.grid.csv"))
         # z_xy = 1 with zero edges integrates to z = xy
-        assert state.z.values[-1, -1, 0] == pytest.approx(1.0, abs=1e-14)
+        assert z.values[-1, -1, 0] == pytest.approx(1.0, abs=1e-14)
         report = read_report_json(f"{out}.report.json")
         assert report["result"]["converged"] is True
         assert report["result"]["iterations"] == 1
@@ -143,7 +143,7 @@ class TestSolve:
                         "--rhs", "x + y", "--out", str(out)])
         assert code == 0
         report = read_report_json(f"{out}.report.json")
-        g, _ = read_grid_csv(f"{out}.grid.csv")
+        g = read_grid_csv(f"{out}.grid.csv")
         spec = BUILTIN_PROBLEMS["example46"]()
         ctx = make_context(spec, build_grid(12))
         v = spec.rhs  # builtin has no rhs; sample the same expression
@@ -170,7 +170,7 @@ class TestSolve:
         assert report["solver"]["method"] == report["result"]["method"] == "newton"
         assert report["result"]["iterations"] == len(report["result"]["trace"]) > 1
         # the grid holds the last accepted Newton iterate, whose residual the report gives
-        g, _ = read_grid_csv(f"{out}.grid.csv")
+        g = read_grid_csv(f"{out}.grid.csv")
         ctx = make_context(BUILTIN_PROBLEMS["example46"](), build_grid(8))
         r = apply_F(ctx, g) - GridField(ctx.grid, np.full((9, 9, 1), -100.0))
         assert weighted_l2_norm(r, 2.0) == pytest.approx(report["result"]["residual_weighted"],
@@ -187,7 +187,7 @@ class TestSolve:
         assert "overflowed" in report["failure"]
         assert report["result"]["method"] == "newton"
         assert report["result"]["converged"] is False
-        g, _ = read_grid_csv(f"{out}.grid.csv")
+        g = read_grid_csv(f"{out}.grid.csv")
         np.testing.assert_array_equal(g.values, 1e60)
 
     def test_overflow_inside_expression_exits_2_with_partial_artifacts(self, tmp_path, capsys):
@@ -202,7 +202,7 @@ class TestSolve:
         report = read_report_json(f"{out}.report.json")
         assert "picard iteration" in report["failure"]
         assert report["result"]["converged"] is False
-        g, _ = read_grid_csv(f"{out}.grid.csv")
+        g = read_grid_csv(f"{out}.grid.csv")
         assert np.isfinite(g.values).all() and np.abs(g.values).max() > 20.0
 
     def test_malformed_expression_exits_1_with_position(self, capsys):
@@ -530,7 +530,7 @@ def test_bad_setting_flag_exits_1_before_any_artifact(flags, message, tmp_path, 
     ({"solver": {"damping": 0.5}}, "solver.damping: unknown field 'damping'"),
     # B near the float maximum makes the automatic weight 8B + 1 overflow
     ({"meta": {"n": 1, "B": 1e308, "b": "0"}},
-     "bad solver settings: weight m must be a finite real number, got inf"),
+     "no finite weight m = max(8B, 2*sqrt(d)) + 1 for B = 1e+308 and d = 1e+308"),
 ], ids=["tol-Infinity", "damping", "huge-B"])
 def test_document_that_cannot_solve_exits_1_before_any_artifact(changes, message, tmp_path,
                                                                   capsys):
@@ -541,6 +541,74 @@ def test_document_that_cannot_solve_exits_1_before_any_artifact(changes, message
     assert code == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+@pytest.mark.parametrize("meta, message", [
+    ({"n": 1, "B": float("inf"), "b": "0"}, "meta.B: B must be a finite number >= 0, got inf"),
+    ({"n": True, "B": 1.0, "b": "0"}, "meta.n: n must be a positive integer, got True"),
+], ids=["B-Infinity", "n-true"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "8"],
+    ["verify", "--suite", "coercivity", "--n", "8", "--samples", "2"],
+    ["mms", "--zstar", "1", "--n-list", "8,16"],
+], ids=lambda argv: argv[0])
+def test_document_with_an_invalid_meta_number_exits_1(argv, meta, message, tmp_path, capsys):
+    doc = dict(LINEAR_MEMORY_DOC, rhs={"v": ["1"]}, meta=meta)
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    code = run_cli([*argv, "--problem", str(tmp_path / "doc.json"),
+                    "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_mms_with_no_finite_weight_exits_1(tmp_path, capsys):
+    doc = dict(LINEAR_MEMORY_DOC, meta={"n": 1, "B": 1e308, "b": "0"})
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    code = run_cli(["mms", "--problem", str(tmp_path / "doc.json"), "--zstar", "1",
+                    "--n-list", "8,16", "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: no finite weight m = max(8B, 2*sqrt(d)) + 1 for B = 1e+308" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+@pytest.mark.parametrize("suite", ["norms", "lemma31", "coercivity", "assumptions"])
+def test_verify_m_outside_the_contraction_suite_exits_1(suite, tmp_path, capsys):
+    code = run_cli(["verify", "--suite", suite, "--builtin", "example46", "--n", "8",
+                    "--samples", "3", "--m", "5", "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --m applies to --suite contraction only")
+    assert "--m-list" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("column", ["z_1", "zx_1", "zy_1"])
+def test_linearize_at_a_bundle_with_a_foreign_state_exits_1(column, tmp_path, linear_doc,
+                                                            capsys):
+    base = tmp_path / "base"
+    assert run_cli(["solve", "--problem", linear_doc, "--n", "8",
+                    "--rhs", "1", "--out", str(base)]) == 0
+    path = tmp_path / "base.grid.csv"
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index(column)
+    cells = lines[1 + 3 * 9 + 4].split(",")  # node (3, 4)
+    cells[col] = repr(float(cells[col]) * (1 + 1e-9))
+    lines[1 + 3 * 9 + 4] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    code = run_cli(["linsolve", "--problem", linear_doc, "--n", "8", "--rhs", "x*y",
+                    "--linearize-at", str(path), "--out", str(tmp_path / "lin")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"column {column} at node (3, 4)" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_solve_report_lists_every_solver_setting(tmp_path):
@@ -561,7 +629,7 @@ class TestSens:
         assert len(errs) == 3
         assert max(errs) <= 1e-10
         # the derivative field is emitted alongside the report
-        g, _ = read_grid_csv(f"{out}.grid.csv")
+        g = read_grid_csv(f"{out}.grid.csv")
         report = read_report_json(f"{out}.report.json")
         assert report["validation"]["passed"] is True
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from goursat2d.errors import SchemaError, ShapeError
+from goursat2d.errors import SchemaError
 from goursat2d.fileio import (
     read_field_csv,
     read_grid_csv,
@@ -16,7 +16,7 @@ from goursat2d.fileio import (
     write_grid_csv,
     write_report_json,
 )
-from goursat2d.grid import GridField, StateTriple, build_grid, reconstruct_state
+from goursat2d.grid import GridField, build_grid, reconstruct_state, state_from_g
 
 
 def random_field(cells: int, n: int, seed: int) -> GridField:
@@ -25,41 +25,30 @@ def random_field(cells: int, n: int, seed: int) -> GridField:
     return GridField(grid, rng.standard_normal((grid.npoints, grid.npoints, n)))
 
 
-def random_bundle(cells: int = 6, n: int = 2, seed: int = 11):
-    g = random_field(cells, n, seed)
-    return g, reconstruct_state(g)
-
-
 #: write_grid_csv output for ``golden_bundle()``: 17 significant digits per
-#: value, ``-0`` for negative zero, integer-valued coordinates without ``.0``
+#: value, ``-0`` for negative zero, integer-valued coordinates without ``.0``,
+#: and the z, z_x, z_y columns of the state of g
 GOLDEN_BUNDLE = (
     "i,j,x,y,g_1,g_2,z_1,z_2,zx_1,zx_2,zy_1,zy_2\n"
-    "0,0,0,0,-0,0.33333333333333331,0,0,0,0,-0,-0\n"
-    "0,1,0,0.5,0.10000000000000001,0.33333333333333331,0,-0,0,-0,-0,0\n"
-    "0,2,0,1,0.10000000000000001,0.33333333333333331,0,0,0,0,-0,-0\n"
-    "1,0,0.5,0,0.10000000000000001,0.33333333333333331,0,0,0,0,-0,-0\n"
-    "1,1,0.5,0.5,0.10000000000000001,0.33333333333333331,0.33333333333333331,0.33333333333333331,0.33333333333333331,0.33333333333333331,-0.33333333333333331,-0.33333333333333331\n"
-    "1,2,0.5,1,0.10000000000000001,0.33333333333333331,0.33333333333333331,0.33333333333333331,0.33333333333333331,0.33333333333333331,-0.33333333333333331,-0.33333333333333331\n"
-    "2,0,1,0,0.10000000000000001,0.33333333333333331,0,0,0,0,-0,-0\n"
-    "2,1,1,0.5,0.10000000000000001,0.33333333333333331,0.33333333333333331,0.33333333333333331,1.0000000000000001e-05,0.33333333333333331,-0.33333333333333331,-0.33333333333333331\n"
-    "2,2,1,1,0.10000000000000001,1.0000000000000001e-05,0.33333333333333331,0.33333333333333331,0.33333333333333331,0.33333333333333331,-0.33333333333333331,-0.33333333333333331\n"
+    "0,0,0,0,-0,0.33333333333333331,0,0,0,0,0,0\n"
+    "0,1,0,0.5,0.10000000000000001,0.33333333333333331,0,0,0.025000000000000001,0.16666666666666666,0,0\n"
+    "0,2,0,1,0.10000000000000001,0.33333333333333331,0,0,0.075000000000000011,0.33333333333333331,0,0\n"
+    "1,0,0.5,0,0.10000000000000001,0.33333333333333331,0,0,0,0,0.025000000000000001,0.16666666666666666\n"
+    "1,1,0.5,0.5,0.10000000000000001,0.33333333333333331,0.018750000000000003,0.083333333333333329,0.050000000000000003,0.16666666666666666,0.050000000000000003,0.16666666666666666\n"
+    "1,2,0.5,1,0.10000000000000001,0.33333333333333331,0.043750000000000004,0.16666666666666666,0.10000000000000001,0.33333333333333331,0.050000000000000003,0.16666666666666666\n"
+    "2,0,1,0,0.10000000000000001,0.33333333333333331,0,0,0,0,0.075000000000000011,0.33333333333333331\n"
+    "2,1,1,0.5,0.10000000000000001,0.33333333333333331,0.043750000000000004,0.16666666666666666,0.050000000000000003,0.16666666666666666,0.10000000000000001,0.33333333333333331\n"
+    "2,2,1,1,0.10000000000000001,1.0000000000000001e-05,0.09375,0.31250062499999998,0.10000000000000001,0.25000250000000002,0.10000000000000001,0.25000250000000002\n"
 )
 
 
-def golden_bundle():
-    """N = 2, n = 2 with -0.0, 0.1, 1e-5 and 1/3, edge zeros as a state needs."""
-    grid = build_grid(2)
+def golden_bundle() -> GridField:
+    """N = 2, n = 2 with -0.0, 0.1, 1e-5 and 1/3."""
     g = np.full((3, 3, 2), 0.1)
     g[:, :, 1] = 1 / 3
     g[0, 0, 0] = -0.0
     g[2, 2, 1] = 1e-5
-    z = np.zeros((3, 3, 2))
-    z[1:, 1:, :] = 1 / 3
-    z[0, 1, 1] = -0.0
-    zx = z.copy()
-    zx[2, 1, 0] = 1e-5
-    state = StateTriple(GridField(grid, z), GridField(grid, zx), GridField(grid, -z))
-    return GridField(grid, g), state
+    return GridField(build_grid(2), g)
 
 
 def per_value_csv(grid, blocks: dict) -> str:
@@ -91,9 +80,9 @@ def extreme_field(cells: int, n: int, seed: int) -> GridField:
 @pytest.mark.parametrize("n", [1, 2])
 def test_writers_match_the_per_value_oracle(tmp_path, cells, n):
     g = extreme_field(cells, n, seed=cells + n)
-    state = reconstruct_state(random_field(cells, n, seed=cells * n))
-    write_grid_csv(tmp_path / "b.csv", g, state)
-    blocks = {"g": g.values, "z": state.z.values, "zx": state.zx.values, "zy": state.zy.values}
+    write_grid_csv(tmp_path / "b.csv", g)
+    z, zx, zy = state_from_g(g.values, g.grid.h)
+    blocks = {"g": g.values, "z": z, "zx": zx, "zy": zy}
     assert (tmp_path / "b.csv").read_bytes() == per_value_csv(g.grid, blocks).encode()
     write_field_csv(tmp_path / "f.csv", g)
     assert (tmp_path / "f.csv").read_bytes() == per_value_csv(g.grid, {"v": g.values}).encode()
@@ -133,46 +122,82 @@ class TestFieldRoundTrip:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv"]
 
 
+def _set_value(path, node: tuple[int, int], column: str, text: str) -> None:
+    """Replace one value of a node table: ``column`` at ``node`` becomes ``text``."""
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index(column)
+    idx = next(k for k, ln in enumerate(lines) if ln.startswith(f"{node[0]},{node[1]},"))
+    cells = lines[idx].split(",")
+    cells[col] = text
+    lines[idx] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestGridBundleRoundTrip:
     def test_bit_exact(self, tmp_path):
-        g, state = random_bundle()
+        g = random_field(6, 2, seed=11)
         path = tmp_path / "sol.grid.csv"
-        write_grid_csv(path, g, state)
-        g2, state2 = read_grid_csv(path)
-        assert np.array_equal(g2.values, g.values)
-        assert np.array_equal(state2.z.values, state.z.values)
-        assert np.array_equal(state2.zx.values, state.zx.values)
-        assert np.array_equal(state2.zy.values, state.zy.values)
+        write_grid_csv(path, g)
+        assert np.array_equal(read_grid_csv(path).values, g.values)
+
+    @pytest.mark.parametrize("cells", [2, 16])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_read_returns_the_bits_of_the_written_g(self, tmp_path, cells, n):
+        g = extreme_field(cells, n, seed=3 * cells + n)
+        path = tmp_path / "sol.grid.csv"
+        write_grid_csv(path, g)
+        back = read_grid_csv(path)
+        assert back.grid == g.grid
+        assert back.values.tobytes() == g.values.tobytes()
 
     def test_golden_bytes(self, tmp_path):
-        g, state = golden_bundle()
+        g = golden_bundle()
         path = tmp_path / "sol.grid.csv"
-        write_grid_csv(path, g, state)
+        write_grid_csv(path, g)
         assert path.read_bytes() == GOLDEN_BUNDLE.encode()
-        g2, state2 = read_grid_csv(path)
+        g2 = read_grid_csv(path)
         assert np.array_equal(g2.values, g.values) and np.signbit(g2.values[0, 0, 0])
-        assert np.array_equal(state2.zx.values, state.zx.values)
 
     def test_header_lists_all_blocks(self, tmp_path):
-        g, state = random_bundle(cells=3, n=2, seed=2)
         path = tmp_path / "sol.grid.csv"
-        write_grid_csv(path, g, state)
+        write_grid_csv(path, random_field(3, 2, seed=2))
         header = path.read_text().splitlines()[0]
         assert header == "i,j,x,y,g_1,g_2,z_1,z_2,zx_1,zx_2,zy_1,zy_2"
 
     def test_state_grid_mismatch_rejected(self, tmp_path):
-        g, _ = random_bundle(cells=4)
-        _, other_state = random_bundle(cells=5)
-        with pytest.raises(ShapeError):
-            write_grid_csv(tmp_path / "x.csv", g, other_state)
+        # a bundle whose state columns belong to another g is refused on load
+        g, other = random_field(4, 1, seed=5), random_field(4, 1, seed=6)
+        path, other_path = tmp_path / "g.csv", tmp_path / "other.csv"
+        write_grid_csv(path, g)
+        write_grid_csv(other_path, other)
+        lines = path.read_text().splitlines()
+        spliced = [ln.split(",")[:5] + o.split(",")[5:]
+                   for ln, o in zip(lines, other_path.read_text().splitlines())]
+        path.write_text("\n".join(",".join(cells) for cells in spliced) + "\n")
+        # the first differing value in file order: node (0, 1), where only z_x is nonzero
+        with pytest.raises(SchemaError, match="column zx_1 at node \\(0, 1\\)"):
+            read_grid_csv(path)
 
     def test_reload_keeps_boundary_invariants(self, tmp_path):
-        g, state = random_bundle(cells=8, n=1, seed=13)
         path = tmp_path / "sol.grid.csv"
-        write_grid_csv(path, g, state)
-        _, state2 = read_grid_csv(path)
-        assert np.all(state2.z.values[0, :, :] == 0.0)
-        assert np.all(state2.z.values[:, 0, :] == 0.0)
+        write_grid_csv(path, random_field(8, 1, seed=13))
+        z, zx, zy = reconstruct_state(read_grid_csv(path))
+        assert np.all(z.values[0, :, :] == 0.0)
+        assert np.all(z.values[:, 0, :] == 0.0)
+        assert np.all(zx.values[:, 0, :] == 0.0)
+        assert np.all(zy.values[0, :, :] == 0.0)
+
+    @pytest.mark.parametrize("column", ["z_1", "zx_2", "zy_1"])
+    def test_one_perturbed_state_value_is_rejected(self, tmp_path, column):
+        g = random_field(4, 2, seed=21)
+        path = tmp_path / "sol.grid.csv"
+        write_grid_csv(path, g)
+        block = {"z": 0, "zx": 1, "zy": 2}[column.split("_")[0]]
+        value = state_from_g(g.values, g.grid.h)[block][2, 3, int(column[-1]) - 1]
+        # one unit in the last place is enough: the check is bit for bit
+        _set_value(path, (2, 3), column, repr(float(np.nextafter(value, np.inf))))
+        with pytest.raises(SchemaError, match=f"column {column} at node \\(2, 3\\)"):
+            read_grid_csv(path)
 
 
 class TestReportJson:
@@ -291,24 +316,16 @@ class TestMalformedFiles:
             read_grid_csv(path)
 
     def test_grid_bundle_is_not_a_field_file(self, tmp_path):
-        g, state = random_bundle(cells=2, n=1, seed=6)
         path = tmp_path / "sol.grid.csv"
-        write_grid_csv(path, g, state)
+        write_grid_csv(path, random_field(2, 1, seed=6))
         with pytest.raises(SchemaError, match="v_"):
             read_field_csv(path)
 
     def test_boundary_violation_in_bundle(self, tmp_path):
-        g, state = random_bundle(cells=2, n=1, seed=8)
         path = tmp_path / "sol.grid.csv"
-        write_grid_csv(path, g, state)
-        header = path.read_text().splitlines()[0].split(",")
-        z1 = header.index("z_1")
-        lines = path.read_text().splitlines()
-        first = lines[1].split(",")  # node (0, 0): z must be exactly 0 there
-        first[z1] = "7"
-        lines[1] = ",".join(first)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaError, match="vanish"):
+        write_grid_csv(path, random_field(2, 1, seed=8))
+        _set_value(path, (0, 0), "z_1", "7")  # the state of any g is exactly 0 there
+        with pytest.raises(SchemaError, match="column z_1 at node \\(0, 0\\) holds 7.0"):
             read_grid_csv(path)
 
     def test_missing_directory_is_oserror(self, tmp_path):

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from goursat2d.errors import InvalidResolutionError, ShapeError
+from goursat2d.norms import verify_lemma31
 from goursat2d.grid import (
     Grid,
     GridField,
-    StateTriple,
     build_grid,
     cum2d_array,
-    cum_integral_2d,
     cumx_array,
     cumy_array,
     reconstruct_state,
@@ -96,13 +95,14 @@ class TestGridField:
             a + b
 
     def test_magnitude(self):
-        g = build_grid(2)
-        vals = np.zeros((3, 3, 2))
-        vals[:, :, 0] = 3.0
-        vals[:, :, 1] = 4.0
-        m = GridField(g, vals).magnitude()
-        assert m.n == 1
-        np.testing.assert_allclose(m.values, 5.0)
+        # the Lemma 3.1 sides take the pointwise Euclidean magnitude over
+        # components: the field (3f, 4f) measures like the scalar field 5f
+        g = build_grid(4)
+        f = sample(g, lambda X, Y: 1.0 + X * Y)
+        pair = GridField(g, np.concatenate([3.0 * f.values, 4.0 * f.values], axis=2))
+        pair = verify_lemma31(pair, 2.0)
+        single = verify_lemma31(5.0 * f, 2.0)
+        np.testing.assert_allclose(pair.sides, single.sides, rtol=1e-14)
 
 
 def quad_2d(f: GridField) -> np.ndarray:
@@ -145,13 +145,13 @@ class TestCumulativeIntegrals:
         # cell rule is exact for it.
         grid = build_grid(4)
         f = sample(grid, lambda X, Y: X + Y)
-        out = cum_integral_2d(f)
+        out = cum2d_array(f.values, grid.h)
         X, Y = grid.meshgrid()
         expect = 0.5 * (X**2 * Y + X * Y**2)
-        np.testing.assert_allclose(out.values[:, :, 0], expect, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(out[:, :, 0], expect, rtol=0, atol=1e-14)
         # spot values
-        assert out.values[4, 4, 0] == pytest.approx(1.0, abs=1e-14)      # (1, 1)
-        assert out.values[2, 4, 0] == pytest.approx(0.375, abs=1e-14)    # (0.5, 1)
+        assert out[4, 4, 0] == pytest.approx(1.0, abs=1e-14)      # (1, 1)
+        assert out[2, 4, 0] == pytest.approx(0.375, abs=1e-14)    # (0.5, 1)
 
     def test_cumx_closed_form(self):
         # int_0^x s ds = x^2 / 2 for every y.
@@ -178,8 +178,8 @@ class TestCumulativeIntegrals:
         i0, j0 = 5, 3
         bumped = base.copy()
         bumped[i0, j0, 0] += 1.0
-        a = cum_integral_2d(GridField(grid, base)).values
-        b = cum_integral_2d(GridField(grid, bumped)).values
+        a = cum2d_array(base, grid.h)
+        b = cum2d_array(bumped, grid.h)
         diff = np.abs(b - a)[:, :, 0]
         assert np.all(diff[:i0, :] == 0.0)
         assert np.all(diff[:, :j0] == 0.0)
@@ -203,29 +203,29 @@ class TestCumulativeIntegrals:
         X, Y = grid.meshgrid()
         vals[:, :, 0] = 1.0
         vals[:, :, 1] = X * Y
-        out = cum_integral_2d(GridField(grid, vals))
-        np.testing.assert_allclose(out.values[4, 4, 0], 1.0, atol=1e-14)
-        np.testing.assert_allclose(out.values[4, 4, 1], 0.25, atol=1e-14)
+        out = cum2d_array(vals, grid.h)
+        np.testing.assert_allclose(out[4, 4, 0], 1.0, atol=1e-14)
+        np.testing.assert_allclose(out[4, 4, 1], 0.25, atol=1e-14)
 
 
 class TestReconstruction:
     def test_state_of_constant(self):
         # g = 1  =>  z = x y, z_x = y, z_y = x.
         grid = build_grid(5)
-        st = reconstruct_state(sample(grid, lambda X, Y: np.ones_like(X)))
+        z, zx, zy = reconstruct_state(sample(grid, lambda X, Y: np.ones_like(X)))
         X, Y = grid.meshgrid()
-        np.testing.assert_allclose(st.z.values[:, :, 0], X * Y, atol=1e-14)
-        np.testing.assert_allclose(st.zx.values[:, :, 0], Y, atol=1e-14)
-        np.testing.assert_allclose(st.zy.values[:, :, 0], X, atol=1e-14)
+        np.testing.assert_allclose(z.values[:, :, 0], X * Y, atol=1e-14)
+        np.testing.assert_allclose(zx.values[:, :, 0], Y, atol=1e-14)
+        np.testing.assert_allclose(zy.values[:, :, 0], X, atol=1e-14)
 
     def test_edge_values_exact_zero(self):
         rng = np.random.default_rng(3)
         grid = build_grid(8)
-        st = reconstruct_state(GridField(grid, rng.standard_normal((9, 9, 3))))
-        assert np.all(st.z.values[0, :, :] == 0.0)
-        assert np.all(st.z.values[:, 0, :] == 0.0)
-        assert np.all(st.zx.values[:, 0, :] == 0.0)
-        assert np.all(st.zy.values[0, :, :] == 0.0)
+        z, zx, zy = reconstruct_state(GridField(grid, rng.standard_normal((9, 9, 3))))
+        assert np.all(z.values[0, :, :] == 0.0)
+        assert np.all(z.values[:, 0, :] == 0.0)
+        assert np.all(zx.values[:, 0, :] == 0.0)
+        assert np.all(zy.values[0, :, :] == 0.0)
 
     def test_state_kernel_matches_cum2d(self):
         # z = cumx(cumy(g)) is the tensor trapezoid of cum2d in one pass fewer:
@@ -239,18 +239,6 @@ class TestReconstruction:
         assert np.all(zx[:, 0, :] == 0.0) and np.all(zy[0, :, :] == 0.0)
         np.testing.assert_array_equal(zx, cumy_array(g, grid.h))
         np.testing.assert_array_equal(zy, cumx_array(g, grid.h))
-
-    def test_triple_validates_boundary(self):
-        grid = build_grid(2)
-        bad = np.ones((3, 3, 1))
-        ok = np.zeros((3, 3, 1))
-        with pytest.raises(ValueError, match="vanish"):
-            StateTriple(GridField(grid, bad), GridField(grid, ok), GridField(grid, ok))
-
-    def test_sup_magnitude(self):
-        grid = build_grid(4)
-        st = reconstruct_state(sample(grid, lambda X, Y: np.ones_like(X)))
-        assert st.sup_magnitude() == pytest.approx(1.0, abs=1e-14)
 
 
 class TestRestriction:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from goursat2d.errors import ShapeError, ThresholdError
-from goursat2d.grid import GridField, build_grid, reconstruct_state
+from goursat2d.grid import GridField, build_grid, reconstruct_state, state_from_g
 from goursat2d.norms import classical_l2_norm, weighted_l2_norm
 from goursat2d.operator import (
     LinearizedOperator,
@@ -109,9 +109,9 @@ class TestLinearization:
         grid = build_grid(8)
         ctx = make_context(zero_problem(), grid)
         rng = np.random.default_rng(1)
-        z = reconstruct_state(random_smooth_field(grid, 1, rng))
+        at = random_smooth_field(grid, 1, rng)
         h = random_smooth_field(grid, 1, rng)
-        np.testing.assert_array_equal(LinearizedOperator(ctx, z).apply(h).values, h.values)
+        np.testing.assert_array_equal(LinearizedOperator(ctx, at).apply(h).values, h.values)
 
     def test_linear_spec_difference_identity(self):
         # for z-linear f1, f2: F(g1) - F(g2) = F'(z)(g1 - g2) for ANY z
@@ -120,9 +120,9 @@ class TestLinearization:
         rng = np.random.default_rng(2)
         g1 = random_smooth_field(grid, 1, rng)
         g2 = random_smooth_field(grid, 1, rng)
-        z_any = reconstruct_state(random_smooth_field(grid, 1, rng))
+        at_any = random_smooth_field(grid, 1, rng)
         lhs = apply_F(ctx, g1) - apply_F(ctx, g2)
-        rhs = LinearizedOperator(ctx, z_any).apply(g1 - g2)
+        rhs = LinearizedOperator(ctx, at_any).apply(g1 - g2)
         np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-13)
 
     def test_directional_derivative_first_order(self):
@@ -131,8 +131,7 @@ class TestLinearization:
         rng = np.random.default_rng(7)
         g = random_smooth_field(grid, 1, rng)
         h = random_smooth_field(grid, 1, rng)
-        z = reconstruct_state(g)
-        dF = LinearizedOperator(ctx, z).apply(h)
+        dF = LinearizedOperator(ctx, g).apply(h)
         errs = []
         eps_list = (1e-2, 1e-3, 1e-4)
         for eps in eps_list:
@@ -160,8 +159,7 @@ class TestLinearization:
         rng = np.random.default_rng(11)
         g = random_smooth_field(grid, 2, rng)
         h = random_smooth_field(grid, 2, rng)
-        z = reconstruct_state(g)
-        dF = LinearizedOperator(ctx, z).apply(h)
+        dF = LinearizedOperator(ctx, g).apply(h)
         eps = 1e-6
         quot = (apply_F(ctx, g + eps * h) - apply_F(ctx, g)) / eps
         np.testing.assert_allclose(quot.values, dF.values, atol=1e-4)
@@ -174,9 +172,18 @@ class TestLinearization:
         }
         grid = build_grid(4)
         ctx = make_context(load_problem(doc), grid)
-        zero_state = reconstruct_state(GridField(grid, np.zeros((5, 5, 1))))
-        lin = LinearizedOperator(ctx, zero_state)
+        lin = LinearizedOperator(ctx, GridField(grid, np.zeros((5, 5, 1))))
         assert lin.kink_flagged  # |z| differentiated at z = 0 on the whole grid
+
+    def test_linearizes_at_the_state_of_g(self):
+        grid = build_grid(6)
+        ctx = make_context(builtin_example_4_6(), grid)
+        g = random_smooth_field(grid, 1, np.random.default_rng(4))
+        lin = LinearizedOperator(ctx, g)
+        np.testing.assert_array_equal(lin.z, reconstruct_state(g)[0].values)
+        np.testing.assert_array_equal(lin.z, state_from_g(g.values, grid.h)[0])
+        with pytest.raises(ShapeError):
+            LinearizedOperator(ctx, random_smooth_field(build_grid(4), 1, np.random.default_rng(4)))
 
 
 class TestCoercivity:

@@ -126,6 +126,19 @@ class TestLoadProblem:
         with pytest.raises(SchemaError, match="nonnegative"):
             load_problem(doc)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("B", float("inf"), "meta.B: B must be a finite number >= 0, got inf"),
+        ("B", float("nan"), "meta.B: B must be a finite number >= 0, got nan"),
+        ("B", 10**400, "meta.B: B must be a finite number >= 0"),
+        ("n", True, "meta.n: n must be a positive integer, got True"),
+    ], ids=["B-Infinity", "B-NaN", "B-beyond-float", "n-true"])
+    def test_meta_value_that_is_no_valid_number_names_its_path(self, key, value, message):
+        doc = minimal_doc()
+        doc["meta"][key] = value
+        with pytest.raises(SchemaError) as exc:
+            load_problem(doc)
+        assert str(exc.value).startswith(message)
+
     def test_eval_fault_surfaces_at_load(self):
         doc = minimal_doc()
         doc["functions"]["f1"] = ["1/(x - 0.5)"]

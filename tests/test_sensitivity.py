@@ -51,7 +51,7 @@ class TestFrechetApply:
         base = solve(ctx, v, cfg)
         broken = type(base)(**{**base.__dict__, "converged": False})
         with pytest.raises(SolverError, match="converged"):
-            frechet_apply(ctx, broken, v, cfg)
+            frechet_apply(ctx, broken, v)
 
     def test_zero_problem_derivative_is_identity(self):
         ctx = probed_context(zero_problem(), 12)
@@ -59,7 +59,7 @@ class TestFrechetApply:
         v = random_smooth_field(ctx.grid, 1, rng)
         dv = random_smooth_field(ctx.grid, 1, rng)
         cfg = SolverConfig(tol=1e-11)
-        h = frechet_apply(ctx, solve(ctx, v, cfg), dv, cfg)
+        h = frechet_apply(ctx, solve(ctx, v, cfg), dv)
         np.testing.assert_array_equal(h.values, dv.values)
 
     def test_homogeneous_in_the_direction(self):
@@ -69,10 +69,10 @@ class TestFrechetApply:
         dv = random_smooth_field(ctx.grid, 1, rng)
         cfg = SolverConfig(tol=1e-11)
         base = solve(ctx, v, cfg)
-        h1 = frechet_apply(ctx, base, dv, cfg)
+        h1 = frechet_apply(ctx, base, dv)
         wn = WeightedNorms(ctx.grid, base.m_used)
         for c in (-1.0, 2.0):
-            hc = frechet_apply(ctx, base, dv * c, cfg)
+            hc = frechet_apply(ctx, base, dv * c)
             assert wn.norm(hc - h1 * c) <= 1e-10
 
 
@@ -101,7 +101,7 @@ class TestValidateFrechet:
         dv = random_smooth_field(ctx.grid, 1, rng)
         cfg = SolverConfig(tol=1e-12)
         base = solve(ctx, v, cfg)
-        h = frechet_apply(ctx, base, dv, cfg)
+        h = frechet_apply(ctx, base, dv)
         direct = solve(ctx, dv, cfg)
         wn = WeightedNorms(ctx.grid, base.m_used)
         assert wn.norm(h - direct.g) <= 10 * INNER_TOL

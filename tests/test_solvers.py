@@ -20,6 +20,7 @@ import pytest
 
 from goursat2d.errors import (
     DivergenceError,
+    InvalidWeightError,
     MissingProbeError,
     NoConvergenceError,
     StagnationError,
@@ -79,8 +80,9 @@ def probed_context(spec, cells):
     return make_context(spec, build_grid(cells)).with_assumptions(report)
 
 
-def zero_state(grid, n=1):
-    return reconstruct_state(GridField(grid, np.zeros((grid.npoints, grid.npoints, n))))
+def zero_g(grid, n=1):
+    """The g whose state is the zero state."""
+    return GridField(grid, np.zeros((grid.npoints, grid.npoints, n)))
 
 
 class TestSolverConfig:
@@ -144,16 +146,27 @@ class TestChooseWeight:
 
     def test_radius_tracks_expected_iterate_size(self):
         ctx = probed_context(linear_spec(), 8)
-        small = zero_state(ctx.grid)
+        small = zero_g(ctx.grid)
         assert choose_weight(ctx, small).radius == pytest.approx(1.0)
-        # sup|z| = 1.2 -> target 2.2 -> smallest probed radius >= 2.2 is 4
-        big = reconstruct_state(GridField(ctx.grid, 1.2 * np.ones((9, 9, 1))))
+        # g = 1.2 has sup|z| = 1.2 -> target 2.2 -> smallest probed radius >= 2.2 is 4
+        big = GridField(ctx.grid, 1.2 * np.ones((9, 9, 1)))
         assert choose_weight(ctx, big).radius == pytest.approx(4.0)
 
     def test_requires_probe(self):
         ctx = make_context(linear_spec(), build_grid(8))
         with pytest.raises(MissingProbeError):
             choose_weight(ctx)
+
+    def test_overflowing_weight_names_B_and_d(self):
+        # 8B overflows to inf: no finite weight exists, and a solve must say so
+        # instead of failing later as a divergence of the iterates
+        with np.errstate(over="ignore"):  # the probe's growth ratios overflow too
+            ctx = probed_context(linear_spec(B=1e308), 8)
+        with pytest.raises(InvalidWeightError, match="B = 1e\\+308 and d = 1e\\+308"):
+            choose_weight(ctx)
+        v = GridField(ctx.grid, np.ones((9, 9, 1)))
+        with pytest.raises(InvalidWeightError, match="no finite weight"):
+            solve(ctx, v, SolverConfig())
 
     def test_as_dict_round_trip(self):
         choice = choose_weight(probed_context(linear_spec(), 8))
@@ -166,12 +179,12 @@ class TestLinearizedSolve:
         ctx = probed_context(zero_problem(), 12)
         rng = np.random.default_rng(5)
         v = random_smooth_field(ctx.grid, 1, rng)
-        rep = solve_linearized(ctx, zero_state(ctx.grid), v, SolverConfig())
+        rep = solve_linearized(ctx, zero_g(ctx.grid), v, SolverConfig())
         assert rep.converged and rep.iterations == 1 and len(rep.trace) == 1
         assert rep.m_used == pytest.approx(1.0)
         np.testing.assert_array_equal(rep.g.values, v.values)
         np.testing.assert_allclose(
-            rep.state.z.values, cum2d_array(v.values, ctx.grid.h), atol=1e-15
+            reconstruct_state(rep.g)[0].values, cum2d_array(v.values, ctx.grid.h), atol=1e-15
         )
         assert rep.residual_classical == 0.0
 
@@ -180,27 +193,27 @@ class TestLinearizedSolve:
         # residual's values overflow before the patience runs out; the second
         # (values near 1e158, whose squares overflow) still has a finite norm
         ctx = make_context(pure_f1_spec(c=1e80), build_grid(8))
-        z0 = zero_state(ctx.grid)
+        at = zero_g(ctx.grid)
         v = GridField(ctx.grid, np.ones((9, 9, 1)))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="linearized iteration 4 overflowed") as exc_info:
-                solve_linearized(ctx, z0, v, SolverConfig(m=1.0))
+                solve_linearized(ctx, at, v, SolverConfig(m=1.0))
         report = exc_info.value.report
         assert report.iterations == len(report.trace) == 3 and not report.converged
         assert 1e157 < report.trace[1].residual < 1e159
         assert np.isfinite(report.g.values).all()
-        r = LinearizedOperator(ctx, z0).apply_array(report.g.values) - v.values
+        r = LinearizedOperator(ctx, at).apply_array(report.g.values) - v.values
         assert WeightedNorms(ctx.grid, 1.0).norm(r) == report.residual_weighted
         assert math.isfinite(report.residual_classical)
 
     def test_recovers_manufactured_direction(self):
         ctx = probed_context(linear_spec(), 16)
-        z0 = zero_state(ctx.grid)
+        at = zero_g(ctx.grid)
         rng = np.random.default_rng(11)
         h_star = random_smooth_field(ctx.grid, 1, rng)
-        v = LinearizedOperator(ctx, z0).apply(h_star)
+        v = LinearizedOperator(ctx, at).apply(h_star)
         cfg = SolverConfig(tol=1e-12)
-        rep = solve_linearized(ctx, z0, v, cfg)
+        rep = solve_linearized(ctx, at, v, cfg)
         assert rep.converged
         wn = WeightedNorms(ctx.grid, rep.m_used)
         assert wn.norm(rep.g - h_star) <= 10 * cfg.tol
@@ -211,11 +224,11 @@ class TestLinearizedSolve:
     def test_recovers_direction_at_nonlinear_state(self):
         ctx = probed_context(builtin_example_4_6(), 12)
         rng = np.random.default_rng(7)
-        z0 = reconstruct_state(random_smooth_field(ctx.grid, 1, rng))
+        at = random_smooth_field(ctx.grid, 1, rng)
         h_star = random_smooth_field(ctx.grid, 1, rng)
-        v = LinearizedOperator(ctx, z0).apply(h_star)
+        v = LinearizedOperator(ctx, at).apply(h_star)
         cfg = SolverConfig(tol=1e-12)
-        rep = solve_linearized(ctx, z0, v, cfg)
+        rep = solve_linearized(ctx, at, v, cfg)
         wn = WeightedNorms(ctx.grid, rep.m_used)
         assert rep.converged and wn.norm(rep.g - h_star) <= 10 * cfg.tol
 
@@ -247,28 +260,28 @@ class TestLinearizedSolve:
         rng = np.random.default_rng(23)
         v = random_smooth_field(grid, 1, rng)
         g_direct = np.linalg.solve(H, v.values[:, :, 0].ravel()).reshape(P, P, 1)
-        rep = solve_linearized(ctx, zero_state(grid), v, SolverConfig(tol=1e-13))
+        rep = solve_linearized(ctx, zero_g(grid), v, SolverConfig(tol=1e-13))
         err = classical_l2_norm(rep.g - GridField(grid, g_direct))
         assert err <= 1e-8
 
     def test_initial_guess_shortcut(self):
         ctx = probed_context(linear_spec(), 12)
-        z0 = zero_state(ctx.grid)
+        at = zero_g(ctx.grid)
         rng = np.random.default_rng(2)
         h_star = random_smooth_field(ctx.grid, 1, rng)
-        v = LinearizedOperator(ctx, z0).apply(h_star)
-        rep = solve_linearized(ctx, z0, v, SolverConfig(tol=1e-11), g0=h_star)
+        v = LinearizedOperator(ctx, at).apply(h_star)
+        rep = solve_linearized(ctx, at, v, SolverConfig(tol=1e-11), g0=h_star)
         assert rep.converged and rep.iterations == 1
 
     def test_warns_below_contraction_threshold(self):
         ctx = probed_context(pure_f1_spec(), 12)
-        z0 = zero_state(ctx.grid)
+        at = zero_g(ctx.grid)
         rng = np.random.default_rng(3)
         v = random_smooth_field(ctx.grid, 1, rng)
         # d = max(0.5, 1) = 1, threshold 2*sqrt(d) = 2, so m = 1.5 must warn;
         # the true factor is still < 1 there, so the solve itself succeeds
         with pytest.warns(UserWarning, match="contraction threshold"):
-            rep = solve_linearized(ctx, z0, v, SolverConfig(m=1.5, tol=1e-9))
+            rep = solve_linearized(ctx, at, v, SolverConfig(m=1.5, tol=1e-9))
         assert rep.converged
 
     def test_divergence_raises_with_partial_report(self):
@@ -277,23 +290,23 @@ class TestLinearizedSolve:
         # enough that the divergence guard must fire first
         spec = pure_f1_spec(c=200.0, B=200.0)
         ctx = make_context(spec, build_grid(12))
-        z0 = zero_state(ctx.grid)
+        at = zero_g(ctx.grid)
         rng = np.random.default_rng(4)
         v = random_smooth_field(ctx.grid, 1, rng)
         with pytest.raises(DivergenceError, match="larger m") as exc_info:
-            solve_linearized(ctx, z0, v, SolverConfig(m=1.0))
+            solve_linearized(ctx, at, v, SolverConfig(m=1.0))
         report = exc_info.value.report
         assert report is not None and not report.converged
         assert report.trace[-1].ratio is not None and report.trace[-1].ratio >= 1.0
 
     def test_iteration_cap_raises(self):
         ctx = probed_context(pure_f1_spec(), 12)
-        z0 = zero_state(ctx.grid)
+        at = zero_g(ctx.grid)
         rng = np.random.default_rng(6)
         v = random_smooth_field(ctx.grid, 1, rng)
         cfg = SolverConfig(m=3.0, tol=1e-14, max_iter=4)
         with pytest.raises(NoConvergenceError) as exc_info:
-            solve_linearized(ctx, z0, v, cfg)
+            solve_linearized(ctx, at, v, cfg)
         report = exc_info.value.report
         assert report is not None and report.iterations == 4
         assert all(t.ratio < 1.0 for t in report.trace if t.ratio is not None)
@@ -302,13 +315,13 @@ class TestLinearizedSolve:
 class TestContractionEstimate:
     def test_zero_problem_is_exactly_identity(self):
         ctx = probed_context(zero_problem(), 12)
-        est = estimate_contraction(ctx, zero_state(ctx.grid), SolverConfig())
+        est = estimate_contraction(ctx, zero_g(ctx.grid), SolverConfig())
         assert est.rho_hat == 0.0 and est.contracting
         assert est.bound == 0.0 and est.m == pytest.approx(1.0)
 
     def test_chosen_weight_contracts_within_bound(self):
         ctx = probed_context(pure_f1_spec(), 16)
-        est = estimate_contraction(ctx, zero_state(ctx.grid), SolverConfig())
+        est = estimate_contraction(ctx, zero_g(ctx.grid), SolverConfig())
         assert est.m == pytest.approx(9.0)
         assert 0.0 < est.rho_hat < 1.0
         assert est.rho_hat <= est.bound
@@ -317,23 +330,23 @@ class TestContractionEstimate:
         # the memory term scales like 1/m^2 in the weighted norm, so doubling
         # m should cut the measured factor by about 4
         ctx = probed_context(pure_f1_spec(), 16)
-        z0 = zero_state(ctx.grid)
-        lo = estimate_contraction(ctx, z0, SolverConfig(m=10.0), seed=42)
-        hi = estimate_contraction(ctx, z0, SolverConfig(m=20.0), seed=42)
+        at = zero_g(ctx.grid)
+        lo = estimate_contraction(ctx, at, SolverConfig(m=10.0), seed=42)
+        hi = estimate_contraction(ctx, at, SolverConfig(m=20.0), seed=42)
         factor = lo.rho_hat / hi.rho_hat
         assert 3.0 <= factor <= 5.0
 
     def test_deterministic_for_fixed_seed(self):
         ctx = probed_context(linear_spec(), 12)
-        z0 = zero_state(ctx.grid)
-        a = estimate_contraction(ctx, z0, SolverConfig(m=5.0), seed=9)
-        b = estimate_contraction(ctx, z0, SolverConfig(m=5.0), seed=9)
+        at = zero_g(ctx.grid)
+        a = estimate_contraction(ctx, at, SolverConfig(m=5.0), seed=9)
+        b = estimate_contraction(ctx, at, SolverConfig(m=5.0), seed=9)
         assert a == b and isinstance(a, ContractionEstimate)
 
     def test_rejects_no_trials(self):
         ctx = probed_context(linear_spec(), 8)
         with pytest.raises(ValueError):
-            estimate_contraction(ctx, zero_state(ctx.grid), SolverConfig(m=5.0), trials=0)
+            estimate_contraction(ctx, zero_g(ctx.grid), SolverConfig(m=5.0), trials=0)
 
 
 class TestPicard:
@@ -344,7 +357,8 @@ class TestPicard:
         assert rep.converged and rep.iterations == 1
         np.testing.assert_array_equal(rep.g.values, np.ones((17, 17, 1)))
         X, Y = ctx.grid.meshgrid()
-        np.testing.assert_allclose(rep.state.z.values[:, :, 0], X * Y, atol=1e-12)
+        z = reconstruct_state(rep.g)[0].values
+        np.testing.assert_allclose(z[:, :, 0], X * Y, atol=1e-12)
 
     def test_recovers_discrete_manufactured_solution(self):
         ctx = probed_context(builtin_example_4_6(), 16)
@@ -573,5 +587,5 @@ class TestExample46BothSigns:
             rep = solve(ctx, v, cfg)
         assert rep.converged and rep.residual_weighted <= cfg.tol
         assert rep.iterations == iterations
-        z = rep.state.z.values
+        z = reconstruct_state(rep.g)[0].values
         assert (sign * z >= 0.0).all() and (sign * z).max() > 0.9
