@@ -31,18 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EvalFaultError,
-    ExprSyntaxError,
-    InvalidResolutionError,
-    InvalidWeightError,
-    MissingProbeError,
-    ParameterError,
-    SchemaError,
-    ShapeError,
-    SolverError,
-    ThresholdError,
-)
+from .errors import Goursat2dError, ParameterError, SchemaError, SolverError
 from .fileio import read_field_csv, read_grid_csv, write_field_csv, write_grid_csv, write_report_json
 from .grid import GridField, build_grid
 from .norms import check_norm_equivalence, classical_l2_norm, verify_lemma31, weighted_l2_norm, LEMMA31_SIDES
@@ -65,19 +54,6 @@ from .solvers import (
     solve,
     solve_linearized,
 )
-
-_INPUT_ERRORS = (
-    SchemaError,
-    ExprSyntaxError,
-    EvalFaultError,
-    ParameterError,
-    InvalidResolutionError,
-    InvalidWeightError,
-    ShapeError,
-    ThresholdError,
-    MissingProbeError,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse reserves exit code 2 for usage errors; here 2 means a solver
@@ -463,7 +439,7 @@ def _suite_assumptions(args) -> int:
            "pass": rep.deriv_ok})
     if rep.kink_flagged:
         _note("note: the nonlinearity sampled as possibly non-smooth (kink flagged); "
-              "Newton may fall back to slow steps near the kink")
+              "kinks can degrade Newton's convergence and the manufactured-solution orders")
 
     if not rep.passed:
         failing = [name for name, ok in
@@ -521,10 +497,23 @@ _SUITES = {
 }
 
 
+#: The verify flags that only some suites read, and the suites that read them.
+_SUITE_FLAGS = {
+    "--m": ("contraction",),
+    "--m-list": ("norms", "lemma31", "coercivity", "contraction"),
+    "--n": ("norms", "lemma31", "coercivity", "contraction"),
+    "--problem": ("coercivity", "assumptions", "contraction"),
+    "--builtin": ("coercivity", "assumptions", "contraction"),
+}
+
+
 def cmd_verify(args) -> int:
-    if args.m is not None and args.suite != "contraction":
-        raise ParameterError("--m applies to --suite contraction only; the norms, lemma31 "
-                             "and coercivity suites take their weights from --m-list")
+    for flag, suites in _SUITE_FLAGS.items():
+        if getattr(args, flag[2:].replace("-", "_")) is not None and args.suite not in suites:
+            raise ParameterError(f"{flag} applies to --suite {', '.join(suites)} only, "
+                                 f"not to --suite {args.suite}")
+    if args.n is None:
+        args.n = 32
     if args.suite not in ("norms", "lemma31") and args.problem is None and args.builtin is None:
         raise ParameterError(f"--suite {args.suite} needs --problem or --builtin")
     return _SUITES[args.suite](args)
@@ -655,7 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="inequality suites with machine-readable margins")
     p.add_argument("--suite", required=True, choices=sorted(_SUITES))
     _add_problem_args(p, required=False)
-    p.add_argument("--n", type=int, default=32, metavar="CELLS")
+    p.add_argument("--n", type=int, default=None, metavar="CELLS",
+                   help="grid cells per side (default 32)")
     p.add_argument("--m-list", default=None, metavar="M1,M2,...",
                    help="weights to test (defaults depend on the suite)")
     _add_solver_args(p, ("m",))
@@ -689,26 +679,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    shown: set[str] = set()
+
+    def show_warning(message, category, filename, lineno, file=None, line=None):
+        # every solve, step and source line may raise the same warning
+        if str(message) not in shown:
+            shown.add(str(message))
+            _note(f"warning: {message}")
+
     with warnings.catch_warnings():
         warnings.simplefilter("always")
-        warnings.showwarning = _show_warning
+        warnings.showwarning = show_warning
         try:
             return args.func(args)
-        except _INPUT_ERRORS as exc:
-            _note(f"error: {exc}")
-            return 1
-        except OSError as exc:
-            _note(f"error: {exc}")
-            return 1
         except SolverError as exc:
             _note(f"solver failure: {exc}")
             return 2
+        except (Goursat2dError, OSError) as exc:
+            _note(f"error: {exc}")
+            return 1
 
 
 if __name__ == "__main__":

@@ -105,6 +105,13 @@ def _read_nodes(path: str | os.PathLike, prefixes: tuple[str, ...]) -> tuple[Gri
         row = re.search(r"at row (\d+)", str(exc))
         where = f"line {int(row[1]) + 2}" if row else f"lines 2..{len(lines)}"
         raise SchemaError(f"{where}: {exc}", path=str(path)) from exc
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        k, c = bad[0]
+        raise SchemaError(
+            f"line {k + 2}: column {expected[c]} holds {float(table[k, c])!r}, not a finite number",
+            path=str(path),
+        )
 
     index = table[:, :2]
     bad = np.flatnonzero((index != np.trunc(index)).any(axis=1))

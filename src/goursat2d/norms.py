@@ -100,14 +100,12 @@ class NormEquivalenceReport:
     passed: bool
 
 
-def check_norm_equivalence(g: GridField, m: float, rel_tol: float = 1e-12) -> NormEquivalenceReport:
+def check_norm_equivalence(g: GridField, m: float) -> NormEquivalenceReport:
     """Evaluate both equivalence inequalities for the state with g = z_xy."""
-    if m < 0:
-        raise InvalidWeightError(f"weight exponent must be nonnegative, got {m}")
     upper = classical_l2_norm(g)
     weighted = weighted_l2_norm(g, m)
     lower = np.exp(-2.0 * m) * upper
-    tol = rel_tol * max(1.0, upper)
+    tol = 1e-12 * max(1.0, upper)
     passed = (lower <= weighted + tol) and (weighted <= upper + tol)
     return NormEquivalenceReport(
         m=float(m), lower=float(lower), weighted=float(weighted),

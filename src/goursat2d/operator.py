@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ShapeError, ThresholdError
 from .grid import Grid, GridField, cum2d_array, state_from_g
-from .norms import WeightedNorms, weighted_l2_norm
+from .norms import WeightedNorms
 from .exprlang import eval_dual_on_grid, eval_on_grid
 from .problem import AssumptionReport, ProblemSpec, _matrix_values
 
@@ -110,11 +110,11 @@ class LinearizedOperator:
     """F'(z) at the state z of a frozen g, cheap to apply repeatedly.
 
     The state z of ``at`` and the z-Jacobians of f1 and f2 there are
-    evaluated once at construction; each ``apply`` then costs a few
+    evaluated once at construction; each ``apply_array`` then costs a few
     pointwise products and prefix sums.
     """
 
-    __slots__ = ("ctx", "z", "j1", "j2", "kink_flagged")
+    __slots__ = ("ctx", "z", "j1", "j2")
 
     def __init__(self, ctx: OperatorContext, at: GridField):
         ctx.check_field(at)
@@ -122,28 +122,21 @@ class LinearizedOperator:
         Z = self.z = state_from_g(at.values, ctx.grid.h)[0]
         n = ctx.spec.n
         shape = Z.shape[:2]
-        kinked = False
         j1 = np.empty(shape + (n, n))
         j2 = np.empty(shape + (n, n))
         for i in range(n):
-            _, d, k1 = eval_dual_on_grid(ctx.spec.f1[i], ctx.X, ctx.Y, Z)
+            _, d, _ = eval_dual_on_grid(ctx.spec.f1[i], ctx.X, ctx.Y, Z)
             j1[:, :, i, :] = d
-            _, d, k2 = eval_dual_on_grid(ctx.spec.f2[i], ctx.X, ctx.Y, Z)
+            _, d, _ = eval_dual_on_grid(ctx.spec.f2[i], ctx.X, ctx.Y, Z)
             j2[:, :, i, :] = d
-            kinked = kinked or k1 or k2
         self.j1 = j1
         self.j2 = j2
-        self.kink_flagged = kinked
 
     def apply_array(self, hg: np.ndarray) -> np.ndarray:
         """Raw-array application for solver inner loops; hg shape (P, P, n)."""
         h, hx, hy = state_from_g(hg, self.ctx.grid.h)
         inner = _matvec(self.j2, h) + _matvec(self.ctx.a1_nodes, hx) + _matvec(self.ctx.a2_nodes, hy)
         return hg + _matvec(self.j1, h) + cum2d_array(inner, self.ctx.grid.h)
-
-    def apply(self, hg: GridField) -> GridField:
-        self.ctx.check_field(hg)
-        return GridField(self.ctx.grid, self.apply_array(hg.values))
 
 
 @dataclass(frozen=True)
@@ -165,16 +158,19 @@ class CoercivityReport:
         return self.ray_ok and all(mg >= -self.tolerance for mg in self.margins)
 
 
+#: The scales t of the coercivity probe's ray test, increasing.
+_RAY_SCALES = (1.0, 10.0, 100.0)
+
+
 def coercivity_probe(
     ctx: OperatorContext,
     g_samples: list[GridField],
     m: float,
-    ray_scales: tuple[float, ...] = (1.0, 10.0, 100.0),
 ) -> CoercivityReport:
     """Check ‖F(z)‖_m ≥ (1 − 8B/m)‖z‖_m − D on each sample, plus a ray test.
 
     Requires m > 8B (the bound is vacuous otherwise).  The ray test evaluates
-    ‖F(t·g)‖_m along t ∈ ray_scales for the first sample and checks growth
+    ‖F(t·g)‖_m along t ∈ _RAY_SCALES for the first sample and checks growth
     wherever the certified lower bound has cleared 2D.
     """
     B = ctx.spec.growth_bound
@@ -187,7 +183,7 @@ def coercivity_probe(
     norms = WeightedNorms(ctx.grid, m)
     X, Y = ctx.X, ctx.Y
     b_vals = eval_on_grid(ctx.spec.majorant, X, Y, np.zeros(X.shape + (ctx.spec.n,)))
-    D = 2.0 * weighted_l2_norm(GridField(ctx.grid, b_vals), m)
+    D = 2.0 * norms.norm(b_vals[..., None])
     factor = 1.0 - 8.0 * B / m
 
     margins = []
@@ -203,11 +199,11 @@ def coercivity_probe(
     ray_values = []
     g0 = g_samples[0]
     g0_norm = norms.norm(g0)
-    for t in ray_scales:
+    for t in _RAY_SCALES:
         ray_values.append(norms.norm(apply_F(ctx, t * g0)))
     ray_ok = True
-    for k in range(len(ray_scales) - 1):
-        cleared = factor * ray_scales[k] * g0_norm > 2.0 * D
+    for k in range(len(_RAY_SCALES) - 1):
+        cleared = factor * _RAY_SCALES[k] * g0_norm > 2.0 * D
         if cleared and ray_values[k + 1] <= ray_values[k]:
             ray_ok = False
 
@@ -218,7 +214,7 @@ def coercivity_probe(
         factor=float(factor),
         margins=tuple(float(v) for v in margins),
         tolerance=float(tol),
-        ray_scales=tuple(float(t) for t in ray_scales),
+        ray_scales=_RAY_SCALES,
         ray_values=tuple(float(v) for v in ray_values),
         ray_ok=ray_ok,
     )

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,7 @@ from .exprlang import (
     parse,
     to_source,
 )
+from .fileio import read_field_csv
 from .grid import Grid, GridField, build_grid, restrict_to
 from .polynomials import (
     poly_dx,
@@ -57,7 +58,7 @@ from .sampling import halton_points
 #: Default seed for every randomized probe; recorded in reports.
 DEFAULT_SEED = 1729
 
-#: Default state-ball radii for local-boundedness probes.
+#: State-ball radii of the local-boundedness probes, increasing.
 DEFAULT_RADII = (1.0, 2.0, 4.0)
 
 
@@ -128,7 +129,6 @@ class ProblemSpec:
     growth_bound: float
     majorant: Expr
     rhs: XYFunction | GridField | None = None
-    manufactured: XYFunction | GridField | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -282,8 +282,6 @@ def load_problem(document: str | dict, base_dir: str | Path | None = None) -> Pr
                     raise SchemaError("rhs may not reference z", path=f"rhs.v[{i}]")
             rhs = XYFunction(exprs)
         elif "v_file" in rhs_doc:
-            from .fileio import read_field_csv
-
             path = Path(rhs_doc["v_file"])
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
@@ -389,14 +387,14 @@ def serialize_problem(spec: ProblemSpec) -> dict:
 
 # -- built-in problems --------------------------------------------------------
 
-def zero_problem(label: str = "zero") -> ProblemSpec:
+def zero_problem() -> ProblemSpec:
     """The problem with no nonlinearity and no memory: F(z) = z_xy."""
     zero = parse("0", 1)
     row = ((zero,),)
     return ProblemSpec(
         n=1, f1=(zero,), f2=(zero,),
         a1=row, a2=row, a1x=row, a2y=row,
-        growth_bound=0.0, majorant=zero, label=label,
+        growth_bound=0.0, majorant=zero, label="zero",
     )
 
 
@@ -411,7 +409,6 @@ def builtin_example_4_6(
     w2: str = "1",
     A1: str = "0",
     A2: str = "0",
-    label: str = "example46",
 ) -> ProblemSpec:
     """The built-in nonlinear scalar family with polynomial coefficients.
 
@@ -455,7 +452,7 @@ def builtin_example_4_6(
         a2y=((parse(poly_source(poly_dy(polys["A2"])), 1),),),
         growth_bound=growth_bound,
         majorant=parse(repr(majorant_value), 1),
-        label=label,
+        label="example46",
     )
     _smoke_check(spec)
     return spec
@@ -497,17 +494,14 @@ class AssumptionReport:
     coeff_ok: bool
     deriv_ok: bool
     kink_flagged: bool
-    radii: tuple[float, ...] = field(default=DEFAULT_RADII)
 
     @property
     def passed(self) -> bool:
         return self.growth_ok and self.coeff_ok and self.deriv_ok
 
     def as_dict(self) -> dict:
-        """Every field but ``radii`` (the keys of ``m_rho``), then ``passed``."""
-        d = asdict(self)
-        del d["radii"]
-        return {**d, "passed": self.passed}
+        """Every field, then ``passed``."""
+        return {**asdict(self), "passed": self.passed}
 
 
 def _matrix_values(mat: ExprMatrix, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
@@ -535,7 +529,6 @@ _FD_STEP = 1e-5
 def probe_assumptions(
     spec: ProblemSpec,
     sample_count: int = 200,
-    radii: tuple[float, ...] = DEFAULT_RADII,
     seed: int = DEFAULT_SEED,
 ) -> AssumptionReport:
     """Scan the growth/boundedness conditions on a deterministic sample.
@@ -547,9 +540,6 @@ def probe_assumptions(
     """
     if sample_count < 1:
         raise ParameterError(f"sample_count must be >= 1, got {sample_count}")
-    if not radii or any(r <= 0 for r in radii):
-        raise ParameterError(f"radii must be positive, got {radii!r}")
-    radii = tuple(sorted(float(r) for r in radii))
     n = spec.n
 
     pts = halton_points(sample_count, 2 + n, seed)
@@ -577,7 +567,7 @@ def probe_assumptions(
     growth_worst = [0.0, 0.0]
     m_rho: list[tuple[float, float]] = []
     kink_any = False
-    for rho in radii:
+    for rho in DEFAULT_RADII:
         Z = rho * D
         znorm = np.linalg.norm(Z, axis=1)
         jac_sup = 0.0
@@ -636,7 +626,6 @@ def probe_assumptions(
         coeff_ok=coeff_ok,
         deriv_ok=deriv_ok,
         kink_flagged=kink_any,
-        radii=radii,
     )
 
 
@@ -668,10 +657,8 @@ def manufacture_problem(
         g_fine = zstar_g.sample(fine)
         v_fine = apply_F(make_context(base, fine), g_fine)
         v = restrict_to(v_fine, grid) if refine > 1 else v_fine
-        reference = zstar_g
     else:
         if zstar_g.grid != grid:
             raise ValueError(f"z* field lives on {zstar_g.grid}, expected {grid}")
         v = apply_F(make_context(base, grid), zstar_g)
-        reference = zstar_g
-    return replace(base, rhs=v, manufactured=reference)
+    return replace(base, rhs=v)

@@ -464,19 +464,11 @@ def solve_newton(
             f"{_MAX_BACKTRACKS} halvings (classical residual {r0:.6g})"
         )
 
-    caught: list[warnings.WarningMessage] = []
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            return _iterate(
-                wn, "newton", _start(v, g0),
-                residual=lambda g: _F_residual(ctx, g, v),
-                step=step, tol=cfg.tol, max_iter=cfg.max_iter, patience=False,
-            )
-    finally:
-        # every inner solve repeats the same warnings; pass each on once
-        for message in {str(w.message): w.message for w in caught}.values():
-            warnings.warn(message, stacklevel=2)
+    return _iterate(
+        wn, "newton", _start(v, g0),
+        residual=lambda g: _F_residual(ctx, g, v),
+        step=step, tol=cfg.tol, max_iter=cfg.max_iter, patience=False,
+    )
 
 
 def solve(ctx: OperatorContext, v: GridField, cfg: SolverConfig, g0: GridField | None = None) -> SolveReport:

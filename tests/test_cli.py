@@ -13,7 +13,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from goursat2d import cli
 from goursat2d.cli import build_parser, main
+from goursat2d.errors import Goursat2dError, SolverError
 from goursat2d.fileio import read_field_csv, read_grid_csv, read_report_json
 from goursat2d.norms import classical_l2_norm, weighted_l2_norm
 from goursat2d.operator import apply_F, coercivity_probe, make_context
@@ -190,6 +192,14 @@ class TestSolve:
         g = read_grid_csv(f"{out}.grid.csv")
         np.testing.assert_array_equal(g.values, 1e60)
 
+    def test_overflow_warning_is_printed_once(self, tmp_path, capsys):
+        # numpy warns "invalid value encountered in add" from several source lines
+        code = run_cli(["solve", "--builtin", "example46", "--n", "8",
+                        "--rhs", "1e60", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len([line for line in err if "invalid value encountered" in line]) == 1
+
     def test_overflow_inside_expression_exits_2_with_partial_artifacts(self, tmp_path, capsys):
         # the Picard iterates of f1 = z^3 overflow in z^3 before any norm does
         path = tmp_path / "cubic.json"
@@ -343,6 +353,15 @@ class TestVerify:
         assert code == 0
         lines = stdout_lines(capsys)
         assert {l["check"] for l in lines} == {"growth", "coefficients", "derivatives"}
+
+    def test_assumptions_suite_notes_a_kink(self, tmp_path, capsys):
+        path = tmp_path / "abs.json"
+        path.write_text(json.dumps({**CUBIC_DOC, "functions": {"f1": ["abs(z1)"], "f2": ["0"]}}))
+        code = run_cli(["verify", "--suite", "assumptions", "--problem", str(path)])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "note: the nonlinearity sampled as possibly non-smooth (kink flagged); kinks can "
+            "degrade Newton's convergence and the manufactured-solution orders\n")
 
     def test_assumptions_suite_flags_exponential_growth(self, tmp_path, capsys):
         doc = {
@@ -583,8 +602,90 @@ def test_verify_m_outside_the_contraction_suite_exits_1(suite, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --m applies to --suite contraction only")
-    assert "--m-list" in captured.err
+    assert captured.err.rstrip().endswith(f"not to --suite {suite}")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--suite", "assumptions", "--builtin", "zero", "--m-list", "1,2", "--n", "4"], "--m-list"),
+    (["--suite", "assumptions", "--builtin", "zero", "--n", "4"], "--n"),
+    (["--suite", "norms", "--builtin", "example46", "--n", "8", "--samples", "2",
+      "--m-list", "1"], "--builtin"),
+    (["--suite", "lemma31", "--problem", "doc.json", "--n", "8"], "--problem"),
+], ids=["assumptions-m-list", "assumptions-n", "norms-builtin", "lemma31-problem"])
+def test_verify_flag_the_suite_does_not_read_exits_1(argv, flag, tmp_path, capsys):
+    code = run_cli(["verify", *argv, "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} applies to --suite ")
+    assert captured.err.rstrip().endswith(f"not to --suite {argv[1]}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _error_classes(base):
+    """``base`` and every class derived from it, however deep."""
+    return [base, *(c for sub in base.__subclasses__() for c in _error_classes(sub))]
+
+
+@pytest.mark.parametrize("error", [*_error_classes(Goursat2dError), OSError],
+                         ids=lambda error: error.__name__)
+def test_every_error_class_exits_with_its_code(error, monkeypatch, capsys):
+    def fail(args):
+        try:
+            exc = error("boom")
+        except TypeError:  # the expression errors also take an offset
+            exc = error("boom", 0)
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_solve", fail)
+    code = run_cli(["solve", "--builtin", "zero", "--n", "2"])
+    solver = issubclass(error, SolverError)
+    assert code == (2 if solver else 1)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(("solver failure: " if solver else "error: ") + "boom")
+
+
+def test_each_distinct_warning_is_printed_once_per_run(tmp_path, capsys):
+    # every solve of sens (base and perturbed) warns that m = 2 is below the threshold
+    code = run_cli(["sens", "--builtin", "example46", "--n", "8", "--rhs", "1.8",
+                    "--direction", "1", "--m", "2", "--out", str(tmp_path / "run")])
+    assert code == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert warnings and len(warnings) == len(set(warnings))
+
+
+@pytest.mark.parametrize("source", ["--rhs", "rhs.v_file", "--linearize-at"])
+@pytest.mark.parametrize("token", ["inf", "nan"])
+def test_non_finite_csv_value_exits_1(source, token, tmp_path, capsys):
+    assert run_cli(["solve", "--builtin", "zero", "--n", "2", "--rhs", "1",
+                    "--out", str(tmp_path / "base")]) == 0
+    capsys.readouterr()
+    field = tmp_path / "f.csv"
+    field.write_text("i,j,x,y,v_1\n" + "".join(
+        f"{i},{j},{i / 2},{j / 2},1\n" for i in range(3) for j in range(3)))
+    bundle = tmp_path / "base.grid.csv"
+    path, column = (bundle, "g_1") if source == "--linearize-at" else (field, "v_1")
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")  # node (0, 1), file line 3
+    cells[lines[0].split(",").index(column)] = token
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({**LINEAR_MEMORY_DOC, "rhs": {"v_file": "f.csv"}}))
+    argv = {"--rhs": ["solve", "--builtin", "zero", "--rhs", str(field)],
+            "rhs.v_file": ["solve", "--problem", str(doc)],
+            "--linearize-at": ["linsolve", "--builtin", "zero", "--rhs", "1",
+                               "--linearize-at", str(bundle)]}[source]
+    code = run_cli([*argv, "--n", "2", "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: line 3: column {column} holds {token}, "
+                            "not a finite number\n")
+    assert not list(tmp_path.glob("run.*"))
 
 
 @pytest.mark.parametrize("column", ["z_1", "zx_1", "zy_1"])

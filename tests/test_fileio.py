@@ -279,6 +279,21 @@ class TestMalformedFiles:
         with pytest.raises(SchemaError, match="line 6: node index \\(1.5, 1\\) is not a pair of integers"):
             read_field_csv(path)
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_non_finite_value_names_its_line_and_column(self, tmp_path, token):
+        path = self.make_field_file(tmp_path)
+        _set_value(path, (1, 1), "v_1", token)  # node (1, 1) is file line 6
+        with pytest.raises(SchemaError, match=f"line 6: column v_1 holds {token}, not a finite number"):
+            read_field_csv(path)
+
+    @pytest.mark.parametrize("token", ["inf", "nan"])
+    def test_non_finite_g_in_bundle_names_its_line_and_column(self, tmp_path, token):
+        path = tmp_path / "sol.grid.csv"
+        write_grid_csv(path, random_field(2, 2, seed=5))
+        _set_value(path, (2, 0), "g_2", token)  # node (2, 0) is file line 8
+        with pytest.raises(SchemaError, match=f"line 8: column g_2 holds {token}, not a finite number"):
+            read_grid_csv(path)
+
     def test_trailing_blank_line_accepted(self, tmp_path):
         f = random_field(2, 1, seed=4)
         path = tmp_path / "f.csv"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -272,6 +272,12 @@ class TestProbeAssumptions:
         assert rep.sup_a1 == 0.0
         assert all(m == 0.0 for _, m in rep.m_rho)
 
+    def test_kink_flagged(self):
+        # |z| is differentiated at the probe's zero state
+        doc = minimal_doc(functions={"f1": ["abs(z1)"], "f2": ["0"]})
+        assert probe_assumptions(load_problem(doc), sample_count=20).kink_flagged
+        assert not probe_assumptions(builtin_example_4_6(), sample_count=20).kink_flagged
+
     def test_example_within_declared_growth(self):
         rep = probe_assumptions(builtin_example_4_6(), sample_count=200)
         assert rep.growth_ok, (rep.growth_worst_f1, rep.growth_worst_f2)
@@ -285,8 +291,8 @@ class TestProbeAssumptions:
         zs = np.linspace(-2.0, 2.0, 10_001)
         d_f1 = (zs**4 + 3 * zs**2) / (1 + zs**2) ** 2 - np.sin(zs**2) * 2 * zs
         oracle = np.abs(d_f1).max()
-        rep = probe_assumptions(builtin_example_4_6(), sample_count=400, radii=(2.0,))
-        rho, m2 = rep.m_rho[0]
+        rep = probe_assumptions(builtin_example_4_6(), sample_count=400)
+        rho, m2 = rep.m_rho[1]
         assert rho == 2.0
         assert m2 == pytest.approx(oracle, rel=0.05)
         assert np.isfinite(m2)
@@ -297,7 +303,8 @@ class TestProbeAssumptions:
         doc["meta"]["B"] = 0.1
         doc["meta"]["b"] = "0.1"
         spec = load_problem(doc)
-        rep = probe_assumptions(spec, sample_count=100, radii=(4.0,))
+        rep = probe_assumptions(spec, sample_count=100)
+        assert rep.m_rho[2][0] == 4.0
         assert not rep.growth_ok
         assert not rep.passed
 
@@ -325,7 +332,7 @@ class TestManufacture:
         made = manufacture_problem(zero_problem(), XYFunction.from_sources("1"), grid)
         v = made.sample_rhs(grid)
         np.testing.assert_allclose(v.values, 1.0, atol=1e-14)
-        assert made.manufactured is not None
+        assert replace(made, rhs=None) == zero_problem()
 
     def test_memory_term_closed_form(self):
         # A1 = 1 only and z* = xy: v = 1 + ∫₀ˣ∫₀ʸ t ds dt = 1 + x y²/2,
