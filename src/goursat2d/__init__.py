@@ -82,8 +82,6 @@ from .solvers import (
     estimate_contraction,
     solve,
     solve_linearized,
-    solve_newton,
-    solve_picard,
 )
 
 __version__ = "1.0.0"
@@ -144,8 +142,6 @@ __all__ = [
     "serialize_problem",
     "solve",
     "solve_linearized",
-    "solve_newton",
-    "solve_picard",
     "stability_probe",
     "to_source",
     "validate_frechet",

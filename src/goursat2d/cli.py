@@ -158,13 +158,12 @@ def _solver_config(args, solver_doc: dict) -> SolverConfig:
 
 
 def _weight_flag(text: str) -> float | str:
-    """The value of --m: "auto" in any case, or a real number."""
-    if text.strip().lower() == "auto":
-        return "auto"
+    """The value of --m: a real number, or the text for
+    ``SolverConfig.from_settings`` to read as "auto"."""
     try:
         return float(text)
-    except ValueError as exc:
-        raise ParameterError(f"--m must be 'auto' or a real number, got {text!r}") from exc
+    except ValueError:
+        return text
 
 
 def _config(make, *args, **settings) -> SolverConfig:

@@ -79,7 +79,7 @@ class SchemaError(Goursat2dError):
 
 
 class ParameterError(Goursat2dError):
-    """Invalid parameter to a built-in problem constructor."""
+    """An argument or command-line setting outside its valid values."""
 
 
 class MissingProbeError(Goursat2dError):

@@ -28,6 +28,8 @@ the arrays with ``state_from_g`` where it needs them, and
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import InvalidResolutionError, ShapeError
@@ -45,6 +47,8 @@ class Grid:
     __slots__ = ("cells", "h", "nodes")
 
     def __init__(self, cells: int):
+        if not isinstance(cells, numbers.Integral) or isinstance(cells, bool):
+            raise InvalidResolutionError(f"grid cells must be an integer, got {cells!r}")
         cells = int(cells)
         if cells < 2:
             raise InvalidResolutionError(f"grid needs at least 2 cells per axis, got {cells}")

@@ -149,7 +149,6 @@ class CoercivityReport:
     factor: float              # 1 − 8B/m
     margins: tuple[float, ...]  # ‖F(z)‖_m − (factor·‖z‖_m − D), per sample
     tolerance: float
-    ray_scales: tuple[float, ...]
     ray_values: tuple[float, ...]
     ray_ok: bool
 
@@ -214,7 +213,6 @@ def coercivity_probe(
         factor=float(factor),
         margins=tuple(float(v) for v in margins),
         tolerance=float(tol),
-        ray_scales=_RAY_SCALES,
         ray_values=tuple(float(v) for v in ray_values),
         ray_ok=ray_ok,
     )

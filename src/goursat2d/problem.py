@@ -46,13 +46,6 @@ from .exprlang import (
 )
 from .fileio import read_field_csv
 from .grid import Grid, GridField, build_grid, restrict_to
-from .polynomials import (
-    poly_dx,
-    poly_dy,
-    poly_from_source,
-    poly_source,
-    poly_sup_bound,
-)
 from .sampling import halton_points
 
 #: Default seed for every randomized probe; recorded in reports.
@@ -402,56 +395,28 @@ def zero_problem() -> ProblemSpec:
 _RATIONAL_KERNEL_SUP = (1.0 + math.sqrt(2.0)) / 2.0
 
 
-def builtin_example_4_6(
-    k: int = 2,
-    l: int = 2,
-    w1: str = "1",
-    w2: str = "1",
-    A1: str = "0",
-    A2: str = "0",
-) -> ProblemSpec:
-    """The built-in nonlinear scalar family with polynomial coefficients.
+def builtin_example_4_6() -> ProblemSpec:
+    """The built-in nonlinear scalar problem
 
-        f1 = w1(x,y) · ( z³/(1+z²) + cos(z^k) ),
-        f2 = w2(x,y) · (z−1)/(1+z²) + sin(z^l),      k, l integers > 1.
+        f1 = z³/(1+z²) + cos(z²),
+        f2 = (z−1)/(1+z²) + sin(z²),      A1 = A2 = A1x = A2y = 0.
 
     The growth data is derived, not guessed: |z³/(1+z²)| ≤ |z| and |cos| ≤ 1
-    give |f1| ≤ S1·|z| + S1 with S1 = Σ|coeffs(w1)|; |(z−1)/(1+z²)| is
-    maximized at |z| = √2 − 1 with value (1+√2)/2, so f2 contributes only to
-    the majorant.  A1x and A2y are exact polynomial derivatives of A1, A2.
+    give |f1| ≤ |z| + 1; |(z−1)/(1+z²)| is maximized at |z| = √2 − 1 with
+    value (1+√2)/2 and |sin| ≤ 1, so f2 contributes only to the majorant.
+    Hence B = 1, and the constant b = 1 + (1+√2)/2 + 1, the sum of the two
+    majorants, bounds both.
     """
-    for name, val in (("k", k), ("l", l)):
-        if not isinstance(val, int) or val <= 1:
-            raise ParameterError(f"{name} must be an integer > 1, got {val!r}")
-    try:
-        polys = {name: poly_from_source(src)
-                 for name, src in (("w1", w1), ("w2", w2), ("A1", A1), ("A2", A2))}
-    except ValueError as exc:
-        raise ParameterError(f"coefficient descriptors must be polynomials in x, y: {exc}") from exc
-
-    s1 = poly_sup_bound(polys["w1"])
-    s2 = poly_sup_bound(polys["w2"])
-    growth_bound = max(
-        s1,
-        poly_sup_bound(polys["A1"]),
-        poly_sup_bound(polys["A2"]),
-        poly_sup_bound(poly_dx(polys["A1"])),
-        poly_sup_bound(poly_dy(polys["A2"])),
-    )
-    majorant_value = s1 + s2 * _RATIONAL_KERNEL_SUP + 1.0
-
-    f1_src = f"({w1}) * (z1^3/(1 + z1^2) + cos(z1^{k}))"
-    f2_src = f"({w2}) * (z1 - 1)/(1 + z1^2) + sin(z1^{l})"
+    zero = ((parse("0", 1),),)
+    # "(1) *" is part of the published source form: dropping it changes the
+    # serialized spec and the evaluated node counts
     spec = ProblemSpec(
         n=1,
-        f1=(parse(f1_src, 1),),
-        f2=(parse(f2_src, 1),),
-        a1=((parse(A1, 1),),),
-        a2=((parse(A2, 1),),),
-        a1x=((parse(poly_source(poly_dx(polys["A1"])), 1),),),
-        a2y=((parse(poly_source(poly_dy(polys["A2"])), 1),),),
-        growth_bound=growth_bound,
-        majorant=parse(repr(majorant_value), 1),
+        f1=(parse("(1) * (z1^3/(1 + z1^2) + cos(z1^2))", 1),),
+        f2=(parse("(1) * (z1 - 1)/(1 + z1^2) + sin(z1^2)", 1),),
+        a1=zero, a2=zero, a1x=zero, a2y=zero,
+        growth_bound=1.0,
+        majorant=parse(repr(1.0 + _RATIONAL_KERNEL_SUP + 1.0), 1),
         label="example46",
     )
     _smoke_check(spec)

@@ -11,17 +11,19 @@ whose fixed point satisfies H g = v.  H − I is a causal Volterra sum, and in
 the weighted norm its Lipschitz constant is at most 4d/m² with d bounding the
 kernels (the z-Jacobian sup M_ρ and the coefficient bound B), so plain
 Richardson iteration g ← g − (F'(z0)g − v) contracts once m > 2√d.  The same
-machinery drives:
+machinery drives ``solve``, the one nonlinear solve, which
+``SolverConfig.method`` switches between two methods:
 
-  * ``solve_picard``: fixed-point iteration g ← g − (F(g) − v) on the
+  * ``"picard"``: fixed-point iteration g ← g − (F(g) − v) on the
     nonlinear equation, for problems whose nonlinear part is itself
     contractive;
-  * ``solve_newton``: each step solves F'(z_k)δ = v − F(z_k) by the linear
+  * ``"newton"``: each step solves F'(z_k)δ = v − F(z_k) by the linear
     iteration, then backtracks on the merit φ = ½‖F(z) − v‖² until it
     decreases.
 
-All three run in one loop, ``_iterate``, which owns the trace, the stopping
-rules and the partial report that every solver error carries.
+The linear solve and both methods run in one loop, ``_iterate``, which owns
+the trace, the stopping rules and the partial report that every solver error
+carries.
 
 ``choose_weight`` turns the two thresholds (m > 8B for coercivity, m > 2√d
 for contraction) into a concrete policy: m = max(8B, 2√d) + 1, with
@@ -91,8 +93,12 @@ class SolverConfig:
     @classmethod
     def from_settings(cls, settings: dict) -> SolverConfig:
         """The config of a document's solver section or of command-line flags:
-        field names as keys, and ``"m": "auto"`` for the automatic weight."""
-        if settings.get("m") == "auto":
+        field names as keys, and ``"m": "auto"`` (in any case) for the
+        automatic weight."""
+        m = settings.get("m")
+        if isinstance(m, str):
+            if m.strip().lower() != "auto":
+                raise ValueError(f"weight m must be 'auto' or a real number, got {m!r}")
             settings = {**settings, "m": None}
         return cls(**settings)
 
@@ -406,39 +412,34 @@ def estimate_contraction(
     )
 
 
-def solve_picard(
-    ctx: OperatorContext,
-    v: GridField,
-    cfg: SolverConfig,
-    g0: GridField | None = None,
-) -> SolveReport:
-    """Fixed-point iteration g ← g − (F(g) − v) on the nonlinear equation."""
-    ctx.check_field(v)
-    return _iterate(
-        WeightedNorms(ctx.grid, _resolve_m(ctx, cfg)), "picard", _start(v, g0),
-        residual=lambda g: _F_residual(ctx, g, v),
-        step=lambda g, r, rnorm: g - r,
-        tol=cfg.tol, max_iter=cfg.max_iter, patience=True,
-    )
+def solve(ctx: OperatorContext, v: GridField, cfg: SolverConfig, g0: GridField | None = None) -> SolveReport:
+    """Solve F(g) = v from g0 (v when omitted) by ``cfg.method``.
 
-
-def solve_newton(
-    ctx: OperatorContext,
-    v: GridField,
-    cfg: SolverConfig,
-    g0: GridField | None = None,
-) -> SolveReport:
-    """Newton–Kantorovich: solve F'(z_k)δ = v − F(z_k), backtrack on merit.
-
-    Each inner linear solve runs to min(INNER_TOL, 0.1·‖residual‖_m) within
-    INNER_MAX_ITER iterations.  The first term wins whenever ‖residual‖_m ≥
-    10·INNER_TOL, so every step is in practice solved to 1e-12.
-    There is no divergence patience: the weighted residual ratio can sit near
-    1 for many steps of a solve that converges, so only a failed line search
+    Picard iterates g ← g − (F(g) − v) and raises DivergenceError after
+    ``_DIVERGENCE_PATIENCE`` non-contracting residuals.  Newton–Kantorovich
+    solves F'(z_k)δ = v − F(z_k) and backtracks on merit; it has no
+    divergence patience, because the weighted residual ratio can sit near 1
+    for many steps of a solve that converges, so only a failed line search
     (StagnationError), a failed inner solve or the iteration cap stop it.
     """
     ctx.check_field(v)
     wn = WeightedNorms(ctx.grid, _resolve_m(ctx, cfg))
+    picard = cfg.method == "picard"
+    return _iterate(
+        wn, cfg.method, _start(v, g0),
+        residual=lambda g: _F_residual(ctx, g, v),
+        step=(lambda g, r, rnorm: g - r) if picard else _newton_step(ctx, v, wn),
+        tol=cfg.tol, max_iter=cfg.max_iter, patience=picard,
+    )
+
+
+def _newton_step(ctx: OperatorContext, v: GridField, wn: WeightedNorms):
+    """Newton's ``step`` for ``_iterate`` at the weight of ``wn``.
+
+    Each inner linear solve runs to min(INNER_TOL, 0.1·‖residual‖_m) within
+    INNER_MAX_ITER iterations.  The first term wins whenever ‖residual‖_m ≥
+    10·INNER_TOL, so every step is in practice solved to 1e-12.
+    """
     classical = WeightedNorms(ctx.grid, 0.0)
 
     def step(g: np.ndarray, r: np.ndarray, rnorm: float) -> np.ndarray:
@@ -464,15 +465,4 @@ def solve_newton(
             f"{_MAX_BACKTRACKS} halvings (classical residual {r0:.6g})"
         )
 
-    return _iterate(
-        wn, "newton", _start(v, g0),
-        residual=lambda g: _F_residual(ctx, g, v),
-        step=step, tol=cfg.tol, max_iter=cfg.max_iter, patience=False,
-    )
-
-
-def solve(ctx: OperatorContext, v: GridField, cfg: SolverConfig, g0: GridField | None = None) -> SolveReport:
-    """Dispatch on cfg.method."""
-    if cfg.method == "picard":
-        return solve_picard(ctx, v, cfg, g0=g0)
-    return solve_newton(ctx, v, cfg, g0=g0)
+    return step

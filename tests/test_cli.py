@@ -544,6 +544,21 @@ def test_bad_setting_flag_exits_1_before_any_artifact(flags, message, tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("spelling", ["auto", "AUTO", " Auto "])
+def test_m_auto_reads_the_same_as_flag_and_in_a_document(spelling, tmp_path, capsys):
+    doc = dict(LINEAR_MEMORY_DOC, rhs={"v": ["1"]})
+    (tmp_path / "flag.json").write_text(json.dumps(doc))
+    (tmp_path / "doc.json").write_text(json.dumps(dict(doc, solver={"m": spelling})))
+    assert run_cli(["solve", "--problem", str(tmp_path / "flag.json"), "--n", "8",
+                    "--m", spelling, "--out", str(tmp_path / "flag")]) == 0
+    assert run_cli(["solve", "--problem", str(tmp_path / "doc.json"), "--n", "8",
+                    "--out", str(tmp_path / "doc")]) == 0
+    flag, document = (read_report_json(tmp_path / f"{name}.report.json")
+                      for name in ("flag", "doc"))
+    assert flag["solver"] == document["solver"] and flag["result"] == document["result"]
+    assert flag["solver"]["m"] == flag["result"]["m_used"] == 9.0  # the automatic weight
+
+
 @pytest.mark.parametrize("changes, message", [
     ({"solver": {"tol": float("inf")}}, "solver.tol: tol must be a finite real number, got inf"),
     ({"solver": {"damping": 0.5}}, "solver.damping: unknown field 'damping'"),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,16 @@ class TestGrid:
             build_grid(1)
         with pytest.raises(InvalidResolutionError):
             build_grid(0)
+
+    @pytest.mark.parametrize("cells", [16.9, 2.5, 8.0, "8", True, None],
+                             ids=["16.9", "2.5", "8.0", "str", "bool", "None"])
+    def test_rejects_a_non_integer_count_naming_it(self, cells):
+        with pytest.raises(InvalidResolutionError, match=re.escape(repr(cells))):
+            build_grid(cells)
+
+    def test_numpy_integer_count_is_accepted(self):
+        g = build_grid(np.int64(8))
+        assert g == build_grid(8) and type(g.cells) is int
 
     def test_equality_by_resolution(self):
         assert build_grid(8) == build_grid(8)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from goursat2d.errors import ShapeError, ThresholdError
+from goursat2d.exprlang import parse
 from goursat2d.grid import GridField, build_grid, reconstruct_state, state_from_g
 from goursat2d.norms import classical_l2_norm, weighted_l2_norm
 from goursat2d.operator import (
@@ -24,6 +27,12 @@ def linear_spec(c1=0.5, c2=-0.25, a1="x*y", a2="y"):
         "functions": {"f1": [f"({c1!r})*z1"], "f2": [f"({c2!r})*z1"]},
         "coefficients": {"A1": [[a1]], "A2": [[a2]], "A1x": [["y"]], "A2y": [["0"]]},
     })
+
+
+def example46_with(**coefficients):
+    """example46 with the named coefficients replaced by source expressions."""
+    return replace(builtin_example_4_6(),
+                   **{name: ((parse(src, 1),),) for name, src in coefficients.items()})
 
 
 class TestApplyF:
@@ -48,7 +57,7 @@ class TestApplyF:
         np.testing.assert_allclose(out.values[:, :, 0], 1.0 + X * Y**2 / 2.0, atol=1e-13)
 
     def test_example_at_zero_state(self):
-        # w1 = w2 = 1: F(0) = f1(·,·,0) + J(f2(·,·,0)) = 1 + J(-1) = 1 - xy
+        # F(0) = f1(·,·,0) + J(f2(·,·,0)) = 1 + J(-1) = 1 - xy
         grid = build_grid(12)
         ctx = make_context(builtin_example_4_6(), grid)
         g0 = GridField(grid, np.zeros((13, 13, 1)))
@@ -58,7 +67,7 @@ class TestApplyF:
 
     def test_causality(self):
         grid = build_grid(10)
-        ctx = make_context(builtin_example_4_6(A1="x", A2="y"), grid)
+        ctx = make_context(example46_with(a1="x", a2="y", a1x="1", a2y="1"), grid)
         rng = np.random.default_rng(3)
         base = rng.standard_normal((11, 11, 1)) * 0.3
         i0, j0 = 6, 4
@@ -72,7 +81,7 @@ class TestApplyF:
         assert np.abs(a[i0:, j0:] - b[i0:, j0:]).max() > 0
 
     def test_value_array_matches_field_bit_for_bit(self):
-        ctx = make_context(builtin_example_4_6(A1="x", A2="y"), build_grid(16))
+        ctx = make_context(example46_with(a1="x", a2="y", a1x="1", a2y="1"), build_grid(16))
         g = random_smooth_field(ctx.grid, 1, np.random.default_rng(5)) * 2.0
         out = apply_F(ctx, g.values)
         assert isinstance(out, np.ndarray) and out.flags.writeable
@@ -127,7 +136,7 @@ class TestLinearization:
 
     def test_directional_derivative_first_order(self):
         grid = build_grid(16)
-        ctx = make_context(builtin_example_4_6(A1="x", A2="x*y"), grid)
+        ctx = make_context(example46_with(a1="x", a2="x*y", a1x="1", a2y="1.0*x"), grid)
         rng = np.random.default_rng(7)
         g = random_smooth_field(grid, 1, rng)
         h = random_smooth_field(grid, 1, rng)
@@ -221,7 +230,7 @@ class TestCoercivity:
 
 class TestContextCaches:
     def test_with_assumptions_shares_nodes(self):
-        spec = builtin_example_4_6(A1="x")
+        spec = example46_with(a1="x", a1x="1")
         ctx = make_context(spec, build_grid(8))
         probed = ctx.with_assumptions(probe_assumptions(spec, sample_count=5))
         assert probed.a1_nodes is ctx.a1_nodes
