@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import add, mul, sub, truediv
+from functools import partial
 
 import numpy as np
 
@@ -256,38 +256,61 @@ def _fault(message: str, node: Expr, mask, X: np.ndarray, Y: np.ndarray, error=E
     raise error(message, node.pos, where=where)
 
 
+def _spare(inputs: tuple, *operands):
+    """The first of ``operands`` that a ufunc of them all may write into, else None:
+    a writable array of the result's shape that owns its data and is none of
+    ``inputs`` (X, Y, Z and operands still read later; meshgrid's X, Y own theirs)."""
+    shape = np.broadcast_shapes(*(np.shape(o) for o in operands))
+    for o in operands:
+        if (isinstance(o, np.ndarray) and o.shape == shape and o.flags.owndata
+                and o.flags.writeable and not any(o is i for i in inputs)):
+            return o
+    return None
+
+
+def _apply(inputs: tuple, ufunc, *operands):
+    """``ufunc(*operands)``, written into a ``_spare`` operand when there is one."""
+    return ufunc(*operands, out=_spare(inputs, *operands))
+
+
 def _fresh(a, shape: tuple[int, ...], inputs: tuple) -> np.ndarray:
     """``a`` as a writable array of ``shape`` that shares no memory with the inputs.
 
     Leaves evaluate to scalars and input views, so only a result that is one
-    of those is copied; the result of an arithmetic node is returned as is.
+    of those is copied; the result of any other node is an array the walk
+    allocated, returned as is.
     """
-    if (isinstance(a, np.ndarray) and a.shape == shape and a.flags.owndata
-            and a.flags.writeable and not any(a is i for i in inputs)):
+    if np.shape(a) == shape and _spare(inputs, a) is not None:
         return a
     out = np.empty(shape)
     out[...] = a
     return out
 
 
-def _ipow(a, p: int):
+def _ipow(a, p: int, out=None):
     """a ** p for an integer p by binary powering; p < 0 gives 1 / a ** |p|.
 
     Repeated multiplication costs the same for every sign of the base, and
-    p = -1, 0, 1, 2 give the same bits as numpy's ``a ** p``.
+    p = -1, 0, 1, 2 give the same bits as numpy's ``a ** p``.  ``out`` is
+    None or ``a`` itself, which may then be overwritten; the squares the
+    powering allocates are overwritten in any case.
     """
     if p == 0:
         return np.ones_like(a)
-    k = abs(p)
-    out = None
+    k, r, own_a, own_r = abs(p), None, out is not None, False
     while True:
         if k & 1:
-            out = a if out is None else out * a
+            if r is None:
+                r, own_r = a, own_a
+            else:
+                r = np.multiply(r, a, out=r if own_r else a if own_a and k == 1 else None)
+                own_r = isinstance(r, np.ndarray)
         k >>= 1
         if not k:
             break
-        a = a * a
-    return 1.0 / out if p < 0 else out
+        a = np.multiply(a, a, out=a if own_a and a is not r else None)
+        own_a = isinstance(a, np.ndarray)
+    return np.divide(1.0, r, out=r if own_r else None) if p < 0 else r
 
 
 def _int_exponent(e: Bin) -> int | None:
@@ -301,19 +324,24 @@ def _int_exponent(e: Bin) -> int | None:
     return None
 
 
-_ARITHMETIC = {"+": add, "-": sub, "*": mul, "/": truediv}
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
-#: fn -> (value ufunc, z-partials from the argument a, its partials da and the value v)
+#: fn -> (value ufunc, z-partials from the argument a, its partials da, the
+#: value v and the walk's writer w = partial(_apply, inputs)); a and da are
+#: not read again, so w may overwrite them
 _CALLS = {
-    "sin": (np.sin, lambda a, da, v: np.cos(a)[..., None] * da),
-    "cos": (np.cos, lambda a, da, v: -np.sin(a)[..., None] * da),
-    "tan": (np.tan, lambda a, da, v: da / np.cos(a)[..., None] ** 2),
-    "exp": (np.exp, lambda a, da, v: v[..., None] * da),
-    "log": (np.log, lambda a, da, v: da / a[..., None]),
-    "atan": (np.arctan, lambda a, da, v: da / (1.0 + a**2)[..., None]),
-    "abs": (np.abs, lambda a, da, v: np.sign(a)[..., None] * da),
+    "sin": (np.sin, lambda a, da, v, w: w(np.multiply, w(np.cos, a)[..., None], da)),
+    "cos": (np.cos, lambda a, da, v, w: w(
+        np.multiply, w(np.negative, w(np.sin, a))[..., None], da)),
+    "tan": (np.tan, lambda a, da, v, w: w(
+        np.divide, da, w(np.square, w(np.cos, a))[..., None])),
+    "exp": (np.exp, lambda a, da, v, w: w(np.multiply, v[..., None], da)),
+    "log": (np.log, lambda a, da, v, w: w(np.divide, da, a[..., None])),
+    "atan": (np.arctan, lambda a, da, v, w: w(
+        np.divide, da, w(np.add, 1.0, w(np.square, a))[..., None])),
+    "abs": (np.abs, lambda a, da, v, w: w(np.multiply, w(np.sign, a)[..., None], da)),
     # the subgradient 0 at the kink a = 0, like abs
-    "sqrt": (np.sqrt, lambda a, da, v: np.where(
+    "sqrt": (np.sqrt, lambda a, da, v, w: np.where(
         (a == 0.0)[..., None], 0.0, da / (2.0 * np.where(a == 0.0, 1.0, v)[..., None]))),
 }
 
@@ -325,7 +353,11 @@ def _eval(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, kink: list[bool]
     partials broadcast to X.shape + (n,), a leaf's being one length-n row.
     ``kink[0]`` is set where abs or sqrt is differentiated at 0.  Each domain
     rule is checked before its operation, so both modes fault at the same node.
+    A node writes its result into an operand array that the walk allocated
+    (``_spare``): in values mode always, with partials only where the node's
+    partial rule no longer reads that operand.  X, Y and Z are never written.
     """
+    w = partial(_apply, (X, Y, Z))
     if isinstance(e, Num):
         return np.float64(e.value), None if kink is None else np.zeros(Z.shape[-1])
     if isinstance(e, Var):
@@ -336,7 +368,7 @@ def _eval(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, kink: list[bool]
         return v, np.zeros(n) if e.index is None else np.eye(n)[e.index]
     if isinstance(e, Unary):
         a, da = _eval(e.operand, X, Y, Z, kink)
-        return -a, None if da is None else -da
+        return w(np.negative, a), None if da is None else w(np.negative, da)
     if isinstance(e, Bin):
         a, da = _eval(e.left, X, Y, Z, kink)
         if e.op == "^":
@@ -344,16 +376,17 @@ def _eval(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, kink: list[bool]
         b, db = _eval(e.right, X, Y, Z, kink)
         if e.op == "/" and np.any(b == 0.0):
             _fault("division by zero", e, b == 0.0, X, Y)
-        v = _ARITHMETIC[e.op](a, b)
+        ufunc = _ARITHMETIC[e.op]
         if da is None:
-            return v, None
-        if e.op == "+":
-            return v, da + db
-        if e.op == "-":
-            return v, da - db
+            return w(ufunc, a, b), None
+        if e.op in "+-":
+            return w(ufunc, a, b), w(ufunc, da, db)
         if e.op == "*":
-            return v, a[..., None] * db + b[..., None] * da
-        return v, (da - v[..., None] * db) / b[..., None]
+            d = w(np.add, w(np.multiply, a[..., None], db), w(np.multiply, b[..., None], da))
+            return w(np.multiply, a, b), d
+        v = np.divide(a, b, out=_spare((X, Y, Z, b), a, b))
+        d = w(np.subtract, da, w(np.multiply, v[..., None], db))
+        return v, w(np.divide, d, b[..., None])
     if isinstance(e, Call):
         a, da = _eval(e.arg, X, Y, Z, kink)
         if e.fn == "log" and np.any(a <= 0.0):
@@ -361,37 +394,41 @@ def _eval(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, kink: list[bool]
         if e.fn == "sqrt" and np.any(a < 0.0):
             _fault("sqrt of a negative value", e, a < 0.0, X, Y)
         ufunc, partials = _CALLS[e.fn]
-        v = ufunc(a)
         if da is None:
-            return v, None
+            return w(ufunc, a), None
+        v = ufunc(a)
         if e.fn in ("abs", "sqrt") and np.any((a == 0.0) & np.any(da != 0.0, axis=-1)):
             kink[0] = True
-        return v, partials(a, da, v)
+        return v, partials(a, da, v, w)
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def _pow(e: Bin, a, da, X, Y, Z, kink):
     """a ^ b with the domain rules: integer literal exponents allow any base
     (except 0 to a negative power); everything else requires base > 0."""
+    w = partial(_apply, (X, Y, Z))
     p = _int_exponent(e)
     if p is not None:
         if p < 0 and np.any(a == 0.0):
             _fault("zero base raised to a negative power", e, a == 0.0, X, Y)
-        v = _ipow(a, p)
         if da is None:
-            return v, None
+            return _ipow(a, p, _spare((X, Y, Z), a)), None
+        v = _ipow(a, p)
         if p == 0:
             return v, np.zeros_like(da)
         # d(a^p) = p a^(p-1) da; a^0 = 1, so p = 1 at a = 0 is right,
         # and for p >= 2 the coefficient vanishes at a = 0 as it should.
-        return v, (p * _ipow(a, p - 1))[..., None] * da
+        c = w(np.multiply, p, _ipow(a, p - 1, _spare((X, Y, Z), a)))
+        return v, w(np.multiply, c[..., None], da)
     b, db = _eval(e.right, X, Y, Z, kink)
     if np.any(a <= 0.0):
         _fault("non-integer power of a nonpositive base", e, a <= 0.0, X, Y)
-    v = np.power(a, b)
     if da is None:
-        return v, None
-    return v, v[..., None] * (db * np.log(a)[..., None] + b[..., None] * da / a[..., None])
+        return w(np.power, a, b), None
+    v = np.power(a, b)
+    t = w(np.divide, w(np.multiply, b[..., None], da), a[..., None])
+    t = w(np.add, w(np.multiply, db, w(np.log, a)[..., None]), t)
+    return v, w(np.multiply, v[..., None], t)
 
 
 def _on_grid(e: Expr, X, Y, Z, kink: list[bool] | None):
@@ -400,9 +437,9 @@ def _on_grid(e: Expr, X, Y, Z, kink: list[bool] | None):
     shape = np.shape(X)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v, d = _eval(e, X, Y, Z, kink)
-        v = _fresh(v, shape, (X, Y))
+        v = _fresh(v, shape, (X, Y, Z))
         if d is not None:
-            d = _fresh(d, shape + Z.shape[-1:], ())
+            d = _fresh(d, shape + Z.shape[-1:], (X, Y, Z))
     if not np.isfinite(v).all():
         _fault("non-finite result (overflow?)", e, ~np.isfinite(v), X, Y, EvalOverflowError)
     if d is not None and not np.isfinite(d).all():
@@ -414,8 +451,10 @@ def _on_grid(e: Expr, X, Y, Z, kink: list[bool] | None):
 def eval_on_grid(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Evaluate over coordinate arrays X, Y and state array Z (shape X.shape + (n,)).
 
-    Returns a fresh, writable array of X's shape.  A non-finite result
-    (overflow) raises EvalOverflowError.
+    Returns a fresh, writable array of X's shape.  X, Y and Z are only read:
+    the walk writes each node's result into an array it allocated itself,
+    and the caller may overwrite the result.  A non-finite result (overflow)
+    raises EvalOverflowError.
     """
     return _on_grid(e, X, Y, Z, None)[0]
 

@@ -158,6 +158,9 @@ def _check_same_shape(a: GridField, b: GridField) -> None:
 # temporaries.  At N = 512 each array is 2 MB, and a solve that frees many of
 # them lets the C heap return its top pages to the OS; faulting them back in
 # cost more than the arithmetic (measured with getrusage minor-fault counts).
+# Expression evaluation and the operator follow the same rule: they write
+# into arrays they allocated themselves, never into their inputs, and return
+# fresh writable arrays.
 
 def cum2d_array(values: np.ndarray, h: float) -> np.ndarray:
     """Cumulative double integral by 2D prefix sums of per-cell averages."""
@@ -193,19 +196,21 @@ def cumy_array(values: np.ndarray, h: float) -> np.ndarray:
     return _cum_into(np.zeros_like(values), values, 1, h)
 
 
-def state_from_g(g: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def state_from_g(g: np.ndarray, h: float, zy: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The state arrays (z, z_x, z_y) of the mixed derivative g = z_xy.
 
     z_x = cumy(g), z_y = cumx(g) and z = cumx(z_x): the tensor trapezoid of
     ``cum2d_array(g)`` (equal up to rounding) in three prefix-sum passes
     instead of four.  The homogeneous edge values are exactly zero.  The
-    three arrays share one buffer, so a rebuild allocates once.
+    arrays share one buffer, so a rebuild allocates once.  With ``zy`` false
+    the z_y that z does not need is neither allocated nor built: it is None.
     """
-    z, zx, zy = np.zeros((3,) + g.shape)
-    _cum_into(zx, g, 1, h)
-    _cum_into(z, zx, 0, h)
-    _cum_into(zy, g, 0, h)
-    return z, zx, zy
+    state = np.zeros((3 if zy else 2,) + g.shape)
+    _cum_into(state[1], g, 1, h)
+    _cum_into(state[0], state[1], 0, h)
+    if zy:
+        _cum_into(state[2], g, 0, h)
+    return state[0], state[1], state[2] if zy else None
 
 
 # -- fields at the API boundary ---------------------------------------------

@@ -47,9 +47,10 @@ def _kernel(cells: int, m: float) -> np.ndarray:
 
 
 class WeightedNorms:
-    """Weight kernel e^{−m(x_i + y_j)} precomputed for one (grid, m) pair."""
+    """Weight kernel e^{−m(x_i + y_j)} and the grid's trapezoid weights,
+    precomputed for one (grid, m) pair."""
 
-    __slots__ = ("grid", "m", "kernel")
+    __slots__ = ("grid", "m", "kernel", "weights")
 
     def __init__(self, grid: Grid, m: float):
         m = float(m)
@@ -58,6 +59,7 @@ class WeightedNorms:
         self.grid = grid
         self.m = m
         self.kernel = _kernel(grid.cells, m)
+        self.weights = grid.trapezoid_weights()
 
     def norm(self, f: GridField | np.ndarray) -> float:
         """Weighted L² norm of an R^n-valued field, or of its (P, P, n) values."""
@@ -74,7 +76,7 @@ class WeightedNorms:
         return float(np.sqrt(total))
 
     def _sum_sq(self, f: np.ndarray) -> float:
-        w = self.grid.trapezoid_weights()
+        w = self.weights
         return np.einsum("i,j,ij->", w, w, self.kernel * (f**2).sum(axis=2))
 
 

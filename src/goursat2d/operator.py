@@ -42,14 +42,16 @@ class OperatorContext:
     """Immutable pairing of a problem with a grid, plus node caches.
 
     Holds the spec, the grid, its node coordinates, the z-independent
-    coefficient matrices A1, A2 sampled once per (spec, grid), and the
-    assumption probe report that ``with_assumptions`` attaches (None until
-    then) to a derived context sharing the caches.  F and F' do not depend
-    on the weight m, so the context carries none: each solve chooses its m
-    and builds its own ``WeightedNorms``.
+    coefficient matrices A1, A2 sampled once per (spec, grid), the record
+    ``nonzero`` of which of A1, A2 is not identically zero on the nodes (F
+    and F' skip the term of a zero one, and the z_y that only A2 reads), and
+    the assumption probe report that ``with_assumptions`` attaches (None
+    until then) to a derived context sharing the caches.  F and F' do not
+    depend on the weight m, so the context carries none: each solve chooses
+    its m and builds its own ``WeightedNorms``.
     """
 
-    __slots__ = ("spec", "grid", "assumptions", "X", "Y", "a1_nodes", "a2_nodes")
+    __slots__ = ("spec", "grid", "assumptions", "X", "Y", "a1_nodes", "a2_nodes", "nonzero")
 
     def __init__(self, spec: ProblemSpec, grid: Grid):
         self.spec = spec
@@ -57,6 +59,7 @@ class OperatorContext:
         self.X, self.Y = grid.meshgrid()
         self.a1_nodes = _matrix_values(spec.a1, self.X, self.Y, spec.n)
         self.a2_nodes = _matrix_values(spec.a2, self.X, self.Y, spec.n)
+        self.nonzero = (bool(self.a1_nodes.any()), bool(self.a2_nodes.any()))
         self.assumptions = None
 
     def with_assumptions(self, report: AssumptionReport) -> "OperatorContext":
@@ -83,9 +86,31 @@ def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("ijkl,ijl->ijk", mats, vecs, optimize=False)
 
 
+def _stack(arrays: list[np.ndarray], axis: int) -> np.ndarray:
+    """``np.stack(arrays, axis)``, but a view of the one array when n == 1."""
+    return np.expand_dims(arrays[0], axis) if len(arrays) == 1 else np.stack(arrays, axis)
+
+
 def _components(exprs, X, Y, Z) -> np.ndarray:
-    """Stack component evaluations into shape X.shape + (n,)."""
-    return np.stack([eval_on_grid(e, X, Y, Z) for e in exprs], axis=-1)
+    """Stack component evaluations into a writable array of shape X.shape + (n,)."""
+    return _stack([eval_on_grid(e, X, Y, Z) for e in exprs], -1)
+
+
+def _assemble(ctx: OperatorContext, local, g, inner, zx, zy) -> np.ndarray:
+    """(g + local) + J((inner + A1 zx) + A2 zy) in this order of additions, in
+    the fresh arrays ``local`` and ``inner``, without the term of a zero A.
+
+    The sum lands in J's array, the last one allocated, so the temporaries
+    freed below it do not join the C heap's top, whose trimming would fault
+    their pages back in on the next call."""
+    if ctx.nonzero[0]:
+        inner += _matvec(ctx.a1_nodes, zx)
+    if ctx.nonzero[1]:
+        inner += _matvec(ctx.a2_nodes, zy)
+    local += g
+    out = cum2d_array(inner, ctx.grid.h)
+    out += local
+    return out
 
 
 def apply_F(ctx: OperatorContext, g: GridField | np.ndarray) -> GridField | np.ndarray:
@@ -98,11 +123,10 @@ def apply_F(ctx: OperatorContext, g: GridField | np.ndarray) -> GridField | np.n
     if field:
         ctx.check_field(g)
         g = g.values
-    z, zx, zy = state_from_g(g, ctx.grid.h)
+    z, zx, zy = state_from_g(g, ctx.grid.h, zy=ctx.nonzero[1])
     f1v = _components(ctx.spec.f1, ctx.X, ctx.Y, z)
     f2v = _components(ctx.spec.f2, ctx.X, ctx.Y, z)
-    inner = f2v + _matvec(ctx.a1_nodes, zx) + _matvec(ctx.a2_nodes, zy)
-    out = g + f1v + cum2d_array(inner, ctx.grid.h)
+    out = _assemble(ctx, f1v, g, f2v, zx, zy)
     return GridField(ctx.grid, out) if field else out
 
 
@@ -119,24 +143,20 @@ class LinearizedOperator:
     def __init__(self, ctx: OperatorContext, at: GridField):
         ctx.check_field(at)
         self.ctx = ctx
-        Z = self.z = state_from_g(at.values, ctx.grid.h)[0]
-        n = ctx.spec.n
-        shape = Z.shape[:2]
-        j1 = np.empty(shape + (n, n))
-        j2 = np.empty(shape + (n, n))
-        for i in range(n):
-            _, d, _ = eval_dual_on_grid(ctx.spec.f1[i], ctx.X, ctx.Y, Z)
-            j1[:, :, i, :] = d
-            _, d, _ = eval_dual_on_grid(ctx.spec.f2[i], ctx.X, ctx.Y, Z)
-            j2[:, :, i, :] = d
-        self.j1 = j1
-        self.j2 = j2
+        Z = self.z = state_from_g(at.values, ctx.grid.h, zy=False)[0]
+        d1, d2 = [], []
+        for i in range(ctx.spec.n):
+            d1.append(eval_dual_on_grid(ctx.spec.f1[i], ctx.X, ctx.Y, Z)[1])
+            d2.append(eval_dual_on_grid(ctx.spec.f2[i], ctx.X, ctx.Y, Z)[1])
+        # row i of each Jacobian holds the partials of component i
+        self.j1 = _stack(d1, -2)
+        self.j2 = _stack(d2, -2)
 
     def apply_array(self, hg: np.ndarray) -> np.ndarray:
         """Raw-array application for solver inner loops; hg shape (P, P, n)."""
-        h, hx, hy = state_from_g(hg, self.ctx.grid.h)
-        inner = _matvec(self.j2, h) + _matvec(self.ctx.a1_nodes, hx) + _matvec(self.ctx.a2_nodes, hy)
-        return hg + _matvec(self.j1, h) + cum2d_array(inner, self.ctx.grid.h)
+        ctx = self.ctx
+        h, hx, hy = state_from_g(hg, ctx.grid.h, zy=ctx.nonzero[1])
+        return _assemble(ctx, _matvec(self.j1, h), hg, _matvec(self.j2, h), hx, hy)
 
 
 @dataclass(frozen=True)

@@ -330,9 +330,8 @@ def _start(v: GridField, g0: GridField | None) -> np.ndarray:
     return (v if g0 is None else g0).values
 
 
-def _F_residual(ctx: OperatorContext, g: np.ndarray, v: GridField) -> np.ndarray:
-    """F(g) − v on value arrays."""
-    r = apply_F(ctx, g)
+def _minus(r: np.ndarray, v: GridField) -> np.ndarray:
+    """r − v on value arrays, computed in the fresh array r."""
     r -= v.values
     return r
 
@@ -361,7 +360,7 @@ def solve_linearized(
         )
     return _iterate(
         WeightedNorms(ctx.grid, m), "linearized", _start(v, g0),
-        residual=lambda g: lin.apply_array(g) - v.values,
+        residual=lambda g: _minus(lin.apply_array(g), v),
         step=lambda g, r, rnorm: g - r,
         tol=cfg.tol, max_iter=cfg.max_iter, patience=True,
     )
@@ -427,7 +426,7 @@ def solve(ctx: OperatorContext, v: GridField, cfg: SolverConfig, g0: GridField |
     picard = cfg.method == "picard"
     return _iterate(
         wn, cfg.method, _start(v, g0),
-        residual=lambda g: _F_residual(ctx, g, v),
+        residual=lambda g: _minus(apply_F(ctx, g), v),
         step=(lambda g, r, rnorm: g - r) if picard else _newton_step(ctx, v, wn),
         tol=cfg.tol, max_iter=cfg.max_iter, patience=picard,
     )
@@ -455,7 +454,7 @@ def _newton_step(ctx: OperatorContext, v: GridField, wn: WeightedNorms):
         for _ in range(_MAX_BACKTRACKS + 1):
             trial = g + lam * delta
             try:
-                if classical.norm(_F_residual(ctx, trial, v)) < r0:
+                if classical.norm(_minus(apply_F(ctx, trial), v)) < r0:
                     return trial
             except EvalOverflowError:
                 pass  # F overflows at the trial point: no decrease

@@ -14,6 +14,7 @@ from goursat2d.exprlang import evaluate, parse
 from goursat2d.grid import GridField, build_grid
 from goursat2d.problem import (
     XYFunction,
+    _smoke_check,
     builtin_example_4_6,
     load_problem,
     manufacture_problem,
@@ -203,6 +204,11 @@ class TestBuiltins:
             "coefficients": {name: [["0.0"]] for name in ("A1", "A2", "A1x", "A2y")},
             "label": "example46",
         }
+
+    def test_example_passes_the_load_time_check(self):
+        # the constant problem is not re-checked on every call; it must pass
+        # the check load_problem applies to outside input
+        _smoke_check(builtin_example_4_6())
 
 
 class TestProbeAssumptions:
