@@ -142,9 +142,7 @@ def _load_spec(args) -> tuple[ProblemSpec, dict]:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-    spec = load_problem(document, base_dir=path.parent)
-    solver_doc = document.get("solver", {}) if isinstance(document, dict) else {}
-    return spec, dict(solver_doc)
+    return load_problem(document, base_dir=path.parent), dict(document.get("solver", {}))
 
 
 def _solver_config(args, solver_doc: dict) -> SolverConfig:
@@ -187,16 +185,19 @@ def _xyfunction(source: str, n: int, what: str) -> XYFunction:
         raise ParameterError(f"{what}: {exc}") from exc
 
 
+def _fitting(f: GridField, grid, n: int, what: str) -> GridField:
+    """``f``, read from the file of ``what``, checked to fit the grid and the problem."""
+    if f.grid != grid:
+        raise ParameterError(f"{what}: file is sampled on {f.grid}, expected {grid}")
+    if f.n != n:
+        raise ParameterError(f"{what}: file has {f.n} components, problem has {n}")
+    return f
+
+
 def _field(source: str, grid, n: int, what: str) -> GridField:
     """A field from either an expression or a node-value CSV path."""
-    looks_like_path = source.endswith(".csv") or Path(source).is_file()
-    if looks_like_path:
-        f = read_field_csv(source)
-        if f.grid != grid:
-            raise ParameterError(f"{what}: file is sampled on {f.grid}, expected {grid}")
-        if f.n != n:
-            raise ParameterError(f"{what}: file has {f.n} components, problem has {n}")
-        return f
+    if source.endswith(".csv") or Path(source).is_file():
+        return _fitting(read_field_csv(source), grid, n, what)
     return _xyfunction(source, n, what).sample(grid)
 
 
@@ -307,13 +308,7 @@ def cmd_solve(args) -> int:
 def cmd_linsolve(args) -> int:
     spec, cfg, ctx = _setup(args)
     if args.linearize_at is not None:
-        at = read_grid_csv(args.linearize_at)
-        if at.grid != ctx.grid:
-            raise ParameterError(
-                f"--linearize-at state is sampled on {at.grid}, expected {ctx.grid}")
-        if at.n != spec.n:
-            raise ParameterError(
-                f"--linearize-at state has {at.n} components, problem has {spec.n}")
+        at = _fitting(read_grid_csv(args.linearize_at), ctx.grid, spec.n, "--linearize-at")
         linearized_at = args.linearize_at
     else:
         at = GridField(ctx.grid, np.zeros((ctx.grid.npoints,) * 2 + (spec.n,)))

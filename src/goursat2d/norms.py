@@ -39,9 +39,8 @@ from .grid import Grid, GridField, cum2d_array, state_from_g
 
 
 @lru_cache(maxsize=64)
-def _kernel(cells: int, m: float) -> np.ndarray:
-    nodes = np.arange(cells + 1, dtype=float) / cells
-    k = np.exp(-m * (nodes[:, None] + nodes[None, :]))
+def _kernel(grid: Grid, m: float) -> np.ndarray:
+    k = np.exp(-m * (grid.nodes[:, None] + grid.nodes[None, :]))
     k.setflags(write=False)
     return k
 
@@ -58,7 +57,7 @@ class WeightedNorms:
             raise InvalidWeightError(f"weight exponent must be nonnegative, got {m}")
         self.grid = grid
         self.m = m
-        self.kernel = _kernel(grid.cells, m)
+        self.kernel = _kernel(grid, m)
         self.weights = grid.trapezoid_weights()
 
     def norm(self, f: GridField | np.ndarray) -> float:

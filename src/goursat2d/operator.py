@@ -209,6 +209,7 @@ def coercivity_probe(
     scale = 0.0
     for g in g_samples:
         ctx.check_field(g)
+        g = g.values
         lhs = norms.norm(apply_F(ctx, g))
         gnorm = norms.norm(g)
         margins.append(lhs - (factor * gnorm - D))
@@ -216,7 +217,7 @@ def coercivity_probe(
     tol = 10.0 * ctx.grid.h**2 * max(scale, 1.0)
 
     ray_values = []
-    g0 = g_samples[0]
+    g0 = g_samples[0].values
     g0_norm = norms.norm(g0)
     for t in _RAY_SCALES:
         ray_values.append(norms.norm(apply_F(ctx, t * g0)))

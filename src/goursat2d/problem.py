@@ -27,7 +27,6 @@ solver's.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -135,10 +134,8 @@ class ProblemSpec:
             raise ValueError(f"growth bound B must be finite and >= 0, got {self.growth_bound}")
         if free_z_indices(self.majorant):
             raise ValueError("the majorant b must be a function of x, y only")
-        if isinstance(self.rhs, XYFunction) and self.rhs.n != self.n:
+        if self.rhs is not None and self.rhs.n != self.n:
             raise ValueError(f"rhs has {self.rhs.n} components, problem has {self.n}")
-        if isinstance(self.rhs, GridField) and self.rhs.n != self.n:
-            raise ValueError(f"rhs field has {self.rhs.n} components, problem has {self.n}")
 
     def sample_rhs(self, grid: Grid) -> GridField:
         """The right-hand side as a field on ``grid``."""
@@ -178,21 +175,36 @@ def _check_keys(doc: dict, allowed: set[str], path: str) -> None:
         )
 
 
-def _parse_expr(source, n: int, path: str) -> Expr:
+def _section(doc: dict, key: str, allowed: set[str], required: bool = True) -> dict | None:
+    """The object ``doc[key]`` with no key outside ``allowed``; None when an
+    optional section is absent."""
+    if key not in doc and not required:
+        return None
+    section = _require(doc, key, "")
+    if not isinstance(section, dict):
+        raise SchemaError("must be an object", path=key)
+    _check_keys(section, allowed, key)
+    return section
+
+
+def _parse_expr(source, n: int, path: str, xy_only: bool = False) -> Expr:
     if not isinstance(source, str):
         raise SchemaError(f"expected an expression string, got {type(source).__name__}", path=path)
     try:
-        return parse(source, n)
+        expr = parse(source, n)
     except Exception as exc:
         raise SchemaError(f"bad expression: {exc}", path=path) from exc
+    if xy_only and free_z_indices(expr):
+        raise SchemaError("may not reference z", path=path)
+    return expr
 
 
-def _parse_components(sources, n: int, path: str) -> tuple[Expr, ...]:
+def _parse_components(sources, n: int, path: str, xy_only: bool = False) -> tuple[Expr, ...]:
     if isinstance(sources, str):
         sources = [sources]
     if not isinstance(sources, list) or len(sources) != n:
         raise SchemaError(f"expected {n} component expression(s)", path=path)
-    return tuple(_parse_expr(s, n, f"{path}[{i}]") for i, s in enumerate(sources))
+    return tuple(_parse_expr(s, n, f"{path}[{i}]", xy_only) for i, s in enumerate(sources))
 
 
 def _parse_matrix(rows, n: int, path: str) -> ExprMatrix:
@@ -204,77 +216,50 @@ def _parse_matrix(rows, n: int, path: str) -> ExprMatrix:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"expected {n} entries in row {i}", path=f"{path}[{i}]")
-        entries = []
-        for j, s in enumerate(row):
-            e = _parse_expr(s, n, f"{path}[{i}][{j}]")
-            if free_z_indices(e):
-                raise SchemaError("coefficient entries may not reference z", path=f"{path}[{i}][{j}]")
-            entries.append(e)
-        out.append(tuple(entries))
+        out.append(tuple(_parse_expr(s, n, f"{path}[{i}][{j}]", xy_only=True)
+                         for j, s in enumerate(row)))
     return tuple(out)
 
 
-def load_problem(document: str | dict, base_dir: str | Path | None = None) -> ProblemSpec:
-    """Parse and validate a problem document (JSON text or an already-parsed dict).
+def load_problem(document: dict, base_dir: str | Path | None = None) -> ProblemSpec:
+    """Parse and validate a problem document, the object parsed from its JSON.
 
     Every error is a SchemaError carrying the dotted path of the offending
     field.  Expressions are smoke-evaluated on a small sample of the domain so
     evaluation faults surface at load time, not mid-solve.
     """
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"document is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise SchemaError(f"document must be a JSON object, got {type(document).__name__}")
     _check_keys(document, _TOP_KEYS, "")
 
-    meta = _require(document, "meta", "")
-    if not isinstance(meta, dict):
-        raise SchemaError("must be an object", path="meta")
-    _check_keys(meta, _META_KEYS, "meta")
+    meta = _section(document, "meta", _META_KEYS)
     n = _require(meta, "n", "meta")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError(f"n must be a positive integer, got {n!r}", path="meta.n")
     B = _require(meta, "B", "meta")
     if not isinstance(B, (int, float)) or isinstance(B, bool) or not 0 <= B <= sys.float_info.max:
         raise SchemaError(f"B must be a finite number >= 0, got {B!r}", path="meta.B")
-    b_expr = _parse_expr(_require(meta, "b", "meta"), n, "meta.b")
-    if free_z_indices(b_expr):
-        raise SchemaError("the majorant b may not reference z", path="meta.b")
+    b_expr = _parse_expr(_require(meta, "b", "meta"), n, "meta.b", xy_only=True)
 
-    functions = _require(document, "functions", "")
-    if not isinstance(functions, dict):
-        raise SchemaError("must be an object", path="functions")
-    _check_keys(functions, _FUN_KEYS, "functions")
+    functions = _section(document, "functions", _FUN_KEYS)
     f1 = _parse_components(_require(functions, "f1", "functions"), n, "functions.f1")
     f2 = _parse_components(_require(functions, "f2", "functions"), n, "functions.f2")
 
-    coefficients = _require(document, "coefficients", "")
-    if not isinstance(coefficients, dict):
-        raise SchemaError("must be an object", path="coefficients")
-    _check_keys(coefficients, _COEF_KEYS, "coefficients")
+    coefficients = _section(document, "coefficients", _COEF_KEYS)
     mats = {
         name: _parse_matrix(_require(coefficients, name, "coefficients"), n, f"coefficients.{name}")
         for name in ("A1", "A2", "A1x", "A2y")
     }
 
+    rhs_doc = _section(document, "rhs", _RHS_KEYS, required=False)
     rhs: XYFunction | GridField | None = None
-    if "rhs" in document:
-        rhs_doc = document["rhs"]
-        if not isinstance(rhs_doc, dict):
-            raise SchemaError("must be an object", path="rhs")
-        _check_keys(rhs_doc, _RHS_KEYS, "rhs")
-        if "v" in rhs_doc and "v_file" in rhs_doc:
-            raise SchemaError("give either v or v_file, not both", path="rhs")
+    if rhs_doc is not None:
+        if len(rhs_doc) != 1:
+            raise SchemaError("give either v or v_file, not both" if rhs_doc
+                              else "needs v or v_file", path="rhs")
         if "v" in rhs_doc:
-            exprs = _parse_components(rhs_doc["v"], n, "rhs.v")
-            for i, e in enumerate(exprs):
-                if free_z_indices(e):
-                    raise SchemaError("rhs may not reference z", path=f"rhs.v[{i}]")
-            rhs = XYFunction(exprs)
-        elif "v_file" in rhs_doc:
+            rhs = XYFunction(_parse_components(rhs_doc["v"], n, "rhs.v", xy_only=True))
+        else:
             path = Path(rhs_doc["v_file"])
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
@@ -286,21 +271,15 @@ def load_problem(document: str | dict, base_dir: str | Path | None = None) -> Pr
                 raise SchemaError(
                     f"rhs file has {rhs.n} components, problem has {n}", path="rhs.v_file"
                 )
-        else:
-            raise SchemaError("needs v or v_file", path="rhs")
 
-    if "solver" in document:
-        from .solvers import SolverConfig
+    from .solvers import SolverConfig  # here, because solvers imports this module
 
-        solver = document["solver"]
-        if not isinstance(solver, dict):
-            raise SchemaError("must be an object", path="solver")
-        _check_keys(solver, {f.name for f in fields(SolverConfig)}, "solver")
-        for key, value in solver.items():
-            try:
-                SolverConfig.from_settings({key: value})
-            except ValueError as exc:
-                raise SchemaError(str(exc), path=f"solver.{key}") from exc
+    solver = _section(document, "solver", {f.name for f in fields(SolverConfig)}, required=False)
+    for key, value in (solver or {}).items():
+        try:
+            SolverConfig.from_settings({key: value})
+        except ValueError as exc:
+            raise SchemaError(str(exc), path=f"solver.{key}") from exc
 
     label = document.get("label", "")
     if not isinstance(label, str):
@@ -596,32 +575,23 @@ def probe_assumptions(
 
 def manufacture_problem(
     base: ProblemSpec,
-    zstar_g: XYFunction | GridField,
+    zstar_g: XYFunction,
     grid: Grid,
     refine: int = 4,
 ) -> ProblemSpec:
     """Set v := F(z*) so that z* is the exact solution on ``grid``.
 
-    When z* comes as a samplable function of (x, y) (its mixed derivative
-    g* = z*_xy, component expressions), the operator is evaluated on a grid
-    ``refine`` times finer and restricted to the working grid, keeping the
-    oracle's quadrature error an order below the solver's.  A plain GridField
-    g* can only be evaluated on its own grid (no interpolation is attempted),
-    which still yields a consistent — just not refined — oracle.
+    z* comes as its mixed derivative g* = z*_xy, an XYFunction of component
+    expressions.  The operator is evaluated on a grid ``refine`` times finer
+    and restricted to the working grid, keeping the oracle's quadrature error
+    an order below the solver's.
     """
     from .operator import apply_F, make_context
 
     if refine < 1:
         raise ParameterError(f"refine must be >= 1, got {refine}")
-    if isinstance(zstar_g, XYFunction):
-        if zstar_g.n != base.n:
-            raise ValueError(f"z* has {zstar_g.n} components, problem has {base.n}")
-        fine = build_grid(grid.cells * refine) if refine > 1 else grid
-        g_fine = zstar_g.sample(fine)
-        v_fine = apply_F(make_context(base, fine), g_fine)
-        v = restrict_to(v_fine, grid) if refine > 1 else v_fine
-    else:
-        if zstar_g.grid != grid:
-            raise ValueError(f"z* field lives on {zstar_g.grid}, expected {grid}")
-        v = apply_F(make_context(base, grid), zstar_g)
-    return replace(base, rhs=v)
+    if zstar_g.n != base.n:
+        raise ValueError(f"z* has {zstar_g.n} components, problem has {base.n}")
+    fine = build_grid(grid.cells * refine)
+    v_fine = apply_F(make_context(base, fine), zstar_g.sample(fine))
+    return replace(base, rhs=restrict_to(v_fine, grid))

@@ -77,6 +77,10 @@ def validate_frechet(
     Passes when the errors decrease monotonically (or sit at the
     10·tol/ε solver floor) and the smallest error is ≤ 0.05.
     """
+    ctx.check_field(v)
+    ctx.check_field(deltav)
+    if not deltav.values.any():
+        raise ParameterError("the direction deltav is identically zero; it validates nothing")
     eps = tuple(float(e) for e in eps_list)
     if len(eps) < 3:
         raise ParameterError(f"need at least 3 quotient steps, got {len(eps)}")

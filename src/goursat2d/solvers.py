@@ -177,7 +177,10 @@ def choose_weight(ctx: OperatorContext, at: GridField | None = None) -> WeightCh
             "probe_assumptions(...) attached (with_assumptions)"
         )
     B = ctx.spec.growth_bound
-    z = None if at is None else state_from_g(at.values, at.grid.h)[0]
+    z = None
+    if at is not None:
+        ctx.check_field(at)
+        z = state_from_g(at.values, ctx.grid.h)[0]
     d, rho, m_rho = _kernel_numbers(ctx, z)
     m = max(8.0 * B, 2.0 * math.sqrt(d)) + 1.0
     if not math.isfinite(m):
@@ -325,8 +328,11 @@ def _report(
     )
 
 
-def _start(v: GridField, g0: GridField | None) -> np.ndarray:
-    """The first iterate: g0 when given, else v."""
+def _start(ctx: OperatorContext, v: GridField, g0: GridField | None) -> np.ndarray:
+    """The first iterate, g0 when given, else v, after checking both fit ``ctx``."""
+    ctx.check_field(v)
+    if g0 is not None:
+        ctx.check_field(g0)
     return (v if g0 is None else g0).values
 
 
@@ -350,7 +356,7 @@ def solve_linearized(
     contraction threshold 2√d; with an automatic m the threshold holds by
     construction.
     """
-    ctx.check_field(v)
+    g = _start(ctx, v, g0)
     m, lin, d = _linearize(ctx, at, cfg)
     if d is not None and m <= 2.0 * math.sqrt(d):
         warnings.warn(
@@ -359,7 +365,7 @@ def solve_linearized(
             stacklevel=2,
         )
     return _iterate(
-        WeightedNorms(ctx.grid, m), "linearized", _start(v, g0),
+        WeightedNorms(ctx.grid, m), "linearized", g,
         residual=lambda g: _minus(lin.apply_array(g), v),
         step=lambda g, r, rnorm: g - r,
         tol=cfg.tol, max_iter=cfg.max_iter, patience=True,
@@ -421,11 +427,11 @@ def solve(ctx: OperatorContext, v: GridField, cfg: SolverConfig, g0: GridField |
     for many steps of a solve that converges, so only a failed line search
     (StagnationError), a failed inner solve or the iteration cap stop it.
     """
-    ctx.check_field(v)
+    g = _start(ctx, v, g0)
     wn = WeightedNorms(ctx.grid, _resolve_m(ctx, cfg))
     picard = cfg.method == "picard"
     return _iterate(
-        wn, cfg.method, _start(v, g0),
+        wn, cfg.method, g,
         residual=lambda g: _minus(apply_F(ctx, g), v),
         step=(lambda g, r, rnorm: g - r) if picard else _newton_step(ctx, v, wn),
         tol=cfg.tol, max_iter=cfg.max_iter, patience=picard,

@@ -16,10 +16,12 @@ import pytest
 from goursat2d import cli
 from goursat2d.cli import build_parser, main
 from goursat2d.errors import Goursat2dError, SolverError
-from goursat2d.fileio import read_field_csv, read_grid_csv, read_report_json
+from goursat2d.fileio import (
+    read_field_csv, read_grid_csv, read_report_json, write_field_csv, write_grid_csv,
+)
 from goursat2d.norms import classical_l2_norm, weighted_l2_norm
 from goursat2d.operator import apply_F, coercivity_probe, make_context
-from goursat2d.problem import BUILTIN_PROBLEMS, DEFAULT_SEED, load_problem
+from goursat2d.problem import BUILTIN_PROBLEMS, DEFAULT_SEED, XYFunction, load_problem
 from goursat2d.grid import GridField, build_grid, reconstruct_state
 from goursat2d.sampling import random_smooth_field
 from goursat2d.solvers import SolverConfig
@@ -703,6 +705,38 @@ def test_non_finite_csv_value_exits_1(source, token, tmp_path, capsys):
     assert not list(tmp_path.glob("run.*"))
 
 
+def test_rhs_file_solves_like_its_expression(tmp_path):
+    rhs = "1 + sin(2*x)*y"
+    write_field_csv(tmp_path / "v.csv", XYFunction.from_sources(rhs).sample(build_grid(8)))
+    for name, source in (("expr", rhs), ("file", str(tmp_path / "v.csv"))):
+        assert run_cli(["solve", "--builtin", "example46", "--n", "8", "--rhs", source,
+                        "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "file.grid.csv").read_bytes() == (tmp_path / "expr.grid.csv").read_bytes()
+    expr, file = (read_report_json(tmp_path / f"{name}.report.json") for name in ("expr", "file"))
+    assert {**file, "grid_file": None} == {**expr, "grid_file": None}
+
+
+@pytest.mark.parametrize("foreign, message", [
+    ("grid", "file is sampled on Grid(cells=4), expected Grid(cells=8)"),
+    ("n", "file has 2 components, problem has 1"),
+], ids=["other-grid", "other-n"])
+@pytest.mark.parametrize("flag", ["--rhs", "--direction", "--linearize-at"])
+def test_field_file_that_does_not_fit_exits_1(flag, foreign, message, tmp_path, capsys):
+    grid = build_grid(4 if foreign == "grid" else 8)
+    field = GridField(grid, np.ones((grid.npoints, grid.npoints, 2 if foreign == "n" else 1)))
+    path = tmp_path / "field.csv"
+    (write_grid_csv if flag == "--linearize-at" else write_field_csv)(path, field)
+    argv = {"--rhs": ["solve", "--rhs", str(path)],
+            "--direction": ["sens", "--rhs", "1", "--direction", str(path)],
+            "--linearize-at": ["linsolve", "--rhs", "1", "--linearize-at", str(path)]}[flag]
+    code = run_cli([*argv, "--builtin", "example46", "--n", "8", "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag}: {message}\n"
+    assert not list(tmp_path.glob("run.*"))
+
+
 @pytest.mark.parametrize("column", ["z_1", "zx_1", "zy_1"])
 def test_linearize_at_a_bundle_with_a_foreign_state_exits_1(column, tmp_path, linear_doc,
                                                             capsys):
@@ -779,6 +813,16 @@ class TestSens:
         assert code == 3
         lines = stdout_lines(capsys)
         assert lines[-1]["passed"] is False
+
+    def test_zero_direction_exits_1_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "sens"
+        code = run_cli(["sens", "--builtin", "example46", "--n", "16", "--rhs", "1.5",
+                        "--direction", "0", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the direction deltav is identically zero; it validates nothing\n"
+        assert not list(tmp_path.glob("sens.*"))
 
     def test_non_decreasing_eps_exits_1(self, capsys):
         code = run_cli(["sens", "--builtin", "zero", "--n", "8", "--rhs", "x",

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from goursat2d.errors import ParameterError, SchemaError
+from goursat2d.fileio import write_field_csv
 from goursat2d.exprlang import evaluate, parse
 from goursat2d.grid import GridField, build_grid
+from goursat2d.operator import apply_F, make_context
 from goursat2d.problem import (
     XYFunction,
     _smoke_check,
@@ -43,9 +45,10 @@ class TestLoadProblem:
         assert spec.growth_bound == 1.0
         assert isinstance(spec.rhs, XYFunction)
 
-    def test_json_text_accepted(self):
-        spec = load_problem(json.dumps(minimal_doc()))
-        assert spec.n == 1
+    def test_json_text_rejected(self):
+        # the caller parses the text; load_problem takes the parsed object
+        with pytest.raises(SchemaError, match="document must be a JSON object, got str"):
+            load_problem(json.dumps(minimal_doc()))
 
     def test_missing_a1x_named(self):
         doc = minimal_doc()
@@ -78,6 +81,45 @@ class TestLoadProblem:
         doc["coefficients"]["A1"] = [["z1"]]
         with pytest.raises(SchemaError, match="A1"):
             load_problem(doc)
+
+    @pytest.mark.parametrize("section, key, value, path", [
+        ("meta", "b", "z1*z1 + 1", "meta.b"),
+        ("coefficients", "A2y", [["z1"]], "coefficients.A2y[0][0]"),
+        ("rhs", "v", ["x + z1"], "rhs.v[0]"),
+    ])
+    def test_xy_only_entry_with_z_names_its_path(self, section, key, value, path):
+        doc = minimal_doc()
+        doc[section][key] = value
+        with pytest.raises(SchemaError) as exc:
+            load_problem(doc)
+        assert str(exc.value) == f"{path}: may not reference z"
+
+    def test_bare_string_matrix_is_the_one_by_one_matrix(self):
+        doc = minimal_doc()
+        doc["coefficients"]["A1"] = "x*y"
+        bare = load_problem(doc)
+        doc["coefficients"]["A1"] = [["x*y"]]
+        assert bare == load_problem(doc)
+
+    @pytest.mark.parametrize("rhs, message", [
+        ({"v": "1", "v_file": "f.csv"}, "give either v or v_file, not both"),
+        ({}, "needs v or v_file"),
+    ], ids=["both", "neither"])
+    def test_rhs_needs_exactly_one_source(self, rhs, message):
+        with pytest.raises(SchemaError, match=message) as exc:
+            load_problem(minimal_doc(rhs=rhs))
+        assert exc.value.path == "rhs"
+
+    def test_rhs_file_with_the_wrong_component_count_names_its_path(self, tmp_path):
+        write_field_csv(tmp_path / "f.csv", GridField(build_grid(2), np.ones((3, 3, 2))))
+        with pytest.raises(SchemaError, match="rhs file has 2 components, problem has 1") as exc:
+            load_problem(minimal_doc(rhs={"v_file": "f.csv"}), base_dir=tmp_path)
+        assert exc.value.path == "rhs.v_file"
+
+    def test_non_string_label_rejected(self):
+        with pytest.raises(SchemaError, match="label must be a string") as exc:
+            load_problem(minimal_doc(label=7))
+        assert exc.value.path == "label"
 
     def test_negative_majorant_rejected(self):
         doc = minimal_doc()
@@ -173,7 +215,7 @@ class TestSolverSection:
     def test_bad_value_names_its_key(self, key, value):
         # through JSON text, where inf and nan are spelled Infinity and NaN
         with pytest.raises(SchemaError, match=f"{key} must be") as exc:
-            load_problem(json.dumps(minimal_doc(solver={key: value})))
+            load_problem(json.loads(json.dumps(minimal_doc(solver={key: value}))))
         assert exc.value.path == f"solver.{key}"
 
     def test_section_must_be_an_object(self):
@@ -304,11 +346,21 @@ class TestManufacture:
         drift = np.abs(v4.values - v8.values).max()
         assert 0.0 < drift < 1e-3
 
-    def test_grid_field_zstar(self):
-        grid = build_grid(6)
-        gstar = GridField(grid, np.ones((7, 7, 1)))
-        made = manufacture_problem(zero_problem(), gstar, grid)
-        np.testing.assert_allclose(made.sample_rhs(grid).values, 1.0, atol=1e-14)
+    def test_refine_one_is_the_working_grid_itself(self):
+        spec = builtin_example_4_6()
+        grid = build_grid(8)
+        zstar = XYFunction.from_sources("sin(3*x)*cos(2*y) + 1")
+        v = manufacture_problem(spec, zstar, grid, refine=1).sample_rhs(grid)
+        assert v.values.tobytes() == apply_F(make_context(spec, grid), zstar.sample(grid)).values.tobytes()
+
+
+class TestProblemSpec:
+    @pytest.mark.parametrize("kind", ["function", "field"])
+    def test_rhs_with_the_wrong_component_count_rejected(self, kind):
+        rhs = (XYFunction.from_sources(["1", "x"]) if kind == "function"
+               else GridField(build_grid(2), np.ones((3, 3, 2))))
+        with pytest.raises(ValueError, match="rhs has 2 components, problem has 1"):
+            replace(zero_problem(), rhs=rhs)
 
 
 class TestXYFunction:

@@ -129,6 +129,18 @@ class TestValidateFrechet:
         with pytest.raises(ParameterError):
             validate_frechet(ctx, v, v, eps, SolverConfig())
 
+    def test_rejects_a_zero_direction_before_any_solve(self, monkeypatch):
+        ctx = probed_context(builtin_example_4_6(), 8)
+        v = GridField(ctx.grid, np.full((9, 9, 1), 1.5))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a zero direction reached a solve")
+
+        monkeypatch.setattr("goursat2d.sensitivity.solve", no_solve)
+        with pytest.raises(ParameterError, match="direction deltav is identically zero"):
+            validate_frechet(ctx, v, GridField(ctx.grid, np.zeros((9, 9, 1))),
+                             (1e-1, 1e-2, 1e-3), SolverConfig())
+
     def test_refuses_steps_below_noise_floor(self):
         ctx = probed_context(zero_problem(), 8)
         v = GridField(ctx.grid, np.ones((9, 9, 1)))

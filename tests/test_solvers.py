@@ -19,11 +19,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from goursat2d import sensitivity, solvers
 from goursat2d.errors import (
     DivergenceError,
     InvalidWeightError,
     MissingProbeError,
     NoConvergenceError,
+    ShapeError,
     StagnationError,
 )
 from goursat2d.exprlang import parse
@@ -39,6 +41,7 @@ from goursat2d.problem import (
     zero_problem,
 )
 from goursat2d.sampling import random_smooth_field
+from goursat2d.sensitivity import validate_frechet
 from goursat2d.solvers import (
     ContractionEstimate,
     SolverConfig,
@@ -592,3 +595,38 @@ class TestExample46BothSigns:
         assert rep.iterations == iterations
         z = reconstruct_state(rep.g)[0].values
         assert (sign * z >= 0.0).all() and (sign * z).max() > 0.9
+
+
+#: Every public entry fed one foreign field ``bad``, at the fitting v.
+_ENTRIES = {
+    "solve-g0": lambda ctx, v, bad: solve(ctx, v, SolverConfig(m=9.0), g0=bad),
+    "solve_linearized-g0": lambda ctx, v, bad: solve_linearized(
+        ctx, zero_g(ctx.grid), v, SolverConfig(m=9.0), g0=bad),
+    "choose_weight-at": lambda ctx, v, bad: choose_weight(ctx, at=bad),
+    "validate_frechet-v": lambda ctx, v, bad: validate_frechet(
+        ctx, bad, v, (1e-1, 1e-2, 1e-3), SolverConfig(m=9.0)),
+    "validate_frechet-deltav": lambda ctx, v, bad: validate_frechet(
+        ctx, v, bad, (1e-1, 1e-2, 1e-3), SolverConfig(m=9.0)),
+}
+
+
+@pytest.mark.parametrize("foreign, message", [
+    ("grid", "does not match context grid Grid\\(cells=8\\)"),
+    ("n", "field has 2 components, problem has 1"),
+], ids=["other-grid", "other-n"])
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_every_entry_rejects_a_foreign_field_before_any_work(entry, foreign, message,
+                                                             monkeypatch):
+    ctx = probed_context(builtin_example_4_6(), 8)
+    v = GridField(ctx.grid, np.ones((9, 9, 1)))
+    bad = (GridField(build_grid(4), np.ones((5, 5, 1))) if foreign == "grid"
+           else GridField(ctx.grid, np.ones((9, 9, 2))))
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the field check")
+
+    for module, name in ((solvers, "apply_F"), (solvers, "LinearizedOperator"),
+                         (solvers, "state_from_g"), (sensitivity, "solve")):
+        monkeypatch.setattr(module, name, work)
+    with pytest.raises(ShapeError, match=message):
+        _ENTRIES[entry](ctx, v, bad)
