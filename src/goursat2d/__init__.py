@@ -28,7 +28,7 @@ from .errors import (
     StagnationError,
     ThresholdError,
 )
-from .exprlang import evaluate, evaluate_dual, parse, to_source
+from .exprlang import parse
 from .fileio import (
     read_field_csv,
     read_grid_csv,
@@ -64,7 +64,6 @@ from .problem import (
     load_problem,
     manufacture_problem,
     probe_assumptions,
-    serialize_problem,
     zero_problem,
 )
 from .sensitivity import (
@@ -127,8 +126,6 @@ __all__ = [
     "classical_l2_norm",
     "coercivity_probe",
     "estimate_contraction",
-    "evaluate",
-    "evaluate_dual",
     "frechet_apply",
     "load_problem",
     "make_context",
@@ -139,11 +136,9 @@ __all__ = [
     "read_grid_csv",
     "read_report_json",
     "reconstruct_state",
-    "serialize_problem",
     "solve",
     "solve_linearized",
     "stability_probe",
-    "to_source",
     "validate_frechet",
     "verify_lemma31",
     "weighted_l2_norm",

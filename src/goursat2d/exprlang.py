@@ -211,23 +211,6 @@ def parse(source: str, n: int) -> Expr:
     return _Parser(source, n).parse()
 
 
-# -- printing -----------------------------------------------------------------
-
-def to_source(e: Expr) -> str:
-    """Fully parenthesized source form; parsing it back gives an equal tree."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Unary):
-        return f"(-{to_source(e.operand)})"
-    if isinstance(e, Bin):
-        return f"({to_source(e.left)} {e.op} {to_source(e.right)})"
-    if isinstance(e, Call):
-        return f"{e.fn}({to_source(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def free_z_indices(e: Expr) -> frozenset[int]:
     """The set of 0-based z-component indices referenced by the expression."""
     if isinstance(e, Var):
@@ -449,7 +432,8 @@ def _on_grid(e: Expr, X, Y, Z, kink: list[bool] | None):
 
 
 def eval_on_grid(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Evaluate over coordinate arrays X, Y and state array Z (shape X.shape + (n,)).
+    """Evaluate over coordinate arrays X, Y and state array Z (shape X.shape + (n,));
+    one point is 0-d X and Y with a length-n Z.
 
     Returns a fresh, writable array of X's shape.  X, Y and Z are only read:
     the walk writes each node's result into an array it allocated itself,
@@ -457,25 +441,6 @@ def eval_on_grid(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.nda
     raises EvalOverflowError.
     """
     return _on_grid(e, X, Y, Z, None)[0]
-
-
-def _point(x: float, y: float, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One sample point as 0-d coordinate arrays and a length-n state row."""
-    return np.asarray(float(x)), np.asarray(float(y)), np.asarray(z, dtype=float).reshape(-1)
-
-
-def evaluate(e: Expr, x: float, y: float, z) -> float:
-    """Evaluate at a single point; z is a length-n state vector."""
-    return float(eval_on_grid(e, *_point(x, y, z)))
-
-
-@dataclass(frozen=True)
-class DualValue:
-    """Value and z-gradient of an expression at one point."""
-
-    value: float
-    partials: tuple[float, ...]
-    at_kink: bool = False
 
 
 def eval_dual_on_grid(
@@ -491,9 +456,3 @@ def eval_dual_on_grid(
     kink = [False]
     v, d = _on_grid(e, X, Y, Z, kink)
     return v, d, kink[0]
-
-
-def evaluate_dual(e: Expr, x: float, y: float, z) -> DualValue:
-    """Value and dz-gradient at a single point."""
-    v, d, hit = eval_dual_on_grid(e, *_point(x, y, z))
-    return DualValue(value=float(v), partials=tuple(float(t) for t in d), at_kink=hit)

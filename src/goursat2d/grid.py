@@ -94,15 +94,12 @@ class GridField:
 
     Values are stored as a read-only float array of shape
     (cells+1, cells+1, n) and validated to be finite on construction.
-    2D input is promoted to n = 1.
     """
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values: np.ndarray):
         values = np.array(values, dtype=float, copy=True)
-        if values.ndim == 2:
-            values = values[:, :, None]
         p = grid.npoints
         if values.ndim != 3 or values.shape[0] != p or values.shape[1] != p or values.shape[2] < 1:
             raise ShapeError(

@@ -41,7 +41,6 @@ from .exprlang import (
     eval_on_grid,
     free_z_indices,
     parse,
-    to_source,
 )
 from .fileio import read_field_csv
 from .grid import Grid, GridField, build_grid, restrict_to
@@ -82,9 +81,6 @@ class XYFunction:
         Z = np.zeros(X.shape + (1,))
         vals = np.stack([eval_on_grid(e, X, Y, Z) for e in self.exprs], axis=2)
         return GridField(grid, vals)
-
-    def sources(self) -> list[str]:
-        return [to_source(e) for e in self.exprs]
 
 
 ExprMatrix = tuple[tuple[Expr, ...], ...]
@@ -260,7 +256,11 @@ def load_problem(document: dict, base_dir: str | Path | None = None) -> ProblemS
         if "v" in rhs_doc:
             rhs = XYFunction(_parse_components(rhs_doc["v"], n, "rhs.v", xy_only=True))
         else:
-            path = Path(rhs_doc["v_file"])
+            v_file = rhs_doc["v_file"]
+            if not isinstance(v_file, str):
+                raise SchemaError(f"expected a file path string, got {type(v_file).__name__}",
+                                  path="rhs.v_file")
+            path = Path(v_file)
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
             try:
@@ -331,32 +331,6 @@ def _smoke_check(spec: ProblemSpec) -> None:
             check(e, f"rhs.v[{i}]", dual=False)
 
 
-def serialize_problem(spec: ProblemSpec) -> dict:
-    """The document form of a spec (inverse of load_problem for expression rhs).
-
-    A concrete grid-field rhs cannot be embedded in a document; save it with
-    fileio.write_field_csv and reference it as rhs.v_file instead.
-    """
-    doc: dict = {
-        "meta": {"n": spec.n, "B": spec.growth_bound, "b": to_source(spec.majorant)},
-        "functions": {
-            "f1": [to_source(e) for e in spec.f1],
-            "f2": [to_source(e) for e in spec.f2],
-        },
-        "coefficients": {
-            name: [[to_source(e) for e in row] for row in mat]
-            for name, mat in (("A1", spec.a1), ("A2", spec.a2), ("A1x", spec.a1x), ("A2y", spec.a2y))
-        },
-    }
-    if isinstance(spec.rhs, XYFunction):
-        doc["rhs"] = {"v": spec.rhs.sources()}
-    elif isinstance(spec.rhs, GridField):
-        raise ValueError("grid-field rhs cannot be serialized inline; write it to a CSV")
-    if spec.label:
-        doc["label"] = spec.label
-    return doc
-
-
 # -- built-in problems --------------------------------------------------------
 
 def zero_problem() -> ProblemSpec:
@@ -388,7 +362,7 @@ def builtin_example_4_6() -> ProblemSpec:
     """
     zero = ((parse("0", 1),),)
     # "(1) *" is part of the published source form: dropping it changes the
-    # serialized spec and the evaluated node counts
+    # evaluated node counts
     return ProblemSpec(
         n=1,
         f1=(parse("(1) * (z1^3/(1 + z1^2) + cos(z1^2))", 1),),

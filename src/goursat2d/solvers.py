@@ -347,16 +347,15 @@ def solve_linearized(
     at: GridField,
     v: GridField,
     cfg: SolverConfig,
-    g0: GridField | None = None,
 ) -> SolveReport:
     """Solve F'(z)h = v, with z the state of ``at``, by weighted-norm
-    fixed-point iteration.
+    fixed-point iteration from g₀ = v.
 
     Warns (and proceeds) when the configured m sits below the estimated
     contraction threshold 2√d; with an automatic m the threshold holds by
     construction.
     """
-    g = _start(ctx, v, g0)
+    g = _start(ctx, v, None)
     m, lin, d = _linearize(ctx, at, cfg)
     if d is not None and m <= 2.0 * math.sqrt(d):
         warnings.warn(

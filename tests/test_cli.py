@@ -705,6 +705,45 @@ def test_non_finite_csv_value_exits_1(source, token, tmp_path, capsys):
     assert not list(tmp_path.glob("run.*"))
 
 
+def test_rhs_file_that_is_no_path_string_exits_1(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({**LINEAR_MEMORY_DOC, "rhs": {"v_file": 5}}))
+    code = run_cli(["solve", "--problem", str(doc), "--n", "4", "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rhs.v_file: expected a file path string, got int\n"
+    assert not list(tmp_path.glob("run.*"))
+
+
+def test_rhs_file_on_another_grid_exits_1(tmp_path, capsys):
+    write_field_csv(tmp_path / "f.csv", GridField(build_grid(4), np.ones((5, 5, 1))))
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({**LINEAR_MEMORY_DOC, "rhs": {"v_file": "f.csv"}}))
+    code = run_cli(["solve", "--problem", str(doc), "--n", "8", "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: rhs field lives on Grid(cells=4), requested Grid(cells=8)")
+    assert not list(tmp_path.glob("run.*"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--builtin", "zero", "--n", "4", "--rhs", "1", "--seed", "abc"],
+     "argument --seed: invalid int value: 'abc'"),
+    (["solve", "--builtin", "zero", "--n", "4", "--rhs", ";"], "error: --rhs is empty"),
+    (["verify", "--suite", "lemma31", "--n", "8", "--m-list", ","], "error: --m-list is empty"),
+], ids=["seed-not-an-integer", "rhs-no-component", "m-list-no-weight"])
+def test_malformed_flag_value_exits_1(argv, message, tmp_path, capsys):
+    code = run_cli([*argv, "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rhs_file_solves_like_its_expression(tmp_path):
     rhs = "1 + sin(2*x)*y"
     write_field_csv(tmp_path / "v.csv", XYFunction.from_sources(rhs).sample(build_grid(8)))
@@ -799,11 +838,13 @@ class TestSens:
         assert "1e-08" in err  # the floor 100 * tol, printed for the user
         assert "noise floor" in err
 
-    def test_inner_non_convergence_exits_2(self, capsys):
+    def test_inner_non_convergence_exits_2(self, tmp_path, capsys):
         code = run_cli(["sens", "--builtin", "example46", "--n", "8",
-                        "--rhs", "x*y", "--direction", "1", "--max-iter", "1"])
+                        "--rhs", "x*y", "--direction", "1", "--max-iter", "1",
+                        "--out", str(tmp_path / "sens")])
         assert code == 2
         assert "failed to converge" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # sens writes no partial artifacts
 
     def test_oversized_steps_fail_validation_with_exit_3(self, tmp_path, capsys):
         out = tmp_path / "sens"
@@ -860,12 +901,13 @@ class TestMms:
         assert code == 3
         assert stdout_lines(capsys)[-1]["pass"] is False
 
-    def test_non_convergent_solve_exits_2(self, capsys):
+    def test_non_convergent_solve_exits_2(self, tmp_path, capsys):
         code = run_cli(["mms", "--builtin", "example46", "--zstar", "x*y",
                         "--n-list", "8,16", "--method", "picard",
-                        "--max-iter", "1", "--tol", "1e-14"])
+                        "--max-iter", "1", "--tol", "1e-14", "--out", str(tmp_path / "mms")])
         assert code == 2
         assert "failed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # mms writes no partial artifacts
 
     def test_single_resolution_exits_1(self, capsys):
         code = run_cli(["mms", "--builtin", "zero", "--zstar", "x*y", "--n-list", "16"])

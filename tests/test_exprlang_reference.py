@@ -25,7 +25,6 @@ from goursat2d.exprlang import (
     _fault,
     eval_dual_on_grid,
     eval_on_grid,
-    to_source,
 )
 
 # -- the reference walk -------------------------------------------------------
@@ -268,9 +267,9 @@ class TestAgainstAllocatingWalk:
                         got = _outcome(lambda: (eval_on_grid(e, X, Y, Z), None, False))
                     for a, s in zip((X, Y, Z), saved):
                         _same_bits(a, s)
-                    assert got[0] == want[0], to_source(e)
+                    assert got[0] == want[0], repr(e)
                     if got[0] == "fault":
-                        assert got[1] == want[1], to_source(e)
+                        assert got[1] == want[1], repr(e)
                         continue
                     (gv, gd, gk), (wv, wd, wk) = got[1], want[1]
                     _same_bits(gv, wv)

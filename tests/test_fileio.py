@@ -9,6 +9,7 @@ import pytest
 
 from goursat2d.errors import SchemaError
 from goursat2d.fileio import (
+    _atomic_write,
     read_field_csv,
     read_grid_csv,
     read_report_json,
@@ -350,6 +351,19 @@ class TestMalformedFiles:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_field_csv(tmp_path / "absent.csv")
+
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("old\n")
+
+        def chunks():
+            yield "new, half written\n"
+            raise RuntimeError("chunk failed")
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            _atomic_write(path, chunks())
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestJsonReportErrors:

@@ -66,11 +66,10 @@ class TestGrid:
 
 
 class TestGridField:
-    def test_promotes_2d_input(self):
+    def test_rejects_2d_input(self):
         g = build_grid(2)
-        f = GridField(g, np.ones((3, 3)))
-        assert f.n == 1
-        assert f.values.shape == (3, 3, 1)
+        with pytest.raises(ShapeError, match=r"must have shape \(3, 3, n\), got \(3, 3\)"):
+            GridField(g, np.ones((3, 3)))
 
     def test_rejects_wrong_shape(self):
         g = build_grid(2)
@@ -86,14 +85,14 @@ class TestGridField:
 
     def test_values_read_only(self):
         g = build_grid(2)
-        f = GridField(g, np.ones((3, 3)))
+        f = GridField(g, np.ones((3, 3, 1)))
         with pytest.raises(ValueError):
             f.values[0, 0, 0] = 2.0
 
     def test_arithmetic(self):
         g = build_grid(2)
-        a = GridField(g, np.full((3, 3), 2.0))
-        b = GridField(g, np.full((3, 3), 0.5))
+        a = GridField(g, np.full((3, 3, 1), 2.0))
+        b = GridField(g, np.full((3, 3, 1), 0.5))
         np.testing.assert_array_equal((a + b).values, 2.5)
         np.testing.assert_array_equal((a - b).values, 1.5)
         np.testing.assert_array_equal((3.0 * a).values, 6.0)
@@ -101,8 +100,8 @@ class TestGridField:
         np.testing.assert_array_equal((-a).values, -2.0)
 
     def test_mixed_grids_refused(self):
-        a = GridField(build_grid(2), np.ones((3, 3)))
-        b = GridField(build_grid(4), np.ones((5, 5)))
+        a = GridField(build_grid(2), np.ones((3, 3, 1)))
+        b = GridField(build_grid(4), np.ones((5, 5, 1)))
         with pytest.raises(ShapeError):
             a + b
 

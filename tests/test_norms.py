@@ -38,7 +38,7 @@ class TestWeightedNorm:
         # ∫₀¹ x² e^{-10x} dx = 0.002 - 0.122 e^{-10}; the 2D norm equals it.
         grid = build_grid(64)
         X, Y = grid.meshgrid()
-        got = weighted_l2_norm(GridField(grid, X * Y), 10.0)
+        got = weighted_l2_norm(GridField(grid, (X * Y)[:, :, None]), 10.0)
         assert got == pytest.approx(0.002 - 0.122 * np.exp(-10.0), abs=1e-6)
 
     def test_m_zero_is_classical(self):

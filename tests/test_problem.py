@@ -11,7 +11,7 @@ import pytest
 
 from goursat2d.errors import ParameterError, SchemaError
 from goursat2d.fileio import write_field_csv
-from goursat2d.exprlang import evaluate, parse
+from goursat2d.exprlang import eval_on_grid, parse
 from goursat2d.grid import GridField, build_grid
 from goursat2d.operator import apply_F, make_context
 from goursat2d.problem import (
@@ -21,7 +21,6 @@ from goursat2d.problem import (
     load_problem,
     manufacture_problem,
     probe_assumptions,
-    serialize_problem,
     zero_problem,
 )
 from goursat2d.solvers import SolverConfig
@@ -116,6 +115,31 @@ class TestLoadProblem:
             load_problem(minimal_doc(rhs={"v_file": "f.csv"}), base_dir=tmp_path)
         assert exc.value.path == "rhs.v_file"
 
+    @pytest.mark.parametrize("v_file, kind", [(5, "int"), (None, "NoneType"), (["f.csv"], "list")],
+                             ids=["int", "null", "list"])
+    def test_rhs_file_that_is_no_path_string_names_its_path(self, v_file, kind):
+        with pytest.raises(SchemaError) as exc:
+            load_problem(minimal_doc(rhs={"v_file": v_file}))
+        assert str(exc.value) == f"rhs.v_file: expected a file path string, got {kind}"
+
+    def test_unreadable_rhs_file_names_its_path(self, tmp_path):
+        with pytest.raises(SchemaError) as exc:
+            load_problem(minimal_doc(rhs={"v_file": "missing.csv"}), base_dir=tmp_path)
+        assert str(exc.value).startswith("rhs.v_file: cannot read rhs file: ")
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("functions", "f1", [5], "functions.f1[0]: expected an expression string, got int"),
+        ("coefficients", "A1", [["0"], ["0"]],
+         "coefficients.A1: expected an 1x1 matrix of expressions"),
+        ("coefficients", "A1", [["0", "0"]], "coefficients.A1[0]: expected 1 entries in row 0"),
+    ], ids=["f1-not-a-string", "A1-two-rows", "A1-row-of-two"])
+    def test_malformed_entry_names_its_path(self, section, key, value, message):
+        doc = minimal_doc()
+        doc[section][key] = value
+        with pytest.raises(SchemaError) as exc:
+            load_problem(doc)
+        assert str(exc.value) == message
+
     def test_non_string_label_rejected(self):
         with pytest.raises(SchemaError, match="label must be a string") as exc:
             load_problem(minimal_doc(label=7))
@@ -162,22 +186,6 @@ class TestLoadProblem:
         assert spec.n == 2
         v = spec.sample_rhs(build_grid(4))
         assert v.n == 2
-
-    def test_round_trip_evaluates_identically(self):
-        doc = minimal_doc()
-        doc["functions"]["f1"] = ["sin(z1)*x + y^2"]
-        doc["functions"]["f2"] = ["z1/(1 + z1^2)"]
-        doc["coefficients"]["A1"] = [["x*y"]]
-        doc["coefficients"]["A1x"] = [["y"]]
-        spec = load_problem(doc)
-        again = load_problem(serialize_problem(spec))
-        rng = np.random.default_rng(31)
-        for _ in range(100):
-            x, y = rng.uniform(0, 1, 2)
-            z = rng.uniform(-2, 2, 1)
-            assert evaluate(again.f1[0], x, y, z) == evaluate(spec.f1[0], x, y, z)
-            assert evaluate(again.f2[0], x, y, z) == evaluate(spec.f2[0], x, y, z)
-            assert evaluate(again.a1[0][0], x, y, z) == evaluate(spec.a1[0][0], x, y, z)
 
 
 #: One valid value for every SolverConfig field.
@@ -228,24 +236,26 @@ class TestBuiltins:
     def test_zero_problem(self):
         spec = zero_problem()
         assert spec.growth_bound == 0.0
-        assert evaluate(spec.f1[0], 0.3, 0.4, [5.0]) == 0.0
+        assert eval_on_grid(spec.f1[0], np.asarray(0.3), np.asarray(0.4), np.array([5.0])) == 0.0
 
     def test_example_defaults(self):
         spec = builtin_example_4_6()
+        at_zero = (np.asarray(0.2), np.asarray(0.8), np.array([0.0]))
         # at z = 0 the pointwise kernel is cos(0) = 1
-        assert evaluate(spec.f1[0], 0.2, 0.8, [0.0]) == pytest.approx(1.0)
+        assert eval_on_grid(spec.f1[0], *at_zero) == pytest.approx(1.0)
         # and the integrated kernel is (0 - 1)/(1 + 0) + sin(0) = -1
-        assert evaluate(spec.f2[0], 0.2, 0.8, [0.0]) == pytest.approx(-1.0)
+        assert eval_on_grid(spec.f2[0], *at_zero) == pytest.approx(-1.0)
         assert spec.growth_bound == 1.0
-        assert serialize_problem(spec) == {
+        # the published form, "(1) *" factors included
+        assert spec == load_problem({
             "meta": {"n": 1, "B": 1.0, "b": "3.2071067811865475"},
             "functions": {
-                "f1": ["(1.0 * (((z1 ^ 3.0) / (1.0 + (z1 ^ 2.0))) + cos((z1 ^ 2.0))))"],
-                "f2": ["(((1.0 * (z1 - 1.0)) / (1.0 + (z1 ^ 2.0))) + sin((z1 ^ 2.0)))"],
+                "f1": ["(1) * (z1^3/(1 + z1^2) + cos(z1^2))"],
+                "f2": ["(1) * (z1 - 1)/(1 + z1^2) + sin(z1^2)"],
             },
-            "coefficients": {name: [["0.0"]] for name in ("A1", "A2", "A1x", "A2y")},
+            "coefficients": {name: [["0"]] for name in ("A1", "A2", "A1x", "A2y")},
             "label": "example46",
-        }
+        })
 
     def test_example_passes_the_load_time_check(self):
         # the constant problem is not re-checked on every call; it must pass
@@ -353,8 +363,30 @@ class TestManufacture:
         v = manufacture_problem(spec, zstar, grid, refine=1).sample_rhs(grid)
         assert v.values.tobytes() == apply_F(make_context(spec, grid), zstar.sample(grid)).values.tobytes()
 
+    def test_refine_below_one_rejected(self):
+        with pytest.raises(ParameterError, match="refine must be >= 1, got 0"):
+            manufacture_problem(zero_problem(), XYFunction.from_sources("1"), build_grid(4), refine=0)
+
+    def test_zstar_with_the_wrong_component_count_rejected(self):
+        with pytest.raises(ValueError, match="z\\* has 2 components, problem has 1"):
+            manufacture_problem(zero_problem(), XYFunction.from_sources(["1", "x"]), build_grid(4))
+
 
 class TestProblemSpec:
+    @pytest.mark.parametrize("change, message", [
+        ({"n": 0}, "state dimension must be >= 1, got 0"),
+        ({"f1": ()}, "f1 and f2 need exactly 1 component expressions"),
+        ({"a1": ((parse("0", 1), parse("0", 1)),)}, "A1 must be an 1x1 expression matrix"),
+        ({"a2": ((parse("z1", 1),),)}, "A2\\[0\\]\\[0\\] may not reference z-variables"),
+        ({"growth_bound": -1.0}, "growth bound B must be finite and >= 0, got -1.0"),
+        ({"growth_bound": math.inf}, "growth bound B must be finite and >= 0, got inf"),
+        ({"majorant": parse("1 + z1", 1)}, "the majorant b must be a function of x, y only"),
+    ], ids=["n-zero", "f1-count", "A1-not-square", "A2-with-z", "B-negative", "B-inf",
+            "majorant-with-z"])
+    def test_direct_construction_rejects_bad_data(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            replace(builtin_example_4_6(), **change)
+
     @pytest.mark.parametrize("kind", ["function", "field"])
     def test_rhs_with_the_wrong_component_count_rejected(self, kind):
         rhs = (XYFunction.from_sources(["1", "x"]) if kind == "function"

@@ -267,15 +267,6 @@ class TestLinearizedSolve:
         err = classical_l2_norm(rep.g - GridField(grid, g_direct))
         assert err <= 1e-8
 
-    def test_initial_guess_shortcut(self):
-        ctx = probed_context(linear_spec(), 12)
-        at = zero_g(ctx.grid)
-        rng = np.random.default_rng(2)
-        h_star = random_smooth_field(ctx.grid, 1, rng)
-        v = GridField(ctx.grid, LinearizedOperator(ctx, at).apply_array(h_star.values))
-        rep = solve_linearized(ctx, at, v, SolverConfig(tol=1e-11), g0=h_star)
-        assert rep.converged and rep.iterations == 1
-
     def test_warns_below_contraction_threshold(self):
         ctx = probed_context(pure_f1_spec(), 12)
         at = zero_g(ctx.grid)
@@ -600,8 +591,8 @@ class TestExample46BothSigns:
 #: Every public entry fed one foreign field ``bad``, at the fitting v.
 _ENTRIES = {
     "solve-g0": lambda ctx, v, bad: solve(ctx, v, SolverConfig(m=9.0), g0=bad),
-    "solve_linearized-g0": lambda ctx, v, bad: solve_linearized(
-        ctx, zero_g(ctx.grid), v, SolverConfig(m=9.0), g0=bad),
+    "solve_linearized-v": lambda ctx, v, bad: solve_linearized(
+        ctx, zero_g(ctx.grid), bad, SolverConfig(m=9.0)),
     "choose_weight-at": lambda ctx, v, bad: choose_weight(ctx, at=bad),
     "validate_frechet-v": lambda ctx, v, bad: validate_frechet(
         ctx, bad, v, (1e-1, 1e-2, 1e-3), SolverConfig(m=9.0)),
