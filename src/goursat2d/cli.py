@@ -31,11 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import Goursat2dError, ParameterError, SchemaError, SolverError
+from .errors import EvalFaultError, ExprSyntaxError, Goursat2dError, ParameterError, SchemaError, SolverError
 from .fileio import read_field_csv, read_grid_csv, write_field_csv, write_grid_csv, write_report_json
 from .grid import GridField, build_grid
 from .norms import check_norm_equivalence, classical_l2_norm, verify_lemma31, weighted_l2_norm, LEMMA31_SIDES
-from .operator import OperatorContext, coercivity_probe, make_context
+from .operator import LinearizedOperator, OperatorContext, coercivity_probe, make_context
 from .problem import (
     BUILTIN_PROBLEMS,
     DEFAULT_SEED,
@@ -120,7 +120,7 @@ def _add_out_arg(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_list(text: str, what: str, kind=float) -> list:
-    """A non-empty comma-separated list of ``kind`` (float or int) values."""
+    """A non-empty comma-separated list of finite ``kind`` (float or int) values."""
     try:
         values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
@@ -128,6 +128,8 @@ def _parse_list(text: str, what: str, kind=float) -> list:
         raise ParameterError(f"{what} must be a comma-separated list of {noun}: {exc}") from exc
     if not values:
         raise ParameterError(f"{what} is empty")
+    if not all(map(math.isfinite, values)):
+        raise ParameterError(f"{what} must list finite values, got {text!r}")
     return values
 
 
@@ -181,7 +183,16 @@ def _xyfunction(source: str, n: int, what: str) -> XYFunction:
         raise ParameterError(f"{what} has {len(parts)} component(s), problem has {n}")
     try:
         return XYFunction.from_sources(parts)
-    except ValueError as exc:
+    except (ValueError, ExprSyntaxError) as exc:
+        raise ParameterError(f"{what}: {exc}") from exc
+
+
+def _sampled(source: str, grid, n: int, what: str) -> GridField:
+    """The expression ``source`` of ``what`` sampled on ``grid``."""
+    function = _xyfunction(source, n, what)
+    try:
+        return function.sample(grid)
+    except EvalFaultError as exc:
         raise ParameterError(f"{what}: {exc}") from exc
 
 
@@ -198,7 +209,7 @@ def _field(source: str, grid, n: int, what: str) -> GridField:
     """A field from either an expression or a node-value CSV path."""
     if source.endswith(".csv") or Path(source).is_file():
         return _fitting(read_field_csv(source), grid, n, what)
-    return _xyfunction(source, n, what).sample(grid)
+    return _sampled(source, grid, n, what)
 
 
 def _rhs_field(spec: ProblemSpec, args, grid) -> GridField:
@@ -228,38 +239,37 @@ def _setup(args) -> tuple[ProblemSpec, SolverConfig, OperatorContext]:
     return spec, cfg, _probed_context(spec, args.n, args.samples, args.seed)
 
 
-def _weight(ctx: OperatorContext, cfg: SolverConfig, at: GridField | None):
-    """``cfg`` with an automatic m replaced by ``choose_weight``'s at ``at``,
-    and that choice (None when m was given)."""
+def _weight(ctx: OperatorContext, cfg: SolverConfig, at: LinearizedOperator | None):
+    """``cfg`` with an automatic m replaced by ``choose_weight``'s at the
+    operator ``at``, and that choice (None when m was given)."""
     if cfg.m is not None:
         return cfg, None
     choice = choose_weight(ctx, at)
     return replace(cfg, m=choice.m), choice
 
 
-def _zstar_error(args, spec: ProblemSpec, ctx, rep) -> dict | None:
-    source = getattr(args, "zstar", None)
-    if source is None:
+def _zstar_error(zstar: GridField | None, rep) -> dict | None:
+    if zstar is None:
         return None
-    diff = rep.g - _xyfunction(source, spec.n, "--zstar").sample(ctx.grid)
+    diff = rep.g - zstar
     return {"classical": classical_l2_norm(diff), "weighted": weighted_l2_norm(diff, rep.m_used)}
 
 
 # -- solve and linsolve --------------------------------------------------------
 
-def _solve_command(args, ctx, cfg, at, run, head, tail=lambda rep: {},
+def _solve_command(args, ctx, cfg, lin, run, head, tail=lambda rep: {},
                    line=lambda estimate: {}) -> int:
     """The weight, contraction estimate, solve, report, artifacts and exit code
     of ``solve`` and ``linsolve``: 0, or 2 after writing the partial artifacts
     of a failed solve.
 
-    The weight and the contraction estimate are taken at the state of the g
-    field ``at``; ``run(cfg)`` solves at that weight.  The command's own keys
+    The weight and the contraction estimate are taken with the linearized
+    operator ``lin``; ``run(cfg)`` solves at that weight.  The command's own keys
     come from ``head(rep, cfg)`` (after "seed"), ``tail(rep)`` (after
     "result") and ``line(estimate)`` (after the stdout line's "m").
     """
-    cfg, choice = _weight(ctx, cfg, at)
-    estimate = estimate_contraction(ctx, at, cfg, seed=args.seed)
+    cfg, choice = _weight(ctx, cfg, lin)
+    estimate = estimate_contraction(lin, cfg, seed=args.seed)
     failure = None
     try:
         rep = run(cfg)
@@ -297,12 +307,12 @@ def _solve_command(args, ctx, cfg, at, run, head, tail=lambda rep: {},
 def cmd_solve(args) -> int:
     spec, cfg, ctx = _setup(args)
     v = _rhs_field(spec, args, ctx.grid)
-    zero = GridField(ctx.grid, np.zeros_like(v.values))
+    zstar = None if args.zstar is None else _sampled(args.zstar, ctx.grid, spec.n, "--zstar")
     return _solve_command(
-        args, ctx, cfg, zero, lambda cfg: solve(ctx, v, cfg),
+        args, ctx, cfg, LinearizedOperator(ctx), lambda cfg: solve(ctx, v, cfg),
         head=lambda rep, cfg: {"solver": {
             "method": rep.method, "m": rep.m_used, "tol": cfg.tol, "max_iter": cfg.max_iter}},
-        tail=lambda rep: {"error_vs_reference": _zstar_error(args, spec, ctx, rep)})
+        tail=lambda rep: {"error_vs_reference": _zstar_error(zstar, rep)})
 
 
 def cmd_linsolve(args) -> int:
@@ -311,11 +321,11 @@ def cmd_linsolve(args) -> int:
         at = _fitting(read_grid_csv(args.linearize_at), ctx.grid, spec.n, "--linearize-at")
         linearized_at = args.linearize_at
     else:
-        at = GridField(ctx.grid, np.zeros((ctx.grid.npoints,) * 2 + (spec.n,)))
-        linearized_at = "zero"
+        at, linearized_at = None, "zero"
     w = _field(args.rhs, ctx.grid, spec.n, "--rhs")
+    lin = LinearizedOperator(ctx, at)
     return _solve_command(
-        args, ctx, cfg, at, lambda cfg: solve_linearized(ctx, at, w, cfg),
+        args, ctx, cfg, lin, lambda cfg: solve_linearized(lin, w, cfg),
         head=lambda rep, cfg: {"linearized_at": linearized_at, "solver": {
             "m": rep.m_used, "tol": cfg.tol, "max_iter": cfg.max_iter}},
         line=lambda estimate: {"rho_hat": estimate.rho_hat})
@@ -451,23 +461,22 @@ def _suite_contraction(args) -> int:
     spec, solver_doc = _load_spec(args)
     trials = args.samples if args.samples is not None else 8
     ctx = _probed_context(spec, args.n, 200, args.seed)
-    zero = GridField(ctx.grid, np.zeros((ctx.grid.npoints,) * 2 + (spec.n,)))
 
     if args.m_list:
         m_values = _parse_list(args.m_list, "--m-list")
         cfg = _solver_config(args, solver_doc)
     else:
-        cfg, choice = _weight(ctx, _solver_config(args, solver_doc), zero)
+        cfg, choice = _weight(ctx, _solver_config(args, solver_doc), None)
         if choice is not None:
             _emit({"suite": "contraction", "check": "weight_choice", **choice.as_dict()})
         m_values = [cfg.m]
 
+    lin = LinearizedOperator(ctx)
     all_ok = True
     estimates = []
     for m in m_values:
         # a listed weight wins over --m and the document's m
-        est = estimate_contraction(ctx, zero, _config(replace, cfg, m=m), trials=trials,
-                                   seed=args.seed)
+        est = estimate_contraction(lin, _config(replace, cfg, m=m), trials=trials, seed=args.seed)
         estimates.append(est.as_dict())
         _emit({"suite": "contraction", "m": est.m, "rho_hat": est.rho_hat,
                "bound": est.bound, "trials": est.trials, "pass": est.contracting})

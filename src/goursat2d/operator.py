@@ -67,11 +67,14 @@ class OperatorContext:
         out.assumptions = report
         return out
 
-    def check_field(self, f: GridField) -> None:
+    def check_field(self, f: GridField | OperatorContext, what: str = "field") -> None:
+        """Raise ShapeError unless ``f`` (a field, or an operator's context)
+        has this grid and this n."""
+        n = f.n if isinstance(f, GridField) else f.spec.n
         if f.grid != self.grid:
-            raise ShapeError(f"field on {f.grid} does not match context grid {self.grid}")
-        if f.n != self.spec.n:
-            raise ShapeError(f"field has {f.n} components, problem has {self.spec.n}")
+            raise ShapeError(f"{what} on {f.grid} does not match context grid {self.grid}")
+        if n != self.spec.n:
+            raise ShapeError(f"{what} has {n} components, problem has {self.spec.n}")
 
     def __repr__(self) -> str:
         return f"OperatorContext(n={self.spec.n}, cells={self.grid.cells})"
@@ -133,17 +136,21 @@ def apply_F(ctx: OperatorContext, g: GridField | np.ndarray) -> GridField | np.n
 class LinearizedOperator:
     """F'(z) at the state z of a frozen g, cheap to apply repeatedly.
 
-    The state z of ``at`` and the z-Jacobians of f1 and f2 there are
-    evaluated once at construction; each ``apply_array`` then costs a few
-    pointwise products and prefix sums.
+    The one owner of a linearization point: the state z of ``at`` (the zero
+    state when None) and the z-Jacobians of f1 and f2 there are evaluated
+    once at construction, and the linear entries of ``solvers`` take the
+    built operator; each ``apply_array`` then costs a few pointwise products
+    and prefix sums.
     """
 
     __slots__ = ("ctx", "z", "j1", "j2")
 
-    def __init__(self, ctx: OperatorContext, at: GridField):
-        ctx.check_field(at)
+    def __init__(self, ctx: OperatorContext, at: GridField | None = None):
+        if at is not None:
+            ctx.check_field(at)
         self.ctx = ctx
-        Z = self.z = state_from_g(at.values, ctx.grid.h, zy=False)[0]
+        Z = self.z = (np.zeros((ctx.grid.npoints,) * 2 + (ctx.spec.n,)) if at is None
+                      else state_from_g(at.values, ctx.grid.h, zy=False)[0])
         d1, d2 = [], []
         for i in range(ctx.spec.n):
             d1.append(eval_dual_on_grid(ctx.spec.f1[i], ctx.X, ctx.Y, Z)[1])

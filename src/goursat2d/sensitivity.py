@@ -16,12 +16,13 @@ is certified by the coercivity constant (1 − 8B/m)⁻¹.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ParameterError, SolverError
 from .grid import GridField
 from .norms import WeightedNorms, classical_l2_norm
-from .operator import OperatorContext
+from .operator import LinearizedOperator, OperatorContext
 from .solvers import INNER_MAX_ITER, INNER_TOL, SolveReport, SolverConfig, solve, solve_linearized
 
 #: Refuse quotient steps below this multiple of the solver tolerance.
@@ -60,7 +61,7 @@ def frechet_apply(ctx: OperatorContext, solved: SolveReport, deltav: GridField) 
         raise SolverError("frechet_apply needs a converged base solve")
     ctx.check_field(deltav)
     inner = SolverConfig(m=solved.m_used, tol=INNER_TOL, max_iter=INNER_MAX_ITER)
-    return solve_linearized(ctx, solved.g, deltav, inner).g
+    return solve_linearized(LinearizedOperator(ctx, solved.g), deltav, inner).g
 
 
 def validate_frechet(
@@ -84,8 +85,8 @@ def validate_frechet(
     eps = tuple(float(e) for e in eps_list)
     if len(eps) < 3:
         raise ParameterError(f"need at least 3 quotient steps, got {len(eps)}")
-    if any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
-        raise ParameterError(f"eps_list must be strictly decreasing and positive: {eps}")
+    if not all(0 < e < math.inf for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
+        raise ParameterError(f"eps_list must be strictly decreasing, positive and finite: {eps}")
     floor = EPS_FLOOR_FACTOR * cfg.tol
     if eps[-1] < floor:
         raise ParameterError(

@@ -1,9 +1,11 @@
 """Fixed-point and Newton–Kantorovich solvers in the weighted norm.
 
 Every solver takes and returns mixed derivatives g = z_xy only; a state z
-enters through the g it is rebuilt from.  The linearized equation F'(z0)h = v,
-with z0 the state of a given g field, becomes, in terms of the mixed
-derivative g of h, a fixed-point problem for the affine map
+enters through the g it is rebuilt from.  The linear entries
+(``solve_linearized``, ``estimate_contraction`` and ``choose_weight`` at a
+point) take F'(z0) as a built ``LinearizedOperator``, which owns the point z0
+and its Jacobians.  The linearized equation F'(z0)h = v becomes, in terms of
+the mixed derivative g of h, a fixed-point problem for the affine map
 
     g  ↦  v − (H − I) g,        (H − I) g = F'(z0) g − g,
 
@@ -51,7 +53,7 @@ from .errors import (
     SolverError,
     StagnationError,
 )
-from .grid import GridField, state_from_g
+from .grid import GridField
 from .norms import WeightedNorms
 from .operator import LinearizedOperator, OperatorContext, apply_F
 from .sampling import random_smooth_field
@@ -163,25 +165,23 @@ class WeightChoice:
         return asdict(self)
 
 
-def choose_weight(ctx: OperatorContext, at: GridField | None = None) -> WeightChoice:
+def choose_weight(ctx: OperatorContext, at: LinearizedOperator | None = None) -> WeightChoice:
     """Pick m = max(8B, 2√d) + 1 with d = max(M_ρ, B) from the probe report.
 
     The radius is the smallest probed ρ covering 1 + sup|z| for the state z
-    of ``at`` (zero when omitted; the largest probed radius if none covers
-    it), so the Jacobian bound is valid around the expected iterates.
-    Requires assumptions to have been probed into the context.
+    of the operator ``at`` (zero when omitted; the largest probed radius if
+    none covers it), so the Jacobian bound is valid around the expected
+    iterates.  Requires assumptions to have been probed into the context.
     """
     if ctx.assumptions is None:
         raise MissingProbeError(
             "choose_weight needs an assumption probe; build the context with "
             "probe_assumptions(...) attached (with_assumptions)"
         )
-    B = ctx.spec.growth_bound
-    z = None
     if at is not None:
-        ctx.check_field(at)
-        z = state_from_g(at.values, ctx.grid.h)[0]
-    d, rho, m_rho = _kernel_numbers(ctx, z)
+        ctx.check_field(at.ctx, "operator")
+    B = ctx.spec.growth_bound
+    d, rho, m_rho = _kernel_numbers(ctx, None if at is None else at.z)
     m = max(8.0 * B, 2.0 * math.sqrt(d)) + 1.0
     if not math.isfinite(m):
         raise InvalidWeightError(
@@ -215,18 +215,13 @@ def _kernel_numbers(ctx: OperatorContext, z: np.ndarray | None) -> tuple[float, 
     return max(m_rho, ctx.spec.growth_bound), rho, m_rho
 
 
-def _resolve_m(ctx: OperatorContext, cfg: SolverConfig, at: GridField | None = None) -> float:
-    if cfg.m is not None:
-        return cfg.m
-    return choose_weight(ctx, at).m
-
-
-def _linearize(ctx: OperatorContext, at: GridField, cfg: SolverConfig):
-    """The solve's m, F' at the state of ``at``, and the probed d there (None
-    without a probe), taken from the operator's state."""
-    m = _resolve_m(ctx, cfg, at)
-    lin = LinearizedOperator(ctx, at)
-    return m, lin, None if ctx.assumptions is None else _kernel_numbers(ctx, lin.z)[0]
+def _weight_at(lin: LinearizedOperator, cfg: SolverConfig) -> tuple[float, float | None]:
+    """The m of a linear solve with ``lin`` and the probed d at its state
+    (None without a probe), with sup|z| taken once."""
+    if cfg.m is None:
+        choice = choose_weight(lin.ctx, lin)
+        return choice.m, choice.kernel_bound
+    return cfg.m, None if lin.ctx.assumptions is None else _kernel_numbers(lin.ctx, lin.z)[0]
 
 
 def _iterate(
@@ -342,21 +337,17 @@ def _minus(r: np.ndarray, v: GridField) -> np.ndarray:
     return r
 
 
-def solve_linearized(
-    ctx: OperatorContext,
-    at: GridField,
-    v: GridField,
-    cfg: SolverConfig,
-) -> SolveReport:
-    """Solve F'(z)h = v, with z the state of ``at``, by weighted-norm
+def solve_linearized(lin: LinearizedOperator, v: GridField, cfg: SolverConfig) -> SolveReport:
+    """Solve F'(z)h = v, with F'(z) the operator ``lin``, by weighted-norm
     fixed-point iteration from g₀ = v.
 
     Warns (and proceeds) when the configured m sits below the estimated
     contraction threshold 2√d; with an automatic m the threshold holds by
     construction.
     """
+    ctx = lin.ctx
     g = _start(ctx, v, None)
-    m, lin, d = _linearize(ctx, at, cfg)
+    m, d = _weight_at(lin, cfg)
     if d is not None and m <= 2.0 * math.sqrt(d):
         warnings.warn(
             f"m = {m:g} is at or below the contraction threshold 2*sqrt(d) = "
@@ -386,21 +377,21 @@ class ContractionEstimate:
 
 
 def estimate_contraction(
-    ctx: OperatorContext,
-    at: GridField,
+    lin: LinearizedOperator,
     cfg: SolverConfig,
     trials: int = 8,
     seed: int = 0,
 ) -> ContractionEstimate:
-    """ρ̂ = max over random directions of ‖(H − I)g‖_m / ‖g‖_m, with H
-    linearized at the state of ``at``.
+    """ρ̂ = max over random directions of ‖(H − I)g‖_m / ‖g‖_m, with H − I
+    the operator ``lin`` minus the identity.
 
     (H − I) is linear, so random directions are exactly random difference
     pairs.  Deterministic for a given seed.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    m, lin, d = _linearize(ctx, at, cfg)
+    ctx = lin.ctx
+    m, d = _weight_at(lin, cfg)
     wn = WeightedNorms(ctx.grid, m)
     rng = np.random.default_rng(seed)
     rho = 0.0
@@ -427,7 +418,7 @@ def solve(ctx: OperatorContext, v: GridField, cfg: SolverConfig, g0: GridField |
     (StagnationError), a failed inner solve or the iteration cap stop it.
     """
     g = _start(ctx, v, g0)
-    wn = WeightedNorms(ctx.grid, _resolve_m(ctx, cfg))
+    wn = WeightedNorms(ctx.grid, choose_weight(ctx).m if cfg.m is None else cfg.m)
     picard = cfg.method == "picard"
     return _iterate(
         wn, cfg.method, g,
@@ -449,8 +440,8 @@ def _newton_step(ctx: OperatorContext, v: GridField, wn: WeightedNorms):
     def step(g: np.ndarray, r: np.ndarray, rnorm: float) -> np.ndarray:
         # choose_weight already fixed m; the inner solve must keep it
         inner_cfg = SolverConfig(m=wn.m, tol=min(INNER_TOL, 0.1 * rnorm), max_iter=INNER_MAX_ITER)
-        at = GridField(ctx.grid, g)
-        delta = solve_linearized(ctx, at, GridField(ctx.grid, -r), inner_cfg).g.values
+        lin = LinearizedOperator(ctx, GridField(ctx.grid, g))
+        delta = solve_linearized(lin, GridField(ctx.grid, -r), inner_cfg).g.values
         # the merit ½‖F(z) − v‖² decreases exactly when the classical norm
         # does; comparing norms avoids squaring them (above ~1e154 the
         # square overflows, below ~1e-154 it underflows)

@@ -21,7 +21,7 @@ import numpy as np
 from goursat2d.cli import main as cli_main
 from goursat2d.grid import GridField, build_grid
 from goursat2d.norms import check_norm_equivalence, classical_l2_norm, verify_lemma31, weighted_l2_norm
-from goursat2d.operator import coercivity_probe, make_context
+from goursat2d.operator import LinearizedOperator, coercivity_probe, make_context
 from goursat2d.problem import (
     BUILTIN_PROBLEMS,
     XYFunction,
@@ -73,11 +73,6 @@ MEMORY_ONLY_DOC = {
 
 def probed_context(spec, cells: int):
     return make_context(spec, build_grid(cells)).with_assumptions(probe_assumptions(spec))
-
-
-def zero_g(grid, n: int) -> GridField:
-    """The g whose state is the zero state."""
-    return GridField(grid, np.zeros((grid.npoints, grid.npoints, n)))
 
 
 def test_01_smallness_estimates():
@@ -145,16 +140,15 @@ def test_04_contraction_weights():
         spec = factory()
         ctx = probed_context(spec, 16)
         choice = choose_weight(ctx)
-        est = estimate_contraction(ctx, zero_g(ctx.grid, spec.n),
-                                   SolverConfig(m=choice.m), seed=404)
+        est = estimate_contraction(LinearizedOperator(ctx), SolverConfig(m=choice.m), seed=404)
         ok = ok and est.contracting
         details.append(f"{name}: rho={est.rho_hat:.3g} at m={choice.m:g}")
 
     spec = load_problem(PURE_F1_DOC)
     ctx = probed_context(spec, 32)
-    at = zero_g(ctx.grid, 1)
-    lo = estimate_contraction(ctx, at, SolverConfig(m=10.0), seed=404)
-    hi = estimate_contraction(ctx, at, SolverConfig(m=20.0), seed=404)
+    lin = LinearizedOperator(ctx)
+    lo = estimate_contraction(lin, SolverConfig(m=10.0), seed=404)
+    hi = estimate_contraction(lin, SolverConfig(m=20.0), seed=404)
     factor = lo.rho_hat / hi.rho_hat
     ok = ok and 3.0 <= factor <= 5.0
     check(4, "contraction-weights", ok,
@@ -189,7 +183,7 @@ def test_05_linearized_vs_dense():
     g_dense = np.linalg.solve(H, v.values.ravel()).reshape(P, P, 1)
 
     ctx = probed_context(spec, 16)
-    rep = solve_linearized(ctx, zero_g(grid, 1), v, SolverConfig(m=9.0, tol=1e-13))
+    rep = solve_linearized(LinearizedOperator(ctx), v, SolverConfig(m=9.0, tol=1e-13))
     gap = classical_l2_norm(rep.g - GridField(grid, g_dense))
     check(5, "linearized-vs-dense", gap <= 1e-8, f"gap {gap:.3e}")
 

@@ -20,7 +20,7 @@ from goursat2d.fileio import (
     read_field_csv, read_grid_csv, read_report_json, write_field_csv, write_grid_csv,
 )
 from goursat2d.norms import classical_l2_norm, weighted_l2_norm
-from goursat2d.operator import apply_F, coercivity_probe, make_context
+from goursat2d.operator import LinearizedOperator, apply_F, coercivity_probe, make_context
 from goursat2d.problem import BUILTIN_PROBLEMS, DEFAULT_SEED, XYFunction, load_problem
 from goursat2d.grid import GridField, build_grid, reconstruct_state
 from goursat2d.sampling import random_smooth_field
@@ -39,11 +39,28 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
 
-def stdout_lines(capsys):
-    """stdout as strict JSON lines: NaN and ±Infinity are rejected."""
-    out = capsys.readouterr().out
+def json_lines(out: str) -> list:
+    """``out`` as strict JSON lines: NaN and ±Infinity are rejected."""
     return [json.loads(line, parse_constant=_reject_constant)
             for line in out.splitlines() if line.strip()]
+
+
+def stdout_lines(capsys):
+    """stdout as strict JSON lines."""
+    return json_lines(capsys.readouterr().out)
+
+
+def count_linearizations(monkeypatch) -> list:
+    """The list that each ``LinearizedOperator`` built from here on is appended to."""
+    builds = []
+    init = LinearizedOperator.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearizedOperator, "__init__", counting)
+    return builds
 
 
 LINEAR_MEMORY_DOC = {
@@ -315,8 +332,17 @@ class TestLinsolve:
         captured = capsys.readouterr()
         assert "last ratio" in captured.err
         assert "m > 2*sqrt(d)" in captured.err
-        lines = [json.loads(l) for l in captured.out.splitlines() if l.strip()]
-        assert lines[-1]["converged"] is False
+        assert json_lines(captured.out)[-1]["converged"] is False
+
+    def test_builds_one_linearized_operator(self, tmp_path, monkeypatch):
+        base = tmp_path / "base"
+        assert run_cli(["solve", "--builtin", "example46", "--n", "8",
+                        "--rhs", "1.8", "--out", str(base)]) == 0
+        builds = count_linearizations(monkeypatch)
+        assert run_cli(["linsolve", "--builtin", "example46", "--n", "8", "--rhs", "x*y",
+                        "--linearize-at", f"{base}.grid.csv",
+                        "--out", str(tmp_path / "lin")]) == 0
+        assert len(builds) == 1
 
 
 class TestVerify:
@@ -431,9 +457,17 @@ class TestVerify:
         code = run_cli(["verify", "--suite", "contraction", "--builtin", "example46",
                         "--n", "8", "--m-list", "3,-1"])
         assert code == 1
-        out, err = capsys.readouterr()
-        assert [json.loads(line)["m"] for line in out.splitlines()] == [3.0]
-        assert "bad solver settings: weight m must be positive" in err
+        captured = capsys.readouterr()
+        assert [line["m"] for line in json_lines(captured.out)] == [3.0]
+        assert "bad solver settings: weight m must be positive" in captured.err
+
+    def test_contraction_suite_builds_one_operator_for_all_weights(self, monkeypatch, capsys):
+        builds = count_linearizations(monkeypatch)
+        code = run_cli(["verify", "--suite", "contraction", "--builtin", "example46",
+                        "--n", "8", "--m-list", "5,10,20"])
+        assert code == 0
+        assert [line["m"] for line in stdout_lines(capsys)] == [5.0, 10.0, 20.0]
+        assert len(builds) == 1
 
     def test_bad_m_list_exits_1(self, capsys):
         code = run_cli(["verify", "--suite", "norms", "--m-list", "1,zap"])
@@ -734,13 +768,48 @@ def test_rhs_file_on_another_grid_exits_1(tmp_path, capsys):
      "argument --seed: invalid int value: 'abc'"),
     (["solve", "--builtin", "zero", "--n", "4", "--rhs", ";"], "error: --rhs is empty"),
     (["verify", "--suite", "lemma31", "--n", "8", "--m-list", ","], "error: --m-list is empty"),
-], ids=["seed-not-an-integer", "rhs-no-component", "m-list-no-weight"])
+    (["verify", "--suite", "lemma31", "--n", "8", "--m-list", "1,nan"],
+     "error: --m-list must list finite values, got '1,nan'"),
+    (["verify", "--suite", "coercivity", "--builtin", "example46", "--n", "8", "--m-list", "inf"],
+     "error: --m-list must list finite values, got 'inf'"),
+    (["sens", "--builtin", "example46", "--n", "8", "--rhs", "1.8", "--direction", "1",
+      "--eps", "1e-1,1e-2,nan"], "error: --eps must list finite values, got '1e-1,1e-2,nan'"),
+    (["solve", "--builtin", "zero", "--n", "4", "--rhs", "1 + )"],
+     "error: --rhs: unexpected token ')' (at offset 4)"),
+    (["solve", "--builtin", "zero", "--n", "4", "--rhs", "log(x)"],
+     "error: --rhs: log of a nonpositive value (expression offset 0) at (x, y) = (0, 0)"),
+    (["sens", "--builtin", "example46", "--n", "8", "--rhs", "1.8", "--direction", "1 + )"],
+     "error: --direction: unexpected token ')' (at offset 4)"),
+    (["mms", "--builtin", "zero", "--zstar", "1+"],
+     "error: --zstar: unexpected end of expression (at offset 2)"),
+], ids=["seed-not-an-integer", "rhs-no-component", "m-list-no-weight", "m-list-nan",
+        "m-list-inf", "eps-nan", "rhs-syntax", "rhs-eval-fault", "direction-syntax",
+        "mms-zstar-syntax"])
 def test_malformed_flag_value_exits_1(argv, message, tmp_path, capsys):
     code = run_cli([*argv, "--out", str(tmp_path / "run")])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("zstar, message", [
+    ("1 + )", "error: --zstar: unexpected token ')' (at offset 4)"),
+    ("1;2", "error: --zstar has 2 component(s), problem has 1"),
+    ("log(x)", "error: --zstar: log of a nonpositive value"),
+], ids=["syntax", "other-n", "eval-fault"])
+def test_solve_reads_zstar_before_solving(zstar, message, tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before --zstar was read")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    code = run_cli(["solve", "--builtin", "example46", "--n", "8", "--rhs", "1.8",
+                    "--zstar", zstar, "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
     assert list(tmp_path.iterdir()) == []
 
 

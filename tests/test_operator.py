@@ -183,6 +183,16 @@ class TestLinearization:
         with pytest.raises(ShapeError):
             LinearizedOperator(ctx, random_smooth_field(build_grid(4), 1, np.random.default_rng(4)))
 
+    def test_no_point_is_the_zero_state(self):
+        grid = build_grid(6)
+        ctx = make_context(builtin_example_4_6(), grid)
+        at_zero = LinearizedOperator(ctx, GridField(grid, np.zeros((7, 7, 1))))
+        lin = LinearizedOperator(ctx)
+        for name in ("z", "j1", "j2"):
+            np.testing.assert_array_equal(getattr(lin, name), getattr(at_zero, name))
+        h = random_smooth_field(grid, 1, np.random.default_rng(5))
+        np.testing.assert_array_equal(lin.apply_array(h.values), at_zero.apply_array(h.values))
+
 
 class TestCoercivity:
     def test_zero_problem_equality(self):

@@ -141,6 +141,19 @@ class TestValidateFrechet:
             validate_frechet(ctx, v, GridField(ctx.grid, np.zeros((9, 9, 1))),
                              (1e-1, 1e-2, 1e-3), SolverConfig())
 
+    @pytest.mark.parametrize("eps", [(1e-1, 1e-2, np.nan), (np.inf, 1e-1, 1e-2)],
+                             ids=["nan", "inf"])
+    def test_rejects_non_finite_steps_before_any_solve(self, eps, monkeypatch):
+        ctx = probed_context(builtin_example_4_6(), 8)
+        v = GridField(ctx.grid, np.full((9, 9, 1), 1.8))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a non-finite step reached a solve")
+
+        monkeypatch.setattr("goursat2d.sensitivity.solve", no_solve)
+        with pytest.raises(ParameterError, match="positive and finite"):
+            validate_frechet(ctx, v, v, eps, SolverConfig())
+
     def test_refuses_steps_below_noise_floor(self):
         ctx = probed_context(zero_problem(), 8)
         v = GridField(ctx.grid, np.ones((9, 9, 1)))

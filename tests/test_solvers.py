@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from goursat2d import sensitivity, solvers
+from goursat2d import operator, sensitivity, solvers
 from goursat2d.errors import (
     DivergenceError,
     InvalidWeightError,
@@ -75,6 +75,16 @@ def cubic_spec():
         "meta": {"n": 1, "B": 1.0, "b": "1"},
         "functions": {"f1": ["z1^3"], "f2": ["0"]},
         "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+    })
+
+
+def zero_spec(n):
+    """The zero problem with n components."""
+    zeros = [["0"] * n for _ in range(n)]
+    return load_problem({
+        "meta": {"n": n, "B": 0.0, "b": "0"},
+        "functions": {"f1": ["0"] * n, "f2": ["0"] * n},
+        "coefficients": {name: zeros for name in ("A1", "A2", "A1x", "A2y")},
     })
 
 
@@ -150,10 +160,22 @@ class TestChooseWeight:
     def test_radius_tracks_expected_iterate_size(self):
         ctx = probed_context(linear_spec(), 8)
         small = zero_g(ctx.grid)
-        assert choose_weight(ctx, small).radius == pytest.approx(1.0)
+        assert choose_weight(ctx, LinearizedOperator(ctx, small)).radius == pytest.approx(1.0)
         # g = 1.2 has sup|z| = 1.2 -> target 2.2 -> smallest probed radius >= 2.2 is 4
         big = GridField(ctx.grid, 1.2 * np.ones((9, 9, 1)))
+        assert choose_weight(ctx, LinearizedOperator(ctx, big)).radius == pytest.approx(4.0)
+
+    def test_reads_the_operator_state_without_rebuilding_it(self, monkeypatch):
+        ctx = probed_context(linear_spec(), 8)
+        big = LinearizedOperator(ctx, GridField(ctx.grid, 1.2 * np.ones((9, 9, 1))))
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("choose_weight rebuilt a state")
+
+        monkeypatch.setattr("goursat2d.grid.state_from_g", rebuild)
+        monkeypatch.setattr("goursat2d.operator.state_from_g", rebuild)
         assert choose_weight(ctx, big).radius == pytest.approx(4.0)
+        assert choose_weight(ctx).radius == pytest.approx(1.0)
 
     def test_requires_probe(self):
         ctx = make_context(linear_spec(), build_grid(8))
@@ -182,7 +204,7 @@ class TestLinearizedSolve:
         ctx = probed_context(zero_problem(), 12)
         rng = np.random.default_rng(5)
         v = random_smooth_field(ctx.grid, 1, rng)
-        rep = solve_linearized(ctx, zero_g(ctx.grid), v, SolverConfig())
+        rep = solve_linearized(LinearizedOperator(ctx), v, SolverConfig())
         assert rep.converged and rep.iterations == 1 and len(rep.trace) == 1
         assert rep.m_used == pytest.approx(1.0)
         np.testing.assert_array_equal(rep.g.values, v.values)
@@ -196,27 +218,27 @@ class TestLinearizedSolve:
         # residual's values overflow before the patience runs out; the second
         # (values near 1e158, whose squares overflow) still has a finite norm
         ctx = make_context(pure_f1_spec(c=1e80), build_grid(8))
-        at = zero_g(ctx.grid)
+        lin = LinearizedOperator(ctx)
         v = GridField(ctx.grid, np.ones((9, 9, 1)))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="linearized iteration 4 overflowed") as exc_info:
-                solve_linearized(ctx, at, v, SolverConfig(m=1.0))
+                solve_linearized(lin, v, SolverConfig(m=1.0))
         report = exc_info.value.report
         assert report.iterations == len(report.trace) == 3 and not report.converged
         assert 1e157 < report.trace[1].residual < 1e159
         assert np.isfinite(report.g.values).all()
-        r = LinearizedOperator(ctx, at).apply_array(report.g.values) - v.values
+        r = lin.apply_array(report.g.values) - v.values
         assert WeightedNorms(ctx.grid, 1.0).norm(r) == report.residual_weighted
         assert math.isfinite(report.residual_classical)
 
     def test_recovers_manufactured_direction(self):
         ctx = probed_context(linear_spec(), 16)
-        at = zero_g(ctx.grid)
+        lin = LinearizedOperator(ctx)
         rng = np.random.default_rng(11)
         h_star = random_smooth_field(ctx.grid, 1, rng)
-        v = GridField(ctx.grid, LinearizedOperator(ctx, at).apply_array(h_star.values))
+        v = GridField(ctx.grid, lin.apply_array(h_star.values))
         cfg = SolverConfig(tol=1e-12)
-        rep = solve_linearized(ctx, at, v, cfg)
+        rep = solve_linearized(lin, v, cfg)
         assert rep.converged
         wn = WeightedNorms(ctx.grid, rep.m_used)
         assert wn.norm(rep.g - h_star) <= 10 * cfg.tol
@@ -228,10 +250,11 @@ class TestLinearizedSolve:
         ctx = probed_context(builtin_example_4_6(), 12)
         rng = np.random.default_rng(7)
         at = random_smooth_field(ctx.grid, 1, rng)
+        lin = LinearizedOperator(ctx, at)
         h_star = random_smooth_field(ctx.grid, 1, rng)
-        v = GridField(ctx.grid, LinearizedOperator(ctx, at).apply_array(h_star.values))
+        v = GridField(ctx.grid, lin.apply_array(h_star.values))
         cfg = SolverConfig(tol=1e-12)
-        rep = solve_linearized(ctx, at, v, cfg)
+        rep = solve_linearized(lin, v, cfg)
         wn = WeightedNorms(ctx.grid, rep.m_used)
         assert rep.converged and wn.norm(rep.g - h_star) <= 10 * cfg.tol
 
@@ -263,19 +286,19 @@ class TestLinearizedSolve:
         rng = np.random.default_rng(23)
         v = random_smooth_field(grid, 1, rng)
         g_direct = np.linalg.solve(H, v.values[:, :, 0].ravel()).reshape(P, P, 1)
-        rep = solve_linearized(ctx, zero_g(grid), v, SolverConfig(tol=1e-13))
+        rep = solve_linearized(LinearizedOperator(ctx), v, SolverConfig(tol=1e-13))
         err = classical_l2_norm(rep.g - GridField(grid, g_direct))
         assert err <= 1e-8
 
     def test_warns_below_contraction_threshold(self):
         ctx = probed_context(pure_f1_spec(), 12)
-        at = zero_g(ctx.grid)
+        lin = LinearizedOperator(ctx)
         rng = np.random.default_rng(3)
         v = random_smooth_field(ctx.grid, 1, rng)
         # d = max(0.5, 1) = 1, threshold 2*sqrt(d) = 2, so m = 1.5 must warn;
         # the true factor is still < 1 there, so the solve itself succeeds
         with pytest.warns(UserWarning, match="contraction threshold"):
-            rep = solve_linearized(ctx, at, v, SolverConfig(m=1.5, tol=1e-9))
+            rep = solve_linearized(lin, v, SolverConfig(m=1.5, tol=1e-9))
         assert rep.converged
 
     def test_divergence_raises_with_partial_report(self):
@@ -284,23 +307,23 @@ class TestLinearizedSolve:
         # enough that the divergence guard must fire first
         spec = pure_f1_spec(c=200.0, B=200.0)
         ctx = make_context(spec, build_grid(12))
-        at = zero_g(ctx.grid)
+        lin = LinearizedOperator(ctx)
         rng = np.random.default_rng(4)
         v = random_smooth_field(ctx.grid, 1, rng)
         with pytest.raises(DivergenceError, match="larger m") as exc_info:
-            solve_linearized(ctx, at, v, SolverConfig(m=1.0))
+            solve_linearized(lin, v, SolverConfig(m=1.0))
         report = exc_info.value.report
         assert report is not None and not report.converged
         assert report.trace[-1].ratio is not None and report.trace[-1].ratio >= 1.0
 
     def test_iteration_cap_raises(self):
         ctx = probed_context(pure_f1_spec(), 12)
-        at = zero_g(ctx.grid)
+        lin = LinearizedOperator(ctx)
         rng = np.random.default_rng(6)
         v = random_smooth_field(ctx.grid, 1, rng)
         cfg = SolverConfig(m=3.0, tol=1e-14, max_iter=4)
         with pytest.raises(NoConvergenceError) as exc_info:
-            solve_linearized(ctx, at, v, cfg)
+            solve_linearized(lin, v, cfg)
         report = exc_info.value.report
         assert report is not None and report.iterations == 4
         assert all(t.ratio < 1.0 for t in report.trace if t.ratio is not None)
@@ -309,13 +332,13 @@ class TestLinearizedSolve:
 class TestContractionEstimate:
     def test_zero_problem_is_exactly_identity(self):
         ctx = probed_context(zero_problem(), 12)
-        est = estimate_contraction(ctx, zero_g(ctx.grid), SolverConfig())
+        est = estimate_contraction(LinearizedOperator(ctx), SolverConfig())
         assert est.rho_hat == 0.0 and est.contracting
         assert est.bound == 0.0 and est.m == pytest.approx(1.0)
 
     def test_chosen_weight_contracts_within_bound(self):
         ctx = probed_context(pure_f1_spec(), 16)
-        est = estimate_contraction(ctx, zero_g(ctx.grid), SolverConfig())
+        est = estimate_contraction(LinearizedOperator(ctx), SolverConfig())
         assert est.m == pytest.approx(9.0)
         assert 0.0 < est.rho_hat < 1.0
         assert est.rho_hat <= est.bound
@@ -324,23 +347,23 @@ class TestContractionEstimate:
         # the memory term scales like 1/m^2 in the weighted norm, so doubling
         # m should cut the measured factor by about 4
         ctx = probed_context(pure_f1_spec(), 16)
-        at = zero_g(ctx.grid)
-        lo = estimate_contraction(ctx, at, SolverConfig(m=10.0), seed=42)
-        hi = estimate_contraction(ctx, at, SolverConfig(m=20.0), seed=42)
+        lin = LinearizedOperator(ctx)
+        lo = estimate_contraction(lin, SolverConfig(m=10.0), seed=42)
+        hi = estimate_contraction(lin, SolverConfig(m=20.0), seed=42)
         factor = lo.rho_hat / hi.rho_hat
         assert 3.0 <= factor <= 5.0
 
     def test_deterministic_for_fixed_seed(self):
         ctx = probed_context(linear_spec(), 12)
-        at = zero_g(ctx.grid)
-        a = estimate_contraction(ctx, at, SolverConfig(m=5.0), seed=9)
-        b = estimate_contraction(ctx, at, SolverConfig(m=5.0), seed=9)
+        lin = LinearizedOperator(ctx)
+        a = estimate_contraction(lin, SolverConfig(m=5.0), seed=9)
+        b = estimate_contraction(lin, SolverConfig(m=5.0), seed=9)
         assert a == b and isinstance(a, ContractionEstimate)
 
     def test_rejects_no_trials(self):
         ctx = probed_context(linear_spec(), 8)
         with pytest.raises(ValueError):
-            estimate_contraction(ctx, zero_g(ctx.grid), SolverConfig(m=5.0), trials=0)
+            estimate_contraction(LinearizedOperator(ctx), SolverConfig(m=5.0), trials=0)
 
 
 class TestPicard:
@@ -588,12 +611,19 @@ class TestExample46BothSigns:
         assert (sign * z >= 0.0).all() and (sign * z).max() > 0.9
 
 
-#: Every public entry fed one foreign field ``bad``, at the fitting v.
+def foreign_operator(bad: GridField) -> LinearizedOperator:
+    """F' at zero of a problem with the grid and n of ``bad``."""
+    return LinearizedOperator(make_context(zero_spec(bad.n), bad.grid))
+
+
+#: Every public entry fed one foreign field ``bad`` (or an operator built on
+#: its grid and n), at the fitting v.
 _ENTRIES = {
     "solve-g0": lambda ctx, v, bad: solve(ctx, v, SolverConfig(m=9.0), g0=bad),
     "solve_linearized-v": lambda ctx, v, bad: solve_linearized(
-        ctx, zero_g(ctx.grid), bad, SolverConfig(m=9.0)),
-    "choose_weight-at": lambda ctx, v, bad: choose_weight(ctx, at=bad),
+        LinearizedOperator(ctx), bad, SolverConfig(m=9.0)),
+    "LinearizedOperator-at": lambda ctx, v, bad: LinearizedOperator(ctx, bad),
+    "choose_weight-at": lambda ctx, v, bad: choose_weight(ctx, at=foreign_operator(bad)),
     "validate_frechet-v": lambda ctx, v, bad: validate_frechet(
         ctx, bad, v, (1e-1, 1e-2, 1e-3), SolverConfig(m=9.0)),
     "validate_frechet-deltav": lambda ctx, v, bad: validate_frechet(
@@ -602,8 +632,8 @@ _ENTRIES = {
 
 
 @pytest.mark.parametrize("foreign, message", [
-    ("grid", "does not match context grid Grid\\(cells=8\\)"),
-    ("n", "field has 2 components, problem has 1"),
+    ("grid", "{} on Grid\\(cells=4\\) does not match context grid Grid\\(cells=8\\)"),
+    ("n", "{} has 2 components, problem has 1"),
 ], ids=["other-grid", "other-n"])
 @pytest.mark.parametrize("entry", sorted(_ENTRIES))
 def test_every_entry_rejects_a_foreign_field_before_any_work(entry, foreign, message,
@@ -617,7 +647,9 @@ def test_every_entry_rejects_a_foreign_field_before_any_work(entry, foreign, mes
         raise AssertionError("work began before the field check")
 
     for module, name in ((solvers, "apply_F"), (solvers, "LinearizedOperator"),
-                         (solvers, "state_from_g"), (sensitivity, "solve")):
+                         (operator, "state_from_g"), (LinearizedOperator, "apply_array"),
+                         (sensitivity, "solve")):
         monkeypatch.setattr(module, name, work)
-    with pytest.raises(ShapeError, match=message):
+    what = "operator" if entry == "choose_weight-at" else "field"
+    with pytest.raises(ShapeError, match=message.format(what)):
         _ENTRIES[entry](ctx, v, bad)
