@@ -257,22 +257,29 @@ def _zstar_error(zstar: GridField | None, rep) -> dict | None:
 
 # -- solve and linsolve --------------------------------------------------------
 
-def _solve_command(args, ctx, cfg, lin, run, head, tail=lambda rep: {},
+def _solve_command(args, ctx, cfg, at, run, head, tail=lambda rep: {},
                    line=lambda estimate: {}) -> int:
     """The weight, contraction estimate, solve, report, artifacts and exit code
     of ``solve`` and ``linsolve``: 0, or 2 after writing the partial artifacts
     of a failed solve.
 
-    The weight and the contraction estimate are taken with the linearized
-    operator ``lin``; ``run(cfg)`` solves at that weight.  The command's own keys
-    come from ``head(rep, cfg)`` (after "seed"), ``tail(rep)`` (after
-    "result") and ``line(estimate)`` (after the stdout line's "m").
+    The weight and the contraction estimate are taken with the operator
+    linearized at the g field ``at`` (the zero state when None), and
+    ``run(lin, cfg)`` solves with that operator ``lin`` at that weight.  The
+    command's own keys come from ``head(rep, cfg)`` (after "seed"),
+    ``tail(rep)`` (after "result") and ``line(estimate)`` (after the stdout
+    line's "m").
     """
+    # the zero state needs no operator for its weight, so an infinite weight
+    # is reported before F' is evaluated
+    lin = None if at is None else LinearizedOperator(ctx, at)
     cfg, choice = _weight(ctx, cfg, lin)
+    if lin is None:
+        lin = LinearizedOperator(ctx)
     estimate = estimate_contraction(lin, cfg, seed=args.seed)
     failure = None
     try:
-        rep = run(cfg)
+        rep = run(lin, cfg)
     except SolverError as exc:
         if exc.report is None:
             raise
@@ -309,7 +316,7 @@ def cmd_solve(args) -> int:
     v = _rhs_field(spec, args, ctx.grid)
     zstar = None if args.zstar is None else _sampled(args.zstar, ctx.grid, spec.n, "--zstar")
     return _solve_command(
-        args, ctx, cfg, LinearizedOperator(ctx), lambda cfg: solve(ctx, v, cfg),
+        args, ctx, cfg, None, lambda lin, cfg: solve(ctx, v, cfg),
         head=lambda rep, cfg: {"solver": {
             "method": rep.method, "m": rep.m_used, "tol": cfg.tol, "max_iter": cfg.max_iter}},
         tail=lambda rep: {"error_vs_reference": _zstar_error(zstar, rep)})
@@ -323,9 +330,8 @@ def cmd_linsolve(args) -> int:
     else:
         at, linearized_at = None, "zero"
     w = _field(args.rhs, ctx.grid, spec.n, "--rhs")
-    lin = LinearizedOperator(ctx, at)
     return _solve_command(
-        args, ctx, cfg, lin, lambda cfg: solve_linearized(lin, w, cfg),
+        args, ctx, cfg, at, lambda lin, cfg: solve_linearized(lin, w, cfg),
         head=lambda rep, cfg: {"linearized_at": linearized_at, "solver": {
             "m": rep.m_used, "tol": cfg.tol, "max_iter": cfg.max_iter}},
         line=lambda estimate: {"rho_hat": estimate.rho_hat})
@@ -572,9 +578,16 @@ def cmd_mms(args) -> int:
 
     rows = []
     errors = []
+    refine = 4
     for cells in n_list:
         grid = build_grid(cells)
-        mspec = manufacture_problem(spec, zstar, grid, refine=4)
+        try:
+            mspec = manufacture_problem(spec, zstar, grid, refine=refine)
+        except EvalFaultError:
+            # z* is sampled first, on the refined grid: name the flag if the
+            # fault is its own, not f1's or f2's at z*
+            _sampled(args.zstar, build_grid(refine * cells), spec.n, "--zstar")
+            raise
         ctx = make_context(mspec, grid).with_assumptions(probe)
         try:
             rep = solve(ctx, mspec.sample_rhs(grid), cfg)

@@ -12,6 +12,12 @@ Grid bundles are row-major in i then j with header
 ``i,j,x,y,v_1..v_n``.  A bundle stores g = z_xy, the only state, and its
 derived z, z_x, z_y for readers of the file; loading returns g and rejects
 a bundle whose state columns are not g's state.
+
+Readers stream the file: the data rows go from the open file straight into
+numpy's parser, so a read holds about one parsed table, not the text.
+Lines end at ``\n``, ``\r\n`` or ``\r``; blank and whitespace-only lines are
+skipped, and line numbers in errors count the other lines, the header being
+line 1.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import os
 import re
 import tempfile
 from collections.abc import Iterable
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -73,75 +81,73 @@ def _read_nodes(path: str | os.PathLike, prefixes: tuple[str, ...]) -> tuple[Gri
 
     n is the number of ``prefixes[0]_k`` header columns.  Returns the grid and
     the values, shape (P, P, len(prefixes)·n), blocks in ``prefixes`` order.
-    Line numbers in errors count non-blank lines, the header being line 1.
+    The non-blank data rows stream from the open file into numpy's parser; a
+    table that does not parse into the header's columns is read a second
+    time, to report its faults in the order a line-by-line check would.
     """
-    path = Path(path)
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
-    if not lines:
-        raise SchemaError("file is empty", path=str(path))
-    lead = f"{prefixes[0]}_"
-    n = sum(1 for c in lines[0].split(",") if c.startswith(lead))
-    if n < 1:
-        raise SchemaError(f"no {lead}k columns in header {lines[0]!r}", path=str(path))
-    expected = _columns(prefixes, n)
-    if lines[0].split(",") != expected:
-        raise SchemaError(
-            f"header mismatch: expected {','.join(expected)!r}, got {lines[0]!r}",
-            path=str(path),
-        )
-    count = len(lines) - 1
+    fault = partial(SchemaError, path=str(Path(path)))
+    with open(path, encoding="utf-8") as f:
+        lines = (ln for ln in f if not ln.isspace())
+        header = next(lines, "").rstrip("\n")
+        if not header:
+            raise fault("file is empty")
+        lead = f"{prefixes[0]}_"
+        n = sum(1 for c in header.split(",") if c.startswith(lead))
+        if n < 1:
+            raise fault(f"no {lead}k columns in header {header!r}")
+        expected = _columns(prefixes, n)
+        if header.split(",") != expected:
+            raise fault(f"header mismatch: expected {','.join(expected)!r}, got {header!r}")
+        first, table, error = next(lines, None), np.empty((0, len(expected))), None
+        try:
+            if first is not None:  # loadtxt warns on a table with no rows
+                table = np.loadtxt(chain([first], lines), delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            error = exc
+        count, widths = len(table), []
+        if error is not None or table.shape[1] != len(expected):
+            # a second pass counts the rows and fields of a table that did not parse
+            f.seek(0)
+            widths = [ln.count(",") + 1 for ln in f if not ln.isspace()][1:]
+            count = len(widths)
     P = math.isqrt(count)
     if P * P != count or P < 2:
-        raise SchemaError(f"{count} data rows do not form a square node grid", path=str(path))
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.count(",") != len(expected) - 1:
-            raise SchemaError(
-                f"line {lineno}: expected {len(expected)} fields, got {line.count(',') + 1}",
-                path=str(path),
-            )
-    try:
-        table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        row = re.search(r"at row (\d+)", str(exc))
-        where = f"line {int(row[1]) + 2}" if row else f"lines 2..{len(lines)}"
-        raise SchemaError(f"{where}: {exc}", path=str(path)) from exc
+        raise fault(f"{count} data rows do not form a square node grid")
+    for lineno, width in enumerate(widths, start=2):
+        if width != len(expected):
+            raise fault(f"line {lineno}: expected {len(expected)} fields, got {width}")
+    if error is not None:
+        row = re.search(r"at row (\d+)", str(error))
+        where = f"line {int(row[1]) + 2}" if row else f"lines 2..{count + 1}"
+        raise fault(f"{where}: {error}") from error
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         k, c = bad[0]
-        raise SchemaError(
-            f"line {k + 2}: column {expected[c]} holds {float(table[k, c])!r}, not a finite number",
-            path=str(path),
-        )
+        raise fault(f"line {k + 2}: column {expected[c]} holds {float(table[k, c])!r}, "
+                    "not a finite number")
 
     index = table[:, :2]
     bad = np.flatnonzero((index != np.trunc(index)).any(axis=1))
     if bad.size:
         k = bad[0]
-        raise SchemaError(
-            f"line {k + 2}: node index ({index[k, 0]:g}, {index[k, 1]:g}) is not a pair of integers",
-            path=str(path),
-        )
+        raise fault(f"line {k + 2}: node index ({index[k, 0]:g}, {index[k, 1]:g}) "
+                    "is not a pair of integers")
     bad = np.flatnonzero(((index < 0) | (index >= P)).any(axis=1))
     if bad.size:
         k = bad[0]
-        raise SchemaError(
-            f"node index ({index[k, 0]:g}, {index[k, 1]:g}) outside 0..{P - 1}", path=str(path)
-        )
+        raise fault(f"node index ({index[k, 0]:g}, {index[k, 1]:g}) outside 0..{P - 1}")
     grid = build_grid(P - 1)
     i, j = index.astype(np.intp).T
     x, y = table[:, 2], table[:, 3]
     bad = np.flatnonzero((np.abs(x - grid.nodes[i]) > 1e-12) | (np.abs(y - grid.nodes[j]) > 1e-12))
     if bad.size:
         k = bad[0]
-        raise SchemaError(
-            f"node ({i[k]}, {j[k]}) claims coordinates ({x[k]}, {y[k]}), "
-            f"grid has ({grid.nodes[i[k]]}, {grid.nodes[j[k]]})",
-            path=str(path),
-        )
+        raise fault(f"node ({i[k]}, {j[k]}) claims coordinates ({x[k]}, {y[k]}), "
+                    f"grid has ({grid.nodes[i[k]]}, {grid.nodes[j[k]]})")
     data = np.full((P, P, len(expected) - 4), np.nan)
     data[i, j, :] = table[:, 4:]
     if np.isnan(data).any():
-        raise SchemaError("duplicate or missing node rows", path=str(path))
+        raise fault("duplicate or missing node rows")
     return grid, data
 
 

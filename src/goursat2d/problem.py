@@ -496,8 +496,9 @@ def probe_assumptions(
                 jac[:, i, :] = d
                 kink_any = kink_any or kinked
             fmag = np.linalg.norm(vals, axis=1)
-            allowed = B * znorm + b_vals
-            with np.errstate(invalid="ignore", divide="ignore"):
+            # B near the float maximum overflows the bound to inf, which allows anything
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                allowed = B * znorm + b_vals
                 ratios = np.where(fmag == 0.0, 0.0, fmag / np.where(allowed == 0.0, np.inf, allowed))
             growth_worst[which] = max(growth_worst[which], float(ratios.max()))
             jac_sup = max(jac_sup, _spectral_sup(jac))

@@ -633,6 +633,26 @@ def test_document_with_an_invalid_meta_number_exits_1(argv, meta, message, tmp_p
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "8"],
+    ["linsolve", "--n", "8", "--rhs", "1"],
+], ids=lambda argv: argv[0])
+def test_no_finite_weight_is_reported_before_a_jacobian_fault_at_zero(argv, tmp_path, capsys):
+    # f1's Jacobian divides by zero on the grid line x = 0.25, and B = 1e308
+    # overflows both the weight and the probe's growth bound B·|z|
+    doc = dict(LINEAR_MEMORY_DOC, rhs={"v": ["1"]}, meta={"n": 1, "B": 1e308, "b": "1"},
+               functions={"f1": ["z1/(x-0.25)"], "f2": ["0"]})
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    code = run_cli([*argv, "--problem", str(tmp_path / "doc.json"),
+                    "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: no finite weight m = max(8B, 2*sqrt(d)) + 1 "
+                            "for B = 1e+308 and d = 1e+308\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
 def test_mms_with_no_finite_weight_exits_1(tmp_path, capsys):
     doc = dict(LINEAR_MEMORY_DOC, meta={"n": 1, "B": 1e308, "b": "0"})
     (tmp_path / "doc.json").write_text(json.dumps(doc))
@@ -782,9 +802,11 @@ def test_rhs_file_on_another_grid_exits_1(tmp_path, capsys):
      "error: --direction: unexpected token ')' (at offset 4)"),
     (["mms", "--builtin", "zero", "--zstar", "1+"],
      "error: --zstar: unexpected end of expression (at offset 2)"),
+    (["mms", "--builtin", "zero", "--zstar", "log(x)", "--n-list", "4,8"],
+     "error: --zstar: log of a nonpositive value (expression offset 0) at (x, y) = (0, 0)"),
 ], ids=["seed-not-an-integer", "rhs-no-component", "m-list-no-weight", "m-list-nan",
         "m-list-inf", "eps-nan", "rhs-syntax", "rhs-eval-fault", "direction-syntax",
-        "mms-zstar-syntax"])
+        "mms-zstar-syntax", "mms-zstar-eval-fault"])
 def test_malformed_flag_value_exits_1(argv, message, tmp_path, capsys):
     code = run_cli([*argv, "--out", str(tmp_path / "run")])
     assert code == 1
@@ -991,6 +1013,26 @@ class TestMms:
                         "--n-list", "8,16"])
         assert code == 1
         assert "z-variables" in capsys.readouterr().err
+
+    def test_fault_of_f1_at_zstar_does_not_name_the_flag(self, tmp_path, capsys):
+        # z* = -80xy samples fine; log(10 + z) faults where z = -10, at (1/8, 1) on N = 16
+        doc = dict(LINEAR_MEMORY_DOC, functions={"f1": ["log(10 + z1)"], "f2": ["0"]})
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        code = run_cli(["mms", "--problem", str(tmp_path / "doc.json"), "--zstar", "-80",
+                        "--n-list", "4,8", "--out", str(tmp_path / "run")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: log of a nonpositive value (expression offset 0) "
+                                "at (x, y) = (0.125, 1)\n")
+
+    def test_success_resamples_no_zstar(self, tmp_path, monkeypatch):
+        def resample(*args):
+            raise AssertionError("z* sampled again")
+
+        monkeypatch.setattr(cli, "_sampled", resample)
+        assert run_cli(["mms", "--builtin", "zero", "--zstar", "x*y", "--n-list", "4,8",
+                        "--out", str(tmp_path / "mms")]) == 0
 
 
 class TestDeterminism:

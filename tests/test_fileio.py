@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +167,26 @@ class TestGridBundleRoundTrip:
         header = path.read_text().splitlines()[0]
         assert header == "i,j,x,y,g_1,g_2,z_1,z_2,zx_1,zx_2,zy_1,zy_2"
 
+    def test_crlf_file_reads_back_bit_identical(self, tmp_path):
+        g = extreme_field(4, 2, seed=5)
+        path = tmp_path / "sol.grid.csv"
+        write_grid_csv(path, g)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert read_grid_csv(path).values.tobytes() == g.values.tobytes()
+
+    def test_read_holds_about_one_copy_of_the_file(self, tmp_path):
+        # the reader streams the file into the parsed table: its traced peak
+        # stays near the table, not the file's text held as strings
+        path = tmp_path / "sol.grid.csv"
+        write_grid_csv(path, random_field(256, 1, seed=2))
+        tracemalloc.start()
+        try:
+            read_grid_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * path.stat().st_size
+
     def test_state_grid_mismatch_rejected(self, tmp_path):
         # a bundle whose state columns belong to another g is refused on load
         g, other = random_field(4, 1, seed=5), random_field(4, 1, seed=6)
@@ -301,6 +323,54 @@ class TestMalformedFiles:
         write_field_csv(path, f)
         path.write_text(path.read_text() + "\n  \n")
         assert np.array_equal(read_field_csv(path).values, f.values)
+
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        f = random_field(2, 2, seed=4)
+        path = tmp_path / "f.csv"
+        write_field_csv(path, f)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3:3] = ["\n", " \t \n"]
+        path.write_text("".join(lines))
+        assert read_field_csv(path).values.tobytes() == f.values.tobytes()
+
+    def test_line_numbers_count_only_non_blank_lines(self, tmp_path):
+        path = self.make_field_file(tmp_path)
+        _patch_line(path, "1,1,", "1,1,0.5,0.5,forty-two")  # non-blank line 6
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3:3] = ["\n", "   \n"]  # the bad row is now physical line 8
+        path.write_text("".join(lines))
+        with pytest.raises(SchemaError, match="line 6: .*forty-two"):
+            read_field_csv(path)
+
+    def test_header_only_file_is_no_square_grid_and_warns_nothing(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("i,j,x,y,v_1\n \n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match="0 data rows do not form a square node grid"):
+                read_field_csv(path)
+
+    @pytest.mark.parametrize("node, row, message", [
+        ((0, 0), "0,0,0,0", "line 2: expected 5 fields, got 4"),
+        ((0, 0), "0,0,0,0,0.5,7", "line 2: expected 5 fields, got 6"),
+        ((2, 2), "2,2,1,1,0.5,7", "line 10: expected 5 fields, got 6"),
+    ], ids=["first-short", "first-long", "last-long"])
+    def test_wrong_field_count_names_its_line(self, tmp_path, node, row, message):
+        path = self.make_field_file(tmp_path)
+        _patch_line(path, f"{node[0]},{node[1]},", row)
+        with pytest.raises(SchemaError, match=message):
+            read_field_csv(path)
+
+    def test_faults_are_reported_in_line_check_order(self, tmp_path):
+        # row count first, then field counts, then tokens, whatever the file order
+        path = self.make_field_file(tmp_path)
+        _patch_line(path, "0,1,", "0,1,0,0.5,forty-two")  # line 3
+        _patch_line(path, "2,1,", "2,1,1,0.5")  # line 9
+        with pytest.raises(SchemaError, match="line 9: expected 5 fields, got 4"):
+            read_field_csv(path)
+        _patch_line(path, "2,2,", "")
+        with pytest.raises(SchemaError, match="8 data rows do not form a square node grid"):
+            read_field_csv(path)
 
     def test_non_square_row_count(self, tmp_path):
         path = self.make_field_file(tmp_path)
