@@ -139,7 +139,10 @@ def _load_spec(args) -> tuple[ProblemSpec, dict]:
         return BUILTIN_PROBLEMS[args.builtin](), {}
     path = Path(args.problem)
     # read_text errors (missing file, permissions) surface as OSError -> exit 1
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text (byte offset {exc.start})") from exc
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:

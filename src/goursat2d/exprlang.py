@@ -242,7 +242,9 @@ def _fault(message: str, node: Expr, mask, X: np.ndarray, Y: np.ndarray, error=E
 def _spare(inputs: tuple, *operands):
     """The first of ``operands`` that a ufunc of them all may write into, else None:
     a writable array of the result's shape that owns its data and is none of
-    ``inputs`` (X, Y, Z and operands still read later; meshgrid's X, Y own theirs)."""
+    ``inputs`` (X, Y, Z and operands still read later).  The inputs must be
+    excluded by identity: ``np.meshgrid``'s X, Y own writable data, while the
+    read-only views of ``Grid.meshgrid`` and of a zero state fail both flags."""
     shape = np.broadcast_shapes(*(np.shape(o) for o in operands))
     for o in operands:
         if (isinstance(o, np.ndarray) and o.shape == shape and o.flags.owndata

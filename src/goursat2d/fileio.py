@@ -17,7 +17,7 @@ Readers stream the file: the data rows go from the open file straight into
 numpy's parser, so a read holds about one parsed table, not the text.
 Lines end at ``\n``, ``\r\n`` or ``\r``; blank and whitespace-only lines are
 skipped, and line numbers in errors count the other lines, the header being
-line 1.
+line 1.  A file that is not UTF-8 text is a ``SchemaError`` naming the file.
 """
 
 from __future__ import annotations
@@ -86,30 +86,34 @@ def _read_nodes(path: str | os.PathLike, prefixes: tuple[str, ...]) -> tuple[Gri
     time, to report its faults in the order a line-by-line check would.
     """
     fault = partial(SchemaError, path=str(Path(path)))
-    with open(path, encoding="utf-8") as f:
-        lines = (ln for ln in f if not ln.isspace())
-        header = next(lines, "").rstrip("\n")
-        if not header:
-            raise fault("file is empty")
-        lead = f"{prefixes[0]}_"
-        n = sum(1 for c in header.split(",") if c.startswith(lead))
-        if n < 1:
-            raise fault(f"no {lead}k columns in header {header!r}")
-        expected = _columns(prefixes, n)
-        if header.split(",") != expected:
-            raise fault(f"header mismatch: expected {','.join(expected)!r}, got {header!r}")
-        first, table, error = next(lines, None), np.empty((0, len(expected))), None
-        try:
-            if first is not None:  # loadtxt warns on a table with no rows
-                table = np.loadtxt(chain([first], lines), delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            error = exc
-        count, widths = len(table), []
-        if error is not None or table.shape[1] != len(expected):
-            # a second pass counts the rows and fields of a table that did not parse
-            f.seek(0)
-            widths = [ln.count(",") + 1 for ln in f if not ln.isspace()][1:]
-            count = len(widths)
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = (ln for ln in f if not ln.isspace())
+            header = next(lines, "").rstrip("\n")
+            if not header:
+                raise fault("file is empty")
+            lead = f"{prefixes[0]}_"
+            n = sum(1 for c in header.split(",") if c.startswith(lead))
+            if n < 1:
+                raise fault(f"no {lead}k columns in header {header!r}")
+            expected = _columns(prefixes, n)
+            if header.split(",") != expected:
+                raise fault(f"header mismatch: expected {','.join(expected)!r}, got {header!r}")
+            first, table, error = next(lines, None), np.empty((0, len(expected))), None
+            try:
+                if first is not None:  # loadtxt warns on a table with no rows
+                    table = np.loadtxt(chain([first], lines), delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                error = exc
+            count, widths = len(table), []
+            if error is not None or table.shape[1] != len(expected):
+                # a second pass counts the rows and fields of a table that did not parse
+                f.seek(0)
+                widths = [ln.count(",") + 1 for ln in f if not ln.isspace()][1:]
+                count = len(widths)
+    except UnicodeDecodeError as exc:
+        # the decoder's position counts from its read chunk, not from the file start
+        raise fault("not UTF-8 text") from exc
     P = math.isqrt(count)
     if P * P != count or P < 2:
         raise fault(f"{count} data rows do not form a square node grid")

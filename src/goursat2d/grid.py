@@ -64,8 +64,14 @@ class Grid:
         return self.cells + 1
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Node coordinate matrices X, Y with shape (cells+1, cells+1), 'ij' indexing."""
-        return np.meshgrid(self.nodes, self.nodes, indexing="ij")
+        """Node coordinate matrices X, Y with shape (cells+1, cells+1), 'ij' indexing.
+
+        They equal ``np.meshgrid(nodes, nodes, indexing="ij")``, but both are
+        read-only broadcast views of ``nodes`` that hold no grid-sized memory.
+        """
+        shape = (self.npoints, self.npoints)
+        return (np.broadcast_to(self.nodes[:, None], shape),
+                np.broadcast_to(self.nodes[None, :], shape))
 
     def trapezoid_weights(self) -> np.ndarray:
         """1D composite-trapezoid node weights: h * [1/2, 1, ..., 1, 1/2]."""

@@ -35,20 +35,22 @@ from .errors import ShapeError, ThresholdError
 from .grid import Grid, GridField, cum2d_array, state_from_g
 from .norms import WeightedNorms
 from .exprlang import eval_dual_on_grid, eval_on_grid
-from .problem import AssumptionReport, ProblemSpec, _matrix_values
+from .problem import AssumptionReport, ProblemSpec, _matrix_values, _zero_state
 
 
 class OperatorContext:
     """Immutable pairing of a problem with a grid, plus node caches.
 
-    Holds the spec, the grid, its node coordinates, the z-independent
-    coefficient matrices A1, A2 sampled once per (spec, grid), the record
-    ``nonzero`` of which of A1, A2 is not identically zero on the nodes (F
-    and F' skip the term of a zero one, and the z_y that only A2 reads), and
-    the assumption probe report that ``with_assumptions`` attaches (None
-    until then) to a derived context sharing the caches.  F and F' do not
-    depend on the weight m, so the context carries none: each solve chooses
-    its m and builds its own ``WeightedNorms``.
+    Holds the spec, the grid, its node coordinates X, Y (the read-only views
+    of ``Grid.meshgrid``), the z-independent coefficient matrices A1, A2
+    sampled once per (spec, grid), the record ``nonzero`` of which of A1, A2
+    is not identically zero on the nodes (F and F' skip the term of a zero
+    one, and the z_y that only A2 reads), and the assumption probe report
+    that ``with_assumptions`` attaches (None until then) to a derived context
+    sharing the caches.  Only a nonzero matrix holds grid-sized memory: a
+    zero one is kept as a read-only broadcast view of one n×n zero matrix.
+    F and F' do not depend on the weight m, so the context carries none:
+    each solve chooses its m and builds its own ``WeightedNorms``.
     """
 
     __slots__ = ("spec", "grid", "assumptions", "X", "Y", "a1_nodes", "a2_nodes", "nonzero")
@@ -57,9 +59,11 @@ class OperatorContext:
         self.spec = spec
         self.grid = grid
         self.X, self.Y = grid.meshgrid()
-        self.a1_nodes = _matrix_values(spec.a1, self.X, self.Y, spec.n)
-        self.a2_nodes = _matrix_values(spec.a2, self.X, self.Y, spec.n)
-        self.nonzero = (bool(self.a1_nodes.any()), bool(self.a2_nodes.any()))
+        a1, a2 = (_matrix_values(a, self.X, self.Y, spec.n) for a in (spec.a1, spec.a2))
+        self.nonzero = (bool(a1.any()), bool(a2.any()))
+        zero = np.broadcast_to(np.zeros((spec.n, spec.n)), a1.shape)
+        self.a1_nodes = a1 if self.nonzero[0] else zero
+        self.a2_nodes = a2 if self.nonzero[1] else zero
         self.assumptions = None
 
     def with_assumptions(self, report: AssumptionReport) -> "OperatorContext":
@@ -149,7 +153,7 @@ class LinearizedOperator:
         if at is not None:
             ctx.check_field(at)
         self.ctx = ctx
-        Z = self.z = (np.zeros((ctx.grid.npoints,) * 2 + (ctx.spec.n,)) if at is None
+        Z = self.z = (_zero_state(ctx.X.shape, ctx.spec.n) if at is None
                       else state_from_g(at.values, ctx.grid.h, zy=False)[0])
         d1, d2 = [], []
         for i in range(ctx.spec.n):
@@ -208,7 +212,7 @@ def coercivity_probe(
         raise ValueError("need at least one sample field")
     norms = WeightedNorms(ctx.grid, m)
     X, Y = ctx.X, ctx.Y
-    b_vals = eval_on_grid(ctx.spec.majorant, X, Y, np.zeros(X.shape + (ctx.spec.n,)))
+    b_vals = eval_on_grid(ctx.spec.majorant, X, Y, _zero_state(X.shape, ctx.spec.n))
     D = 2.0 * norms.norm(b_vals[..., None])
     factor = 1.0 - 8.0 * B / m
 

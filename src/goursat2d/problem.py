@@ -53,6 +53,12 @@ DEFAULT_SEED = 1729
 DEFAULT_RADII = (1.0, 2.0, 4.0)
 
 
+def _zero_state(shape: tuple[int, ...], n: int) -> np.ndarray:
+    """The zero state of shape ``shape + (n,)``: a read-only broadcast view
+    of n zeros, which holds no grid-sized memory."""
+    return np.broadcast_to(np.zeros(n), shape + (n,))
+
+
 @dataclass(frozen=True)
 class XYFunction:
     """An R^n-valued function of the spatial variables only, samplable on any grid."""
@@ -78,7 +84,7 @@ class XYFunction:
 
     def sample(self, grid: Grid) -> GridField:
         X, Y = grid.meshgrid()
-        Z = np.zeros(X.shape + (1,))
+        Z = _zero_state(X.shape, 1)
         vals = np.stack([eval_on_grid(e, X, Y, Z) for e in self.exprs], axis=2)
         return GridField(grid, vals)
 
@@ -422,7 +428,7 @@ class AssumptionReport:
 
 def _matrix_values(mat: ExprMatrix, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
     """Sample an n×n expression matrix at points; shape X.shape + (n, n)."""
-    Z = np.zeros(X.shape + (n,))
+    Z = _zero_state(X.shape, n)
     rows = []
     for row in mat:
         rows.append(np.stack([eval_on_grid(e, X, Y, Z) for e in row], axis=-1))

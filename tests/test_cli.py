@@ -759,6 +759,35 @@ def test_non_finite_csv_value_exits_1(source, token, tmp_path, capsys):
     assert not list(tmp_path.glob("run.*"))
 
 
+@pytest.mark.parametrize("source", ["--linearize-at", "--rhs", "--problem"])
+def test_input_that_is_not_utf8_exits_1(source, tmp_path, capsys):
+    assert run_cli(["solve", "--builtin", "zero", "--n", "2", "--rhs", "1",
+                    "--out", str(tmp_path / "base")]) == 0
+    capsys.readouterr()
+    bundle = tmp_path / "base.grid.csv"
+    field = tmp_path / "f.csv"
+    field.write_text("i,j,x,y,v_1\n" + "".join(
+        f"{i},{j},{i / 2},{j / 2},1\n" for i in range(3) for j in range(3)))
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(LINEAR_MEMORY_DOC, indent=2))
+    path = {"--linearize-at": bundle, "--rhs": field, "--problem": doc}[source]
+    data = bytearray(path.read_bytes())
+    data[data.index(b"\n") + 3] = 0xFF  # on the second line
+    path.write_bytes(bytes(data))
+    argv = {"--linearize-at": ["linsolve", "--builtin", "zero", "--rhs", "1",
+                               "--linearize-at", str(bundle)],
+            "--rhs": ["solve", "--builtin", "zero", "--rhs", str(field)],
+            "--problem": ["solve", "--problem", str(doc), "--rhs", "1"]}[source]
+    code = run_cli([*argv, "--n", "2", "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path} is not UTF-8 text (byte offset {data.index(0xFF)})\n"
+        if source == "--problem" else f"error: {path}: not UTF-8 text\n")
+    assert not list(tmp_path.glob("run.*"))
+
+
 def test_rhs_file_that_is_no_path_string_exits_1(tmp_path, capsys):
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({**LINEAR_MEMORY_DOC, "rhs": {"v_file": 5}}))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -370,6 +371,15 @@ class TestMalformedFiles:
             read_field_csv(path)
         _patch_line(path, "2,2,", "")
         with pytest.raises(SchemaError, match="8 data rows do not form a square node grid"):
+            read_field_csv(path)
+
+    @pytest.mark.parametrize("at", [0, -2], ids=["header", "last-row"])
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, at):
+        path = self.make_field_file(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[at] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: not UTF-8 text$"):
             read_field_csv(path)
 
     def test_non_square_row_count(self, tmp_path):

@@ -64,6 +64,24 @@ class TestGrid:
         with pytest.raises(ValueError):
             g.nodes[0] = 3.0
 
+    @pytest.mark.parametrize("cells", [2, 7, 512])
+    def test_meshgrid_is_numpys_bit_for_bit(self, cells):
+        g = build_grid(cells)
+        for got, ref in zip(g.meshgrid(), np.meshgrid(g.nodes, g.nodes, indexing="ij")):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_meshgrid_is_read_only(self):
+        for a in build_grid(4).meshgrid():
+            with pytest.raises(ValueError):
+                a[1, 1] = 3.0
+
+    def test_meshgrid_views_the_nodes(self):
+        g = build_grid(64)
+        for a in g.meshgrid():
+            # a stride-0 view of the node vector: no (P, P) buffer behind it
+            assert not a.flags.owndata and 0 in a.strides
+            assert np.shares_memory(a, g.nodes)
+
 
 class TestGridField:
     def test_rejects_2d_input(self):

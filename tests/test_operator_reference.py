@@ -19,7 +19,9 @@ import pytest
 from goursat2d.exprlang import eval_dual_on_grid, eval_on_grid
 from goursat2d.grid import GridField, build_grid
 from goursat2d.operator import LinearizedOperator, apply_F, make_context
-from goursat2d.problem import builtin_example_4_6, load_problem
+from goursat2d.problem import (
+    XYFunction, builtin_example_4_6, load_problem, manufacture_problem,
+)
 from goursat2d.solvers import SolverConfig, solve
 
 # -- reference formulas -------------------------------------------------------
@@ -58,19 +60,35 @@ def ref_matvec(mats, vecs):
     return np.einsum("ijkl,ijl->ijk", mats, vecs, optimize=False)
 
 
+def ref_nodes(ctx):
+    """X, Y as ``np.meshgrid`` builds them and A1, A2 sampled entry by entry,
+    so that the reference reads none of the context's node caches."""
+    X, Y = np.meshgrid(ctx.grid.nodes, ctx.grid.nodes, indexing="ij")
+    n = ctx.spec.n
+    Z = np.zeros(X.shape + (n,))
+    mats = []
+    for mat in (ctx.spec.a1, ctx.spec.a2):
+        a = np.empty(X.shape + (n, n))
+        for i in range(n):
+            for j in range(n):
+                a[:, :, i, j] = eval_on_grid(mat[i][j], X, Y, Z)
+        mats.append(a)
+    return X, Y, *mats
+
+
 def ref_apply_F(ctx, g):
     """g + f1(z) + J(f2(z) + A1 z_x + A2 z_y)."""
-    X, Y, h = ctx.X, ctx.Y, ctx.grid.h
+    (X, Y, a1, a2), h = ref_nodes(ctx), ctx.grid.h
     z, zx, zy = ref_state_from_g(g, h)
     f1v = np.stack([eval_on_grid(e, X, Y, z) for e in ctx.spec.f1], axis=-1)
     f2v = np.stack([eval_on_grid(e, X, Y, z) for e in ctx.spec.f2], axis=-1)
-    inner = f2v + ref_matvec(ctx.a1_nodes, zx) + ref_matvec(ctx.a2_nodes, zy)
+    inner = f2v + ref_matvec(a1, zx) + ref_matvec(a2, zy)
     return g + f1v + ref_cum2d(inner, h)
 
 
 def ref_apply_array(ctx, at, hg):
     """hg + f1_z h + J(f2_z h + A1 h_x + A2 h_y), with the Jacobians at the state of ``at``."""
-    X, Y, h = ctx.X, ctx.Y, ctx.grid.h
+    (X, Y, a1, a2), h = ref_nodes(ctx), ctx.grid.h
     Z = ref_state_from_g(at, h)[0]
     n = ctx.spec.n
     j1 = np.empty(Z.shape[:2] + (n, n))
@@ -79,7 +97,7 @@ def ref_apply_array(ctx, at, hg):
         j1[:, :, i, :] = eval_dual_on_grid(ctx.spec.f1[i], X, Y, Z)[1]
         j2[:, :, i, :] = eval_dual_on_grid(ctx.spec.f2[i], X, Y, Z)[1]
     s, sx, sy = ref_state_from_g(hg, h)
-    inner = ref_matvec(j2, s) + ref_matvec(ctx.a1_nodes, sx) + ref_matvec(ctx.a2_nodes, sy)
+    inner = ref_matvec(j2, s) + ref_matvec(a1, sx) + ref_matvec(a2, sy)
     return hg + ref_matvec(j1, s) + ref_cum2d(inner, h)
 
 
@@ -175,14 +193,23 @@ class TestAgainstReference:
 
 
 class TestAllocations:
-    """Peak traced memory at N = 64, in units of one (P, P, 1) float array.
+    """Peak and retained traced memory at N = 64, in units of one (P, P, 1)
+    float array.
 
-    Measured peaks, which the bounds pin with a little headroom: 2.22 for
-    example46's f1 (3.0 when every node allocated) and 8.03 for ``apply_F``
-    (11.0 with the full state, the zero contractions and fresh sums).
+    Measured values, which the bounds pin with a little headroom: peaks of
+    2.22 for example46's f1 (3.0 when every node allocated), 8.03 for
+    ``apply_F`` (11.0 with the full state, the zero contractions and fresh
+    sums) and 9.08 for a manufactured right-hand side refined to N = 64
+    (13.09 with grid-sized coordinates, zero coefficients and zero states);
+    an example46 context retains 0.01 (4.02 with those coordinates and
+    coefficients) and the zero-state F' 2.10, its two Jacobians (3.10 with
+    a grid-sized zero state).
     """
 
     CELLS = 64
+
+    def _units(self, nbytes: int) -> float:
+        return nbytes / ((self.CELLS + 1) ** 2 * 8)
 
     def _peak_units(self, run) -> float:
         run()  # warm any first-call allocation
@@ -193,7 +220,18 @@ class TestAllocations:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak / ((self.CELLS + 1) ** 2 * 8)
+        return self._units(peak)
+
+    def _retained_units(self, build) -> float:
+        """The traced memory still held while the result of ``build()`` lives."""
+        build()  # warm any first-call allocation
+        tracemalloc.start()
+        try:
+            kept = build()  # noqa: F841 -- alive while the memory is read
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return self._units(current)
 
     def test_eval_on_grid_example46_f1(self):
         ctx = make_context(builtin_example_4_6(), build_grid(self.CELLS))
@@ -204,3 +242,17 @@ class TestAllocations:
         ctx = make_context(builtin_example_4_6(), build_grid(self.CELLS))
         g = np.full(ctx.X.shape + (1,), 0.3)
         assert self._peak_units(lambda: apply_F(ctx, g)) < 8.1
+
+    def test_example46_context_holds_no_grid_array(self):
+        spec, grid = builtin_example_4_6(), build_grid(self.CELLS)
+        assert self._retained_units(lambda: make_context(spec, grid)) <= 0.1
+
+    def test_zero_state_linearization_holds_its_jacobians_only(self):
+        ctx = make_context(builtin_example_4_6(), build_grid(self.CELLS))
+        assert self._retained_units(lambda: LinearizedOperator(ctx)) <= 2.2
+
+    def test_manufacture_problem_example46(self):
+        spec = builtin_example_4_6()
+        zstar = XYFunction.from_sources("1 + sin(2*x)*cos(y)")
+        coarse = build_grid(self.CELLS // 4)
+        assert self._peak_units(lambda: manufacture_problem(spec, zstar, coarse, refine=4)) <= 9.5
