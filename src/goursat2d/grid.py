@@ -222,18 +222,3 @@ def reconstruct_state(g: GridField) -> tuple[GridField, GridField, GridField]:
     """The fields (z, z_x, z_y) of the mixed derivative g = z_xy."""
     return tuple(GridField(g.grid, a) for a in state_from_g(g.values, g.grid.h))
 
-
-def restrict_to(f: GridField, coarse: Grid) -> GridField:
-    """Restrict a field on a finer grid to a coarser grid with compatible cells.
-
-    Requires f.grid.cells to be an integer multiple of coarse.cells; the
-    coarse nodes are then a subset of the fine nodes and values are copied,
-    not interpolated.
-    """
-    fine = f.grid
-    if fine.cells % coarse.cells != 0:
-        raise ShapeError(
-            f"cannot restrict {fine.cells} cells to {coarse.cells}: not an integer refinement"
-        )
-    step = fine.cells // coarse.cells
-    return GridField(coarse, f.values[::step, ::step, :])

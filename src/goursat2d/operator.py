@@ -140,21 +140,24 @@ def apply_F(ctx: OperatorContext, g: GridField | np.ndarray) -> GridField | np.n
 class LinearizedOperator:
     """F'(z) at the state z of a frozen g, cheap to apply repeatedly.
 
-    The one owner of a linearization point: the state z of ``at`` (the zero
-    state when None) and the z-Jacobians of f1 and f2 there are evaluated
-    once at construction, and the linear entries of ``solvers`` take the
-    built operator; each ``apply_array`` then costs a few pointwise products
-    and prefix sums.
+    The one owner of a linearization point: the z-Jacobians of f1 and f2 at
+    the state z of ``at`` (the zero state when None) and ``z_sup`` = sup|z|
+    (Euclidean over components), which the weight choice reads, are
+    evaluated once at construction; z itself is not kept.  The linear
+    entries of ``solvers`` take the built operator; each ``apply_array``
+    then costs a few pointwise products and prefix sums.
     """
 
-    __slots__ = ("ctx", "z", "j1", "j2")
+    __slots__ = ("ctx", "z_sup", "j1", "j2")
 
     def __init__(self, ctx: OperatorContext, at: GridField | None = None):
-        if at is not None:
+        if at is None:
+            Z, self.z_sup = _zero_state(ctx.X.shape, ctx.spec.n), 0.0
+        else:
             ctx.check_field(at)
+            Z = state_from_g(at.values, ctx.grid.h, zy=False)[0]
+            self.z_sup = float(np.sqrt((Z**2).sum(axis=2)).max())
         self.ctx = ctx
-        Z = self.z = (_zero_state(ctx.X.shape, ctx.spec.n) if at is None
-                      else state_from_g(at.values, ctx.grid.h, zy=False)[0])
         d1, d2 = [], []
         for i in range(ctx.spec.n):
             d1.append(eval_dual_on_grid(ctx.spec.f1[i], ctx.X, ctx.Y, Z)[1])

@@ -20,8 +20,8 @@ on a low-discrepancy sample and reports worst cases, including a finite
 difference cross-check of the user-supplied A1x, A2y.
 
 ``manufacture_problem`` generates right-hand sides with a known exact
-solution: v := F(z*) is evaluated on a refined grid and restricted to the
-working grid, so the oracle's quadrature error sits an order below the
+solution: v := F(z*) is evaluated on a refined grid and subsampled at the
+working grid's nodes, so the oracle's quadrature error sits an order below the
 solver's.
 """
 
@@ -43,7 +43,7 @@ from .exprlang import (
     parse,
 )
 from .fileio import read_field_csv
-from .grid import Grid, GridField, build_grid, restrict_to
+from .grid import Grid, GridField, build_grid
 from .sampling import halton_points
 
 #: Default seed for every randomized probe; recorded in reports.
@@ -563,9 +563,10 @@ def manufacture_problem(
     """Set v := F(z*) so that z* is the exact solution on ``grid``.
 
     z* comes as its mixed derivative g* = z*_xy, an XYFunction of component
-    expressions.  The operator is evaluated on a grid ``refine`` times finer
-    and restricted to the working grid, keeping the oracle's quadrature error
-    an order below the solver's.
+    expressions.  The operator is evaluated on a grid ``refine`` times finer,
+    whose every ``refine``-th node is a node of ``grid``, and its values
+    there are kept, which puts the oracle's quadrature error an order below
+    the solver's.
     """
     from .operator import apply_F, make_context
 
@@ -574,5 +575,5 @@ def manufacture_problem(
     if zstar_g.n != base.n:
         raise ValueError(f"z* has {zstar_g.n} components, problem has {base.n}")
     fine = build_grid(grid.cells * refine)
-    v_fine = apply_F(make_context(base, fine), zstar_g.sample(fine))
-    return replace(base, rhs=restrict_to(v_fine, grid))
+    v_fine = apply_F(make_context(base, fine), zstar_g.sample(fine).values)
+    return replace(base, rhs=GridField(grid, v_fine[::refine, ::refine]))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ParameterError, SolverError
 from .grid import GridField
-from .norms import WeightedNorms, classical_l2_norm
+from .norms import WeightedNorms
 from .operator import LinearizedOperator, OperatorContext
 from .solvers import INNER_MAX_ITER, INNER_TOL, SolveReport, SolverConfig, solve, solve_linearized
 
@@ -64,6 +64,14 @@ def frechet_apply(ctx: OperatorContext, solved: SolveReport, deltav: GridField) 
     return solve_linearized(LinearizedOperator(ctx, solved.g), deltav, inner).g
 
 
+def _solve_or_none(ctx: OperatorContext, v: GridField, cfg: SolverConfig) -> SolveReport | None:
+    """``solve``'s report (always converged), or None on a SolverError."""
+    try:
+        return solve(ctx, v, cfg)
+    except SolverError:
+        return None
+
+
 def validate_frechet(
     ctx: OperatorContext,
     v: GridField,
@@ -94,34 +102,25 @@ def validate_frechet(
             f"(= {EPS_FLOOR_FACTOR:g} * tol); raise eps or tighten tol"
         )
 
-    flags: list[bool] = []
-    base: SolveReport | None = None
-    try:
-        base = solve(ctx, v, cfg)
-        flags.append(base.converged)
-    except SolverError:
-        flags.append(False)
-    if base is None or not base.converged:
-        return SensitivityReport(converged_flags=tuple(flags), valid=False, passed=False)
+    base = _solve_or_none(ctx, v, cfg)
+    if base is None:
+        return SensitivityReport(converged_flags=(False,), valid=False, passed=False)
 
+    flags = [True]
     h = frechet_apply(ctx, base, deltav)
-    hnorm = classical_l2_norm(h)
-    scale = max(hnorm, 1e-300)
+    classical = WeightedNorms(ctx.grid, 0.0)
+    scale = max(classical.norm(h.values), 1e-300)
 
     errors: list[tuple[float, float]] = []
     for e in eps:
         # cold start on purpose: the perturbed solve then follows the same
         # iteration path as the base solve, so the two solver errors are
         # correlated and cancel in the quotient (exactly, for affine F)
-        try:
-            rep = solve(ctx, v + e * deltav, cfg)
-        except SolverError:
-            rep = None
-        ok = rep is not None and rep.converged
-        flags.append(bool(ok))
-        if ok:
-            quotient = (rep.g - base.g) / e
-            errors.append((e, classical_l2_norm(quotient - h) / scale))
+        rep = _solve_or_none(ctx, GridField(ctx.grid, v.values + deltav.values * e), cfg)
+        flags.append(rep is not None)
+        if rep is not None:
+            quotient = (rep.g.values - base.g.values) / e
+            errors.append((e, classical.norm(quotient - h.values) / scale))
     valid = all(flags)
     passed = False
     if valid and errors:
@@ -154,36 +153,29 @@ def stability_probe(
     """
     ctx.check_field(v1)
     ctx.check_field(v2)
-    flags = []
-    reports = []
-    for v in (v1, v2):
-        try:
-            rep = solve(ctx, v, cfg)
-        except SolverError:
-            rep = None
-        flags.append(rep is not None and rep.converged)
-        reports.append(rep)
+    reports = [_solve_or_none(ctx, v, cfg) for v in (v1, v2)]
+    flags = tuple(rep is not None for rep in reports)
     if not all(flags):
-        return SensitivityReport(converged_flags=tuple(flags), valid=False, passed=False)
+        return SensitivityReport(converged_flags=flags, valid=False, passed=False)
     r1, r2 = reports
     m = r1.m_used
-    wn = WeightedNorms(ctx.grid, m)
-    dv = v1 - v2
-    dz = r1.g - r2.g
-    dv_c, dv_w = classical_l2_norm(dv), wn.norm(dv)
+    wn, classical = WeightedNorms(ctx.grid, m), WeightedNorms(ctx.grid, 0.0)
+    dv = v1.values - v2.values
+    dz = r1.g.values - r2.g.values
+    dv_c, dv_w = classical.norm(dv), wn.norm(dv)
     B = ctx.spec.growth_bound
     bound = 1.0 / (1.0 - 8.0 * B / m) if m > 8.0 * B else None
     if dv_c == 0.0:
         return SensitivityReport(
-            stability_classical=0.0 if classical_l2_norm(dz) == 0.0 else None,
+            stability_classical=0.0 if classical.norm(dz) == 0.0 else None,
             stability_bound=bound, degenerate=True,
-            converged_flags=tuple(flags), valid=True, passed=True,
+            converged_flags=flags, valid=True, passed=True,
         )
     return SensitivityReport(
-        stability_classical=classical_l2_norm(dz) / dv_c,
+        stability_classical=classical.norm(dz) / dv_c,
         stability_weighted=wn.norm(dz) / dv_w,
         stability_bound=bound,
-        converged_flags=tuple(flags),
+        converged_flags=flags,
         valid=True,
         passed=True,
     )

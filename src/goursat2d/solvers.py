@@ -3,9 +3,10 @@
 Every solver takes and returns mixed derivatives g = z_xy only; a state z
 enters through the g it is rebuilt from.  The linear entries
 (``solve_linearized``, ``estimate_contraction`` and ``choose_weight`` at a
-point) take F'(z0) as a built ``LinearizedOperator``, which owns the point z0
-and its Jacobians.  The linearized equation F'(z0)h = v becomes, in terms of
-the mixed derivative g of h, a fixed-point problem for the affine map
+point) take F'(z0) as a built ``LinearizedOperator``, which owns the
+Jacobians at z0 and sup|z0|.  The linearized equation F'(z0)h = v becomes,
+in terms of the mixed derivative g of h, a fixed-point problem for the
+affine map
 
     g  ↦  v − (H − I) g,        (H − I) g = F'(z0) g − g,
 
@@ -169,9 +170,10 @@ def choose_weight(ctx: OperatorContext, at: LinearizedOperator | None = None) ->
     """Pick m = max(8B, 2√d) + 1 with d = max(M_ρ, B) from the probe report.
 
     The radius is the smallest probed ρ covering 1 + sup|z| for the state z
-    of the operator ``at`` (zero when omitted; the largest probed radius if
-    none covers it), so the Jacobian bound is valid around the expected
-    iterates.  Requires assumptions to have been probed into the context.
+    of the operator ``at`` (its ``z_sup``; zero when omitted; the largest
+    probed radius if none covers it), so the Jacobian bound is valid around
+    the expected iterates.  Requires assumptions to have been probed into
+    the context.
     """
     if ctx.assumptions is None:
         raise MissingProbeError(
@@ -181,7 +183,7 @@ def choose_weight(ctx: OperatorContext, at: LinearizedOperator | None = None) ->
     if at is not None:
         ctx.check_field(at.ctx, "operator")
     B = ctx.spec.growth_bound
-    d, rho, m_rho = _kernel_numbers(ctx, None if at is None else at.z)
+    d, rho, m_rho = _kernel_numbers(ctx, 0.0 if at is None else at.z_sup)
     m = max(8.0 * B, 2.0 * math.sqrt(d)) + 1.0
     if not math.isfinite(m):
         raise InvalidWeightError(
@@ -198,15 +200,14 @@ def choose_weight(ctx: OperatorContext, at: LinearizedOperator | None = None) ->
     )
 
 
-def _kernel_numbers(ctx: OperatorContext, z: np.ndarray | None) -> tuple[float, float, float]:
+def _kernel_numbers(ctx: OperatorContext, z_sup: float) -> tuple[float, float, float]:
     """(d, ρ, M_ρ) from the probe report at the smallest probed radius
-    covering 1 + sup|z|, where |z| is Euclidean over components and z = None
-    is the zero state.
+    covering 1 + z_sup, with z_sup = sup|z| of the linearization point.
 
     Falls back to the largest probed radius when none covers the target, so
     the bound stays on the conservative side.
     """
-    target = 1.0 + (float(np.sqrt((z**2).sum(axis=2)).max()) if z is not None else 0.0)
+    target = 1.0 + z_sup
     rho, m_rho = ctx.assumptions.m_rho[-1]
     for r, mr in ctx.assumptions.m_rho:
         if r >= target:
@@ -217,11 +218,11 @@ def _kernel_numbers(ctx: OperatorContext, z: np.ndarray | None) -> tuple[float, 
 
 def _weight_at(lin: LinearizedOperator, cfg: SolverConfig) -> tuple[float, float | None]:
     """The m of a linear solve with ``lin`` and the probed d at its state
-    (None without a probe), with sup|z| taken once."""
+    (None without a probe)."""
     if cfg.m is None:
         choice = choose_weight(lin.ctx, lin)
         return choice.m, choice.kernel_bound
-    return cfg.m, None if lin.ctx.assumptions is None else _kernel_numbers(lin.ctx, lin.z)[0]
+    return cfg.m, None if lin.ctx.assumptions is None else _kernel_numbers(lin.ctx, lin.z_sup)[0]
 
 
 def _iterate(
@@ -401,7 +402,12 @@ def estimate_contraction(
         if gnorm == 0.0:
             continue
         rho = max(rho, wn.norm(lin.apply_array(g.values) - g.values) / gnorm)
-    bound = None if d is None else 4.0 * d / m**2
+    bound = None
+    if d is not None:
+        try:
+            bound = 4.0 * d / m**2
+        except OverflowError:  # Python's float ** raises where m² would be inf
+            bound = 4.0 * (d / m) / m
     return ContractionEstimate(
         rho_hat=float(rho), bound=bound, m=m, trials=trials, contracting=rho < 1.0
     )

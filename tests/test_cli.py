@@ -278,6 +278,14 @@ class TestSolve:
                         "--n", "8"]) == 1                # mutually exclusive
         assert run_cli(["frobnicate"]) == 1              # unknown subcommand
 
+    def test_weight_whose_square_overflows_ends_without_traceback(self, tmp_path, capsys):
+        # m² overflows a float above ~1.34e154; the reported contraction
+        # bound must not.  Convergence at such an m is not pinned here.
+        code = run_cli(["solve", "--builtin", "example46", "--n", "8", "--rhs", "1",
+                        "--m", "1e200", "--out", str(tmp_path / "big")])
+        assert code in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_bad_m_flag_exits_1(self, capsys):
         code = run_cli(["solve", "--builtin", "zero", "--n", "8",
                         "--rhs", "1", "--m", "sometimes"])
@@ -323,6 +331,12 @@ class TestLinsolve:
         assert code == 0
         err = capsys.readouterr().err
         assert "warning:" in err and "contraction threshold" in err
+
+    def test_weight_whose_square_overflows_ends_without_traceback(self, tmp_path, capsys):
+        code = run_cli(["linsolve", "--builtin", "example46", "--n", "8", "--rhs", "1",
+                        "--m", "1e200", "--out", str(tmp_path / "big")])
+        assert code in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_divergence_exits_2_with_ratio_and_hint(self, tmp_path, stiff_doc, capsys):
         out = tmp_path / "lin"
@@ -432,6 +446,15 @@ class TestVerify:
         assert lines[0]["rho_hat"] >= 1.0
         assert "m > 2*sqrt(d)" in lines[-1]["hint"]
         read_report_json(lines[-1]["fail_artifact"])
+
+    def test_contraction_suite_at_the_largest_weight_ends_without_traceback(self, capsys):
+        code = run_cli(["verify", "--suite", "contraction", "--builtin", "example46",
+                        "--n", "8", "--m-list", "1e308"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        line = json_lines(captured.out)[0]
+        assert line["m"] == 1e308 and line["bound"] == 0.0
 
     def test_contraction_suite_listed_weights_win_over_m(self, capsys):
         code = run_cli(["verify", "--suite", "contraction", "--builtin", "example46",

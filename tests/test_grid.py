@@ -17,7 +17,6 @@ from goursat2d.grid import (
     cumx_array,
     cumy_array,
     reconstruct_state,
-    restrict_to,
     state_from_g,
 )
 
@@ -268,18 +267,3 @@ class TestReconstruction:
         assert np.all(zx[:, 0, :] == 0.0) and np.all(zy[0, :, :] == 0.0)
         np.testing.assert_array_equal(zx, cumy_array(g, grid.h))
         np.testing.assert_array_equal(zy, cumx_array(g, grid.h))
-
-
-class TestRestriction:
-    def test_subsamples_matching_nodes(self):
-        fine = build_grid(8)
-        coarse = build_grid(4)
-        f = sample(fine, lambda X, Y: X + 2 * Y)
-        r = restrict_to(f, coarse)
-        Xc, Yc = coarse.meshgrid()
-        np.testing.assert_array_equal(r.values[:, :, 0], Xc + 2 * Yc)
-
-    def test_incompatible_refinement_refused(self):
-        f = sample(build_grid(9), lambda X, Y: X)
-        with pytest.raises(ShapeError):
-            restrict_to(f, build_grid(4))

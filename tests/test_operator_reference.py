@@ -20,9 +20,9 @@ from goursat2d.exprlang import eval_dual_on_grid, eval_on_grid
 from goursat2d.grid import GridField, build_grid
 from goursat2d.operator import LinearizedOperator, apply_F, make_context
 from goursat2d.problem import (
-    XYFunction, builtin_example_4_6, load_problem, manufacture_problem,
+    XYFunction, builtin_example_4_6, load_problem, manufacture_problem, probe_assumptions,
 )
-from goursat2d.solvers import SolverConfig, solve
+from goursat2d.solvers import SolverConfig, choose_weight, solve
 
 # -- reference formulas -------------------------------------------------------
 
@@ -173,7 +173,9 @@ class TestAgainstReference:
         at = rng.uniform(-1.0, 1.0, (cells + 1, cells + 1, ctx.spec.n))
         hg = rng.uniform(-1.0, 1.0, at.shape)
         lin = LinearizedOperator(ctx, GridField(ctx.grid, at))
-        inputs = (ctx.X, ctx.Y, ctx.a1_nodes, ctx.a2_nodes, hg, lin.j1, lin.j2, lin.z)
+        z = ref_state_from_g(at, ctx.grid.h)[0]
+        assert lin.z_sup == float(np.sqrt((z**2).sum(axis=2)).max())
+        inputs = (ctx.X, ctx.Y, ctx.a1_nodes, ctx.a2_nodes, hg, lin.j1, lin.j2)
         saved = _snapshot(*inputs)
         got = lin.apply_array(hg)
         _assert_unchanged(inputs, saved)
@@ -199,19 +201,24 @@ class TestAllocations:
     Measured values, which the bounds pin with a little headroom: peaks of
     2.22 for example46's f1 (3.0 when every node allocated), 8.03 for
     ``apply_F`` (11.0 with the full state, the zero contractions and fresh
-    sums) and 9.08 for a manufactured right-hand side refined to N = 64
-    (13.09 with grid-sized coordinates, zero coefficients and zero states);
-    an example46 context retains 0.01 (4.02 with those coordinates and
-    coefficients) and the zero-state F' 2.10, its two Jacobians (3.10 with
-    a grid-sized zero state).
+    sums), 9.08 for a manufactured right-hand side refined to N = 64
+    (13.09 with grid-sized coordinates, zero coefficients and zero states),
+    6.39 units of the fine grid for one from N = 64 refined to 256 (7.14
+    with the fine v copied into a field before its restriction) and 0.02 for
+    ``choose_weight`` at the zero-state F' (2.03 while it reduced a kept
+    zero state); an example46 context retains 0.01 (4.02 with those
+    coordinates and coefficients) and F' its two Jacobians, 2.10 at the zero
+    state (3.10 with a grid-sized zero state) and 2.11 at a nonzero point
+    (4.12 while it kept z, a view of its two-array state buffer).
     """
 
     CELLS = 64
 
-    def _units(self, nbytes: int) -> float:
-        return nbytes / ((self.CELLS + 1) ** 2 * 8)
+    def _units(self, nbytes: int, cells: int = CELLS) -> float:
+        return nbytes / ((cells + 1) ** 2 * 8)
 
-    def _peak_units(self, run) -> float:
+    def _peak_units(self, run, cells: int = CELLS) -> float:
+        """The traced peak of ``run()`` in units of a (cells+1)² array."""
         run()  # warm any first-call allocation
         tracemalloc.start()
         try:
@@ -220,7 +227,7 @@ class TestAllocations:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return self._units(peak)
+        return self._units(peak, cells)
 
     def _retained_units(self, build) -> float:
         """The traced memory still held while the result of ``build()`` lives."""
@@ -251,8 +258,27 @@ class TestAllocations:
         ctx = make_context(builtin_example_4_6(), build_grid(self.CELLS))
         assert self._retained_units(lambda: LinearizedOperator(ctx)) <= 2.2
 
+    def test_nonzero_point_linearization_holds_its_jacobians_only(self):
+        ctx = make_context(builtin_example_4_6(), build_grid(self.CELLS))
+        at = GridField(ctx.grid, np.full(ctx.X.shape + (1,), 0.3))
+        assert self._retained_units(lambda: LinearizedOperator(ctx, at)) <= 2.2
+
+    def test_choose_weight_at_the_zero_state_allocates_no_grid_array(self):
+        spec = builtin_example_4_6()
+        ctx = make_context(spec, build_grid(self.CELLS)).with_assumptions(probe_assumptions(spec))
+        lin = LinearizedOperator(ctx)
+        assert self._peak_units(lambda: choose_weight(ctx, lin)) < 0.1
+
     def test_manufacture_problem_example46(self):
         spec = builtin_example_4_6()
         zstar = XYFunction.from_sources("1 + sin(2*x)*cos(y)")
         coarse = build_grid(self.CELLS // 4)
         assert self._peak_units(lambda: manufacture_problem(spec, zstar, coarse, refine=4)) <= 9.5
+
+    def test_manufacture_problem_copies_no_fine_field(self):
+        spec = builtin_example_4_6()
+        zstar = XYFunction.from_sources("1 + sin(2*x)*cos(y)")
+        coarse = build_grid(self.CELLS)
+        peak = self._peak_units(lambda: manufacture_problem(spec, zstar, coarse, refine=4),
+                                cells=4 * self.CELLS)
+        assert peak <= 6.6

@@ -363,6 +363,16 @@ class TestManufacture:
         v = manufacture_problem(spec, zstar, grid, refine=1).sample_rhs(grid)
         assert v.values.tobytes() == apply_F(make_context(spec, grid), zstar.sample(grid)).values.tobytes()
 
+    @pytest.mark.parametrize("refine", [2, 4])
+    def test_v_is_F_on_the_refined_grid_at_the_working_nodes(self, refine):
+        spec = builtin_example_4_6()
+        grid, fine = build_grid(8), build_grid(8 * refine)
+        zstar = XYFunction.from_sources("sin(3*x)*cos(2*y) + 1")
+        v = manufacture_problem(spec, zstar, grid, refine=refine).sample_rhs(grid)
+        v_fine = apply_F(make_context(spec, fine), zstar.sample(fine)).values
+        assert v.grid == grid
+        assert v.values.tobytes() == v_fine[::refine, ::refine].tobytes()
+
     def test_refine_below_one_rejected(self):
         with pytest.raises(ParameterError, match="refine must be >= 1, got 0"):
             manufacture_problem(zero_problem(), XYFunction.from_sources("1"), build_grid(4), refine=0)

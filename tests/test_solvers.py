@@ -360,6 +360,16 @@ class TestContractionEstimate:
         b = estimate_contraction(lin, SolverConfig(m=5.0), seed=9)
         assert a == b and isinstance(a, ContractionEstimate)
 
+    def test_bound_divides_by_m_twice_only_where_m_squared_overflows(self):
+        ctx = probed_context(pure_f1_spec(), 8)
+        lin = LinearizedOperator(ctx)
+        d = solvers.choose_weight(ctx, lin).kernel_bound
+        m = 1.3e154
+        assert estimate_contraction(lin, SolverConfig(m=m)).bound == 4.0 * d / m**2
+        for m in (1e155, 1e200):  # m**2 raises OverflowError above ~1.34e154
+            est = estimate_contraction(lin, SolverConfig(m=m))
+            assert est.m == m and est.bound == 4.0 * (d / m) / m
+
     def test_rejects_no_trials(self):
         ctx = probed_context(linear_spec(), 8)
         with pytest.raises(ValueError):
