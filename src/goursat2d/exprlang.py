@@ -244,12 +244,20 @@ def _spare(inputs: tuple, *operands):
     a writable array of the result's shape that owns its data and is none of
     ``inputs`` (X, Y, Z and operands still read later).  The inputs must be
     excluded by identity: ``np.meshgrid``'s X, Y own writable data, while the
-    read-only views of ``Grid.meshgrid`` and of a zero state fail both flags."""
-    shape = np.broadcast_shapes(*(np.shape(o) for o in operands))
+    read-only views of ``Grid.meshgrid`` and of a zero state fail both flags.
+    The result's shape is worked out only once there is a candidate, and
+    without ``np.broadcast_shapes`` when the other operands have its shape or
+    are scalars: the walk calls this at every node of every row strip."""
+    shape = None
     for o in operands:
-        if (isinstance(o, np.ndarray) and o.shape == shape and o.flags.owndata
-                and o.flags.writeable and not any(o is i for i in inputs)):
-            return o
+        if (isinstance(o, np.ndarray) and o.flags.owndata and o.flags.writeable
+                and not any(o is i for i in inputs)):
+            if shape is None:
+                shapes = [np.shape(p) for p in operands]
+                shape = (o.shape if all(s == o.shape or s == () for s in shapes)
+                         else np.broadcast_shapes(*shapes))
+            if o.shape == shape:
+                return o
     return None
 
 

@@ -40,7 +40,13 @@ from .grid import Grid, GridField, cum2d_array, state_from_g
 
 @lru_cache(maxsize=64)
 def _kernel(grid: Grid, m: float) -> np.ndarray:
-    k = np.exp(-m * (grid.nodes[:, None] + grid.nodes[None, :]))
+    """e^{−m(x_i + y_j)}, read-only.  For m = 0 it is a broadcast view of
+    1.0, which holds no grid-sized memory; above m ≈ 9e307 the exponent
+    overflows to −inf off the origin, and exp(−inf) = 0 is the kernel meant."""
+    if m == 0.0:
+        return np.broadcast_to(1.0, (grid.npoints, grid.npoints))
+    with np.errstate(over="ignore"):
+        k = np.exp(-m * (grid.nodes[:, None] + grid.nodes[None, :]))
     k.setflags(write=False)
     return k
 

@@ -15,6 +15,15 @@ at z in a direction h (again identified with h_xy) is
 with the z-Jacobians f1_z, f2_z supplied by forward-mode differentiation of
 the component expressions.
 
+Both are causal Volterra maps: the value at node (i, j) depends only on
+rows <= i.  So F, F' and the state they rebuild from g are evaluated by one
+row-strip engine, block by block over rows, with the prefix sums carried
+from one strip to the next (``grid.state_strips``, ``grid.cum2d_strip``).
+Each strip's temporaries are strip-sized, the result is the only grid-sized
+array allocated, and the bits are those of the whole-grid evaluation.  An
+evaluation fault in a strip makes the grid run again as one strip, so the
+fault raised is the whole grid's (f1 before f2).
+
 ``coercivity_probe`` checks the lower bound that makes the problem solvable
 for large weights: for m > 8B,
 
@@ -32,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ThresholdError
-from .grid import Grid, GridField, cum2d_array, state_from_g
+from .grid import Grid, GridField, cum2d_strip, in_strips, state_strips
 from .norms import WeightedNorms
 from .exprlang import eval_dual_on_grid, eval_on_grid
 from .problem import AssumptionReport, ProblemSpec, _matrix_values, _zero_state
@@ -48,9 +57,10 @@ class OperatorContext:
     one, and the z_y that only A2 reads), and the assumption probe report
     that ``with_assumptions`` attaches (None until then) to a derived context
     sharing the caches.  Only a nonzero matrix holds grid-sized memory: a
-    zero one is kept as a read-only broadcast view of one n×n zero matrix.
-    F and F' do not depend on the weight m, so the context carries none:
-    each solve chooses its m and builds its own ``WeightedNorms``.
+    zero one is found strip by strip and kept as a read-only broadcast view
+    of one n×n zero matrix.  F and F' do not depend on the weight m, so the
+    context carries none: each solve chooses its m and builds its own
+    ``WeightedNorms``.
     """
 
     __slots__ = ("spec", "grid", "assumptions", "X", "Y", "a1_nodes", "a2_nodes", "nonzero")
@@ -59,11 +69,11 @@ class OperatorContext:
         self.spec = spec
         self.grid = grid
         self.X, self.Y = grid.meshgrid()
-        a1, a2 = (_matrix_values(a, self.X, self.Y, spec.n) for a in (spec.a1, spec.a2))
-        self.nonzero = (bool(a1.any()), bool(a2.any()))
-        zero = np.broadcast_to(np.zeros((spec.n, spec.n)), a1.shape)
-        self.a1_nodes = a1 if self.nonzero[0] else zero
-        self.a2_nodes = a2 if self.nonzero[1] else zero
+        a1, a2 = (_coefficient(a, self.X, self.Y, spec.n) for a in (spec.a1, spec.a2))
+        self.nonzero = (a1 is not None, a2 is not None)
+        zero = np.broadcast_to(np.zeros((spec.n, spec.n)), self.X.shape + (spec.n, spec.n))
+        self.a1_nodes = zero if a1 is None else a1
+        self.a2_nodes = zero if a2 is None else a2
         self.assumptions = None
 
     def with_assumptions(self, report: AssumptionReport) -> "OperatorContext":
@@ -88,36 +98,66 @@ def make_context(spec: ProblemSpec, grid: Grid) -> OperatorContext:
     return OperatorContext(spec, grid)
 
 
+def _coefficient(mat, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray | None:
+    """An n×n expression matrix sampled at the nodes, or None when it is zero
+    at every node (by value: ``x - x`` is zero too).  The zero test runs strip
+    by strip, so only a nonzero matrix is ever held whole."""
+    def run(strips):
+        if not any(_matrix_values(mat, X[s], Y[s], n).any() for s in strips):
+            return None
+        out = np.empty(X.shape + (n, n))
+        for s in strips:
+            out[s] = _matrix_values(mat, X[s], Y[s], n)
+        return out
+
+    return in_strips(run, X.shape[0], n * n)
+
+
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Pointwise matrix–vector products: (P,P,n,n) × (P,P,n) -> (P,P,n)."""
+    """Pointwise matrix–vector products: (k,P,n,n) × (k,P,n) -> (k,P,n)."""
     return np.einsum("ijkl,ijl->ijk", mats, vecs, optimize=False)
 
 
-def _stack(arrays: list[np.ndarray], axis: int) -> np.ndarray:
-    """``np.stack(arrays, axis)``, but a view of the one array when n == 1."""
-    return np.expand_dims(arrays[0], axis) if len(arrays) == 1 else np.stack(arrays, axis)
-
-
 def _components(exprs, X, Y, Z) -> np.ndarray:
-    """Stack component evaluations into a writable array of shape X.shape + (n,)."""
-    return _stack([eval_on_grid(e, X, Y, Z) for e in exprs], -1)
+    """Stack component evaluations into a writable array of shape X.shape + (n,)
+    (a view of the one array when n == 1)."""
+    values = [eval_on_grid(e, X, Y, Z) for e in exprs]
+    return np.expand_dims(values[0], -1) if len(values) == 1 else np.stack(values, -1)
 
 
-def _assemble(ctx: OperatorContext, local, g, inner, zx, zy) -> np.ndarray:
-    """(g + local) + J((inner + A1 zx) + A2 zy) in this order of additions, in
-    the fresh arrays ``local`` and ``inner``, without the term of a zero A.
+def _assemble(ctx: OperatorContext, g: np.ndarray, pointwise) -> np.ndarray:
+    """The row-strip engine: (g + local) + J((inner + A1 zx) + A2 zy) in this
+    order of additions, without the term of a zero A, where ``(local,
+    inner) = pointwise(rows, z)`` are fresh arrays on a strip of rows.
 
-    The sum lands in J's array, the last one allocated, so the temporaries
-    freed below it do not join the C heap's top, whose trimming would fault
-    their pages back in on the next call."""
-    if ctx.nonzero[0]:
-        inner += _matvec(ctx.a1_nodes, zx)
-    if ctx.nonzero[1]:
-        inner += _matvec(ctx.a2_nodes, zy)
-    local += g
-    out = cum2d_array(inner, ctx.grid.h)
-    out += local
-    return out
+    Each strip rebuilds its rows of the state (z, z_x, and z_y when A2 is
+    nonzero), adds the A terms, integrates with the prefix sums carried from
+    the strip before and writes its rows of the result, the one grid-sized
+    array it allocates; its temporaries are strip-sized.  The result is
+    allocated after the first strip's arrays, whose freed chunks the later
+    strips reuse: so they stay below it and do not join the C heap's top,
+    whose trimming would fault their pages back in on the next call.  An
+    evaluation fault runs the grid again as one strip (``in_strips``).
+    """
+    h, (a1, a2) = ctx.grid.h, ctx.nonzero
+
+    def run(strips):
+        out = None
+        for rows, z, zx, zy in state_strips(g, h, strips, zy=a2):
+            local, inner = pointwise(rows, z)
+            if a1:
+                inner += _matvec(ctx.a1_nodes[rows], zx)
+            if a2:
+                inner += _matvec(ctx.a2_nodes[rows], zy)
+            local += g[rows]
+            if out is None:
+                out = np.empty(g.shape)
+                carry = np.empty((2,) + g.shape[1:]) if len(strips) > 1 else None
+            cum2d_strip(out, inner, rows, h, carry)
+            out[rows] += local
+        return out
+
+    return in_strips(run, g.shape[0], g.shape[2])
 
 
 def apply_F(ctx: OperatorContext, g: GridField | np.ndarray) -> GridField | np.ndarray:
@@ -130,10 +170,12 @@ def apply_F(ctx: OperatorContext, g: GridField | np.ndarray) -> GridField | np.n
     if field:
         ctx.check_field(g)
         g = g.values
-    z, zx, zy = state_from_g(g, ctx.grid.h, zy=ctx.nonzero[1])
-    f1v = _components(ctx.spec.f1, ctx.X, ctx.Y, z)
-    f2v = _components(ctx.spec.f2, ctx.X, ctx.Y, z)
-    out = _assemble(ctx, f1v, g, f2v, zx, zy)
+    spec, X, Y = ctx.spec, ctx.X, ctx.Y
+
+    def pointwise(rows, z):
+        return _components(spec.f1, X[rows], Y[rows], z), _components(spec.f2, X[rows], Y[rows], z)
+
+    out = _assemble(ctx, g, pointwise)
     return GridField(ctx.grid, out) if field else out
 
 
@@ -143,34 +185,48 @@ class LinearizedOperator:
     The one owner of a linearization point: the z-Jacobians of f1 and f2 at
     the state z of ``at`` (the zero state when None) and ``z_sup`` = sup|z|
     (Euclidean over components), which the weight choice reads, are
-    evaluated once at construction; z itself is not kept.  The linear
-    entries of ``solvers`` take the built operator; each ``apply_array``
-    then costs a few pointwise products and prefix sums.
+    evaluated once at construction, strip by strip into the preallocated
+    ``j1``, ``j2``; z itself is not kept.  The linear entries of ``solvers``
+    take the built operator; each ``apply_array`` then costs a few pointwise
+    products and prefix sums.
     """
 
     __slots__ = ("ctx", "z_sup", "j1", "j2")
 
     def __init__(self, ctx: OperatorContext, at: GridField | None = None):
-        if at is None:
-            Z, self.z_sup = _zero_state(ctx.X.shape, ctx.spec.n), 0.0
-        else:
+        if at is not None:
             ctx.check_field(at)
-            Z = state_from_g(at.values, ctx.grid.h, zy=False)[0]
-            self.z_sup = float(np.sqrt((Z**2).sum(axis=2)).max())
         self.ctx = ctx
-        d1, d2 = [], []
-        for i in range(ctx.spec.n):
-            d1.append(eval_dual_on_grid(ctx.spec.f1[i], ctx.X, ctx.Y, Z)[1])
-            d2.append(eval_dual_on_grid(ctx.spec.f2[i], ctx.X, ctx.Y, Z)[1])
-        # row i of each Jacobian holds the partials of component i
-        self.j1 = _stack(d1, -2)
-        self.j2 = _stack(d2, -2)
+        spec, X, Y = ctx.spec, ctx.X, ctx.Y
+        n = spec.n
+
+        def run(strips):
+            jac, z_sup = None, 0.0
+            if at is None:
+                states = ((rows, _zero_state(X[rows].shape, n)) for rows in strips)
+            else:
+                states = ((rows, z) for rows, z, _, _ in
+                          state_strips(at.values, ctx.grid.h, strips, zy=False))
+            for rows, Z in states:
+                if at is not None:
+                    z_sup = max(z_sup, float(np.sqrt((Z**2).sum(axis=2)).max()))
+                partials = [[eval_dual_on_grid(f[i], X[rows], Y[rows], Z)[1]
+                             for f in (spec.f1, spec.f2)] for i in range(n)]
+                if jac is None:  # after the first strip's arrays, as in _assemble
+                    jac = np.empty((2,) + X.shape + (n, n))
+                # row i of each Jacobian holds the partials of component i
+                for i, (d1, d2) in enumerate(partials):
+                    jac[0, rows, :, i], jac[1, rows, :, i] = d1, d2
+            return jac[0], jac[1], z_sup
+
+        self.j1, self.j2, self.z_sup = in_strips(run, X.shape[0], n)
 
     def apply_array(self, hg: np.ndarray) -> np.ndarray:
         """Raw-array application for solver inner loops; hg shape (P, P, n)."""
-        ctx = self.ctx
-        h, hx, hy = state_from_g(hg, ctx.grid.h, zy=ctx.nonzero[1])
-        return _assemble(ctx, _matvec(self.j1, h), hg, _matvec(self.j2, h), hx, hy)
+        def pointwise(rows, h):
+            return _matvec(self.j1[rows], h), _matvec(self.j2[rows], h)
+
+        return _assemble(self.ctx, hg, pointwise)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from .exprlang import (
     parse,
 )
 from .fileio import read_field_csv
-from .grid import Grid, GridField, build_grid
+from .grid import Grid, GridField, build_grid, in_strips
 from .sampling import halton_points
 
 #: Default seed for every randomized probe; recorded in reports.
@@ -83,10 +83,21 @@ class XYFunction:
         return cls(tuple(parse(s, 1) for s in sources))
 
     def sample(self, grid: Grid) -> GridField:
+        return GridField(grid, self._values(grid))
+
+    def _values(self, grid: Grid) -> np.ndarray:
+        """The (P, P, n) samples, evaluated strip by strip into one array."""
         X, Y = grid.meshgrid()
-        Z = _zero_state(X.shape, 1)
-        vals = np.stack([eval_on_grid(e, X, Y, Z) for e in self.exprs], axis=2)
-        return GridField(grid, vals)
+
+        def run(strips):
+            out = np.empty(X.shape + (self.n,))
+            for rows in strips:
+                Z = _zero_state(X[rows].shape, 1)
+                for k, e in enumerate(self.exprs):
+                    out[rows, :, k] = eval_on_grid(e, X[rows], Y[rows], Z)
+            return out
+
+        return in_strips(run, grid.npoints, self.n)
 
 
 ExprMatrix = tuple[tuple[Expr, ...], ...]
@@ -575,5 +586,5 @@ def manufacture_problem(
     if zstar_g.n != base.n:
         raise ValueError(f"z* has {zstar_g.n} components, problem has {base.n}")
     fine = build_grid(grid.cells * refine)
-    v_fine = apply_F(make_context(base, fine), zstar_g.sample(fine).values)
+    v_fine = apply_F(make_context(base, fine), zstar_g._values(fine))
     return replace(base, rhs=GridField(grid, v_fine[::refine, ::refine]))

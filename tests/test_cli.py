@@ -456,6 +456,19 @@ class TestVerify:
         line = json_lines(captured.out)[0]
         assert line["m"] == 1e308 and line["bound"] == 0.0
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "contraction", "--n", "13", "--m-list", "1e308"],
+        ["verify", "--suite", "coercivity", "--n", "14", "--m-list", "1e308"],
+        ["solve", "--n", "15", "--rhs", "1", "--m", "1e308"],
+        ["linsolve", "--n", "17", "--rhs", "1", "--m", "1e308"],
+    ], ids=["contraction", "coercivity", "solve", "linsolve"])
+    def test_largest_weight_prints_no_overflow_warning(self, argv, tmp_path, capsys):
+        # the weight kernel's exponent overflows to -inf there, as intended;
+        # each call has its own grid, since the kernel of a (grid, m) is cached
+        run_cli([*argv, "--builtin", "example46", "--out", str(tmp_path / "big")])
+        err = capsys.readouterr().err
+        assert not [line for line in err.splitlines() if line.startswith("warning:")]
+
     def test_contraction_suite_listed_weights_win_over_m(self, capsys):
         code = run_cli(["verify", "--suite", "contraction", "--builtin", "example46",
                         "--n", "8", "--m-list", "3,9", "--m", "5"])

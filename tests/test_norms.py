@@ -64,6 +64,24 @@ class TestWeightedNorm:
         wn0 = WeightedNorms(build_grid(8), 0.0)
         np.testing.assert_array_equal(wn0.kernel, 1.0)
 
+    def test_classical_kernel_holds_no_grid_array(self):
+        # m = 0: a read-only broadcast of 1.0, and the norm keeps its bits
+        grid = build_grid(12)
+        wn = WeightedNorms(grid, 0.0)
+        assert wn.kernel.shape == (13, 13) and wn.kernel.strides == (0, 0)
+        assert not wn.kernel.flags.writeable
+        f = random_smooth_field(grid, 2, np.random.default_rng(3)).values
+        w = grid.trapezoid_weights()
+        full = np.exp(-0.0 * (grid.nodes[:, None] + grid.nodes[None, :]))
+        assert wn.norm(f) == float(np.sqrt(np.einsum("i,j,ij->", w, w, full * (f**2).sum(axis=2))))
+
+    def test_kernel_above_the_exponent_overflow_warns_nothing(self):
+        # -m (x + y) overflows to -inf off the origin; exp(-inf) = 0 is the kernel
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = WeightedNorms(build_grid(11), 1e308).kernel
+        assert kernel[0, 0] == 1.0 and kernel.sum() == 1.0
+
     def test_grid_mismatch_rejected(self):
         wn = WeightedNorms(build_grid(8), 1.0)
         with pytest.raises(ShapeError):

@@ -16,8 +16,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from goursat2d.errors import EvalFaultError, EvalOverflowError
 from goursat2d.exprlang import eval_dual_on_grid, eval_on_grid
-from goursat2d.grid import GridField, build_grid
+from goursat2d.grid import GridField, build_grid, row_strips
 from goursat2d.operator import LinearizedOperator, apply_F, make_context
 from goursat2d.problem import (
     XYFunction, builtin_example_4_6, load_problem, manufacture_problem, probe_assumptions,
@@ -86,16 +87,23 @@ def ref_apply_F(ctx, g):
     return g + f1v + ref_cum2d(inner, h)
 
 
-def ref_apply_array(ctx, at, hg):
-    """hg + f1_z h + J(f2_z h + A1 h_x + A2 h_y), with the Jacobians at the state of ``at``."""
-    (X, Y, a1, a2), h = ref_nodes(ctx), ctx.grid.h
-    Z = ref_state_from_g(at, h)[0]
+def ref_jacobians(ctx, at):
+    """The z-Jacobians of f1 and f2 and sup|z| at the state of ``at``."""
+    X, Y = ref_nodes(ctx)[:2]
+    Z = ref_state_from_g(at, ctx.grid.h)[0]
     n = ctx.spec.n
     j1 = np.empty(Z.shape[:2] + (n, n))
     j2 = np.empty(Z.shape[:2] + (n, n))
     for i in range(n):
         j1[:, :, i, :] = eval_dual_on_grid(ctx.spec.f1[i], X, Y, Z)[1]
         j2[:, :, i, :] = eval_dual_on_grid(ctx.spec.f2[i], X, Y, Z)[1]
+    return j1, j2, float(np.sqrt((Z**2).sum(axis=2)).max())
+
+
+def ref_apply_array(ctx, at, hg):
+    """hg + f1_z h + J(f2_z h + A1 h_x + A2 h_y), with the Jacobians at the state of ``at``."""
+    (X, Y, a1, a2), h = ref_nodes(ctx), ctx.grid.h
+    j1, j2, _ = ref_jacobians(ctx, at)
     s, sx, sy = ref_state_from_g(hg, h)
     inner = ref_matvec(j2, s) + ref_matvec(a1, sx) + ref_matvec(a2, sy)
     return hg + ref_matvec(j1, s) + ref_cum2d(inner, h)
@@ -194,6 +202,128 @@ class TestAgainstReference:
         assert rep.converged
 
 
+# -- the row-strip engine -------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, cells, count, last", [
+    (1, 64, 1, 65), (1, 221, 1, 222), (1, 442, 3, 1),
+    (2, 64, 1, 65), (2, 221, 2, 1), (2, 442, 5, 3),
+])
+def test_grid_sizes_cover_the_strip_cases(n, cells, count, last):
+    # the sizes below: one strip, several, and a last strip of one row
+    strips = row_strips(cells + 1, n)
+    assert len(strips) == count and strips[-1].stop - strips[-1].start == last
+
+
+def ref_sample(f, grid):
+    """An XYFunction's values on ``grid``, sampled on the whole grid at once."""
+    X, Y = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
+    Z = np.zeros(X.shape + (1,))
+    return np.stack([eval_on_grid(e, X, Y, Z) for e in f.exprs], axis=-1)
+
+
+@pytest.mark.parametrize("cells", [221, 442])
+@pytest.mark.parametrize("name", ["example46", "linear", "coupled-n2"])
+class TestStripsAgainstReference:
+    """Several strips per grid (one for n = 1 at 221 cells), which must give
+    the whole-grid bits."""
+
+    def _fields(self, ctx):
+        rng = np.random.default_rng(ctx.grid.cells)
+        x = ctx.grid.nodes[:, None, None]
+        y = ctx.grid.nodes[None, :, None]
+        smooth = np.sin(3 * x) * np.cos(2 * y) + 1.0 + np.arange(ctx.spec.n)
+        return smooth, rng.uniform(-1.0, 1.0, smooth.shape)
+
+    def test_apply_F(self, name, cells):
+        ctx = _context(name, cells)
+        for g in self._fields(ctx):
+            np.testing.assert_array_equal(apply_F(ctx, g), ref_apply_F(ctx, g))
+
+    def test_linearization(self, name, cells):
+        ctx = _context(name, cells)
+        smooth, rough = self._fields(ctx)
+        for at in (smooth, rough, np.zeros_like(smooth)):
+            lin = LinearizedOperator(ctx, GridField(ctx.grid, at))
+            j1, j2, z_sup = ref_jacobians(ctx, at)
+            np.testing.assert_array_equal(lin.j1, j1)
+            np.testing.assert_array_equal(lin.j2, j2)
+            assert lin.z_sup == z_sup
+            np.testing.assert_array_equal(lin.apply_array(rough), ref_apply_array(ctx, at, rough))
+        zero = LinearizedOperator(ctx)
+        np.testing.assert_array_equal(zero.j1, j1)
+        np.testing.assert_array_equal(zero.j2, j2)
+        assert zero.z_sup == 0.0
+
+    def test_manufacture_problem(self, name, cells):
+        ctx = _context(name, cells)
+        zstar = XYFunction.from_sources(["1 + sin(2*x)*cos(y)", "x*y - 0.5"][:ctx.spec.n])
+        # 221 = 13 * 17, 442 = 26 * 17
+        v = manufacture_problem(ctx.spec, zstar, build_grid(cells // 17), refine=17).rhs
+        ref = ref_apply_F(ctx, ref_sample(zstar, ctx.grid))
+        assert v.values.tobytes() == ref[::17, ::17].tobytes()
+
+
+def fault_doc(f1, a1="0"):
+    """f2 faults at x = 1/4, in the first strip of a 400-cell grid, and
+    ``f1`` later: a whole-grid evaluation reports f1's fault, because f1 is
+    evaluated first."""
+    return {
+        "meta": {"n": 1, "B": 1.0, "b": "1"},
+        "functions": {"f1": [f1], "f2": ["z1 + 1/(x - 0.25)"]},
+        "coefficients": {"A1": [[a1]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+    }
+
+
+#: f1 divides by zero at x = 3/4, in the second strip
+F1_DIVIDES = fault_doc("z1 + 1/(x - 0.75)")
+F1_DIVIDES_AT = "division by zero (expression offset 6) at (x, y) = (0.75, 0)"
+#: f1 overflows from x = 0.7125, in the second strip
+F1_OVERFLOWS = fault_doc("z1 + exp(1/((x - 0.75)^2 + 0.000001))")
+F1_OVERFLOWS_AT = "non-finite result (overflow?) (expression offset 3) at (x, y) = (0.7125, 0)"
+
+
+class TestFaultsAreTheWholeGrids:
+    """A strip stops at the first fault in its own rows; the fault raised
+    must be the one a whole-grid evaluation raises, class and message."""
+
+    @pytest.mark.parametrize("doc, error, message", [
+        (F1_DIVIDES, EvalFaultError, F1_DIVIDES_AT),
+        (F1_OVERFLOWS, EvalOverflowError, F1_OVERFLOWS_AT),
+    ], ids=["division", "overflow"])
+    def test_f1_before_f2(self, doc, error, message):
+        ctx = make_context(load_problem(doc), build_grid(400))
+        g = np.full((401, 401, 1), 0.5)
+        for run in (lambda: apply_F(ctx, g),
+                    lambda: LinearizedOperator(ctx, GridField(ctx.grid, g)),
+                    lambda: LinearizedOperator(ctx)):
+            with pytest.raises(EvalFaultError) as info:
+                run()
+            assert type(info.value) is error and str(info.value) == message
+
+    def test_manufacture_reports_f1(self):
+        spec = load_problem(F1_DIVIDES)
+        with pytest.raises(EvalFaultError) as info:
+            manufacture_problem(spec, XYFunction.from_sources("1 + x*y"), build_grid(100), 4)
+        assert type(info.value) is EvalFaultError and str(info.value) == F1_DIVIDES_AT
+
+    def test_zstar_before_F(self):
+        # z* divides by zero first at x = 3/4 and, in a later node, at x = 1/4
+        spec = load_problem(F1_DIVIDES)
+        zstar = XYFunction.from_sources("1/(x - 0.75) + 1/(x - 0.25)")
+        with pytest.raises(EvalFaultError) as info:
+            manufacture_problem(spec, zstar, build_grid(100), 4)
+        assert type(info.value) is EvalFaultError
+        assert str(info.value) == "division by zero (expression offset 1) at (x, y) = (0.75, 0)"
+
+    def test_coefficient_matrix(self):
+        doc = fault_doc("z1", a1="1/(x - 0.75) + 1/(x - 0.25)")
+        with pytest.raises(EvalFaultError) as info:
+            make_context(load_problem(doc), build_grid(400))
+        assert type(info.value) is EvalFaultError
+        assert str(info.value) == "division by zero (expression offset 1) at (x, y) = (0.75, 0)"
+
+
 class TestAllocations:
     """Peak and retained traced memory at N = 64, in units of one (P, P, 1)
     float array.
@@ -210,9 +340,16 @@ class TestAllocations:
     coordinates and coefficients) and F' its two Jacobians, 2.10 at the zero
     state (3.10 with a grid-sized zero state) and 2.11 at a nonzero point
     (4.12 while it kept z, a view of its two-array state buffer).
+
+    At N = 1024 the row-strip engine runs eleven strips, and peaks fall to
+    about its input and output: 1.67 for ``apply_F`` (5.13 on the whole
+    grid), 2.93 for building F' at a point (8.00), 1.56 for ``apply_array``
+    (5.02) and 2.67 fine units for a right-hand side manufactured from
+    N = 256 (6.13, with the z* sample stacked and copied into a field).
     """
 
     CELLS = 64
+    STRIP_CELLS = 1024  # eleven strips of 95 rows
 
     def _units(self, nbytes: int, cells: int = CELLS) -> float:
         return nbytes / ((cells + 1) ** 2 * 8)
@@ -274,6 +411,30 @@ class TestAllocations:
         zstar = XYFunction.from_sources("1 + sin(2*x)*cos(y)")
         coarse = build_grid(self.CELLS // 4)
         assert self._peak_units(lambda: manufacture_problem(spec, zstar, coarse, refine=4)) <= 9.5
+
+    def test_strips_keep_apply_F_near_its_input_and_output(self):
+        ctx = make_context(builtin_example_4_6(), build_grid(self.STRIP_CELLS))
+        g = np.full(ctx.X.shape + (1,), 0.3)
+        assert self._peak_units(lambda: apply_F(ctx, g), self.STRIP_CELLS) < 2.0
+
+    def test_strips_keep_the_linearization_near_its_jacobians(self):
+        ctx = make_context(builtin_example_4_6(), build_grid(self.STRIP_CELLS))
+        at = GridField(ctx.grid, np.full(ctx.X.shape + (1,), 0.3))
+        assert self._peak_units(lambda: LinearizedOperator(ctx, at), self.STRIP_CELLS) < 3.2
+
+    def test_strips_keep_apply_array_near_its_input_and_output(self):
+        ctx = make_context(builtin_example_4_6(), build_grid(self.STRIP_CELLS))
+        lin = LinearizedOperator(ctx, GridField(ctx.grid, np.full(ctx.X.shape + (1,), 0.3)))
+        h = np.full(ctx.X.shape + (1,), -0.2)
+        assert self._peak_units(lambda: lin.apply_array(h), self.STRIP_CELLS) < 1.9
+
+    def test_strips_keep_manufacture_near_two_fine_arrays(self):
+        spec = builtin_example_4_6()
+        zstar = XYFunction.from_sources("1 + sin(2*x)*cos(y)")
+        coarse = build_grid(self.STRIP_CELLS // 4)
+        peak = self._peak_units(lambda: manufacture_problem(spec, zstar, coarse, refine=4),
+                                cells=self.STRIP_CELLS)
+        assert peak <= 3.0
 
     def test_manufacture_problem_copies_no_fine_field(self):
         spec = builtin_example_4_6()
