@@ -26,17 +26,17 @@ the arrays with ``state_from_g`` where it needs them, and
 ``reconstruct_state`` gives them as fields at the API boundary.
 
 Since row i of every cumulative map depends only on rows <= i, the maps
-also run strip by strip over rows: ``row_strips`` cuts a grid into strips
-of about ``_STRIP_BYTES`` per array, ``state_strips`` rebuilds the state
-and ``cum2d_strip`` integrates one strip at a time, each carrying the last
-row of its axis-0 prefix sums into the next strip, with the whole-grid bits.
-``state_from_g`` and ``cum2d_array`` remain the whole-grid entries, and one
-prefix-sum helper with an optional carry row sits behind all of them.
+also run strip by strip over rows (``row_strips``): ``strip_step`` evaluates
+one strip from a ``Carry``, the last rows that the prefix sums continue, and
+returns the strip's rows of the state, or of (g + local) + J(inner) for
+pointwise terms from its caller, with the next carry and the whole grid's
+bits.  ``state_from_g`` is one strip over the grid.
 """
 
 from __future__ import annotations
 
 import numbers
+from collections import namedtuple
 
 import numpy as np
 
@@ -163,7 +163,7 @@ def _check_same_shape(a: GridField, b: GridField) -> None:
         raise ShapeError(f"fields have different state dimensions: {a.n} vs {b.n}")
 
 
-# -- array-level kernels (values of shape (P, P, n)) -------------------------
+# -- array-level kernels (values of shape (rows, P, n)) ----------------------
 #
 # The kernels accumulate in their output array instead of allocating per-cell
 # temporaries.  At N = 512 each array is 2 MB, and a solve that frees many of
@@ -171,58 +171,76 @@ def _check_same_shape(a: GridField, b: GridField) -> None:
 # cost more than the arithmetic (measured with getrusage minor-fault counts).
 # Expression evaluation and the operator follow the same rule: they write
 # into arrays they allocated themselves, never into their inputs, and return
-# fresh writable arrays.
+# fresh writable arrays.  Every ufunc writes a C-contiguous array (numpy
+# buffers a strided one): column neighbours, n places apart in the flat rows,
+# are summed there, and column 0, which gets the pairs across a row's end,
+# is then zeroed.
 
-def _prefix_rows(cells: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
-    """Prefix-sum ``cells`` along axis 0 in place, continuing from ``carry``,
-    the sum of the rows before them (None: from zero, with no addition)."""
-    if carry is not None:
-        cells[0] += carry
-    return np.cumsum(cells, axis=0, out=cells)
+def _cell_sums(lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> None:
+    """Write the sum of each cell's four corner values into ``out[:, 1:]``,
+    for the cells between the node rows ``lo`` and ``hi``; column 0 is zero."""
+    n = out.shape[-1]
+    cells, lo, hi = out.reshape(-1)[n:], lo.reshape(-1), hi.reshape(-1)
+    np.add(lo[:-n], hi[:-n], out=cells)
+    cells += lo[n:]
+    cells += hi[n:]
+    out[:, 0] = 0.0
 
 
-def _cell_means(cells: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: float) -> np.ndarray:
-    """Write h²/4 times the sum of each cell's four corner values into
-    ``cells``: the cells between the node rows ``lo`` and the rows ``hi``
-    above them."""
-    np.add(lo[:, :-1], hi[:, :-1], out=cells)
-    cells += lo[:, 1:]
-    cells += hi[:, 1:]
-    cells *= h * h / 4.0
-    return cells
+def _cum_rows(out: np.ndarray, values: np.ndarray, pairs, scale: float, carry=None) -> np.ndarray:
+    """Write into ``out`` the axis-0 prefix sums of ``scale`` times
+    ``pairs(lo, hi, out)`` of each node row of ``values`` with the row before
+    it, continuing ``carry`` = (the values row before the first, the sum
+    there); None: the rows start at x = 0, where the sum is zero."""
+    pairs(values[:-1], values[1:], out[1:])
+    if carry:
+        pairs(carry[0][None], values[:1], out[:1])
+    else:
+        out[0] = 0.0
+    cells = out if carry else out[1:]
+    cells *= scale
+    if carry:
+        cells[0] += carry[1]
+    np.cumsum(cells, axis=0, out=cells)
+    return out
+
+
+def _cumy_rows(out: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
+    """Write the cumulative trapezoid integral along y (axis 1) of each row
+    of ``values`` into ``out``."""
+    n = out.shape[-1]
+    cells, v = out.reshape(-1)[n:], values.reshape(-1)
+    np.add(v[:-n], v[n:], out=cells)
+    cells *= h / 2.0
+    out[:, 0] = 0.0
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+    return out
+
+
+def _cum2d_rows(out: np.ndarray, values: np.ndarray, h: float, carry=None):
+    """Write the cumulative double integral of the rows ``values`` into
+    ``out``, continuing ``carry`` = (the values row before, the axis-0 prefix
+    sums of the cell means there), and return the carry of the next rows."""
+    _cum_rows(out, values, _cell_sums, h * h / 4.0, carry)
+    following = values[-1].copy(), out[-1].copy()
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+    return following
 
 
 def cum2d_array(values: np.ndarray, h: float) -> np.ndarray:
     """Cumulative double integral by 2D prefix sums of per-cell averages."""
-    out = np.zeros_like(values)
-    cells = _cell_means(out[1:, 1:], values[:-1], values[1:], h)
-    _prefix_rows(cells)
-    np.cumsum(cells, axis=1, out=cells)
-    return out
-
-
-def _cum_into(out: np.ndarray, values: np.ndarray, axis: int, h: float,
-              carried: bool = False) -> np.ndarray:
-    """Write the cumulative trapezoid integral of ``values`` along ``axis``
-    into ``out``.  The first slice along that axis is the integral's start:
-    it stays zero at the edge, or with ``carried`` holds the integral up to
-    there, which the sums continue."""
-    v, start = (values, out) if axis == 0 else (values.swapaxes(0, 1), out.swapaxes(0, 1))
-    cells = start[1:]
-    np.add(v[:-1], v[1:], out=cells)
-    cells *= h / 2.0
-    _prefix_rows(cells, start[0] if carried else None)
+    _cum2d_rows(out := np.empty(values.shape), values, h)
     return out
 
 
 def cumx_array(values: np.ndarray, h: float) -> np.ndarray:
     """Cumulative integral along x for each fixed y-row; row i = 0 is zero."""
-    return _cum_into(np.zeros_like(values), values, 0, h)
+    return _cum_rows(np.empty(values.shape), values, np.add, h / 2.0)
 
 
 def cumy_array(values: np.ndarray, h: float) -> np.ndarray:
     """Cumulative integral along y for each fixed x-column; column j = 0 is zero."""
-    return _cum_into(np.zeros_like(values), values, 1, h)
+    return _cumy_rows(np.empty(values.shape), values, h)
 
 
 #: Bytes of one strip array, (rows, P, n) floats, near which the row-strip
@@ -230,7 +248,8 @@ def cumy_array(values: np.ndarray, h: float) -> np.ndarray:
 #: the expressions, and on the measured machine (2 MiB of L2 per core) a grid
 #: array up to N = 512 gains nothing from smaller blocks.  So the budget is
 #: small enough that F at N = 1024 (``mms``'s fine grid) peaks near its input
-#: and output, and large enough that grids up to N = 383 run as one strip.
+#: and output, and large enough that n = 1 grids up to N = 312 run as one
+#: strip (one strip needs P²·8 bytes ≤ the budget, so P ≤ 313).
 #: From a sweep of 64 KiB to 4 MiB strips at N = 256, 512 and 1024 (CHANGES.md).
 _STRIP_BYTES = 768 * 1024
 
@@ -260,56 +279,39 @@ def in_strips(run, points: int, n: int):
     return run([slice(0, points)])
 
 
-def cum2d_strip(out: np.ndarray, values: np.ndarray, rows: slice, h: float,
-                carry: np.ndarray | None) -> np.ndarray:
-    """Write the rows ``rows`` of the cumulative double integral into ``out``,
-    from ``values``, the integrand on those rows; strips come in order.
+#: The fresh (P, n) rows that a strip passes to the strip after it: the last
+#: row of g, z, z_x and z_y, the integrand's last row and the axis-0 prefix
+#: sums of its cell means; a row that the strip did not build is None.
+Carry = namedtuple("Carry", "g z zx zy inner prefix", defaults=(None, None))
 
-    ``carry`` is a (2, P, n) buffer (None for one strip over the grid): row 0
-    keeps the integrand's last row and row 1, from column 1, the axis-0
-    prefix sums of the last cell row, which the next strip continues.  The
-    rows get the bits of ``cum2d_array``.
+
+def strip_step(g: np.ndarray, carry: Carry | None, h: float, terms=None, zy: bool = True,
+               out: np.ndarray | None = None):
+    """Evaluate a strip of rows from the ``Carry`` of the rows before it
+    (None at x = 0) and return the rows and their carry.  ``g`` holds the
+    strip's rows; no other row is read and neither g nor the carry written,
+    so a strip evaluated again from the same carry gives the same bits.
+    The rows are the state (z, z_x, z_y), views of one buffer (z_y None
+    without ``zy``), or with ``terms``, a function (z, z_x, z_y) -> (local,
+    inner) of fresh arrays, (g + local) + J(inner) written into ``out``.
     """
-    out[rows, 0] = 0.0
-    if rows.start == 0:
-        out[0] = 0.0
-        cells = _cell_means(out[1:rows.stop, 1:], values[:-1], values[1:], h)
-    else:
-        cells = out[rows, 1:]
-        _cell_means(cells[:1], carry[0, None], values[:1], h)
-        _cell_means(cells[1:], values[:-1], values[1:], h)
-    _prefix_rows(cells, carry[1, 1:] if rows.start else None)
-    if rows.stop < out.shape[0]:
-        carry[0], carry[1, 1:] = values[-1], cells[-1]
-    return np.cumsum(cells, axis=1, out=cells)
-
-
-def state_strips(g: np.ndarray, h: float, strips: list[slice], zy: bool = True):
-    """Yield ``(rows, z, z_x, z_y)`` of the mixed derivative g = z_xy for each
-    strip of ``row_strips``, in order.
-
-    The arrays hold the strip's rows of the state that ``state_from_g``
-    builds, with the same bits: z_x is row-local, and the axis-0 prefix sums
-    of z and z_y continue from the last row of the strip before.  They are
-    views of one buffer that the next strip overwrites; z_y is None without
-    ``zy``.
-    """
-    longest = max(s.stop - s.start for s in strips)
-    buf = np.zeros((3 if zy else 2, min(longest + 1, g.shape[0])) + g.shape[1:])
-    last = 0
-    for s in strips:
-        lo = max(s.start - 1, 0)  # the window starts at the carried row
-        win = buf[:, :s.stop - lo]
-        carried = s.start > 0
-        if carried:
-            buf[:, 0] = buf[:, last]
-        _cum_into(win[1, s.start - lo:], g[s], 1, h)
-        _cum_into(win[0], win[1], 0, h, carried)
-        if zy:
-            _cum_into(win[2], g[lo:s.stop], 0, h, carried)
-        last = s.stop - lo - 1
-        state = win[:, s.start - lo:]
-        yield s, state[0], state[1], state[2] if zy else None
+    state = np.empty((3 if zy else 2,) + g.shape)
+    z, zx, zy_ = state[0], state[1], state[2] if zy else None
+    _cumy_rows(zx, g, h)
+    _cum_rows(z, zx, np.add, h / 2.0, carry and (carry.zx, carry.z))
+    if zy:
+        _cum_rows(zy_, g, np.add, h / 2.0, carry and (carry.g, carry.zy))
+    following = Carry(*(None if a is None else a[-1].copy() for a in (g, z, zx, zy_)))
+    if terms is None:
+        return (z, zx, zy_), following
+    local, inner = terms(z, zx, zy_)
+    del state, z, zx, zy_  # free the state before ``out`` is allocated
+    local += g
+    if out is None:
+        out = np.empty(g.shape)
+    inner_row, prefix = _cum2d_rows(out, inner, h, carry and (carry.inner, carry.prefix))
+    out += local
+    return out, following._replace(inner=inner_row, prefix=prefix)
 
 
 def state_from_g(g: np.ndarray, h: float, zy: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -320,10 +322,9 @@ def state_from_g(g: np.ndarray, h: float, zy: bool = True) -> tuple[np.ndarray, 
     instead of four.  The homogeneous edge values are exactly zero.  The
     arrays share one buffer, so a rebuild allocates once.  With ``zy`` false
     the z_y that z does not need is neither allocated nor built: it is None.
-    This is the whole-grid entry; ``state_strips`` gives the same rows
-    strip by strip.
+    This is one ``strip_step`` over the grid.
     """
-    return next(state_strips(g, h, [slice(0, g.shape[0])], zy))[1:]
+    return strip_step(g, None, h, zy=zy)[0]
 
 
 # -- fields at the API boundary ---------------------------------------------
@@ -331,4 +332,3 @@ def state_from_g(g: np.ndarray, h: float, zy: bool = True) -> tuple[np.ndarray, 
 def reconstruct_state(g: GridField) -> tuple[GridField, GridField, GridField]:
     """The fields (z, z_x, z_y) of the mixed derivative g = z_xy."""
     return tuple(GridField(g.grid, a) for a in state_from_g(g.values, g.grid.h))
-

@@ -16,13 +16,13 @@ with the z-Jacobians f1_z, f2_z supplied by forward-mode differentiation of
 the component expressions.
 
 Both are causal Volterra maps: the value at node (i, j) depends only on
-rows <= i.  So F, F' and the state they rebuild from g are evaluated by one
-row-strip engine, block by block over rows, with the prefix sums carried
-from one strip to the next (``grid.state_strips``, ``grid.cum2d_strip``).
-Each strip's temporaries are strip-sized, the result is the only grid-sized
-array allocated, and the bits are those of the whole-grid evaluation.  An
-evaluation fault in a strip makes the grid run again as one strip, so the
-fault raised is the whole grid's (f1 before f2).
+rows <= i.  So F, F' and the state they rebuild from g are evaluated block
+by block over row strips, by ``_step`` (``grid.strip_step`` with the A
+terms) from the carry of the strip before.  Each strip's temporaries are
+strip-sized, the result is the only grid-sized array allocated, and the
+bits are the whole grid's.  An evaluation fault in a strip makes the grid
+run again as one strip, so the fault raised is the whole grid's (f1 before
+f2).
 
 ``coercivity_probe`` checks the lower bound that makes the problem solvable
 for large weights: for m > 8B,
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ThresholdError
-from .grid import Grid, GridField, cum2d_strip, in_strips, state_strips
+from .grid import Grid, GridField, in_strips, strip_step
 from .norms import WeightedNorms
 from .exprlang import eval_dual_on_grid, eval_on_grid
 from .problem import AssumptionReport, ProblemSpec, _matrix_values, _zero_state
@@ -90,6 +90,11 @@ class OperatorContext:
         if n != self.spec.n:
             raise ShapeError(f"{what} has {n} components, problem has {self.spec.n}")
 
+    def _f_terms(self, rows: slice, z: np.ndarray):
+        """F's pointwise terms (f1, f2) at the state z on the strip ``rows``."""
+        X, Y = self.X[rows], self.Y[rows]
+        return _components(self.spec.f1, X, Y, z), _components(self.spec.f2, X, Y, z)
+
     def __repr__(self) -> str:
         return f"OperatorContext(n={self.spec.n}, cells={self.grid.cells})"
 
@@ -125,37 +130,38 @@ def _components(exprs, X, Y, Z) -> np.ndarray:
     return np.expand_dims(values[0], -1) if len(values) == 1 else np.stack(values, -1)
 
 
+def _step(ctx: OperatorContext, g: np.ndarray, rows: slice, carry, pointwise, out=None):
+    """``grid.strip_step`` of (g + local) + J((inner + A1 zx) + A2 zy), in this
+    order of additions and without the term of a zero A, on the strip
+    ``rows`` of g, where ``(local, inner) = pointwise(rows, z)``."""
+    a1, a2 = ctx.nonzero
+
+    def terms(z, zx, zy):
+        local, inner = pointwise(rows, z)
+        if a1:
+            inner += _matvec(ctx.a1_nodes[rows], zx)
+        if a2:
+            inner += _matvec(ctx.a2_nodes[rows], zy)
+        return local, inner
+
+    return strip_step(g, carry, ctx.grid.h, terms, zy=a2, out=out)
+
+
 def _assemble(ctx: OperatorContext, g: np.ndarray, pointwise) -> np.ndarray:
-    """The row-strip engine: (g + local) + J((inner + A1 zx) + A2 zy) in this
-    order of additions, without the term of a zero A, where ``(local,
-    inner) = pointwise(rows, z)`` are fresh arrays on a strip of rows.
-
-    Each strip rebuilds its rows of the state (z, z_x, and z_y when A2 is
-    nonzero), adds the A terms, integrates with the prefix sums carried from
-    the strip before and writes its rows of the result, the one grid-sized
-    array it allocates; its temporaries are strip-sized.  The result is
-    allocated after the first strip's arrays, whose freed chunks the later
-    strips reuse: so they stay below it and do not join the C heap's top,
-    whose trimming would fault their pages back in on the next call.  An
-    evaluation fault runs the grid again as one strip (``in_strips``).
-    """
-    h, (a1, a2) = ctx.grid.h, ctx.nonzero
-
+    """``_step`` over the row strips of the grid, into one result allocated
+    after the first strip's arrays: their freed chunks, which the later
+    strips reuse, then stay below it and out of the C heap's top, whose
+    trimming would fault their pages back in on the next call.  A fault runs
+    the grid again as one strip (``in_strips``)."""
     def run(strips):
-        out = None
-        for rows, z, zx, zy in state_strips(g, h, strips, zy=a2):
-            local, inner = pointwise(rows, z)
-            if a1:
-                inner += _matvec(ctx.a1_nodes[rows], zx)
-            if a2:
-                inner += _matvec(ctx.a2_nodes[rows], zy)
-            local += g[rows]
-            if out is None:
+        out = carry = None
+        for rows in strips:
+            part, carry = _step(ctx, g[rows], rows, carry, pointwise,
+                                None if out is None else out[rows])
+            if out is None and len(strips) > 1:
                 out = np.empty(g.shape)
-                carry = np.empty((2,) + g.shape[1:]) if len(strips) > 1 else None
-            cum2d_strip(out, inner, rows, h, carry)
-            out[rows] += local
-        return out
+                out[rows] = part
+        return part if out is None else out
 
     return in_strips(run, g.shape[0], g.shape[2])
 
@@ -170,12 +176,7 @@ def apply_F(ctx: OperatorContext, g: GridField | np.ndarray) -> GridField | np.n
     if field:
         ctx.check_field(g)
         g = g.values
-    spec, X, Y = ctx.spec, ctx.X, ctx.Y
-
-    def pointwise(rows, z):
-        return _components(spec.f1, X[rows], Y[rows], z), _components(spec.f2, X[rows], Y[rows], z)
-
-    out = _assemble(ctx, g, pointwise)
+    out = _assemble(ctx, g, ctx._f_terms)
     return GridField(ctx.grid, out) if field else out
 
 
@@ -201,14 +202,12 @@ class LinearizedOperator:
         n = spec.n
 
         def run(strips):
-            jac, z_sup = None, 0.0
-            if at is None:
-                states = ((rows, _zero_state(X[rows].shape, n)) for rows in strips)
-            else:
-                states = ((rows, z) for rows, z, _, _ in
-                          state_strips(at.values, ctx.grid.h, strips, zy=False))
-            for rows, Z in states:
-                if at is not None:
+            jac, z_sup, carry = None, 0.0, None
+            for rows in strips:
+                if at is None:
+                    Z = _zero_state(X[rows].shape, n)
+                else:
+                    (Z, _, _), carry = strip_step(at.values[rows], carry, ctx.grid.h, zy=False)
                     z_sup = max(z_sup, float(np.sqrt((Z**2).sum(axis=2)).max()))
                 partials = [[eval_dual_on_grid(f[i], X[rows], Y[rows], Z)[1]
                              for f in (spec.f1, spec.f2)] for i in range(n)]

@@ -22,7 +22,8 @@ difference cross-check of the user-supplied A1x, A2y.
 ``manufacture_problem`` generates right-hand sides with a known exact
 solution: v := F(z*) is evaluated on a refined grid and subsampled at the
 working grid's nodes, so the oracle's quadrature error sits an order below the
-solver's.
+solver's.  The refined grid is streamed through the operator's strip step,
+one row strip of g* at a time, and never held whole.
 """
 
 from __future__ import annotations
@@ -92,12 +93,20 @@ class XYFunction:
         def run(strips):
             out = np.empty(X.shape + (self.n,))
             for rows in strips:
-                Z = _zero_state(X[rows].shape, 1)
-                for k, e in enumerate(self.exprs):
-                    out[rows, :, k] = eval_on_grid(e, X[rows], Y[rows], Z)
+                self._rows(X[rows], Y[rows], out[rows])
             return out
 
         return in_strips(run, grid.npoints, self.n)
+
+    def _rows(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The samples at the nodes X, Y, a strip of rows of the meshgrid,
+        written into ``out`` (a fresh array when None)."""
+        if out is None:
+            out = np.empty(X.shape + (self.n,))
+        Z = _zero_state(X.shape, 1)
+        for k, e in enumerate(self.exprs):
+            out[..., k] = eval_on_grid(e, X, Y, Z)
+        return out
 
 
 ExprMatrix = tuple[tuple[Expr, ...], ...]
@@ -578,13 +587,34 @@ def manufacture_problem(
     whose every ``refine``-th node is a node of ``grid``, and its values
     there are kept, which puts the oracle's quadrature error an order below
     the solver's.
+
+    Each fine row strip samples g* on its rows only, evaluates F there from
+    the carry of the strip before and keeps its nodes of ``grid``: no
+    fine-grid array is allocated.  As in ``grid.in_strips``, one strip and
+    the re-run after a fault take ``apply_F`` on the whole fine grid, so
+    errors are the whole grid's, z*'s before F's and f1's before f2's.
     """
-    from .operator import apply_F, make_context
+    from .operator import _step, apply_F, make_context
 
     if refine < 1:
         raise ParameterError(f"refine must be >= 1, got {refine}")
     if zstar_g.n != base.n:
         raise ValueError(f"z* has {zstar_g.n} components, problem has {base.n}")
-    fine = build_grid(grid.cells * refine)
-    v_fine = apply_F(make_context(base, fine), zstar_g._values(fine))
-    return replace(base, rhs=GridField(grid, v_fine[::refine, ::refine]))
+    ctx = make_context(base, build_grid(grid.cells * refine))
+    X, Y = ctx.X, ctx.Y
+
+    def run(strips):
+        if len(strips) == 1:
+            return apply_F(ctx, zstar_g._values(ctx.grid))[::refine, ::refine]
+        v = carry = None
+        for rows in strips:
+            part, carry = _step(ctx, zstar_g._rows(X[rows], Y[rows]), rows, carry, ctx._f_terms)
+            if v is None:  # after the first strip's arrays, as in the operator
+                v = np.empty((grid.npoints, grid.npoints, base.n))
+            skip = -rows.start % refine  # the strip's rows before its first node of ``grid``
+            kept = part[skip::refine, ::refine]
+            first = (rows.start + skip) // refine
+            v[first:first + len(kept)] = kept
+        return v
+
+    return replace(base, rhs=GridField(grid, in_strips(run, ctx.grid.npoints, base.n)))

@@ -16,10 +16,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from goursat2d import cli
 from goursat2d.errors import EvalFaultError, EvalOverflowError
 from goursat2d.exprlang import eval_dual_on_grid, eval_on_grid
-from goursat2d.grid import GridField, build_grid, row_strips
-from goursat2d.operator import LinearizedOperator, apply_F, make_context
+from goursat2d.grid import GridField, build_grid, row_strips, strip_step
+from goursat2d.operator import LinearizedOperator, _step, apply_F, make_context
 from goursat2d.problem import (
     XYFunction, builtin_example_4_6, load_problem, manufacture_problem, probe_assumptions,
 )
@@ -208,9 +209,11 @@ class TestAgainstReference:
 @pytest.mark.parametrize("n, cells, count, last", [
     (1, 64, 1, 65), (1, 221, 1, 222), (1, 442, 3, 1),
     (2, 64, 1, 65), (2, 221, 2, 1), (2, 442, 5, 3),
+    (1, 312, 1, 313), (1, 313, 2, 1),
 ])
 def test_grid_sizes_cover_the_strip_cases(n, cells, count, last):
-    # the sizes below: one strip, several, and a last strip of one row
+    # the sizes below: one strip, several, and a last strip of one row; for
+    # n = 1 one strip needs P²·8 bytes ≤ _STRIP_BYTES, so P ≤ 313 (N ≤ 312)
     strips = row_strips(cells + 1, n)
     assert len(strips) == count and strips[-1].stop - strips[-1].start == last
 
@@ -262,6 +265,55 @@ class TestStripsAgainstReference:
         v = manufacture_problem(ctx.spec, zstar, build_grid(cells // 17), refine=17).rhs
         ref = ref_apply_F(ctx, ref_sample(zstar, ctx.grid))
         assert v.values.tobytes() == ref[::17, ::17].tobytes()
+
+
+#: cuts of a 23-row grid: one strip, several, and a last strip of one row
+CUTS = {"one": (23,), "several": (2, 9, 17, 23), "last-row": (5, 22, 23)}
+
+
+@pytest.mark.parametrize("stops", list(CUTS.values()), ids=list(CUTS))
+@pytest.mark.parametrize("name", ["example46", "linear", "coupled-n2"])
+class TestStepFromCarry:
+    """The strip step looped over any cut of the rows, each strip from the
+    carry of the strip before and given only its own rows of g."""
+
+    def _setup(self, name, stops):
+        ctx = _context(name, 22)
+        g = np.random.default_rng(len(stops)).uniform(-1.0, 1.0, (23, 23, ctx.spec.n))
+        return ctx, g, [slice(a, b) for a, b in zip((0,) + stops[:-1], stops)]
+
+    def test_F_rows_are_apply_F(self, name, stops):
+        ctx, g, strips = self._setup(name, stops)
+        parts, carry = [], None
+        for rows in strips:
+            part, carry = _step(ctx, g[rows].copy(), rows, carry, ctx._f_terms)
+            parts.append(part)
+        got = np.concatenate(parts)
+        assert got.tobytes() == apply_F(ctx, g).tobytes()
+        np.testing.assert_array_equal(got, ref_apply_F(ctx, g))
+
+    def test_state_rows_are_the_state(self, name, stops):
+        ctx, g, strips = self._setup(name, stops)
+        parts, carry = [], None
+        for rows in strips:
+            state, carry = strip_step(g[rows].copy(), carry, ctx.grid.h)
+            parts.append(state)
+        for got, ref in zip(zip(*parts), ref_state_from_g(g, ctx.grid.h)):
+            np.testing.assert_array_equal(np.concatenate(got), ref)
+
+    def test_a_strip_again_from_the_same_carry(self, name, stops):
+        ctx, g, strips = self._setup(name, stops)
+        carry = None
+        for rows in strips[:-1]:
+            carry = _step(ctx, g[rows], rows, carry, ctx._f_terms)[1]
+        saved = None if carry is None else _snapshot(*(a for a in carry if a is not None))
+        rows = strips[-1]
+        first, second = (_step(ctx, g[rows], rows, carry, ctx._f_terms) for _ in range(2))
+        assert first[0].tobytes() == second[0].tobytes()
+        assert [None if a is None else a.tobytes() for a in first[1]] == \
+            [None if a is None else a.tobytes() for a in second[1]]
+        if carry is not None:
+            _assert_unchanged([a for a in carry if a is not None], saved)
 
 
 def fault_doc(f1, a1="0"):
@@ -316,6 +368,17 @@ class TestFaultsAreTheWholeGrids:
         assert type(info.value) is EvalFaultError
         assert str(info.value) == "division by zero (expression offset 1) at (x, y) = (0.75, 0)"
 
+    @pytest.mark.parametrize("f1", ["z1 + 1/(x - 0.75)", "z1 + 1/(x - 0.25)"],
+                             ids=["f2-early", "f1-early"])
+    def test_zstar_faulting_late_before_F_faulting_early(self, f1):
+        # the fine grid runs two strips: F faults in the first, at x = 1/4,
+        # and z* only in the second, at x = 0.9
+        spec = load_problem(fault_doc(f1))
+        with pytest.raises(EvalFaultError) as info:
+            manufacture_problem(spec, XYFunction.from_sources("1/(x - 0.9)"), build_grid(100), 4)
+        assert type(info.value) is EvalFaultError and info.value.__context__ is None
+        assert str(info.value) == "division by zero (expression offset 1) at (x, y) = (0.9, 0)"
+
     def test_coefficient_matrix(self):
         doc = fault_doc("z1", a1="1/(x - 0.75) + 1/(x - 0.25)")
         with pytest.raises(EvalFaultError) as info:
@@ -329,12 +392,15 @@ class TestAllocations:
     float array.
 
     Measured values, which the bounds pin with a little headroom: peaks of
-    2.22 for example46's f1 (3.0 when every node allocated), 8.03 for
-    ``apply_F`` (11.0 with the full state, the zero contractions and fresh
-    sums), 9.08 for a manufactured right-hand side refined to N = 64
-    (13.09 with grid-sized coordinates, zero coefficients and zero states),
-    6.39 units of the fine grid for one from N = 64 refined to 256 (7.14
-    with the fine v copied into a field before its restriction) and 0.02 for
+    2.22 for example46's f1 (3.0 when every node allocated), 5.31 for
+    ``apply_F`` (8.03 with numpy's iterator buffers for ufuncs that wrote
+    strided views, 11.0 with the full state, the zero contractions and fresh
+    sums), 6.38 for a manufactured right-hand side refined to N = 64 (9.08
+    with those buffers, 13.09 with grid-sized coordinates, zero coefficients
+    and zero states),
+    6.15 units of the fine grid for one from N = 64 refined to 256 (6.39
+    with those buffers, 7.14 with the fine v copied into a field before its
+    restriction) and 0.02 for
     ``choose_weight`` at the zero-state F' (2.03 while it reduced a kept
     zero state); an example46 context retains 0.01 (4.02 with those
     coordinates and coefficients) and F' its two Jacobians, 2.10 at the zero
@@ -342,10 +408,12 @@ class TestAllocations:
     (4.12 while it kept z, a view of its two-array state buffer).
 
     At N = 1024 the row-strip engine runs eleven strips, and peaks fall to
-    about its input and output: 1.67 for ``apply_F`` (5.13 on the whole
-    grid), 2.93 for building F' at a point (8.00), 1.56 for ``apply_array``
-    (5.02) and 2.67 fine units for a right-hand side manufactured from
-    N = 256 (6.13, with the z* sample stacked and copied into a field).
+    about its input and output: 1.58 for ``apply_F`` (5.13 on the whole
+    grid), 2.93 for building F' at a point (8.00) and 1.47 for
+    ``apply_array`` (5.02).  A right-hand side manufactured from N = 256
+    streams the fine grid and peaks at 0.73 fine units (2.67 with the fine
+    g* and F(g*) held whole, 6.13 with the g* sample stacked and copied into
+    a field), and a whole ``mms --n-list 64,128,256`` at 0.84 (2.70).
     """
 
     CELLS = 64
@@ -385,7 +453,7 @@ class TestAllocations:
     def test_apply_F_example46(self):
         ctx = make_context(builtin_example_4_6(), build_grid(self.CELLS))
         g = np.full(ctx.X.shape + (1,), 0.3)
-        assert self._peak_units(lambda: apply_F(ctx, g)) < 8.1
+        assert self._peak_units(lambda: apply_F(ctx, g)) < 5.4
 
     def test_example46_context_holds_no_grid_array(self):
         spec, grid = builtin_example_4_6(), build_grid(self.CELLS)
@@ -410,7 +478,7 @@ class TestAllocations:
         spec = builtin_example_4_6()
         zstar = XYFunction.from_sources("1 + sin(2*x)*cos(y)")
         coarse = build_grid(self.CELLS // 4)
-        assert self._peak_units(lambda: manufacture_problem(spec, zstar, coarse, refine=4)) <= 9.5
+        assert self._peak_units(lambda: manufacture_problem(spec, zstar, coarse, refine=4)) <= 6.8
 
     def test_strips_keep_apply_F_near_its_input_and_output(self):
         ctx = make_context(builtin_example_4_6(), build_grid(self.STRIP_CELLS))
@@ -428,13 +496,18 @@ class TestAllocations:
         h = np.full(ctx.X.shape + (1,), -0.2)
         assert self._peak_units(lambda: lin.apply_array(h), self.STRIP_CELLS) < 1.9
 
-    def test_strips_keep_manufacture_near_two_fine_arrays(self):
+    def test_streamed_manufacture_holds_no_fine_array(self):
         spec = builtin_example_4_6()
         zstar = XYFunction.from_sources("1 + sin(2*x)*cos(y)")
         coarse = build_grid(self.STRIP_CELLS // 4)
         peak = self._peak_units(lambda: manufacture_problem(spec, zstar, coarse, refine=4),
                                 cells=self.STRIP_CELLS)
-        assert peak <= 3.0
+        assert peak <= 0.9
+
+    def test_mms_holds_no_fine_array(self, tmp_path):
+        argv = ["mms", "--builtin", "example46", "--zstar", "1 + sin(2*x)*cos(y)",
+                "--n-list", "64,128,256", "--out", str(tmp_path / "mms")]
+        assert self._peak_units(lambda: cli.main(argv), self.STRIP_CELLS) < 1.0
 
     def test_manufacture_problem_copies_no_fine_field(self):
         spec = builtin_example_4_6()

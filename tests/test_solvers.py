@@ -173,7 +173,7 @@ class TestChooseWeight:
             raise AssertionError("choose_weight rebuilt a state")
 
         monkeypatch.setattr("goursat2d.grid.state_from_g", rebuild)
-        monkeypatch.setattr("goursat2d.operator.state_strips", rebuild)
+        monkeypatch.setattr("goursat2d.operator.strip_step", rebuild)
         assert choose_weight(ctx, big).radius == pytest.approx(4.0)
         assert choose_weight(ctx).radius == pytest.approx(1.0)
 
@@ -657,7 +657,7 @@ def test_every_entry_rejects_a_foreign_field_before_any_work(entry, foreign, mes
         raise AssertionError("work began before the field check")
 
     for module, name in ((solvers, "apply_F"), (solvers, "LinearizedOperator"),
-                         (operator, "state_strips"), (LinearizedOperator, "apply_array"),
+                         (operator, "strip_step"), (LinearizedOperator, "apply_array"),
                          (sensitivity, "solve")):
         monkeypatch.setattr(module, name, work)
     what = "operator" if entry == "choose_weight-at" else "field"
