@@ -34,7 +34,10 @@ import numpy as np
 from .errors import EvalFaultError, ExprSyntaxError, Goursat2dError, ParameterError, SchemaError, SolverError
 from .fileio import read_field_csv, read_grid_csv, write_field_csv, write_grid_csv, write_report_json
 from .grid import GridField, build_grid
-from .norms import check_norm_equivalence, classical_l2_norm, verify_lemma31, weighted_l2_norm, LEMMA31_SIDES
+from .norms import (
+    LEMMA31_SIDES, WeightedNorms, check_norm_equivalence, classical_l2_norm, verify_lemma31,
+    weighted_l2_norm,
+)
 from .operator import LinearizedOperator, OperatorContext, coercivity_probe, make_context
 from .problem import (
     BUILTIN_PROBLEMS,
@@ -225,13 +228,19 @@ def _rhs_field(spec: ProblemSpec, args, grid) -> GridField:
         raise ParameterError(str(exc)) from exc
 
 
-def _probed_context(spec: ProblemSpec, cells: int, samples: int, seed: int):
-    grid = build_grid(cells)
+def _probe(spec: ProblemSpec, samples: int, seed: int):
+    """The assumption probe's report, noted on stderr when it found violations."""
     report = probe_assumptions(spec, sample_count=samples, seed=seed)
     if not report.passed:
         _note("note: assumption probe found violations "
               f"(growth_ok={report.growth_ok}, coeff_ok={report.coeff_ok}, "
               f"deriv_ok={report.deriv_ok}); run `verify --suite assumptions` for details")
+    return report
+
+
+def _probed_context(spec: ProblemSpec, cells: int, samples: int, seed: int):
+    grid = build_grid(cells)
+    report = _probe(spec, samples, seed)
     return make_context(spec, grid).with_assumptions(report)
 
 
@@ -252,10 +261,17 @@ def _weight(ctx: OperatorContext, cfg: SolverConfig, at: LinearizedOperator | No
 
 
 def _zstar_error(zstar: GridField | None, rep) -> dict | None:
+    """The classical and weighted norms of g - g*; both None, with a note,
+    when the difference overflows."""
     if zstar is None:
         return None
-    diff = rep.g - zstar
-    return {"classical": classical_l2_norm(diff), "weighted": weighted_l2_norm(diff, rep.m_used)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = rep.g.values - zstar.values
+    if not np.isfinite(diff).all():
+        _note("note: g - g* overflows, so error_vs_reference is null")
+        return {"classical": None, "weighted": None}
+    return {"classical": WeightedNorms(zstar.grid, 0.0).norm(diff),
+            "weighted": WeightedNorms(zstar.grid, rep.m_used).norm(diff)}
 
 
 # -- solve and linsolve --------------------------------------------------------
@@ -577,7 +593,7 @@ def cmd_mms(args) -> int:
         raise ParameterError("--n-list needs at least two resolutions to measure an order")
     if sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
         raise ParameterError("--n-list must be strictly increasing")
-    probe = probe_assumptions(spec, sample_count=args.samples, seed=args.seed)
+    probe = _probe(spec, args.samples, args.seed)
 
     rows = []
     errors = []

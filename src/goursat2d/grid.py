@@ -30,7 +30,8 @@ also run strip by strip over rows (``row_strips``): ``strip_step`` evaluates
 one strip from a ``Carry``, the last rows that the prefix sums continue, and
 returns the strip's rows of the state, or of (g + local) + J(inner) for
 pointwise terms from its caller, with the next carry and the whole grid's
-bits.  ``state_from_g`` is one strip over the grid.
+bits.  ``state_from_g`` is one strip over the grid.  ``in_strips`` serves
+only walks that a carry or a zero test ties together; samples take one pass.
 """
 
 from __future__ import annotations
@@ -314,17 +315,16 @@ def strip_step(g: np.ndarray, carry: Carry | None, h: float, terms=None, zy: boo
     return out, following._replace(inner=inner_row, prefix=prefix)
 
 
-def state_from_g(g: np.ndarray, h: float, zy: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def state_from_g(g: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The state arrays (z, z_x, z_y) of the mixed derivative g = z_xy.
 
     z_x = cumy(g), z_y = cumx(g) and z = cumx(z_x): the tensor trapezoid of
     ``cum2d_array(g)`` (equal up to rounding) in three prefix-sum passes
     instead of four.  The homogeneous edge values are exactly zero.  The
-    arrays share one buffer, so a rebuild allocates once.  With ``zy`` false
-    the z_y that z does not need is neither allocated nor built: it is None.
-    This is one ``strip_step`` over the grid.
+    arrays share one buffer, so a rebuild allocates once.  This is one
+    ``strip_step`` over the grid.
     """
-    return strip_step(g, None, h, zy=zy)[0]
+    return strip_step(g, None, h)[0]
 
 
 # -- fields at the API boundary ---------------------------------------------

@@ -18,11 +18,11 @@ the component expressions.
 Both are causal Volterra maps: the value at node (i, j) depends only on
 rows <= i.  So F, F' and the state they rebuild from g are evaluated block
 by block over row strips, by ``_step`` (``grid.strip_step`` with the A
-terms) from the carry of the strip before.  Each strip's temporaries are
-strip-sized, the result is the only grid-sized array allocated, and the
-bits are the whole grid's.  An evaluation fault in a strip makes the grid
-run again as one strip, so the fault raised is the whole grid's (f1 before
-f2).
+terms, f1 and f2 sampled by ``problem._components``) from the carry of the
+strip before.  Each strip's temporaries are strip-sized, the result is the
+only grid-sized array allocated, and the bits are the whole grid's.  An
+evaluation fault in a strip makes the grid run again as one strip, so the
+fault raised is the whole grid's (f1 before f2).
 
 ``coercivity_probe`` checks the lower bound that makes the problem solvable
 for large weights: for m > 8B,
@@ -44,7 +44,7 @@ from .errors import ShapeError, ThresholdError
 from .grid import Grid, GridField, in_strips, strip_step
 from .norms import WeightedNorms
 from .exprlang import eval_dual_on_grid, eval_on_grid
-from .problem import AssumptionReport, ProblemSpec, _matrix_values, _zero_state
+from .problem import AssumptionReport, ProblemSpec, _components, _matrix_values, _zero_state
 
 
 class OperatorContext:
@@ -121,13 +121,6 @@ def _coefficient(mat, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray | None
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Pointwise matrix–vector products: (k,P,n,n) × (k,P,n) -> (k,P,n)."""
     return np.einsum("ijkl,ijl->ijk", mats, vecs, optimize=False)
-
-
-def _components(exprs, X, Y, Z) -> np.ndarray:
-    """Stack component evaluations into a writable array of shape X.shape + (n,)
-    (a view of the one array when n == 1)."""
-    values = [eval_on_grid(e, X, Y, Z) for e in exprs]
-    return np.expand_dims(values[0], -1) if len(values) == 1 else np.stack(values, -1)
 
 
 def _step(ctx: OperatorContext, g: np.ndarray, rows: slice, carry, pointwise, out=None):

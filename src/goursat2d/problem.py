@@ -23,7 +23,8 @@ difference cross-check of the user-supplied A1x, A2y.
 solution: v := F(z*) is evaluated on a refined grid and subsampled at the
 working grid's nodes, so the oracle's quadrature error sits an order below the
 solver's.  The refined grid is streamed through the operator's strip step,
-one row strip of g* at a time, and never held whole.
+one row strip of g* at a time, and never held whole.  ``_components``
+samples every expression vector: F's terms, coefficients, ``XYFunction``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ def _zero_state(shape: tuple[int, ...], n: int) -> np.ndarray:
     return np.broadcast_to(np.zeros(n), shape + (n,))
 
 
+def _components(exprs, X, Y, Z) -> np.ndarray:
+    """Stack component evaluations into a writable array of shape X.shape + (n,)
+    (a view of the one array when n == 1)."""
+    values = [eval_on_grid(e, X, Y, Z) for e in exprs]
+    return np.expand_dims(values[0], -1) if len(values) == 1 else np.stack(values, -1)
+
+
 @dataclass(frozen=True)
 class XYFunction:
     """An R^n-valued function of the spatial variables only, samplable on any grid."""
@@ -84,29 +92,11 @@ class XYFunction:
         return cls(tuple(parse(s, 1) for s in sources))
 
     def sample(self, grid: Grid) -> GridField:
-        return GridField(grid, self._values(grid))
+        return GridField(grid, self._rows(*grid.meshgrid()))
 
-    def _values(self, grid: Grid) -> np.ndarray:
-        """The (P, P, n) samples, evaluated strip by strip into one array."""
-        X, Y = grid.meshgrid()
-
-        def run(strips):
-            out = np.empty(X.shape + (self.n,))
-            for rows in strips:
-                self._rows(X[rows], Y[rows], out[rows])
-            return out
-
-        return in_strips(run, grid.npoints, self.n)
-
-    def _rows(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The samples at the nodes X, Y, a strip of rows of the meshgrid,
-        written into ``out`` (a fresh array when None)."""
-        if out is None:
-            out = np.empty(X.shape + (self.n,))
-        Z = _zero_state(X.shape, 1)
-        for k, e in enumerate(self.exprs):
-            out[..., k] = eval_on_grid(e, X, Y, Z)
-        return out
+    def _rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """The samples at the nodes X, Y, the meshgrid or a strip of its rows."""
+        return _components(self.exprs, X, Y, _zero_state(X.shape, 1))
 
 
 ExprMatrix = tuple[tuple[Expr, ...], ...]
@@ -449,16 +439,11 @@ class AssumptionReport:
 def _matrix_values(mat: ExprMatrix, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
     """Sample an n×n expression matrix at points; shape X.shape + (n, n)."""
     Z = _zero_state(X.shape, n)
-    rows = []
-    for row in mat:
-        rows.append(np.stack([eval_on_grid(e, X, Y, Z) for e in row], axis=-1))
-    return np.stack(rows, axis=-2)
+    return np.stack([_components(row, X, Y, Z) for row in mat], axis=-2)
 
 
 def _spectral_sup(vals: np.ndarray) -> float:
-    """Largest spectral norm over a batch of matrices (shape (..., n, n))."""
-    if vals.size == 0:
-        return 0.0
+    """Largest spectral norm over a non-empty batch of matrices (shape (..., n, n))."""
     flat = vals.reshape(-1, vals.shape[-2], vals.shape[-1])
     return float(np.linalg.svd(flat, compute_uv=False)[:, 0].max())
 
@@ -605,7 +590,7 @@ def manufacture_problem(
 
     def run(strips):
         if len(strips) == 1:
-            return apply_F(ctx, zstar_g._values(ctx.grid))[::refine, ::refine]
+            return apply_F(ctx, zstar_g._rows(X, Y))[::refine, ::refine]
         v = carry = None
         for rows in strips:
             part, carry = _step(ctx, zstar_g._rows(X[rows], Y[rows]), rows, carry, ctx._f_terms)

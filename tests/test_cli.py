@@ -158,6 +158,19 @@ class TestSolve:
         report = read_report_json(f"{out}.report.json")
         assert report["error_vs_reference"]["classical"] <= 1e-12
 
+    def test_reference_error_that_overflows_is_null(self, tmp_path, capsys):
+        # g = -8e307 converges; g - g* = -2.5e308 overflows
+        out = tmp_path / "run"
+        code = run_cli(["solve", "--builtin", "zero", "--n", "4", "--rhs", "0 - 8e307",
+                        "--zstar", "1.7e308", "--out", str(out)])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err == "note: g - g* overflows, so error_vs_reference is null\n"
+        report = read_report_json(f"{out}.report.json")
+        assert report["error_vs_reference"] == {"classical": None, "weighted": None}
+        assert report["result"]["converged"] is True
+        np.testing.assert_array_equal(read_grid_csv(f"{out}.grid.csv").values, -8e307)
+
     def test_residual_round_trips_from_emitted_grid(self, tmp_path):
         out = tmp_path / "run"
         code = run_cli(["solve", "--builtin", "example46", "--n", "12",
@@ -689,6 +702,23 @@ def test_no_finite_weight_is_reported_before_a_jacobian_fault_at_zero(argv, tmp_
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "8", "--rhs", "0"],
+    ["linsolve", "--n", "8", "--rhs", "1"],
+    ["sens", "--n", "8", "--rhs", "0", "--direction", "1"],
+    ["verify", "--suite", "contraction", "--n", "8"],
+    ["mms", "--zstar", "0.1", "--n-list", "8,16"],
+], ids=["solve", "linsolve", "sens", "verify-contraction", "mms"])
+def test_assumption_violations_are_noted_once(argv, tmp_path, capsys):
+    # |0.5 z^3| outgrows |z| + 1 from |z| = 2 on
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps({**CUBIC_DOC, "functions": {"f1": ["0.5*z1^3"], "f2": ["0"]}}))
+    run_cli([*argv, "--problem", str(path), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert err.count("note: assumption probe found violations (growth_ok=False, "
+                     "coeff_ok=True, deriv_ok=True)") == 1
+
+
 def test_mms_with_no_finite_weight_exits_1(tmp_path, capsys):
     doc = dict(LINEAR_MEMORY_DOC, meta={"n": 1, "B": 1e308, "b": "0"})
     (tmp_path / "doc.json").write_text(json.dumps(doc))
@@ -1088,7 +1118,11 @@ class TestMms:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: log of a nonpositive value (expression offset 0) "
+        # the document's b = 0 fails the growth probe, which mms notes first
+        assert captured.err == ("note: assumption probe found violations (growth_ok=False, "
+                                "coeff_ok=True, deriv_ok=True); run `verify --suite "
+                                "assumptions` for details\n"
+                                "error: log of a nonpositive value (expression offset 0) "
                                 "at (x, y) = (0.125, 1)\n")
 
     def test_success_resamples_no_zstar(self, tmp_path, monkeypatch):

@@ -379,6 +379,16 @@ class TestFaultsAreTheWholeGrids:
         assert type(info.value) is EvalFaultError and info.value.__context__ is None
         assert str(info.value) == "division by zero (expression offset 1) at (x, y) = (0.9, 0)"
 
+    def test_xy_samples_component_before_node(self):
+        # component 0 faults only at x = 0.9, component 1 already at the
+        # origin: a sampler that stopped at the first fault of a row strip
+        # (n = 2 on 400 cells makes four) would report log(x)
+        zstar = XYFunction.from_sources(["1/(x - 0.9)", "log(x)"])
+        with pytest.raises(EvalFaultError) as info:
+            zstar.sample(build_grid(400))
+        assert type(info.value) is EvalFaultError and info.value.__context__ is None
+        assert str(info.value) == "division by zero (expression offset 1) at (x, y) = (0.9, 0)"
+
     def test_coefficient_matrix(self):
         doc = fault_doc("z1", a1="1/(x - 0.75) + 1/(x - 0.25)")
         with pytest.raises(EvalFaultError) as info:
