@@ -280,7 +280,8 @@ def _solve_command(args, ctx, cfg, at, run, head, tail=lambda rep: {},
                    line=lambda estimate: {}) -> int:
     """The weight, contraction estimate, solve, report, artifacts and exit code
     of ``solve`` and ``linsolve``: 0, or 2 after writing the partial artifacts
-    of a failed solve.
+    of a failed solve.  A solve whose first residual overflows has no partial
+    report: its SolverError propagates, and no artifact is written.
 
     The weight and the contraction estimate are taken with the operator
     linearized at the g field ``at`` (the zero state when None), and
@@ -442,9 +443,11 @@ def _suite_coercivity(args) -> int:
 
     def check(m):
         rep = coercivity_probe(ctx, fields, m)
+        # a failed ray test makes its sample, the first, the worst
+        margins = rep.margins if rep.ray_ok else (-math.inf, *rep.margins[1:])
         return {"m": m, "samples": len(fields), "factor": rep.factor, "offset": rep.offset,
                 "min_margin": min(rep.margins), "ray_ok": rep.ray_ok,
-                "pass": rep.passed}, rep.margins
+                "pass": rep.passed}, margins
 
     return _verdict(args, "coercivity", *_sweep("coercivity", fields, m_list, check))
 
@@ -613,7 +616,7 @@ def cmd_mms(args) -> int:
         except SolverError as exc:
             _note(f"mms: solve at N={cells} failed: {exc}")
             return 2
-        err = classical_l2_norm(rep.g - zstar.sample(grid))
+        err = classical_l2_norm(GridField(grid, rep.g.values - zstar.sample(grid).values))
         errors.append(err)
         rows.append({"cells": cells, "h": grid.h, "error": err,
                      "iterations": rep.iterations, "m": rep.m_used})

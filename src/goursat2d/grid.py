@@ -105,10 +105,10 @@ def build_grid(cells: int) -> Grid:
 
 
 class GridField:
-    """An R^n-valued sample array over the grid nodes.
+    """A validated, read-only R^n-valued sample array over the grid nodes.
 
-    Values are stored as a read-only float array of shape
-    (cells+1, cells+1, n) and validated to be finite on construction.
+    Values are copied to a read-only float array of shape (cells+1, cells+1, n)
+    and checked finite on construction; computation happens on ``.values``.
     """
 
     __slots__ = ("grid", "values")
@@ -134,34 +134,8 @@ class GridField:
         """State dimension."""
         return self.values.shape[2]
 
-    def __add__(self, other: "GridField") -> "GridField":
-        _check_same_shape(self, other)
-        return GridField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridField") -> "GridField":
-        _check_same_shape(self, other)
-        return GridField(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "GridField":
-        return GridField(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: float) -> "GridField":
-        return GridField(self.grid, self.values / float(scalar))
-
-    def __neg__(self) -> "GridField":
-        return GridField(self.grid, -self.values)
-
     def __repr__(self) -> str:
         return f"GridField(cells={self.grid.cells}, n={self.n})"
-
-
-def _check_same_shape(a: GridField, b: GridField) -> None:
-    if a.grid != b.grid:
-        raise ShapeError(f"fields live on different grids: {a.grid} vs {b.grid}")
-    if a.n != b.n:
-        raise ShapeError(f"fields have different state dimensions: {a.n} vs {b.n}")
 
 
 # -- array-level kernels (values of shape (rows, P, n)) ----------------------

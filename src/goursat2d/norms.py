@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidWeightError, ShapeError
+from .errors import InvalidWeightError
 from .grid import Grid, GridField, cum2d_array, state_from_g
 
 
@@ -66,12 +66,8 @@ class WeightedNorms:
         self.kernel = _kernel(grid, m)
         self.weights = grid.trapezoid_weights()
 
-    def norm(self, f: GridField | np.ndarray) -> float:
-        """Weighted L² norm of an R^n-valued field, or of its (P, P, n) values."""
-        if isinstance(f, GridField):
-            if f.grid != self.grid:
-                raise ShapeError(f"field grid {f.grid} does not match kernel grid {self.grid}")
-            f = f.values
+    def norm(self, f: np.ndarray) -> float:
+        """Weighted L² norm of the (P, P, n) values of an R^n-valued field."""
         with np.errstate(over="ignore", invalid="ignore"):
             total = self._sum_sq(f)
         if not np.isfinite(total) and np.isfinite(f).all():
@@ -87,7 +83,7 @@ class WeightedNorms:
 
 def weighted_l2_norm(f: GridField, m: float) -> float:
     """‖f‖_{L²_m} = (∫∫ e^{−m(x+y)} |f|²)^{1/2}; m = 0 is the plain L² norm."""
-    return WeightedNorms(f.grid, m).norm(f)
+    return WeightedNorms(f.grid, m).norm(f.values)
 
 
 def classical_l2_norm(f: GridField) -> float:
@@ -157,7 +153,7 @@ def verify_lemma31(g: GridField, m: float) -> Lemma31Report:
     norms = WeightedNorms(g.grid, m)
     magnitudes = (np.sqrt((f**2).sum(axis=2, keepdims=True)) for f in (z, zx, zy))
     sides = (norms.norm(z), *(norms.norm(cum2d_array(a, h)) for a in magnitudes))
-    bound = (2.0 / m) * norms.norm(g)
+    bound = (2.0 / m) * norms.norm(g.values)
     tol = 10.0 * h**2 * classical_l2_norm(g)
     margins = tuple(bound - s for s in sides)
     flags = tuple(mg >= -tol for mg in margins)

@@ -397,11 +397,11 @@ def estimate_contraction(
     rng = np.random.default_rng(seed)
     rho = 0.0
     for _ in range(trials):
-        g = random_smooth_field(ctx.grid, ctx.spec.n, rng)
+        g = random_smooth_field(ctx.grid, ctx.spec.n, rng).values
         gnorm = wn.norm(g)
         if gnorm == 0.0:
             continue
-        rho = max(rho, wn.norm(lin.apply_array(g.values) - g.values) / gnorm)
+        rho = max(rho, wn.norm(lin.apply_array(g) - g) / gnorm)
     bound = None
     if d is not None:
         try:

@@ -184,7 +184,7 @@ def test_05_linearized_vs_dense():
 
     ctx = probed_context(spec, 16)
     rep = solve_linearized(LinearizedOperator(ctx), v, SolverConfig(m=9.0, tol=1e-13))
-    gap = classical_l2_norm(rep.g - GridField(grid, g_dense))
+    gap = classical_l2_norm(GridField(grid, rep.g.values - g_dense))
     check(5, "linearized-vs-dense", gap <= 1e-8, f"gap {gap:.3e}")
 
 
@@ -205,7 +205,8 @@ def test_06_manufactured_convergence():
             mspec = manufacture_problem(spec, gstar, grid, refine=4)
             ctx = make_context(mspec, grid).with_assumptions(probe)
             rep = solve(ctx, mspec.sample_rhs(grid), SolverConfig(tol=1e-11))
-            errors.append(classical_l2_norm(rep.g - gstar.sample(grid)))
+            error = GridField(grid, rep.g.values - gstar.sample(grid).values)
+            errors.append(classical_l2_norm(error))
         if name == "zero":
             ok = ok and max(errors) <= 1e-12
             details.append(f"zero max err {max(errors):.2e}")
@@ -227,7 +228,8 @@ def test_07_uniqueness():
     rng = np.random.default_rng(707)
     solutions = [solve(ctx, v, cfg, g0=random_smooth_field(ctx.grid, 1, rng)).g
                  for _ in range(5)]
-    spread = max(weighted_l2_norm(g - solutions[0], m) for g in solutions[1:])
+    spread = max(weighted_l2_norm(GridField(ctx.grid, g.values - solutions[0].values), m)
+                 for g in solutions[1:])
     check(7, "uniqueness", spread <= 10.0 * cfg.tol,
           f"max weighted spread {spread:.3e} vs {10.0 * cfg.tol:.1e}")
 

@@ -85,6 +85,18 @@ COERCIVITY_FAIL_DOC = {
     "label": "coercivity-fail",
 }
 
+RAY_FAIL_DOC = {
+    "meta": {"n": 1, "B": 0, "b": "0"},
+    "functions": {"f1": ["100*exp(-z1^2)"], "f2": ["0"]},
+    "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+}
+
+EXP_SQUARE_DOC = {
+    "meta": {"n": 1, "B": 1, "b": "1"},
+    "functions": {"f1": ["exp(z1^2)"], "f2": ["0"]},
+    "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+}
+
 CUBIC_DOC = {
     "meta": {"n": 1, "B": 1.0, "b": "1"},
     "functions": {"f1": ["z1^3"], "f2": ["0"]},
@@ -183,7 +195,7 @@ class TestSolve:
         v = spec.rhs  # builtin has no rhs; sample the same expression
         from goursat2d.problem import XYFunction
         v = XYFunction.from_sources("x + y").sample(ctx.grid)
-        r = apply_F(ctx, g) - v
+        r = GridField(ctx.grid, apply_F(ctx, g.values) - v.values)
         scale = max(report["result"]["residual_classical"], 1e-300)
         assert abs(classical_l2_norm(r) - report["result"]["residual_classical"]) / scale <= 1e-12
         wscale = max(report["result"]["residual_weighted"], 1e-300)
@@ -206,7 +218,7 @@ class TestSolve:
         # the grid holds the last accepted Newton iterate, whose residual the report gives
         g = read_grid_csv(f"{out}.grid.csv")
         ctx = make_context(BUILTIN_PROBLEMS["example46"](), build_grid(8))
-        r = apply_F(ctx, g) - GridField(ctx.grid, np.full((9, 9, 1), -100.0))
+        r = GridField(ctx.grid, apply_F(ctx, g.values) - np.full((9, 9, 1), -100.0))
         assert weighted_l2_norm(r, 2.0) == pytest.approx(report["result"]["residual_weighted"],
                                                          rel=1e-12)
 
@@ -223,6 +235,37 @@ class TestSolve:
         assert report["result"]["converged"] is False
         g = read_grid_csv(f"{out}.grid.csv")
         np.testing.assert_array_equal(g.values, 1e60)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--rhs", "1e120"],
+         "solver failure: newton iteration 1 overflowed (non-finite result (overflow?)"),
+        (["linsolve", "--rhs", "1.5e308"],
+         "solver failure: linearized iteration 1 overflowed (weighted residual nan)"),
+    ], ids=["solve", "linsolve"])
+    def test_first_residual_overflow_exits_2_without_artifacts(self, tmp_path, capsys,
+                                                                argv, message):
+        # no iterate has a finite residual, so there is no partial report to write
+        code = run_cli([argv[0], "--builtin", "example46", "--n", "8", *argv[1:],
+                        "--out", str(tmp_path / "run")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflow_in_the_newton_step_exits_2_with_partial_artifacts(self, tmp_path, capsys):
+        # F is finite at g ≡ 26.6, but F' overflows while the first step builds it
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(EXP_SQUARE_DOC))
+        out = tmp_path / "run"
+        code = run_cli(["solve", "--problem", str(path), "--n", "8", "--m", "9",
+                        "--rhs", "26.6", "--out", str(out)])
+        assert code == 2
+        assert ("solver failure: newton iteration 1 overflowed (non-finite derivative "
+                "(overflow?) (expression offset 0) at (x, y) = (1, 1))") in capsys.readouterr().err
+        report = read_report_json(f"{out}.report.json")
+        assert len(report["result"]["trace"]) == report["result"]["iterations"] == 1
+        np.testing.assert_array_equal(read_grid_csv(f"{out}.grid.csv").values, 26.6)
 
     def test_overflow_warning_is_printed_once(self, tmp_path, capsys):
         # numpy warns "invalid value encountered in add" from several source lines
@@ -545,6 +588,22 @@ class TestVerify:
         margins = np.array([coercivity_probe(ctx, fields, m).margins for m in m_list])
         worst = fields[int(np.argmin(margins)) % len(fields)]
         np.testing.assert_array_equal(read_field_csv(f"{out}.fail.csv").values, worst.values)
+
+
+    def test_coercivity_ray_failure_writes_the_ray_sample(self, tmp_path, capsys):
+        # every margin passes, but the ray test on the first sample fails:
+        # that sample, not the one with the smallest margin, is the worst
+        path = tmp_path / "ray.json"
+        path.write_text(json.dumps(RAY_FAIL_DOC))
+        out = tmp_path / "ray"
+        code = run_cli(["verify", "--suite", "coercivity", "--problem", str(path),
+                        "--n", "16", "--out", str(out)])
+        assert code == 3
+        line, verdict = stdout_lines(capsys)
+        assert line["ray_ok"] is False and line["min_margin"] > 0.0 and line["pass"] is False
+        assert verdict["fail_artifact"] == f"{out}.fail.csv"
+        first = random_smooth_field(build_grid(16), 1, np.random.default_rng(DEFAULT_SEED))
+        np.testing.assert_array_equal(read_field_csv(f"{out}.fail.csv").values, first.values)
 
 
 @pytest.mark.parametrize("flag", [("--samples", "0"), ("--samples", "-3"), ("--seed", "-1")],

@@ -86,6 +86,10 @@ class TestParse:
         e = parse("z1 + z2*z3", 3)
         assert free_z_indices(e) == frozenset({0, 1, 2})
 
+    def test_state_dimension_must_be_positive(self):
+        with pytest.raises(ValueError, match="state dimension must be >= 1, got 0"):
+            parse("z1", 0)
+
 
 class TestPrecedence:
     @pytest.mark.parametrize(

@@ -106,22 +106,6 @@ class TestGridField:
         with pytest.raises(ValueError):
             f.values[0, 0, 0] = 2.0
 
-    def test_arithmetic(self):
-        g = build_grid(2)
-        a = GridField(g, np.full((3, 3, 1), 2.0))
-        b = GridField(g, np.full((3, 3, 1), 0.5))
-        np.testing.assert_array_equal((a + b).values, 2.5)
-        np.testing.assert_array_equal((a - b).values, 1.5)
-        np.testing.assert_array_equal((3.0 * a).values, 6.0)
-        np.testing.assert_array_equal((a / 2.0).values, 1.0)
-        np.testing.assert_array_equal((-a).values, -2.0)
-
-    def test_mixed_grids_refused(self):
-        a = GridField(build_grid(2), np.ones((3, 3, 1)))
-        b = GridField(build_grid(4), np.ones((5, 5, 1)))
-        with pytest.raises(ShapeError):
-            a + b
-
     def test_magnitude(self):
         # the Lemma 3.1 sides take the pointwise Euclidean magnitude over
         # components: the field (3f, 4f) measures like the scalar field 5f
@@ -129,7 +113,7 @@ class TestGridField:
         f = sample(g, lambda X, Y: 1.0 + X * Y)
         pair = GridField(g, np.concatenate([3.0 * f.values, 4.0 * f.values], axis=2))
         pair = verify_lemma31(pair, 2.0)
-        single = verify_lemma31(5.0 * f, 2.0)
+        single = verify_lemma31(GridField(g, 5.0 * f.values), 2.0)
         np.testing.assert_allclose(pair.sides, single.sides, rtol=1e-14)
 
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from goursat2d.errors import InvalidWeightError, ShapeError
+from goursat2d.errors import InvalidWeightError
 from goursat2d.grid import GridField, build_grid
 from goursat2d.norms import (
     LEMMA31_SIDES,
@@ -82,18 +82,13 @@ class TestWeightedNorm:
             kernel = WeightedNorms(build_grid(11), 1e308).kernel
         assert kernel[0, 0] == 1.0 and kernel.sum() == 1.0
 
-    def test_grid_mismatch_rejected(self):
-        wn = WeightedNorms(build_grid(8), 1.0)
-        with pytest.raises(ShapeError):
-            wn.norm(const_field(4))
-
     def test_finite_field_above_square_overflow(self):
         # 1e158² overflows; the norm scales by max|f| instead of returning inf
         wn = WeightedNorms(build_grid(8), 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = wn.norm(const_field(8, 1e158))
-        want = 1e158 * wn.norm(const_field(8))
+            got = wn.norm(const_field(8, 1e158).values)
+        want = 1e158 * wn.norm(const_field(8).values)
         assert np.isfinite(got)
         assert abs(got - want) <= 1e-14 * want
 
@@ -184,8 +179,10 @@ class TestNormAxioms:
             b = random_smooth_field(grid, 2, rng)
             s = float(rng.uniform(-3, 3))
             m = float(rng.uniform(0, 10))
-            assert weighted_l2_norm(s * a, m) == pytest.approx(abs(s) * weighted_l2_norm(a, m), rel=1e-12)
-            assert weighted_l2_norm(a + b, m) <= weighted_l2_norm(a, m) + weighted_l2_norm(b, m) + 1e-12
+            wn = WeightedNorms(grid, m)
+            a, b = a.values, b.values
+            assert wn.norm(s * a) == pytest.approx(abs(s) * wn.norm(a), rel=1e-12)
+            assert wn.norm(a + b) <= wn.norm(a) + wn.norm(b) + 1e-12
 
     def test_sandwich(self):
         rng = np.random.default_rng(88)

@@ -82,7 +82,8 @@ class TestApplyF:
 
     def test_value_array_matches_field_bit_for_bit(self):
         ctx = make_context(example46_with(a1="x", a2="y", a1x="1", a2y="1"), build_grid(16))
-        g = random_smooth_field(ctx.grid, 1, np.random.default_rng(5)) * 2.0
+        g = random_smooth_field(ctx.grid, 1, np.random.default_rng(5))
+        g = GridField(ctx.grid, g.values * 2.0)
         out = apply_F(ctx, g.values)
         assert isinstance(out, np.ndarray) and out.flags.writeable
         np.testing.assert_array_equal(out, apply_F(ctx, g).values)
@@ -101,7 +102,7 @@ class TestResidualAndMerit:
         rng = np.random.default_rng(5)
         g = random_smooth_field(grid, 1, rng)
         v = apply_F(ctx, g)
-        r = apply_F(ctx, g) - v
+        r = GridField(grid, apply_F(ctx, g).values - v.values)
         assert classical_l2_norm(r) <= 1e-12 * classical_l2_norm(v)
         assert weighted_l2_norm(r, 2.0) <= classical_l2_norm(r)
 
@@ -110,7 +111,8 @@ class TestResidualAndMerit:
         ctx = make_context(zero_problem(), grid)
         g = GridField(grid, np.ones((9, 9, 1)))
         v = GridField(grid, np.zeros((9, 9, 1)))
-        assert classical_l2_norm(apply_F(ctx, g) - v) == pytest.approx(1.0, abs=1e-14)
+        r = GridField(grid, apply_F(ctx, g).values - v.values)
+        assert classical_l2_norm(r) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestLinearization:
@@ -130,9 +132,9 @@ class TestLinearization:
         g1 = random_smooth_field(grid, 1, rng)
         g2 = random_smooth_field(grid, 1, rng)
         at_any = random_smooth_field(grid, 1, rng)
-        lhs = apply_F(ctx, g1) - apply_F(ctx, g2)
-        rhs = LinearizedOperator(ctx, at_any).apply_array((g1 - g2).values)
-        np.testing.assert_allclose(lhs.values, rhs, atol=1e-13)
+        lhs = apply_F(ctx, g1.values) - apply_F(ctx, g2.values)
+        rhs = LinearizedOperator(ctx, at_any).apply_array(g1.values - g2.values)
+        np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
     def test_directional_derivative_first_order(self):
         grid = build_grid(16)
@@ -140,12 +142,12 @@ class TestLinearization:
         rng = np.random.default_rng(7)
         g = random_smooth_field(grid, 1, rng)
         h = random_smooth_field(grid, 1, rng)
-        dF = GridField(grid, LinearizedOperator(ctx, g).apply_array(h.values))
+        dF = LinearizedOperator(ctx, g).apply_array(h.values)
         errs = []
         eps_list = (1e-2, 1e-3, 1e-4)
         for eps in eps_list:
-            quot = (apply_F(ctx, g + eps * h) - apply_F(ctx, g)) / eps
-            errs.append(classical_l2_norm(quot - dF))
+            quot = (apply_F(ctx, g.values + eps * h.values) - apply_F(ctx, g.values)) / eps
+            errs.append(classical_l2_norm(GridField(grid, quot - dF)))
         # error ∝ ε within factor 2
         for (e1, eps1), (e2, eps2) in zip(zip(errs, eps_list), list(zip(errs, eps_list))[1:]):
             ratio = e1 / e2
@@ -170,8 +172,8 @@ class TestLinearization:
         h = random_smooth_field(grid, 2, rng)
         dF = LinearizedOperator(ctx, g).apply_array(h.values)
         eps = 1e-6
-        quot = (apply_F(ctx, g + eps * h) - apply_F(ctx, g)) / eps
-        np.testing.assert_allclose(quot.values, dF, atol=1e-4)
+        quot = (apply_F(ctx, g.values + eps * h.values) - apply_F(ctx, g.values)) / eps
+        np.testing.assert_allclose(quot, dF, atol=1e-4)
 
     def test_linearizes_at_the_state_of_g(self):
         grid = build_grid(6)
@@ -228,6 +230,11 @@ class TestCoercivity:
         g = [random_smooth_field(ctx.grid, 1, rng)]
         with pytest.raises(ThresholdError, match="8B"):
             coercivity_probe(ctx, g, m=8.0 * spec.growth_bound)
+
+    def test_needs_a_sample(self):
+        ctx = make_context(builtin_example_4_6(), build_grid(8))
+        with pytest.raises(ValueError, match="need at least one sample field"):
+            coercivity_probe(ctx, [], 9.0)
 
     def test_ray_values_grow(self):
         spec = builtin_example_4_6()

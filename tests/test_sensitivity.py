@@ -72,8 +72,8 @@ class TestFrechetApply:
         h1 = frechet_apply(ctx, base, dv)
         wn = WeightedNorms(ctx.grid, base.m_used)
         for c in (-1.0, 2.0):
-            hc = frechet_apply(ctx, base, dv * c)
-            assert wn.norm(hc - h1 * c) <= 1e-10
+            hc = frechet_apply(ctx, base, GridField(ctx.grid, dv.values * c))
+            assert wn.norm(hc.values - h1.values * c) <= 1e-10
 
 
 class TestValidateFrechet:
@@ -104,7 +104,7 @@ class TestValidateFrechet:
         h = frechet_apply(ctx, base, dv)
         direct = solve(ctx, dv, cfg)
         wn = WeightedNorms(ctx.grid, base.m_used)
-        assert wn.norm(h - direct.g) <= 10 * INNER_TOL
+        assert wn.norm(h.values - direct.g.values) <= 10 * INNER_TOL
 
     def test_linear_problem_has_tiny_quotient_errors(self):
         # no second-order remainder at all, and the cold-started perturbed
@@ -188,7 +188,7 @@ class TestStabilityProbe:
         ctx = probed_context(builtin_example_4_6(), 12)
         rng = np.random.default_rng(8)
         v1 = random_smooth_field(ctx.grid, 1, rng)
-        v2 = v1 + random_smooth_field(ctx.grid, 1, rng) * 0.1
+        v2 = GridField(ctx.grid, v1.values + random_smooth_field(ctx.grid, 1, rng).values * 0.1)
         report = stability_probe(ctx, v1, v2, SolverConfig(tol=1e-11))
         assert report.valid and report.passed
         # B = 1, m = 9: certified factor (1 - 8B/m)^-1 = 9

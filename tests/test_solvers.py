@@ -13,6 +13,7 @@ Oracles used here:
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -74,6 +75,15 @@ def cubic_spec():
     return load_problem({
         "meta": {"n": 1, "B": 1.0, "b": "1"},
         "functions": {"f1": ["z1^3"], "f2": ["0"]},
+        "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+    })
+
+
+def exp_square_spec():
+    """f¹ = exp(z²) alone: at z = 26.6, F is finite but F' overflows."""
+    return load_problem({
+        "meta": {"n": 1, "B": 1.0, "b": "1"},
+        "functions": {"f1": ["exp(z1^2)"], "f2": ["0"]},
         "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
     })
 
@@ -241,7 +251,7 @@ class TestLinearizedSolve:
         rep = solve_linearized(lin, v, cfg)
         assert rep.converged
         wn = WeightedNorms(ctx.grid, rep.m_used)
-        assert wn.norm(rep.g - h_star) <= 10 * cfg.tol
+        assert wn.norm(rep.g.values - h_star.values) <= 10 * cfg.tol
         # contraction at m = 9 with d = 1 is below 4d/m^2, so the trace decays fast
         late = [t.ratio for t in rep.trace[2:] if t.ratio is not None]
         assert late and max(late) < 0.25
@@ -256,7 +266,7 @@ class TestLinearizedSolve:
         cfg = SolverConfig(tol=1e-12)
         rep = solve_linearized(lin, v, cfg)
         wn = WeightedNorms(ctx.grid, rep.m_used)
-        assert rep.converged and wn.norm(rep.g - h_star) <= 10 * cfg.tol
+        assert rep.converged and wn.norm(rep.g.values - h_star.values) <= 10 * cfg.tol
 
     def test_matches_dense_elimination(self):
         # Independent oracle: assemble H on the flattened grid from the 1D
@@ -287,7 +297,7 @@ class TestLinearizedSolve:
         v = random_smooth_field(grid, 1, rng)
         g_direct = np.linalg.solve(H, v.values[:, :, 0].ravel()).reshape(P, P, 1)
         rep = solve_linearized(LinearizedOperator(ctx), v, SolverConfig(tol=1e-13))
-        err = classical_l2_norm(rep.g - GridField(grid, g_direct))
+        err = classical_l2_norm(GridField(grid, rep.g.values - g_direct))
         assert err <= 1e-8
 
     def test_warns_below_contraction_threshold(self):
@@ -390,13 +400,13 @@ class TestPicard:
     def test_recovers_discrete_manufactured_solution(self):
         ctx = probed_context(builtin_example_4_6(), 16)
         rng = np.random.default_rng(12)
-        g_star = random_smooth_field(ctx.grid, 1, rng) * 0.5
+        g_star = GridField(ctx.grid, random_smooth_field(ctx.grid, 1, rng).values * 0.5)
         v = apply_F(ctx, g_star)
         cfg = SolverConfig(method="picard", tol=1e-11)
         rep = solve(ctx, v, cfg)
         assert rep.converged
         wn = WeightedNorms(ctx.grid, rep.m_used)
-        assert wn.norm(rep.g - g_star) <= 10 * cfg.tol
+        assert wn.norm(rep.g.values - g_star.values) <= 10 * cfg.tol
 
     def test_overflow_inside_expression_is_divergence(self):
         # z^3 overflows in exprlang (iteration 5, |g| ~ 1e106) before the
@@ -408,7 +418,7 @@ class TestPicard:
         report = exc_info.value.report
         assert report.iterations == len(report.trace) >= 2 and not report.converged
         assert np.isfinite(report.g.values).all()
-        r = apply_F(ctx, report.g) - v
+        r = apply_F(ctx, report.g.values) - v.values
         assert WeightedNorms(ctx.grid, 1.0).norm(r) == report.residual_weighted
 
 
@@ -421,7 +431,7 @@ class TestNewton:
         rep = solve(ctx, v, SolverConfig(tol=1e-10))
         assert rep.converged and rep.iterations == 2
         wn = WeightedNorms(ctx.grid, rep.m_used)
-        assert wn.norm(rep.g - g_star) <= 1e-9
+        assert wn.norm(rep.g.values - g_star.values) <= 1e-9
 
     def test_nonlinear_manufactured_solution(self):
         # example46 with cos(z^3) in f1
@@ -435,7 +445,7 @@ class TestNewton:
         rep = solve(ctx, v, cfg)
         assert rep.converged and rep.iterations <= 10
         wn = WeightedNorms(ctx.grid, rep.m_used)
-        assert wn.norm(rep.g - g_star) <= 10 * cfg.tol
+        assert wn.norm(rep.g.values - g_star.values) <= 10 * cfg.tol
         # once in the basin the trace contracts much faster than the
         # Picard-style linear rate
         assert rep.trace[-1].ratio is not None and rep.trace[-1].ratio < 0.05
@@ -443,11 +453,11 @@ class TestNewton:
     def test_matches_picard_fixed_point(self):
         ctx = probed_context(builtin_example_4_6(), 12)
         rng = np.random.default_rng(16)
-        v = apply_F(ctx, random_smooth_field(ctx.grid, 1, rng) * 0.4)
+        v = apply_F(ctx, GridField(ctx.grid, random_smooth_field(ctx.grid, 1, rng).values * 0.4))
         newton = solve(ctx, v, SolverConfig(tol=1e-11))
         picard = solve(ctx, v, SolverConfig(method="picard", tol=1e-11))
         wn = WeightedNorms(ctx.grid, newton.m_used)
-        assert wn.norm(newton.g - picard.g) <= 1e-10
+        assert wn.norm(newton.g.values - picard.g.values) <= 1e-10
 
     def test_odd_rhs_gives_odd_solution(self):
         # f1, f2 odd in z and no memory coefficients: the discrete fixed-point
@@ -463,9 +473,9 @@ class TestNewton:
         v = random_smooth_field(ctx.grid, 1, rng)
         cfg = SolverConfig(tol=1e-11)
         plus = solve(ctx, v, cfg)
-        minus = solve(ctx, -v, cfg)
+        minus = solve(ctx, GridField(ctx.grid, -v.values), cfg)
         wn = WeightedNorms(ctx.grid, plus.m_used)
-        assert wn.norm(plus.g + minus.g) <= 100 * cfg.tol
+        assert wn.norm(plus.g.values + minus.g.values) <= 100 * cfg.tol
 
     def test_unique_limit_from_many_starts(self):
         ctx = probed_context(builtin_example_4_6(), 10)
@@ -475,10 +485,10 @@ class TestNewton:
         base = solve(ctx, v, cfg)
         wn = WeightedNorms(ctx.grid, base.m_used)
         for trial in range(5):
-            g0 = random_smooth_field(ctx.grid, 1, rng) * (0.5 + trial)
+            g0 = GridField(ctx.grid, random_smooth_field(ctx.grid, 1, rng).values * (0.5 + trial))
             rep = solve(ctx, v, cfg, g0=g0)
             assert rep.converged
-            assert wn.norm(rep.g - base.g) <= 100 * cfg.tol
+            assert wn.norm(rep.g.values - base.g.values) <= 100 * cfg.tol
 
     def test_iteration_cap_raises(self):
         ctx = probed_context(builtin_example_4_6(), 8)
@@ -509,8 +519,22 @@ class TestNewton:
         assert report.method == "newton" and not report.converged
         assert report.iterations == len(report.trace) > 1
         # the last accepted iterate, with its own residual
-        r = apply_F(ctx, report.g) - v
+        r = apply_F(ctx, report.g.values) - v.values
         assert WeightedNorms(ctx.grid, 2.0).norm(r) == pytest.approx(report.residual_weighted, rel=1e-12)
+
+    def test_overflow_in_the_step_is_divergence(self):
+        # g ≡ 26.6 gives z(1, 1) = 26.6 and exp(z²) ≈ 2e307, so the first
+        # residual is finite; the partial 2z·exp(z²) of F' overflows while
+        # the first Newton step builds its operator
+        ctx = make_context(exp_square_spec(), build_grid(8))
+        v = GridField(ctx.grid, np.full((9, 9, 1), 26.6))
+        with pytest.raises(DivergenceError, match=re.escape(
+                "newton iteration 1 overflowed (non-finite derivative (overflow?) "
+                "(expression offset 0) at (x, y) = (1, 1))")) as exc_info:
+            solve(ctx, v, SolverConfig(m=9.0))
+        report = exc_info.value.report
+        assert report.iterations == len(report.trace) == 1 and not report.converged
+        np.testing.assert_array_equal(report.g.values, 26.6)
 
     def test_failed_line_search_raises_stagnation(self):
         # at z = 0 the subgradient of abs is 0, so F'(0) = I and δ = v; but
@@ -560,7 +584,7 @@ class TestNewton:
             ctx = make_context(mspec, grid).with_assumptions(report)
             rep = solve(ctx, mspec.sample_rhs(grid), SolverConfig(tol=1e-12))
             ref = zstar.sample(grid)
-            errors.append(classical_l2_norm(rep.g - ref))
+            errors.append(classical_l2_norm(GridField(grid, rep.g.values - ref.values)))
         ratio = errors[0] / errors[1]
         assert 3.48 <= ratio <= 4.6
 
@@ -569,11 +593,11 @@ class TestDispatchAndReports:
     def test_solve_routes_by_method(self):
         ctx = probed_context(builtin_example_4_6(), 8)
         rng = np.random.default_rng(20)
-        v = apply_F(ctx, random_smooth_field(ctx.grid, 1, rng) * 0.3)
+        v = apply_F(ctx, GridField(ctx.grid, random_smooth_field(ctx.grid, 1, rng).values * 0.3))
         a = solve(ctx, v, SolverConfig(method="picard", tol=1e-10))
         b = solve(ctx, v, SolverConfig(method="newton", tol=1e-10))
         assert a.method == "picard" and b.method == "newton"
-        assert classical_l2_norm(a.g - b.g) <= 1e-7
+        assert classical_l2_norm(GridField(ctx.grid, a.g.values - b.g.values)) <= 1e-7
 
     def test_report_dict_shape(self):
         ctx = probed_context(zero_problem(), 8)
