@@ -1,11 +1,13 @@
 """Lossless CSV/JSON round trips for grids, fields, and reports.
 
-Floats are written with 17 significant digits, which reloads binary64
-bit-exactly, so residual norms recomputed from an emitted grid match the
-report.  Files are written atomically — a temp file in the target directory,
-then ``os.replace`` — so readers never observe a partial file.  Reports are
-single JSON objects with insertion-ordered keys and no timestamps: repeated
-runs with the same inputs must produce byte-identical bytes.
+Floats are written with ``%.17g``, which reloads binary64 bit-exactly, so
+residual norms recomputed from an emitted grid match the report; the CSV
+writers format whole arrays in integer arithmetic with the same bytes.
+Files are written atomically — a temp file in the target directory, then
+``os.replace``, with the mode ``open`` gives — so readers never observe a
+partial file.  Reports are single JSON objects with insertion-ordered keys
+and no timestamps: repeated runs with the same inputs must produce
+byte-identical bytes.
 
 Grid bundles are row-major in i then j with header
 ``i,j,x,y,g_1..g_n,z_1..z_n,zx_1..zx_n,zy_1..zy_n``; plain fields use
@@ -28,7 +30,7 @@ import os
 import re
 import tempfile
 from collections.abc import Iterable
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from pathlib import Path
 
@@ -38,13 +40,15 @@ from .errors import SchemaError
 from .grid import Grid, GridField, build_grid, state_from_g
 
 
-def _atomic_write(path: str | os.PathLike, chunks: Iterable[str]) -> None:
-    """Stream ``chunks`` into a temp file beside ``path``, then rename it over."""
+def _atomic_write(path: str | os.PathLike, chunks: Iterable[bytes | str]) -> None:
+    """Stream ``chunks`` (bytes, or str as UTF-8) to a temp file beside ``path``; rename it over."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.writelines(chunks)
+        with os.fdopen(fd, "wb") as f:
+            f.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
+        os.umask(umask := os.umask(0))
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -58,20 +62,106 @@ def _columns(prefixes: tuple[str, ...], n: int) -> list[str]:
     return ["i", "j", "x", "y", *(f"{p}_{k + 1}" for p in prefixes for k in range(n))]
 
 
+_U64 = np.uint64
+_CHUNK_BYTES = 3 << 18  # bytes of row table formatted at a time
+
+
+@cache
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """``_format_cells``'s rows per class c = k + 12 (0: |x| < 1e-11); the characters of 0..9999."""
+    rows = []
+    for k in range(-12, 16):
+        lead = 1 - k if -5 < k < 0 else 1  # characters before digit 1 ("0.000")
+        low = k + 1 if k >= 0 else int(k < -4)  # digits before the point
+        fixed = bytearray((b"0" * lead if lead > 1 else b"").ljust(24, b"\0"))
+        fixed[max(low, 1)] = ord(".")
+        tail = (f"e-{-k:02d}".encode() if -12 < k < -4 else b"").rjust(22, b"\0")  # %g's exponent form
+        words = [int.from_bytes(text[i:i + 8], "little")
+                 for text in (b"\xff" * low + bytes(24 - low), fixed, tail + bytes(2)) for i in (0, 8, 16)]
+        p5 = 5 ** (16 - k) if k > -12 else 0
+        rows.append([1059 + k, p5 & (2**32 - 1), p5 >> 32, *words[:6], words[8], 8 * lead])
+    n = np.arange(100, dtype=_U64)
+    pairs = (n // _U64(10) + _U64(48)) | ((n - n // _U64(10) * _U64(10) + _U64(48)) << _U64(8))
+    return np.array(rows, dtype=_U64).T.copy(), (pairs[:, None] | (pairs << _U64(16))).ravel()
+
+
+def _format_cells(x: np.ndarray) -> np.ndarray:
+    """``"," + format(v, ".17g")`` of each v in ``x`` in 26 bytes (shape
+    ``x.shape + (26,)``), NUL where there is no character: the comma, the
+    sign and the text, laid out in little-endian words.
+
+    x = m·2^(e-1075) with 10^k <= |x| < 10^(k+1) has the 17 digits
+    d = round_half_even(|x|·10^p) = round(m·5^p / 2^s), p = 16 - k.  Each
+    class of k has 1075 - p, the limbs of 5^p and its text layout.  Values
+    with s out of 1..63 (|x| < 1e-11 or >= 2^52), and those whose k log10
+    misjudged (d not in [10^16, 10^17)), are formatted by ``format``."""
+    classes, quad = _tables()
+    ab = x.view(_U64) & _U64(2**63 - 1)
+    c = np.fmin(np.log10(np.fmax(ab.view(np.float64), 1e-12)) + 12, 27).astype(np.intp)
+    s, p0, p1 = np.take(classes[:3], c, axis=1)
+    m, m1 = ab & _U64(2**32 - 1), ((ab >> _U64(32)) & _U64(2**20 - 1)) | _U64(2**20)  # limbs of m
+    lo = m * p0
+    mid = m * p1 + m1 * p0 + (lo >> _U64(32))
+    hi = m1 * p1 + (mid >> _U64(32))
+    lo = (mid << _U64(32)) | (lo & _U64(2**32 - 1))  # m·5^p = hi·2^64 + lo
+    s -= ab >> _U64(52)  # wraps far out of 1..63 when |x| is out of range
+    r = _U64(64) - s
+    d = (hi << r) | (lo >> s)  # floor(|x|·10^p)
+    ok = ((s - _U64(1)) < _U64(63)) & (d >= _U64(10**16)) | (ab == _U64(0))
+    d += ((lo << r) | (d & _U64(1))) > _U64(2**63)  # ties to even
+    ok &= d < _U64(10**17)
+    del ab, s, p0, p1, m, m1, lo, mid, hi, r
+    # the 17 digit characters: the first, then eight each in two words
+    q = d // _U64(10**8)
+    eights = np.stack([q - q // _U64(10**8) * _U64(10**8), d - q * _U64(10**8)])
+    d = q // _U64(10**8) + _U64(48)
+    fours = eights // _U64(10**4)
+    a, b = quad[fours.view(np.int64)] | (quad[(eights - fours * _U64(10**4)).view(np.int64)] << _U64(32))
+    chars = np.stack([d | (a << _U64(8)), (a >> _U64(56)) | (b << _U64(8)), b >> _U64(56)])
+    del d, q, eights, fours, a, b
+    # the digits after the point move past it; trailing zeros after it go, then the point if bare
+    rows = np.take(classes[3:], c, axis=1)
+    low, t = rows[:3], rows[7]
+    high = chars - (chars & low)
+    text = (chars & low) | rows[3:6] | (high << t)
+    text[1:] |= high[:-1] >> (_U64(64) - t)
+    keep = (text + _U64(0x4F4F4F4F4F4F4F4F)) & _U64(0x8080808080808080)  # digits 1..9
+    for shift in (8, 16, 32):
+        keep |= keep >> _U64(shift)
+    keep[1] |= (keep[2] & _U64(0x80)) * _U64(0x0101010101010101)
+    keep[0] |= (keep[1] & _U64(0x80)) * _U64(0x0101010101010101)
+    text &= (keep >> _U64(7)) * _U64(0xFF) | low
+    text[2] |= rows[6]
+    cells = np.empty(x.shape + (4,), "<u8")
+    cells[..., 0] = (x.view(_U64) >> _U64(63)) * _U64(ord("-") << 56) | _U64(ord(",") << 48)
+    cells[..., 1], cells[..., 2], cells[..., 3] = text
+    if not ok.all():
+        rest = np.nonzero(~ok)
+        text = "".join("\0" * 6 + ",\0" + format(v, ".17g").ljust(24, "\0") for v in x[rest].tolist())
+        cells[rest] = np.frombuffer(text.encode(), "<u8").reshape(-1, 4)
+    return cells.view(np.uint8)[..., 6:]
+
+
 def _write_nodes(path: str | os.PathLike, grid: Grid, blocks: dict[str, np.ndarray]) -> None:
     """Emit one row per node, row-major in i then j: ``i,j,x,y`` and then,
-    per block, its n components as ``prefix_1..prefix_n``."""
-    n = next(iter(blocks.values())).shape[2]
-    vals = np.concatenate(list(blocks.values()), axis=2)
-    row = "%d,%d,%s,%s," + ",".join(["%.17g"] * vals.shape[2]) + "\n"
-    coords = ["%.17g" % x for x in grid.nodes.tolist()]
+    per block, its n components as ``prefix_1..prefix_n``.  A chunk of rows is
+    a table of ``_format_cells`` cells (a newline for the first comma of each
+    row), written without the NULs."""
+    P, n = grid.npoints, next(iter(blocks.values())).shape[2]
+    index, nodes = _format_cells(np.arange(P, dtype=float)), _format_cells(grid.nodes)
+    rows = max(1, _CHUNK_BYTES // (26 * P * (4 + n * len(blocks))))
+    table = np.empty((min(rows, P), P, 4 + n * len(blocks), 26), np.uint8)
+    table[:, :, 0, 0], table[:, :, 1], table[:, :, 3] = ord("\n"), index, nodes
 
     def chunks():
-        yield ",".join(_columns(tuple(blocks), n)) + "\n"
-        for i, x in enumerate(coords):
-            yield "".join(
-                row % (i, j, x, coords[j], *cells) for j, cells in enumerate(vals[i].tolist())
-            )
+        yield ",".join(_columns(tuple(blocks), n))
+        for i0 in range(0, P, rows):
+            m = min(rows, P - i0)
+            table[:m, :, 0, 1:], table[:m, :, 2] = index[i0:i0 + m, None, 1:], nodes[i0:i0 + m, None]
+            for b, values in enumerate(blocks.values()):
+                table[:m, :, 4 + b * n:4 + b * n + n] = _format_cells(values[i0:i0 + m])
+            yield from (text[text != 0] for text in table[:m].reshape(m, -1))
+        yield "\n"
 
     _atomic_write(path, chunks())
 
