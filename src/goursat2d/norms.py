@@ -15,6 +15,11 @@ norms are equivalent with explicit constants,
 
 so convergence estimates proved in one transfer to the other.
 
+On the grid the trapezoid rule weights node (i, j) by w_i w_j e^{−m(x_i + y_j)},
+the outer product a_i a_j of one node vector a_i = w_i e^{−m x_i}.
+``WeightedNorms`` keeps only that vector: no (N+1)² kernel grid is formed and
+nothing is cached, and at m = 0 the vector is the trapezoid weights exactly.
+
 ``verify_lemma31`` checks the workhorse estimate: with g = z_xy and
 J the cumulative double integral,
 
@@ -30,7 +35,6 @@ sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,24 +42,12 @@ from .errors import InvalidWeightError
 from .grid import Grid, GridField, cum2d_array, state_from_g
 
 
-@lru_cache(maxsize=64)
-def _kernel(grid: Grid, m: float) -> np.ndarray:
-    """e^{−m(x_i + y_j)}, read-only.  For m = 0 it is a broadcast view of
-    1.0, which holds no grid-sized memory; above m ≈ 9e307 the exponent
-    overflows to −inf off the origin, and exp(−inf) = 0 is the kernel meant."""
-    if m == 0.0:
-        return np.broadcast_to(1.0, (grid.npoints, grid.npoints))
-    with np.errstate(over="ignore"):
-        k = np.exp(-m * (grid.nodes[:, None] + grid.nodes[None, :]))
-    k.setflags(write=False)
-    return k
-
-
 class WeightedNorms:
-    """Weight kernel e^{−m(x_i + y_j)} and the grid's trapezoid weights,
-    precomputed for one (grid, m) pair."""
+    """Node factors a_i = w_i e^{−m x_i} (trapezoid weight times Bielecki
+    factor) for one (grid, m) pair; node (i, j) weighs a_i a_j.  At large m
+    they underflow to 0 off the origin."""
 
-    __slots__ = ("grid", "m", "kernel", "weights")
+    __slots__ = ("grid", "m", "factors")
 
     def __init__(self, grid: Grid, m: float):
         m = float(m)
@@ -63,8 +55,7 @@ class WeightedNorms:
             raise InvalidWeightError(f"weight exponent must be nonnegative, got {m}")
         self.grid = grid
         self.m = m
-        self.kernel = _kernel(grid, m)
-        self.weights = grid.trapezoid_weights()
+        self.factors = grid.trapezoid_weights() * np.exp(-m * grid.nodes)
 
     def norm(self, f: np.ndarray) -> float:
         """Weighted L² norm of the (P, P, n) values of an R^n-valued field."""
@@ -77,8 +68,8 @@ class WeightedNorms:
         return float(np.sqrt(total))
 
     def _sum_sq(self, f: np.ndarray) -> float:
-        w = self.weights
-        return np.einsum("i,j,ij->", w, w, self.kernel * (f**2).sum(axis=2))
+        s = np.square(f[..., 0]) if f.shape[2] == 1 else np.square(f).sum(axis=2)
+        return np.einsum("i,j,ij->", self.factors, self.factors, s)
 
 
 def weighted_l2_norm(f: GridField, m: float) -> float:

@@ -401,7 +401,9 @@ def estimate_contraction(
         gnorm = wn.norm(g)
         if gnorm == 0.0:
             continue
-        rho = max(rho, wn.norm(lin.apply_array(g) - g) / gnorm)
+        r = lin.apply_array(g)
+        r -= g
+        rho = max(rho, wn.norm(r) / gnorm)
     bound = None
     if d is not None:
         try:

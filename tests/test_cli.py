@@ -519,8 +519,8 @@ class TestVerify:
         ["linsolve", "--n", "17", "--rhs", "1", "--m", "1e308"],
     ], ids=["contraction", "coercivity", "solve", "linsolve"])
     def test_largest_weight_prints_no_overflow_warning(self, argv, tmp_path, capsys):
-        # the weight kernel's exponent overflows to -inf there, as intended;
-        # each call has its own grid, since the kernel of a (grid, m) is cached
+        # the Bielecki factor e^{-m x} underflows to 0 off the origin there,
+        # as intended
         run_cli([*argv, "--builtin", "example46", "--out", str(tmp_path / "big")])
         err = capsys.readouterr().err
         assert not [line for line in err.splitlines() if line.startswith("warning:")]

@@ -56,31 +56,49 @@ class TestWeightedNorm:
         vals = [weighted_l2_norm(f, m) for m in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
-    def test_kernel_properties(self):
-        wn = WeightedNorms(build_grid(8), 3.0)
-        assert wn.kernel[0, 0] == 1.0
-        assert np.all(wn.kernel > 0.0)
-        assert np.all(wn.kernel <= 1.0)
-        wn0 = WeightedNorms(build_grid(8), 0.0)
-        np.testing.assert_array_equal(wn0.kernel, 1.0)
+    def test_factor_properties(self):
+        grid = build_grid(8)
+        w = grid.trapezoid_weights()
+        a = WeightedNorms(grid, 3.0).factors
+        assert a[0] == w[0]
+        assert np.all(a > 0.0)
+        assert np.all(a <= w)
+        np.testing.assert_array_equal(WeightedNorms(grid, 0.0).factors, w)
 
-    def test_classical_kernel_holds_no_grid_array(self):
-        # m = 0: a read-only broadcast of 1.0, and the norm keeps its bits
+    def test_classical_factors_are_the_trapezoid_weights(self):
+        # m = 0: one node vector equal to w, and the norm keeps its bits
         grid = build_grid(12)
         wn = WeightedNorms(grid, 0.0)
-        assert wn.kernel.shape == (13, 13) and wn.kernel.strides == (0, 0)
-        assert not wn.kernel.flags.writeable
-        f = random_smooth_field(grid, 2, np.random.default_rng(3)).values
         w = grid.trapezoid_weights()
+        assert wn.factors.shape == (13,)
+        np.testing.assert_array_equal(wn.factors, w)
+        f = random_smooth_field(grid, 2, np.random.default_rng(3)).values
         full = np.exp(-0.0 * (grid.nodes[:, None] + grid.nodes[None, :]))
         assert wn.norm(f) == float(np.sqrt(np.einsum("i,j,ij->", w, w, full * (f**2).sum(axis=2))))
 
-    def test_kernel_above_the_exponent_overflow_warns_nothing(self):
-        # -m (x + y) overflows to -inf off the origin; exp(-inf) = 0 is the kernel
+    def test_factors_at_the_largest_weight_warn_nothing(self):
+        # e^{-m x} underflows to 0 off the origin; that 0 is the weight meant
+        grid = build_grid(11)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kernel = WeightedNorms(build_grid(11), 1e308).kernel
-        assert kernel[0, 0] == 1.0 and kernel.sum() == 1.0
+            a = WeightedNorms(grid, 1e308).factors
+        assert a[0] == grid.trapezoid_weights()[0] and not a[1:].any()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("m", [0.0, 0.5, 9.0, 1601.0])
+    def test_agrees_with_the_kernel_formula(self, m, n):
+        # the outer product of the node factors is w_i w_j e^{-m(x_i + y_j)}
+        grid = build_grid(32)
+        f = random_smooth_field(grid, n, np.random.default_rng(n)).values
+        w, x = grid.trapezoid_weights(), grid.nodes
+        kernel = np.exp(-m * (x[:, None] + x[None, :]))
+        want = float(np.sqrt(np.einsum("i,j,ij->", w, w, kernel * (f**2).sum(axis=2))))
+        got = WeightedNorms(grid, m).norm(f)
+        assert want > 0.0
+        if m == 0.0:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-15 * want
 
     def test_finite_field_above_square_overflow(self):
         # 1e158² overflows; the norm scales by max|f| instead of returning inf

@@ -20,6 +20,7 @@ from goursat2d import cli
 from goursat2d.errors import EvalFaultError, EvalOverflowError
 from goursat2d.exprlang import eval_dual_on_grid, eval_on_grid
 from goursat2d.grid import GridField, build_grid, row_strips, strip_step
+from goursat2d.norms import WeightedNorms
 from goursat2d.operator import LinearizedOperator, _step, apply_F, make_context
 from goursat2d.problem import (
     XYFunction, builtin_example_4_6, load_problem, manufacture_problem, probe_assumptions,
@@ -424,6 +425,11 @@ class TestAllocations:
     streams the fine grid and peaks at 0.73 fine units (2.67 with the fine
     g* and F(g*) held whole, 6.13 with the g* sample stacked and copied into
     a field), and a whole ``mms --n-list 64,128,256`` at 0.84 (2.70).
+
+    Weighted norms: twenty ``WeightedNorms`` on one N = 64 grid retain 0.005
+    (19.12 while each cached its (P, P) kernel), and one norm of a scalar
+    field peaks at 1.01 units at N = 1024 (2.00 with the kernel product; at
+    N = 64 numpy's einsum buffers for the two node vectors add 2 units).
     """
 
     CELLS = 64
@@ -483,6 +489,25 @@ class TestAllocations:
         ctx = make_context(spec, build_grid(self.CELLS)).with_assumptions(probe_assumptions(spec))
         lin = LinearizedOperator(ctx)
         assert self._peak_units(lambda: choose_weight(ctx, lin)) < 0.1
+
+    def test_weighted_norms_retain_no_grid_array(self):
+        # a --m-list sweep builds one WeightedNorms per weight on one grid
+        grid = build_grid(self.CELLS)
+        WeightedNorms(grid, 0.5)  # warm any first-call allocation
+        tracemalloc.start()
+        try:
+            for m in range(1, 21):
+                WeightedNorms(grid, float(m))
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert self._units(current) < 0.1
+
+    def test_weighted_norm_of_a_scalar_field_allocates_one_grid_array(self):
+        grid = build_grid(self.STRIP_CELLS)
+        wn = WeightedNorms(grid, 3.0)
+        f = np.full((grid.npoints, grid.npoints, 1), 0.3)
+        assert self._peak_units(lambda: wn.norm(f), self.STRIP_CELLS) <= 1.1
 
     def test_manufacture_problem_example46(self):
         spec = builtin_example_4_6()
