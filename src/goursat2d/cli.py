@@ -34,10 +34,7 @@ import numpy as np
 from .errors import EvalFaultError, ExprSyntaxError, Goursat2dError, ParameterError, SchemaError, SolverError
 from .fileio import read_field_csv, read_grid_csv, write_field_csv, write_grid_csv, write_report_json
 from .grid import GridField, build_grid
-from .norms import (
-    LEMMA31_SIDES, WeightedNorms, check_norm_equivalence, classical_l2_norm, verify_lemma31,
-    weighted_l2_norm,
-)
+from .norms import LEMMA31_SIDES, WeightedNorms, check_norm_equivalence, verify_lemma31
 from .operator import LinearizedOperator, OperatorContext, coercivity_probe, make_context
 from .problem import (
     BUILTIN_PROBLEMS,
@@ -359,10 +356,9 @@ def cmd_linsolve(args) -> int:
 
 # -- verify --------------------------------------------------------------------
 
-def _sample_fields(args, grid, n: int, default_samples: int) -> list[GridField]:
+def _sample_fields(args, grid, n: int) -> list[GridField]:
     rng = np.random.default_rng(args.seed)
-    samples = args.samples if args.samples is not None else default_samples
-    return [random_smooth_field(grid, n, rng) for _ in range(samples)]
+    return [random_smooth_field(grid, n, rng) for _ in range(args.samples)]
 
 
 def _sweep(suite: str, fields: list[GridField], m_list, check) -> tuple[bool, GridField | None]:
@@ -398,7 +394,7 @@ def _verdict(args, suite: str, ok: bool, worst: GridField | None) -> int:
 
 def _suite_norms(args) -> int:
     m_list = _parse_list(args.m_list or "0.5,1,2,5", "--m-list")
-    fields = _sample_fields(args, build_grid(args.n), 1, 100)
+    fields = _sample_fields(args, build_grid(args.n), 1)
 
     def check(m):
         reps = [check_norm_equivalence(f, m) for f in fields]
@@ -411,8 +407,7 @@ def _suite_norms(args) -> int:
     ok, worst = _sweep("norms", fields, m_list, check)
 
     # closed form: z = xy has g ≡ 1 and ‖xy‖ at m = 1 equals 1 − e⁻¹
-    g64 = GridField(build_grid(64), np.ones((65, 65, 1)))
-    value = weighted_l2_norm(g64, 1.0)
+    value = WeightedNorms(build_grid(64), 1.0).norm(np.ones((65, 65, 1)))
     expected = 1.0 - math.exp(-1.0)
     spot = abs(value - expected) <= 1e-3 and math.exp(-2.0) <= value <= 1.0
     _emit({"suite": "norms", "check": "xy_closed_form", "m": 1.0, "value": value,
@@ -422,7 +417,7 @@ def _suite_norms(args) -> int:
 
 def _suite_lemma31(args) -> int:
     m_list = _parse_list(args.m_list or "1,5,10,20", "--m-list")
-    fields = _sample_fields(args, build_grid(args.n), 1, 200)
+    fields = _sample_fields(args, build_grid(args.n), 1)
 
     def check(m):
         reps = [verify_lemma31(f, m) for f in fields]
@@ -439,7 +434,7 @@ def _suite_coercivity(args) -> int:
     m_list = (_parse_list(args.m_list, "--m-list") if args.m_list
               else [8.0 * spec.growth_bound + 1.0])
     ctx = make_context(spec, build_grid(args.n))
-    fields = _sample_fields(args, ctx.grid, spec.n, 20)
+    fields = _sample_fields(args, ctx.grid, spec.n)
 
     def check(m):
         rep = coercivity_probe(ctx, fields, m)
@@ -454,8 +449,7 @@ def _suite_coercivity(args) -> int:
 
 def _suite_assumptions(args) -> int:
     spec, _ = _load_spec(args)
-    samples = args.samples if args.samples is not None else 200
-    rep = probe_assumptions(spec, sample_count=samples, seed=args.seed)
+    rep = probe_assumptions(spec, sample_count=args.samples, seed=args.seed)
 
     _emit({"suite": "assumptions", "check": "growth",
            "worst_f1": rep.growth_worst_f1, "worst_f2": rep.growth_worst_f2,
@@ -487,7 +481,6 @@ def _suite_assumptions(args) -> int:
 
 def _suite_contraction(args) -> int:
     spec, solver_doc = _load_spec(args)
-    trials = args.samples if args.samples is not None else 8
     ctx = _probed_context(spec, args.n, 200, args.seed)
 
     if args.m_list:
@@ -504,7 +497,7 @@ def _suite_contraction(args) -> int:
     estimates = []
     for m in m_values:
         # a listed weight wins over --m and the document's m
-        est = estimate_contraction(lin, _config(replace, cfg, m=m), trials=trials, seed=args.seed)
+        est = estimate_contraction(lin, _config(replace, cfg, m=m), trials=args.samples, seed=args.seed)
         estimates.append(est.as_dict())
         _emit({"suite": "contraction", "m": est.m, "rho_hat": est.rho_hat,
                "bound": est.bound, "trials": est.trials, "pass": est.contracting})
@@ -519,35 +512,31 @@ def _suite_contraction(args) -> int:
     return 0
 
 
+#: The verify suites: name -> (function, default --samples, the optional
+#: flags it reads).  A suite that reads --problem needs a problem.
 _SUITES = {
-    "norms": _suite_norms,
-    "lemma31": _suite_lemma31,
-    "coercivity": _suite_coercivity,
-    "assumptions": _suite_assumptions,
-    "contraction": _suite_contraction,
-}
-
-
-#: The verify flags that only some suites read, and the suites that read them.
-_SUITE_FLAGS = {
-    "--m": ("contraction",),
-    "--m-list": ("norms", "lemma31", "coercivity", "contraction"),
-    "--n": ("norms", "lemma31", "coercivity", "contraction"),
-    "--problem": ("coercivity", "assumptions", "contraction"),
-    "--builtin": ("coercivity", "assumptions", "contraction"),
+    "norms": (_suite_norms, 100, ("--m-list", "--n")),
+    "lemma31": (_suite_lemma31, 200, ("--m-list", "--n")),
+    "coercivity": (_suite_coercivity, 20, ("--m-list", "--n", "--problem", "--builtin")),
+    "assumptions": (_suite_assumptions, 200, ("--problem", "--builtin")),
+    "contraction": (_suite_contraction, 8, ("--m", "--m-list", "--n", "--problem", "--builtin")),
 }
 
 
 def cmd_verify(args) -> int:
-    for flag, suites in _SUITE_FLAGS.items():
-        if getattr(args, flag[2:].replace("-", "_")) is not None and args.suite not in suites:
+    run, samples, reads = _SUITES[args.suite]
+    for flag in ("--m", "--m-list", "--n", "--problem", "--builtin"):
+        if getattr(args, flag[2:].replace("-", "_")) is not None and flag not in reads:
+            suites = [name for name, (_, _, flags) in _SUITES.items() if flag in flags]
             raise ParameterError(f"{flag} applies to --suite {', '.join(suites)} only, "
                                  f"not to --suite {args.suite}")
     if args.n is None:
         args.n = 32
-    if args.suite not in ("norms", "lemma31") and args.problem is None and args.builtin is None:
+    if args.samples is None:
+        args.samples = samples
+    if "--problem" in reads and args.problem is None and args.builtin is None:
         raise ParameterError(f"--suite {args.suite} needs --problem or --builtin")
-    return _SUITES[args.suite](args)
+    return run(args)
 
 
 # -- sens ----------------------------------------------------------------------
@@ -616,7 +605,7 @@ def cmd_mms(args) -> int:
         except SolverError as exc:
             _note(f"mms: solve at N={cells} failed: {exc}")
             return 2
-        err = classical_l2_norm(GridField(grid, rep.g.values - zstar.sample(grid).values))
+        err = WeightedNorms(grid, 0.0).norm(rep.g.values - zstar.sample(grid).values)
         errors.append(err)
         rows.append({"cells": cells, "h": grid.h, "error": err,
                      "iterations": rep.iterations, "m": rep.m_used})

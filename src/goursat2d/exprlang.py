@@ -137,25 +137,17 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected trailing input {text!r}", pos)
         return e
 
-    def expr(self) -> Expr:
-        left = self.term()
+    def expr(self, ops: str = "+-") -> Expr:
+        """Operands joined by the operators in ``ops``, folded to the left: a
+        sum of terms, each term (ops "*/") a product of unary operands."""
+        operand = self.unary if ops == "*/" else partial(self.expr, "*/")
+        left = operand()
         while True:
             kind, text, pos = self.peek()
-            if kind == "OP" and text in "+-":
-                self.advance()
-                left = Bin(text, left, self.term(), pos)
-            else:
+            if kind != "OP" or text not in ops:
                 return left
-
-    def term(self) -> Expr:
-        left = self.unary()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "OP" and text in "*/":
-                self.advance()
-                left = Bin(text, left, self.unary(), pos)
-            else:
-                return left
+            self.advance()
+            left = Bin(text, left, operand(), pos)
 
     def unary(self) -> Expr:
         kind, text, pos = self.peek()

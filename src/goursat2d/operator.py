@@ -52,28 +52,24 @@ class OperatorContext:
 
     Holds the spec, the grid, its node coordinates X, Y (the read-only views
     of ``Grid.meshgrid``), the z-independent coefficient matrices A1, A2
-    sampled once per (spec, grid), the record ``nonzero`` of which of A1, A2
-    is not identically zero on the nodes (F and F' skip the term of a zero
-    one, and the z_y that only A2 reads), and the assumption probe report
-    that ``with_assumptions`` attaches (None until then) to a derived context
-    sharing the caches.  Only a nonzero matrix holds grid-sized memory: a
-    zero one is found strip by strip and kept as a read-only broadcast view
-    of one n×n zero matrix.  F and F' do not depend on the weight m, so the
-    context carries none: each solve chooses its m and builds its own
+    sampled once per (spec, grid) as ``a1_nodes``, ``a2_nodes``, and the
+    assumption probe report that ``with_assumptions`` attaches (None until
+    then) to a derived context sharing the caches.  A matrix that is zero at
+    every node is stored as None, found strip by strip, so only a nonzero
+    matrix holds grid-sized memory; F and F' skip the term of a None one (and
+    the z_y that only A2 reads).  F and F' do not depend on the weight m, so
+    the context carries none: each solve chooses its m and builds its own
     ``WeightedNorms``.
     """
 
-    __slots__ = ("spec", "grid", "assumptions", "X", "Y", "a1_nodes", "a2_nodes", "nonzero")
+    __slots__ = ("spec", "grid", "assumptions", "X", "Y", "a1_nodes", "a2_nodes")
 
     def __init__(self, spec: ProblemSpec, grid: Grid):
         self.spec = spec
         self.grid = grid
         self.X, self.Y = grid.meshgrid()
-        a1, a2 = (_coefficient(a, self.X, self.Y, spec.n) for a in (spec.a1, spec.a2))
-        self.nonzero = (a1 is not None, a2 is not None)
-        zero = np.broadcast_to(np.zeros((spec.n, spec.n)), self.X.shape + (spec.n, spec.n))
-        self.a1_nodes = zero if a1 is None else a1
-        self.a2_nodes = zero if a2 is None else a2
+        self.a1_nodes, self.a2_nodes = (_coefficient(a, self.X, self.Y, spec.n)
+                                        for a in (spec.a1, spec.a2))
         self.assumptions = None
 
     def with_assumptions(self, report: AssumptionReport) -> "OperatorContext":
@@ -105,8 +101,9 @@ def make_context(spec: ProblemSpec, grid: Grid) -> OperatorContext:
 
 def _coefficient(mat, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray | None:
     """An n×n expression matrix sampled at the nodes, or None when it is zero
-    at every node (by value: ``x - x`` is zero too).  The zero test runs strip
-    by strip, so only a nonzero matrix is ever held whole."""
+    at every node (by value: ``x - x`` is zero too); the context stores the
+    None as it is.  The zero test runs strip by strip, so only a nonzero
+    matrix is ever held whole."""
     def run(strips):
         if not any(_matrix_values(mat, X[s], Y[s], n).any() for s in strips):
             return None
@@ -127,17 +124,17 @@ def _step(ctx: OperatorContext, g: np.ndarray, rows: slice, carry, pointwise, ou
     """``grid.strip_step`` of (g + local) + J((inner + A1 zx) + A2 zy), in this
     order of additions and without the term of a zero A, on the strip
     ``rows`` of g, where ``(local, inner) = pointwise(rows, z)``."""
-    a1, a2 = ctx.nonzero
+    a1, a2 = ctx.a1_nodes, ctx.a2_nodes
 
     def terms(z, zx, zy):
         local, inner = pointwise(rows, z)
-        if a1:
-            inner += _matvec(ctx.a1_nodes[rows], zx)
-        if a2:
-            inner += _matvec(ctx.a2_nodes[rows], zy)
+        if a1 is not None:
+            inner += _matvec(a1[rows], zx)
+        if a2 is not None:
+            inner += _matvec(a2[rows], zy)
         return local, inner
 
-    return strip_step(g, carry, ctx.grid.h, terms, zy=a2, out=out)
+    return strip_step(g, carry, ctx.grid.h, terms, zy=a2 is not None, out=out)
 
 
 def _assemble(ctx: OperatorContext, g: np.ndarray, pointwise) -> np.ndarray:

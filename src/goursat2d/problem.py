@@ -507,10 +507,13 @@ def probe_assumptions(
                 jac[:, i, :] = d
                 kink_any = kink_any or kinked
             fmag = np.linalg.norm(vals, axis=1)
-            # B near the float maximum overflows the bound to inf, which allows anything
+            # B near the float maximum overflows the bound to inf, which allows
+            # anything; a nonzero f where the bound is 0 is the largest finite
+            # ratio (report JSON holds no inf)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 allowed = B * znorm + b_vals
-                ratios = np.where(fmag == 0.0, 0.0, fmag / np.where(allowed == 0.0, np.inf, allowed))
+                ratios = np.where(fmag == 0.0, 0.0,
+                                  np.where(allowed == 0.0, sys.float_info.max, fmag / allowed))
             growth_worst[which] = max(growth_worst[which], float(ratios.max()))
             jac_sup = max(jac_sup, _spectral_sup(jac))
         m_rho.append((rho, jac_sup))

@@ -254,44 +254,35 @@ def _iterate(
     trace: list[IterationRecord] = []
     bad_streak = 0
     g_next = g
-    for k in range(1, max_iter + 1):
-        try:
+    try:
+        for k in range(1, max_iter + 1):
             r_next = residual(g_next)
-        except EvalOverflowError as exc:
-            error = _overflow(method, k, exc)
-            break
-        rnorm = wn.norm(r_next)
-        if not math.isfinite(rnorm):
-            error = _overflow(method, k, f"weighted residual {rnorm}")
-            break
-        g, r = g_next, r_next
-        prev = trace[-1].residual if trace else 0.0
-        ratio = rnorm / prev if prev else None
-        trace.append(IterationRecord(iteration=k, residual=rnorm, ratio=ratio))
-        if rnorm <= tol:
-            return _report(wn, method, g, r, trace, converged=True)
-        bad_streak = bad_streak + 1 if ratio is not None and ratio >= 1.0 else 0
-        if patience and bad_streak >= _DIVERGENCE_PATIENCE:
-            error = DivergenceError(
-                f"residual not contracting for {bad_streak} consecutive "
-                f"iterations (last ratio {ratio:.3g}); the weighted norm "
-                f"needs a larger m (contraction requires m > 2*sqrt(d))"
-            )
-            break
-        if k == max_iter:
-            error = NoConvergenceError(
-                f"no convergence within {max_iter} {method} iterations "
-                f"(last weighted residual {rnorm:.3g} > tol {tol:g})"
-            )
-            break
-        try:
+            rnorm = wn.norm(r_next)
+            if not math.isfinite(rnorm):
+                raise _overflow(method, k, f"weighted residual {rnorm}")
+            g, r = g_next, r_next
+            prev = trace[-1].residual if trace else 0.0
+            ratio = rnorm / prev if prev else None
+            trace.append(IterationRecord(iteration=k, residual=rnorm, ratio=ratio))
+            if rnorm <= tol:
+                return _report(wn, method, g, r, trace, converged=True)
+            bad_streak = bad_streak + 1 if ratio is not None and ratio >= 1.0 else 0
+            if patience and bad_streak >= _DIVERGENCE_PATIENCE:
+                raise DivergenceError(
+                    f"residual not contracting for {bad_streak} consecutive "
+                    f"iterations (last ratio {ratio:.3g}); the weighted norm "
+                    f"needs a larger m (contraction requires m > 2*sqrt(d))"
+                )
+            if k == max_iter:
+                raise NoConvergenceError(
+                    f"no convergence within {max_iter} {method} iterations "
+                    f"(last weighted residual {rnorm:.3g} > tol {tol:g})"
+                )
             g_next = step(g, r, rnorm)
-        except EvalOverflowError as exc:
-            error = _overflow(method, k, exc)
-            break
-        except SolverError as exc:
-            error = exc
-            break
+    except EvalOverflowError as exc:
+        error = _overflow(method, k, exc)
+    except SolverError as exc:
+        error = exc
     if trace:
         error.report = _report(wn, method, g, r, trace, converged=False)
     raise error

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -483,6 +484,40 @@ class TestVerify:
         # the failing probe is serialized for replay
         replay = read_report_json(summary["fail_artifact"])
         assert replay["growth_ok"] is False
+
+    def test_assumptions_suite_flags_f_where_the_bound_is_zero(self, tmp_path, capsys):
+        # B = 0 and b = x bound f by 0 on the line x = 0, where f1 is y: 1 at
+        # the sampled corner (0, 1)
+        path = tmp_path / "corner.json"
+        path.write_text(json.dumps({
+            "meta": {"n": 1, "B": 0, "b": "x"},
+            "functions": {"f1": ["y * exp(-1000000 * x)"], "f2": ["0"]},
+            "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+        }))
+        out = tmp_path / "probe"
+        code = run_cli(["verify", "--suite", "assumptions",
+                        "--problem", str(path), "--out", str(out)])
+        assert code == 3
+        lines = stdout_lines(capsys)
+        assert lines[0]["check"] == "growth" and lines[0]["pass"] is False
+        assert lines[0]["worst_f1"] == sys.float_info.max
+        assert lines[-1]["failed_checks"] == ["growth"]
+        replay = read_report_json(lines[-1]["fail_artifact"])
+        assert replay["growth_worst_f1"] == sys.float_info.max
+        # the default 200 samples plus the 20 extreme points of n = 1
+        assert replay["samples"] == 220
+
+    @pytest.mark.parametrize("argv,key,count", [
+        (["--suite", "norms", "--m-list", "1"], "samples", 100),
+        (["--suite", "lemma31", "--m-list", "1"], "samples", 200),
+        (["--suite", "coercivity", "--builtin", "example46"], "samples", 20),
+        (["--suite", "contraction", "--builtin", "example46"], "trials", 8),
+    ], ids=["norms", "lemma31", "coercivity", "contraction"])
+    def test_suite_default_sample_count(self, argv, key, count, tmp_path, capsys):
+        code = run_cli(["verify", *argv, "--n", "8", "--out", str(tmp_path / "run")])
+        assert code == 0
+        lines = [line for line in stdout_lines(capsys) if key in line]
+        assert lines and all(line[key] == count for line in lines)
 
     def test_contraction_suite_with_chosen_weight(self, capsys):
         code = run_cli(["verify", "--suite", "contraction", "--builtin", "example46",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -306,6 +307,25 @@ class TestProbeAssumptions:
         assert rep.m_rho[2][0] == 4.0
         assert not rep.growth_ok
         assert not rep.passed
+
+    def test_nonzero_f_where_the_bound_is_zero_is_a_violation(self):
+        # B = 0 and b = x bound f by 0 on the line x = 0, where f1 is y: 1 at
+        # the sampled corner (0, 1), and 0 in floating point at every x > 0 sampled
+        doc = minimal_doc(meta={"n": 1, "B": 0, "b": "x"},
+                          functions={"f1": ["y * exp(-1000000 * x)"], "f2": ["0"]})
+        rep = probe_assumptions(load_problem(doc))
+        assert rep.growth_worst_f1 == sys.float_info.max
+        assert rep.growth_worst_f2 == 0.0
+        assert not rep.growth_ok
+        assert not rep.passed
+
+    def test_a_bound_that_overflows_allows_anything(self):
+        # B·|z| overflows to inf at the larger radii: inf bounds every f
+        doc = minimal_doc(meta={"n": 1, "B": sys.float_info.max, "b": "0"},
+                          functions={"f1": ["1e150 * z1"], "f2": ["0"]})
+        rep = probe_assumptions(load_problem(doc), sample_count=50)
+        assert rep.growth_worst_f1 == pytest.approx(1e150 / sys.float_info.max)
+        assert rep.growth_ok
 
     def test_wrong_spatial_derivative_flagged(self):
         doc = minimal_doc()
