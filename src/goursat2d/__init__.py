@@ -17,16 +17,11 @@ from .errors import (
     EvalOverflowError,
     ExprSyntaxError,
     Goursat2dError,
-    InvalidResolutionError,
-    InvalidWeightError,
-    MissingProbeError,
     NoConvergenceError,
     ParameterError,
     SchemaError,
-    ShapeError,
     SolverError,
     StagnationError,
-    ThresholdError,
 )
 from .exprlang import parse
 from .fileio import (
@@ -43,9 +38,7 @@ from .norms import (
     NormEquivalenceReport,
     WeightedNorms,
     check_norm_equivalence,
-    classical_l2_norm,
     verify_lemma31,
-    weighted_l2_norm,
 )
 from .operator import (
     CoercivityReport,
@@ -98,10 +91,7 @@ __all__ = [
     "Goursat2dError",
     "Grid",
     "GridField",
-    "InvalidResolutionError",
-    "InvalidWeightError",
     "Lemma31Report",
-    "MissingProbeError",
     "NoConvergenceError",
     "NormEquivalenceReport",
     "OperatorContext",
@@ -109,12 +99,10 @@ __all__ = [
     "ProblemSpec",
     "SchemaError",
     "SensitivityReport",
-    "ShapeError",
     "SolveReport",
     "SolverConfig",
     "SolverError",
     "StagnationError",
-    "ThresholdError",
     "WeightChoice",
     "WeightedNorms",
     "XYFunction",
@@ -123,7 +111,6 @@ __all__ = [
     "builtin_example_4_6",
     "check_norm_equivalence",
     "choose_weight",
-    "classical_l2_norm",
     "coercivity_probe",
     "estimate_contraction",
     "frechet_apply",
@@ -141,7 +128,6 @@ __all__ = [
     "stability_probe",
     "validate_frechet",
     "verify_lemma31",
-    "weighted_l2_norm",
     "write_field_csv",
     "write_grid_csv",
     "write_report_json",

@@ -219,10 +219,7 @@ def _rhs_field(spec: ProblemSpec, args, grid) -> GridField:
     override = getattr(args, "rhs", None)
     if override is not None:
         return _field(override, grid, spec.n, "--rhs")
-    try:
-        return spec.sample_rhs(grid)
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
+    return spec.sample_rhs(grid)
 
 
 def _probe(spec: ProblemSpec, samples: int, seed: int):

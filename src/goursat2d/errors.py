@@ -1,8 +1,9 @@
 """Exception hierarchy for the goursat2d package.
 
 All library errors derive from :class:`Goursat2dError` so callers can catch
-one base class.  Errors raised while evaluating user expressions carry the
-byte offset of the offending AST node and, when available, the grid
+one base class.  Every bad argument raises :class:`ParameterError`, which is
+also a ``ValueError``.  Errors raised while evaluating user expressions carry
+the byte offset of the offending AST node and, when available, the grid
 coordinates of the sample that faulted.
 """
 
@@ -11,22 +12,6 @@ from __future__ import annotations
 
 class Goursat2dError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class InvalidResolutionError(Goursat2dError):
-    """Grid resolution below the supported minimum."""
-
-
-class ShapeError(Goursat2dError):
-    """Fields on different grids or with different state dimensions."""
-
-
-class InvalidWeightError(Goursat2dError):
-    """Negative (or, where positivity is required, nonpositive) norm weight."""
-
-
-class ThresholdError(Goursat2dError):
-    """A weight below the threshold a probe requires (e.g. m <= 8B)."""
 
 
 class ExprSyntaxError(Goursat2dError):
@@ -78,12 +63,9 @@ class SchemaError(Goursat2dError):
         self.path = path
 
 
-class ParameterError(Goursat2dError):
-    """An argument or command-line setting outside its valid values."""
-
-
-class MissingProbeError(Goursat2dError):
-    """Automatic weight selection requested before probing assumptions."""
+class ParameterError(Goursat2dError, ValueError):
+    """An argument or command-line setting outside its valid values (a grid
+    below 2 cells, a field from another grid, a negative weight, ...)."""
 
 
 class SolverError(Goursat2dError):

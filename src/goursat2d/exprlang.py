@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import EvalFaultError, EvalOverflowError, ExprSyntaxError
+from .errors import EvalFaultError, EvalOverflowError, ExprSyntaxError, ParameterError
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "atan")
 
@@ -199,7 +199,7 @@ def parse(source: str, n: int) -> Expr:
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", 0)
     if n < 1:
-        raise ValueError(f"state dimension must be >= 1, got {n}")
+        raise ParameterError(f"state dimension must be >= 1, got {n}")
     return _Parser(source, n).parse()
 
 

@@ -41,7 +41,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import EvalFaultError, InvalidResolutionError, ShapeError
+from .errors import EvalFaultError, ParameterError
 
 
 class Grid:
@@ -57,10 +57,10 @@ class Grid:
 
     def __init__(self, cells: int):
         if not isinstance(cells, numbers.Integral) or isinstance(cells, bool):
-            raise InvalidResolutionError(f"grid cells must be an integer, got {cells!r}")
+            raise ParameterError(f"grid cells must be an integer, got {cells!r}")
         cells = int(cells)
         if cells < 2:
-            raise InvalidResolutionError(f"grid needs at least 2 cells per axis, got {cells}")
+            raise ParameterError(f"grid needs at least 2 cells per axis, got {cells}")
         self.cells = cells
         self.h = 1.0 / cells
         nodes = np.arange(cells + 1, dtype=float) / cells
@@ -117,12 +117,10 @@ class GridField:
         values = np.array(values, dtype=float, copy=True)
         p = grid.npoints
         if values.ndim != 3 or values.shape[0] != p or values.shape[1] != p or values.shape[2] < 1:
-            raise ShapeError(
-                f"field values must have shape ({p}, {p}, n), got {values.shape}"
-            )
+            raise ParameterError(f"field values must have shape ({p}, {p}, n), got {values.shape}")
         if not np.isfinite(values).all():
             bad = np.argwhere(~np.isfinite(values))[0]
-            raise ValueError(
+            raise ParameterError(
                 f"non-finite field value at node (i={bad[0]}, j={bad[1]}), component {bad[2]}"
             )
         values.setflags(write=False)

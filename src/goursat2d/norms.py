@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidWeightError
+from .errors import ParameterError
 from .grid import Grid, GridField, cum2d_array, state_from_g
 
 
@@ -52,7 +52,7 @@ class WeightedNorms:
     def __init__(self, grid: Grid, m: float):
         m = float(m)
         if m < 0:
-            raise InvalidWeightError(f"weight exponent must be nonnegative, got {m}")
+            raise ParameterError(f"weight exponent must be nonnegative, got {m}")
         self.grid = grid
         self.m = m
         self.factors = grid.trapezoid_weights() * np.exp(-m * grid.nodes)
@@ -72,16 +72,6 @@ class WeightedNorms:
         return np.einsum("i,j,ij->", self.factors, self.factors, s)
 
 
-def weighted_l2_norm(f: GridField, m: float) -> float:
-    """‖f‖_{L²_m} = (∫∫ e^{−m(x+y)} |f|²)^{1/2}; m = 0 is the plain L² norm."""
-    return WeightedNorms(f.grid, m).norm(f.values)
-
-
-def classical_l2_norm(f: GridField) -> float:
-    """Unweighted L²(Q) norm."""
-    return weighted_l2_norm(f, 0.0)
-
-
 @dataclass(frozen=True)
 class NormEquivalenceReport:
     """The two-sided comparison e^{−2m}‖z‖ ≤ ‖z‖_m ≤ ‖z‖ for one field."""
@@ -96,8 +86,8 @@ class NormEquivalenceReport:
 
 def check_norm_equivalence(g: GridField, m: float) -> NormEquivalenceReport:
     """Evaluate both equivalence inequalities for the state with g = z_xy."""
-    upper = classical_l2_norm(g)
-    weighted = weighted_l2_norm(g, m)
+    upper = WeightedNorms(g.grid, 0.0).norm(g.values)
+    weighted = WeightedNorms(g.grid, m).norm(g.values)
     lower = np.exp(-2.0 * m) * upper
     tol = 1e-12 * max(1.0, upper)
     passed = (lower <= weighted + tol) and (weighted <= upper + tol)
@@ -138,14 +128,14 @@ def verify_lemma31(g: GridField, m: float) -> Lemma31Report:
     quadrature error; the continuum inequalities are strict).
     """
     if m <= 0:
-        raise InvalidWeightError(f"the smallness estimates need m > 0, got {m}")
+        raise ParameterError(f"the smallness estimates need m > 0, got {m}")
     h = g.grid.h
     z, zx, zy = state_from_g(g.values, h)
     norms = WeightedNorms(g.grid, m)
     magnitudes = (np.sqrt((f**2).sum(axis=2, keepdims=True)) for f in (z, zx, zy))
     sides = (norms.norm(z), *(norms.norm(cum2d_array(a, h)) for a in magnitudes))
     bound = (2.0 / m) * norms.norm(g.values)
-    tol = 10.0 * h**2 * classical_l2_norm(g)
+    tol = 10.0 * h**2 * WeightedNorms(g.grid, 0.0).norm(g.values)
     margins = tuple(bound - s for s in sides)
     flags = tuple(mg >= -tol for mg in margins)
     return Lemma31Report(

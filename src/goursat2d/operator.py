@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ThresholdError
+from .errors import ParameterError
 from .grid import Grid, GridField, in_strips, strip_step
 from .norms import WeightedNorms
 from .exprlang import eval_dual_on_grid, eval_on_grid
@@ -78,13 +78,13 @@ class OperatorContext:
         return out
 
     def check_field(self, f: GridField | OperatorContext, what: str = "field") -> None:
-        """Raise ShapeError unless ``f`` (a field, or an operator's context)
+        """Raise ParameterError unless ``f`` (a field, or an operator's context)
         has this grid and this n."""
         n = f.n if isinstance(f, GridField) else f.spec.n
         if f.grid != self.grid:
-            raise ShapeError(f"{what} on {f.grid} does not match context grid {self.grid}")
+            raise ParameterError(f"{what} on {f.grid} does not match context grid {self.grid}")
         if n != self.spec.n:
-            raise ShapeError(f"{what} has {n} components, problem has {self.spec.n}")
+            raise ParameterError(f"{what} has {n} components, problem has {self.spec.n}")
 
     def _f_terms(self, rows: slice, z: np.ndarray):
         """F's pointwise terms (f1, f2) at the state z on the strip ``rows``."""
@@ -253,11 +253,9 @@ def coercivity_probe(
     """
     B = ctx.spec.growth_bound
     if m <= 8.0 * B:
-        raise ThresholdError(
-            f"coercivity bound needs m > 8B = {8.0 * B:g}, got m = {m:g}"
-        )
+        raise ParameterError(f"coercivity bound needs m > 8B = {8.0 * B:g}, got m = {m:g}")
     if not g_samples:
-        raise ValueError("need at least one sample field")
+        raise ParameterError("need at least one sample field")
     norms = WeightedNorms(ctx.grid, m)
     X, Y = ctx.X, ctx.Y
     b_vals = eval_on_grid(ctx.spec.majorant, X, Y, _zero_state(X.shape, ctx.spec.n))

@@ -77,7 +77,7 @@ class XYFunction:
     def __post_init__(self):
         for k, e in enumerate(self.exprs):
             if free_z_indices(e):
-                raise ValueError(
+                raise ParameterError(
                     f"component {k} references z-variables; expected a function of x, y only"
                 )
 
@@ -104,11 +104,11 @@ ExprMatrix = tuple[tuple[Expr, ...], ...]
 
 def _check_matrix(name: str, mat: ExprMatrix, n: int) -> None:
     if len(mat) != n or any(len(row) != n for row in mat):
-        raise ValueError(f"{name} must be an {n}x{n} expression matrix")
+        raise ParameterError(f"{name} must be an {n}x{n} expression matrix")
     for i, row in enumerate(mat):
         for j, e in enumerate(row):
             if free_z_indices(e):
-                raise ValueError(f"{name}[{i}][{j}] may not reference z-variables")
+                raise ParameterError(f"{name}[{i}][{j}] may not reference z-variables")
 
 
 @dataclass(frozen=True)
@@ -137,26 +137,26 @@ class ProblemSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"state dimension must be >= 1, got {self.n}")
+            raise ParameterError(f"state dimension must be >= 1, got {self.n}")
         if len(self.f1) != self.n or len(self.f2) != self.n:
-            raise ValueError(f"f1 and f2 need exactly {self.n} component expressions")
+            raise ParameterError(f"f1 and f2 need exactly {self.n} component expressions")
         for name, mat in (("A1", self.a1), ("A2", self.a2), ("A1x", self.a1x), ("A2y", self.a2y)):
             _check_matrix(name, mat, self.n)
         if not (self.growth_bound >= 0.0) or not math.isfinite(self.growth_bound):
-            raise ValueError(f"growth bound B must be finite and >= 0, got {self.growth_bound}")
+            raise ParameterError(f"growth bound B must be finite and >= 0, got {self.growth_bound}")
         if free_z_indices(self.majorant):
-            raise ValueError("the majorant b must be a function of x, y only")
+            raise ParameterError("the majorant b must be a function of x, y only")
         if self.rhs is not None and self.rhs.n != self.n:
-            raise ValueError(f"rhs has {self.rhs.n} components, problem has {self.n}")
+            raise ParameterError(f"rhs has {self.rhs.n} components, problem has {self.n}")
 
     def sample_rhs(self, grid: Grid) -> GridField:
         """The right-hand side as a field on ``grid``."""
         if self.rhs is None:
-            raise ValueError("problem has no right-hand side (manufacture one or set rhs)")
+            raise ParameterError("problem has no right-hand side (manufacture one or set rhs)")
         if isinstance(self.rhs, XYFunction):
             return self.rhs.sample(grid)
         if self.rhs.grid != grid:
-            raise ValueError(
+            raise ParameterError(
                 f"rhs field lives on {self.rhs.grid}, requested {grid}; "
                 "re-run with a matching resolution"
             )
@@ -506,14 +506,19 @@ def probe_assumptions(
                 vals[:, i] = v
                 jac[:, i, :] = d
                 kink_any = kink_any or kinked
-            fmag = np.linalg.norm(vals, axis=1)
             # B near the float maximum overflows the bound to inf, which allows
-            # anything; a nonzero f where the bound is 0 is the largest finite
-            # ratio (report JSON holds no inf)
+            # anything; a nonzero f where the bound is 0, and a ratio that
+            # overflows, read as the largest finite ratio (report JSON holds no inf)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                fmag = np.linalg.norm(vals, axis=1)
+                big = np.isinf(fmag)  # finite f above ~1e154 overflows the squares
+                if big.any():
+                    top = np.abs(vals[big]).max(axis=1)
+                    fmag[big] = top * np.linalg.norm(vals[big] / top[:, None], axis=1)
                 allowed = B * znorm + b_vals
                 ratios = np.where(fmag == 0.0, 0.0,
-                                  np.where(allowed == 0.0, sys.float_info.max, fmag / allowed))
+                                  np.where(allowed == 0.0, sys.float_info.max,
+                                           np.minimum(fmag / allowed, sys.float_info.max)))
             growth_worst[which] = max(growth_worst[which], float(ratios.max()))
             jac_sup = max(jac_sup, _spectral_sup(jac))
         m_rho.append((rho, jac_sup))
@@ -587,7 +592,7 @@ def manufacture_problem(
     if refine < 1:
         raise ParameterError(f"refine must be >= 1, got {refine}")
     if zstar_g.n != base.n:
-        raise ValueError(f"z* has {zstar_g.n} components, problem has {base.n}")
+        raise ParameterError(f"z* has {zstar_g.n} components, problem has {base.n}")
     ctx = make_context(base, build_grid(grid.cells * refine))
     X, Y = ctx.X, ctx.Y
 

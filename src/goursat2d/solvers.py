@@ -48,9 +48,8 @@ import numpy as np
 from .errors import (
     DivergenceError,
     EvalOverflowError,
-    InvalidWeightError,
-    MissingProbeError,
     NoConvergenceError,
+    ParameterError,
     SolverError,
     StagnationError,
 )
@@ -87,11 +86,11 @@ class SolverConfig:
             _check_positive_real("weight m", self.m)
         _check_positive_real("tol", self.tol)
         if not isinstance(self.max_iter, numbers.Integral) or isinstance(self.max_iter, bool):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
+            raise ParameterError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.method not in ("picard", "newton"):
-            raise ValueError(f"method must be 'picard' or 'newton', got {self.method!r}")
+            raise ParameterError(f"method must be 'picard' or 'newton', got {self.method!r}")
 
     @classmethod
     def from_settings(cls, settings: dict) -> SolverConfig:
@@ -101,16 +100,16 @@ class SolverConfig:
         m = settings.get("m")
         if isinstance(m, str):
             if m.strip().lower() != "auto":
-                raise ValueError(f"weight m must be 'auto' or a real number, got {m!r}")
+                raise ParameterError(f"weight m must be 'auto' or a real number, got {m!r}")
             settings = {**settings, "m": None}
         return cls(**settings)
 
 
 def _check_positive_real(name: str, value) -> None:
     if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        raise ParameterError(f"{name} must be a finite real number, got {value!r}")
     if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+        raise ParameterError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,7 @@ def choose_weight(ctx: OperatorContext, at: LinearizedOperator | None = None) ->
     the context.
     """
     if ctx.assumptions is None:
-        raise MissingProbeError(
+        raise ParameterError(
             "choose_weight needs an assumption probe; build the context with "
             "probe_assumptions(...) attached (with_assumptions)"
         )
@@ -186,7 +185,7 @@ def choose_weight(ctx: OperatorContext, at: LinearizedOperator | None = None) ->
     d, rho, m_rho = _kernel_numbers(ctx, 0.0 if at is None else at.z_sup)
     m = max(8.0 * B, 2.0 * math.sqrt(d)) + 1.0
     if not math.isfinite(m):
-        raise InvalidWeightError(
+        raise ParameterError(
             f"no finite weight m = max(8B, 2*sqrt(d)) + 1 for B = {B:g} and d = {d:g}"
         )
     return WeightChoice(
@@ -381,7 +380,7 @@ def estimate_contraction(
     pairs.  Deterministic for a given seed.
     """
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise ParameterError(f"trials must be >= 1, got {trials}")
     ctx = lin.ctx
     m, d = _weight_at(lin, cfg)
     wn = WeightedNorms(ctx.grid, m)

@@ -19,8 +19,8 @@ import time
 import numpy as np
 
 from goursat2d.cli import main as cli_main
-from goursat2d.grid import GridField, build_grid
-from goursat2d.norms import check_norm_equivalence, classical_l2_norm, verify_lemma31, weighted_l2_norm
+from goursat2d.grid import build_grid
+from goursat2d.norms import WeightedNorms, check_norm_equivalence, verify_lemma31
 from goursat2d.operator import LinearizedOperator, coercivity_probe, make_context
 from goursat2d.problem import (
     BUILTIN_PROBLEMS,
@@ -103,8 +103,7 @@ def test_02_norm_equivalence():
     fields = [random_smooth_field(grid, 1, rng) for _ in range(100)]
     ok = all(check_norm_equivalence(f, m).passed
              for m in (0.5, 1.0, 2.0, 5.0) for f in fields)
-    g64 = GridField(build_grid(64), np.ones((65, 65, 1)))  # g = 1 <=> z = xy
-    value = weighted_l2_norm(g64, 1.0)
+    value = WeightedNorms(build_grid(64), 1.0).norm(np.ones((65, 65, 1)))  # g = 1 <=> z = xy
     expected = 1.0 - math.exp(-1.0)
     spot = abs(value - expected) <= 1e-3
     check(2, "norm-equivalence", ok and spot,
@@ -184,7 +183,7 @@ def test_05_linearized_vs_dense():
 
     ctx = probed_context(spec, 16)
     rep = solve_linearized(LinearizedOperator(ctx), v, SolverConfig(m=9.0, tol=1e-13))
-    gap = classical_l2_norm(GridField(grid, rep.g.values - g_dense))
+    gap = WeightedNorms(grid, 0.0).norm(rep.g.values - g_dense)
     check(5, "linearized-vs-dense", gap <= 1e-8, f"gap {gap:.3e}")
 
 
@@ -205,8 +204,7 @@ def test_06_manufactured_convergence():
             mspec = manufacture_problem(spec, gstar, grid, refine=4)
             ctx = make_context(mspec, grid).with_assumptions(probe)
             rep = solve(ctx, mspec.sample_rhs(grid), SolverConfig(tol=1e-11))
-            error = GridField(grid, rep.g.values - gstar.sample(grid).values)
-            errors.append(classical_l2_norm(error))
+            errors.append(WeightedNorms(grid, 0.0).norm(rep.g.values - gstar.sample(grid).values))
         if name == "zero":
             ok = ok and max(errors) <= 1e-12
             details.append(f"zero max err {max(errors):.2e}")
@@ -228,8 +226,8 @@ def test_07_uniqueness():
     rng = np.random.default_rng(707)
     solutions = [solve(ctx, v, cfg, g0=random_smooth_field(ctx.grid, 1, rng)).g
                  for _ in range(5)]
-    spread = max(weighted_l2_norm(GridField(ctx.grid, g.values - solutions[0].values), m)
-                 for g in solutions[1:])
+    wn = WeightedNorms(ctx.grid, m)
+    spread = max(wn.norm(g.values - solutions[0].values) for g in solutions[1:])
     check(7, "uniqueness", spread <= 10.0 * cfg.tol,
           f"max weighted spread {spread:.3e} vs {10.0 * cfg.tol:.1e}")
 

@@ -20,7 +20,7 @@ from goursat2d.errors import Goursat2dError, SolverError
 from goursat2d.fileio import (
     read_field_csv, read_grid_csv, read_report_json, write_field_csv, write_grid_csv,
 )
-from goursat2d.norms import classical_l2_norm, weighted_l2_norm
+from goursat2d.norms import WeightedNorms
 from goursat2d.operator import LinearizedOperator, apply_F, coercivity_probe, make_context
 from goursat2d.problem import BUILTIN_PROBLEMS, DEFAULT_SEED, XYFunction, load_problem
 from goursat2d.grid import GridField, build_grid, reconstruct_state
@@ -105,6 +105,14 @@ CUBIC_DOC = {
     "label": "cubic",
 }
 
+# |f1| = 1e300|z|: finite, but its square overflows; the growth ratio peaks at
+# 1e300 * 4 / (4 + 1) at the probe radius 4
+HUGE_F_DOC = {
+    "meta": {"n": 1, "B": 1, "b": "1"},
+    "functions": {"f1": ["1e300*z1"], "f2": ["0"]},
+    "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+}
+
 
 @pytest.fixture
 def linear_doc(tmp_path):
@@ -134,6 +142,18 @@ class TestSolve:
         report = read_report_json(f"{out}.report.json")
         assert report["result"]["converged"] is True
         assert report["result"]["iterations"] == 1
+
+    def test_overflowing_growth_ratio_still_writes_the_report(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(HUGE_F_DOC))
+        out = tmp_path / "run"
+        code = run_cli(["solve", "--problem", str(path), "--n", "4", "--rhs", "0",
+                        "--m", "5", "--out", str(out)])
+        assert code == 0
+        assert "note: assumption probe found violations" in capsys.readouterr().err
+        report = read_report_json(f"{out}.report.json")
+        assert report["assumptions"]["growth_worst_f1"] == pytest.approx(8e299, rel=1e-12)
+        assert report["assumptions"]["growth_ok"] is False
 
     def test_problem_document_with_solver_section(self, tmp_path):
         doc = dict(LINEAR_MEMORY_DOC)
@@ -196,11 +216,12 @@ class TestSolve:
         v = spec.rhs  # builtin has no rhs; sample the same expression
         from goursat2d.problem import XYFunction
         v = XYFunction.from_sources("x + y").sample(ctx.grid)
-        r = GridField(ctx.grid, apply_F(ctx, g.values) - v.values)
+        r = apply_F(ctx, g.values) - v.values
         scale = max(report["result"]["residual_classical"], 1e-300)
-        assert abs(classical_l2_norm(r) - report["result"]["residual_classical"]) / scale <= 1e-12
+        classical = WeightedNorms(ctx.grid, 0.0).norm(r)
+        assert abs(classical - report["result"]["residual_classical"]) / scale <= 1e-12
         wscale = max(report["result"]["residual_weighted"], 1e-300)
-        weighted = weighted_l2_norm(r, report["result"]["m_used"])
+        weighted = WeightedNorms(ctx.grid, report["result"]["m_used"]).norm(r)
         assert abs(weighted - report["result"]["residual_weighted"]) / wscale <= 1e-12
 
     def test_newton_inner_failure_reports_the_newton_solve(self, tmp_path, capsys):
@@ -219,9 +240,9 @@ class TestSolve:
         # the grid holds the last accepted Newton iterate, whose residual the report gives
         g = read_grid_csv(f"{out}.grid.csv")
         ctx = make_context(BUILTIN_PROBLEMS["example46"](), build_grid(8))
-        r = GridField(ctx.grid, apply_F(ctx, g.values) - np.full((9, 9, 1), -100.0))
-        assert weighted_l2_norm(r, 2.0) == pytest.approx(report["result"]["residual_weighted"],
-                                                         rel=1e-12)
+        r = apply_F(ctx, g.values) - np.full((9, 9, 1), -100.0)
+        assert WeightedNorms(ctx.grid, 2.0).norm(r) == pytest.approx(
+            report["result"]["residual_weighted"], rel=1e-12)
 
     def test_overflow_exits_2_with_partial_artifacts(self, tmp_path, capsys):
         # an RHS of 1e60 makes Newton's first inner linear solve overflow
@@ -506,6 +527,19 @@ class TestVerify:
         assert replay["growth_worst_f1"] == sys.float_info.max
         # the default 200 samples plus the 20 extreme points of n = 1
         assert replay["samples"] == 220
+
+    def test_assumptions_suite_with_an_overflowing_growth_ratio_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(HUGE_F_DOC))
+        code = run_cli(["verify", "--suite", "assumptions", "--problem", str(path),
+                        "--out", str(tmp_path / "probe")])
+        assert code == 3
+        lines = stdout_lines(capsys)
+        assert lines[0]["check"] == "growth"
+        assert lines[0]["worst_f1"] == pytest.approx(8e299, rel=1e-12)
+        assert lines[-1]["failed_checks"] == ["growth"]
+        replay = read_report_json(lines[-1]["fail_artifact"])
+        assert replay["growth_worst_f1"] == lines[0]["worst_f1"]
 
     @pytest.mark.parametrize("argv,key,count", [
         (["--suite", "norms", "--m-list", "1"], "samples", 100),
@@ -1144,6 +1178,19 @@ class TestSens:
         assert captured.out == ""
         assert captured.err == "error: the direction deltav is identically zero; it validates nothing\n"
         assert not list(tmp_path.glob("sens.*"))
+
+    def test_perturbed_rhs_that_overflows_exits_1(self, tmp_path, capsys):
+        # v + eps * deltav = 1 + 1e10 * 1e300 is inf at every node
+        code = run_cli(["sens", "--builtin", "example46", "--n", "4", "--rhs", "1",
+                        "--direction", "1e300", "--eps", "1e10,1e9,1e8",
+                        "--out", str(tmp_path / "sens")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.endswith(
+            "error: non-finite field value at node (i=0, j=0), component 0\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_decreasing_eps_exits_1(self, capsys):
         code = run_cli(["sens", "--builtin", "zero", "--n", "8", "--rhs", "x",

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from goursat2d.errors import InvalidResolutionError, ShapeError
+from goursat2d.errors import ParameterError
 from goursat2d.norms import verify_lemma31
 from goursat2d.grid import (
     Grid,
@@ -38,15 +38,15 @@ class TestGrid:
         np.testing.assert_allclose(g.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_rejects_tiny(self):
-        with pytest.raises(InvalidResolutionError):
+        with pytest.raises(ParameterError):
             build_grid(1)
-        with pytest.raises(InvalidResolutionError):
+        with pytest.raises(ParameterError):
             build_grid(0)
 
     @pytest.mark.parametrize("cells", [16.9, 2.5, 8.0, "8", True, None],
                              ids=["16.9", "2.5", "8.0", "str", "bool", "None"])
     def test_rejects_a_non_integer_count_naming_it(self, cells):
-        with pytest.raises(InvalidResolutionError, match=re.escape(repr(cells))):
+        with pytest.raises(ParameterError, match=re.escape(repr(cells))):
             build_grid(cells)
 
     def test_numpy_integer_count_is_accepted(self):
@@ -85,12 +85,12 @@ class TestGrid:
 class TestGridField:
     def test_rejects_2d_input(self):
         g = build_grid(2)
-        with pytest.raises(ShapeError, match=r"must have shape \(3, 3, n\), got \(3, 3\)"):
+        with pytest.raises(ParameterError, match=r"must have shape \(3, 3, n\), got \(3, 3\)"):
             GridField(g, np.ones((3, 3)))
 
     def test_rejects_wrong_shape(self):
         g = build_grid(2)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError):
             GridField(g, np.ones((4, 3, 1)))
 
     def test_rejects_nan(self):

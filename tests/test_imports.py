@@ -1,4 +1,5 @@
-"""The package imports only the standard library and numpy."""
+"""The package imports only the standard library and numpy, and raises no
+bare ValueError (a bad argument raises ParameterError)."""
 
 from __future__ import annotations
 
@@ -33,6 +34,25 @@ def test_package_imports_only_stdlib_and_numpy():
         for path in files
     }
     assert {name: mods for name, mods in foreign.items() if mods} == {}
+
+
+def value_error_raises(source: str) -> list[int]:
+    """Lines of a source file that raise ``ValueError`` itself."""
+    raises = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Raise)]
+    named = [(r.lineno, r.exc.func if isinstance(r.exc, ast.Call) else r.exc) for r in raises]
+    return sorted(line for line, exc in named
+                  if isinstance(exc, ast.Name) and exc.id == "ValueError")
+
+
+def test_package_raises_no_bare_value_error():
+    found = {path.name: value_error_raises(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_value_error_guard_sees_calls_and_names():
+    source = "raise ValueError('x')\nraise ValueError\nraise ParameterError('x')\nraise\n"
+    assert value_error_raises(source) == [1, 2]
 
 
 def test_every_exported_name_resolves():

@@ -7,15 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
-from goursat2d.errors import InvalidWeightError
+from goursat2d.errors import ParameterError
 from goursat2d.grid import GridField, build_grid
 from goursat2d.norms import (
     LEMMA31_SIDES,
     WeightedNorms,
     check_norm_equivalence,
-    classical_l2_norm,
     verify_lemma31,
-    weighted_l2_norm,
 )
 from goursat2d.sampling import random_smooth_field
 
@@ -27,33 +25,36 @@ def const_field(cells: int, value: float = 1.0, n: int = 1) -> GridField:
 
 class TestWeightedNorm:
     def test_zero_field(self):
-        assert weighted_l2_norm(const_field(8, 0.0), 3.0) == 0.0
+        assert WeightedNorms(build_grid(8), 3.0).norm(const_field(8, 0.0).values) == 0.0
 
     def test_constant_m2_closed_form(self):
         # norm of f ≡ 1 is the 1D integral of e^{-mx}: (1 - e^{-m}) / m.
-        got = weighted_l2_norm(const_field(64), 2.0)
+        got = WeightedNorms(build_grid(64), 2.0).norm(const_field(64).values)
         assert got == pytest.approx((1 - np.exp(-2.0)) / 2.0, abs=1e-4)
 
     def test_xy_m10_closed_form(self):
         # ∫₀¹ x² e^{-10x} dx = 0.002 - 0.122 e^{-10}; the 2D norm equals it.
         grid = build_grid(64)
         X, Y = grid.meshgrid()
-        got = weighted_l2_norm(GridField(grid, (X * Y)[:, :, None]), 10.0)
+        got = WeightedNorms(grid, 10.0).norm((X * Y)[:, :, None])
         assert got == pytest.approx(0.002 - 0.122 * np.exp(-10.0), abs=1e-6)
 
     def test_m_zero_is_classical(self):
+        # the equivalence check's classical side is the m = 0 norm, bit for bit
         rng = np.random.default_rng(11)
         f = random_smooth_field(build_grid(16), 2, rng)
-        assert weighted_l2_norm(f, 0.0) == pytest.approx(classical_l2_norm(f), abs=0)
+        rep = check_norm_equivalence(f, 0.0)
+        assert rep.upper == rep.weighted == WeightedNorms(f.grid, 0.0).norm(f.values)
 
     def test_negative_m_rejected(self):
-        with pytest.raises(InvalidWeightError):
-            weighted_l2_norm(const_field(4), -1.0)
+        with pytest.raises(ParameterError, match="weight exponent must be nonnegative, got -1.0"):
+            WeightedNorms(build_grid(4), -1.0)
 
     def test_monotone_in_m(self):
         rng = np.random.default_rng(5)
-        f = random_smooth_field(build_grid(16), 1, rng)
-        vals = [weighted_l2_norm(f, m) for m in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)]
+        grid = build_grid(16)
+        f = random_smooth_field(grid, 1, rng).values
+        vals = [WeightedNorms(grid, m).norm(f) for m in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_factor_properties(self):
@@ -120,14 +121,15 @@ class TestWeightedNorm:
 class TestAcNorm:
     def test_unit_mixed_derivative(self):
         # g ≡ 1 is the mixed derivative of z = xy; classical norm 1 exactly.
-        assert weighted_l2_norm(const_field(16), 0.0) == pytest.approx(1.0, abs=1e-14)
+        got = WeightedNorms(build_grid(16), 0.0).norm(const_field(16).values)
+        assert got == pytest.approx(1.0, abs=1e-14)
 
     def test_unit_mixed_derivative_weighted(self):
-        got = weighted_l2_norm(const_field(64), 1.0)
+        got = WeightedNorms(build_grid(64), 1.0).norm(const_field(64).values)
         assert got == pytest.approx(1 - np.exp(-1.0), abs=1e-4)
 
     def test_zero(self):
-        assert weighted_l2_norm(const_field(8, 0.0), 7.0) == 0.0
+        assert WeightedNorms(build_grid(8), 7.0).norm(const_field(8, 0.0).values) == 0.0
 
 
 class TestNormEquivalence:
@@ -169,9 +171,9 @@ class TestLemma31:
         assert rep.passed
 
     def test_nonpositive_m_rejected(self):
-        with pytest.raises(InvalidWeightError):
+        with pytest.raises(ParameterError):
             verify_lemma31(const_field(8), 0.0)
-        with pytest.raises(InvalidWeightError):
+        with pytest.raises(ParameterError):
             verify_lemma31(const_field(8), -2.0)
 
     @pytest.mark.parametrize("m", [1.0, 5.0, 10.0, 20.0])
@@ -206,10 +208,10 @@ class TestNormAxioms:
         rng = np.random.default_rng(88)
         grid = build_grid(12)
         for _ in range(25):
-            g = random_smooth_field(grid, 1, rng)
+            g = random_smooth_field(grid, 1, rng).values
             m = float(rng.uniform(0, 8))
-            lo = np.exp(-2 * m) * weighted_l2_norm(g, 0.0)
-            hi = weighted_l2_norm(g, 0.0)
-            mid = weighted_l2_norm(g, m)
+            hi = WeightedNorms(grid, 0.0).norm(g)
+            lo = np.exp(-2 * m) * hi
+            mid = WeightedNorms(grid, m).norm(g)
             assert lo <= mid + 1e-12
             assert mid <= hi + 1e-12

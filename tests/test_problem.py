@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -326,6 +327,20 @@ class TestProbeAssumptions:
         rep = probe_assumptions(load_problem(doc), sample_count=50)
         assert rep.growth_worst_f1 == pytest.approx(1e150 / sys.float_info.max)
         assert rep.growth_ok
+
+    @pytest.mark.parametrize("B,b,f1,worst,ok", [
+        (1, "1", "1e300*z1", 8e299, False),    # |f| = 1e300|z| squares to inf
+        (1e300, "1", "1e300*z1", 1.0, True),   # ... and is within the bound
+        (0, "1e-300", "1e10*z1", sys.float_info.max, False),  # the ratio overflows
+    ], ids=["huge-f", "huge-f-within-bound", "ratio-overflow"])
+    def test_overflow_reads_the_true_or_largest_finite_ratio(self, B, b, f1, worst, ok):
+        doc = minimal_doc(meta={"n": 1, "B": B, "b": b}, functions={"f1": [f1], "f2": ["0"]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = probe_assumptions(load_problem(doc), sample_count=50)
+        assert rep.growth_worst_f1 == pytest.approx(worst, rel=1e-12)
+        assert rep.growth_ok is ok
+        json.dumps(rep.as_dict(), allow_nan=False)
 
     def test_wrong_spatial_derivative_flagged(self):
         doc = minimal_doc()

@@ -13,7 +13,7 @@ import pytest
 
 from goursat2d.errors import ParameterError, SolverError
 from goursat2d.grid import GridField, build_grid
-from goursat2d.norms import WeightedNorms, classical_l2_norm
+from goursat2d.norms import WeightedNorms
 from goursat2d.operator import make_context
 from goursat2d.problem import (
     builtin_example_4_6,
