@@ -24,7 +24,8 @@ fault (log of a nonpositive value, division by zero, ...) carries the node's
 offset and the (x, y) sample point where it happened.  ``abs`` and ``sqrt``
 at 0 are the sanctioned non-smooth points: their dual derivative uses the
 subgradient 0 and sets a kink flag instead of faulting.  Values and partials
-come from one walk over the tree, so both apply the same domain rules.
+come from one walk over the tree, so both apply the same domain rules; every
+node allocates its result with a plain numpy operation.
 """
 
 from __future__ import annotations
@@ -231,71 +232,39 @@ def _fault(message: str, node: Expr, mask, X: np.ndarray, Y: np.ndarray, error=E
     raise error(message, node.pos, where=where)
 
 
-def _spare(inputs: tuple, *operands):
-    """The first of ``operands`` that a ufunc of them all may write into, else None:
-    a writable array of the result's shape that owns its data and is none of
-    ``inputs`` (X, Y, Z and operands still read later).  The inputs must be
-    excluded by identity: ``np.meshgrid``'s X, Y own writable data, while the
-    read-only views of ``Grid.meshgrid`` and of a zero state fail both flags.
-    The result's shape is worked out only once there is a candidate, and
-    without ``np.broadcast_shapes`` when the other operands have its shape or
-    are scalars: the walk calls this at every node of every row strip."""
-    shape = None
-    for o in operands:
-        if (isinstance(o, np.ndarray) and o.flags.owndata and o.flags.writeable
-                and not any(o is i for i in inputs)):
-            if shape is None:
-                shapes = [np.shape(p) for p in operands]
-                shape = (o.shape if all(s == o.shape or s == () for s in shapes)
-                         else np.broadcast_shapes(*shapes))
-            if o.shape == shape:
-                return o
-    return None
-
-
-def _apply(inputs: tuple, ufunc, *operands):
-    """``ufunc(*operands)``, written into a ``_spare`` operand when there is one."""
-    return ufunc(*operands, out=_spare(inputs, *operands))
-
-
 def _fresh(a, shape: tuple[int, ...], inputs: tuple) -> np.ndarray:
     """``a`` as a writable array of ``shape`` that shares no memory with the inputs.
 
     Leaves evaluate to scalars and input views, so only a result that is one
     of those is copied; the result of any other node is an array the walk
-    allocated, returned as is.
+    allocated, returned as is.  The inputs are excluded by identity:
+    ``np.meshgrid``'s X, Y own writable data.
     """
-    if np.shape(a) == shape and _spare(inputs, a) is not None:
+    if (isinstance(a, np.ndarray) and a.shape == shape and a.flags.owndata
+            and a.flags.writeable and not any(a is i for i in inputs)):
         return a
     out = np.empty(shape)
     out[...] = a
     return out
 
 
-def _ipow(a, p: int, out=None):
+def _ipow(a, p: int):
     """a ** p for an integer p by binary powering; p < 0 gives 1 / a ** |p|.
 
     Repeated multiplication costs the same for every sign of the base, and
-    p = -1, 0, 1, 2 give the same bits as numpy's ``a ** p``.  ``out`` is
-    None or ``a`` itself, which may then be overwritten; the squares the
-    powering allocates are overwritten in any case.
+    p = -1, 0, 1, 2 give the same bits as numpy's ``a ** p``.
     """
     if p == 0:
         return np.ones_like(a)
-    k, r, own_a, own_r = abs(p), None, out is not None, False
+    k, r = abs(p), None
     while True:
         if k & 1:
-            if r is None:
-                r, own_r = a, own_a
-            else:
-                r = np.multiply(r, a, out=r if own_r else a if own_a and k == 1 else None)
-                own_r = isinstance(r, np.ndarray)
+            r = a if r is None else r * a
         k >>= 1
         if not k:
             break
-        a = np.multiply(a, a, out=a if own_a and a is not r else None)
-        own_a = isinstance(a, np.ndarray)
-    return np.divide(1.0, r, out=r if own_r else None) if p < 0 else r
+        a = a * a
+    return 1.0 / r if p < 0 else r
 
 
 def _int_exponent(e: Bin) -> int | None:
@@ -311,22 +280,17 @@ def _int_exponent(e: Bin) -> int | None:
 
 _ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
-#: fn -> (value ufunc, z-partials from the argument a, its partials da, the
-#: value v and the walk's writer w = partial(_apply, inputs)); a and da are
-#: not read again, so w may overwrite them
+#: fn -> (value ufunc, z-partials from the argument a, its partials da and the value v)
 _CALLS = {
-    "sin": (np.sin, lambda a, da, v, w: w(np.multiply, w(np.cos, a)[..., None], da)),
-    "cos": (np.cos, lambda a, da, v, w: w(
-        np.multiply, w(np.negative, w(np.sin, a))[..., None], da)),
-    "tan": (np.tan, lambda a, da, v, w: w(
-        np.divide, da, w(np.square, w(np.cos, a))[..., None])),
-    "exp": (np.exp, lambda a, da, v, w: w(np.multiply, v[..., None], da)),
-    "log": (np.log, lambda a, da, v, w: w(np.divide, da, a[..., None])),
-    "atan": (np.arctan, lambda a, da, v, w: w(
-        np.divide, da, w(np.add, 1.0, w(np.square, a))[..., None])),
-    "abs": (np.abs, lambda a, da, v, w: w(np.multiply, w(np.sign, a)[..., None], da)),
+    "sin": (np.sin, lambda a, da, v: np.cos(a)[..., None] * da),
+    "cos": (np.cos, lambda a, da, v: -np.sin(a)[..., None] * da),
+    "tan": (np.tan, lambda a, da, v: da / np.square(np.cos(a))[..., None]),
+    "exp": (np.exp, lambda a, da, v: v[..., None] * da),
+    "log": (np.log, lambda a, da, v: da / a[..., None]),
+    "atan": (np.arctan, lambda a, da, v: da / (1.0 + np.square(a))[..., None]),
+    "abs": (np.abs, lambda a, da, v: np.sign(a)[..., None] * da),
     # the subgradient 0 at the kink a = 0, like abs
-    "sqrt": (np.sqrt, lambda a, da, v, w: np.where(
+    "sqrt": (np.sqrt, lambda a, da, v: np.where(
         (a == 0.0)[..., None], 0.0, da / (2.0 * np.where(a == 0.0, 1.0, v)[..., None]))),
 }
 
@@ -338,11 +302,8 @@ def _eval(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, kink: list[bool]
     partials broadcast to X.shape + (n,), a leaf's being one length-n row.
     ``kink[0]`` is set where abs or sqrt is differentiated at 0.  Each domain
     rule is checked before its operation, so both modes fault at the same node.
-    A node writes its result into an operand array that the walk allocated
-    (``_spare``): in values mode always, with partials only where the node's
-    partial rule no longer reads that operand.  X, Y and Z are never written.
+    Every node allocates its result, so X, Y and Z are never written.
     """
-    w = partial(_apply, (X, Y, Z))
     if isinstance(e, Num):
         return np.float64(e.value), None if kink is None else np.zeros(Z.shape[-1])
     if isinstance(e, Var):
@@ -353,7 +314,7 @@ def _eval(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, kink: list[bool]
         return v, np.zeros(n) if e.index is None else np.eye(n)[e.index]
     if isinstance(e, Unary):
         a, da = _eval(e.operand, X, Y, Z, kink)
-        return w(np.negative, a), None if da is None else w(np.negative, da)
+        return -a, None if da is None else -da
     if isinstance(e, Bin):
         a, da = _eval(e.left, X, Y, Z, kink)
         if e.op == "^":
@@ -362,16 +323,14 @@ def _eval(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, kink: list[bool]
         if e.op == "/" and np.any(b == 0.0):
             _fault("division by zero", e, b == 0.0, X, Y)
         ufunc = _ARITHMETIC[e.op]
+        v = ufunc(a, b)
         if da is None:
-            return w(ufunc, a, b), None
+            return v, None
         if e.op in "+-":
-            return w(ufunc, a, b), w(ufunc, da, db)
+            return v, ufunc(da, db)
         if e.op == "*":
-            d = w(np.add, w(np.multiply, a[..., None], db), w(np.multiply, b[..., None], da))
-            return w(np.multiply, a, b), d
-        v = np.divide(a, b, out=_spare((X, Y, Z, b), a, b))
-        d = w(np.subtract, da, w(np.multiply, v[..., None], db))
-        return v, w(np.divide, d, b[..., None])
+            return v, a[..., None] * db + b[..., None] * da
+        return v, (da - v[..., None] * db) / b[..., None]
     if isinstance(e, Call):
         a, da = _eval(e.arg, X, Y, Z, kink)
         if e.fn == "log" and np.any(a <= 0.0):
@@ -379,41 +338,37 @@ def _eval(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, kink: list[bool]
         if e.fn == "sqrt" and np.any(a < 0.0):
             _fault("sqrt of a negative value", e, a < 0.0, X, Y)
         ufunc, partials = _CALLS[e.fn]
-        if da is None:
-            return w(ufunc, a), None
         v = ufunc(a)
+        if da is None:
+            return v, None
         if e.fn in ("abs", "sqrt") and np.any((a == 0.0) & np.any(da != 0.0, axis=-1)):
             kink[0] = True
-        return v, partials(a, da, v, w)
+        return v, partials(a, da, v)
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def _pow(e: Bin, a, da, X, Y, Z, kink):
     """a ^ b with the domain rules: integer literal exponents allow any base
     (except 0 to a negative power); everything else requires base > 0."""
-    w = partial(_apply, (X, Y, Z))
     p = _int_exponent(e)
     if p is not None:
         if p < 0 and np.any(a == 0.0):
             _fault("zero base raised to a negative power", e, a == 0.0, X, Y)
-        if da is None:
-            return _ipow(a, p, _spare((X, Y, Z), a)), None
         v = _ipow(a, p)
+        if da is None:
+            return v, None
         if p == 0:
             return v, np.zeros_like(da)
         # d(a^p) = p a^(p-1) da; a^0 = 1, so p = 1 at a = 0 is right,
         # and for p >= 2 the coefficient vanishes at a = 0 as it should.
-        c = w(np.multiply, p, _ipow(a, p - 1, _spare((X, Y, Z), a)))
-        return v, w(np.multiply, c[..., None], da)
+        return v, (p * _ipow(a, p - 1))[..., None] * da
     b, db = _eval(e.right, X, Y, Z, kink)
     if np.any(a <= 0.0):
         _fault("non-integer power of a nonpositive base", e, a <= 0.0, X, Y)
-    if da is None:
-        return w(np.power, a, b), None
     v = np.power(a, b)
-    t = w(np.divide, w(np.multiply, b[..., None], da), a[..., None])
-    t = w(np.add, w(np.multiply, db, w(np.log, a)[..., None]), t)
-    return v, w(np.multiply, v[..., None], t)
+    if da is None:
+        return v, None
+    return v, v[..., None] * (db * np.log(a)[..., None] + b[..., None] * da / a[..., None])
 
 
 def _on_grid(e: Expr, X, Y, Z, kink: list[bool] | None):
@@ -438,9 +393,8 @@ def eval_on_grid(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.nda
     one point is 0-d X and Y with a length-n Z.
 
     Returns a fresh, writable array of X's shape.  X, Y and Z are only read:
-    the walk writes each node's result into an array it allocated itself,
-    and the caller may overwrite the result.  A non-finite result (overflow)
-    raises EvalOverflowError.
+    every node of the walk allocates its result, and the caller may overwrite
+    the result.  A non-finite result (overflow) raises EvalOverflowError.
     """
     return _on_grid(e, X, Y, Z, None)[0]
 

@@ -142,12 +142,13 @@ class GridField:
 # temporaries.  At N = 512 each array is 2 MB, and a solve that frees many of
 # them lets the C heap return its top pages to the OS; faulting them back in
 # cost more than the arithmetic (measured with getrusage minor-fault counts).
-# Expression evaluation and the operator follow the same rule: they write
-# into arrays they allocated themselves, never into their inputs, and return
-# fresh writable arrays.  Every ufunc writes a C-contiguous array (numpy
-# buffers a strided one): column neighbours, n places apart in the flat rows,
-# are summed there, and column 0, which gets the pairs across a row's end,
-# is then zeroed.
+# The operator follows the same rule: it writes into arrays it allocated
+# itself, never into its inputs.  Expression evaluation allocates each node's
+# result; the row strips keep those temporaries near ``_STRIP_BYTES``, where
+# reusing them measured no faster.  Every ufunc writes a C-contiguous array
+# (numpy buffers a strided one): column neighbours, n places apart in the
+# flat rows, are summed there, and column 0, which gets the pairs across a
+# row's end, is then zeroed.
 
 def _cell_sums(lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> None:
     """Write the sum of each cell's four corner values into ``out[:, 1:]``,

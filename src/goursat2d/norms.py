@@ -34,6 +34,7 @@ sides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,8 @@ def verify_lemma31(g: GridField, m: float) -> Lemma31Report:
     """
     if m <= 0:
         raise ParameterError(f"the smallness estimates need m > 0, got {m}")
+    if not math.isfinite(2.0 / m):
+        raise ParameterError(f"the smallness bound 2/m overflows at m = {m}")
     h = g.grid.h
     z, zx, zy = state_from_g(g.values, h)
     norms = WeightedNorms(g.grid, m)

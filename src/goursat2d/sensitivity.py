@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import ParameterError, SolverError
 from .grid import GridField
 from .norms import WeightedNorms
@@ -82,7 +84,8 @@ def validate_frechet(
     """Compare difference quotients of re-solves against the derivative.
 
     eps_list must be strictly decreasing, positive, length ≥ 3, and stay
-    above 100·tol so solver noise cannot masquerade as a remainder term.
+    above 100·tol so solver noise cannot masquerade as a remainder term;
+    every v + ε·δv must be finite.
     Passes when the errors decrease monotonically (or sit at the
     10·tol/ε solver floor) and the smallest error is ≤ 0.05.
     """
@@ -101,6 +104,11 @@ def validate_frechet(
             f"smallest eps {eps[-1]:g} is below the noise floor {floor:g} "
             f"(= {EPS_FLOOR_FACTOR:g} * tol); raise eps or tighten tol"
         )
+    with np.errstate(over="ignore"):
+        for e in eps:
+            if not np.isfinite(v.values + deltav.values * e).all():
+                raise ParameterError(
+                    f"the perturbed right-hand side v + eps*deltav overflows at eps = {e:g}")
 
     base = _solve_or_none(ctx, v, cfg)
     if base is None:

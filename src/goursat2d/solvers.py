@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -358,7 +359,7 @@ class ContractionEstimate:
     """Measured contraction factor of the linearized fixed-point map."""
 
     rho_hat: float
-    bound: float | None   # 4d/m² when d is known from a probe
+    bound: float | None   # 4d/m² when d is known from a probe, at most the largest float
     m: float
     trials: int
     contracting: bool
@@ -396,10 +397,12 @@ def estimate_contraction(
         rho = max(rho, wn.norm(r) / gnorm)
     bound = None
     if d is not None:
-        try:
+        try:  # Python's float ** raises where m² would be inf; m² may underflow to 0
             bound = 4.0 * d / m**2
-        except OverflowError:  # Python's float ** raises where m² would be inf
-            bound = 4.0 * (d / m) / m
+        except (OverflowError, ZeroDivisionError):
+            bound = math.inf
+        if not math.isfinite(bound):
+            bound = min(4.0 * (d / m) / m, sys.float_info.max)
     return ContractionEstimate(
         rho_hat=float(rho), bound=bound, m=m, trials=trials, contracting=rho < 1.0
     )

@@ -594,6 +594,22 @@ class TestVerify:
         err = capsys.readouterr().err
         assert not [line for line in err.splitlines() if line.startswith("warning:")]
 
+    def test_contraction_suite_at_a_tiny_weight_bounds_by_the_largest_float(self, capsys):
+        code = run_cli(["verify", "--suite", "contraction", "--builtin", "example46",
+                        "--n", "8", "--m-list", "1e-160,1e-200"])
+        assert code == 0
+        lines = stdout_lines(capsys)
+        assert [(line["m"], line["bound"]) for line in lines] == [
+            (1e-160, sys.float_info.max), (1e-200, sys.float_info.max)]
+
+    def test_lemma31_suite_at_a_weight_whose_bound_overflows_exits_1(self, capsys):
+        code = run_cli(["verify", "--suite", "lemma31", "--n", "8", "--samples", "2",
+                        "--m-list", "1e-320"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the smallness bound 2/m overflows at m = 1e-320\n"
+
     def test_contraction_suite_listed_weights_win_over_m(self, capsys):
         code = run_cli(["verify", "--suite", "contraction", "--builtin", "example46",
                         "--n", "8", "--m-list", "3,9", "--m", "5"])
@@ -1120,6 +1136,22 @@ def test_solve_report_lists_every_solver_setting(tmp_path):
     assert set(read_report_json(f"{out}.report.json")["solver"]) == SOLVER_FIELDS
 
 
+@pytest.mark.parametrize("m", ["1e-200", "1e-160"])
+@pytest.mark.parametrize("command", ["solve", "linsolve"])
+def test_weight_whose_square_underflows_writes_the_report(command, m, tmp_path, capsys):
+    # m² is 0 at 1e-200 and a subnormal at 1e-160, where 4d/m² overflows; the
+    # contraction bound is then the largest float, not a traceback or inf
+    out = tmp_path / "tiny"
+    code = run_cli([command, "--builtin", "example46", "--n", "8", "--rhs", "1",
+                    "--m", m, "--out", str(out)])
+    assert code == 0
+    [line] = stdout_lines(capsys)
+    assert line["converged"] is True and line["m"] == float(m)
+    with open(f"{out}.report.json", encoding="utf-8") as fh:
+        report = json.load(fh, parse_constant=_reject_constant)
+    assert report["contraction"]["bound"] == sys.float_info.max
+
+
 class TestSens:
     def test_zero_problem_quotients_at_rounding_level(self, tmp_path, capsys):
         out = tmp_path / "sens"
@@ -1187,9 +1219,8 @@ class TestSens:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "Traceback" not in captured.err
-        assert captured.err.endswith(
-            "error: non-finite field value at node (i=0, j=0), component 0\n")
+        assert captured.err == ("error: the perturbed right-hand side v + eps*deltav "
+                                "overflows at eps = 1e+10\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_non_decreasing_eps_exits_1(self, capsys):

@@ -1,10 +1,11 @@
-"""The in-place expression walk against the allocating walk it replaced.
+"""The shipped expression walk against a reference walk, the oracle.
 
-``reference_on_grid`` below is the evaluator as it was before the walk wrote
-node results into its own arrays: every operation allocates, so it cannot
-overwrite an input.  On about 200 seeded random trees the shipped evaluator
-must give the same bits (values, partials and kink flag) or the same fault,
-and must leave X, Y and Z untouched.
+``reference_on_grid`` below is an independent copy of the evaluator written
+with Python operators, in which every operation allocates, so it cannot
+overwrite an input.  On about 200 seeded random trees the shipped evaluator,
+and any later one that compiles or reorders the walk, must give the same
+bits (values, partials and kink flag) or the same fault, and must leave X,
+Y and Z untouched.
 """
 
 from __future__ import annotations

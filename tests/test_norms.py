@@ -176,6 +176,11 @@ class TestLemma31:
         with pytest.raises(ParameterError):
             verify_lemma31(const_field(8), -2.0)
 
+    def test_m_whose_bound_overflows_rejected(self):
+        # 2/m is inf below m ≈ 1.1e-308, and a zero field's margin would be 0·inf
+        with pytest.raises(ParameterError, match="2/m overflows at m = 1e-320"):
+            verify_lemma31(const_field(8, 0.0), 1e-320)
+
     @pytest.mark.parametrize("m", [1.0, 5.0, 10.0, 20.0])
     def test_random_smooth_fields(self, m):
         rng = np.random.default_rng(int(m) * 1000 + 7)

@@ -409,15 +409,18 @@ class TestAllocations:
     float array.
 
     Measured values, which the bounds pin with a little headroom: peaks of
-    2.22 for example46's f1 (3.0 when every node allocated), 5.31 for
-    ``apply_F`` (8.03 with numpy's iterator buffers for ufuncs that wrote
-    strided views, 11.0 with the full state, the zero contractions and fresh
-    sums), 6.38 for a manufactured right-hand side refined to N = 64 (9.08
-    with those buffers, 13.09 with grid-sized coordinates, zero coefficients
-    and zero states),
-    6.15 units of the fine grid for one from N = 64 refined to 256 (6.39
-    with those buffers, 7.14 with the fine v copied into a field before its
-    restriction) and 0.02 for
+    3.03 for example46's f1, 6.16 for ``apply_F``, 7.22 for a manufactured
+    right-hand side refined to N = 64 and 7.03 units of the fine grid for one
+    from N = 64 refined to 256.  Each is one more temporary than while the
+    expression walk wrote nodes into operands it had allocated (2.18, 5.31,
+    6.38 and 6.15), a writer that no end-to-end time or peak RSS resolved
+    once the row strips bounded every temporary.  Before the strips, numpy's
+    iterator buffers for ufuncs that wrote strided views gave 8.03 for
+    ``apply_F``, 9.08 for the N = 64 right-hand side and 6.39 for the refined
+    one; the full state, the zero contractions and fresh sums 11.0 for
+    ``apply_F``; grid-sized coordinates, zero coefficients and zero states
+    13.09 for the N = 64 right-hand side; and the fine v copied into a field
+    before its restriction 7.14 for the refined one.  The peak is 0.02 for
     ``choose_weight`` at the zero-state F' (2.03 while it reduced a kept
     zero state); an example46 context retains 0.01 (4.02 with those
     coordinates and coefficients) and F' its two Jacobians, 2.10 at the zero
@@ -425,12 +428,12 @@ class TestAllocations:
     (4.12 while it kept z, a view of its two-array state buffer).
 
     At N = 1024 the row-strip engine runs eleven strips, and peaks fall to
-    about its input and output: 1.58 for ``apply_F`` (5.13 on the whole
-    grid), 2.93 for building F' at a point (8.00) and 1.47 for
+    about its input and output: 1.66 for ``apply_F`` (5.13 on the whole
+    grid), 3.12 for building F' at a point (8.00) and 1.47 for
     ``apply_array`` (5.02).  A right-hand side manufactured from N = 256
-    streams the fine grid and peaks at 0.73 fine units (2.67 with the fine
+    streams the fine grid and peaks at 0.81 fine units (2.67 with the fine
     g* and F(g*) held whole, 6.13 with the g* sample stacked and copied into
-    a field), and a whole ``mms --n-list 64,128,256`` at 0.84 (2.70).
+    a field), and a whole ``mms --n-list 64,128,256`` at 0.91 (2.70).
 
     Weighted norms: twenty ``WeightedNorms`` on one N = 64 grid retain 0.005
     (19.12 while each cached its (P, P) kernel), and one norm of a scalar
@@ -470,12 +473,12 @@ class TestAllocations:
     def test_eval_on_grid_example46_f1(self):
         ctx = make_context(builtin_example_4_6(), build_grid(self.CELLS))
         Z = np.full(ctx.X.shape + (1,), -0.4)
-        assert self._peak_units(lambda: eval_on_grid(ctx.spec.f1[0], ctx.X, ctx.Y, Z)) < 2.3
+        assert self._peak_units(lambda: eval_on_grid(ctx.spec.f1[0], ctx.X, ctx.Y, Z)) < 3.1
 
     def test_apply_F_example46(self):
         ctx = make_context(builtin_example_4_6(), build_grid(self.CELLS))
         g = np.full(ctx.X.shape + (1,), 0.3)
-        assert self._peak_units(lambda: apply_F(ctx, g)) < 5.4
+        assert self._peak_units(lambda: apply_F(ctx, g)) < 6.25
 
     def test_example46_context_holds_no_grid_array(self):
         spec, grid = builtin_example_4_6(), build_grid(self.CELLS)
@@ -519,7 +522,7 @@ class TestAllocations:
         spec = builtin_example_4_6()
         zstar = XYFunction.from_sources("1 + sin(2*x)*cos(y)")
         coarse = build_grid(self.CELLS // 4)
-        assert self._peak_units(lambda: manufacture_problem(spec, zstar, coarse, refine=4)) <= 6.8
+        assert self._peak_units(lambda: manufacture_problem(spec, zstar, coarse, refine=4)) <= 7.3
 
     def test_strips_keep_apply_F_near_its_input_and_output(self):
         ctx = make_context(builtin_example_4_6(), build_grid(self.STRIP_CELLS))
@@ -556,4 +559,4 @@ class TestAllocations:
         coarse = build_grid(self.CELLS)
         peak = self._peak_units(lambda: manufacture_problem(spec, zstar, coarse, refine=4),
                                 cells=4 * self.CELLS)
-        assert peak <= 6.6
+        assert peak <= 7.1

@@ -8,6 +8,8 @@ the quotient matches h up to solver noise at every ε.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,21 @@ class TestValidateFrechet:
         monkeypatch.setattr("goursat2d.sensitivity.solve", no_solve)
         with pytest.raises(ParameterError, match="positive and finite"):
             validate_frechet(ctx, v, v, eps, SolverConfig())
+
+    def test_rejects_an_overflowing_perturbed_rhs_before_any_solve(self, monkeypatch):
+        # v + eps * deltav = 1.8 + 1e9 * 1e300 overflows; the smaller steps do not
+        ctx = probed_context(builtin_example_4_6(), 8)
+        v = GridField(ctx.grid, np.full((9, 9, 1), 1.8))
+        dv = GridField(ctx.grid, np.full((9, 9, 1), 1e300))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an overflowing right-hand side reached a solve")
+
+        monkeypatch.setattr("goursat2d.sensitivity.solve", no_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"overflows at eps = 1e\+09$"):
+                validate_frechet(ctx, v, dv, (1e9, 1e7, 1e-3), SolverConfig())
 
     def test_refuses_steps_below_noise_floor(self):
         ctx = probed_context(zero_problem(), 8)
