@@ -274,8 +274,8 @@ def _solve_command(args, ctx, cfg, at, run, head, tail=lambda rep: {},
                    line=lambda estimate: {}) -> int:
     """The weight, contraction estimate, solve, report, artifacts and exit code
     of ``solve`` and ``linsolve``: 0, or 2 after writing the partial artifacts
-    of a failed solve.  A solve whose first residual overflows has no partial
-    report: its SolverError propagates, and no artifact is written.
+    of a failed solve.  A solve whose first residual overflows or faults has
+    no partial report: its SolverError propagates, and no artifact is written.
 
     The weight and the contraction estimate are taken with the operator
     linearized at the g field ``at`` (the zero state when None), and

@@ -26,6 +26,10 @@ at 0 are the sanctioned non-smooth points: their dual derivative uses the
 subgradient 0 and sets a kink flag instead of faulting.  Values and partials
 come from one walk over the tree, so both apply the same domain rules; every
 node allocates its result with a plain numpy operation.
+
+The node samplers at the end (``_components``, ``_matrix_values`` and the
+Jacobian sampler ``_jacobian``) are the one place where a problem's
+expressions meet the nodes.
 """
 
 from __future__ import annotations
@@ -412,3 +416,37 @@ def eval_dual_on_grid(
     kink = [False]
     v, d = _on_grid(e, X, Y, Z, kink)
     return v, d, kink[0]
+
+
+# -- node samplers ------------------------------------------------------------
+
+def _zero_state(shape: tuple[int, ...], n: int) -> np.ndarray:
+    """The zero state of shape ``shape + (n,)``: a read-only broadcast view
+    of n zeros, which holds no grid-sized memory."""
+    return np.broadcast_to(np.zeros(n), shape + (n,))
+
+
+def _components(exprs, X, Y, Z) -> np.ndarray:
+    """Stack component evaluations into a writable array of shape X.shape + (n,)
+    (a view of the one array when n == 1)."""
+    values = [eval_on_grid(e, X, Y, Z) for e in exprs]
+    return np.expand_dims(values[0], -1) if len(values) == 1 else np.stack(values, -1)
+
+
+def _matrix_values(mat, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
+    """Sample an n×n expression matrix at points; shape X.shape + (n, n)."""
+    Z = _zero_state(X.shape, n)
+    return np.stack([_components(row, X, Y, Z) for row in mat], axis=-2)
+
+
+def _jacobian(exprs, X, Y, Z, out=None) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(values of X.shape + (k,), z-Jacobian of X.shape + (k, n) whose row i
+    is ∂f_i/∂z, kink flag) of the component vector ``exprs``, evaluated in
+    component order; the partials are written into ``out`` when given."""
+    jac = np.empty(np.shape(X) + (len(exprs), Z.shape[-1])) if out is None else out
+    values, kinked = [], False
+    for i, e in enumerate(exprs):
+        v, jac[..., i, :], kink = eval_dual_on_grid(e, X, Y, Z)
+        values.append(v)
+        kinked = kinked or kink
+    return np.stack(values, -1), jac, kinked

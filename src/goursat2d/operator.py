@@ -18,11 +18,11 @@ the component expressions.
 Both are causal Volterra maps: the value at node (i, j) depends only on
 rows <= i.  So F, F' and the state they rebuild from g are evaluated block
 by block over row strips, by ``_step`` (``grid.strip_step`` with the A
-terms, f1 and f2 sampled by ``problem._components``) from the carry of the
-strip before.  Each strip's temporaries are strip-sized, the result is the
-only grid-sized array allocated, and the bits are the whole grid's.  An
+terms, f1 and f2 sampled by ``exprlang``'s node samplers) from the carry of
+the strip before.  Each strip's temporaries are strip-sized, the result is
+the only grid-sized array allocated, and the bits are the whole grid's.  An
 evaluation fault in a strip makes the grid run again as one strip, so the
-fault raised is the whole grid's (f1 before f2).
+fault raised is the whole grid's (f1 before f2, in F and F' alike).
 
 ``coercivity_probe`` checks the lower bound that makes the problem solvable
 for large weights: for m > 8B,
@@ -37,14 +37,17 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ParameterError
+from .exprlang import _components, _jacobian, _matrix_values, _zero_state, eval_on_grid
 from .grid import Grid, GridField, in_strips, strip_step
 from .norms import WeightedNorms
-from .exprlang import eval_dual_on_grid, eval_on_grid
-from .problem import AssumptionReport, ProblemSpec, _components, _matrix_values, _zero_state
+
+if TYPE_CHECKING:  # annotations only: problem imports this module
+    from .problem import AssumptionReport, ProblemSpec
 
 
 class OperatorContext:
@@ -192,20 +195,15 @@ class LinearizedOperator:
         n = spec.n
 
         def run(strips):
-            jac, z_sup, carry = None, 0.0, None
+            jac, z_sup, carry = np.empty((2,) + X.shape + (n, n)), 0.0, None
             for rows in strips:
                 if at is None:
                     Z = _zero_state(X[rows].shape, n)
                 else:
                     (Z, _, _), carry = strip_step(at.values[rows], carry, ctx.grid.h, zy=False)
                     z_sup = max(z_sup, float(np.sqrt((Z**2).sum(axis=2)).max()))
-                partials = [[eval_dual_on_grid(f[i], X[rows], Y[rows], Z)[1]
-                             for f in (spec.f1, spec.f2)] for i in range(n)]
-                if jac is None:  # after the first strip's arrays, as in _assemble
-                    jac = np.empty((2,) + X.shape + (n, n))
-                # row i of each Jacobian holds the partials of component i
-                for i, (d1, d2) in enumerate(partials):
-                    jac[0, rows, :, i], jac[1, rows, :, i] = d1, d2
+                for k, f in enumerate((spec.f1, spec.f2)):
+                    _jacobian(f, X[rows], Y[rows], Z, out=jac[k, rows])
             return jac[0], jac[1], z_sup
 
         self.j1, self.j2, self.z_sup = in_strips(run, X.shape[0], n)

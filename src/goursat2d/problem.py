@@ -23,8 +23,8 @@ difference cross-check of the user-supplied A1x, A2y.
 solution: v := F(z*) is evaluated on a refined grid and subsampled at the
 working grid's nodes, so the oracle's quadrature error sits an order below the
 solver's.  The refined grid is streamed through the operator's strip step,
-one row strip of g* at a time, and never held whole.  ``_components``
-samples every expression vector: F's terms, coefficients, ``XYFunction``.
+one row strip of g* at a time, and never held whole.  Every expression is
+sampled by ``exprlang``'s node samplers, the probe's Jacobians included.
 """
 
 from __future__ import annotations
@@ -37,35 +37,19 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EvalFaultError, ParameterError, SchemaError
-from .exprlang import (
-    Expr,
-    eval_dual_on_grid,
-    eval_on_grid,
-    free_z_indices,
-    parse,
-)
+from .exprlang import (Expr, _components, _jacobian, _matrix_values, _zero_state,
+                       eval_dual_on_grid, eval_on_grid, free_z_indices, parse)
 from .fileio import read_field_csv
 from .grid import Grid, GridField, build_grid, in_strips
+from .operator import _step, apply_F, make_context
 from .sampling import halton_points
+from .solvers import SolverConfig
 
 #: Default seed for every randomized probe; recorded in reports.
 DEFAULT_SEED = 1729
 
 #: State-ball radii of the local-boundedness probes, increasing.
 DEFAULT_RADII = (1.0, 2.0, 4.0)
-
-
-def _zero_state(shape: tuple[int, ...], n: int) -> np.ndarray:
-    """The zero state of shape ``shape + (n,)``: a read-only broadcast view
-    of n zeros, which holds no grid-sized memory."""
-    return np.broadcast_to(np.zeros(n), shape + (n,))
-
-
-def _components(exprs, X, Y, Z) -> np.ndarray:
-    """Stack component evaluations into a writable array of shape X.shape + (n,)
-    (a view of the one array when n == 1)."""
-    values = [eval_on_grid(e, X, Y, Z) for e in exprs]
-    return np.expand_dims(values[0], -1) if len(values) == 1 else np.stack(values, -1)
 
 
 @dataclass(frozen=True)
@@ -288,8 +272,6 @@ def load_problem(document: dict, base_dir: str | Path | None = None) -> ProblemS
                     f"rhs file has {rhs.n} components, problem has {n}", path="rhs.v_file"
                 )
 
-    from .solvers import SolverConfig  # here, because solvers imports this module
-
     solver = _section(document, "solver", {f.name for f in fields(SolverConfig)}, required=False)
     for key, value in (solver or {}).items():
         try:
@@ -436,12 +418,6 @@ class AssumptionReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def _matrix_values(mat: ExprMatrix, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
-    """Sample an n×n expression matrix at points; shape X.shape + (n, n)."""
-    Z = _zero_state(X.shape, n)
-    return np.stack([_components(row, X, Y, Z) for row in mat], axis=-2)
-
-
 def _spectral_sup(vals: np.ndarray) -> float:
     """Largest spectral norm over a non-empty batch of matrices (shape (..., n, n))."""
     flat = vals.reshape(-1, vals.shape[-2], vals.shape[-1])
@@ -499,13 +475,8 @@ def probe_assumptions(
         znorm = np.linalg.norm(Z, axis=1)
         jac_sup = 0.0
         for which, comps in ((0, spec.f1), (1, spec.f2)):
-            vals = np.empty((total, n))
-            jac = np.empty((total, n, n))
-            for i, e in enumerate(comps):
-                v, d, kinked = eval_dual_on_grid(e, X, Y, Z)
-                vals[:, i] = v
-                jac[:, i, :] = d
-                kink_any = kink_any or kinked
+            vals, jac, kinked = _jacobian(comps, X, Y, Z)
+            kink_any = kink_any or kinked
             # B near the float maximum overflows the bound to inf, which allows
             # anything; a nonzero f where the bound is 0, and a ratio that
             # overflows, read as the largest finite ratio (report JSON holds no inf)
@@ -587,8 +558,6 @@ def manufacture_problem(
     the re-run after a fault take ``apply_F`` on the whole fine grid, so
     errors are the whole grid's, z*'s before F's and f1's before f2's.
     """
-    from .operator import _step, apply_F, make_context
-
     if refine < 1:
         raise ParameterError(f"refine must be >= 1, got {refine}")
     if zstar_g.n != base.n:

@@ -48,6 +48,7 @@ import numpy as np
 
 from .errors import (
     DivergenceError,
+    EvalFaultError,
     EvalOverflowError,
     NoConvergenceError,
     ParameterError,
@@ -245,11 +246,12 @@ def _iterate(
     residuals.  Overflow raises DivergenceError: a non-finite weighted
     residual (which also catches a non-finite iterate, because every residual
     contains the iterate itself) or an EvalOverflowError from ``residual`` or
-    ``step``.  Any other SolverError raised by ``step`` keeps its class and
-    message.  Every error carries this loop's partial report: the last
-    iterate whose residual was evaluated and finite, and the trace up to it.
-    When the first residual already overflows there is no such iterate, and
-    the error carries no report.
+    ``step``.  So does a domain fault there: any ``EvalFaultError`` during a
+    solve reads as a ``DivergenceError``.  Any other SolverError raised by
+    ``step`` keeps its class and message.  Every error carries this loop's
+    partial report: the last iterate whose residual was evaluated and finite,
+    and the trace up to it.  When the first residual already overflows or
+    faults there is no such iterate, and the error carries no report.
     """
     trace: list[IterationRecord] = []
     bad_streak = 0
@@ -281,6 +283,11 @@ def _iterate(
             g_next = step(g, r, rnorm)
     except EvalOverflowError as exc:
         error = _overflow(method, k, exc)
+    except EvalFaultError as exc:
+        error = DivergenceError(
+            f"{method} iteration {k} left the domain of an expression ({exc}); "
+            f"the iterates reach states where it is undefined at this weight and right-hand side"
+        )
     except SolverError as exc:
         error = exc
     if trace:
@@ -453,8 +460,8 @@ def _newton_step(ctx: OperatorContext, v: GridField, wn: WeightedNorms):
             try:
                 if classical.norm(_minus(apply_F(ctx, trial), v)) < r0:
                     return trial
-            except EvalOverflowError:
-                pass  # F overflows at the trial point: no decrease
+            except EvalFaultError:
+                pass  # F overflows or faults at the trial point: no decrease
             lam *= 0.5
         raise StagnationError(
             f"line search failed: merit did not decrease after "

@@ -312,6 +312,24 @@ class TestSolve:
         g = read_grid_csv(f"{out}.grid.csv")
         assert np.isfinite(g.values).all() and np.abs(g.values).max() > 20.0
 
+    def test_domain_fault_at_an_iterate_exits_2_with_partial_artifacts(self, tmp_path, capsys):
+        # the second Picard iterate takes log(5 + z1) below z1 = -5
+        path = tmp_path / "log.json"
+        path.write_text(json.dumps({**CUBIC_DOC, "functions": {
+            "f1": ["z1^3 + 3*log(5+z1)"], "f2": ["0"]}}))
+        out = tmp_path / "run"
+        code = run_cli(["solve", "--problem", str(path), "--n", "16", "--rhs", "20",
+                        "--m", "5", "--method", "picard", "--out", str(out)])
+        assert code == 2
+        failure = ("picard iteration 2 left the domain of an expression (log of a nonpositive "
+                   "value (expression offset 9) at (x, y) = (0.4375, 0.875))")
+        assert f"solver failure: {failure}" in capsys.readouterr().err
+        report = read_report_json(f"{out}.report.json")
+        assert report["failure"].startswith(failure)
+        assert report["result"]["converged"] is False
+        assert report["result"]["iterations"] == 1
+        np.testing.assert_array_equal(read_grid_csv(f"{out}.grid.csv").values, 20.0)
+
     def test_malformed_expression_exits_1_with_position(self, capsys):
         code = run_cli(["solve", "--builtin", "zero", "--n", "8", "--rhs", "1 + (x*"])
         assert code == 1

@@ -1,9 +1,11 @@
-"""The package imports only the standard library and numpy, and raises no
-bare ValueError (a bad argument raises ParameterError)."""
+"""The package imports only the standard library and numpy, its modules
+import each other at module level and without a cycle, and it raises no bare
+ValueError (a bad argument raises ParameterError)."""
 
 from __future__ import annotations
 
 import ast
+import graphlib
 import os
 import subprocess
 import sys
@@ -34,6 +36,57 @@ def test_package_imports_only_stdlib_and_numpy():
         for path in files
     }
     assert {name: mods for name, mods in foreign.items() if mods} == {}
+
+
+def _type_checking_only(node: ast.AST) -> bool:
+    return isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING",
+                                                                    "typing.TYPE_CHECKING")
+
+
+def relative_imports(source: str) -> tuple[set[str], list[int]]:
+    """The sibling modules a package file imports when it runs, and the lines
+    of its relative imports that sit inside a function or a class.
+
+    An import under ``if TYPE_CHECKING:`` serves annotations only: it never
+    runs, so it adds no module."""
+    tree = ast.parse(source)
+    skipped = {id(n) for block in ast.walk(tree) if _type_checking_only(block)
+               for n in ast.walk(block)}
+    nested = {id(n) for scope in ast.walk(tree)
+              if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              for n in ast.walk(scope)}
+    found = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+    modules = {name for n in found if id(n) not in skipped
+               for name in ([n.module.split(".")[0]] if n.module else [a.name for a in n.names])}
+    return modules, sorted(n.lineno for n in found if id(n) in nested)
+
+
+def package_graph() -> dict[str, tuple[set[str], list[int]]]:
+    """``relative_imports`` of every package module, by module name."""
+    return {path.stem: relative_imports(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE_DIR.glob("*.py"))}
+
+
+def test_package_imports_sit_at_module_level():
+    nested = {name: lines for name, (_, lines) in package_graph().items() if lines}
+    assert nested == {}
+
+
+def test_package_import_graph_is_acyclic():
+    graph = {name: modules for name, (modules, _) in package_graph().items()}
+    graphlib.TopologicalSorter(graph).prepare()  # a cycle raises CycleError, naming it
+
+
+def test_operator_imports_nothing_from_problem():
+    assert "problem" not in package_graph()["operator"][0]
+
+
+def test_import_guard_sees_nesting_type_checking_and_package_imports():
+    source = ("from typing import TYPE_CHECKING\nfrom . import grid, norms\nfrom .errors import X\n"
+              "if TYPE_CHECKING:\n    from .problem import Spec\n"
+              "def f():\n    from .solvers import solve\n"
+              "class C:\n    def g(self):\n        from .cli import main\n")
+    assert relative_imports(source) == ({"grid", "norms", "errors", "solvers", "cli"}, [7, 10])
 
 
 def value_error_raises(source: str) -> list[int]:

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from goursat2d.errors import ParameterError
+from goursat2d.errors import EvalFaultError, ParameterError
 from goursat2d.exprlang import parse
 from goursat2d.grid import GridField, build_grid, state_from_g
 from goursat2d.norms import WeightedNorms
@@ -175,6 +175,24 @@ class TestLinearization:
         eps = 1e-6
         quot = (apply_F(ctx, g.values + eps * h.values) - apply_F(ctx, g.values)) / eps
         np.testing.assert_allclose(quot, dF, atol=1e-4)
+
+    def test_faults_like_F_with_f1_before_f2(self):
+        # f1[1] (offset 4) and f2[0] (offset 0) both fault where z < -1; F
+        # evaluates f1 before f2, and so must the build of F'
+        zeros = [["0", "0"], ["0", "0"]]
+        spec = load_problem({
+            "meta": {"n": 2, "B": 1.0, "b": "1"},
+            "functions": {"f1": ["0", "0 + log(1 + z2)"], "f2": ["log(1 + z1)", "0"]},
+            "coefficients": {name: zeros for name in ("A1", "A2", "A1x", "A2y")},
+        })
+        grid = build_grid(8)
+        ctx = make_context(spec, grid)
+        at = GridField(grid, np.full((9, 9, 2), -100.0))
+        with pytest.raises(EvalFaultError, match=r"offset 4\)") as from_F:
+            apply_F(ctx, at)
+        with pytest.raises(EvalFaultError) as from_linearization:
+            LinearizedOperator(ctx, at)
+        assert str(from_linearization.value) == str(from_F.value)
 
     def test_linearizes_at_the_state_of_g(self):
         grid = build_grid(6)

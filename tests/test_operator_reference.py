@@ -429,11 +429,15 @@ class TestAllocations:
 
     At N = 1024 the row-strip engine runs eleven strips, and peaks fall to
     about its input and output: 1.66 for ``apply_F`` (5.13 on the whole
-    grid), 3.12 for building F' at a point (8.00) and 1.47 for
-    ``apply_array`` (5.02).  A right-hand side manufactured from N = 256
-    streams the fine grid and peaks at 0.81 fine units (2.67 with the fine
-    g* and F(g*) held whole, 6.13 with the g* sample stacked and copied into
-    a field), and a whole ``mms --n-list 64,128,256`` at 0.91 (2.70).
+    grid), 2.84 for building F' at a point, whose partials go straight into
+    its Jacobians (3.12 while each strip's were stacked and copied in, 8.00
+    on the whole grid) and 1.47 for ``apply_array`` (5.02).  A right-hand
+    side manufactured from N = 256 streams the fine grid and peaks at 0.81
+    fine units (2.67 with the fine g* and F(g*) held whole, 6.13 with the g*
+    sample stacked and copied into a field), and a whole ``mms --n-list
+    64,128,256`` at 0.97, its one-strip N = 256 F' build holding both
+    Jacobians while it evaluates (0.91 when they were allocated after the
+    partials; 2.70 before the strips).
 
     Weighted norms: twenty ``WeightedNorms`` on one N = 64 grid retain 0.005
     (19.12 while each cached its (P, P) kernel), and one norm of a scalar

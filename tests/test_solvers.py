@@ -25,6 +25,7 @@ from goursat2d.errors import (
     DivergenceError,
     NoConvergenceError,
     ParameterError,
+    SolverError,
     StagnationError,
 )
 from goursat2d.exprlang import parse
@@ -570,6 +571,23 @@ class TestNewton:
         report = exc_info.value.report
         assert report.method == "newton" and report.iterations == 2
         np.testing.assert_array_equal(report.g.values, 2.0**-13 * 1e158)
+
+    def test_line_search_halves_trials_whose_F_leaves_the_domain(self):
+        # a full Newton step takes log(1 + z1) below z1 = -1; the trial
+        # counts as no decrease, so the solve goes on to a SolverError with
+        # its report instead of raising the EvalFaultError
+        spec = load_problem({
+            "meta": {"n": 1, "B": 1.0, "b": "1"},
+            "functions": {"f1": ["exp(3*z1) + log(1+z1)"], "f2": ["0"]},
+            "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+        })
+        ctx = make_context(spec, build_grid(16))
+        v = XYFunction.from_sources("5*sin(6*x)").sample(ctx.grid)
+        with pytest.raises(SolverError) as exc_info:
+            solve(ctx, v, SolverConfig(m=5.0))
+        report = exc_info.value.report
+        assert report.method == "newton" and not report.converged
+        assert report.iterations == len(report.trace) > 1
 
     def test_mesh_refinement_halves_h_quarters_error(self):
         base = linear_spec()
