@@ -546,8 +546,7 @@ def cmd_sens(args) -> int:
     cfg, choice = _weight(ctx, cfg, None)
     rep = validate_frechet(ctx, v, direction, tuple(eps), cfg)
     if not rep.valid:
-        _note("sens: a base or perturbed solve failed to converge; "
-              "no derivative was validated")
+        _note(f"sens: {rep.failure}; no derivative was validated")
         return 2
 
     for e, err in rep.fd_errors:

@@ -30,8 +30,13 @@ also run strip by strip over rows (``row_strips``): ``strip_step`` evaluates
 one strip from a ``Carry``, the last rows that the prefix sums continue, and
 returns the strip's rows of the state, or of (g + local) + J(inner) for
 pointwise terms from its caller, with the next carry and the whole grid's
-bits.  ``state_from_g`` is one strip over the grid.  ``in_strips`` serves
-only walks that a carry or a zero test ties together; samples take one pass.
+bits.  ``state_from_g`` is one strip over the grid.  The strips serve only
+walks that a carry or a zero test ties together; samples take one pass.
+Each walk takes its strips in row order and raises the first fault it
+meets: that of the first strip in which anything faults; within it, of the
+first expression evaluated; within that, of its first node in row-major
+order.  No later strip is evaluated, and on a grid of one strip this is the
+whole grid's fault.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import EvalFaultError, ParameterError
+from .errors import ParameterError
 
 
 class Grid:
@@ -234,23 +239,6 @@ def row_strips(points: int, n: int) -> list[slice]:
     so that the first strip has a row of cells."""
     rows = max(2, _STRIP_BYTES // (points * n * 8))
     return [slice(i, min(i + rows, points)) for i in range(0, points, rows)]
-
-
-def in_strips(run, points: int, n: int):
-    """``run(strips)`` over the ``row_strips`` of a (points, points, n) evaluation.
-
-    On an evaluation fault (overflow included) the grid is run again as one
-    strip, so that the fault raised is the whole-grid evaluation's: the
-    first expression, and node, that faults at any point, at its first point
-    in row-major order.  A strip could only report one faulting in its rows.
-    """
-    strips = row_strips(points, n)
-    if len(strips) > 1:
-        try:
-            return run(strips)
-        except EvalFaultError:
-            pass  # leave the handler first: the fault raised must not chain to this one
-    return run([slice(0, points)])
 
 
 #: The fresh (P, n) rows that a strip passes to the strip after it: the last

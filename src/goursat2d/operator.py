@@ -21,8 +21,9 @@ by block over row strips, by ``_step`` (``grid.strip_step`` with the A
 terms, f1 and f2 sampled by ``exprlang``'s node samplers) from the carry of
 the strip before.  Each strip's temporaries are strip-sized, the result is
 the only grid-sized array allocated, and the bits are the whole grid's.  An
-evaluation fault in a strip makes the grid run again as one strip, so the
-fault raised is the whole grid's (f1 before f2, in F and F' alike).
+evaluation fault stops the walk in the first strip that faults, with the
+first fault of that strip: f1's before f2's, in F and F' alike, each at its
+first node in row-major order.  On a grid of one strip it is the whole grid's.
 
 ``coercivity_probe`` checks the lower bound that makes the problem solvable
 for large weights: for m > 8B,
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .exprlang import _components, _jacobian, _matrix_values, _zero_state, eval_on_grid
-from .grid import Grid, GridField, in_strips, strip_step
+from .grid import Grid, GridField, row_strips, strip_step
 from .norms import WeightedNorms
 
 if TYPE_CHECKING:  # annotations only: problem imports this module
@@ -106,16 +107,16 @@ def _coefficient(mat, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray | None
     """An n×n expression matrix sampled at the nodes, or None when it is zero
     at every node (by value: ``x - x`` is zero too); the context stores the
     None as it is.  The zero test runs strip by strip, so only a nonzero
-    matrix is ever held whole."""
-    def run(strips):
-        if not any(_matrix_values(mat, X[s], Y[s], n).any() for s in strips):
-            return None
-        out = np.empty(X.shape + (n, n))
-        for s in strips:
-            out[s] = _matrix_values(mat, X[s], Y[s], n)
-        return out
-
-    return in_strips(run, X.shape[0], n * n)
+    matrix is ever held whole.  A fault is that of the first strip that
+    faults: its first faulting entry, row-major, at that entry's first
+    faulting node."""
+    strips = row_strips(X.shape[0], n * n)
+    if not any(_matrix_values(mat, X[s], Y[s], n).any() for s in strips):
+        return None
+    out = np.empty(X.shape + (n, n))
+    for s in strips:
+        out[s] = _matrix_values(mat, X[s], Y[s], n)
+    return out
 
 
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -144,19 +145,16 @@ def _assemble(ctx: OperatorContext, g: np.ndarray, pointwise) -> np.ndarray:
     """``_step`` over the row strips of the grid, into one result allocated
     after the first strip's arrays: their freed chunks, which the later
     strips reuse, then stay below it and out of the C heap's top, whose
-    trimming would fault their pages back in on the next call.  A fault runs
-    the grid again as one strip (``in_strips``)."""
-    def run(strips):
-        out = carry = None
-        for rows in strips:
-            part, carry = _step(ctx, g[rows], rows, carry, pointwise,
-                                None if out is None else out[rows])
-            if out is None and len(strips) > 1:
-                out = np.empty(g.shape)
-                out[rows] = part
-        return part if out is None else out
-
-    return in_strips(run, g.shape[0], g.shape[2])
+    trimming would fault their pages back in on the next call."""
+    strips = row_strips(g.shape[0], g.shape[2])
+    out = carry = None
+    for rows in strips:
+        part, carry = _step(ctx, g[rows], rows, carry, pointwise,
+                            None if out is None else out[rows])
+        if out is None and len(strips) > 1:
+            out = np.empty(g.shape)
+            out[rows] = part
+    return part if out is None else out
 
 
 def apply_F(ctx: OperatorContext, g: GridField | np.ndarray) -> GridField | np.ndarray:
@@ -193,20 +191,16 @@ class LinearizedOperator:
         self.ctx = ctx
         spec, X, Y = ctx.spec, ctx.X, ctx.Y
         n = spec.n
-
-        def run(strips):
-            jac, z_sup, carry = np.empty((2,) + X.shape + (n, n)), 0.0, None
-            for rows in strips:
-                if at is None:
-                    Z = _zero_state(X[rows].shape, n)
-                else:
-                    (Z, _, _), carry = strip_step(at.values[rows], carry, ctx.grid.h, zy=False)
-                    z_sup = max(z_sup, float(np.sqrt((Z**2).sum(axis=2)).max()))
-                for k, f in enumerate((spec.f1, spec.f2)):
-                    _jacobian(f, X[rows], Y[rows], Z, out=jac[k, rows])
-            return jac[0], jac[1], z_sup
-
-        self.j1, self.j2, self.z_sup = in_strips(run, X.shape[0], n)
+        jac, z_sup, carry = np.empty((2,) + X.shape + (n, n)), 0.0, None
+        for rows in row_strips(X.shape[0], n):
+            if at is None:
+                Z = _zero_state(X[rows].shape, n)
+            else:
+                (Z, _, _), carry = strip_step(at.values[rows], carry, ctx.grid.h, zy=False)
+                z_sup = max(z_sup, float(np.sqrt((Z**2).sum(axis=2)).max()))
+            for k, f in enumerate((spec.f1, spec.f2)):
+                _jacobian(f, X[rows], Y[rows], Z, out=jac[k, rows])
+        self.j1, self.j2, self.z_sup = jac[0], jac[1], z_sup
 
     def apply_array(self, hg: np.ndarray) -> np.ndarray:
         """Raw-array application for solver inner loops; hg shape (P, P, n)."""

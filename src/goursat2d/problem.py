@@ -40,7 +40,7 @@ from .errors import EvalFaultError, ParameterError, SchemaError
 from .exprlang import (Expr, _components, _jacobian, _matrix_values, _zero_state,
                        eval_dual_on_grid, eval_on_grid, free_z_indices, parse)
 from .fileio import read_field_csv
-from .grid import Grid, GridField, build_grid, in_strips
+from .grid import Grid, GridField, build_grid, row_strips
 from .operator import _step, apply_F, make_context
 from .sampling import halton_points
 from .solvers import SolverConfig
@@ -554,9 +554,11 @@ def manufacture_problem(
 
     Each fine row strip samples g* on its rows only, evaluates F there from
     the carry of the strip before and keeps its nodes of ``grid``: no
-    fine-grid array is allocated.  As in ``grid.in_strips``, one strip and
-    the re-run after a fault take ``apply_F`` on the whole fine grid, so
-    errors are the whole grid's, z*'s before F's and f1's before f2's.
+    fine-grid array is allocated.  A fault is that of the first strip that
+    faults, z*'s before F's and f1's before f2's, each at its first node in
+    row-major order; on one strip it is the whole fine grid's.  One strip
+    takes ``apply_F`` on the whole fine grid, which gives the same bits as
+    the loop, only so that the perfbench trace of ``apply_F`` counts it.
     """
     if refine < 1:
         raise ParameterError(f"refine must be >= 1, got {refine}")
@@ -564,19 +566,17 @@ def manufacture_problem(
         raise ParameterError(f"z* has {zstar_g.n} components, problem has {base.n}")
     ctx = make_context(base, build_grid(grid.cells * refine))
     X, Y = ctx.X, ctx.Y
-
-    def run(strips):
-        if len(strips) == 1:
-            return apply_F(ctx, zstar_g._rows(X, Y))[::refine, ::refine]
-        v = carry = None
-        for rows in strips:
-            part, carry = _step(ctx, zstar_g._rows(X[rows], Y[rows]), rows, carry, ctx._f_terms)
-            if v is None:  # after the first strip's arrays, as in the operator
-                v = np.empty((grid.npoints, grid.npoints, base.n))
-            skip = -rows.start % refine  # the strip's rows before its first node of ``grid``
-            kept = part[skip::refine, ::refine]
-            first = (rows.start + skip) // refine
-            v[first:first + len(kept)] = kept
-        return v
-
-    return replace(base, rhs=GridField(grid, in_strips(run, ctx.grid.npoints, base.n)))
+    strips = row_strips(ctx.grid.npoints, base.n)
+    if len(strips) == 1:
+        v = apply_F(ctx, zstar_g._rows(X, Y))[::refine, ::refine]
+        return replace(base, rhs=GridField(grid, v))
+    v = carry = None
+    for rows in strips:
+        part, carry = _step(ctx, zstar_g._rows(X[rows], Y[rows]), rows, carry, ctx._f_terms)
+        if v is None:  # after the first strip's arrays, as in the operator
+            v = np.empty((grid.npoints, grid.npoints, base.n))
+        skip = -rows.start % refine  # the strip's rows before its first node of ``grid``
+        kept = part[skip::refine, ::refine]
+        first = (rows.start + skip) // refine
+        v[first:first + len(kept)] = kept
+    return replace(base, rhs=GridField(grid, v))

@@ -39,7 +39,8 @@ class SensitivityReport:
     quotient from the directional derivative h.  stability ratios are
     ‖z₁ − z₂‖/‖v₁ − v₂‖ in (classical, weighted) norms, None when not probed
     or degenerate.  ``valid`` is False as soon as any inner solve failed to
-    converge; ``passed`` additionally requires the error criteria.
+    converge, and ``failure`` then names the first that failed with its
+    error's message; ``passed`` additionally requires the error criteria.
     """
 
     h: GridField | None = None
@@ -48,13 +49,17 @@ class SensitivityReport:
     stability_weighted: float | None = None
     stability_bound: float | None = None
     degenerate: bool = False
+    failure: str | None = None
     converged_flags: tuple[bool, ...]
     valid: bool
     passed: bool
 
     def as_dict(self) -> dict:
-        """Every field but the derivative field ``h``, which is not copied."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "h"}
+        """Every field but the derivative field ``h``, which is not copied, and
+        ``failure``, which only an invalid report, one that writes no
+        artifact, holds."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("h", "failure")}
 
 
 def frechet_apply(ctx: OperatorContext, solved: SolveReport, deltav: GridField) -> GridField:
@@ -66,12 +71,14 @@ def frechet_apply(ctx: OperatorContext, solved: SolveReport, deltav: GridField) 
     return solve_linearized(LinearizedOperator(ctx, solved.g), deltav, inner).g
 
 
-def _solve_or_none(ctx: OperatorContext, v: GridField, cfg: SolverConfig) -> SolveReport | None:
-    """``solve``'s report (always converged), or None on a SolverError."""
+def _solve_or_failure(ctx: OperatorContext, v: GridField, cfg: SolverConfig,
+                      what: str) -> tuple[SolveReport | None, str | None]:
+    """``solve``'s report (always converged) and None, or on a SolverError
+    None and the failure: ``what`` failed, with the error's message."""
     try:
-        return solve(ctx, v, cfg)
-    except SolverError:
-        return None
+        return solve(ctx, v, cfg), None
+    except SolverError as exc:
+        return None, f"{what} failed to converge: {exc}"
 
 
 def validate_frechet(
@@ -110,9 +117,10 @@ def validate_frechet(
                 raise ParameterError(
                     f"the perturbed right-hand side v + eps*deltav overflows at eps = {e:g}")
 
-    base = _solve_or_none(ctx, v, cfg)
+    base, failure = _solve_or_failure(ctx, v, cfg, "the base solve")
     if base is None:
-        return SensitivityReport(converged_flags=(False,), valid=False, passed=False)
+        return SensitivityReport(failure=failure, converged_flags=(False,), valid=False,
+                                 passed=False)
 
     flags = [True]
     h = frechet_apply(ctx, base, deltav)
@@ -124,7 +132,9 @@ def validate_frechet(
         # cold start on purpose: the perturbed solve then follows the same
         # iteration path as the base solve, so the two solver errors are
         # correlated and cancel in the quotient (exactly, for affine F)
-        rep = _solve_or_none(ctx, GridField(ctx.grid, v.values + deltav.values * e), cfg)
+        perturbed = GridField(ctx.grid, v.values + deltav.values * e)
+        rep, failed = _solve_or_failure(ctx, perturbed, cfg, f"the solve at eps = {e:g}")
+        failure = failure or failed
         flags.append(rep is not None)
         if rep is not None:
             quotient = (rep.g.values - base.g.values) / e
@@ -141,6 +151,7 @@ def validate_frechet(
     return SensitivityReport(
         h=h,
         fd_errors=tuple(errors),
+        failure=failure,
         converged_flags=tuple(flags),
         valid=valid,
         passed=passed,
@@ -161,11 +172,12 @@ def stability_probe(
     """
     ctx.check_field(v1)
     ctx.check_field(v2)
-    reports = [_solve_or_none(ctx, v, cfg) for v in (v1, v2)]
-    flags = tuple(rep is not None for rep in reports)
+    (r1, failed1), (r2, failed2) = (_solve_or_failure(ctx, v, cfg, f"the solve of {name}")
+                                    for name, v in (("v1", v1), ("v2", v2)))
+    flags = (r1 is not None, r2 is not None)
     if not all(flags):
-        return SensitivityReport(converged_flags=flags, valid=False, passed=False)
-    r1, r2 = reports
+        return SensitivityReport(failure=failed1 or failed2, converged_flags=flags,
+                                 valid=False, passed=False)
     m = r1.m_used
     wn, classical = WeightedNorms(ctx.grid, m), WeightedNorms(ctx.grid, 0.0)
     dv = v1.values - v2.values

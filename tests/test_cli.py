@@ -1210,6 +1210,23 @@ class TestSens:
         assert "failed to converge" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # sens writes no partial artifacts
 
+    def test_failed_solve_is_named_with_its_error(self, tmp_path, capsys):
+        # the base Picard solve leaves log's domain at iteration 2
+        doc = dict(CUBIC_DOC, functions={"f1": ["z1^3 + 3*log(5+z1)"], "f2": ["0"]})
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        code = run_cli(["sens", "--problem", str(tmp_path / "doc.json"), "--n", "16",
+                        "--rhs", "20", "--m", "5", "--method", "picard", "--direction", "1",
+                        "--out", str(tmp_path / "sens")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "sens: the base solve failed to converge: picard iteration 2 left the domain of "
+            "an expression (log of a nonpositive value (expression offset 9) at (x, y) = "
+            "(0.4375, 0.875)); the iterates reach states where it is undefined at this "
+            "weight and right-hand side; no derivative was validated")
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]  # no artifacts
+
     def test_oversized_steps_fail_validation_with_exit_3(self, tmp_path, capsys):
         out = tmp_path / "sens"
         code = run_cli(["sens", "--builtin", "example46", "--n", "12",
@@ -1299,21 +1316,29 @@ class TestMms:
         assert code == 1
         assert "z-variables" in capsys.readouterr().err
 
-    def test_fault_of_f1_at_zstar_does_not_name_the_flag(self, tmp_path, capsys):
+    @pytest.mark.parametrize("functions, zstar, n_list, error", [
         # z* = -80xy samples fine; log(10 + z) faults where z = -10, at (1/8, 1) on N = 16
-        doc = dict(LINEAR_MEMORY_DOC, functions={"f1": ["log(10 + z1)"], "f2": ["0"]})
+        ({"f1": ["log(10 + z1)"], "f2": ["0"]}, "-80", "4,8",
+         "error: log of a nonpositive value (expression offset 0) at (x, y) = (0.125, 1)\n"),
+        # the fine grid of N = 100 runs two strips: F faults in the first, at
+        # x = 1/4, and z* only in the second, but z* sampled on the whole fine
+        # grid faults, so the flag is named
+        ({"f1": ["0.5*z1"], "f2": ["z1 + 1/(x - 0.25)"]}, "1/(x - 0.9)", "100,200",
+         "error: --zstar: division by zero (expression offset 1) at (x, y) = (0.9, 0)\n"),
+    ], ids=["f1-at-zstar", "zstar-after-F-in-a-later-strip"])
+    def test_fault_at_zstar_names_the_flag_only_for_its_own(self, functions, zstar, n_list,
+                                                            error, tmp_path, capsys):
+        doc = dict(LINEAR_MEMORY_DOC, functions=functions)
         (tmp_path / "doc.json").write_text(json.dumps(doc))
-        code = run_cli(["mms", "--problem", str(tmp_path / "doc.json"), "--zstar", "-80",
-                        "--n-list", "4,8", "--out", str(tmp_path / "run")])
+        code = run_cli(["mms", "--problem", str(tmp_path / "doc.json"), "--zstar", zstar,
+                        "--n-list", n_list, "--out", str(tmp_path / "run")])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         # the document's b = 0 fails the growth probe, which mms notes first
         assert captured.err == ("note: assumption probe found violations (growth_ok=False, "
                                 "coeff_ok=True, deriv_ok=True); run `verify --suite "
-                                "assumptions` for details\n"
-                                "error: log of a nonpositive value (expression offset 0) "
-                                "at (x, y) = (0.125, 1)\n")
+                                "assumptions` for details\n" + error)
 
     def test_success_resamples_no_zstar(self, tmp_path, monkeypatch):
         def resample(*args):

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from goursat2d import cli
+from goursat2d import cli, operator
 from goursat2d.errors import EvalFaultError, EvalOverflowError
 from goursat2d.exprlang import eval_dual_on_grid, eval_on_grid
 from goursat2d.grid import GridField, build_grid, row_strips, strip_step
@@ -323,13 +323,12 @@ class TestStepFromCarry:
             _assert_unchanged([a for a in carry if a is not None], saved)
 
 
-def fault_doc(f1, a1="0"):
-    """f2 faults at x = 1/4, in the first strip of a 400-cell grid, and
-    ``f1`` later: a whole-grid evaluation reports f1's fault, because f1 is
-    evaluated first."""
+def fault_doc(f1, a1="0", f2="z1 + 1/(x - 0.25)"):
+    """By default f2 faults at x = 1/4, in the first strip of a 400-cell
+    grid (strips of 245 rows, to x = 0.61), and ``f1`` where it does."""
     return {
         "meta": {"n": 1, "B": 1.0, "b": "1"},
-        "functions": {"f1": [f1], "f2": ["z1 + 1/(x - 0.25)"]},
+        "functions": {"f1": [f1], "f2": [f2]},
         "coefficients": {"A1": [[a1]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
     }
 
@@ -339,69 +338,107 @@ F1_DIVIDES = fault_doc("z1 + 1/(x - 0.75)")
 F1_DIVIDES_AT = "division by zero (expression offset 6) at (x, y) = (0.75, 0)"
 #: f1 overflows from x = 0.7125, in the second strip
 F1_OVERFLOWS = fault_doc("z1 + exp(1/((x - 0.75)^2 + 0.000001))")
-F1_OVERFLOWS_AT = "non-finite result (overflow?) (expression offset 3) at (x, y) = (0.7125, 0)"
+#: f2's fault in the first strip
+F2_DIVIDES_AT = "division by zero (expression offset 6) at (x, y) = (0.25, 0)"
 
 
-class TestFaultsAreTheWholeGrids:
-    """A strip stops at the first fault in its own rows; the fault raised
-    must be the one a whole-grid evaluation raises, class and message."""
+def _operator_runs(doc, cells):
+    """F, F' at a point and F' at the zero state of ``doc`` on ``cells``."""
+    ctx = make_context(load_problem(doc), build_grid(cells))
+    g = np.full((cells + 1, cells + 1, 1), 0.5)
+    return (lambda: apply_F(ctx, g),
+            lambda: LinearizedOperator(ctx, GridField(ctx.grid, g)),
+            lambda: LinearizedOperator(ctx))
 
-    @pytest.mark.parametrize("doc, error, message", [
-        (F1_DIVIDES, EvalFaultError, F1_DIVIDES_AT),
-        (F1_OVERFLOWS, EvalOverflowError, F1_OVERFLOWS_AT),
-    ], ids=["division", "overflow"])
-    def test_f1_before_f2(self, doc, error, message):
-        ctx = make_context(load_problem(doc), build_grid(400))
-        g = np.full((401, 401, 1), 0.5)
-        for run in (lambda: apply_F(ctx, g),
-                    lambda: LinearizedOperator(ctx, GridField(ctx.grid, g)),
-                    lambda: LinearizedOperator(ctx)):
-            with pytest.raises(EvalFaultError) as info:
-                run()
-            assert type(info.value) is error and str(info.value) == message
 
-    def test_manufacture_reports_f1(self):
+def _raised(run) -> EvalFaultError:
+    with pytest.raises(EvalFaultError) as info:
+        run()
+    assert info.value.__context__ is None
+    return info.value
+
+
+class TestFaultsFollowCausalOrder:
+    """A strip walk stops at the first strip, in row order, in which anything
+    faults, and raises the first fault there: the first expression evaluated
+    (z* before F, f1 before f2, matrix entries row-major) at its first node
+    in row-major order.  No later strip is evaluated, and on a grid of one
+    strip the fault is the whole grid's."""
+
+    @pytest.mark.parametrize("doc", [F1_DIVIDES, F1_OVERFLOWS], ids=["division", "overflow"])
+    def test_first_strip_before_f1(self, doc):
+        for run in _operator_runs(doc, 400):
+            error = _raised(run)
+            assert type(error) is EvalFaultError and str(error) == F2_DIVIDES_AT
+
+    def test_overflow_in_the_first_strip_before_a_later_division(self):
+        doc = fault_doc("z1 + 1/(x - 0.75)", f2="z1 + exp(1/((x - 0.25)^2 + 0.000001))")
+        for run in _operator_runs(doc, 400):
+            error = _raised(run)
+            assert type(error) is EvalOverflowError
+            assert str(error) == ("non-finite result (overflow?) (expression offset 3) "
+                                  "at (x, y) = (0.2125, 0)")
+
+    def test_f1_before_f2_in_one_strip(self):
+        # f1 faults at x = 0.4, in the first strip but in a later row than f2
+        for run in _operator_runs(fault_doc("z1 + 1/(x - 0.4)"), 400):
+            error = _raised(run)
+            assert type(error) is EvalFaultError
+            assert str(error) == "division by zero (expression offset 6) at (x, y) = (0.4, 0)"
+
+    def test_one_strip_is_the_whole_grid(self):
+        # 200 cells run as one strip: f1's fault, the first on the whole grid
+        assert len(row_strips(201, 1)) == 1
+        ctx = make_context(load_problem(F1_DIVIDES), build_grid(200))
+        whole = _raised(lambda: eval_on_grid(ctx.spec.f1[0], ctx.X, ctx.Y,
+                                             np.zeros(ctx.X.shape + (1,))))
+        assert str(whole) == F1_DIVIDES_AT
+        runs = (*_operator_runs(F1_DIVIDES, 200),
+                lambda: manufacture_problem(load_problem(F1_DIVIDES),
+                                            XYFunction.from_sources("1 + x*y"), build_grid(50), 4))
+        for run in runs:
+            error = _raised(run)
+            assert type(error) is EvalFaultError and str(error) == str(whole)
+
+    def test_manufacture_reports_the_first_strip(self):
         spec = load_problem(F1_DIVIDES)
-        with pytest.raises(EvalFaultError) as info:
-            manufacture_problem(spec, XYFunction.from_sources("1 + x*y"), build_grid(100), 4)
-        assert type(info.value) is EvalFaultError and str(info.value) == F1_DIVIDES_AT
+        error = _raised(lambda: manufacture_problem(spec, XYFunction.from_sources("1 + x*y"),
+                                                    build_grid(100), 4))
+        assert type(error) is EvalFaultError and str(error) == F2_DIVIDES_AT
 
     def test_zstar_before_F(self):
-        # z* divides by zero first at x = 3/4 and, in a later node, at x = 1/4
+        # z* divides by zero at x = 1/4 in its second term, in the first strip
+        # with f2, and at x = 3/4 in its first, in the second strip
         spec = load_problem(F1_DIVIDES)
         zstar = XYFunction.from_sources("1/(x - 0.75) + 1/(x - 0.25)")
-        with pytest.raises(EvalFaultError) as info:
-            manufacture_problem(spec, zstar, build_grid(100), 4)
-        assert type(info.value) is EvalFaultError
-        assert str(info.value) == "division by zero (expression offset 1) at (x, y) = (0.75, 0)"
+        error = _raised(lambda: manufacture_problem(spec, zstar, build_grid(100), 4))
+        assert type(error) is EvalFaultError
+        assert str(error) == "division by zero (expression offset 16) at (x, y) = (0.25, 0)"
 
     @pytest.mark.parametrize("f1", ["z1 + 1/(x - 0.75)", "z1 + 1/(x - 0.25)"],
                              ids=["f2-early", "f1-early"])
-    def test_zstar_faulting_late_before_F_faulting_early(self, f1):
+    def test_F_faulting_early_before_zstar_faulting_late(self, f1):
         # the fine grid runs two strips: F faults in the first, at x = 1/4,
         # and z* only in the second, at x = 0.9
         spec = load_problem(fault_doc(f1))
-        with pytest.raises(EvalFaultError) as info:
-            manufacture_problem(spec, XYFunction.from_sources("1/(x - 0.9)"), build_grid(100), 4)
-        assert type(info.value) is EvalFaultError and info.value.__context__ is None
-        assert str(info.value) == "division by zero (expression offset 1) at (x, y) = (0.9, 0)"
+        error = _raised(lambda: manufacture_problem(spec, XYFunction.from_sources("1/(x - 0.9)"),
+                                                    build_grid(100), 4))
+        assert type(error) is EvalFaultError and str(error) == F2_DIVIDES_AT
 
     def test_xy_samples_component_before_node(self):
         # component 0 faults only at x = 0.9, component 1 already at the
         # origin: a sampler that stopped at the first fault of a row strip
         # (n = 2 on 400 cells makes four) would report log(x)
         zstar = XYFunction.from_sources(["1/(x - 0.9)", "log(x)"])
-        with pytest.raises(EvalFaultError) as info:
-            zstar.sample(build_grid(400))
-        assert type(info.value) is EvalFaultError and info.value.__context__ is None
-        assert str(info.value) == "division by zero (expression offset 1) at (x, y) = (0.9, 0)"
+        error = _raised(lambda: zstar.sample(build_grid(400)))
+        assert type(error) is EvalFaultError
+        assert str(error) == "division by zero (expression offset 1) at (x, y) = (0.9, 0)"
 
     def test_coefficient_matrix(self):
         doc = fault_doc("z1", a1="1/(x - 0.75) + 1/(x - 0.25)")
-        with pytest.raises(EvalFaultError) as info:
-            make_context(load_problem(doc), build_grid(400))
-        assert type(info.value) is EvalFaultError
-        assert str(info.value) == "division by zero (expression offset 1) at (x, y) = (0.75, 0)"
+        error = _raised(lambda: make_context(load_problem(doc), build_grid(400)))
+        assert type(error) is EvalFaultError
+        assert str(error) == "division by zero (expression offset 16) at (x, y) = (0.25, 0)"
 
 
 class TestAllocations:
@@ -429,9 +466,10 @@ class TestAllocations:
 
     At N = 1024 the row-strip engine runs eleven strips, and peaks fall to
     about its input and output: 1.66 for ``apply_F`` (5.13 on the whole
-    grid), 2.84 for building F' at a point, whose partials go straight into
-    its Jacobians (3.12 while each strip's were stacked and copied in, 8.00
-    on the whole grid) and 1.47 for ``apply_array`` (5.02).  A right-hand
+    grid; 1.48 when f1 faults in the tenth strip, 3.13 while a fault ran
+    the whole grid again), 2.84 for building F' at a point, whose partials
+    go straight into its Jacobians (3.12 while each strip's were stacked and
+    copied in, 8.00 on the whole grid) and 1.47 for ``apply_array`` (5.02).  A right-hand
     side manufactured from N = 256 streams the fine grid and peaks at 0.81
     fine units (2.67 with the fine g* and F(g*) held whole, 6.13 with the g*
     sample stacked and copied into a field), and a whole ``mms --n-list
@@ -543,6 +581,28 @@ class TestAllocations:
         lin = LinearizedOperator(ctx, GridField(ctx.grid, np.full(ctx.X.shape + (1,), 0.3)))
         h = np.full(ctx.X.shape + (1,), -0.2)
         assert self._peak_units(lambda: lin.apply_array(h), self.STRIP_CELLS) < 1.9
+
+    def test_a_faulting_apply_F_evaluates_no_strip_twice(self, monkeypatch):
+        # f1 faults at x = 0.875, row 896, in the tenth strip of 95 rows
+        ctx = make_context(load_problem(fault_doc("z1 + 1/(x - 0.875)", f2="z1")),
+                           build_grid(self.STRIP_CELLS))
+        g = np.full(ctx.X.shape + (1,), 0.3)
+
+        def run():
+            with pytest.raises(EvalFaultError, match=r"at \(x, y\) = \(0\.875, 0\)"):
+                apply_F(ctx, g)
+
+        assert self._peak_units(run, self.STRIP_CELLS) < 2.0
+        rows, step = [], operator.strip_step
+
+        def counting(g, carry, *args, **kwargs):
+            rows.append((len(g), carry is None))
+            return step(g, carry, *args, **kwargs)
+
+        monkeypatch.setattr(operator, "strip_step", counting)
+        run()
+        strips = row_strips(self.STRIP_CELLS + 1, 1)[:10]
+        assert rows == [(s.stop - s.start, s.start == 0) for s in strips]
 
     def test_streamed_manufacture_holds_no_fine_array(self):
         spec = builtin_example_4_6()

@@ -187,6 +187,22 @@ class TestValidateFrechet:
         assert not report.valid and not report.passed
         assert report.h is None and report.fd_errors == ()
         assert report.converged_flags[0] is False
+        assert report.failure == ("the base solve failed to converge: no convergence within 1 "
+                                  "newton iterations (last weighted residual 0.122 > tol 1e-15)")
+        assert "failure" not in report.as_dict()
+
+    def test_first_failed_perturbed_solve_is_named_in_the_report(self):
+        # log(5 + z1) leaves its domain in the Picard solves at eps = 40, 20, 10
+        ctx = make_context(load_problem({
+            "meta": {"n": 1, "B": 1, "b": "1"},
+            "functions": {"f1": ["z1^3 + 3*log(5+z1)"], "f2": ["0"]},
+            "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+        }), build_grid(16))
+        v = GridField(ctx.grid, np.ones((17, 17, 1)))
+        report = validate_frechet(ctx, v, v, (40, 20, 10), SolverConfig(m=5, method="picard"))
+        assert report.converged_flags == (True, False, False, False) and not report.valid
+        assert report.failure.startswith("the solve at eps = 40 failed to converge: picard "
+                                          "iteration 2 left the domain of an expression")
 
 
 class TestStabilityProbe:
@@ -230,6 +246,7 @@ class TestStabilityProbe:
         report = stability_probe(ctx, v1, v2, SolverConfig(tol=1e-15, max_iter=1))
         assert not report.valid and not report.passed
         assert report.stability_classical is None
+        assert report.failure.startswith("the solve of v1 failed to converge: no convergence")
 
     def test_report_dict_shape(self):
         ctx = probed_context(zero_problem(), 8)
