@@ -45,7 +45,7 @@ from .problem import (
     manufacture_problem,
     probe_assumptions,
 )
-from .sampling import random_smooth_field
+from .sampling import _PCG64, random_smooth_field
 from .sensitivity import validate_frechet
 from .solvers import (
     SolverConfig,
@@ -354,7 +354,7 @@ def cmd_linsolve(args) -> int:
 # -- verify --------------------------------------------------------------------
 
 def _sample_fields(args, grid, n: int) -> list[GridField]:
-    rng = np.random.default_rng(args.seed)
+    rng = _PCG64(args.seed)
     return [random_smooth_field(grid, n, rng) for _ in range(args.samples)]
 
 

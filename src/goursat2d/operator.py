@@ -106,16 +106,22 @@ def make_context(spec: ProblemSpec, grid: Grid) -> OperatorContext:
 def _coefficient(mat, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray | None:
     """An n×n expression matrix sampled at the nodes, or None when it is zero
     at every node (by value: ``x - x`` is zero too); the context stores the
-    None as it is.  The zero test runs strip by strip, so only a nonzero
-    matrix is ever held whole.  A fault is that of the first strip that
-    faults: its first faulting entry, row-major, at that entry's first
-    faulting node."""
-    strips = row_strips(X.shape[0], n * n)
-    if not any(_matrix_values(mat, X[s], Y[s], n).any() for s in strips):
-        return None
-    out = np.empty(X.shape + (n, n))
-    for s in strips:
-        out[s] = _matrix_values(mat, X[s], Y[s], n)
+    None as it is.  Each strip is sampled once, in order.  The all-zero
+    strips before the first nonzero one are written as +0.0 once it comes,
+    and only a strip holding a −0.0 is kept until then, so a zero matrix is
+    never held whole.  A fault is that of the first strip that faults: its
+    first faulting entry, row-major, at that entry's first faulting node."""
+    out, zeros = None, []
+    for s in row_strips(X.shape[0], n * n):
+        part = _matrix_values(mat, X[s], Y[s], n)
+        if out is None and not part.any():
+            zeros.append((s, part if np.signbit(part).any() else 0.0))
+            continue
+        if out is None:
+            out = np.empty(X.shape + (n, n))
+            for z, zero in zeros:
+                out[z] = zero
+        out[s] = part
     return out
 
 

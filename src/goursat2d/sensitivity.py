@@ -40,7 +40,9 @@ class SensitivityReport:
     ‖z₁ − z₂‖/‖v₁ − v₂‖ in (classical, weighted) norms, None when not probed
     or degenerate.  ``valid`` is False as soon as any inner solve failed to
     converge, and ``failure`` then names the first that failed with its
-    error's message; ``passed`` additionally requires the error criteria.
+    error's message; ``validate_frechet`` solves no ε after a failed solve,
+    so its ``converged_flags`` end at the first False.  ``passed``
+    additionally requires the error criteria.
     """
 
     h: GridField | None = None
@@ -133,12 +135,12 @@ def validate_frechet(
         # iteration path as the base solve, so the two solver errors are
         # correlated and cancel in the quotient (exactly, for affine F)
         perturbed = GridField(ctx.grid, v.values + deltav.values * e)
-        rep, failed = _solve_or_failure(ctx, perturbed, cfg, f"the solve at eps = {e:g}")
-        failure = failure or failed
+        rep, failure = _solve_or_failure(ctx, perturbed, cfg, f"the solve at eps = {e:g}")
         flags.append(rep is not None)
-        if rep is not None:
-            quotient = (rep.g.values - base.g.values) / e
-            errors.append((e, classical.norm(quotient - h.values) / scale))
+        if rep is None:  # the report is invalid now: no later ε is solved
+            break
+        quotient = (rep.g.values - base.g.values) / e
+        errors.append((e, classical.norm(quotient - h.values) / scale))
     valid = all(flags)
     passed = False
     if valid and errors:

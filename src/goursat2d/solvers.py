@@ -58,7 +58,7 @@ from .errors import (
 from .grid import GridField
 from .norms import WeightedNorms
 from .operator import LinearizedOperator, OperatorContext, apply_F
-from .sampling import random_smooth_field
+from .sampling import _PCG64, random_smooth_field
 
 #: Consecutive non-contracting ratios before a divergence error.
 _DIVERGENCE_PATIENCE = 5
@@ -392,7 +392,7 @@ def estimate_contraction(
     ctx = lin.ctx
     m, d = _weight_at(lin, cfg)
     wn = WeightedNorms(ctx.grid, m)
-    rng = np.random.default_rng(seed)
+    rng = _PCG64(seed)
     rho = 0.0
     for _ in range(trials):
         g = random_smooth_field(ctx.grid, ctx.spec.n, rng).values

@@ -117,10 +117,39 @@ def test_guard_sees_nested_and_from_imports():
     assert top_level_imports(source) == {"numpy", "scipy"}
 
 
-def test_cli_import_loads_no_scipy():
+def _run_python(code: str, cwd=None) -> str:
+    """The stdout of ``python -c code`` with the package on the path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE_DIR.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120, cwd=cwd).stdout
+
+
+def test_cli_import_loads_no_scipy():
     code = "import sys, goursat2d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert _run_python(code).strip() == "[]"
+
+
+#: Every command at N <= 16, each verify suite with the flags it reads.
+CLI_CALLS = """
+import contextlib, io, sys
+from goursat2d import cli
+calls = [
+    ["solve", "--builtin", "example46", "--n", "8", "--rhs", "1", "--out", "s"],
+    ["linsolve", "--builtin", "example46", "--n", "8", "--rhs", "1", "--out", "l"],
+    ["sens", "--builtin", "example46", "--n", "8", "--rhs", "1", "--direction", "1", "--out", "d"],
+    ["mms", "--builtin", "example46", "--zstar", "x*y", "--n-list", "4,8", "--out", "m"],
+    *(["verify", "--suite", suite, "--samples", "2", *["--n", "8"] * ("--n" in flags),
+       *["--builtin", "example46"] * ("--builtin" in flags)]
+      for suite, (_, _, flags) in cli._SUITES.items()),
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in calls]
+print(codes, "numpy.random" in sys.modules)
+"""
+
+
+def test_no_cli_command_loads_numpy_random(tmp_path):
+    # every command draws (the assumption probe at least), and the draws come
+    # from the package's own stream: numpy.random would add about 6 MiB
+    assert _run_python(CLI_CALLS, cwd=tmp_path).strip() == "[0, 0, 0, 0, 0, 0, 0, 0, 0] False"

@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from goursat2d import operator as operator_module
 from goursat2d.errors import EvalFaultError, ParameterError
-from goursat2d.exprlang import parse
+from goursat2d.exprlang import _matrix_values, parse
 from goursat2d.grid import GridField, build_grid, state_from_g
 from goursat2d.norms import WeightedNorms
 from goursat2d.operator import (
@@ -281,3 +282,24 @@ class TestContextCaches:
         X, Y = ctx.grid.meshgrid()
         np.testing.assert_array_equal(ctx.a1_nodes, (X * Y)[..., None, None])
         assert ctx.a1_nodes.flags.owndata
+
+    @pytest.mark.parametrize("cells, strips", [(64, 1), (512, 3)])
+    def test_each_strip_of_a_nonzero_matrix_is_sampled_once(self, monkeypatch, cells, strips):
+        rows = []
+
+        def counted(mat, X, Y, n):
+            rows.append(X.shape[0])
+            return _matrix_values(mat, X, Y, n)
+
+        monkeypatch.setattr(operator_module, "_matrix_values", counted)
+        make_context(example46_with(a1="1", a2="1"), build_grid(cells))
+        assert len(rows) == 2 * strips and sum(rows) == 2 * (cells + 1)
+
+    def test_zero_strips_before_the_first_nonzero_keep_their_sign(self):
+        # A1 is -0.0 up to x = 0.5: all of strip 0 (rows 0..190 of 513) and
+        # part of strip 1, the first nonzero one
+        spec = example46_with(a1="(abs(x - 0.5) + (x - 0.5)) * (0 - 1)")
+        ctx = make_context(spec, build_grid(512))
+        X, Y = ctx.grid.meshgrid()
+        assert np.signbit(ctx.a1_nodes[:191]).all() and not ctx.a1_nodes[:191].any()
+        assert ctx.a1_nodes.tobytes() == _matrix_values(spec.a1, X, Y, 1).tobytes()

@@ -1,12 +1,42 @@
-"""Sample generators: the scrambled Halton sequence and smooth random fields."""
+"""Sample generators: the package's PCG64 stream, the scrambled Halton
+sequence and smooth random fields."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 from goursat2d.grid import build_grid
-from goursat2d.sampling import halton_points, random_smooth_field
+from goursat2d.sampling import _PCG64, halton_points, random_smooth_field
+
+#: 2**64 + 5 has three 32-bit seed words and 2**300 + 7 ten, more than the
+#: four words of SeedSequence's pool
+STREAM_SEEDS = [*range(300), 1729, 2**64 + 5, 2**300 + 7]
+
+
+class TestStream:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_matches_numpy_bit_for_bit(self, seed):
+        # scalar and sized uniforms between shuffles, whose 32-bit draws keep
+        # the high half of a 64-bit output for the next one
+        ref, got = np.random.default_rng(seed), _PCG64(seed)
+        for k in (2, 3, 5, 13, 37, 600):
+            a, b = ref.uniform(-1.0, 1.0), got.uniform(-1.0, 1.0)
+            assert isinstance(b, float) and np.float64(a).tobytes() == np.float64(b).tobytes()
+            a, b = ref.uniform(0.0, 2.0 * math.pi, 3), got.uniform(0.0, 2.0 * math.pi, 3)
+            assert b.dtype == np.float64 and a.tobytes() == b.tobytes()
+            a, b = np.arange(k), np.arange(k)
+            ref.shuffle(a)
+            got.shuffle(b)
+            np.testing.assert_array_equal(a, b)
+
+    def test_smooth_field_is_the_generators(self):
+        grid = build_grid(16)
+        ref = random_smooth_field(grid, 2, np.random.default_rng(11)).values
+        assert random_smooth_field(grid, 2, _PCG64(11)).values.tobytes() == ref.tobytes()
+
 
 #: scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(count) from
 #: scipy 1.17.1, keyed by (count, d, seed)

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from goursat2d import sensitivity
 from goursat2d.errors import ParameterError, SolverError
 from goursat2d.grid import GridField, build_grid
 from goursat2d.norms import WeightedNorms
@@ -191,16 +192,25 @@ class TestValidateFrechet:
                                   "newton iterations (last weighted residual 0.122 > tol 1e-15)")
         assert "failure" not in report.as_dict()
 
-    def test_first_failed_perturbed_solve_is_named_in_the_report(self):
-        # log(5 + z1) leaves its domain in the Picard solves at eps = 40, 20, 10
+    def test_first_failed_perturbed_solve_is_named_in_the_report(self, monkeypatch):
+        # log(5 + z1) leaves its domain in the Picard solves at eps = 40, 20 and 10
         ctx = make_context(load_problem({
             "meta": {"n": 1, "B": 1, "b": "1"},
             "functions": {"f1": ["z1^3 + 3*log(5+z1)"], "f2": ["0"]},
             "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
         }), build_grid(16))
         v = GridField(ctx.grid, np.ones((17, 17, 1)))
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sensitivity, "solve", counted)
         report = validate_frechet(ctx, v, v, (40, 20, 10), SolverConfig(m=5, method="picard"))
-        assert report.converged_flags == (True, False, False, False) and not report.valid
+        # the base solve and the one at eps = 40, whose failure ends the walk
+        assert len(solves) == 2
+        assert report.converged_flags == (True, False) and not report.valid
         assert report.failure.startswith("the solve at eps = 40 failed to converge: picard "
                                           "iteration 2 left the domain of an expression")
 
