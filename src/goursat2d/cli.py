@@ -14,9 +14,10 @@ bad expression, bad flag value);  2 solver failure (divergence, iteration cap,
 stalled line search);  3 a verification suite measured a violated inequality.
 
 Everything printed to stdout is one JSON object per line, so scripts can
-consume results without scraping; human-facing notes go to stderr.  Reports
-and grids are written atomically and contain no timestamps: identical inputs
-(including --seed) produce byte-identical artifacts.
+consume results without scraping; a line names only files already written,
+and human-facing notes go to stderr.  Reports and grids are written
+atomically and contain no timestamps: identical inputs (including --seed)
+produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -199,27 +200,20 @@ def _sampled(source: str, grid, n: int, what: str) -> GridField:
         raise ParameterError(f"{what}: {exc}") from exc
 
 
-def _fitting(f: GridField, grid, n: int, what: str) -> GridField:
-    """``f``, read from the file of ``what``, checked to fit the grid and the problem."""
-    if f.grid != grid:
-        raise ParameterError(f"{what}: file is sampled on {f.grid}, expected {grid}")
-    if f.n != n:
-        raise ParameterError(f"{what}: file has {f.n} components, problem has {n}")
-    return f
-
-
-def _field(source: str, grid, n: int, what: str) -> GridField:
-    """A field from either an expression or a node-value CSV path."""
+def _field(source: str, ctx: OperatorContext, what: str) -> GridField:
+    """A field from either an expression or a node-value CSV path that fits ``ctx``."""
     if source.endswith(".csv") or Path(source).is_file():
-        return _fitting(read_field_csv(source), grid, n, what)
-    return _sampled(source, grid, n, what)
+        f = read_field_csv(source)
+        ctx.check_field(f, what)
+        return f
+    return _sampled(source, ctx.grid, ctx.spec.n, what)
 
 
-def _rhs_field(spec: ProblemSpec, args, grid) -> GridField:
+def _rhs_field(args, ctx: OperatorContext) -> GridField:
     override = getattr(args, "rhs", None)
     if override is not None:
-        return _field(override, grid, spec.n, "--rhs")
-    return spec.sample_rhs(grid)
+        return _field(override, ctx, "--rhs")
+    return ctx.spec.sample_rhs(ctx.grid)
 
 
 def _probe(spec: ProblemSpec, samples: int, seed: int):
@@ -238,11 +232,11 @@ def _probed_context(spec: ProblemSpec, cells: int, samples: int, seed: int):
     return make_context(spec, grid).with_assumptions(report)
 
 
-def _setup(args) -> tuple[ProblemSpec, SolverConfig, OperatorContext]:
-    """The problem, its merged solver settings and the probed context."""
+def _setup(args) -> tuple[SolverConfig, OperatorContext]:
+    """The merged solver settings and the probed context of the problem."""
     spec, solver_doc = _load_spec(args)
     cfg = _solver_config(args, solver_doc)
-    return spec, cfg, _probed_context(spec, args.n, args.samples, args.seed)
+    return cfg, _probed_context(spec, args.n, args.samples, args.seed)
 
 
 def _weight(ctx: OperatorContext, cfg: SolverConfig, at: LinearizedOperator | None):
@@ -266,6 +260,21 @@ def _zstar_error(zstar: GridField | None, rep) -> dict | None:
         return {"classical": None, "weighted": None}
     return {"classical": WeightedNorms(zstar.grid, 0.0).norm(diff),
             "weighted": WeightedNorms(zstar.grid, rep.m_used).norm(diff)}
+
+
+# -- artifacts -----------------------------------------------------------------
+
+def _write_bundle(args, ctx: OperatorContext, g: GridField, fields: dict) -> dict:
+    """Write the solution bundle PREFIX.grid.csv, then PREFIX.report.json:
+    the run header (command, label, cells, seed), ``fields`` and grid_file.
+    Returns the stdout line's "grid" and "report" keys, which name only
+    files already written."""
+    grid_file, report_file = f"{args.out}.grid.csv", f"{args.out}.report.json"
+    write_grid_csv(grid_file, g)
+    write_report_json(report_file, {"command": args.command, "label": ctx.spec.label,
+                                    "cells": ctx.grid.cells, "seed": args.seed,
+                                    **fields, "grid_file": grid_file})
+    return {"grid": grid_file, "report": report_file}
 
 
 # -- solve and linsolve --------------------------------------------------------
@@ -299,12 +308,7 @@ def _solve_command(args, ctx, cfg, at, run, head, tail=lambda rep: {},
             raise
         failure, rep = str(exc), exc.report
 
-    grid_file, report_file = f"{args.out}.grid.csv", f"{args.out}.report.json"
-    report = {
-        "command": args.command,
-        "label": ctx.spec.label,
-        "cells": ctx.grid.cells,
-        "seed": args.seed,
+    files = _write_bundle(args, ctx, rep.g, {
         **head(rep, cfg),
         "weight_choice": None if choice is None else choice.as_dict(),
         "assumptions": ctx.assumptions.as_dict(),
@@ -312,13 +316,10 @@ def _solve_command(args, ctx, cfg, at, run, head, tail=lambda rep: {},
         "result": rep.as_dict(),
         **tail(rep),
         "failure": failure,
-        "grid_file": grid_file,
-    }
-    write_grid_csv(grid_file, rep.g)
-    write_report_json(report_file, report)
+    })
     _emit({"command": args.command, "converged": rep.converged, "iterations": rep.iterations,
            "m": rep.m_used, **line(estimate), "residual_weighted": rep.residual_weighted,
-           "grid": grid_file, "report": report_file})
+           **files})
     if failure is not None:
         _note(f"solver failure: {failure}")
         return 2
@@ -326,9 +327,9 @@ def _solve_command(args, ctx, cfg, at, run, head, tail=lambda rep: {},
 
 
 def cmd_solve(args) -> int:
-    spec, cfg, ctx = _setup(args)
-    v = _rhs_field(spec, args, ctx.grid)
-    zstar = None if args.zstar is None else _sampled(args.zstar, ctx.grid, spec.n, "--zstar")
+    cfg, ctx = _setup(args)
+    v = _rhs_field(args, ctx)
+    zstar = None if args.zstar is None else _sampled(args.zstar, ctx.grid, ctx.spec.n, "--zstar")
     return _solve_command(
         args, ctx, cfg, None, lambda lin, cfg: solve(ctx, v, cfg),
         head=lambda rep, cfg: {"solver": {
@@ -337,13 +338,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_linsolve(args) -> int:
-    spec, cfg, ctx = _setup(args)
+    cfg, ctx = _setup(args)
     if args.linearize_at is not None:
-        at = _fitting(read_grid_csv(args.linearize_at), ctx.grid, spec.n, "--linearize-at")
+        at = read_grid_csv(args.linearize_at)
+        ctx.check_field(at, "--linearize-at")
         linearized_at = args.linearize_at
     else:
         at, linearized_at = None, "zero"
-    w = _field(args.rhs, ctx.grid, spec.n, "--rhs")
+    w = _field(args.rhs, ctx, "--rhs")
     return _solve_command(
         args, ctx, cfg, at, lambda lin, cfg: solve_linearized(lin, w, cfg),
         head=lambda rep, cfg: {"linearized_at": linearized_at, "solver": {
@@ -377,15 +379,23 @@ def _sweep(suite: str, fields: list[GridField], m_list, check) -> tuple[bool, Gr
     return ok, worst
 
 
-def _verdict(args, suite: str, ok: bool, worst: GridField | None) -> int:
-    """0, or 3 after writing the worst sampled field to PREFIX.fail.csv."""
+def _verdict(args, suite: str, ok: bool, worst: GridField | dict | None,
+             before: dict | None = None, after: dict | None = None) -> int:
+    """0, or 3 after writing the replay artifact of a failed suite: the worst
+    sampled field to PREFIX.fail.csv, or a report dict to PREFIX.fail.json
+    (none when ``worst`` is None).  The failure line then carries the keys
+    of ``before`` and ``after`` around its "fail_artifact"."""
     if ok:
         return 0
     artifact = None
-    if worst is not None:
+    if isinstance(worst, GridField):
         artifact = f"{args.out}.fail.csv"
         write_field_csv(artifact, worst)
-    _emit({"suite": suite, "pass": False, "fail_artifact": artifact})
+    elif worst is not None:
+        artifact = f"{args.out}.fail.json"
+        write_report_json(artifact, worst)
+    _emit({"suite": suite, "pass": False, **(before or {}), "fail_artifact": artifact,
+           **(after or {})})
     return 3
 
 
@@ -464,16 +474,10 @@ def _suite_assumptions(args) -> int:
         _note("note: the nonlinearity sampled as possibly non-smooth (kink flagged); "
               "kinks can degrade Newton's convergence and the manufactured-solution orders")
 
-    if not rep.passed:
-        failing = [name for name, ok in
-                   (("growth", rep.growth_ok), ("coefficients", rep.coeff_ok),
-                    ("derivatives", rep.deriv_ok)) if not ok]
-        artifact = f"{args.out}.fail.json"
-        write_report_json(artifact, rep.as_dict())
-        _emit({"suite": "assumptions", "pass": False,
-               "failed_checks": failing, "fail_artifact": artifact})
-        return 3
-    return 0
+    failing = [name for name, ok in (("growth", rep.growth_ok), ("coefficients", rep.coeff_ok),
+                                     ("derivatives", rep.deriv_ok)) if not ok]
+    return _verdict(args, "assumptions", rep.passed, rep.as_dict(),
+                    before={"failed_checks": failing})
 
 
 def _suite_contraction(args) -> int:
@@ -500,13 +504,8 @@ def _suite_contraction(args) -> int:
                "bound": est.bound, "trials": est.trials, "pass": est.contracting})
         all_ok = all_ok and est.contracting
 
-    if not all_ok:
-        artifact = f"{args.out}.fail.json"
-        write_report_json(artifact, {"estimates": estimates})
-        _emit({"suite": "contraction", "pass": False, "fail_artifact": artifact,
-               "hint": "contraction requires m > 2*sqrt(d); raise m"})
-        return 3
-    return 0
+    return _verdict(args, "contraction", all_ok, {"estimates": estimates},
+                    after={"hint": "contraction requires m > 2*sqrt(d); raise m"})
 
 
 #: The verify suites: name -> (function, default --samples, the optional
@@ -539,9 +538,9 @@ def cmd_verify(args) -> int:
 # -- sens ----------------------------------------------------------------------
 
 def cmd_sens(args) -> int:
-    spec, cfg, ctx = _setup(args)
-    v = _rhs_field(spec, args, ctx.grid)
-    direction = _field(args.direction, ctx.grid, spec.n, "--direction")
+    cfg, ctx = _setup(args)
+    v = _rhs_field(args, ctx)
+    direction = _field(args.direction, ctx, "--direction")
     eps = _parse_list(args.eps, "--eps")
     cfg, choice = _weight(ctx, cfg, None)
     rep = validate_frechet(ctx, v, direction, tuple(eps), cfg)
@@ -551,22 +550,14 @@ def cmd_sens(args) -> int:
 
     for e, err in rep.fd_errors:
         _emit({"command": "sens", "eps": e, "fd_error": err})
-    _emit({"command": "sens", "passed": rep.passed,
-           "grid": f"{args.out}.grid.csv", "report": f"{args.out}.report.json"})
-
-    write_grid_csv(f"{args.out}.grid.csv", rep.h)
-    write_report_json(f"{args.out}.report.json", {
-        "command": "sens",
-        "label": spec.label,
-        "cells": ctx.grid.cells,
-        "seed": args.seed,
+    files = _write_bundle(args, ctx, rep.h, {
         "m": cfg.m,
         "tol": cfg.tol,
         "weight_choice": None if choice is None else choice.as_dict(),
         "direction": args.direction,
         "validation": rep.as_dict(),
-        "grid_file": f"{args.out}.grid.csv",
     })
+    _emit({"command": "sens", "passed": rep.passed, **files})
     return 0 if rep.passed else 3
 
 
@@ -608,28 +599,17 @@ def cmd_mms(args) -> int:
         _emit({"command": "mms", **rows[-1]})
 
     exact = max(errors) <= 1e-12
-    if exact:
-        orders: list[float] = []
-        ok = True
-        _emit({"command": "mms", "exact": True, "max_error": max(errors), "pass": True})
-    else:
-        # observed order p from e ~ C h^p between consecutive ladder rungs
-        orders = [math.log(errors[k] / max(errors[k + 1], 1e-300))
-                  / math.log(n_list[k + 1] / n_list[k])
-                  for k in range(len(errors) - 1)]
-        ok = all(1.8 <= order <= 2.2 for order in orders)
-        _emit({"command": "mms", "exact": False, "orders": orders, "pass": ok})
-
+    # observed order p from e ~ C h^p between consecutive ladder rungs; an
+    # exact ladder has none and passes
+    orders = [] if exact else [math.log(errors[k] / max(errors[k + 1], 1e-300))
+                               / math.log(n_list[k + 1] / n_list[k])
+                               for k in range(len(errors) - 1)]
+    ok = all(1.8 <= order <= 2.2 for order in orders)
     write_report_json(f"{args.out}.report.json", {
-        "command": "mms",
-        "label": spec.label,
-        "seed": args.seed,
-        "zstar": args.zstar,
-        "resolutions": rows,
-        "exact": exact,
-        "orders": orders,
-        "pass": ok,
-    })
+        "command": "mms", "label": spec.label, "seed": args.seed, "zstar": args.zstar,
+        "resolutions": rows, "exact": exact, "orders": orders, "pass": ok})
+    _emit({"command": "mms", "exact": exact,
+           **({"max_error": max(errors)} if exact else {"orders": orders}), "pass": ok})
     return 0 if ok else 3
 
 

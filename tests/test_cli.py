@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,7 +421,8 @@ class TestLinsolve:
         code = run_cli(["linsolve", "--problem", linear_doc, "--n", "16",
                         "--rhs", "x*y", "--linearize-at", f"{base}.grid.csv"])
         assert code == 1
-        assert "sampled on" in capsys.readouterr().err
+        assert ("--linearize-at on Grid(cells=8) does not match context grid Grid(cells=16)"
+                in capsys.readouterr().err)
 
     def test_below_threshold_warns_but_converges(self, tmp_path, linear_doc, capsys):
         out = tmp_path / "lin"
@@ -1104,8 +1108,8 @@ def test_rhs_file_solves_like_its_expression(tmp_path):
 
 
 @pytest.mark.parametrize("foreign, message", [
-    ("grid", "file is sampled on Grid(cells=4), expected Grid(cells=8)"),
-    ("n", "file has 2 components, problem has 1"),
+    ("grid", "{flag} on Grid(cells=4) does not match context grid Grid(cells=8)"),
+    ("n", "{flag} has 2 components, problem has 1"),
 ], ids=["other-grid", "other-n"])
 @pytest.mark.parametrize("flag", ["--rhs", "--direction", "--linearize-at"])
 def test_field_file_that_does_not_fit_exits_1(flag, foreign, message, tmp_path, capsys):
@@ -1120,7 +1124,7 @@ def test_field_file_that_does_not_fit_exits_1(flag, foreign, message, tmp_path, 
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {flag}: {message}\n"
+    assert captured.err == f"error: {message.format(flag=flag)}\n"
     assert not list(tmp_path.glob("run.*"))
 
 
@@ -1388,3 +1392,112 @@ class TestDeterminism:
         args = ["verify", "--suite", "contraction", "--builtin", "example46", "--n", "8"]
         assert run_cli(args + ["--seed", "5", "--out", str(out1)]) == 0
         assert run_cli(args + ["--seed", "5", "--out", str(out2)]) == 0
+
+
+EXP_GROWTH_DOC = {
+    "meta": {"n": 1, "B": 1.0, "b": "1"},
+    "functions": {"f1": ["exp(z1)"], "f2": ["0"]},
+    "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+}
+
+#: One call of each command that writes artifacts, and one failing verify
+#: suite of each kind; documents are read from the working directory.
+OUTPUT_CALLS = {
+    "solve": (["solve", "--builtin", "example46", "--n", "8", "--rhs", "1"], 0),
+    "solve-partial": (["solve", "--problem", "stiff.json", "--n", "12", "--rhs", "1",
+                       "--m", "1.0"], 2),
+    "linsolve": (["linsolve", "--builtin", "example46", "--n", "8", "--rhs", "1"], 0),
+    "sens": (["sens", "--builtin", "example46", "--n", "8", "--rhs", "1", "--direction", "1"], 0),
+    "mms": (["mms", "--builtin", "example46", "--zstar", "1", "--n-list", "4,8"], 0),
+    "verify-field": (["verify", "--suite", "coercivity", "--problem", "coer.json", "--n", "16",
+                      "--samples", "10", "--m-list", "2,5,10,20"], 3),
+    "verify-assumptions": (["verify", "--suite", "assumptions", "--problem", "exp.json"], 3),
+    "verify-contraction": (["verify", "--suite", "contraction", "--problem", "stiff.json",
+                            "--n", "12", "--m-list", "1.0"], 3),
+}
+
+
+@pytest.fixture
+def documents(tmp_path, monkeypatch):
+    """tmp_path as the working directory, holding the documents of OUTPUT_CALLS."""
+    for name, doc in (("stiff.json", STIFF_DOC), ("coer.json", COERCIVITY_FAIL_DOC),
+                      ("exp.json", EXP_GROWTH_DOC)):
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def _names_a_file(line: dict) -> bool:
+    return any(line.get(key) is not None for key in ("grid", "report", "fail_artifact"))
+
+
+def _is_passing_summary(line: dict) -> bool:
+    # sens ends with "passed", mms and the verify suites with a "pass" that
+    # carries no "check"
+    return line.get("passed") is True or (line.get("pass") is True and "check" not in line)
+
+
+class TestOutputPath:
+    """A stdout line names only files already written, and a failed write
+    exits 1 without that line."""
+
+    @pytest.mark.parametrize("name", ["solve", "linsolve", "sens", "mms", "verify-assumptions"])
+    def test_write_under_a_missing_directory_prints_no_result(self, name, documents, capsys):
+        argv, _ = OUTPUT_CALLS[name]
+        code = run_cli([*argv, "--out", str(documents / "missing" / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error:" in captured.err
+        lines = json_lines(captured.out)
+        assert not [line for line in lines if _names_a_file(line) or _is_passing_summary(line)]
+        assert not (documents / "missing").exists()
+
+    @pytest.mark.parametrize("name", list(OUTPUT_CALLS))
+    def test_every_named_file_exists_when_its_line_is_printed(self, name, documents,
+                                                              monkeypatch, capsys):
+        argv, expected = OUTPUT_CALLS[name]
+        named, missing = [], []
+        emit = cli._emit
+
+        def checking_emit(line):
+            for key in ("grid", "report", "fail_artifact"):
+                if line.get(key) is not None:
+                    named.append(line[key])
+                    if not (documents / line[key]).is_file():
+                        missing.append(line[key])
+            if "exact" in line:  # the mms summary follows its report
+                named.append("run.report.json")
+                if not (documents / "run.report.json").is_file():
+                    missing.append("run.report.json")
+            emit(line)
+
+        monkeypatch.setattr(cli, "_emit", checking_emit)
+        assert run_cli([*argv, "--out", "run"]) == expected
+        assert named and not missing
+
+    @pytest.mark.parametrize("name, line", [
+        ("verify-field", '{"suite": "coercivity", "pass": false, '
+                         '"fail_artifact": "run.fail.csv"}'),
+        ("verify-assumptions", '{"suite": "assumptions", "pass": false, '
+                               '"failed_checks": ["growth"], "fail_artifact": "run.fail.json"}'),
+        ("verify-contraction", '{"suite": "contraction", "pass": false, '
+                               '"fail_artifact": "run.fail.json", '
+                               '"hint": "contraction requires m > 2*sqrt(d); raise m"}'),
+    ], ids=["field", "assumptions", "contraction"])
+    def test_failure_line_bytes(self, name, line, documents, capsys):
+        argv, expected = OUTPUT_CALLS[name]
+        assert run_cli([*argv, "--out", "run"]) == expected
+        assert capsys.readouterr().out.splitlines()[-1] == line
+        artifact = json.loads(line)["fail_artifact"]
+        if artifact.endswith(".csv"):
+            read_field_csv(artifact)
+        else:
+            assert read_report_json(artifact)
+
+    def test_module_runs_as_a_script(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-m", "goursat2d.cli", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: goursat2d")

@@ -362,6 +362,24 @@ class TestContractionEstimate:
         factor = lo.rho_hat / hi.rho_hat
         assert 3.0 <= factor <= 5.0
 
+    def test_zero_direction_is_skipped(self, monkeypatch):
+        # a direction of norm 0 has no ratio: ρ̂ is the other trials' maximum
+        ctx = probed_context(pure_f1_spec(), 8)
+        lin = LinearizedOperator(ctx)
+        expected = estimate_contraction(lin, SolverConfig(m=5.0), trials=3, seed=4).rho_hat
+        draw, draws = solvers.random_smooth_field, []
+
+        def zero_first(grid, n, rng):
+            draws.append(n)
+            if len(draws) == 1:  # no draw from the stream, so the others are unshifted
+                return GridField(grid, np.zeros((grid.npoints, grid.npoints, n)))
+            return draw(grid, n, rng)
+
+        monkeypatch.setattr(solvers, "random_smooth_field", zero_first)
+        est = estimate_contraction(lin, SolverConfig(m=5.0), trials=4, seed=4)
+        assert len(draws) == 4 and est.trials == 4
+        assert est.rho_hat == expected > 0.0
+
     def test_deterministic_for_fixed_seed(self):
         ctx = probed_context(linear_spec(), 12)
         lin = LinearizedOperator(ctx)
