@@ -1,0 +1,94 @@
+"""sha256 pins of solves, F and F' on fixed inputs.
+
+Expression evaluation may be reorganized (compiled, shared, evaluated in
+place) but never rounded differently: these digests were taken from the
+recursive expression walk, and every later evaluator must reproduce them.
+They cover example46 solves of both signs under Newton and Picard, the
+Jacobians of F' at a nonzero point, and ``apply_F`` on grids of several row
+strips, for example46 and for an n = 2 problem whose f1, f2, A1 and A2 all
+read x and y.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from goursat2d.grid import GridField, build_grid, row_strips
+from goursat2d.operator import LinearizedOperator, apply_F, make_context
+from goursat2d.problem import builtin_example_4_6, load_problem, probe_assumptions
+from goursat2d.solvers import SolverConfig, choose_weight, solve
+
+COUPLED_DOC = {
+    "meta": {"n": 2, "B": 2.0, "b": "2"},
+    "functions": {
+        "f1": ["z1*z2/4 + x*sin(z2)", "sin(z1) - y*z2^2/8 + (1 + z1^2)*x"],
+        "f2": ["cos(z2)*x - 1/(1 + z1^2)", "z1/(1 + z2^2) + y*sin(z2)"],
+    },
+    "coefficients": {
+        "A1": [["x*y", "1"], ["-0.5", "y"]],
+        "A2": [["y", "x"], ["0.5", "x*y - 1"]],
+        "A1x": [["y", "0"], ["0", "0"]],
+        "A2y": [["1", "0"], ["0", "x"]],
+    },
+}
+
+
+def sha(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+
+
+def point(ctx) -> np.ndarray:
+    """A smooth g of both signs, one component per state dimension."""
+    X, Y = ctx.X, ctx.Y
+    comps = [0.4 - 0.7 * X * Y + 0.3 * np.sin(3.0 * X), 0.2 * np.cos(2.0 * Y) - 0.5 * X]
+    return np.stack(comps[:ctx.spec.n], axis=-1)
+
+
+@pytest.fixture(scope="module")
+def example46_64():
+    spec = builtin_example_4_6()
+    ctx = make_context(spec, build_grid(64)).with_assumptions(probe_assumptions(spec))
+    return ctx, choose_weight(ctx).m
+
+
+@pytest.mark.parametrize("a, method, digest", [
+    (1.8, "newton", "9d2e8dd922e4b9c1baeb69e99311c011e58f881c898de9e9ca16ec8ebfd7c66d"),
+    (1.8, "picard", "148162575d23d13ba05491e74e9fb2119d1a1d0dd9f8b9581eb0345e868462d7"),
+    (-0.3, "newton", "11464a9476ae74071b2a25888255980541d9c4354ecbebcbd829f4c5f56a2a9c"),
+    (-0.3, "picard", "de8d56027c53729c3c5403dfe7becb61ae29f8837d77efdff9d8fec0ff43ca99"),
+])
+def test_example46_solve(example46_64, a, method, digest):
+    ctx, m = example46_64
+    v = GridField(ctx.grid, (a + 0.1 * ctx.X * ctx.Y)[..., None])
+    assert sha(solve(ctx, v, SolverConfig(m=m, method=method)).g.values) == digest
+
+
+def test_example46_jacobians_at_a_nonzero_point(example46_64):
+    ctx = example46_64[0]
+    lin = LinearizedOperator(ctx, GridField(ctx.grid, point(ctx)))
+    assert (sha(lin.j1), sha(lin.j2)) == (
+        "093d91a6f314da18ac2ba3c2798f2443df88c9db80772152796145e8dbf19aea",
+        "53d39ee9e9d67ce7ca695c112fc8172437cee1fd4b7f5a4c594be00d5591b6ee",
+    )
+
+
+def test_coupled_jacobians_at_a_nonzero_point():
+    ctx = make_context(load_problem(COUPLED_DOC), build_grid(64))
+    lin = LinearizedOperator(ctx, GridField(ctx.grid, point(ctx)))
+    assert (sha(lin.j1), sha(lin.j2)) == (
+        "0df5cfdb4688f88fb0800e9433844ed714a8d94e4f1568b752606071b46ea993",
+        "773b48db6cbe991b67785446ec67de347cb57ba6765c2bcda6b375d37a06663a",
+    )
+
+
+@pytest.mark.parametrize("spec, strips, digest", [
+    (builtin_example_4_6, 2, "252f28a835939e943b308bfa9e16e337b99c9d4257373bf7154eb354f6b3940c"),
+    (lambda: load_problem(COUPLED_DOC), 4, "330be208242981e1e5391510da132c82684dd9fa1076909c66ef0449cc2f1f23"),
+])
+def test_apply_F_over_several_strips(spec, strips, digest):
+    ctx = make_context(spec(), build_grid(400))
+    assert len(row_strips(ctx.grid.npoints, ctx.spec.n)) == strips
+    assert sha(apply_F(ctx, point(ctx))) == digest
