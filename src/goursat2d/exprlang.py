@@ -23,20 +23,25 @@ Every syntax error carries the byte offset into the source; every evaluation
 fault (log of a nonpositive value, division by zero, ...) carries the node's
 offset and the (x, y) sample point where it happened.  ``abs`` and ``sqrt``
 at 0 are the sanctioned non-smooth points: their dual derivative uses the
-subgradient 0 and sets a kink flag instead of faulting.  Values and partials
-come from one walk over the tree, so both apply the same domain rules; every
-node allocates its result with a plain numpy operation.
+subgradient 0 and sets a kink flag instead of faulting.  A vector of
+expressions is compiled into one flat program (``_Program``) that gives the
+values, or the values and the partials, of a walk over each tree in turn, so
+both apply the same domain rules.  The program evaluates a repeated call
+once, carries the partials of the z-components a subtree does not read as
+one register, and writes each operation into an operand's array where that
+operand is read for the last time.
 
 The node samplers at the end (``_components``, ``_matrix_values`` and the
 Jacobian sampler ``_jacobian``) are the one place where a problem's
-expressions meet the nodes.
+expressions meet the nodes; each compiles its vector on the spot, and an
+``OperatorContext`` compiles f1‖f2 once for F and once for F'.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -222,6 +227,20 @@ def free_z_indices(e: Expr) -> frozenset[int]:
 
 
 # -- evaluation ---------------------------------------------------------------
+# A component vector is compiled into one flat program of numpy operations on
+# registers, in the order of the walk that defines it: post-order, operands
+# left to right, the exponent of an integer power never evaluated, and each
+# component's results checked before the next component starts.  Each value
+# is numbered by its operation on the numbers of its operands, so a repeated
+# subtree gets one number wherever it occurs.  A call (sin, cos, tan, exp,
+# log, atan, abs, sqrt, a real power) on a number is one operation wherever
+# it repeats, within a component or across components; arithmetic and
+# integer powers, cheap to recompute and costly to hold, are shared only by
+# the partials of the node that emits them.  A repeated subtree faults at its
+# first occurrence, under that occurrence's offset, as the walk does.  The
+# z-partials are one register per component, and all components that a
+# subtree does not read hold the same register, computed once (the walk's
+# zero partials: ±0, or NaN after an overflow).
 
 def _fault(message: str, node: Expr, mask, X: np.ndarray, Y: np.ndarray, error=EvalFaultError):
     """Raise an evaluation fault at the first offending sample point.
@@ -234,22 +253,6 @@ def _fault(message: str, node: Expr, mask, X: np.ndarray, Y: np.ndarray, error=E
         idx = tuple(idxs[0])
         where = (float(X[idx]), float(Y[idx]))
     raise error(message, node.pos, where=where)
-
-
-def _fresh(a, shape: tuple[int, ...], inputs: tuple) -> np.ndarray:
-    """``a`` as a writable array of ``shape`` that shares no memory with the inputs.
-
-    Leaves evaluate to scalars and input views, so only a result that is one
-    of those is copied; the result of any other node is an array the walk
-    allocated, returned as is.  The inputs are excluded by identity:
-    ``np.meshgrid``'s X, Y own writable data.
-    """
-    if (isinstance(a, np.ndarray) and a.shape == shape and a.flags.owndata
-            and a.flags.writeable and not any(a is i for i in inputs)):
-        return a
-    out = np.empty(shape)
-    out[...] = a
-    return out
 
 
 def _ipow(a, p: int):
@@ -282,125 +285,373 @@ def _int_exponent(e: Bin) -> int | None:
     return None
 
 
+def _domain(message: str, check, node: Expr, a, X, Y) -> None:
+    """Fault at the first point where ``check`` finds a, before the operation
+    on a; ``check`` = (mask of a, whether the mask has a True), the second
+    without a grid-sized temporary."""
+    if check[1](a):
+        _fault(message, node, check[0](a), X, Y)
+
+
+def _finite(a) -> bool:
+    """Whether every entry of a is finite, without a grid-sized temporary:
+    a NaN is the minimum of a, and an infinity its minimum or maximum."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
+def _result(node: Expr, copy: bool | None, v, X, Y) -> np.ndarray | None:
+    """A component's value as a fresh array of X's shape (copied when
+    ``copy``), checked finite; with ``copy`` None it is only checked."""
+    if copy:
+        out = np.empty(np.shape(X))
+        out[...] = v
+        v = out
+    if not _finite(v):
+        _fault("non-finite result (overflow?)", node, ~np.isfinite(v), X, Y, EvalOverflowError)
+    return None if copy is None else v
+
+
+def _partials(node: Expr, out: np.ndarray, X, Y, *lanes) -> None:
+    """Write a component's partials into ``out`` (X.shape + (n,)), checked
+    finite; a None lane is there already."""
+    for k, lane in enumerate(lanes):
+        if lane is not None:
+            out[..., k] = lane
+    if not _finite(out):
+        _fault("non-finite derivative (overflow?)", node, ~np.isfinite(out).all(axis=-1), X, Y,
+               EvalOverflowError)
+
+
+def _kink(a, *lanes) -> bool:
+    """Whether abs or sqrt is differentiated at its kink a = 0 in a nonzero direction."""
+    nonzero = lanes[0] != 0.0
+    for lane in lanes[1:]:
+        nonzero = nonzero | (lane != 0.0)
+    return bool(np.any((a == 0.0) & nonzero))
+
+
+def _sqrt_scale(a, v):
+    return 2.0 * np.where(a == 0.0, 1.0, v)
+
+
+def _sqrt_lane(a, da, scale):
+    """The partial of sqrt, with the subgradient 0 at the kink a = 0, like abs."""
+    return np.where(a == 0.0, 0.0, da / scale)
+
+
 _ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
-#: fn -> (value ufunc, z-partials from the argument a, its partials da and the value v)
+#: fn -> (value ufunc, one z-partial from the compiler c, the argument a, the
+#: value v and the argument's partial da)
 _CALLS = {
-    "sin": (np.sin, lambda a, da, v: np.cos(a)[..., None] * da),
-    "cos": (np.cos, lambda a, da, v: -np.sin(a)[..., None] * da),
-    "tan": (np.tan, lambda a, da, v: da / np.square(np.cos(a))[..., None]),
-    "exp": (np.exp, lambda a, da, v: v[..., None] * da),
-    "log": (np.log, lambda a, da, v: da / a[..., None]),
-    "atan": (np.arctan, lambda a, da, v: da / (1.0 + np.square(a))[..., None]),
-    "abs": (np.abs, lambda a, da, v: np.sign(a)[..., None] * da),
-    # the subgradient 0 at the kink a = 0, like abs
-    "sqrt": (np.sqrt, lambda a, da, v: np.where(
-        (a == 0.0)[..., None], 0.0, da / (2.0 * np.where(a == 0.0, 1.0, v)[..., None]))),
+    "sin": (np.sin, lambda c, a, v, da: c.op(np.multiply, c.op(np.cos, a), da)),
+    # -(sin a · da), the bits of (-sin a)·da (rounding is symmetric in sign)
+    # with one array fewer while sin a is held for a later component
+    "cos": (np.cos, lambda c, a, v, da: c.op(np.negative, c.op(np.multiply, c.op(np.sin, a), da))),
+    "tan": (np.tan, lambda c, a, v, da: c.op(np.divide, da, c.op(np.square, c.op(np.cos, a)))),
+    "exp": (np.exp, lambda c, a, v, da: c.op(np.multiply, v, da)),
+    "log": (np.log, lambda c, a, v, da: c.op(np.divide, da, a)),
+    "atan": (np.arctan, lambda c, a, v, da: c.op(
+        np.divide, da, c.op(np.add, c.const(1.0), c.op(np.square, a)))),
+    "abs": (np.abs, lambda c, a, v, da: c.op(np.multiply, c.op(np.sign, a), da)),
+    "sqrt": (np.sqrt, lambda c, a, v, da: c.op(
+        _sqrt_lane, a, da, c.op(_sqrt_scale, a, v, ufunc=False), ufunc=False)),
 }
 
+#: ufunc -> (operand index, bits of a constant there that returns the other
+#: operand unchanged, -0.0 and the NaNs included): 1·a, a·1, a/1, a − (+0),
+#: (−0) + a and a + (−0).
+_NEUTRAL = {
+    np.multiply: ((0, np.float64(1.0).tobytes()), (1, np.float64(1.0).tobytes())),
+    np.divide: ((1, np.float64(1.0).tobytes()),),
+    np.subtract: ((1, np.float64(0.0).tobytes()),),
+    np.add: ((0, np.float64(-0.0).tobytes()), (1, np.float64(-0.0).tobytes())),
+}
 
-def _eval(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, kink: list[bool] | None):
-    """(value, z-partials) of ``e``; the partials are None when ``kink`` is None.
+#: The ufuncs whose every result is exactly rounded, whatever the memory
+#: layout of their operands and output.
+_EXACT = {np.add, np.subtract, np.multiply, np.divide, np.negative}
 
-    A value is an array, an input view or (for constants) a numpy float; the
-    partials broadcast to X.shape + (n,), a leaf's being one length-n row.
-    ``kink[0]`` is set where abs or sqrt is differentiated at 0.  Each domain
-    rule is checked before its operation, so both modes fault at the same node.
-    Every node allocates its result, so X, Y and Z are never written.
-    """
-    if isinstance(e, Num):
-        return np.float64(e.value), None if kink is None else np.zeros(Z.shape[-1])
-    if isinstance(e, Var):
-        v = X if e.name == "x" else Y if e.name == "y" else Z[..., e.index]
-        if kink is None:
-            return v, None
-        n = Z.shape[-1]
-        return v, np.zeros(n) if e.index is None else np.eye(n)[e.index]
-    if isinstance(e, Unary):
-        a, da = _eval(e.operand, X, Y, Z, kink)
-        return -a, None if da is None else -da
-    if isinstance(e, Bin):
-        a, da = _eval(e.left, X, Y, Z, kink)
-        if e.op == "^":
-            return _pow(e, a, da, X, Y, Z, kink)
-        b, db = _eval(e.right, X, Y, Z, kink)
-        if e.op == "/" and np.any(b == 0.0):
-            _fault("division by zero", e, b == 0.0, X, Y)
-        ufunc = _ARITHMETIC[e.op]
-        v = ufunc(a, b)
-        if da is None:
-            return v, None
-        if e.op in "+-":
-            return v, ufunc(da, db)
-        if e.op == "*":
-            return v, a[..., None] * db + b[..., None] * da
-        return v, (da - v[..., None] * db) / b[..., None]
-    if isinstance(e, Call):
-        a, da = _eval(e.arg, X, Y, Z, kink)
-        if e.fn == "log" and np.any(a <= 0.0):
-            _fault("log of a nonpositive value", e, a <= 0.0, X, Y)
-        if e.fn == "sqrt" and np.any(a < 0.0):
-            _fault("sqrt of a negative value", e, a < 0.0, X, Y)
-        ufunc, partials = _CALLS[e.fn]
-        v = ufunc(a)
-        if da is None:
-            return v, None
-        if e.fn in ("abs", "sqrt") and np.any((a == 0.0) & np.any(da != 0.0, axis=-1)):
-            kink[0] = True
-        return v, partials(a, da, v)
-    raise TypeError(f"not an expression node: {e!r}")
+#: The registers of X and Y; register 0 receives the checks' None, and the
+#: z-components follow from 3.
+_X, _Y, _Z = 1, 2, 3
 
 
-def _pow(e: Bin, a, da, X, Y, Z, kink):
-    """a ^ b with the domain rules: integer literal exponents allow any base
-    (except 0 to a negative power); everything else requires base > 0."""
-    p = _int_exponent(e)
-    if p is not None:
-        if p < 0 and np.any(a == 0.0):
-            _fault("zero base raised to a negative power", e, a == 0.0, X, Y)
-        v = _ipow(a, p)
-        if da is None:
-            return v, None
+class _Compiler:
+    """Builds a ``_Program``: instructions [fn, dst, args, kind] on registers,
+    of kind "ufunc" (may write into an operand's array), "call" (allocates),
+    or "effect", "result" and "partials" (checks and outputs, never
+    removed).  An operation on constants only is folded into a constant; a
+    check of constants stays in the program only if it faults."""
+
+    def __init__(self, n: int, dual: bool, count: int):
+        self.n, self.dual = n, dual
+        self.count = count
+        self.regs = _Z + n + (count * (n + 1) if dual else 0)
+        self.consts: dict[int, np.float64] = {}
+        self.memo: dict = {}
+        self.numbers: dict = {}  # (fn, operand numbers) -> the number of its value
+        self.ids: dict[int, int] = {}  # register -> its value's number; a leaf's is itself
+        self.code: list[list] = []
+        self.outputs: list[int] = []
+        self.kinks: list[int] = []
+        self.kinked = False
+        self.at: Expr | None = None  # the node whose operations are being emitted
+        zero = self.const(0.0)
+        self.zero = (zero,) * n
+        self.units = [tuple(self.const(float(j == k)) for k in range(n)) for j in range(n)]
+
+    def const(self, value) -> int:
+        """The register of a float constant, keyed by its bits (-0.0 is not 0.0)."""
+        value = np.float64(value)
+        return self.held(("const", value.tobytes()), value)
+
+    def held(self, key, value) -> int:
+        """The register that holds ``value`` from compile time."""
+        if key not in self.memo:
+            self.memo[key] = reg = self.regs
+            self.regs += 1
+            self.consts[reg] = value
+        return self.memo[key]
+
+    def op(self, fn, *args, ufunc=True) -> int:
+        """The register of fn(*args), shared with an identical earlier op;
+        an operand whose other operand leaves it unchanged is its own result."""
+        for i, unit in _NEUTRAL.get(fn, ()):
+            if args[i] in self.consts and self.consts[args[i]].tobytes() == unit:
+                return args[1 - i]
+        # arithmetic and integer powers are shared within the node that emits
+        # them only: an array held for a later node costs more memory than
+        # its recomputation costs time
+        number = self.numbers.setdefault((fn, tuple(self.ids.get(a, a) for a in args)),
+                                         -1 - len(self.numbers))
+        key = (number, id(self.at)) if fn in _EXACT or fn is _ipow else number
+        if key not in self.memo:
+            if all(a in self.consts for a in args):
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    reg = self.const(fn(*(self.consts[a] for a in args)))
+            else:
+                reg = self.regs
+                self.regs += 1
+                self.ids[reg] = number
+                self.code.append([fn, reg, args, "ufunc" if ufunc else "call"])
+            self.memo[key] = reg
+        return self.memo[key]
+
+    def check(self, message: str, check, node: Expr, a: int) -> None:
+        """``_domain``; the first check of a register keeps its node."""
+        key = (message, a)
+        if key in self.memo or (a in self.consts and not check[1](self.consts[a])):
+            return
+        self.memo[key] = 0
+        self.code.append([partial(_domain, message, check, node), 0, (a, _X, _Y), "effect"])
+
+    def lanes(self, build, *partials):
+        """The partial registers ``build(*lane)`` of each component, or None for values."""
+        return tuple(build(*lane) for lane in zip(*partials)) if self.dual else None
+
+    def power(self, a: int, p: int) -> int:
+        """The register of ``_ipow(a, p)``, one operation for any p."""
         if p == 0:
-            return v, np.zeros_like(da)
-        # d(a^p) = p a^(p-1) da; a^0 = 1, so p = 1 at a = 0 is right,
-        # and for p >= 2 the coefficient vanishes at a = 0 as it should.
-        return v, (p * _ipow(a, p - 1))[..., None] * da
-    b, db = _eval(e.right, X, Y, Z, kink)
-    if np.any(a <= 0.0):
-        _fault("non-integer power of a nonpositive base", e, a <= 0.0, X, Y)
-    v = np.power(a, b)
-    if da is None:
-        return v, None
-    return v, v[..., None] * (db * np.log(a)[..., None] + b[..., None] * da / a[..., None])
+            return self.const(1.0)  # the ones of np.ones_like(a), as one constant
+        if p == 1:
+            return a
+        return self.op(_ipow, a, self.held(("int", p), p), ufunc=False)
+
+    def node(self, e: Expr):
+        """(value register, partial registers) of e, emitting its operations."""
+        if isinstance(e, Num):
+            return self.const(e.value), self.zero
+        if isinstance(e, Var):
+            if e.index is None:
+                return (_X if e.name == "x" else _Y), self.zero
+            return _Z + e.index, self.units[e.index]
+        if isinstance(e, Unary):
+            a, da = self.node(e.operand)
+            self.at = e
+            return self.op(np.negative, a), self.lanes(partial(self.op, np.negative), da)
+        if isinstance(e, Bin):
+            a, da = self.node(e.left)
+            if e.op == "^":
+                return self.pow(e, a, da)
+            b, db = self.node(e.right)
+            self.at = e
+            if e.op == "/":
+                self.check("division by zero", _ZERO, e, b)
+            ufunc = _ARITHMETIC[e.op]
+            v = self.op(ufunc, a, b)
+            if e.op in "+-":
+                return v, self.lanes(partial(self.op, ufunc), da, db)
+            if e.op == "*":
+                return v, self.lanes(lambda la, lb: self.op(
+                    np.add, self.op(np.multiply, a, lb), self.op(np.multiply, b, la)), da, db)
+            return v, self.lanes(lambda la, lb: self.op(
+                np.divide, self.op(np.subtract, la, self.op(np.multiply, v, lb)), b), da, db)
+        if isinstance(e, Call):
+            a, da = self.node(e.arg)
+            self.at = e
+            if e.fn == "log":
+                self.check("log of a nonpositive value", _NONPOSITIVE, e, a)
+            if e.fn == "sqrt":
+                self.check("sqrt of a negative value", _NEGATIVE, e, a)
+            ufunc, lane = _CALLS[e.fn]
+            v = self.op(ufunc, a)
+            if self.dual and e.fn in ("abs", "sqrt"):
+                self.kink(a, da)
+            return v, self.lanes(lambda la: lane(self, a, v, la), da)
+        raise TypeError(f"not an expression node: {e!r}")
+
+    def pow(self, e: Bin, a: int, da):
+        """a ^ b with the domain rules: integer literal exponents allow any base
+        (except 0 to a negative power); everything else requires base > 0."""
+        p = _int_exponent(e)
+        self.at = e
+        if p is not None:
+            if p < 0:
+                self.check("zero base raised to a negative power", _ZERO, e, a)
+            if p == 0:  # the partials of np.zeros_like(da)
+                return self.power(a, 0), self.zero if self.dual else None
+            # d(a^p) = p a^(p-1) da; a^0 = 1, so p = 1 at a = 0 is right,
+            # and for p >= 2 the coefficient vanishes at a = 0 as it should.
+            v = self.power(a, p)
+            return v, self.lanes(lambda la: self.op(np.multiply, self.op(
+                np.multiply, self.const(p), self.power(a, p - 1)), la), da)
+        b, db = self.node(e.right)
+        self.at = e
+        self.check("non-integer power of a nonpositive base", _NONPOSITIVE, e, a)
+        v = self.op(np.power, a, b)
+        return v, self.lanes(lambda la, lb: self.op(np.multiply, v, self.op(
+            np.add, self.op(np.multiply, lb, self.op(np.log, a)),
+            self.op(np.divide, self.op(np.multiply, b, la), a))), da, db)
+
+    def kink(self, a: int, da) -> None:
+        """Flag abs or sqrt of a differentiated at a = 0 (``_kink``)."""
+        lanes = tuple(dict.fromkeys(da))
+        key = ("kink", a, lanes)
+        if key in self.memo:
+            return
+        self.memo[key] = 0
+        if all(r in self.consts for r in (a,) + lanes):
+            self.kinked = self.kinked or _kink(*(self.consts[r] for r in (a,) + lanes))
+            return
+        self.kinks.append(reg := self.regs)
+        self.regs += 1
+        self.code.append([_kink, reg, (a,) + lanes, "effect"])
+
+    def view(self, out: int, k: int) -> int:
+        """The register of lane k of the output array in register ``out``."""
+        return _Z + self.n + self.count + (out - _Z - self.n) * self.n + k
+
+    def component(self, e: Expr) -> None:
+        """Emit e, then its value and partials as outputs, each checked finite."""
+        v, da = self.node(e)
+        self.outputs.append(reg := self.regs)
+        self.regs += 1
+        self.code.append([e, reg, (v, _X, _Y), "result"])
+        if self.dual:
+            out = _Z + self.n + len(self.outputs) - 1
+            self.code.append([partial(_partials, e), 0, (out, _X, _Y) + da, "partials"])
 
 
-def _on_grid(e: Expr, X, Y, Z, kink: list[bool] | None):
-    """``_eval`` with its results made fresh and writable, and non-finite
-    values or partials (overflow) raising EvalOverflowError."""
-    shape = np.shape(X)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v, d = _eval(e, X, Y, Z, kink)
-        v = _fresh(v, shape, (X, Y, Z))
-        if d is not None:
-            d = _fresh(d, shape + Z.shape[-1:], (X, Y, Z))
-    if not np.isfinite(v).all():
-        _fault("non-finite result (overflow?)", e, ~np.isfinite(v), X, Y, EvalOverflowError)
-    if d is not None and not np.isfinite(d).all():
-        _fault("non-finite derivative (overflow?)", e, ~np.isfinite(d).all(axis=-1), X, Y,
-               EvalOverflowError)
-    return v, d
+#: The domain checks of ``_domain``; a NaN is in no mask.
+_ZERO = (lambda a: a == 0.0, lambda a: np.count_nonzero(a) < np.size(a))
+_NONPOSITIVE = (lambda a: a <= 0.0, lambda a: np.fmin.reduce(a, None, initial=np.inf) <= 0.0)
+_NEGATIVE = (lambda a: a < 0.0, lambda a: np.fmin.reduce(a, None, initial=np.inf) < 0.0)
+
+
+def _mask(bits) -> int:
+    """The flags ``bits`` as the bits of an int, the first the lowest."""
+    return sum(1 << j for j, bit in enumerate(bits) if bit)
+
+
+@cache
+def _positions(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``mask``."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+class _Program:
+    """A component vector compiled once and run on any nodes.
+
+    Values, partials, kink flag, faults and their order are those of the
+    recursive walk that the compiler follows.  Pure operations that no
+    output reads are dropped; an operation whose operand's register is last
+    read there writes into that operand's array, and every other array is
+    released after its last read.  Only the arrays the program made are
+    written: X, Y and Z are only read, and each component's result is fresh.
+    """
+
+    __slots__ = ("n", "init", "code", "outputs", "kinks", "kinked")
+
+    def __init__(self, exprs, n: int, dual: bool, values: bool = True):
+        c = _Compiler(n, dual, len(exprs))
+        for e in exprs:
+            c.component(e)
+        code, live = [], set()
+        for ins in reversed(c.code):
+            if ins[3] not in ("ufunc", "call") or ins[1] in live:
+                code.append(ins)
+                live.update(ins[2])
+        code.reverse()
+        last = {a: i for i, ins in enumerate(code) for a in ins[2]}
+        made = {ins[1]: ins for ins in code if ins[3] in ("ufunc", "call")}
+        for i, ins in enumerate(code):
+            fn, dst, args, kind = ins
+            dying = {a for a in args if a in made and last[a] == i}
+            into = next((a for a in args if a in dying), None) if kind == "ufunc" else None
+            ins[3:] = [into, _mask(a in dying for a in args)]
+            if kind == "result":
+                ins[0] = partial(_result, fn, (args[0] not in dying) if values else None)
+            if kind != "partials":
+                continue
+            # a lane whose last op is arithmetic and read only here is
+            # written by that op into its place in the output
+            lanes = list(args[3:])
+            for k, lane in enumerate(lanes):
+                if lane in dying and lanes.count(lane) == 1 and made[lane][0] in _EXACT:
+                    made[lane][3] = c.view(args[0], k)
+                    lanes[k] = 0
+            ins[2] = args[:3] + tuple(lanes)
+        self.code = [tuple(ins) for ins in code]
+        self.init = [None] * c.regs
+        for reg, value in c.consts.items():
+            self.init[reg] = value
+        self.n, self.outputs, self.kinks, self.kinked = n, c.outputs, c.kinks, c.kinked
+
+    def run(self, X, Y, Z, dests=()) -> tuple[list[np.ndarray], bool]:
+        """(each component's value as a fresh array of X's shape, kink flag);
+        a dual program writes component k's partials into ``dests[k]``, of
+        shape X.shape + (n,)."""
+        if np.ndim(X) == 0:  # one point, run as one node
+            values, kinked = self.run(np.reshape(X, 1), np.reshape(Y, 1), np.reshape(Z, (1, -1)),
+                                      [np.reshape(d, (1, -1)) for d in dests])
+            return [v.reshape(()).copy() for v in values], kinked
+        r = self.init.copy()
+        r[_X], r[_Y] = X, Y
+        r[_Z:_Z + self.n] = (Z[..., k] for k in range(self.n))
+        r[_Z + self.n:_Z + self.n + len(dests)] = dests
+        r[_Z + self.n + len(dests):_Z + self.n + len(dests) * (self.n + 1)] = (
+            d[..., k] for d in dests for k in range(self.n))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for fn, dst, args, into, dying in self.code:
+                if into is None:
+                    r[dst] = fn(*[r[a] for a in args])
+                else:
+                    r[dst] = fn(*[r[a] for a in args], out=r[into])
+                for j in _positions(dying):
+                    r[args[j]] = None
+        return [r[o] for o in self.outputs], self.kinked or any(r[k] for k in self.kinks)
 
 
 def eval_on_grid(e: Expr, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Evaluate over coordinate arrays X, Y and state array Z (shape X.shape + (n,));
     one point is 0-d X and Y with a length-n Z.
 
-    Returns a fresh, writable array of X's shape.  X, Y and Z are only read:
-    every node of the walk allocates its result, and the caller may overwrite
-    the result.  A non-finite result (overflow) raises EvalOverflowError.
+    Returns a fresh, writable array of X's shape.  X, Y and Z are only read,
+    and the caller may overwrite the result.  A non-finite result (overflow)
+    raises EvalOverflowError.
     """
-    return _on_grid(e, X, Y, Z, None)[0]
+    return _Program((e,), np.shape(Z)[-1], False).run(X, Y, Z)[0][0]
 
 
 def eval_dual_on_grid(
@@ -413,9 +664,9 @@ def eval_dual_on_grid(
     differentiated at its kink anywhere.  Non-finite values or partials
     (overflow) raise EvalOverflowError.
     """
-    kink = [False]
-    v, d = _on_grid(e, X, Y, Z, kink)
-    return v, d, kink[0]
+    d = np.empty(np.shape(X) + np.shape(Z)[-1:])
+    (v,), kinked = _Program((e,), d.shape[-1], True).run(X, Y, Z, [d])
+    return v, d, kinked
 
 
 # -- node samplers ------------------------------------------------------------
@@ -426,17 +677,21 @@ def _zero_state(shape: tuple[int, ...], n: int) -> np.ndarray:
     return np.broadcast_to(np.zeros(n), shape + (n,))
 
 
-def _components(exprs, X, Y, Z) -> np.ndarray:
-    """Stack component evaluations into a writable array of shape X.shape + (n,)
-    (a view of the one array when n == 1)."""
-    values = [eval_on_grid(e, X, Y, Z) for e in exprs]
+def _stack(values: list[np.ndarray]) -> np.ndarray:
+    """Component values as one array of shape X.shape + (k,) (a view of the
+    one array when k == 1)."""
     return np.expand_dims(values[0], -1) if len(values) == 1 else np.stack(values, -1)
+
+
+def _components(exprs, X, Y, Z) -> np.ndarray:
+    """Evaluate a component vector into a writable array of shape X.shape + (k,)."""
+    return _stack(_Program(exprs, Z.shape[-1], False).run(X, Y, Z)[0])
 
 
 def _matrix_values(mat, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
     """Sample an n×n expression matrix at points; shape X.shape + (n, n)."""
-    Z = _zero_state(X.shape, n)
-    return np.stack([_components(row, X, Y, Z) for row in mat], axis=-2)
+    entries = [e for row in mat for e in row]
+    return _components(entries, X, Y, _zero_state(X.shape, n)).reshape(X.shape + (n, n))
 
 
 def _jacobian(exprs, X, Y, Z, out=None) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -444,9 +699,6 @@ def _jacobian(exprs, X, Y, Z, out=None) -> tuple[np.ndarray, np.ndarray, bool]:
     is ∂f_i/∂z, kink flag) of the component vector ``exprs``, evaluated in
     component order; the partials are written into ``out`` when given."""
     jac = np.empty(np.shape(X) + (len(exprs), Z.shape[-1])) if out is None else out
-    values, kinked = [], False
-    for i, e in enumerate(exprs):
-        v, jac[..., i, :], kink = eval_dual_on_grid(e, X, Y, Z)
-        values.append(v)
-        kinked = kinked or kink
+    values, kinked = _Program(exprs, Z.shape[-1], True).run(
+        X, Y, Z, [jac[..., i, :] for i in range(len(exprs))])
     return np.stack(values, -1), jac, kinked

@@ -148,12 +148,12 @@ class GridField:
 # them lets the C heap return its top pages to the OS; faulting them back in
 # cost more than the arithmetic (measured with getrusage minor-fault counts).
 # The operator follows the same rule: it writes into arrays it allocated
-# itself, never into its inputs.  Expression evaluation allocates each node's
-# result; the row strips keep those temporaries near ``_STRIP_BYTES``, where
-# reusing them measured no faster.  Every ufunc writes a C-contiguous array
-# (numpy buffers a strided one): column neighbours, n places apart in the
-# flat rows, are summed there, and column 0, which gets the pairs across a
-# row's end, is then zeroed.
+# itself, never into its inputs.  Compiled expression programs write each
+# operation into an operand's array that is read there for the last time, and
+# the row strips keep their temporaries near ``_STRIP_BYTES``.  Every ufunc
+# writes a C-contiguous array (numpy buffers a strided one): column
+# neighbours, n places apart in the flat rows, are summed there, and column
+# 0, which gets the pairs across a row's end, is then zeroed.
 
 def _cell_sums(lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> None:
     """Write the sum of each cell's four corner values into ``out[:, 1:]``,

@@ -18,9 +18,10 @@ the component expressions.
 Both are causal Volterra maps: the value at node (i, j) depends only on
 rows <= i.  So F, F' and the state they rebuild from g are evaluated block
 by block over row strips, by ``_step`` (``grid.strip_step`` with the A
-terms, f1 and f2 sampled by ``exprlang``'s node samplers) from the carry of
-the strip before.  Each strip's temporaries are strip-sized, the result is
-the only grid-sized array allocated, and the bits are the whole grid's.  An
+terms, and f1 and f2 sampled by the context's compiled f1‖f2 programs) from
+the carry of the strip before.  Each strip's temporaries are strip-sized,
+the result is the only grid-sized array allocated, and the bits are the
+whole grid's.  An
 evaluation fault stops the walk in the first strip that faults, with the
 first fault of that strip: f1's before f2's, in F and F' alike, each at its
 first node in row-major order.  On a grid of one strip it is the whole grid's.
@@ -43,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ParameterError
-from .exprlang import _components, _jacobian, _matrix_values, _zero_state, eval_on_grid
+from .exprlang import _matrix_values, _Program, _stack, _zero_state, eval_on_grid
 from .grid import Grid, GridField, row_strips, strip_step
 from .norms import WeightedNorms
 
@@ -66,7 +67,7 @@ class OperatorContext:
     ``WeightedNorms``.
     """
 
-    __slots__ = ("spec", "grid", "assumptions", "X", "Y", "a1_nodes", "a2_nodes")
+    __slots__ = ("spec", "grid", "assumptions", "X", "Y", "a1_nodes", "a2_nodes", "_programs")
 
     def __init__(self, spec: ProblemSpec, grid: Grid):
         self.spec = spec
@@ -75,6 +76,7 @@ class OperatorContext:
         self.a1_nodes, self.a2_nodes = (_coefficient(a, self.X, self.Y, spec.n)
                                         for a in (spec.a1, spec.a2))
         self.assumptions = None
+        self._programs = {}
 
     def with_assumptions(self, report: AssumptionReport) -> "OperatorContext":
         out = copy.copy(self)
@@ -90,10 +92,19 @@ class OperatorContext:
         if n != self.spec.n:
             raise ParameterError(f"{what} has {n} components, problem has {self.spec.n}")
 
+    def _program(self, dual: bool) -> _Program:
+        """f1‖f2 (f1's components, then f2's) compiled on first use, for F's
+        terms or, ``dual``, for F''s Jacobians too; the derived contexts of
+        ``with_assumptions`` share them."""
+        if dual not in self._programs:
+            self._programs[dual] = _Program(self.spec.f1 + self.spec.f2, self.spec.n, dual,
+                                            values=not dual)
+        return self._programs[dual]
+
     def _f_terms(self, rows: slice, z: np.ndarray):
         """F's pointwise terms (f1, f2) at the state z on the strip ``rows``."""
-        X, Y = self.X[rows], self.Y[rows]
-        return _components(self.spec.f1, X, Y, z), _components(self.spec.f2, X, Y, z)
+        values = self._program(False).run(self.X[rows], self.Y[rows], z)[0]
+        return _stack(values[:self.spec.n]), _stack(values[self.spec.n:])
 
     def __repr__(self) -> str:
         return f"OperatorContext(n={self.spec.n}, cells={self.grid.cells})"
@@ -123,6 +134,20 @@ def _coefficient(mat, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray | None
                 out[z] = zero
         out[s] = part
     return out
+
+
+def _sup_norm(Z: np.ndarray) -> float:
+    """The largest Euclidean norm over the last axis of Z: max|z| for one
+    component, else the norm of the squares, rescaled where they overflow."""
+    if Z.shape[-1] == 1:
+        return float(max(Z.max(), -Z.min()))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((Z**2).sum(axis=-1))
+    big = np.isinf(norms)
+    if big.any():
+        top = np.abs(Z[big]).max(axis=-1)
+        norms[big] = top * np.sqrt(((Z[big] / top[:, None])**2).sum(axis=-1))
+    return float(norms.max())
 
 
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -195,17 +220,18 @@ class LinearizedOperator:
         if at is not None:
             ctx.check_field(at)
         self.ctx = ctx
-        spec, X, Y = ctx.spec, ctx.X, ctx.Y
-        n = spec.n
+        X, Y, n = ctx.X, ctx.Y, ctx.spec.n
         jac, z_sup, carry = np.empty((2,) + X.shape + (n, n)), 0.0, None
+        program = ctx._program(True)
         for rows in row_strips(X.shape[0], n):
             if at is None:
                 Z = _zero_state(X[rows].shape, n)
             else:
                 (Z, _, _), carry = strip_step(at.values[rows], carry, ctx.grid.h, zy=False)
-                z_sup = max(z_sup, float(np.sqrt((Z**2).sum(axis=2)).max()))
-            for k, f in enumerate((spec.f1, spec.f2)):
-                _jacobian(f, X[rows], Y[rows], Z, out=jac[k, rows])
+                Z = Z.copy()  # frees the z_x half of the state while f1, f2 run
+                z_sup = max(z_sup, _sup_norm(Z))
+            program.run(X[rows], Y[rows], Z, [jac[k, rows, ..., i, :] for k in (0, 1)
+                                              for i in range(n)])
         self.j1, self.j2, self.z_sup = jac[0], jac[1], z_sup
 
     def apply_array(self, hg: np.ndarray) -> np.ndarray:

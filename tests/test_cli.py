@@ -1501,3 +1501,18 @@ class TestOutputPath:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: goursat2d")
+
+
+def test_linearize_at_a_state_whose_squares_overflow_warns_nothing(tmp_path, capsys):
+    # g ≡ 1e300 gives a finite state z = 1e300·xy, whose squares overflow
+    doc = {"meta": {"n": 1, "B": 2.0, "b": "0"},
+           "functions": {"f1": ["2*z1"], "f2": ["0"]},
+           "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]}}
+    (tmp_path / "lin.json").write_text(json.dumps(doc))
+    grid = build_grid(8)
+    write_grid_csv(tmp_path / "big.grid.csv", GridField(grid, np.full((9, 9, 1), 1e300)))
+    code = run_cli(["linsolve", "--problem", str(tmp_path / "lin.json"), "--n", "8",
+                    "--rhs", "1", "--linearize-at", str(tmp_path / "big.grid.csv"),
+                    "--out", str(tmp_path / "lin")])
+    assert code == 0
+    assert capsys.readouterr().err == ""

@@ -303,3 +303,98 @@ class TestAgainstAllocatingWalk:
         for a, s in zip((X, Y, Z), saved):
             _same_bits(a, s)
         _same_bits(v, reference_on_grid(e, X, Y, Z, dual=False)[0])
+
+
+# -- what the compiler adds: sharing, structural zeros, fault order -----------
+
+from goursat2d.exprlang import _components, _jacobian, _Program, parse  # noqa: E402
+
+
+def grid_inputs(n, shape=(6, 5), seed=7):
+    X, Y, Z = _inputs(np.random.default_rng(seed), n, shape)
+    return X, Y, Z
+
+
+class TestCompiledVectors:
+    #: f1's components, then f2's, as an OperatorContext compiles them
+    SHARED = [
+        ["(1) * (z1^3/(1 + z1^2) + cos(z1^2))", "(1) * (z1 - 1)/(1 + z1^2) + sin(z1^2)"],
+        ["sin(z1*z2) + x*cos(z2)", "sin(z1*z2)*z2 - 1/(1 + z1^2)",
+         "cos(z2)*x - 1/(1 + z1^2)", "z1/(1 + z2^2) + x*cos(z2) + sin(z1*z2)"],
+        ["sqrt(abs(z1)) + exp(-z1^2)", "exp(-z1^2)*sqrt(abs(z1))", "abs(z1) - x*y",
+         "x*y + abs(z1)"],
+    ]
+
+    @pytest.mark.parametrize("sources", SHARED, ids=["example46", "n2", "kinks"])
+    def test_shared_subtrees_match_the_walk_component_by_component(self, sources):
+        n = 2 if any("z2" in s for s in sources) else 1
+        exprs = [parse(s, n) for s in sources]
+        X, Y, Z = grid_inputs(n)
+        want = [reference_on_grid(e, X, Y, Z, dual=True) for e in exprs]
+        values = _components(exprs, X, Y, Z)
+        vals, jac, kinked = _jacobian(exprs, X, Y, Z)
+        for i, (wv, wd, _) in enumerate(want):
+            _same_bits(values[..., i], wv)
+            _same_bits(vals[..., i], wv)
+            _same_bits(jac[..., i, :], wd)
+        assert kinked == any(k for _, _, k in want)
+
+    def test_a_fault_in_a_repeated_subtree_names_its_first_occurrence(self):
+        src = "z1 + log(x - 0.5) + log(x - 0.5)"
+        e = parse(src, 1)
+        X, Y, Z = grid_inputs(1)
+        with pytest.raises(EvalFaultError) as exc:
+            eval_on_grid(e, X, Y, Z)
+        assert exc.value.position == src.index("log") == _outcome(
+            lambda: reference_on_grid(e, X, Y, Z, False))[1][2]
+        # and across components: the second component's copy is never reached
+        f1, f2 = parse("log(x - 0.5)*z1", 1), parse("  2 + log(x - 0.5)", 1)
+        with pytest.raises(EvalFaultError) as exc:
+            _components([f1, f2], X, Y, Z)
+        assert exc.value.position == 0
+
+    def test_an_overflowing_f1_raises_before_a_fault_only_f2_reaches(self):
+        X, Y, Z = grid_inputs(1)
+        f1 = parse("z1 + exp(1000*x)", 1)
+        f2 = parse("log(z1 - 5) + exp(1000*x)", 1)
+        for run in (lambda: _components([f1, f2], X, Y, Z),
+                    lambda: _jacobian([f1, f2], X, Y, Z)):
+            with pytest.raises(EvalOverflowError) as exc:
+                run()
+            assert exc.value.position == f1.pos
+            assert str(exc.value) == _outcome(lambda: reference_on_grid(f1, X, Y, Z, False))[1][1]
+
+    @pytest.mark.parametrize("src", ["(-1)*(z1 - z1)", "0*z1 - x", "-(z1 - z1) + x",
+                                     "(-1)*(z2 - z2) + z1", "x*y - y*x", "-(0*x)"])
+    def test_zero_partials_keep_their_sign(self, src):
+        e = parse(src, 2)
+        X, Y, Z = grid_inputs(2)
+        v, d, _ = eval_dual_on_grid(e, X, Y, Z)
+        wv, wd, _ = reference_on_grid(e, X, Y, Z, True)
+        _same_bits(v, wv)
+        _same_bits(d, wd)
+        assert (d == 0.0).any()
+
+    def test_equal_trees_from_different_sources_name_their_own_offsets(self):
+        X, Y, Z = grid_inputs(1)
+        a, b = parse("log(x - 0.5)", 1), parse("   log(x - 0.5)", 1)
+        assert a == b and hash(a) == hash(b)  # structural equality ignores pos
+        for e, pos in ((a, 0), (b, 3), (a, 0), (b, 3)):
+            with pytest.raises(EvalFaultError) as exc:
+                eval_dual_on_grid(e, X, Y, Z)
+            assert exc.value.position == pos
+
+    def test_a_huge_integer_power_is_one_operation(self):
+        e = parse("z1^1e300", 1)
+        assert len(_Program((e,), 1, True).code) < 10
+        X, Y, Z = grid_inputs(1)
+        Z = np.clip(Z, -1.0, 1.0)
+        Z[0, 0] = 1.0
+        want = _outcome(lambda: reference_on_grid(e, X, Y, Z, True))
+        got = _outcome(lambda: eval_dual_on_grid(e, X, Y, Z))
+        assert got[0] == want[0]
+        if got[0] == "fault":
+            assert got[1] == want[1]
+        else:
+            for g, w in zip(got[1], want[1]):
+                _same_bits(g, w)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -118,6 +119,23 @@ class TestResidualAndMerit:
 
 
 class TestLinearization:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_z_sup_of_a_state_whose_squares_overflow_is_finite(self, n):
+        # g ≡ 1e300 gives z = 1e300·xy, up to 1e300 per component
+        grid = build_grid(8)
+        doc = {"meta": {"n": n, "B": 2.0, "b": "0"},
+               "functions": {"f1": [f"2*z{i + 1}" for i in range(n)], "f2": ["0"] * n},
+               "coefficients": {k: [["0"] * n for _ in range(n)]
+                                for k in ("A1", "A2", "A1x", "A2y")}}
+        ctx = make_context(load_problem(doc), grid)
+        at = GridField(grid, np.full((9, 9, n), 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z_sup = LinearizedOperator(ctx, at).z_sup
+        z = state_from_g(at.values, grid.h)[0]
+        assert np.isfinite(z_sup)
+        assert z_sup == pytest.approx(np.sqrt(n) * np.abs(z).max(), rel=1e-15)
+
     def test_zero_problem_returns_direction(self):
         grid = build_grid(8)
         ctx = make_context(zero_problem(), grid)

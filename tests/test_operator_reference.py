@@ -446,36 +446,43 @@ class TestAllocations:
     float array.
 
     Measured values, which the bounds pin with a little headroom: peaks of
-    3.03 for example46's f1, 6.16 for ``apply_F``, 7.22 for a manufactured
-    right-hand side refined to N = 64 and 7.03 units of the fine grid for one
-    from N = 64 refined to 256.  Each is one more temporary than while the
-    expression walk wrote nodes into operands it had allocated (2.18, 5.31,
-    6.38 and 6.15), a writer that no end-to-end time or peak RSS resolved
-    once the row strips bounded every temporary.  Before the strips, numpy's
-    iterator buffers for ufuncs that wrote strided views gave 8.03 for
-    ``apply_F``, 9.08 for the N = 64 right-hand side and 6.39 for the refined
-    one; the full state, the zero contractions and fresh sums 11.0 for
-    ``apply_F``; grid-sized coordinates, zero coefficients and zero states
-    13.09 for the N = 64 right-hand side; and the fine v copied into a field
-    before its restriction 7.14 for the refined one.  The peak is 0.02 for
+    2.08 for example46's f1, 5.15 for ``apply_F``, 6.30 for a manufactured
+    right-hand side refined to N = 64 (its fresh context compiles its f1‖f2
+    program inside the run) and 6.03 units of the fine grid for one from
+    N = 64 refined to 256.  The compiled programs write each operation into
+    an operand read there for the last time and recompute cheap arithmetic
+    rather than hold it; the recursive walk that they replaced allocated
+    every node and gave 3.03, 6.15, 7.20 and 7.03, one temporary more than
+    while it wrote nodes into operands it had allocated (2.18, 5.31, 6.38
+    and 6.15).  Before the strips, numpy's iterator buffers for ufuncs that
+    wrote strided views gave 8.03 for ``apply_F``, 9.08 for the N = 64
+    right-hand side and 6.39 for the refined one; the full state, the zero
+    contractions and fresh sums 11.0 for ``apply_F``; grid-sized
+    coordinates, zero coefficients and zero states 13.09 for the N = 64
+    right-hand side; and the fine v copied into a field before its
+    restriction 7.14 for the refined one.  The peak is 0.02 for
     ``choose_weight`` at the zero-state F' (2.03 while it reduced a kept
     zero state); an example46 context retains 0.01 (4.02 with those
-    coordinates and coefficients) and F' its two Jacobians, 2.10 at the zero
-    state (3.10 with a grid-sized zero state) and 2.11 at a nonzero point
-    (4.12 while it kept z, a view of its two-array state buffer).
+    coordinates and coefficients), and F' its two Jacobians, 2.10 at the
+    zero state (3.10 with a grid-sized zero state) and 2.11 at a nonzero
+    point (4.12 while it kept z, a view of its two-array state buffer).  A
+    one-strip F' build at a nonzero point peaks at 9.17 (11.14 with the
+    walk, which kept the z_x half of the state while f1 and f2 ran).
 
     At N = 1024 the row-strip engine runs eleven strips, and peaks fall to
-    about its input and output: 1.66 for ``apply_F`` (5.13 on the whole
-    grid; 1.48 when f1 faults in the tenth strip, 3.13 while a fault ran
-    the whole grid again), 2.84 for building F' at a point, whose partials
-    go straight into its Jacobians (3.12 while each strip's were stacked and
-    copied in, 8.00 on the whole grid) and 1.47 for ``apply_array`` (5.02).  A right-hand
-    side manufactured from N = 256 streams the fine grid and peaks at 0.81
-    fine units (2.67 with the fine g* and F(g*) held whole, 6.13 with the g*
-    sample stacked and copied into a field), and a whole ``mms --n-list
-    64,128,256`` at 0.97, its one-strip N = 256 F' build holding both
-    Jacobians while it evaluates (0.91 when they were allocated after the
-    partials; 2.70 before the strips).
+    about its input and output: 1.56 for ``apply_F`` (1.66 with the walk,
+    5.13 on the whole grid; 1.48 when f1 faults in the tenth strip, 3.13
+    while a fault ran the whole grid again), 2.65 for building F' at a
+    point, whose partials go straight into its Jacobians (2.84 with the
+    walk, 3.12 while each strip's were stacked and copied in, 8.00 on the
+    whole grid) and 1.47 for ``apply_array`` (5.02).  A right-hand side
+    manufactured from N = 256 streams the fine grid and peaks at 0.72 fine
+    units (0.82 with the walk, 2.67 with the fine g* and F(g*) held whole,
+    6.13 with the g* sample stacked and copied into a field), and a whole
+    ``mms --n-list 64,128,256`` at 0.85, its one-strip N = 256 F' build
+    holding both Jacobians while it evaluates (0.97 with the walk, 0.91
+    when the walk's Jacobians were allocated after the partials; 2.70
+    before the strips).
 
     Weighted norms: twenty ``WeightedNorms`` on one N = 64 grid retain 0.005
     (19.12 while each cached its (P, P) kernel), and one norm of a scalar
@@ -565,6 +572,11 @@ class TestAllocations:
         zstar = XYFunction.from_sources("1 + sin(2*x)*cos(y)")
         coarse = build_grid(self.CELLS // 4)
         assert self._peak_units(lambda: manufacture_problem(spec, zstar, coarse, refine=4)) <= 7.3
+
+    def test_one_strip_linearization_at_a_point(self):
+        ctx = make_context(builtin_example_4_6(), build_grid(self.CELLS))
+        at = GridField(ctx.grid, np.full(ctx.X.shape + (1,), 0.3))
+        assert self._peak_units(lambda: LinearizedOperator(ctx, at)) < 9.3
 
     def test_strips_keep_apply_F_near_its_input_and_output(self):
         ctx = make_context(builtin_example_4_6(), build_grid(self.STRIP_CELLS))
