@@ -37,8 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EvalFaultError, ParameterError, SchemaError
-from .exprlang import (Expr, _components, _jacobian, _matrix_values, _zero_state,
-                       eval_dual_on_grid, eval_on_grid, free_z_indices, parse)
+from .exprlang import (Expr, _components, _jacobian, _matrix_values, _Program, _zero_state,
+                       eval_on_grid, free_z_indices, parse)
 from .fileio import read_field_csv
 from .grid import Grid, GridField, build_grid, row_strips
 from .operator import _step, apply_F, make_context
@@ -305,12 +305,10 @@ def _smoke_check(spec: ProblemSpec) -> None:
         states.append(np.full(X.shape + (spec.n,), s / math.sqrt(spec.n)))
 
     def check(e: Expr, path: str, dual: bool, nonneg: bool = False):
+        program = _Program((e,), spec.n, dual)  # one compile for every state
         try:
             for Z in states:
-                if dual:
-                    vals, _, _ = eval_dual_on_grid(e, X, Y, Z)
-                else:
-                    vals = eval_on_grid(e, X, Y, Z)
+                (vals,), _ = program.run(X, Y, Z, [np.empty(Z.shape)] if dual else ())
                 if nonneg and np.any(vals < 0.0):
                     raise SchemaError("the majorant b must be nonnegative on Q", path=path)
         except EvalFaultError as exc:
