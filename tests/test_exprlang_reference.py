@@ -23,9 +23,13 @@ from goursat2d.exprlang import (
     Num,
     Unary,
     Var,
+    _components,
     _fault,
+    _jacobian,
+    _Program,
     eval_dual_on_grid,
     eval_on_grid,
+    parse,
 )
 
 # -- the reference walk -------------------------------------------------------
@@ -307,12 +311,10 @@ class TestAgainstAllocatingWalk:
 
 # -- what the compiler adds: sharing, structural zeros, fault order -----------
 
-from goursat2d.exprlang import _components, _jacobian, _Program, parse  # noqa: E402
-
 
 def grid_inputs(n, shape=(6, 5), seed=7):
-    X, Y, Z = _inputs(np.random.default_rng(seed), n, shape)
-    return X, Y, Z
+    """Seeded ``_inputs`` on a small grid."""
+    return _inputs(np.random.default_rng(seed), n, shape)
 
 
 class TestCompiledVectors:
