@@ -62,9 +62,10 @@ class OperatorContext:
     then) to a derived context sharing the caches.  A matrix that is zero at
     every node is stored as None, found strip by strip, so only a nonzero
     matrix holds grid-sized memory; F and F' skip the term of a None one (and
-    the z_y that only A2 reads).  F and F' do not depend on the weight m, so
-    the context carries none: each solve chooses its m and builds its own
-    ``WeightedNorms``.
+    the z_y that only A2 reads).  The f1‖f2 programs of F and F' are
+    compiled on first use and hold no grid array.  F and F' do not depend
+    on the weight m, so the context carries none: each solve chooses its m
+    and builds its own ``WeightedNorms``.
     """
 
     __slots__ = ("spec", "grid", "assumptions", "X", "Y", "a1_nodes", "a2_nodes", "_programs")
