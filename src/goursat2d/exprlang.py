@@ -33,7 +33,8 @@ operand is read for the last time.
 
 The node samplers at the end (``_components``, ``_matrix_values`` and the
 Jacobian sampler ``_jacobian``) are the one place where a problem's
-expressions meet the nodes; each compiles its vector on the spot, and an
+expressions meet the nodes; each compiles its vector on the spot or runs a
+program its caller compiled once for all its samples, and an
 ``OperatorContext`` compiles f1‖f2 once for F and once for F'.
 """
 
@@ -688,17 +689,25 @@ def _components(exprs, X, Y, Z) -> np.ndarray:
     return _stack(_Program(exprs, Z.shape[-1], False).run(X, Y, Z)[0])
 
 
+def _matrix_program(mat, n: int) -> _Program:
+    """The values program of an n×n expression matrix's entries, row-major."""
+    return _Program([e for row in mat for e in row], n, False)
+
+
 def _matrix_values(mat, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
-    """Sample an n×n expression matrix at points; shape X.shape + (n, n)."""
-    entries = [e for row in mat for e in row]
-    return _components(entries, X, Y, _zero_state(X.shape, n)).reshape(X.shape + (n, n))
+    """Sample an n×n expression matrix, or its ``_matrix_program``, at
+    points; shape X.shape + (n, n)."""
+    program = mat if isinstance(mat, _Program) else _matrix_program(mat, n)
+    return _stack(program.run(X, Y, _zero_state(X.shape, n))[0]).reshape(X.shape + (n, n))
 
 
 def _jacobian(exprs, X, Y, Z, out=None) -> tuple[np.ndarray, np.ndarray, bool]:
     """(values of X.shape + (k,), z-Jacobian of X.shape + (k, n) whose row i
-    is ∂f_i/∂z, kink flag) of the component vector ``exprs``, evaluated in
-    component order; the partials are written into ``out`` when given."""
-    jac = np.empty(np.shape(X) + (len(exprs), Z.shape[-1])) if out is None else out
-    values, kinked = _Program(exprs, Z.shape[-1], True).run(
-        X, Y, Z, [jac[..., i, :] for i in range(len(exprs))])
+    is ∂f_i/∂z, kink flag) of the component vector ``exprs``, or of its dual
+    program, evaluated in component order; the partials are written into
+    ``out`` when given."""
+    program = exprs if isinstance(exprs, _Program) else _Program(exprs, Z.shape[-1], True)
+    k = len(program.outputs)
+    jac = np.empty(np.shape(X) + (k, Z.shape[-1])) if out is None else out
+    values, kinked = program.run(X, Y, Z, [jac[..., i, :] for i in range(k)])
     return np.stack(values, -1), jac, kinked

@@ -255,7 +255,9 @@ def strip_step(g: np.ndarray, carry: Carry | None, h: float, terms=None, zy: boo
     so a strip evaluated again from the same carry gives the same bits.
     The rows are the state (z, z_x, z_y), views of one buffer (z_y None
     without ``zy``), or with ``terms``, a function (z, z_x, z_y) -> (local,
-    inner) of fresh arrays, (g + local) + J(inner) written into ``out``.
+    inner), (g + local) + J(inner) written into ``out``.  The step reads no
+    state row after ``terms``, so local and inner may be fresh arrays or
+    state rows that ``terms`` wrote over.
     """
     state = np.empty((3 if zy else 2,) + g.shape)
     z, zx, zy_ = state[0], state[1], state[2] if zy else None

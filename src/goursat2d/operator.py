@@ -44,7 +44,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ParameterError
-from .exprlang import _matrix_values, _Program, _stack, _zero_state, eval_on_grid
+from .exprlang import (_matrix_program, _matrix_values, _Program, _stack, _zero_state,
+                       eval_on_grid)
 from .grid import Grid, GridField, row_strips, strip_step
 from .norms import WeightedNorms
 
@@ -118,14 +119,15 @@ def make_context(spec: ProblemSpec, grid: Grid) -> OperatorContext:
 def _coefficient(mat, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray | None:
     """An n×n expression matrix sampled at the nodes, or None when it is zero
     at every node (by value: ``x - x`` is zero too); the context stores the
-    None as it is.  Each strip is sampled once, in order.  The all-zero
-    strips before the first nonzero one are written as +0.0 once it comes,
-    and only a strip holding a −0.0 is kept until then, so a zero matrix is
-    never held whole.  A fault is that of the first strip that faults: its
-    first faulting entry, row-major, at that entry's first faulting node."""
-    out, zeros = None, []
+    None as it is.  The matrix is compiled once, and each strip is sampled
+    once, in order.  The all-zero strips before the first nonzero one are
+    written as +0.0 once it comes, and only a strip holding a −0.0 is kept
+    until then, so a zero matrix is never held whole.  A fault is that of
+    the first strip that faults: its first faulting entry, row-major, at
+    that entry's first faulting node."""
+    out, zeros, program = None, [], _matrix_program(mat, n)
     for s in row_strips(X.shape[0], n * n):
-        part = _matrix_values(mat, X[s], Y[s], n)
+        part = _matrix_values(program, X[s], Y[s], n)
         if out is None and not part.any():
             zeros.append((s, part if np.signbit(part).any() else 0.0))
             continue
@@ -156,10 +158,20 @@ def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("ijkl,ijl->ijk", mats, vecs, optimize=False)
 
 
+def _scaled(j: np.ndarray, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``_matvec`` for one component, (k,P,1,1) × (k,P,1), without its zeroed
+    output: the product, then + 0.0, since einsum sums it into a +0.0 and so
+    turns a −0.0 product into +0.0.  ``out`` may be h."""
+    out = np.multiply(j[..., 0], h, out=out)
+    out += 0.0
+    return out
+
+
 def _step(ctx: OperatorContext, g: np.ndarray, rows: slice, carry, pointwise, out=None):
     """``grid.strip_step`` of (g + local) + J((inner + A1 zx) + A2 zy), in this
     order of additions and without the term of a zero A, on the strip
-    ``rows`` of g, where ``(local, inner) = pointwise(rows, z)``."""
+    ``rows`` of g, where ``(local, inner) = pointwise(rows, z)``; no term
+    reads z after it, so pointwise may write its local there."""
     a1, a2 = ctx.a1_nodes, ctx.a2_nodes
 
     def terms(z, zx, zy):
@@ -207,28 +219,39 @@ class LinearizedOperator:
     """F'(z) at the state z of a frozen g, cheap to apply repeatedly.
 
     The one owner of a linearization point: the z-Jacobians of f1 and f2 at
-    the state z of ``at`` (the zero state when None) and ``z_sup`` = sup|z|
-    (Euclidean over components), which the weight choice reads, are
-    evaluated once at construction, strip by strip into the preallocated
-    ``j1``, ``j2``; z itself is not kept.  The linear entries of ``solvers``
+    the state z of ``at`` (a GridField, or its (P, P, n) value array, which
+    is only read and, like ``apply_F``'s, skips the field check; the zero
+    state when None) and ``z_sup`` = sup|z| (Euclidean over components),
+    which the weight choice reads, are evaluated once at construction, strip
+    by strip into ``j1``, ``j2``; z itself is not kept.  The Jacobians are
+    ``out[0]`` and ``out[1]`` of a (2, P, P, n, n) array ``out``, numpy
+    style, which a solve that linearizes at each step passes again so that
+    its pages stay mapped; every entry is written, and an operator built
+    there before reads the new ones.  The linear entries of ``solvers``
     take the built operator; each ``apply_array`` then costs a few pointwise
     products and prefix sums.
     """
 
     __slots__ = ("ctx", "z_sup", "j1", "j2")
 
-    def __init__(self, ctx: OperatorContext, at: GridField | None = None):
-        if at is not None:
+    def __init__(self, ctx: OperatorContext, at: GridField | np.ndarray | None = None,
+                 out: np.ndarray | None = None):
+        if isinstance(at, GridField):
             ctx.check_field(at)
+            at = at.values
         self.ctx = ctx
         X, Y, n = ctx.X, ctx.Y, ctx.spec.n
-        jac, z_sup, carry = np.empty((2,) + X.shape + (n, n)), 0.0, None
+        shape = (2,) + X.shape + (n, n)
+        if out is not None and (out.shape != shape or out.dtype != float):
+            raise ParameterError(f"out must be a float array of shape {shape}, got "
+                                 f"{out.dtype} {out.shape}")
+        jac, z_sup, carry = np.empty(shape) if out is None else out, 0.0, None
         program = ctx._program(True)
         for rows in row_strips(X.shape[0], n):
             if at is None:
                 Z = _zero_state(X[rows].shape, n)
             else:
-                (Z, _, _), carry = strip_step(at.values[rows], carry, ctx.grid.h, zy=False)
+                (Z, _, _), carry = strip_step(at[rows], carry, ctx.grid.h, zy=False)
                 Z = Z.copy()  # frees the z_x half of the state while f1, f2 run
                 z_sup = max(z_sup, _sup_norm(Z))
             program.run(X[rows], Y[rows], Z, [jac[k, rows, ..., i, :] for k in (0, 1)
@@ -237,8 +260,14 @@ class LinearizedOperator:
 
     def apply_array(self, hg: np.ndarray) -> np.ndarray:
         """Raw-array application for solver inner loops; hg shape (P, P, n)."""
-        def pointwise(rows, h):
-            return _matvec(self.j1[rows], h), _matvec(self.j2[rows], h)
+        j1, j2 = self.j1, self.j2
+        if self.ctx.spec.n == 1:
+            def pointwise(rows, h):  # h, the strip's z, is not read after this
+                inner = _scaled(j2[rows], h)
+                return _scaled(j1[rows], h, out=h), inner
+        else:
+            def pointwise(rows, h):
+                return _matvec(j1[rows], h), _matvec(j2[rows], h)
 
         return _assemble(self.ctx, hg, pointwise)
 

@@ -37,8 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EvalFaultError, ParameterError, SchemaError
-from .exprlang import (Expr, _components, _jacobian, _matrix_values, _Program, _zero_state,
-                       eval_on_grid, free_z_indices, parse)
+from .exprlang import (Expr, _components, _jacobian, _matrix_program, _matrix_values, _Program,
+                       _zero_state, eval_on_grid, free_z_indices, parse)
 from .fileio import read_field_csv
 from .grid import Grid, GridField, build_grid, row_strips
 from .operator import _step, apply_F, make_context
@@ -465,6 +465,10 @@ def probe_assumptions(
     b_vals = eval_on_grid(spec.majorant, X, Y, np.zeros((total, n)))
     B = spec.growth_bound
 
+    # each vector is compiled once for every radius and sample set
+    duals = [_Program(comps, n, True) for comps in (spec.f1, spec.f2)]
+    mats = {name: _matrix_program(mat, n) for name, mat in (
+        ("a1", spec.a1), ("a2", spec.a2), ("a1x", spec.a1x), ("a2y", spec.a2y))}
     growth_worst = [0.0, 0.0]
     m_rho: list[tuple[float, float]] = []
     kink_any = False
@@ -472,8 +476,8 @@ def probe_assumptions(
         Z = rho * D
         znorm = np.linalg.norm(Z, axis=1)
         jac_sup = 0.0
-        for which, comps in ((0, spec.f1), (1, spec.f2)):
-            vals, jac, kinked = _jacobian(comps, X, Y, Z)
+        for which, program in enumerate(duals):
+            vals, jac, kinked = _jacobian(program, X, Y, Z)
             kink_any = kink_any or kinked
             # B near the float maximum overflows the bound to inf, which allows
             # anything; a nonzero f where the bound is 0, and a ratio that
@@ -492,15 +496,13 @@ def probe_assumptions(
             jac_sup = max(jac_sup, _spectral_sup(jac))
         m_rho.append((rho, jac_sup))
 
-    a_sups = {}
-    for name, mat in (("a1", spec.a1), ("a2", spec.a2), ("a1x", spec.a1x), ("a2y", spec.a2y)):
-        a_sups[name] = _spectral_sup(_matrix_values(mat, X, Y, n))
+    a_sups = {name: _spectral_sup(_matrix_values(mat, X, Y, n)) for name, mat in mats.items()}
 
     # finite-difference consistency of the declared spatial derivatives:
     # A1x along x, A2y along y, central differences inside the square
     delta = _FD_STEP
     deriv_res = []
-    for a, a_deriv, axis in ((spec.a1, spec.a1x, 0), (spec.a2, spec.a2y, 1)):
+    for a, a_deriv, axis in ((mats["a1"], mats["a1x"], 0), (mats["a2"], mats["a2y"], 1)):
         c = np.clip((X, Y)[axis], delta, 1.0 - delta)
         plus, minus, mid = ((t, Y) if axis == 0 else (X, t) for t in (c + delta, c - delta, c))
         fd = (_matrix_values(a, *plus, n) - _matrix_values(a, *minus, n)) / (2.0 * delta)

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from goursat2d import exprlang
 from goursat2d import operator as operator_module
 from goursat2d.errors import EvalFaultError, ParameterError
 from goursat2d.exprlang import _matrix_values, parse
@@ -21,6 +22,22 @@ from goursat2d.operator import (
 )
 from goursat2d.problem import builtin_example_4_6, load_problem, probe_assumptions, zero_problem
 from goursat2d.sampling import random_smooth_field
+
+
+#: The n = 2 document of the bit pins: nonzero A1 and A2, and x and y in f1 and f2.
+COUPLED_DOC = {
+    "meta": {"n": 2, "B": 2.0, "b": "2"},
+    "functions": {
+        "f1": ["z1*z2/4 + x*sin(z2)", "sin(z1) - y*z2^2/8 + (1 + z1^2)*x"],
+        "f2": ["cos(z2)*x - 1/(1 + z1^2)", "z1/(1 + z2^2) + y*sin(z2)"],
+    },
+    "coefficients": {
+        "A1": [["x*y", "1"], ["-0.5", "y"]],
+        "A2": [["y", "x"], ["0.5", "x*y - 1"]],
+        "A1x": [["y", "0"], ["0", "0"]],
+        "A2y": [["1", "0"], ["0", "x"]],
+    },
+}
 
 
 def linear_spec(c1=0.5, c2=-0.25, a1="x*y", a2="y"):
@@ -234,6 +251,70 @@ class TestLinearization:
         h = random_smooth_field(grid, 1, np.random.default_rng(5))
         np.testing.assert_array_equal(lin.apply_array(h.values), at_zero.apply_array(h.values))
 
+    def test_an_array_point_is_its_field(self):
+        grid = build_grid(6)
+        ctx = make_context(builtin_example_4_6(), grid)
+        g = random_smooth_field(grid, 1, np.random.default_rng(4))
+        lin, from_array = LinearizedOperator(ctx, g), LinearizedOperator(ctx, g.values)
+        assert from_array.z_sup == lin.z_sup
+        for name in ("j1", "j2"):
+            assert getattr(from_array, name).tobytes() == getattr(lin, name).tobytes()
+
+    @pytest.mark.parametrize("spec", [builtin_example_4_6, lambda: load_problem(COUPLED_DOC)])
+    def test_a_build_into_the_buffer_of_another_point_is_a_fresh_build(self, spec):
+        # N = 400 runs example46 in two row strips and the n = 2 document in four
+        ctx = make_context(spec(), build_grid(400))
+        X, Y = ctx.X, ctx.Y
+        a = np.stack([0.4 - 0.7 * X * Y + 0.3 * np.sin(3.0 * X),
+                      0.2 * np.cos(2.0 * Y) - 0.5 * X][:ctx.spec.n], axis=-1)
+        b = 0.1 - 1.5 * a[::-1]
+        out = np.empty((2,) + a.shape + a.shape[-1:])
+        at_a = LinearizedOperator(ctx, a, out=out)
+        z_sup_a = at_a.z_sup
+        at_b = LinearizedOperator(ctx, b, out=out)
+        fresh = LinearizedOperator(ctx, b)
+        assert np.shares_memory(at_b.j1, out) and np.shares_memory(at_b.j2, out)
+        assert at_b.z_sup == fresh.z_sup != z_sup_a
+        for name in ("j1", "j2"):
+            assert getattr(at_b, name).tobytes() == getattr(fresh, name).tobytes()
+
+    def test_a_buffer_of_another_shape_is_refused(self):
+        ctx = make_context(builtin_example_4_6(), build_grid(6))
+        with pytest.raises(ParameterError, match=r"out must be a float array of shape"):
+            LinearizedOperator(ctx, out=np.empty((2, 7, 7, 2, 2)))
+
+    def test_one_component_products_round_as_the_contraction(self):
+        # einsum sums each product into a +0.0, so its -0.0 products read +0.0
+        j = np.array([-2.0, 0.0, -0.0, 3.0, 1e-200, -1.5]).reshape(1, 6, 1, 1)
+        h = np.array([0.0, -1.5, 4.0, 2.0, 1e-200, -0.25]).reshape(1, 6, 1)
+        assert np.signbit((j[..., 0] * h)[0, :3]).all()
+        expected = operator_module._matvec(j, h).tobytes()
+        assert operator_module._scaled(j, h).tobytes() == expected
+        assert operator_module._scaled(j, h, out=h).tobytes() == expected
+
+    @pytest.mark.parametrize("cells", [8, 400])
+    def test_one_component_apply_is_the_contractions(self, cells):
+        grid = build_grid(cells)
+        rng = np.random.default_rng(9)
+        ctx = make_context(example46_with(a1="x*y", a2="0 - y", a1x="y", a2y="0 - 1"), grid)
+        at_point = LinearizedOperator(ctx, random_smooth_field(grid, 1, rng))
+        # f1 = f2 = -z1 at h = +0.0 but for a -0.0 block: the state is +0.0,
+        # so F''s products are -0.0, which the contractions sum into +0.0;
+        # the block's sums of -0.0 would keep them
+        zeros = {"meta": {"n": 1, "B": 1.0, "b": "1"},
+                 "functions": {"f1": ["-z1"], "f2": ["-z1"]},
+                 "coefficients": {k: [["0"]] for k in ("A1", "A2", "A1x", "A2y")}}
+        signed = LinearizedOperator(make_context(load_problem(zeros), grid))
+        h0 = np.zeros((grid.npoints, grid.npoints, 1))
+        h0[2:, 2:] = -0.0
+        for lin, h in ((at_point, random_smooth_field(grid, 1, rng).values), (signed, h0)):
+            def pointwise(rows, z):
+                return (operator_module._matvec(lin.j1[rows], z),
+                        operator_module._matvec(lin.j2[rows], z))
+
+            expected = operator_module._assemble(lin.ctx, h, pointwise)
+            assert lin.apply_array(h).tobytes() == expected.tobytes()
+
 
 class TestCoercivity:
     def test_zero_problem_equality(self):
@@ -312,6 +393,19 @@ class TestContextCaches:
         monkeypatch.setattr(operator_module, "_matrix_values", counted)
         make_context(example46_with(a1="1", a2="1"), build_grid(cells))
         assert len(rows) == 2 * strips and sum(rows) == 2 * (cells + 1)
+
+    def test_each_matrix_is_compiled_once(self, monkeypatch):
+        # 513 rows are three strips, each sampled by the one program
+        compiled = []
+        init = exprlang._Program.__init__
+
+        def counted(self, exprs, *args, **kwargs):
+            compiled.append(len(exprs))
+            init(self, exprs, *args, **kwargs)
+
+        monkeypatch.setattr(exprlang._Program, "__init__", counted)
+        make_context(example46_with(a1="1", a2="x"), build_grid(512))
+        assert compiled == [1, 1]
 
     def test_zero_strips_before_the_first_nonzero_keep_their_sign(self):
         # A1 is -0.0 up to x = 0.5: all of strip 0 (rows 0..190 of 513) and

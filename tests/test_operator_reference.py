@@ -484,6 +484,12 @@ class TestAllocations:
     when the walk's Jacobians were allocated after the partials; 2.70
     before the strips).
 
+    A whole example46 Newton solve (v = 1.8 + 0.1xy, four iterations)
+    peaks at 11.47 units at N = 64 and 9.02 at N = 1024, in the third inner
+    ``apply_array`` of a step: 12.44 and 10.02 while each step copied its
+    iterate and −r into fields, built F' into fresh Jacobians and took its
+    pointwise products from einsum outputs.
+
     Weighted norms: twenty ``WeightedNorms`` on one N = 64 grid retain 0.005
     (19.12 while each cached its (P, P) kernel), and one norm of a scalar
     field peaks at 1.01 units at N = 1024 (2.00 with the kernel product; at
@@ -593,6 +599,20 @@ class TestAllocations:
         lin = LinearizedOperator(ctx, GridField(ctx.grid, np.full(ctx.X.shape + (1,), 0.3)))
         h = np.full(ctx.X.shape + (1,), -0.2)
         assert self._peak_units(lambda: lin.apply_array(h), self.STRIP_CELLS) < 1.9
+
+    def _newton_solve(self, cells: int):
+        spec = builtin_example_4_6()
+        ctx = make_context(spec, build_grid(cells)).with_assumptions(probe_assumptions(spec))
+        v = GridField(ctx.grid, (1.8 + 0.1 * ctx.X * ctx.Y)[..., None])
+        cfg = SolverConfig(m=choose_weight(ctx).m)
+        return lambda: solve(ctx, v, cfg)
+
+    def test_newton_solve_example46(self):
+        assert self._peak_units(self._newton_solve(self.CELLS)) < 11.6
+
+    def test_strips_keep_a_newton_solve_near_its_arrays(self):
+        run = self._newton_solve(self.STRIP_CELLS)
+        assert self._peak_units(run, self.STRIP_CELLS) < 9.2
 
     def test_a_faulting_apply_F_evaluates_no_strip_twice(self, monkeypatch):
         # f1 faults at x = 0.875, row 896, in the tenth strip of 95 rows

@@ -11,6 +11,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from goursat2d import exprlang
 from goursat2d.errors import ParameterError, SchemaError
 from goursat2d.fileio import write_field_csv
 from goursat2d.exprlang import eval_on_grid, parse
@@ -358,6 +359,20 @@ class TestProbeAssumptions:
     def test_bad_sample_count(self):
         with pytest.raises(ParameterError):
             probe_assumptions(zero_problem(), sample_count=0)
+
+    def test_each_vector_is_compiled_once(self, monkeypatch):
+        # the majorant, f1 and f2 for all radii, and each coefficient matrix
+        # for all its sample sets: 17 programs when each sample compiled its own
+        compiled = []
+        init = exprlang._Program.__init__
+
+        def counted(self, exprs, n, dual, values=True):
+            compiled.append((len(exprs), dual))
+            init(self, exprs, n, dual, values)
+
+        monkeypatch.setattr(exprlang._Program, "__init__", counted)
+        probe_assumptions(builtin_example_4_6())
+        assert compiled == [(1, False), (1, True), (1, True)] + [(1, False)] * 4
 
 
 class TestManufacture:

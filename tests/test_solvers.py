@@ -623,6 +623,53 @@ class TestNewton:
         assert 3.48 <= ratio <= 4.6
 
 
+class TestNewtonArrays:
+    """Newton's steps pass their iterate and residual to F' and to the inner
+    solve as value arrays: a field is built for a report only."""
+
+    def test_a_four_step_solve_builds_a_field_per_report(self, monkeypatch):
+        spec = builtin_example_4_6()
+        ctx = make_context(spec, build_grid(64)).with_assumptions(probe_assumptions(spec))
+        v = GridField(ctx.grid, (1.8 + 0.1 * ctx.X * ctx.Y)[..., None])
+        built = []
+        init = GridField.__init__
+
+        def counted(self, grid, values):
+            built.append(grid)
+            init(self, grid, values)
+
+        monkeypatch.setattr(GridField, "__init__", counted)
+        rep = solve(ctx, v, SolverConfig(m=choose_weight(ctx).m))
+        # the solve's report and those of its three inner solves (10 while
+        # each step copied its iterate, −r and the inner solution into fields)
+        assert rep.iterations == 4 and len(built) == 4
+
+    def test_an_array_right_hand_side_is_its_field(self):
+        ctx = probed_context(builtin_example_4_6(), 12)
+        rng = np.random.default_rng(3)
+        lin = LinearizedOperator(ctx, random_smooth_field(ctx.grid, 1, rng).values)
+        v = random_smooth_field(ctx.grid, 1, rng)
+        saved = v.values.copy()
+        w = v.values.copy()
+        a, b = solve_linearized(lin, v, SolverConfig()), solve_linearized(lin, w, SolverConfig())
+        assert a.g.values.tobytes() == b.g.values.tobytes() and a.trace == b.trace
+        assert w.tobytes() == saved.tobytes()
+
+    def test_the_negated_residual_keeps_the_partial_report(self, monkeypatch):
+        # the inner solve of the first step stops at its cap, and the error's
+        # report reads the residual that the step negated for that solve
+        ctx = probed_context(builtin_example_4_6(), 8)
+        v = GridField(ctx.grid, (1.8 + 0.1 * ctx.X * ctx.Y)[..., None])
+        first = apply_F(ctx, v.values) - v.values
+        monkeypatch.setattr(solvers, "INNER_MAX_ITER", 1)
+        with pytest.raises(NoConvergenceError) as exc_info:
+            solve(ctx, v, SolverConfig(m=choose_weight(ctx).m))
+        report = exc_info.value.report
+        assert report.iterations == 1
+        assert report.residual_classical == WeightedNorms(ctx.grid, 0.0).norm(first)
+        assert report.g.values.tobytes() == v.values.tobytes()
+
+
 class TestDispatchAndReports:
     def test_solve_routes_by_method(self):
         ctx = probed_context(builtin_example_4_6(), 8)
