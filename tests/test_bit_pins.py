@@ -3,10 +3,11 @@
 Expression evaluation may be reorganized (compiled, shared, evaluated in
 place) but never rounded differently: these digests were taken from the
 recursive expression walk, and every later evaluator must reproduce them.
-They cover example46 solves of both signs under Newton and Picard, the
-Jacobians of F' at a nonzero point, and ``apply_F`` on grids of several row
-strips, for example46 and for an n = 2 problem whose f1, f2, A1 and A2 all
-read x and y.
+They cover example46 solves of both signs under Newton and Picard, on one
+row strip (N = 64) and on two (N = 400), the Jacobians of F' at a nonzero
+point, a linear solve with F' there, and ``apply_F`` and F''s
+``apply_array`` on grids of several row strips, for example46 and for an
+n = 2 problem whose f1, f2, A1 and A2 all read x and y.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 from goursat2d.grid import GridField, build_grid, row_strips
 from goursat2d.operator import LinearizedOperator, apply_F, make_context
 from goursat2d.problem import builtin_example_4_6, load_problem, probe_assumptions
-from goursat2d.solvers import SolverConfig, choose_weight, solve
+from goursat2d.solvers import SolverConfig, choose_weight, solve, solve_linearized
 
 COUPLED_DOC = {
     "meta": {"n": 2, "B": 2.0, "b": "2"},
@@ -47,11 +48,23 @@ def point(ctx) -> np.ndarray:
     return np.stack(comps[:ctx.spec.n], axis=-1)
 
 
+def example46(cells: int):
+    spec = builtin_example_4_6()
+    ctx = make_context(spec, build_grid(cells)).with_assumptions(probe_assumptions(spec))
+    return ctx, choose_weight(ctx).m
+
+
 @pytest.fixture(scope="module")
 def example46_64():
-    spec = builtin_example_4_6()
-    ctx = make_context(spec, build_grid(64)).with_assumptions(probe_assumptions(spec))
-    return ctx, choose_weight(ctx).m
+    return example46(64)
+
+
+@pytest.fixture(scope="module")
+def example46_400():
+    """Two row strips of 245 and 156 rows, so the strips carry z, z_x and z_y."""
+    ctx, m = example46(400)
+    assert len(row_strips(ctx.grid.npoints, 1)) == 2
+    return ctx, m
 
 
 @pytest.mark.parametrize("a, method, digest", [
@@ -64,6 +77,26 @@ def test_example46_solve(example46_64, a, method, digest):
     ctx, m = example46_64
     v = GridField(ctx.grid, (a + 0.1 * ctx.X * ctx.Y)[..., None])
     assert sha(solve(ctx, v, SolverConfig(m=m, method=method)).g.values) == digest
+
+
+@pytest.mark.parametrize("a, method, digest", [
+    (1.8, "newton", "3cd4204b99d00f57e669a753298cc05ea2362eae50e3b64e156763acfcf887a5"),
+    (1.8, "picard", "76a3a65596e2b2bed8dfb28b11cce373afa6ebc87a136aa4aff86f2b7269bbab"),
+    (-0.3, "newton", "e00c2efdeea954bd7eb6bf1ca9bec5356c226cea61ee7902d811d37fb08f9323"),
+    (-0.3, "picard", "083bc974d13c3ed3656f05bc959d2f4675dfed44e62029de90065970e2f0c61c"),
+])
+def test_example46_solve_over_two_strips(example46_400, a, method, digest):
+    ctx, m = example46_400
+    v = GridField(ctx.grid, (a + 0.1 * ctx.X * ctx.Y)[..., None])
+    assert sha(solve(ctx, v, SolverConfig(m=m, method=method)).g.values) == digest
+
+
+def test_example46_linear_solve_at_a_nonzero_point_over_two_strips(example46_400):
+    ctx, m = example46_400
+    lin = LinearizedOperator(ctx, point(ctx))
+    v = GridField(ctx.grid, (0.5 - 0.2 * ctx.X + 0.3 * ctx.Y * ctx.Y)[..., None])
+    assert sha(solve_linearized(lin, v, SolverConfig(m=m)).g.values) == (
+        "abf7a6566a10fa00ee3b32be02786e1f6d7dcd21275b9daf3c1b82f1896e617b")
 
 
 def test_example46_jacobians_at_a_nonzero_point(example46_64):
@@ -92,3 +125,15 @@ def test_apply_F_over_several_strips(spec, strips, digest):
     ctx = make_context(spec(), build_grid(400))
     assert len(row_strips(ctx.grid.npoints, ctx.spec.n)) == strips
     assert sha(apply_F(ctx, point(ctx))) == digest
+
+
+@pytest.mark.parametrize("spec, strips, digest", [
+    (builtin_example_4_6, 2, "22872fe082f33b519cb56d341b05bd5e6b9731c5fac73b82158f7909ef8df579"),
+    (lambda: load_problem(COUPLED_DOC), 4, "cff9d92410962d39e1866555400a22a5411df96f0d6a2f07e708102bfe0f4e5c"),
+])
+def test_apply_array_over_several_strips(spec, strips, digest):
+    ctx = make_context(spec(), build_grid(400))
+    assert len(row_strips(ctx.grid.npoints, ctx.spec.n)) == strips
+    lin = LinearizedOperator(ctx, point(ctx))
+    h = point(ctx)[::-1].copy()  # a direction other than the point
+    assert sha(lin.apply_array(h)) == digest
