@@ -670,6 +670,69 @@ class TestNewtonArrays:
         assert report.g.values.tobytes() == v.values.tobytes()
 
 
+class TestFailureReports:
+    """A failed solve's report gives the norms of the residual of its own
+    iterate, bit for bit, whatever the step wrote after evaluating it."""
+
+    @staticmethod
+    def check(report, residual, m):
+        r = residual(report.g.values)
+        assert report.residual_classical == WeightedNorms(report.g.grid, 0.0).norm(r)
+        assert report.residual_weighted == WeightedNorms(report.g.grid, m).norm(r)
+        assert report.residual_weighted == report.trace[-1].residual
+
+    def test_picard_overflow(self):
+        ctx = make_context(cubic_spec(), build_grid(8))
+        v = GridField(ctx.grid, np.full((9, 9, 1), 20.0))
+        with pytest.raises(DivergenceError, match="picard iteration") as exc_info:
+            solve(ctx, v, SolverConfig(m=1.0, method="picard"))
+        report = exc_info.value.report
+        assert report.iterations >= 2
+        self.check(report, lambda g: apply_F(ctx, g) - v.values, 1.0)
+
+    def test_linearized_divergence(self):
+        ctx = make_context(pure_f1_spec(c=200.0, B=200.0), build_grid(12))
+        lin = LinearizedOperator(ctx)
+        v = random_smooth_field(ctx.grid, 1, np.random.default_rng(4))
+        with pytest.raises(DivergenceError, match="not contracting") as exc_info:
+            solve_linearized(lin, v, SolverConfig(m=1.0))
+        report = exc_info.value.report
+        assert report.iterations > 1
+        self.check(report, lambda g: lin.apply_array(g) - v.values, 1.0)
+
+    def test_linearized_overflow(self):
+        ctx = make_context(pure_f1_spec(c=1e80), build_grid(8))
+        lin = LinearizedOperator(ctx)
+        v = GridField(ctx.grid, np.ones((9, 9, 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="overflowed") as exc_info:
+                solve_linearized(lin, v, SolverConfig(m=1.0))
+            self.check(exc_info.value.report, lambda g: lin.apply_array(g) - v.values, 1.0)
+
+    def test_newton_stagnation_after_rejected_trials(self):
+        # every one of the 21 trials raises the merit (see TestNewton)
+        spec = load_problem({
+            "meta": {"n": 1, "B": 10.0, "b": "0"},
+            "functions": {"f1": ["-10*abs(z1)"], "f2": ["0"]},
+            "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+        })
+        ctx = make_context(spec, build_grid(8))
+        v = XYFunction.from_sources("1 + x*y").sample(ctx.grid)
+        g0 = GridField(ctx.grid, np.zeros((9, 9, 1)))
+        with pytest.raises(StagnationError) as exc_info:
+            solve(ctx, v, SolverConfig(m=1.0), g0=g0)
+        self.check(exc_info.value.report, lambda g: apply_F(ctx, g) - v.values, 1.0)
+
+    def test_newton_inner_failure(self):
+        ctx = make_context(builtin_example_4_6(), build_grid(8))
+        v = GridField(ctx.grid, np.full((9, 9, 1), -100.0))
+        with pytest.raises(DivergenceError, match="not contracting") as exc_info:
+            solve(ctx, v, SolverConfig(m=2.0))
+        report = exc_info.value.report
+        assert report.iterations > 1
+        self.check(report, lambda g: apply_F(ctx, g) - v.values, 2.0)
+
+
 class TestDispatchAndReports:
     def test_solve_routes_by_method(self):
         ctx = probed_context(builtin_example_4_6(), 8)
