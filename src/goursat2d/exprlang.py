@@ -685,8 +685,10 @@ def _stack(values: list[np.ndarray]) -> np.ndarray:
 
 
 def _components(exprs, X, Y, Z) -> np.ndarray:
-    """Evaluate a component vector into a writable array of shape X.shape + (k,)."""
-    return _stack(_Program(exprs, Z.shape[-1], False).run(X, Y, Z)[0])
+    """Evaluate a component vector, or its values ``_Program``, into a
+    writable array of shape X.shape + (k,)."""
+    program = exprs if isinstance(exprs, _Program) else _Program(exprs, Z.shape[-1], False)
+    return _stack(program.run(X, Y, Z)[0])
 
 
 def _matrix_program(mat, n: int) -> _Program:

@@ -247,29 +247,31 @@ def row_strips(points: int, n: int) -> list[slice]:
 Carry = namedtuple("Carry", "g z zx zy inner prefix", defaults=(None, None))
 
 
-def strip_step(g: np.ndarray, carry: Carry | None, h: float, terms=None, zy: bool = True,
-               out: np.ndarray | None = None):
+def strip_step(g: np.ndarray, carry: Carry | None, h: float, terms=None, zx: bool = True,
+               zy: bool = True, out: np.ndarray | None = None):
     """Evaluate a strip of rows from the ``Carry`` of the rows before it
     (None at x = 0) and return the rows and their carry.  ``g`` holds the
     strip's rows; no other row is read and neither g nor the carry written,
     so a strip evaluated again from the same carry gives the same bits.
-    The rows are the state (z, z_x, z_y), views of one buffer (z_y None
-    without ``zy``), or with ``terms``, a function (z, z_x, z_y) -> (local,
-    inner), (g + local) + J(inner) written into ``out``.  The step reads no
-    state row after ``terms``, so local and inner may be fresh arrays or
-    state rows that ``terms`` wrote over.
+    The rows are the state (z, z_x, z_y), three arrays, or with ``terms``, a
+    function (z, z_x, z_y) -> (local, inner), (g + local) + J(inner) written
+    into ``out``.  Without ``zy`` z_y is None, and without ``zx`` so is
+    z_x, which is freed once z and the carry, which need it, are built.
+    The step reads no state row after ``terms``, so local and inner
+    may be fresh arrays or state rows that ``terms`` wrote over.
     """
-    state = np.empty((3 if zy else 2,) + g.shape)
-    z, zx, zy_ = state[0], state[1], state[2] if zy else None
-    _cumy_rows(zx, g, h)
-    _cum_rows(z, zx, np.add, h / 2.0, carry and (carry.zx, carry.z))
+    zx_ = _cumy_rows(np.empty(g.shape), g, h)
+    z = _cum_rows(np.empty(g.shape), zx_, np.add, h / 2.0, carry and (carry.zx, carry.z))
+    zy_ = None
     if zy:
-        _cum_rows(zy_, g, np.add, h / 2.0, carry and (carry.g, carry.zy))
-    following = Carry(*(None if a is None else a[-1].copy() for a in (g, z, zx, zy_)))
+        zy_ = _cum_rows(np.empty(g.shape), g, np.add, h / 2.0, carry and (carry.g, carry.zy))
+    following = Carry(*(None if a is None else a[-1].copy() for a in (g, z, zx_, zy_)))
+    if not zx:
+        zx_ = None
     if terms is None:
-        return (z, zx, zy_), following
-    local, inner = terms(z, zx, zy_)
-    del state, z, zx, zy_  # free the state before ``out`` is allocated
+        return (z, zx_, zy_), following
+    local, inner = terms(z, zx_, zy_)
+    del z, zx_, zy_  # free the state before ``out`` is allocated
     local += g
     if out is None:
         out = np.empty(g.shape)
@@ -283,9 +285,8 @@ def state_from_g(g: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.nd
 
     z_x = cumy(g), z_y = cumx(g) and z = cumx(z_x): the tensor trapezoid of
     ``cum2d_array(g)`` (equal up to rounding) in three prefix-sum passes
-    instead of four.  The homogeneous edge values are exactly zero.  The
-    arrays share one buffer, so a rebuild allocates once.  This is one
-    ``strip_step`` over the grid.
+    instead of four.  The homogeneous edge values are exactly zero.  This
+    is one ``strip_step`` over the grid, and the three are separate arrays.
     """
     return strip_step(g, None, h)[0]
 

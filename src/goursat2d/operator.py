@@ -171,7 +171,8 @@ def _step(ctx: OperatorContext, g: np.ndarray, rows: slice, carry, pointwise, ou
     """``grid.strip_step`` of (g + local) + J((inner + A1 zx) + A2 zy), in this
     order of additions and without the term of a zero A, on the strip
     ``rows`` of g, where ``(local, inner) = pointwise(rows, z)``; no term
-    reads z after it, so pointwise may write its local there."""
+    reads z after it, so pointwise may write its local there.  The strip
+    builds z_y only for a nonzero A2 and keeps z_x only for a nonzero A1."""
     a1, a2 = ctx.a1_nodes, ctx.a2_nodes
 
     def terms(z, zx, zy):
@@ -182,7 +183,7 @@ def _step(ctx: OperatorContext, g: np.ndarray, rows: slice, carry, pointwise, ou
             inner += _matvec(a2[rows], zy)
         return local, inner
 
-    return strip_step(g, carry, ctx.grid.h, terms, zy=a2 is not None, out=out)
+    return strip_step(g, carry, ctx.grid.h, terms, zx=a1 is not None, zy=a2 is not None, out=out)
 
 
 def _assemble(ctx: OperatorContext, g: np.ndarray, pointwise) -> np.ndarray:
@@ -223,7 +224,8 @@ class LinearizedOperator:
     is only read and, like ``apply_F``'s, skips the field check; the zero
     state when None) and ``z_sup`` = sup|z| (Euclidean over components),
     which the weight choice reads, are evaluated once at construction, strip
-    by strip into ``j1``, ``j2``; z itself is not kept.  The Jacobians are
+    by strip into ``j1``, ``j2``, each strip's state reduced to its z while
+    f1 and f2 run; z itself is not kept.  The Jacobians are
     ``out[0]`` and ``out[1]`` of a (2, P, P, n, n) array ``out``, numpy
     style, which a solve that linearizes at each step passes again so that
     its pages stay mapped; every entry is written, and an operator built
@@ -251,8 +253,7 @@ class LinearizedOperator:
             if at is None:
                 Z = _zero_state(X[rows].shape, n)
             else:
-                (Z, _, _), carry = strip_step(at[rows], carry, ctx.grid.h, zy=False)
-                Z = Z.copy()  # frees the z_x half of the state while f1, f2 run
+                (Z, _, _), carry = strip_step(at[rows], carry, ctx.grid.h, zx=False, zy=False)
                 z_sup = max(z_sup, _sup_norm(Z))
             program.run(X[rows], Y[rows], Z, [jac[k, rows, ..., i, :] for k in (0, 1)
                                               for i in range(n)])

@@ -78,9 +78,11 @@ class XYFunction:
     def sample(self, grid: Grid) -> GridField:
         return GridField(grid, self._rows(*grid.meshgrid()))
 
-    def _rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """The samples at the nodes X, Y, the meshgrid or a strip of its rows."""
-        return _components(self.exprs, X, Y, _zero_state(X.shape, 1))
+    def _rows(self, X: np.ndarray, Y: np.ndarray, program: _Program | None = None) -> np.ndarray:
+        """The samples at the nodes X, Y, the meshgrid or a strip of its rows,
+        by ``program``, ``exprs`` compiled for one state component, if given."""
+        return _components(self.exprs if program is None else program, X, Y,
+                           _zero_state(X.shape, 1))
 
 
 ExprMatrix = tuple[tuple[Expr, ...], ...]
@@ -571,8 +573,10 @@ def manufacture_problem(
         v = apply_F(ctx, zstar_g._rows(X, Y))[::refine, ::refine]
         return replace(base, rhs=GridField(grid, v))
     v = carry = None
+    program = _Program(zstar_g.exprs, 1, False)  # z*, compiled once for every strip
     for rows in strips:
-        part, carry = _step(ctx, zstar_g._rows(X[rows], Y[rows]), rows, carry, ctx._f_terms)
+        part, carry = _step(ctx, zstar_g._rows(X[rows], Y[rows], program), rows, carry,
+                            ctx._f_terms)
         if v is None:  # after the first strip's arrays, as in the operator
             v = np.empty((grid.npoints, grid.npoints, base.n))
         skip = -rows.start % refine  # the strip's rows before its first node of ``grid``

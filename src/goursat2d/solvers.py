@@ -238,20 +238,24 @@ def _iterate(
 ) -> SolveReport:
     """The one solver loop: ``g ← step(g, r, ‖r‖_m)`` with ``r = residual(g)``.
 
-    ``wn`` is the solve's weighted norm.  Each iteration records the weighted
-    residual of the iterate and its ratio to the previous one, and stops once
-    the residual is at most ``tol``.  With
-    ``patience`` it raises DivergenceError after ``_DIVERGENCE_PATIENCE``
-    consecutive ratios >= 1; it raises NoConvergenceError after ``max_iter``
-    residuals.  Overflow raises DivergenceError: a non-finite weighted
-    residual (which also catches a non-finite iterate, because every residual
-    contains the iterate itself) or an EvalOverflowError from ``residual`` or
-    ``step``.  So does a domain fault there: any ``EvalFaultError`` during a
-    solve reads as a ``DivergenceError``.  Any other SolverError raised by
-    ``step`` keeps its class and message.  Every error carries this loop's
-    partial report: the last iterate whose residual was evaluated and finite,
-    and the trace up to it.  When the first residual already overflows or
-    faults there is no such iterate, and the error carries no report.
+    ``wn`` is the solve's weighted norm.  ``residual`` returns a fresh array,
+    which the step consumes: it may write there, its new iterate too, but
+    never into g.  Each iteration records the weighted residual of the
+    iterate and its ratio to the previous one, and stops once the residual
+    is at most ``tol``.  With ``patience`` it raises DivergenceError after
+    ``_DIVERGENCE_PATIENCE`` consecutive ratios >= 1; it raises
+    NoConvergenceError after ``max_iter`` residuals.  Overflow raises
+    DivergenceError: a non-finite weighted residual (which also catches a
+    non-finite iterate, because every residual contains the iterate itself)
+    or an EvalOverflowError from ``residual`` or ``step``.  So does a domain
+    fault there: any ``EvalFaultError`` during a solve reads as a
+    ``DivergenceError``.  Any other SolverError raised by ``step`` keeps its
+    class and message.  Every error carries this loop's partial report: the
+    last iterate whose residual was evaluated and finite, and the trace up
+    to it; the report evaluates that residual again, with the same bits,
+    since a step may have consumed it.  When the first residual already
+    overflows or faults there is no such iterate, and the error carries no
+    report.
     """
     trace: list[IterationRecord] = []
     bad_streak = 0
@@ -291,7 +295,7 @@ def _iterate(
     except SolverError as exc:
         error = exc
     if trace:
-        error.report = _report(wn, method, g, r, trace, converged=False)
+        error.report = _report(wn, method, g, residual(g), trace, converged=False)
     raise error
 
 
@@ -336,6 +340,11 @@ def _minus(r: np.ndarray, v: np.ndarray) -> np.ndarray:
     return r
 
 
+def _fixed_point_step(g: np.ndarray, r: np.ndarray, rnorm: float) -> np.ndarray:
+    """The fixed-point ``step`` g − r, written over the residual r."""
+    return np.subtract(g, r, out=r)
+
+
 def solve_linearized(lin: LinearizedOperator, v: GridField | np.ndarray,
                      cfg: SolverConfig) -> SolveReport:
     """Solve F'(z)h = v, with F'(z) the operator ``lin``, by weighted-norm
@@ -359,7 +368,7 @@ def solve_linearized(lin: LinearizedOperator, v: GridField | np.ndarray,
     return _iterate(
         WeightedNorms(ctx.grid, m), "linearized", v,
         residual=lambda g: _minus(lin.apply_array(g), v),
-        step=lambda g, r, rnorm: g - r,
+        step=_fixed_point_step,
         tol=cfg.tol, max_iter=cfg.max_iter, patience=True,
     )
 
@@ -434,7 +443,7 @@ def solve(ctx: OperatorContext, v: GridField, cfg: SolverConfig, g0: GridField |
     return _iterate(
         wn, cfg.method, g,
         residual=lambda g: _minus(apply_F(ctx, g), v),
-        step=(lambda g, r, rnorm: g - r) if picard else _newton_step(ctx, v, wn),
+        step=_fixed_point_step if picard else _newton_step(ctx, v, wn),
         tol=cfg.tol, max_iter=cfg.max_iter, patience=picard,
     )
 
@@ -444,9 +453,9 @@ def _newton_step(ctx: OperatorContext, v: np.ndarray, wn: WeightedNorms):
     right-hand side values v.
 
     Each step builds F' at the iterate into the one Jacobian buffer of the
-    solve, and its inner linear solve takes the residual r, negated in
-    place, as its right-hand side: ``_iterate`` reads r again only for its
-    classical norm, which the sign leaves bit for bit.  That solve runs to
+    solve.  Its inner linear solve takes the residual r, which the step
+    consumes, negated in place as its right-hand side, and each trial of the
+    line search is then built in r.  That solve runs to
     min(INNER_TOL, 0.1·‖residual‖_m) within INNER_MAX_ITER iterations.  The
     first term wins whenever ‖residual‖_m ≥ 10·INNER_TOL, so every step is
     in practice solved to 1e-12.
@@ -470,7 +479,8 @@ def _newton_step(ctx: OperatorContext, v: np.ndarray, wn: WeightedNorms):
         delta = solve_linearized(lin, np.negative(r, out=r), inner_cfg).g.values
         lam = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
-            trial = g + lam * delta
+            trial = np.multiply(delta, lam, out=r)  # g + λδ, bit for bit
+            trial += g
             try:
                 if classical.norm(_minus(apply_F(ctx, trial), v)) < r0:
                     return trial

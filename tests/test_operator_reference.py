@@ -25,7 +25,7 @@ from goursat2d.operator import LinearizedOperator, _step, apply_F, make_context
 from goursat2d.problem import (
     XYFunction, builtin_example_4_6, load_problem, manufacture_problem, probe_assumptions,
 )
-from goursat2d.solvers import SolverConfig, choose_weight, solve
+from goursat2d.solvers import SolverConfig, choose_weight, solve, solve_linearized
 
 # -- reference formulas -------------------------------------------------------
 
@@ -446,49 +446,57 @@ class TestAllocations:
     float array.
 
     Measured values, which the bounds pin with a little headroom: peaks of
-    2.08 for example46's f1, 5.15 for ``apply_F``, 6.30 for a manufactured
+    2.08 for example46's f1, 4.13 for ``apply_F``, 5.30 for a manufactured
     right-hand side refined to N = 64 (its fresh context compiles its f1‖f2
-    program inside the run) and 6.03 units of the fine grid for one from
-    N = 64 refined to 256.  The compiled programs write each operation into
-    an operand read there for the last time and recompute cheap arithmetic
-    rather than hold it; the recursive walk that they replaced allocated
-    every node and gave 3.03, 6.15, 7.20 and 7.03, one temporary more than
-    while it wrote nodes into operands it had allocated (2.18, 5.31, 6.38
-    and 6.15).  Before the strips, numpy's iterator buffers for ufuncs that
-    wrote strided views gave 8.03 for ``apply_F``, 9.08 for the N = 64
-    right-hand side and 6.39 for the refined one; the full state, the zero
-    contractions and fresh sums 11.0 for ``apply_F``; grid-sized
-    coordinates, zero coefficients and zero states 13.09 for the N = 64
-    right-hand side; and the fine v copied into a field before its
-    restriction 7.14 for the refined one.  The peak is 0.02 for
-    ``choose_weight`` at the zero-state F' (2.03 while it reduced a kept
-    zero state); an example46 context retains 0.01 (4.02 with those
+    program inside the run) and 5.03 units of the fine grid for one from
+    N = 64 refined to 256; 5.15, 6.30 and 6.03 while each strip step kept
+    the z_x that example46, whose A1 is zero, never reads.  The compiled
+    programs write each operation into an operand read there for the last
+    time and recompute cheap arithmetic rather than hold it; the recursive
+    walk that they replaced allocated every node and gave 3.03, 6.15, 7.20
+    and 7.03, one temporary more than while it wrote nodes into operands it
+    had allocated (2.18, 5.31, 6.38 and 6.15).  Before the strips, numpy's
+    iterator buffers for ufuncs that wrote strided views gave 8.03 for
+    ``apply_F``, 9.08 for the N = 64 right-hand side and 6.39 for the
+    refined one; the full state, the zero contractions and fresh sums 11.0
+    for ``apply_F``; grid-sized coordinates, zero coefficients and zero
+    states 13.09 for the N = 64 right-hand side; and the fine v copied into
+    a field before its restriction 7.14 for the refined one.  The peak is
+    0.02 for ``choose_weight`` at the zero-state F' (2.03 while it reduced a
+    kept zero state); an example46 context retains 0.01 (4.02 with those
     coordinates and coefficients), and F' its two Jacobians, 2.10 at the
     zero state (3.10 with a grid-sized zero state) and 2.11 at a nonzero
     point (4.12 while it kept z, a view of its two-array state buffer).  A
-    one-strip F' build at a nonzero point peaks at 9.17 (11.14 with the
-    walk, which kept the z_x half of the state while f1 and f2 ran).
+    one-strip F' build at a nonzero point peaks at 9.16, with z_x freed by
+    the strip step (11.14 with the walk, which kept the z_x half of the
+    state while f1 and f2 ran).
 
     At N = 1024 the row-strip engine runs eleven strips, and peaks fall to
-    about its input and output: 1.56 for ``apply_F`` (1.66 with the walk,
-    5.13 on the whole grid; 1.48 when f1 faults in the tenth strip, 3.13
-    while a fault ran the whole grid again), 2.65 for building F' at a
-    point, whose partials go straight into its Jacobians (2.84 with the
-    walk, 3.12 while each strip's were stacked and copied in, 8.00 on the
-    whole grid) and 1.47 for ``apply_array`` (5.02).  A right-hand side
-    manufactured from N = 256 streams the fine grid and peaks at 0.72 fine
-    units (0.82 with the walk, 2.67 with the fine g* and F(g*) held whole,
-    6.13 with the g* sample stacked and copied into a field), and a whole
-    ``mms --n-list 64,128,256`` at 0.85, its one-strip N = 256 F' build
-    holding both Jacobians while it evaluates (0.97 with the walk, 0.91
-    when the walk's Jacobians were allocated after the partials; 2.70
-    before the strips).
+    about its input and output: 1.47 for ``apply_F`` (1.56 with z_x kept,
+    1.66 with the walk, 5.13 on the whole grid; 1.38 when f1 faults in the
+    tenth strip, 1.48 with z_x kept and 3.13 while a fault ran the whole
+    grid again), 2.65 for
+    building F' at a point, whose partials go straight into its Jacobians
+    (2.84 with the walk, 3.12 while each strip's were stacked and copied in,
+    8.00 on the whole grid) and 1.29 for ``apply_array`` (1.38 with z_x
+    kept, 5.02).  A right-hand side manufactured from N = 256 streams the
+    fine grid and peaks at 0.63 fine units (0.72 with z_x kept, 0.82 with
+    the walk, 2.67 with the fine g* and F(g*) held whole, 6.13 with the g*
+    sample stacked and copied into a field), and a whole ``mms --n-list
+    64,128,256`` at 0.79, its one-strip N = 256 F' build holding both
+    Jacobians while it evaluates (0.97 with the walk, 0.91 when the walk's
+    Jacobians were allocated after the partials; 2.70 before the strips).
 
     A whole example46 Newton solve (v = 1.8 + 0.1xy, four iterations)
-    peaks at 11.47 units at N = 64 and 9.02 at N = 1024, in the third inner
-    ``apply_array`` of a step: 12.44 and 10.02 while each step copied its
-    iterate and −r into fields, built F' into fresh Jacobians and took its
-    pointwise products from einsum outputs.
+    peaks at 11.43 units at N = 64 and 8.02 at N = 1024, in the third inner
+    ``apply_array`` of a step: 11.47 and 9.02 while each loop kept the
+    residual that its step had consumed next to the new iterate, and 12.44
+    and 10.02 while each step also copied its iterate and −r into fields,
+    built F' into fresh Jacobians and took its pointwise products from
+    einsum outputs.  Picard's solve of that v peaks at 6.24 and 4.02, and
+    a linear solve of it with F' at g = 0.3 at 6.19 and 4.02, each step
+    writing g − r over r (8.26 and 5.02, 7.24 and 5.02 with g − r a fresh
+    array).
 
     Weighted norms: twenty ``WeightedNorms`` on one N = 64 grid retain 0.005
     (19.12 while each cached its (P, P) kernel), and one norm of a scalar
@@ -533,7 +541,7 @@ class TestAllocations:
     def test_apply_F_example46(self):
         ctx = make_context(builtin_example_4_6(), build_grid(self.CELLS))
         g = np.full(ctx.X.shape + (1,), 0.3)
-        assert self._peak_units(lambda: apply_F(ctx, g)) < 6.25
+        assert self._peak_units(lambda: apply_F(ctx, g)) < 4.3
 
     def test_example46_context_holds_no_grid_array(self):
         spec, grid = builtin_example_4_6(), build_grid(self.CELLS)
@@ -600,19 +608,31 @@ class TestAllocations:
         h = np.full(ctx.X.shape + (1,), -0.2)
         assert self._peak_units(lambda: lin.apply_array(h), self.STRIP_CELLS) < 1.9
 
-    def _newton_solve(self, cells: int):
+    def _solve(self, cells: int, method: str = "newton"):
         spec = builtin_example_4_6()
         ctx = make_context(spec, build_grid(cells)).with_assumptions(probe_assumptions(spec))
         v = GridField(ctx.grid, (1.8 + 0.1 * ctx.X * ctx.Y)[..., None])
-        cfg = SolverConfig(m=choose_weight(ctx).m)
+        m = choose_weight(ctx).m
+        if method == "linear":
+            lin = LinearizedOperator(ctx, GridField(ctx.grid, np.full(ctx.X.shape + (1,), 0.3)))
+            cfg = SolverConfig(m=m)
+            return lambda: solve_linearized(lin, v, cfg)
+        cfg = SolverConfig(m=m, method=method)
         return lambda: solve(ctx, v, cfg)
 
     def test_newton_solve_example46(self):
-        assert self._peak_units(self._newton_solve(self.CELLS)) < 11.6
+        assert self._peak_units(self._solve(self.CELLS)) < 11.6
 
     def test_strips_keep_a_newton_solve_near_its_arrays(self):
-        run = self._newton_solve(self.STRIP_CELLS)
-        assert self._peak_units(run, self.STRIP_CELLS) < 9.2
+        run = self._solve(self.STRIP_CELLS)
+        assert self._peak_units(run, self.STRIP_CELLS) < 8.2
+
+    @pytest.mark.parametrize("method, cells, bound", [
+        ("picard", CELLS, 6.4), ("picard", STRIP_CELLS, 4.2),
+        ("linear", CELLS, 6.4), ("linear", STRIP_CELLS, 4.2),
+    ])
+    def test_fixed_point_steps_write_over_their_residual(self, method, cells, bound):
+        assert self._peak_units(self._solve(cells, method), cells) < bound
 
     def test_a_faulting_apply_F_evaluates_no_strip_twice(self, monkeypatch):
         # f1 faults at x = 0.875, row 896, in the tenth strip of 95 rows

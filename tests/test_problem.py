@@ -15,7 +15,7 @@ from goursat2d import exprlang
 from goursat2d.errors import ParameterError, SchemaError
 from goursat2d.fileio import write_field_csv
 from goursat2d.exprlang import eval_on_grid, parse
-from goursat2d.grid import GridField, build_grid
+from goursat2d.grid import GridField, build_grid, row_strips
 from goursat2d.operator import apply_F, make_context
 from goursat2d.problem import (
     XYFunction,
@@ -376,6 +376,22 @@ class TestProbeAssumptions:
 
 
 class TestManufacture:
+    def test_z_star_is_compiled_once_for_every_strip(self, monkeypatch):
+        # a fine grid of 401 rows is two strips (one compile per strip before)
+        zstar = XYFunction.from_sources("1 + sin(2*x)*cos(y)")
+        compiled = []
+        init = exprlang._Program.__init__
+
+        def counted(self, exprs, *args, **kwargs):
+            compiled.append(tuple(exprs))
+            init(self, exprs, *args, **kwargs)
+
+        monkeypatch.setattr(exprlang._Program, "__init__", counted)
+        grid = build_grid(100)
+        assert len(row_strips(4 * grid.npoints - 3, 1)) == 2
+        manufacture_problem(builtin_example_4_6(), zstar, grid)
+        assert compiled.count(zstar.exprs) == 1
+
     def test_zero_problem_identity(self):
         grid = build_grid(8)
         made = manufacture_problem(zero_problem(), XYFunction.from_sources("1"), grid)
