@@ -5,9 +5,9 @@ place) but never rounded differently: these digests were taken from the
 recursive expression walk, and every later evaluator must reproduce them.
 They cover example46 solves of both signs under Newton and Picard, on one
 row strip (N = 64) and on two (N = 400), the Jacobians of F' at a nonzero
-point, a linear solve with F' there, and ``apply_F`` and F''s
-``apply_array`` on grids of several row strips, for example46 and for an
-n = 2 problem whose f1, f2, A1 and A2 all read x and y.
+point, a linear solve with F' there, and ``apply_F``, F''s Jacobians and
+its ``apply_array`` on grids of several row strips, for example46 and for
+an n = 2 problem whose f1, f2, A1 and A2 all read x and y.
 """
 
 from __future__ import annotations
@@ -125,6 +125,20 @@ def test_apply_F_over_several_strips(spec, strips, digest):
     ctx = make_context(spec(), build_grid(400))
     assert len(row_strips(ctx.grid.npoints, ctx.spec.n)) == strips
     assert sha(apply_F(ctx, point(ctx))) == digest
+
+
+@pytest.mark.parametrize("spec, strips, digests", [
+    (builtin_example_4_6, 2, ("f8d690b0ee41e7f31064a66417c37f053af92d21e4ccf3a09db23cc16aee8a35",
+                              "5f2a08942450a9f1f6efa8022137dd520a6307f93698733ed746645197ebcd51")),
+    (lambda: load_problem(COUPLED_DOC), 4, (
+        "8a14447276a47e6e1e23ac469e261c3070e9f1203ac125c09a9bbf42b49b4eb1",
+        "8434f22c99e0f835450570e2b259039c7b18650191bf9e636fc02372699a255b")),
+])
+def test_jacobians_over_several_strips(spec, strips, digests):
+    ctx = make_context(spec(), build_grid(400))
+    assert len(row_strips(ctx.grid.npoints, ctx.spec.n)) == strips
+    lin = LinearizedOperator(ctx, point(ctx))
+    assert (sha(lin.j1), sha(lin.j2)) == digests
 
 
 @pytest.mark.parametrize("spec, strips, digest", [
