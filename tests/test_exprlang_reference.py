@@ -10,6 +10,7 @@ Y and Z untouched.
 
 from __future__ import annotations
 
+from functools import partial
 from operator import add, mul, sub, truediv
 
 import numpy as np
@@ -26,11 +27,13 @@ from goursat2d.exprlang import (
     _components,
     _fault,
     _jacobian,
+    _kink,
     _Program,
     eval_dual_on_grid,
     eval_on_grid,
     parse,
 )
+from goursat2d.problem import builtin_example_4_6
 
 # -- the reference walk -------------------------------------------------------
 
@@ -400,3 +403,50 @@ class TestCompiledVectors:
         else:
             for g, w in zip(got[1], want[1]):
                 _same_bits(g, w)
+
+
+def _ops(program):
+    """The numpy operations of a program, in order: no checks or outputs."""
+    return [ins[0] for ins in program.code
+            if not isinstance(ins[0], partial) and ins[0] is not _kink]
+
+
+class TestCompilerMechanisms:
+    """What each of the compiler's eliminations removes, on programs small
+    enough to read; the values still match the walk."""
+
+    #: f1‖f2 of the n = 2 problem of the bit pins
+    COUPLED = ["z1*z2/4 + x*sin(z2)", "sin(z1) - y*z2^2/8 + (1 + z1^2)*x",
+               "cos(z2)*x - 1/(1 + z1^2)", "z1/(1 + z2^2) + y*sin(z2)"]
+
+    @pytest.mark.parametrize("name, lengths", [("example46", (18, 42)), ("coupled", (31, 117))])
+    def test_program_lengths_of_f1_and_f2(self, name, lengths):
+        if name == "example46":
+            spec = builtin_example_4_6()
+            exprs, n = spec.f1 + spec.f2, spec.n
+        else:
+            exprs, n = [parse(s, 2) for s in self.COUPLED], 2
+        assert (len(_Program(exprs, n, False).code),
+                len(_Program(exprs, n, True, values=False).code)) == lengths
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_a_call_in_two_components_is_one_operation(self, dual):
+        exprs = [parse("sin(z1) + x", 1), parse("y*sin(z1)", 1)]
+        assert _ops(_Program(exprs, 1, dual)).count(np.sin) == 1
+        X, Y, Z = grid_inputs(1)
+        vals, jac, _ = _jacobian(exprs, X, Y, Z)
+        for i, e in enumerate(exprs):
+            wv, wd, _ = reference_on_grid(e, X, Y, Z, True)
+            _same_bits(vals[..., i], wv)
+            _same_bits(jac[..., i, :], wd)
+
+    @pytest.mark.parametrize("src, ops", [
+        ("(1)*z1/1", []),  # neutral elements: the result is z1 itself
+        ("2*3 + z1", [np.add]),  # constants folded
+        ("(-x)^0 + z1", [np.add]),  # -x is read by nothing that an output reads
+    ])
+    def test_eliminated_operations(self, src, ops):
+        e = parse(src, 1)
+        assert _ops(_Program((e,), 1, False)) == ops
+        X, Y, Z = grid_inputs(1)
+        _same_bits(eval_on_grid(e, X, Y, Z), reference_on_grid(e, X, Y, Z, False)[0])
