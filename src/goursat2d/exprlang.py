@@ -28,8 +28,9 @@ expressions is compiled into one flat program (``_Program``) that gives the
 values, or the values and the partials, of a walk over each tree in turn, so
 both apply the same domain rules.  The program evaluates a repeated call
 once, carries the partials of the z-components a subtree does not read as
-one register, and writes each operation into an operand's array where that
-operand is read for the last time.
+one register, writes each operation into an operand's array where that
+operand is read for the last time, and copies each component's partials
+into the caller's Jacobian row.
 
 The node samplers at the end (``_components``, ``_matrix_values`` and the
 Jacobian sampler ``_jacobian``) are the one place where a problem's
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -313,11 +314,9 @@ def _result(node: Expr, copy: bool | None, v, X, Y) -> np.ndarray | None:
 
 
 def _partials(node: Expr, out: np.ndarray, X, Y, *lanes) -> None:
-    """Write a component's partials into ``out`` (X.shape + (n,)), checked
-    finite; a None lane is there already."""
+    """Write a component's partials into ``out`` (X.shape + (n,)), checked finite."""
     for k, lane in enumerate(lanes):
-        if lane is not None:
-            out[..., k] = lane
+        out[..., k] = lane
     if not _finite(out):
         _fault("non-finite derivative (overflow?)", node, ~np.isfinite(out).all(axis=-1), X, Y,
                EvalOverflowError)
@@ -369,8 +368,8 @@ _NEUTRAL = {
     np.add: ((0, np.float64(-0.0).tobytes()), (1, np.float64(-0.0).tobytes())),
 }
 
-#: The ufuncs whose every result is exactly rounded, whatever the memory
-#: layout of their operands and output.
+#: The exactly rounded ufuncs: arithmetic, cheap to recompute, which
+#: ``_Compiler.op`` shares only within the node that emits it.
 _EXACT = {np.add, np.subtract, np.multiply, np.divide, np.negative}
 
 #: The registers of X and Y; register 0 receives the checks' None, and the
@@ -387,8 +386,7 @@ class _Compiler:
 
     def __init__(self, n: int, dual: bool, count: int):
         self.n, self.dual = n, dual
-        self.count = count
-        self.regs = _Z + n + (count * (n + 1) if dual else 0)
+        self.regs = _Z + n + (count if dual else 0)  # then each component's partials
         self.consts: dict[int, np.float64] = {}
         self.memo: dict = {}
         self.numbers: dict = {}  # (fn, operand numbers) -> the number of its value
@@ -539,10 +537,6 @@ class _Compiler:
         self.regs += 1
         self.code.append([_kink, reg, (a,) + lanes, "effect"])
 
-    def view(self, out: int, k: int) -> int:
-        """The register of lane k of the output array in register ``out``."""
-        return _Z + self.n + self.count + (out - _Z - self.n) * self.n + k
-
     def component(self, e: Expr) -> None:
         """Emit e, then its value and partials as outputs, each checked finite."""
         v, da = self.node(e)
@@ -560,17 +554,6 @@ _NONPOSITIVE = (lambda a: a <= 0.0, lambda a: np.fmin.reduce(a, None, initial=np
 _NEGATIVE = (lambda a: a < 0.0, lambda a: np.fmin.reduce(a, None, initial=np.inf) < 0.0)
 
 
-def _mask(bits) -> int:
-    """The flags ``bits`` as the bits of an int, the first the lowest."""
-    return sum(1 << j for j, bit in enumerate(bits) if bit)
-
-
-@cache
-def _positions(mask: int) -> tuple[int, ...]:
-    """The positions of the set bits of ``mask``."""
-    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
-
-
 class _Program:
     """A component vector compiled once and run on any nodes.
 
@@ -578,8 +561,9 @@ class _Program:
     recursive walk that the compiler follows.  Pure operations that no
     output reads are dropped; an operation whose operand's register is last
     read there writes into that operand's array, and every other array is
-    released after its last read.  Only the arrays the program made are
-    written: X, Y and Z are only read, and each component's result is fresh.
+    released after its last read.  Only the arrays the program made and the
+    caller's Jacobian rows are written: X, Y and Z are only read, each
+    component's result is fresh, and its partials are copied into its row.
     """
 
     __slots__ = ("n", "init", "code", "outputs", "kinks", "kinked")
@@ -595,24 +579,13 @@ class _Program:
                 live.update(ins[2])
         code.reverse()
         last = {a: i for i, ins in enumerate(code) for a in ins[2]}
-        made = {ins[1]: ins for ins in code if ins[3] in ("ufunc", "call")}
+        made = {ins[1] for ins in code if ins[3] in ("ufunc", "call")}
         for i, ins in enumerate(code):
             fn, dst, args, kind = ins
-            dying = {a for a in args if a in made and last[a] == i}
-            into = next((a for a in args if a in dying), None) if kind == "ufunc" else None
-            ins[3:] = [into, _mask(a in dying for a in args)]
+            dying = tuple(a for a in args if a in made and last[a] == i)
+            ins[3:] = [dying[0] if dying and kind == "ufunc" else None, dying]
             if kind == "result":
                 ins[0] = partial(_result, fn, (args[0] not in dying) if values else None)
-            if kind != "partials":
-                continue
-            # a lane whose last op is arithmetic and read only here is
-            # written by that op into its place in the output
-            lanes = list(args[3:])
-            for k, lane in enumerate(lanes):
-                if lane in dying and lanes.count(lane) == 1 and made[lane][0] in _EXACT:
-                    made[lane][3] = c.view(args[0], k)
-                    lanes[k] = 0
-            ins[2] = args[:3] + tuple(lanes)
         self.code = [tuple(ins) for ins in code]
         self.init = [None] * c.regs
         for reg, value in c.consts.items():
@@ -631,16 +604,14 @@ class _Program:
         r[_X], r[_Y] = X, Y
         r[_Z:_Z + self.n] = (Z[..., k] for k in range(self.n))
         r[_Z + self.n:_Z + self.n + len(dests)] = dests
-        r[_Z + self.n + len(dests):_Z + self.n + len(dests) * (self.n + 1)] = (
-            d[..., k] for d in dests for k in range(self.n))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for fn, dst, args, into, dying in self.code:
                 if into is None:
                     r[dst] = fn(*[r[a] for a in args])
                 else:
                     r[dst] = fn(*[r[a] for a in args], out=r[into])
-                for j in _positions(dying):
-                    r[args[j]] = None
+                for a in dying:
+                    r[a] = None
         return [r[o] for o in self.outputs], self.kinked or any(r[k] for k in self.kinks)
 
 
@@ -703,13 +674,12 @@ def _matrix_values(mat, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
     return _stack(program.run(X, Y, _zero_state(X.shape, n))[0]).reshape(X.shape + (n, n))
 
 
-def _jacobian(exprs, X, Y, Z, out=None) -> tuple[np.ndarray, np.ndarray, bool]:
+def _jacobian(exprs, X, Y, Z) -> tuple[np.ndarray, np.ndarray, bool]:
     """(values of X.shape + (k,), z-Jacobian of X.shape + (k, n) whose row i
     is ∂f_i/∂z, kink flag) of the component vector ``exprs``, or of its dual
-    program, evaluated in component order; the partials are written into
-    ``out`` when given."""
+    program, evaluated in component order."""
     program = exprs if isinstance(exprs, _Program) else _Program(exprs, Z.shape[-1], True)
     k = len(program.outputs)
-    jac = np.empty(np.shape(X) + (k, Z.shape[-1])) if out is None else out
+    jac = np.empty(np.shape(X) + (k, Z.shape[-1]))
     values, kinked = program.run(X, Y, Z, [jac[..., i, :] for i in range(k)])
     return np.stack(values, -1), jac, kinked
