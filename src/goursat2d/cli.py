@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -202,7 +203,7 @@ def _sampled(source: str, grid, n: int, what: str) -> GridField:
 
 def _field(source: str, ctx: OperatorContext, what: str) -> GridField:
     """A field from either an expression or a node-value CSV path that fits ``ctx``."""
-    if source.endswith(".csv") or Path(source).is_file():
+    if source.endswith(".csv") or os.path.isfile(source):  # no OSError for a long expression
         f = read_field_csv(source)
         ctx.check_field(f, what)
         return f

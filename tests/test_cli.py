@@ -1107,6 +1107,19 @@ def test_rhs_file_solves_like_its_expression(tmp_path):
     assert {**file, "grid_file": None} == {**expr, "grid_file": None}
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--builtin", "example46", "--n", "8", "--rhs"],
+    ["sens", "--builtin", "zero", "--n", "8", "--rhs", "x", "--direction"],
+], ids=["solve-rhs", "sens-direction"])
+def test_an_expression_too_long_for_a_file_name_is_read_as_one(argv, tmp_path):
+    short = "1.5 + 0.001*x*y"
+    long = short + " + 0*x" * 50  # the same field, and no valid file name
+    assert len(long.encode()) > 255 and "/" not in long
+    for name, source in (("short", short), ("long", long)):
+        assert run_cli(argv + [source, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "long.grid.csv").read_bytes() == (tmp_path / "short.grid.csv").read_bytes()
+
+
 @pytest.mark.parametrize("foreign, message", [
     ("grid", "{flag} on Grid(cells=4) does not match context grid Grid(cells=8)"),
     ("n", "{flag} has 2 components, problem has 1"),
