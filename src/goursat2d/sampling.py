@@ -153,18 +153,13 @@ def random_smooth_field(grid: Grid, n: int, rng: np.random.Generator | _PCG64) -
 
 
 def _first_primes(count: int) -> list[int]:
-    """The first ``count`` primes, from a sieve grown until it holds enough."""
-    limit = 16
-    while True:
-        sieve = np.ones(limit, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(limit - 1) + 1):
-            if sieve[p]:
-                sieve[p * p::p] = False
-        primes = np.flatnonzero(sieve)
-        if len(primes) >= count:
-            return [int(p) for p in primes[:count]]
-        limit *= 2
+    """The first ``count`` primes, by trial division."""
+    primes, k = [], 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
 
 
 def halton_points(count: int, dim: int, seed: int) -> np.ndarray:
