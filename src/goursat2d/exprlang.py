@@ -386,7 +386,7 @@ class _Compiler:
 
     def __init__(self, n: int, dual: bool, count: int):
         self.n, self.dual = n, dual
-        self.regs = _Z + n + (count if dual else 0)  # then each component's partials
+        self.regs = _Z + n + (count if dual else 0)  # after Z, each component's partials
         self.consts: dict[int, np.float64] = {}
         self.memo: dict = {}
         self.numbers: dict = {}  # (fn, operand numbers) -> the number of its value

@@ -33,7 +33,6 @@ from goursat2d.exprlang import (
     eval_on_grid,
     parse,
 )
-from goursat2d.problem import builtin_example_4_6
 
 # -- the reference walk -------------------------------------------------------
 
@@ -415,17 +414,13 @@ class TestCompilerMechanisms:
     """What each of the compiler's eliminations removes, on programs small
     enough to read; the values still match the walk."""
 
-    #: f1‖f2 of the n = 2 problem of the bit pins
-    COUPLED = ["z1*z2/4 + x*sin(z2)", "sin(z1) - y*z2^2/8 + (1 + z1^2)*x",
-               "cos(z2)*x - 1/(1 + z1^2)", "z1/(1 + z2^2) + y*sin(z2)"]
-
-    @pytest.mark.parametrize("name, lengths", [("example46", (18, 42)), ("coupled", (31, 117))])
-    def test_program_lengths_of_f1_and_f2(self, name, lengths):
-        if name == "example46":
-            spec = builtin_example_4_6()
-            exprs, n = spec.f1 + spec.f2, spec.n
-        else:
-            exprs, n = [parse(s, 2) for s in self.COUPLED], 2
+    @pytest.mark.parametrize("sources, n, lengths", [
+        (TestCompiledVectors.SHARED[0], 1, (18, 42)),  # example46
+        (["z1*z2/4 + x*sin(z2)", "sin(z1) - y*z2^2/8 + (1 + z1^2)*x",  # the bit pins' n = 2
+          "cos(z2)*x - 1/(1 + z1^2)", "z1/(1 + z2^2) + y*sin(z2)"], 2, (31, 117)),
+    ], ids=["example46", "coupled"])
+    def test_program_lengths_of_f1_and_f2(self, sources, n, lengths):
+        exprs = [parse(s, n) for s in sources]
         assert (len(_Program(exprs, n, False).code),
                 len(_Program(exprs, n, True, values=False).code)) == lengths
 

@@ -476,8 +476,8 @@ class TestAllocations:
     1.66 with the walk, 5.13 on the whole grid; 1.38 when f1 faults in the
     tenth strip, 1.48 with z_x kept and 3.13 while a fault ran the whole
     grid again), 2.65 for
-    building F' at a point, whose partials go straight into its Jacobians
-    (2.84 with the walk, 3.12 while each strip's were stacked and copied in,
+    building F' at a point, whose program copies each component's partials
+    into its Jacobian rows (2.84 with the walk, 3.12 while each strip's were stacked and copied in,
     8.00 on the whole grid) and 1.29 for ``apply_array`` (1.38 with z_x
     kept, 5.02).  A right-hand side manufactured from N = 256 streams the
     fine grid and peaks at 0.63 fine units (0.72 with z_x kept, 0.82 with
