@@ -7,19 +7,25 @@ They cover example46 solves of both signs under Newton and Picard, on one
 row strip (N = 64) and on two (N = 400), the Jacobians of F' at a nonzero
 point, a linear solve with F' there, and ``apply_F``, F''s Jacobians and
 its ``apply_array`` on grids of several row strips, for example46 and for
-an n = 2 problem whose f1, f2, A1 and A2 all read x and y.
+an n = 2 problem whose f1, f2, A1 and A2 all read x and y.  The node
+samplers are pinned where they run outside F and F': that problem's
+assumption probe, its coefficient matrices over several strips of the zero
+test, its coercivity offset, an x, y function sampled on a grid, and
+example46's manufactured right-hand side on one fine strip and on two.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from goursat2d.grid import GridField, build_grid, row_strips
-from goursat2d.operator import LinearizedOperator, apply_F, make_context
-from goursat2d.problem import builtin_example_4_6, load_problem, probe_assumptions
+from goursat2d.operator import LinearizedOperator, apply_F, coercivity_probe, make_context
+from goursat2d.problem import (XYFunction, builtin_example_4_6, load_problem, manufacture_problem,
+                               probe_assumptions)
 from goursat2d.solvers import SolverConfig, choose_weight, solve, solve_linearized
 
 COUPLED_DOC = {
@@ -151,3 +157,43 @@ def test_apply_array_over_several_strips(spec, strips, digest):
     lin = LinearizedOperator(ctx, point(ctx))
     h = point(ctx)[::-1].copy()  # a direction other than the point
     assert sha(lin.apply_array(h)) == digest
+
+
+def test_coupled_assumption_probe():
+    report = probe_assumptions(load_problem(COUPLED_DOC)).as_dict()
+    assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == (
+        "55741a5eef6bc7b296231da987f3c66acdf98b9bd3d473ce4af4b866cfb1ccb5")
+
+
+def test_coupled_coefficients_over_the_zero_test_strips():
+    ctx = make_context(load_problem(COUPLED_DOC), build_grid(400))
+    assert len(row_strips(ctx.grid.npoints, 4)) == 7  # n² = 4 entries per node
+    assert (sha(ctx.a1_nodes), sha(ctx.a2_nodes)) == (
+        "2a620c149f332b9515240b4bc80e2d1dc91558441f9eefa8a51f9e374855c0d6",
+        "48564df48941a2668a7b1feadeeca383dee1ea017915cba9721df668b70a9ae1",
+    )
+
+
+def test_coupled_coercivity_offset():
+    ctx = make_context(load_problem(COUPLED_DOC), build_grid(32))
+    rep = coercivity_probe(ctx, [GridField(ctx.grid, point(ctx))], 17.0)
+    assert sha(np.array(rep.offset)) == (
+        "71a6c1053810b7e0cb462fcbd793b6a0aa5f88d15e8ba61950adc77e096d4554")
+
+
+def test_xy_function_sample():
+    f = XYFunction.from_sources(["1 + sin(2*x)*cos(y)", "x*y - 0.5"])
+    assert sha(f.sample(build_grid(400)).values) == (
+        "a29a6c16496ef0a64c67ba7d71f9260b2d7e9f1dbd6b7257df438357ccd1bf00")
+
+
+@pytest.mark.parametrize("coarse, strips, digest", [
+    (100, 2, "5230698d7db764e21596ab6ae940086c099d2bc9136def61f893f49c1da5aac2"),
+    (64, 1, "5af306f6554ab2777c2ffa2f7e36071db9005f68625bde415c5883d65ab1c32a"),
+])
+def test_example46_manufactured_rhs(coarse, strips, digest):
+    # refine = 4: the fine grid of 400 cells takes two strips, that of 256 one
+    assert len(row_strips(4 * coarse + 1, 1)) == strips
+    zstar = XYFunction.from_sources("1 + sin(2*x)*cos(y)")
+    spec = manufacture_problem(builtin_example_4_6(), zstar, build_grid(coarse), refine=4)
+    assert sha(spec.rhs.values) == digest
