@@ -32,11 +32,12 @@ one register, writes each operation into an operand's array where that
 operand is read for the last time, and copies each component's partials
 into the caller's Jacobian row.
 
-The node samplers at the end (``_components``, ``_matrix_values`` and the
-Jacobian sampler ``_jacobian``) are the one place where a problem's
-expressions meet the nodes; each compiles its vector on the spot or runs a
-program its caller compiled once for all its samples, and an
-``OperatorContext`` compiles f1‖f2 once for F and once for F'.
+``_Program.run`` is the one entry that evaluates expressions on nodes, the
+zero state included.  ``eval_on_grid`` and ``eval_dual_on_grid`` compile
+one expression and run it; the node samplers at the end (``_components``,
+``_matrix_values`` and the Jacobian sampler ``_jacobian``) run a program
+their caller compiled once for all its samples, and an ``OperatorContext``
+compiles f1‖f2 once for F and once for F'.
 """
 
 from __future__ import annotations
@@ -592,17 +593,21 @@ class _Program:
             self.init[reg] = value
         self.n, self.outputs, self.kinks, self.kinked = n, c.outputs, c.kinks, c.kinked
 
-    def run(self, X, Y, Z, dests=()) -> tuple[list[np.ndarray], bool]:
-        """(each component's value as a fresh array of X's shape, kink flag);
+    def run(self, X, Y, Z=None, dests=()) -> tuple[list[np.ndarray], bool]:
+        """(each component's value as a fresh array of X's shape, kink flag)
+        at the nodes X, Y and the state Z of shape X.shape + (n,), or at the
+        zero state, read-only zeros of no grid-sized memory, when Z is None;
         a dual program writes component k's partials into ``dests[k]``, of
-        shape X.shape + (n,)."""
+        shape X.shape + (n,).  One point is 0-d X and Y with a length-n Z."""
         if np.ndim(X) == 0:  # one point, run as one node
-            values, kinked = self.run(np.reshape(X, 1), np.reshape(Y, 1), np.reshape(Z, (1, -1)),
+            values, kinked = self.run(np.reshape(X, 1), np.reshape(Y, 1),
+                                      None if Z is None else np.reshape(Z, (1, -1)),
                                       [np.reshape(d, (1, -1)) for d in dests])
             return [v.reshape(()).copy() for v in values], kinked
         r = self.init.copy()
         r[_X], r[_Y] = X, Y
-        r[_Z:_Z + self.n] = (Z[..., k] for k in range(self.n))
+        r[_Z:_Z + self.n] = ((np.broadcast_to(0.0, np.shape(X)),) * self.n if Z is None
+                             else (Z[..., k] for k in range(self.n)))
         r[_Z + self.n:_Z + self.n + len(dests)] = dests
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for fn, dst, args, into, dying in self.code:
@@ -643,22 +648,15 @@ def eval_dual_on_grid(
 
 # -- node samplers ------------------------------------------------------------
 
-def _zero_state(shape: tuple[int, ...], n: int) -> np.ndarray:
-    """The zero state of shape ``shape + (n,)``: a read-only broadcast view
-    of n zeros, which holds no grid-sized memory."""
-    return np.broadcast_to(np.zeros(n), shape + (n,))
-
-
 def _stack(values: list[np.ndarray]) -> np.ndarray:
     """Component values as one array of shape X.shape + (k,) (a view of the
     one array when k == 1)."""
     return np.expand_dims(values[0], -1) if len(values) == 1 else np.stack(values, -1)
 
 
-def _components(exprs, X, Y, Z) -> np.ndarray:
-    """Evaluate a component vector, or its values ``_Program``, into a
+def _components(program: _Program, X, Y, Z=None) -> np.ndarray:
+    """A values program's components at the state Z (zero when None) as a
     writable array of shape X.shape + (k,)."""
-    program = exprs if isinstance(exprs, _Program) else _Program(exprs, Z.shape[-1], False)
     return _stack(program.run(X, Y, Z)[0])
 
 
@@ -667,19 +665,17 @@ def _matrix_program(mat, n: int) -> _Program:
     return _Program([e for row in mat for e in row], n, False)
 
 
-def _matrix_values(mat, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
-    """Sample an n×n expression matrix, or its ``_matrix_program``, at
-    points; shape X.shape + (n, n)."""
-    program = mat if isinstance(mat, _Program) else _matrix_program(mat, n)
-    return _stack(program.run(X, Y, _zero_state(X.shape, n))[0]).reshape(X.shape + (n, n))
+def _matrix_values(program: _Program, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """An n×n expression matrix's ``_matrix_program`` sampled at points;
+    shape X.shape + (n, n)."""
+    return _components(program, X, Y).reshape(X.shape + (program.n,) * 2)
 
 
-def _jacobian(exprs, X, Y, Z) -> tuple[np.ndarray, np.ndarray, bool]:
+def _jacobian(program: _Program, X, Y, Z) -> tuple[np.ndarray, np.ndarray, bool]:
     """(values of X.shape + (k,), z-Jacobian of X.shape + (k, n) whose row i
-    is ∂f_i/∂z, kink flag) of the component vector ``exprs``, or of its dual
-    program, evaluated in component order."""
-    program = exprs if isinstance(exprs, _Program) else _Program(exprs, Z.shape[-1], True)
+    is ∂f_i/∂z, kink flag) of a component vector's dual program, evaluated
+    in component order."""
     k = len(program.outputs)
-    jac = np.empty(np.shape(X) + (k, Z.shape[-1]))
+    jac = np.empty(np.shape(X) + (k, program.n))
     values, kinked = program.run(X, Y, Z, [jac[..., i, :] for i in range(k)])
     return np.stack(values, -1), jac, kinked

@@ -44,8 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ParameterError
-from .exprlang import (_matrix_program, _matrix_values, _Program, _stack, _zero_state,
-                       eval_on_grid)
+from .exprlang import _matrix_program, _matrix_values, _Program, _stack
 from .grid import Grid, GridField, row_strips, strip_step
 from .norms import WeightedNorms
 
@@ -127,7 +126,7 @@ def _coefficient(mat, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray | None
     that entry's first faulting node."""
     out, zeros, program = None, [], _matrix_program(mat, n)
     for s in row_strips(X.shape[0], n * n):
-        part = _matrix_values(program, X[s], Y[s], n)
+        part = _matrix_values(program, X[s], Y[s])
         if out is None and not part.any():
             zeros.append((s, part if np.signbit(part).any() else 0.0))
             continue
@@ -250,9 +249,8 @@ class LinearizedOperator:
         jac, z_sup, carry = np.empty(shape) if out is None else out, 0.0, None
         program = ctx._program(True)
         for rows in row_strips(X.shape[0], n):
-            if at is None:
-                Z = _zero_state(X[rows].shape, n)
-            else:
+            Z = None
+            if at is not None:
                 (Z, _, _), carry = strip_step(at[rows], carry, ctx.grid.h, zx=False, zy=False)
                 z_sup = max(z_sup, _sup_norm(Z))
             program.run(X[rows], Y[rows], Z, [jac[k, rows, ..., i, :] for k in (0, 1)
@@ -313,7 +311,7 @@ def coercivity_probe(
         raise ParameterError("need at least one sample field")
     norms = WeightedNorms(ctx.grid, m)
     X, Y = ctx.X, ctx.Y
-    b_vals = eval_on_grid(ctx.spec.majorant, X, Y, _zero_state(X.shape, ctx.spec.n))
+    b_vals = _Program((ctx.spec.majorant,), ctx.spec.n, False).run(X, Y)[0][0]
     D = 2.0 * norms.norm(b_vals[..., None])
     factor = 1.0 - 8.0 * B / m
 

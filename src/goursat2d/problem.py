@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import EvalFaultError, ParameterError, SchemaError
 from .exprlang import (Expr, _components, _jacobian, _matrix_program, _matrix_values, _Program,
-                       _zero_state, eval_on_grid, free_z_indices, parse)
+                       eval_on_grid, free_z_indices, parse)
 from .fileio import read_field_csv
 from .grid import Grid, GridField, build_grid, row_strips
 from .operator import _step, apply_F, make_context
@@ -76,13 +76,7 @@ class XYFunction:
         return cls(tuple(parse(s, 1) for s in sources))
 
     def sample(self, grid: Grid) -> GridField:
-        return GridField(grid, self._rows(*grid.meshgrid()))
-
-    def _rows(self, X: np.ndarray, Y: np.ndarray, program: _Program | None = None) -> np.ndarray:
-        """The samples at the nodes X, Y, the meshgrid or a strip of its rows,
-        by ``program``, ``exprs`` compiled for one state component, if given."""
-        return _components(self.exprs if program is None else program, X, Y,
-                           _zero_state(X.shape, 1))
+        return GridField(grid, _components(_Program(self.exprs, 1, False), *grid.meshgrid()))
 
 
 ExprMatrix = tuple[tuple[Expr, ...], ...]
@@ -498,7 +492,7 @@ def probe_assumptions(
             jac_sup = max(jac_sup, _spectral_sup(jac))
         m_rho.append((rho, jac_sup))
 
-    a_sups = {name: _spectral_sup(_matrix_values(mat, X, Y, n)) for name, mat in mats.items()}
+    a_sups = {name: _spectral_sup(_matrix_values(mat, X, Y)) for name, mat in mats.items()}
 
     # finite-difference consistency of the declared spatial derivatives:
     # A1x along x, A2y along y, central differences inside the square
@@ -507,8 +501,8 @@ def probe_assumptions(
     for a, a_deriv, axis in ((mats["a1"], mats["a1x"], 0), (mats["a2"], mats["a2y"], 1)):
         c = np.clip((X, Y)[axis], delta, 1.0 - delta)
         plus, minus, mid = ((t, Y) if axis == 0 else (X, t) for t in (c + delta, c - delta, c))
-        fd = (_matrix_values(a, *plus, n) - _matrix_values(a, *minus, n)) / (2.0 * delta)
-        here = _matrix_values(a_deriv, *mid, n)
+        fd = (_matrix_values(a, *plus) - _matrix_values(a, *minus)) / (2.0 * delta)
+        here = _matrix_values(a_deriv, *mid)
         res = np.linalg.norm((fd - here).reshape(total, -1), axis=1)
         scale = 1.0 + np.linalg.norm(here.reshape(total, -1), axis=1)
         deriv_res.append(float((res / scale).max()))
@@ -569,13 +563,13 @@ def manufacture_problem(
     ctx = make_context(base, build_grid(grid.cells * refine))
     X, Y = ctx.X, ctx.Y
     strips = row_strips(ctx.grid.npoints, base.n)
+    program = _Program(zstar_g.exprs, 1, False)  # z*, compiled once for every strip
     if len(strips) == 1:
-        v = apply_F(ctx, zstar_g._rows(X, Y))[::refine, ::refine]
+        v = apply_F(ctx, _components(program, X, Y))[::refine, ::refine]
         return replace(base, rhs=GridField(grid, v))
     v = carry = None
-    program = _Program(zstar_g.exprs, 1, False)  # z*, compiled once for every strip
     for rows in strips:
-        part, carry = _step(ctx, zstar_g._rows(X[rows], Y[rows], program), rows, carry,
+        part, carry = _step(ctx, _components(program, X[rows], Y[rows]), rows, carry,
                             ctx._f_terms)
         if v is None:  # after the first strip's arrays, as in the operator
             v = np.empty((grid.npoints, grid.npoints, base.n))

@@ -335,8 +335,8 @@ class TestCompiledVectors:
         exprs = [parse(s, n) for s in sources]
         X, Y, Z = grid_inputs(n)
         want = [reference_on_grid(e, X, Y, Z, dual=True) for e in exprs]
-        values = _components(exprs, X, Y, Z)
-        vals, jac, kinked = _jacobian(exprs, X, Y, Z)
+        values = _components(_Program(exprs, n, False), X, Y, Z)
+        vals, jac, kinked = _jacobian(_Program(exprs, n, True), X, Y, Z)
         for i, (wv, wd, _) in enumerate(want):
             _same_bits(values[..., i], wv)
             _same_bits(vals[..., i], wv)
@@ -354,15 +354,15 @@ class TestCompiledVectors:
         # and across components: the second component's copy is never reached
         f1, f2 = parse("log(x - 0.5)*z1", 1), parse("  2 + log(x - 0.5)", 1)
         with pytest.raises(EvalFaultError) as exc:
-            _components([f1, f2], X, Y, Z)
+            _components(_Program([f1, f2], 1, False), X, Y, Z)
         assert exc.value.position == 0
 
     def test_an_overflowing_f1_raises_before_a_fault_only_f2_reaches(self):
         X, Y, Z = grid_inputs(1)
         f1 = parse("z1 + exp(1000*x)", 1)
         f2 = parse("log(z1 - 5) + exp(1000*x)", 1)
-        for run in (lambda: _components([f1, f2], X, Y, Z),
-                    lambda: _jacobian([f1, f2], X, Y, Z)):
+        for run in (lambda: _components(_Program([f1, f2], 1, False), X, Y, Z),
+                    lambda: _jacobian(_Program([f1, f2], 1, True), X, Y, Z)):
             with pytest.raises(EvalOverflowError) as exc:
                 run()
             assert exc.value.position == f1.pos
@@ -429,7 +429,7 @@ class TestCompilerMechanisms:
         exprs = [parse("sin(z1) + x", 1), parse("y*sin(z1)", 1)]
         assert _ops(_Program(exprs, 1, dual)).count(np.sin) == 1
         X, Y, Z = grid_inputs(1)
-        vals, jac, _ = _jacobian(exprs, X, Y, Z)
+        vals, jac, _ = _jacobian(_Program(exprs, 1, True), X, Y, Z)
         for i, e in enumerate(exprs):
             wv, wd, _ = reference_on_grid(e, X, Y, Z, True)
             _same_bits(vals[..., i], wv)

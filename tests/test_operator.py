@@ -11,7 +11,7 @@ import pytest
 from goursat2d import exprlang
 from goursat2d import operator as operator_module
 from goursat2d.errors import EvalFaultError, ParameterError
-from goursat2d.exprlang import _matrix_values, parse
+from goursat2d.exprlang import _matrix_program, _matrix_values, parse
 from goursat2d.grid import GridField, build_grid, state_from_g
 from goursat2d.norms import WeightedNorms
 from goursat2d.operator import (
@@ -386,9 +386,9 @@ class TestContextCaches:
     def test_each_strip_of_a_nonzero_matrix_is_sampled_once(self, monkeypatch, cells, strips):
         rows = []
 
-        def counted(mat, X, Y, n):
+        def counted(program, X, Y):
             rows.append(X.shape[0])
-            return _matrix_values(mat, X, Y, n)
+            return _matrix_values(program, X, Y)
 
         monkeypatch.setattr(operator_module, "_matrix_values", counted)
         make_context(example46_with(a1="1", a2="1"), build_grid(cells))
@@ -414,4 +414,4 @@ class TestContextCaches:
         ctx = make_context(spec, build_grid(512))
         X, Y = ctx.grid.meshgrid()
         assert np.signbit(ctx.a1_nodes[:191]).all() and not ctx.a1_nodes[:191].any()
-        assert ctx.a1_nodes.tobytes() == _matrix_values(spec.a1, X, Y, 1).tobytes()
+        assert ctx.a1_nodes.tobytes() == _matrix_values(_matrix_program(spec.a1, 1), X, Y).tobytes()
