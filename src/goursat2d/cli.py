@@ -366,12 +366,12 @@ def _sweep(suite: str, fields: list[GridField], m_list, check) -> tuple[bool, Gr
     the worst field.
 
     ``check(m)`` returns the line (after "suite") and one margin per field.
-    The worst field is the first with the strictly smallest margin, weights
-    taken in order.
+    Every weight is checked before the first line is emitted, so a weight
+    that raises writes nothing.  The worst field is the first with the
+    strictly smallest margin, weights taken in order.
     """
     ok, worst, worst_margin = True, None, math.inf
-    for m in m_list:
-        line, margins = check(m)
+    for line, margins in [check(m) for m in m_list]:
         for f, margin in zip(fields, margins):
             if margin < worst_margin:
                 worst_margin, worst = margin, f

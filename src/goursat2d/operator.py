@@ -138,18 +138,23 @@ def _coefficient(mat, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray | None
     return out
 
 
-def _sup_norm(Z: np.ndarray) -> float:
-    """The largest Euclidean norm over the last axis of Z: max|z| for one
-    component, else the norm of the squares, rescaled where they overflow."""
-    if Z.shape[-1] == 1:
-        return float(max(Z.max(), -Z.min()))
+def _norms(Z: np.ndarray) -> np.ndarray:
+    """The Euclidean norms over the last axis of Z, from the squares,
+    rescaled where they overflow, so a finite Z has finite norms unless
+    they pass the largest float."""
     with np.errstate(over="ignore"):
         norms = np.sqrt((Z**2).sum(axis=-1))
     big = np.isinf(norms)
     if big.any():
         top = np.abs(Z[big]).max(axis=-1)
         norms[big] = top * np.sqrt(((Z[big] / top[:, None])**2).sum(axis=-1))
-    return float(norms.max())
+    return norms
+
+
+def _sup_norm(Z: np.ndarray) -> float:
+    """The largest Euclidean norm over the last axis of Z: max|z| for one
+    component, else the largest of ``_norms``."""
+    return float(max(Z.max(), -Z.min()) if Z.shape[-1] == 1 else _norms(Z).max())
 
 
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from .exprlang import (Expr, _components, _jacobian, _matrix_program, _matrix_va
                        eval_on_grid, free_z_indices, parse)
 from .fileio import read_field_csv
 from .grid import Grid, GridField, build_grid, row_strips
-from .operator import _step, apply_F, make_context
+from .operator import _norms, _step, apply_F, make_context
 from .sampling import halton_points
 from .solvers import SolverConfig
 
@@ -383,7 +383,8 @@ class AssumptionReport:
     matrix coefficients against the declared B; m_rho maps each probed
     radius to the observed sup of the f1/f2 z-Jacobian norms on |z| ≤ ρ;
     deriv_residual_* are worst relative mismatches between the declared
-    spatial derivatives and centered finite differences.
+    spatial derivatives and centered finite differences.  A ratio, sup or
+    residual that overflows reads as the largest float, and its check fails.
     """
 
     samples: int
@@ -478,19 +479,15 @@ def probe_assumptions(
             # B near the float maximum overflows the bound to inf, which allows
             # anything; a nonzero f where the bound is 0, and a ratio that
             # overflows, read as the largest finite ratio (report JSON holds no inf)
+            fmag = _norms(vals)  # finite f above ~1e154 overflows the squares
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                fmag = np.linalg.norm(vals, axis=1)
-                big = np.isinf(fmag)  # finite f above ~1e154 overflows the squares
-                if big.any():
-                    top = np.abs(vals[big]).max(axis=1)
-                    fmag[big] = top * np.linalg.norm(vals[big] / top[:, None], axis=1)
                 allowed = B * znorm + b_vals
                 ratios = np.where(fmag == 0.0, 0.0,
                                   np.where(allowed == 0.0, sys.float_info.max,
                                            np.minimum(fmag / allowed, sys.float_info.max)))
             growth_worst[which] = max(growth_worst[which], float(ratios.max()))
             jac_sup = max(jac_sup, _spectral_sup(jac))
-        m_rho.append((rho, jac_sup))
+        m_rho.append((rho, min(jac_sup, sys.float_info.max)))
 
     a_sups = {name: _spectral_sup(_matrix_values(mat, X, Y)) for name, mat in mats.items()}
 
@@ -506,11 +503,14 @@ def probe_assumptions(
         res = np.linalg.norm((fd - here).reshape(total, -1), axis=1)
         scale = 1.0 + np.linalg.norm(here.reshape(total, -1), axis=1)
         deriv_res.append(float((res / scale).max()))
-    deriv_res_a1x, deriv_res_a2y = deriv_res
 
     growth_ok = max(growth_worst) <= 1.0 + _GROWTH_TOL
     coeff_ok = all(v <= B + _GROWTH_TOL for v in a_sups.values())
-    deriv_ok = max(deriv_res_a1x, deriv_res_a2y) <= _DERIV_TOL
+    deriv_ok = max(deriv_res) <= _DERIV_TOL
+    # an overflowed sup or residual reads as the largest float once its check
+    # has failed on it (B may be the largest float too)
+    a_sups = {name: min(v, sys.float_info.max) for name, v in a_sups.items()}
+    deriv_res_a1x, deriv_res_a2y = (min(v, sys.float_info.max) for v in deriv_res)
 
     return AssumptionReport(
         samples=total,

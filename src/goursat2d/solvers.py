@@ -174,7 +174,8 @@ def choose_weight(ctx: OperatorContext, at: LinearizedOperator | None = None) ->
     of the operator ``at`` (its ``z_sup``; zero when omitted; the largest
     probed radius if none covers it), so the Jacobian bound is valid around
     the expected iterates.  Requires assumptions to have been probed into
-    the context.
+    the context.  No finite m exists when 8B overflows or d is the largest
+    float, which is how the probe reports an overflowed Jacobian sup.
     """
     if ctx.assumptions is None:
         raise ParameterError(
@@ -186,7 +187,7 @@ def choose_weight(ctx: OperatorContext, at: LinearizedOperator | None = None) ->
     B = ctx.spec.growth_bound
     d, rho, m_rho = _kernel_numbers(ctx, 0.0 if at is None else at.z_sup)
     m = max(8.0 * B, 2.0 * math.sqrt(d)) + 1.0
-    if not math.isfinite(m):
+    if not math.isfinite(m) or d == sys.float_info.max:
         raise ParameterError(
             f"no finite weight m = max(8B, 2*sqrt(d)) + 1 for B = {B:g} and d = {d:g}"
         )
@@ -377,7 +378,7 @@ def solve_linearized(lin: LinearizedOperator, v: GridField | np.ndarray,
 class ContractionEstimate:
     """Measured contraction factor of the linearized fixed-point map."""
 
-    rho_hat: float
+    rho_hat: float        # at most the largest float, which an overflow reads as
     bound: float | None   # 4d/m² when d is known from a probe, at most the largest float
     m: float
     trials: int
@@ -423,7 +424,8 @@ def estimate_contraction(
         if not math.isfinite(bound):
             bound = min(4.0 * (d / m) / m, sys.float_info.max)
     return ContractionEstimate(
-        rho_hat=float(rho), bound=bound, m=m, trials=trials, contracting=rho < 1.0
+        rho_hat=min(float(rho), sys.float_info.max), bound=bound, m=m, trials=trials,
+        contracting=rho < 1.0,
     )
 
 

@@ -632,6 +632,24 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: the smallness bound 2/m overflows at m = 1e-320\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--suite", "lemma31", "--m-list", "1,1e-320"],
+         "the smallness bound 2/m overflows at m = 1e-320"),
+        (["--suite", "norms", "--m-list", "1,-1"],
+         "weight exponent must be nonnegative, got -1.0"),
+        (["--suite", "coercivity", "--builtin", "example46", "--m-list", "100,1"],
+         "coercivity bound needs m > 8B = 8, got m = 1"),
+    ], ids=["lemma31", "norms", "coercivity"])
+    def test_a_bad_listed_weight_writes_nothing(self, argv, message, tmp_path, capsys):
+        # the good weight comes first: its line is not printed either
+        code = run_cli(["verify", *argv, "--n", "8", "--samples", "2",
+                        "--out", str(tmp_path / "run")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_contraction_suite_listed_weights_win_over_m(self, capsys):
         code = run_cli(["verify", "--suite", "contraction", "--builtin", "example46",
                         "--n", "8", "--m-list", "3,9", "--m", "5"])
@@ -1185,6 +1203,80 @@ def test_weight_whose_square_underflows_writes_the_report(command, m, tmp_path, 
     with open(f"{out}.report.json", encoding="utf-8") as fh:
         report = json.load(fh, parse_constant=_reject_constant)
     assert report["contraction"]["bound"] == sys.float_info.max
+
+
+_ZERO2 = [["0", "0"], ["0", "0"]]
+
+#: Finite documents whose probe or contraction numbers overflow: the
+#: largest singular value of f1's Jacobian (2e308), A1's finite-difference
+#: x-derivative, and ‖F'(0) − I‖ along a random field.
+OVERFLOW_DOCS = {
+    "spectral": {
+        "meta": {"n": 2, "B": 0, "b": "0"},
+        "functions": {"f1": ["1e308*sin(z1+z2)", "1e308*sin(z1+z2)"], "f2": ["0", "0"]},
+        "coefficients": {"A1": _ZERO2, "A2": _ZERO2, "A1x": _ZERO2, "A2y": _ZERO2},
+    },
+    "derivative": {
+        "meta": {"n": 1, "B": 0, "b": "0"},
+        "functions": {"f1": ["0"], "f2": ["0"]},
+        "coefficients": {"A1": [["1.5e308*sin(1000*x)"]], "A2": [["0"]], "A1x": [["0"]],
+                         "A2y": [["0"]]},
+    },
+    "contraction": {
+        "meta": {"n": 1, "B": 0, "b": "0"},
+        "functions": {"f1": ["1.7e308*sin(z1)"], "f2": ["0"]},
+        "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+    },
+}
+
+
+def _values_of(obj, key: str) -> list:
+    """Every value of ``key`` in the parsed JSON ``obj``, at any depth."""
+    if isinstance(obj, dict):
+        return [v for k, item in obj.items()
+                for v in ([item] if k == key else []) + _values_of(item, key)]
+    if isinstance(obj, list):
+        return [v for item in obj for v in _values_of(item, key)]
+    return []
+
+
+@pytest.mark.parametrize("doc, argv, code, key", [
+    ("spectral", ["verify", "--suite", "assumptions"], 3, "m_rho"),
+    ("spectral", ["solve", "--n", "8", "--rhs", "1;1", "--m", "5"], 2, "m_rho"),
+    ("derivative", ["verify", "--suite", "assumptions"], 3, "deriv_residual_a1x"),
+    ("contraction", ["verify", "--suite", "contraction", "--n", "8", "--m-list", "5"], 3,
+     "rho_hat"),
+    ("contraction", ["linsolve", "--n", "8", "--rhs", "1", "--m", "5"], 2, "rho_hat"),
+], ids=["spectral-assumptions", "spectral-solve", "derivative-assumptions",
+        "contraction-verify", "contraction-linsolve"])
+def test_an_overflowed_number_reads_as_the_largest_float(doc, argv, code, key, tmp_path,
+                                                         capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(OVERFLOW_DOCS[doc]))
+    assert run_cli([*argv, "--problem", str(path), "--out", str(tmp_path / "run")]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    lines = json_lines(captured.out)
+    [name] = [line[k] for line in lines for k in ("report", "fail_artifact") if k in line]
+    with open(name, encoding="utf-8") as fh:
+        report = json.load(fh, parse_constant=_reject_constant)
+    found = _values_of(report, key)
+    if key == "m_rho":  # (ρ, M_ρ) pairs
+        found = [sup for pairs in found for _, sup in pairs]
+    assert found and set(found) == {sys.float_info.max}
+
+
+def test_an_automatic_weight_refuses_an_overflowed_jacobian_bound(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(OVERFLOW_DOCS["spectral"]))
+    code = run_cli(["solve", "--problem", str(path), "--n", "8", "--rhs", "1;1",
+                    "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: no finite weight m = max(8B, 2*sqrt(d)) + 1 "
+                                 "for B = 0 and d = 1.79769e+308\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
 class TestSens:

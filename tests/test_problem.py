@@ -343,6 +343,19 @@ class TestProbeAssumptions:
         assert rep.growth_ok is ok
         json.dumps(rep.as_dict(), allow_nan=False)
 
+    def test_an_overflowed_sup_reads_as_the_largest_float_and_still_fails(self):
+        # the spectral norm of the all-1e308 matrix is 2e308: the largest
+        # float in the report, and above the largest float B as a check
+        big, zero = [["1e308", "1e308"], ["1e308", "1e308"]], [["0", "0"], ["0", "0"]]
+        doc = minimal_doc(meta={"n": 2, "B": sys.float_info.max, "b": "0"},
+                          functions={"f1": ["0", "0"], "f2": ["0", "0"]},
+                          coefficients={"A1": big, "A2": zero, "A1x": zero, "A2y": zero},
+                          rhs={"v": ["1", "1"]})
+        rep = probe_assumptions(load_problem(doc), sample_count=50)
+        assert rep.sup_a1 == rep.declared_bound == sys.float_info.max
+        assert rep.coeff_ok is False
+        json.dumps(rep.as_dict(), allow_nan=False)
+
     def test_wrong_spatial_derivative_flagged(self):
         doc = minimal_doc()
         doc["coefficients"]["A1"] = [["x*y"]]
