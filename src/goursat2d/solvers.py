@@ -378,7 +378,7 @@ def solve_linearized(lin: LinearizedOperator, v: GridField | np.ndarray,
 class ContractionEstimate:
     """Measured contraction factor of the linearized fixed-point map."""
 
-    rho_hat: float        # at most the largest float, which an overflow reads as
+    rho_hat: float        # an overflow reads as the largest float
     bound: float | None   # 4d/m² when d is known from a probe, at most the largest float
     m: float
     trials: int
