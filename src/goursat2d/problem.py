@@ -502,15 +502,16 @@ def probe_assumptions(
         here = _matrix_values(a_deriv, *mid)
         res = np.linalg.norm((fd - here).reshape(total, -1), axis=1)
         scale = 1.0 + np.linalg.norm(here.reshape(total, -1), axis=1)
-        deriv_res.append(float((res / scale).max()))
+        with np.errstate(invalid="ignore"):  # inf/inf, a NaN, where both overflow
+            deriv_res.append(float(np.fmin(res / scale, sys.float_info.max).max()))
+    deriv_res_a1x, deriv_res_a2y = deriv_res
 
     growth_ok = max(growth_worst) <= 1.0 + _GROWTH_TOL
     coeff_ok = all(v <= B + _GROWTH_TOL for v in a_sups.values())
     deriv_ok = max(deriv_res) <= _DERIV_TOL
-    # an overflowed sup or residual reads as the largest float once its check
-    # has failed on it (B may be the largest float too)
+    # an overflowed sup reads as the largest float once its check has failed
+    # on it (B may be the largest float too)
     a_sups = {name: min(v, sys.float_info.max) for name, v in a_sups.items()}
-    deriv_res_a1x, deriv_res_a2y = (min(v, sys.float_info.max) for v in deriv_res)
 
     return AssumptionReport(
         samples=total,

@@ -1209,7 +1209,8 @@ _ZERO2 = [["0", "0"], ["0", "0"]]
 
 #: Finite documents whose probe or contraction numbers overflow: the
 #: largest singular value of f1's Jacobian (2e308), A1's finite-difference
-#: x-derivative, and ‖F'(0) − I‖ along a random field.
+#: x-derivative, that derivative against a declared A1x whose square
+#: overflows too (inf/inf), and ‖F'(0) − I‖ along a random field.
 OVERFLOW_DOCS = {
     "spectral": {
         "meta": {"n": 2, "B": 0, "b": "0"},
@@ -1221,6 +1222,12 @@ OVERFLOW_DOCS = {
         "functions": {"f1": ["0"], "f2": ["0"]},
         "coefficients": {"A1": [["1.5e308*sin(1000*x)"]], "A2": [["0"]], "A1x": [["0"]],
                          "A2y": [["0"]]},
+    },
+    "derivative-scale": {
+        "meta": {"n": 1, "B": 0, "b": "0"},
+        "functions": {"f1": ["0"], "f2": ["0"]},
+        "coefficients": {"A1": [["1.5e308*sin(1000*x)"]], "A2": [["0"]],
+                         "A1x": [["1.5e308*cos(x)"]], "A2y": [["0"]]},
     },
     "contraction": {
         "meta": {"n": 1, "B": 0, "b": "0"},
@@ -1244,11 +1251,12 @@ def _values_of(obj, key: str) -> list:
     ("spectral", ["verify", "--suite", "assumptions"], 3, "m_rho"),
     ("spectral", ["solve", "--n", "8", "--rhs", "1;1", "--m", "5"], 2, "m_rho"),
     ("derivative", ["verify", "--suite", "assumptions"], 3, "deriv_residual_a1x"),
+    ("derivative-scale", ["verify", "--suite", "assumptions"], 3, "deriv_residual_a1x"),
     ("contraction", ["verify", "--suite", "contraction", "--n", "8", "--m-list", "5"], 3,
      "rho_hat"),
     ("contraction", ["linsolve", "--n", "8", "--rhs", "1", "--m", "5"], 2, "rho_hat"),
 ], ids=["spectral-assumptions", "spectral-solve", "derivative-assumptions",
-        "contraction-verify", "contraction-linsolve"])
+        "derivative-scale-assumptions", "contraction-verify", "contraction-linsolve"])
 def test_an_overflowed_number_reads_as_the_largest_float(doc, argv, code, key, tmp_path,
                                                          capsys):
     path = tmp_path / "doc.json"
