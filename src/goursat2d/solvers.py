@@ -175,7 +175,8 @@ def choose_weight(ctx: OperatorContext, at: LinearizedOperator | None = None) ->
     probed radius if none covers it), so the Jacobian bound is valid around
     the expected iterates.  Requires assumptions to have been probed into
     the context.  No finite m exists when 8B overflows or d is the largest
-    float, which is how the probe reports an overflowed Jacobian sup.
+    float, which is how the probe reports an overflowed Jacobian sup, and an
+    m whose norm weighs node (0, 0) only (e^{−mh} underflows) is refused.
     """
     if ctx.assumptions is None:
         raise ParameterError(
@@ -191,6 +192,9 @@ def choose_weight(ctx: OperatorContext, at: LinearizedOperator | None = None) ->
         raise ParameterError(
             f"no finite weight m = max(8B, 2*sqrt(d)) + 1 for B = {B:g} and d = {d:g}"
         )
+    if WeightedNorms(ctx.grid, m).factors[1] == 0.0:
+        raise ParameterError(f"the weight m = {m:g} for B = {B:g} and d = {d:g} underflows "
+                             "e^(-m*h) to 0, so its norm would weigh node (0, 0) only")
     return WeightChoice(
         m=m,
         growth_bound=B,

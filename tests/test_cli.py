@@ -1287,6 +1287,22 @@ def test_an_automatic_weight_refuses_an_overflowed_jacobian_bound(tmp_path, caps
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
+
+def test_an_automatic_weight_refuses_to_blind_the_norm(tmp_path, capsys):
+    # d = 1.7e308 is finite, so m = 2.6e154 exists, but e^(−mh) underflows
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(OVERFLOW_DOCS["contraction"]))
+    code = run_cli(["linsolve", "--problem", str(path), "--n", "8", "--rhs", "1",
+                    "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: the weight m = 2.60768e+154 for B = 0 and d = 1.7e+308 "
+                                 "underflows e^(-m*h) to 0, so its norm would weigh node (0, 0) "
+                                 "only\n")
+    assert "contraction threshold" not in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
 class TestSens:
     def test_zero_problem_quotients_at_rounding_level(self, tmp_path, capsys):
         out = tmp_path / "sens"

@@ -202,6 +202,31 @@ class TestChooseWeight:
         with pytest.raises(ParameterError, match="no finite weight"):
             solve(ctx, v, SolverConfig())
 
+    @staticmethod
+    def sine_spec(c):
+        """f¹ = c·sin z: the probed Jacobian sup, and so d, is c at every radius."""
+        return load_problem({
+            "meta": {"n": 1, "B": 0, "b": "0"},
+            "functions": {"f1": [f"{c!r}*sin(z1)"], "f2": ["0"]},
+            "coefficients": {"A1": [["0"]], "A2": [["0"]], "A1x": [["0"]], "A2y": [["0"]]},
+        })
+
+    def test_a_weight_that_blinds_the_norm_off_the_origin_is_refused(self):
+        # d = 1.7e308 is finite, but m = 2√d + 1 = 2.6e154 underflows e^(−mh):
+        # a norm that weighs node (0, 0) only would call any iterate converged
+        ctx = probed_context(self.sine_spec(1.7e308), 8)
+        with pytest.raises(ParameterError, match=r"m = 2\.60768e\+154 .* node \(0, 0\) only"):
+            choose_weight(ctx)
+        v = GridField(ctx.grid, np.ones((9, 9, 1)))
+        for run in (lambda: solve(ctx, v, SolverConfig()),
+                    lambda: solve_linearized(LinearizedOperator(ctx), v, SolverConfig())):
+            with pytest.raises(ParameterError, match="node \\(0, 0\\) only"):
+                run()
+        # m = 2001 keeps every factor nonzero at h = 1/8 and is accepted
+        choice = choose_weight(probed_context(self.sine_spec(1e6), 8))
+        assert choice.m == 2001.0
+        assert WeightedNorms(build_grid(8), choice.m).factors[1] > 0.0
+
     def test_as_dict_round_trip(self):
         choice = choose_weight(probed_context(linear_spec(), 8))
         d = choice.as_dict()
