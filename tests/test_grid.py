@@ -12,6 +12,7 @@ from goursat2d.norms import verify_lemma31
 from goursat2d.grid import (
     Grid,
     GridField,
+    _cum_rows,
     build_grid,
     cum2d_array,
     cumx_array,
@@ -218,6 +219,40 @@ class TestCumulativeIntegrals:
         out = cum2d_array(vals, grid.h)
         np.testing.assert_allclose(out[4, 4, 0], 1.0, atol=1e-14)
         np.testing.assert_allclose(out[4, 4, 1], 0.25, atol=1e-14)
+
+
+def _copy_hi(lo, hi, out):
+    """A ``pairs`` rule whose cell of two node rows is the later row."""
+    np.copyto(out, hi)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 191])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("carried", [False, True])
+def test_cum_rows_is_numpy_cumsum_bit_for_bit(rows, n, carried):
+    # the row recurrence makes numpy's axis-0 additions in numpy's order, so
+    # every number, signed zeros and infinities too, comes out the same; a NaN
+    # stays a NaN, but which of two NaNs an add returns (sign, payload) is up
+    # to numpy's vector loop and not pinned
+    rng = np.random.default_rng(rows * 10 + n)
+    values = rng.standard_normal((rows, 7, n))
+    values[:, 3] = -0.0  # a column of -0.0 keeps its sign only if no +0.0 is added
+    specials = np.array([-0.0, np.inf, -np.inf, np.nan])
+    picks = rng.random(values.shape) < 0.1
+    values[picks] = rng.choice(specials, picks.sum())
+    carry = (rng.standard_normal((7, n)), rng.choice(specials, (7, n))) if carried else None
+    want = values.copy()
+    cells = want if carried else want[1:]  # row x = 0 stays 0 without a carry
+    with np.errstate(invalid="ignore"):
+        if carried:
+            cells[0] += carry[1]
+        else:
+            want[0] = 0.0
+        np.cumsum(cells, axis=0, out=cells)
+        got = _cum_rows(np.empty(values.shape), values, _copy_hi, 1.0, carry)
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 class TestReconstruction:

@@ -225,6 +225,26 @@ def test_grid_sizes_cover_the_strip_cases(n, cells, count, last):
     assert len(strips) == count and strips[-1].stop - strips[-1].start == last
 
 
+
+@pytest.mark.parametrize("name", ["example46", "linear", "coupled-n2"])
+def test_two_row_strips_give_the_one_strip_bits(name, monkeypatch):
+    # 65 rows run as one strip, then as 32 strips of two rows and a last strip
+    # of one, whose axis-0 prefix sums are the carry plus one row of cells
+    ctx = _context(name, 64)
+    rng = np.random.default_rng(65)
+    g, at, h = rng.uniform(-1.0, 1.0, (3, 65, 65, ctx.spec.n))
+
+    def run():
+        return apply_F(ctx, g), LinearizedOperator(ctx, at).apply_array(h)
+
+    assert len(row_strips(65, ctx.spec.n)) == 1
+    whole = run()
+    monkeypatch.setattr("goursat2d.grid._STRIP_BYTES", 1)
+    strips = row_strips(65, ctx.spec.n)
+    assert len(strips) == 33 and strips[-1] == slice(64, 65)
+    for got, want in zip(run(), whole):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
 def ref_sample(f, grid):
     """An XYFunction's values on ``grid``, sampled on the whole grid at once."""
     X, Y = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
