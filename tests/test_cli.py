@@ -1287,7 +1287,6 @@ def test_an_automatic_weight_refuses_an_overflowed_jacobian_bound(tmp_path, caps
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
-
 def test_an_automatic_weight_refuses_to_blind_the_norm(tmp_path, capsys):
     # d = 1.7e308 is finite, so m = 2.6e154 exists, but e^(−mh) underflows
     path = tmp_path / "doc.json"
@@ -1302,6 +1301,7 @@ def test_an_automatic_weight_refuses_to_blind_the_norm(tmp_path, capsys):
                                  "only\n")
     assert "contraction threshold" not in captured.err
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
 
 class TestSens:
     def test_zero_problem_quotients_at_rounding_level(self, tmp_path, capsys):

@@ -225,7 +225,6 @@ def test_grid_sizes_cover_the_strip_cases(n, cells, count, last):
     assert len(strips) == count and strips[-1].stop - strips[-1].start == last
 
 
-
 @pytest.mark.parametrize("name", ["example46", "linear", "coupled-n2"])
 def test_two_row_strips_give_the_one_strip_bits(name, monkeypatch):
     # 65 rows run as one strip, then as 32 strips of two rows and a last strip
@@ -244,6 +243,7 @@ def test_two_row_strips_give_the_one_strip_bits(name, monkeypatch):
     assert len(strips) == 33 and strips[-1] == slice(64, 65)
     for got, want in zip(run(), whole):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 def ref_sample(f, grid):
     """An XYFunction's values on ``grid``, sampled on the whole grid at once."""
