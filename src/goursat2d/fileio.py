@@ -3,11 +3,16 @@
 Floats are written with ``%.17g``, which reloads binary64 bit-exactly, so
 residual norms recomputed from an emitted grid match the report; the CSV
 writers format whole arrays in integer arithmetic with the same bytes.
-Files are written atomically — a temp file in the target directory, then
-``os.replace``, with the mode ``open`` gives — so readers never observe a
-partial file.  Reports are single JSON objects with insertion-ordered keys
-and no timestamps: repeated runs with the same inputs must produce
-byte-identical bytes.
+Files are written to a temp file in the target directory, with the mode
+``open`` gives; then an old file at the path is removed and the temp file
+is renamed in.  A reader never sees a partial file, but the path is briefly
+absent, and a crash in that window leaves the new file under its temp name.
+Renamed over an existing file, ext4 can make the rename wait on writeback:
+rewriting an N = 512 bundle (29 MB) into one path took 0.7–1.6 s a time
+from the third write on, against 0.08 s with the old file removed first.
+Reports are single JSON objects with insertion-ordered keys and no
+timestamps: repeated runs with the same inputs must produce byte-identical
+bytes.
 
 Grid bundles are row-major in i then j with header
 ``i,j,x,y,g_1..g_n,z_1..z_n,zx_1..zx_n,zy_1..zy_n``; plain fields use
@@ -15,11 +20,18 @@ Grid bundles are row-major in i then j with header
 derived z, z_x, z_y for readers of the file; loading returns g and rejects
 a bundle whose state columns are not g's state.
 
-Readers stream the file: the data rows go from the open file straight into
-numpy's parser, so a read holds about one parsed table, not the text.
-Lines end at ``\n``, ``\r\n`` or ``\r``; blank and whitespace-only lines are
-skipped, and line numbers in errors count the other lines, the header being
-line 1.  A file that is not UTF-8 text is a ``SchemaError`` naming the file.
+A bundle whose bytes are exactly those ``write_grid_csv`` writes (every
+bundle this package writes) is read by parsing its g columns alone: the
+rest of the file is compared, chunk by chunk, with the writer's own text of
+that g and its state, from ``_node_chunks``, the one owner of the byte
+format.  Every other bundle (other spellings of numbers, CRLF or blank
+lines, a faulty file) and every field file go to the general parser.  It
+streams the data rows from the open file into numpy's parser, so a read
+holds about one parsed table, not the text, and it alone names a file's
+faults.  Lines end at ``\n``, ``\r\n`` or ``\r``; blank and whitespace-only
+lines are skipped, and line numbers in errors count the other lines, the
+header being line 1.  A file that is not UTF-8 text is a ``SchemaError``
+naming the file.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ import math
 import os
 import re
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import cache, partial
 from itertools import chain
 from pathlib import Path
@@ -49,6 +61,10 @@ def _atomic_write(path: str | os.PathLike, chunks: Iterable[bytes | str]) -> Non
             f.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
         os.umask(umask := os.umask(0))
         os.chmod(tmp, 0o666 & ~umask)
+        try:  # renamed over an existing file, ext4 can make the rename wait on writeback
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -64,6 +80,7 @@ def _columns(prefixes: tuple[str, ...], n: int) -> list[str]:
 
 _U64 = np.uint64
 _CHUNK_BYTES = 3 << 18  # bytes of row table formatted at a time
+_READ_BYTES = 1 << 18  # bytes of file text split into fields at a time
 
 
 @cache
@@ -142,32 +159,29 @@ def _format_cells(x: np.ndarray) -> np.ndarray:
     return cells.view(np.uint8)[..., 6:]
 
 
-def _write_nodes(path: str | os.PathLike, grid: Grid, blocks: dict[str, np.ndarray]) -> None:
-    """Emit one row per node, row-major in i then j: ``i,j,x,y`` and then,
+def _node_chunks(grid: Grid, blocks: dict[str, np.ndarray]) -> Iterator[bytes | np.ndarray]:
+    """The bytes of a node table, one grid row of nodes per chunk after the
+    header: one line per node, row-major in i then j, of ``i,j,x,y`` and then,
     per block, its n components as ``prefix_1..prefix_n``.  A chunk of rows is
     a table of ``_format_cells`` cells (a newline for the first comma of each
-    row), written without the NULs."""
+    row), yielded without the NULs as a uint8 array."""
     P, n = grid.npoints, next(iter(blocks.values())).shape[2]
     index, nodes = _format_cells(np.arange(P, dtype=float)), _format_cells(grid.nodes)
     rows = max(1, _CHUNK_BYTES // (26 * P * (4 + n * len(blocks))))
     table = np.empty((min(rows, P), P, 4 + n * len(blocks), 26), np.uint8)
     table[:, :, 0, 0], table[:, :, 1], table[:, :, 3] = ord("\n"), index, nodes
-
-    def chunks():
-        yield ",".join(_columns(tuple(blocks), n))
-        for i0 in range(0, P, rows):
-            m = min(rows, P - i0)
-            table[:m, :, 0, 1:], table[:m, :, 2] = index[i0:i0 + m, None, 1:], nodes[i0:i0 + m, None]
-            for b, values in enumerate(blocks.values()):
-                table[:m, :, 4 + b * n:4 + b * n + n] = _format_cells(values[i0:i0 + m])
-            yield from (text[text != 0] for text in table[:m].reshape(m, -1))
-        yield "\n"
-
-    _atomic_write(path, chunks())
+    yield ",".join(_columns(tuple(blocks), n)).encode()
+    for i0 in range(0, P, rows):
+        m = min(rows, P - i0)
+        table[:m, :, 0, 1:], table[:m, :, 2] = index[i0:i0 + m, None, 1:], nodes[i0:i0 + m, None]
+        for b, values in enumerate(blocks.values()):
+            table[:m, :, 4 + b * n:4 + b * n + n] = _format_cells(values[i0:i0 + m])
+        yield from (text[text != 0] for text in table[:m].reshape(m, -1))
+    yield b"\n"
 
 
 def _read_nodes(path: str | os.PathLike, prefixes: tuple[str, ...]) -> tuple[Grid, np.ndarray]:
-    """Read a node table written by ``_write_nodes`` with the given blocks.
+    """Read a node table in the layout of ``_node_chunks`` with the given blocks.
 
     n is the number of ``prefixes[0]_k`` header columns.  Returns the grid and
     the values, shape (P, P, len(prefixes)·n), blocks in ``prefixes`` order.
@@ -249,7 +263,7 @@ def _read_nodes(path: str | os.PathLike, prefixes: tuple[str, ...]) -> tuple[Gri
 
 def write_field_csv(path: str | os.PathLike, field: GridField) -> None:
     """Emit ``i,j,x,y,v_1..v_n`` rows, row-major in i then j."""
-    _write_nodes(path, field.grid, {"v": field.values})
+    _atomic_write(path, _node_chunks(field.grid, {"v": field.values}))
 
 
 def read_field_csv(path: str | os.PathLike) -> GridField:
@@ -258,16 +272,81 @@ def read_field_csv(path: str | os.PathLike) -> GridField:
 
 # -- solution bundles (g plus the state rebuilt from it) -----------------------
 
+_BUNDLE = ("g", "z", "zx", "zy")
+
+
+def _bundle(g: np.ndarray, h: float) -> dict[str, np.ndarray]:
+    """The blocks of a solution bundle: g and the state z, z_x, z_y rebuilt from it."""
+    return dict(zip(_BUNDLE, (g, *state_from_g(g, h))))
+
+
 def write_grid_csv(path: str | os.PathLike, g: GridField) -> None:
     """Emit the solution bundle: g = z_xy plus its state z, z_x, z_y per node."""
-    z, zx, zy = state_from_g(g.values, g.grid.h)
-    _write_nodes(path, g.grid, {"g": g.values, "z": z, "zx": zx, "zy": zy})
+    _atomic_write(path, _node_chunks(g.grid, _bundle(g.values, g.grid.h)))
+
+
+def _g_fields(f, n: int) -> np.ndarray | None:
+    """The n fields after ``i,j,x,y`` of each line left in binary file ``f``,
+    as floats of shape (lines, n); None when the text does not split into
+    lines of 4n + 4 fields ending at ``\n``, or a g field does not parse.
+
+    A chunk of whole lines at a time is split at its commas and newlines,
+    and each g field's bytes (at most 24, the longest ``%.17g`` text) are
+    cast from ``S24``.  A file not in the writer's layout may still give
+    values here; the byte check in ``_written_g`` refuses them."""
+    width, parts, rest = 4 * n + 4, [], b""
+    while block := f.read(_READ_BYTES):
+        block = rest + block
+        cut = block.rfind(b"\n") + 1
+        text, rest = np.frombuffer(block, np.uint8, cut), block[cut:]
+        ends = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
+        if ends.size % width:
+            return None
+        ends = ends.reshape(-1, width)
+        at = ends[:, 3:3 + n, None] + np.arange(1, 25)
+        cells = np.where(at < ends[:, 4:4 + n, None], text[np.minimum(at, cut - 1)], 0)
+        try:
+            parts.append(cells.view("S24")[..., 0].astype(float))
+        except ValueError:  # an empty field, or one that is no number
+            return None
+    return np.concatenate(parts) if parts and not rest else None
+
+
+def _written_g(f) -> GridField | None:
+    """The g of the bundle in binary file ``f`` when the file holds exactly
+    the bytes ``write_grid_csv`` writes for it, with g and its state finite;
+    else None.
+
+    Only the g columns are parsed.  The rest of the file is checked against
+    ``_node_chunks``' text of that g and its state, chunk by chunk, so the
+    writer's code is the one owner of the format that this accepts."""
+    n = f.readline().count(b",g_")
+    values = _g_fields(f, n) if n else None
+    P = math.isqrt(len(values)) if values is not None else 0
+    if P < 3 or P * P != len(values):  # a grid has at least 2 cells
+        return None
+    grid = build_grid(P - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a g or state not finite is refused below
+        blocks = _bundle(values.reshape(P, P, n), grid.h)
+    if not all(np.isfinite(block).all() for block in blocks.values()):
+        return None
+    f.seek(0)
+    written = all(f.read(len(chunk)) == bytes(chunk) for chunk in _node_chunks(grid, blocks))
+    return GridField(grid, blocks["g"]) if written and not f.read(1) else None
 
 
 def read_grid_csv(path: str | os.PathLike) -> GridField:
     """The g of a solution bundle whose z, z_x, z_y columns are, bit for bit,
-    the state ``write_grid_csv`` derives from that g."""
-    grid, data = _read_nodes(path, ("g", "z", "zx", "zy"))
+    the state ``write_grid_csv`` derives from that g.
+
+    A file whose bytes are those ``write_grid_csv`` writes is read by
+    ``_written_g``, which parses only g; any other file, and every faulty
+    one, by ``_read_nodes`` and the state check here, which name the fault."""
+    with open(path, "rb") as f:
+        written = _written_g(f)
+    if written is not None:
+        return written
+    grid, data = _read_nodes(path, _BUNDLE)
     n = data.shape[2] // 4
     g, stored = GridField(grid, data[:, :, :n]), data[:, :, n:]
     state = np.concatenate(state_from_g(g.values, grid.h), axis=2)

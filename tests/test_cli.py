@@ -1495,6 +1495,17 @@ class TestDeterminism:
         assert (dir_a / "run.grid.csv").read_bytes() == (dir_b / "run.grid.csv").read_bytes()
         assert (dir_a / "run.report.json").read_bytes() == (dir_b / "run.report.json").read_bytes()
 
+    def test_solve_into_its_own_prefix_again_leaves_the_same_two_files(self, tmp_path, monkeypatch):
+        # the second run removes each old artifact before renaming the new one in
+        argv = ["solve", "--builtin", "example46", "--n", "10", "--rhs", "x + y*y", "--out", "run"]
+        monkeypatch.chdir(tmp_path)
+        runs = []
+        for _ in range(2):
+            assert run_cli(argv) == 0
+            runs.append({p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())})
+        assert list(runs[1]) == ["run.grid.csv", "run.report.json"]
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("argv,expected", [
         (["linsolve", "--builtin", "example46", "--n", "10", "--rhs", "x + y*y"], 0),
         (["sens", "--builtin", "example46", "--n", "10", "--rhs", "x*y", "--direction", "1"], 0),
