@@ -320,8 +320,11 @@ def _written_g(f) -> GridField | None:
     Only the g columns are parsed.  The rest of the file is checked against
     ``_node_chunks``' text of that g and its state, chunk by chunk, so the
     writer's code is the one owner of the format that this accepts."""
-    n = f.readline().count(b",g_")
-    values = _g_fields(f, n) if n else None
+    header = f.readline()
+    n = header.count(b",g_")
+    if n < 1 or header != f"{','.join(_columns(_BUNDLE, n))}\n".encode():
+        return None  # a header not as written (CRLF, say) is refused before the parse
+    values = _g_fields(f, n)
     P = math.isqrt(len(values)) if values is not None else 0
     if P < 3 or P * P != len(values):  # a grid has at least 2 cells
         return None

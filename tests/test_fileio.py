@@ -330,7 +330,8 @@ class TestBothReaderPaths:
     @pytest.mark.parametrize("edit", [
         lambda text: text.removesuffix("\n"),
         lambda text: text.replace("\n1,0,", "\n\n \t \n1,0,"),
-    ], ids=["no-final-newline", "blank-lines-between-rows"])
+        lambda text: text.replace("\n", "\r\n"),
+    ], ids=["no-final-newline", "blank-lines-between-rows", "crlf"])
     def test_another_layout_of_the_lines(self, tmp_path, monkeypatch, edit):
         field, path = self.bundle(tmp_path)
         path.write_text(edit(path.read_text()))
@@ -639,10 +640,11 @@ class TestReaderAllocations:
     """The traced peak of ``read_grid_csv`` (n = 1) on a bundle as written, in
     units of one (P, P, 1) float array.
 
-    Measured: 7.00 at N = 256 and 5.13 at N = 512: g, its state (3 units),
-    one chunk of the writer's row cells and, at N = 256, that chunk's share of
-    the grid.  Parsing every column with ``np.loadtxt`` peaked at 14.5 at
-    both sizes.
+    Measured: 7.00 at N = 256 and 5.13 at N = 512, while the file is
+    compared with the writer's text: g, its state (3 units), the writer's
+    768 KiB table of row cells (1.4 units at N = 256, 0.4 at N = 512) and
+    the formatting temporaries of one block of it.  Parsing every column
+    with ``np.loadtxt`` peaked at 14.5 at both sizes.
     """
 
     @pytest.mark.parametrize("cells, bound", [(256, 7.4), (512, 5.4)])
