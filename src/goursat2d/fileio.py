@@ -53,7 +53,8 @@ from .grid import Grid, GridField, build_grid, state_from_g
 
 
 def _atomic_write(path: str | os.PathLike, chunks: Iterable[bytes | str]) -> None:
-    """Stream ``chunks`` (bytes, or str as UTF-8) to a temp file beside ``path``; rename it over."""
+    """Stream ``chunks`` (bytes, or str as UTF-8) to a temp file beside ``path``;
+    remove any old file at ``path``, then rename the temp file in."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
     try:
